@@ -15,6 +15,7 @@
 use crate::fault::{FaultProfile, RetryPolicy};
 use crate::kvstore::KvStore;
 use crate::rpc::{PullHandle, PullResponse, RpcClient, RpcError, RpcServer};
+use crate::wire::{self, WireElem};
 use mgnn_graph::{FeatureStore, NodeId};
 use std::sync::{Arc, Mutex};
 
@@ -250,10 +251,11 @@ impl SimCluster {
 
     /// Pull features for arbitrary global `ids` through the RPC servers,
     /// grouping by owner (one bulk request per touched partition, like
-    /// DistDGL). Returns rows in the order of `ids` plus the number of
-    /// first-round RPCs issued. Faults are absorbed by the ladder in
-    /// [`pull_grouped_checked`](Self::pull_grouped_checked); rows that
-    /// exhausted retries come back zero-filled.
+    /// DistDGL). Returns rows in the order of `ids` — f32 again, each
+    /// element rounded once by the [`wire`] format it crossed in — plus
+    /// the number of first-round RPCs issued. Faults are absorbed by the
+    /// ladder in [`pull_grouped_checked`](Self::pull_grouped_checked);
+    /// rows that exhausted retries come back zero-filled.
     pub fn pull_grouped(&self, ids: &[NodeId]) -> (Vec<f32>, usize) {
         let (out, outcome) = self.pull_grouped_checked(ids);
         (out, outcome.rpcs)
@@ -300,7 +302,7 @@ impl SimCluster {
             };
             handles.push(Some((client.pull_async(list.clone()), generation)));
         }
-        let mut responses: Vec<Option<Vec<f32>>> = vec![None; p];
+        let mut responses: Vec<Option<Vec<WireElem>>> = vec![None; p];
         for (part, slot) in handles.into_iter().enumerate() {
             let Some((issued, generation)) = slot else {
                 continue;
@@ -317,13 +319,16 @@ impl SimCluster {
                 Err(e) => self.recover_part(part, &by_part[part], e, generation, &mut outcome),
             };
         }
-        // Assemble in request order; rows of partitions that exhausted
-        // every retry stay zero and are reported as failed.
+        // Assemble in request order, widening each row off the wire in
+        // the same copy; rows of partitions that exhausted every retry
+        // stay zero and are reported as failed.
         let mut out = vec![0.0f32; ids.len() * self.dim];
         for (row, &(part, idx)) in position.iter().enumerate() {
             match &responses[part] {
-                Some(resp) => out[row * self.dim..(row + 1) * self.dim]
-                    .copy_from_slice(&resp[idx * self.dim..(idx + 1) * self.dim]),
+                Some(resp) => wire::decode_row(
+                    &resp[idx * self.dim..(idx + 1) * self.dim],
+                    &mut out[row * self.dim..(row + 1) * self.dim],
+                ),
                 None => outcome.failed_rows.push(row),
             }
         }
@@ -404,7 +409,7 @@ impl SimCluster {
         first_err: RpcError,
         seen_generation: u64,
         outcome: &mut PullOutcome,
-    ) -> Option<Vec<f32>> {
+    ) -> Option<Vec<WireElem>> {
         let mut err = first_err;
         let mut generation = seen_generation;
         for attempt in 1..=self.retry.max_retries {
@@ -487,6 +492,11 @@ mod tests {
         (f, assignment)
     }
 
+    /// What a pulled copy of `row` must equal, exactly.
+    fn on_wire(row: &[f32]) -> Vec<f32> {
+        row.iter().map(|&x| wire::round_trip(x)).collect()
+    }
+
     fn retry_with_timeout(ms: u64) -> RetryPolicy {
         RetryPolicy {
             max_retries: 2,
@@ -521,7 +531,7 @@ mod tests {
         let (out, rpcs) = c.pull_grouped(&ids);
         assert!((1..=4).contains(&rpcs));
         for (i, &g) in ids.iter().enumerate() {
-            assert_eq!(&out[i * 8..(i + 1) * 8], f.row(g), "row {g}");
+            assert_eq!(&out[i * 8..(i + 1) * 8], on_wire(f.row(g)), "row {g}");
         }
     }
 
@@ -552,7 +562,7 @@ mod tests {
         assert!(!outcome.had_faults());
         assert!(outcome.charge_s(&crate::cost::CostModel::default(), 8, c.retry_policy()) == 0.0);
         for (i, &g) in ids.iter().enumerate() {
-            assert_eq!(&out[i * 8..(i + 1) * 8], f.row(g), "row {g}");
+            assert_eq!(&out[i * 8..(i + 1) * 8], on_wire(f.row(g)), "row {g}");
         }
     }
 
@@ -576,7 +586,7 @@ mod tests {
             outcome.failed_rows
         );
         for (i, &g) in ids.iter().enumerate() {
-            assert_eq!(&out[i * 8..(i + 1) * 8], f.row(g), "row {g}");
+            assert_eq!(&out[i * 8..(i + 1) * 8], on_wire(f.row(g)), "row {g}");
         }
         // The respawned server is healthy: a second pull is clean.
         let (_, second) = c.pull_grouped_checked(&ids);
@@ -620,7 +630,7 @@ mod tests {
         assert!(outcome.delay_events.iter().all(|&(n, k)| n == 1 && k == 6));
         assert!(outcome.failed_rows.is_empty());
         for (i, &g) in ids.iter().enumerate() {
-            assert_eq!(&out[i * 8..(i + 1) * 8], f.row(g), "row {g}");
+            assert_eq!(&out[i * 8..(i + 1) * 8], on_wire(f.row(g)), "row {g}");
         }
         // Sim-time charge: 4 delayed single-node requests at k=6.
         let cost = crate::cost::CostModel::default();

@@ -93,18 +93,18 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Time to pull `nodes` remote feature rows of `feat_dim` f32s in one
-    /// bulk RPC: `latency + bytes / bw`. Zero nodes costs zero (DistDGL
-    /// skips empty pulls).
+    /// Time to pull `nodes` remote feature rows of `feat_dim` elements in
+    /// one bulk RPC: `latency + bytes / bw`, at the wire's element width.
+    /// Zero nodes costs zero (DistDGL skips empty pulls).
     pub fn t_rpc(&self, nodes: usize, feat_dim: usize) -> f64 {
         if nodes == 0 {
             return 0.0;
         }
-        let bytes = (nodes * feat_dim * 4) as f64;
+        let bytes = (nodes * feat_dim * crate::wire::BYTES_PER_ELEM) as f64;
         self.rpc_latency_s + nodes as f64 * self.rpc_per_node_s + bytes / self.network_bw
     }
 
-    /// Time to gather `nodes` local feature rows from the partition's
+    /// Time to gather `nodes` local f32 feature rows from the partition's
     /// KVStore (memory copy).
     pub fn t_copy(&self, nodes: usize, feat_dim: usize) -> f64 {
         let bytes = (nodes * feat_dim * 4) as f64;

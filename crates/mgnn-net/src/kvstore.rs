@@ -1,9 +1,11 @@
 //! Per-partition feature KVStore, mirroring DistDGL's.
 //!
 //! Each partition's server holds the features (and labels) of the nodes it
-//! *owns*, keyed by global id. Trainers pull local rows directly and remote
-//! rows via [`crate::rpc`] or [`crate::cluster::SimCluster::pull`].
+//! *owns*, keyed by global id. Trainers read local rows directly as f32
+//! ([`KvStore::row`]) and pull remote rows, in [`crate::wire`] format, via
+//! [`crate::rpc`] or [`crate::cluster::SimCluster::pull_grouped`].
 
+use crate::wire::{self, WireElem};
 use mgnn_graph::NodeId;
 
 /// A pull touched a global id this shard does not own.
@@ -116,14 +118,15 @@ impl KvStore {
         self.labels[i]
     }
 
-    /// Bulk pull: gather rows for `ids` into a dense row-major buffer —
-    /// the payload of one bulk RPC response. Fails on the first id this
-    /// shard does not own, so a routing bug surfaces as a typed error
-    /// at the server instead of a panic that kills the server thread.
-    pub fn pull(&self, ids: &[NodeId]) -> Result<Vec<f32>, KvError> {
+    /// Bulk pull: gather rows for `ids` into a dense row-major buffer
+    /// in wire format — the payload of one bulk RPC response, encoded in
+    /// the same pass that gathers it. Fails on the first id this shard
+    /// does not own, so a routing bug surfaces as a typed error at the
+    /// server instead of a panic that kills the server thread.
+    pub fn pull(&self, ids: &[NodeId]) -> Result<Vec<WireElem>, KvError> {
         let mut out = Vec::with_capacity(ids.len() * self.dim);
         for &g in ids {
-            out.extend_from_slice(self.try_row(g)?);
+            wire::encode_row(self.try_row(g)?, &mut out);
         }
         Ok(out)
     }
@@ -163,7 +166,7 @@ mod tests {
     fn bulk_pull_order_preserved() {
         let s = store();
         let out = s.pull(&[9, 2]).unwrap();
-        assert_eq!(out, vec![5.0, 6.0, 1.0, 2.0]);
+        assert_eq!(out, [5.0, 6.0, 1.0, 2.0].map(wire::encode));
     }
 
     #[test]
@@ -187,7 +190,7 @@ mod tests {
     fn empty_store() {
         let s = KvStore::new(1, vec![], vec![], vec![], 4);
         assert!(s.is_empty());
-        assert_eq!(s.pull(&[]).unwrap(), Vec::<f32>::new());
+        assert!(s.pull(&[]).unwrap().is_empty());
     }
 
     #[test]

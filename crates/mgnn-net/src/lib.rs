@@ -7,8 +7,9 @@
 //!
 //! * **Real data movement** — [`kvstore::KvStore`] holds each partition's
 //!   feature shard; [`rpc`] moves real feature bytes between threads over
-//!   crossbeam channels. Hit/miss counts, node counts and byte counts in
-//!   [`metrics::CommMetrics`] are therefore *exact*, not modeled.
+//!   crossbeam channels, 16 bits per element ([`wire`]). Hit/miss counts,
+//!   node counts and byte counts in [`metrics::CommMetrics`] are therefore
+//!   *exact*, not modeled.
 //! * **Modeled time** — [`cost::CostModel`] converts those exact counts
 //!   into seconds using latency/bandwidth/compute-rate parameters
 //!   calibrated to the paper's platform (§V), accumulated in a
@@ -34,6 +35,7 @@ pub mod fault;
 pub mod kvstore;
 pub mod metrics;
 pub mod rpc;
+pub mod wire;
 
 pub use clock::{PipelineClock, PipelineStepTimes, SimClock};
 pub use cluster::{PullOutcome, SimCluster};

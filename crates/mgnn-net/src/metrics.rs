@@ -11,6 +11,7 @@
 //! summed [`MetricsSnapshot`]s by construction. Disabled, each hook is
 //! one relaxed atomic load.
 
+use crate::wire::BYTES_PER_ELEM;
 use mgnn_obs::registry;
 use mgnn_obs::{Lane, Phase, SpanRecorder};
 use serde::{Serialize, Value};
@@ -37,7 +38,7 @@ pub struct CommMetrics {
     pub rpc_calls: AtomicU64,
     /// Remote node feature rows fetched over RPC (the paper's Fig. 11 Y).
     pub remote_nodes_fetched: AtomicU64,
-    /// Bytes moved over the network.
+    /// Payload bytes of the remote feature rows moved over the network.
     pub remote_bytes: AtomicU64,
     /// Local feature rows copied from the partition's own KVStore.
     pub local_nodes_copied: AtomicU64,
@@ -116,20 +117,21 @@ impl CommMetrics {
         }
     }
 
-    /// Record one bulk RPC fetching `nodes` rows of `dim` f32 features.
+    /// Record one bulk RPC fetching `nodes` rows of `dim` features:
+    /// `remote_bytes` grows by the payload those rows occupy on the wire.
     pub fn record_rpc(&self, nodes: u64, dim: usize) {
         if nodes == 0 {
             return;
         }
+        let bytes = nodes * (dim * BYTES_PER_ELEM) as u64;
         self.rpc_calls.fetch_add(1, Ordering::Relaxed);
         self.remote_nodes_fetched
             .fetch_add(nodes, Ordering::Relaxed);
-        self.remote_bytes
-            .fetch_add(nodes * dim as u64 * 4, Ordering::Relaxed);
+        self.remote_bytes.fetch_add(bytes, Ordering::Relaxed);
         if registry::enabled() {
             registry::RPC_CALLS.inc();
             registry::REMOTE_NODES.add(nodes);
-            registry::REMOTE_BYTES.add(nodes * dim as u64 * 4);
+            registry::REMOTE_BYTES.add(bytes);
         }
     }
 
@@ -258,7 +260,7 @@ impl CommMetrics {
     }
 
     /// Record one planned lookahead pull fetching `nodes` rows of `dim`
-    /// f32 features ahead of their due step. Counts into the planned
+    /// features ahead of their due step. Counts into the planned
     /// counters *and* the remote-traffic totals ([`record_rpc`]
     /// (Self::record_rpc)) — planned pulls move real bytes; the split
     /// lets reports separate planned volume from critical-path fetches.
@@ -327,7 +329,7 @@ pub struct MetricsSnapshot {
     pub rpc_calls: u64,
     /// Remote node feature rows fetched over RPC.
     pub remote_nodes_fetched: u64,
-    /// Bytes moved over the network.
+    /// Payload bytes of the remote feature rows moved over the network.
     pub remote_bytes: u64,
     /// Local feature rows copied.
     pub local_nodes_copied: u64,
@@ -454,7 +456,33 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.rpc_calls, 1);
         assert_eq!(s.remote_nodes_fetched, 10);
-        assert_eq!(s.remote_bytes, 10 * 128 * 4);
+        assert_eq!(s.remote_bytes, 10 * 128 * BYTES_PER_ELEM as u64);
+    }
+
+    #[test]
+    fn remote_bytes_equal_the_payload_bytes_actually_received() {
+        use crate::kvstore::KvStore;
+        use crate::rpc::RpcServer;
+        // `remote_bytes` means "payload bytes of remote feature rows":
+        // pin it to the replies a real server sends, so the counter
+        // cannot drift from the payload's element type.
+        let dim = 5;
+        let owned: Vec<u32> = (0..40).collect();
+        let features: Vec<f32> = (0..40 * dim).map(|i| i as f32 * 0.37 - 3.0).collect();
+        let kv = KvStore::new(0, owned, features, vec![0; 40], dim);
+        let server = RpcServer::spawn(Arc::new(kv));
+        let client = server.client();
+        let m = CommMetrics::new();
+        let mut received = 0u64;
+        for ids in [vec![3u32, 1, 4], vec![], vec![15u32; 9], (0..40).collect()] {
+            let rows = ids.len() as u64;
+            let payload = client.pull(ids).unwrap();
+            received += std::mem::size_of_val(&payload[..]) as u64;
+            m.record_rpc(rows, dim);
+        }
+        let s = m.snapshot();
+        assert_eq!(s.remote_nodes_fetched, 3 + 9 + 40);
+        assert_eq!(s.remote_bytes, received);
     }
 
     #[test]
@@ -531,7 +559,7 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.rpc_calls, 2 * N);
         assert_eq!(s.remote_nodes_fetched, 2 * N * 3);
-        assert_eq!(s.remote_bytes, 2 * N * 3 * 8 * 4);
+        assert_eq!(s.remote_bytes, 2 * N * 3 * 8 * BYTES_PER_ELEM as u64);
         assert_eq!(s.local_nodes_copied, 2 * N * 5);
         assert_eq!(s.buffer_hits, 2 * N * 2);
         assert_eq!(s.buffer_misses, 2 * N);
@@ -647,7 +675,7 @@ mod tests {
         assert_eq!(s.planned_rows, 5);
         assert_eq!(s.rpc_calls, 1, "planned pulls are real RPC traffic");
         assert_eq!(s.remote_nodes_fetched, 5);
-        assert_eq!(s.remote_bytes, 5 * 8 * 4);
+        assert_eq!(s.remote_bytes, 5 * 8 * BYTES_PER_ELEM as u64);
         let t = rec.snapshot();
         let p = t.phase(Phase::Planned).unwrap();
         assert_eq!(p.count, 1);
@@ -670,7 +698,10 @@ mod tests {
         m.record_lookup(1, 1);
         let v = m.snapshot().to_value();
         assert_eq!(v.get("rpc_calls").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("remote_bytes").unwrap().as_u64(), Some(2 * 4 * 4));
+        assert_eq!(
+            v.get("remote_bytes").unwrap().as_u64(),
+            Some(2 * 4 * BYTES_PER_ELEM as u64)
+        );
         assert_eq!(v.get("hit_rate").unwrap().as_f64(), Some(0.5));
     }
 }

@@ -19,6 +19,7 @@
 
 use crate::fault::{FaultPlan, FaultVerdict};
 use crate::kvstore::{KvError, KvStore};
+use crate::wire::WireElem;
 use crossbeam_channel::{bounded, unbounded, RecvTimeoutError, Sender};
 use mgnn_graph::NodeId;
 use std::sync::Arc;
@@ -32,11 +33,11 @@ pub enum RpcError {
     ServerGone,
     /// No reply arrived within the wait bound.
     Timeout,
-    /// The reply arrived with fewer bytes than `rows × dim`.
+    /// The reply arrived with fewer elements than `rows × dim`.
     Truncated {
-        /// Expected payload length in floats.
+        /// Expected payload length in elements.
         expected: usize,
-        /// Received payload length in floats.
+        /// Received payload length in elements.
         got: usize,
     },
     /// The server rejected the request (e.g. an id it does not own).
@@ -51,7 +52,7 @@ impl std::fmt::Display for RpcError {
             RpcError::Truncated { expected, got } => {
                 write!(
                     f,
-                    "truncated payload: expected {expected} floats, got {got}"
+                    "truncated payload: expected {expected} elements, got {got}"
                 )
             }
             RpcError::Kv(e) => write!(f, "server rejected pull: {e}"),
@@ -64,8 +65,8 @@ impl std::error::Error for RpcError {}
 /// One reply from a partition server.
 #[derive(Debug)]
 pub struct PullReply {
-    /// The gathered rows, or the server-side rejection.
-    pub payload: Result<Vec<f32>, KvError>,
+    /// The gathered rows in wire format, or the server-side rejection.
+    pub payload: Result<Vec<WireElem>, KvError>,
     /// Injected sim-time delay factor (0 when no delay fault fired).
     pub delay_k: u32,
 }
@@ -245,8 +246,9 @@ pub struct RpcClient {
 }
 
 impl RpcClient {
-    /// Blocking bulk pull of `ids` from the server.
-    pub fn pull(&self, ids: Vec<NodeId>) -> Result<Vec<f32>, RpcError> {
+    /// Blocking bulk pull of `ids` from the server; the payload as it
+    /// arrived, still in wire format.
+    pub fn pull(&self, ids: Vec<NodeId>) -> Result<Vec<WireElem>, RpcError> {
         self.pull_async(ids)?.wait().map(|r| r.payload)
     }
 
@@ -270,8 +272,8 @@ impl RpcClient {
 /// A validated, completed pull.
 #[derive(Debug)]
 pub struct PullResponse {
-    /// Dense row-major rows in request order.
-    pub payload: Vec<f32>,
+    /// Dense row-major rows in request order, in wire format.
+    pub payload: Vec<WireElem>,
     /// Injected sim-time delay factor carried back by the server.
     pub delay_k: u32,
 }
@@ -327,6 +329,13 @@ impl PullHandle {
 mod tests {
     use super::*;
     use crate::fault::FaultProfile;
+    use crate::wire;
+
+    /// Wire image of `rows` (the fixture's values are bf16-representable,
+    /// so this is what the store holds, bit for bit).
+    fn on_wire<const N: usize>(rows: [f32; N]) -> Vec<WireElem> {
+        rows.map(wire::encode).to_vec()
+    }
 
     fn kv() -> Arc<KvStore> {
         Arc::new(KvStore::new(
@@ -349,7 +358,7 @@ mod tests {
         let server = RpcServer::spawn(kv());
         let client = server.client();
         let out = client.pull(vec![5, 1]).unwrap();
-        assert_eq!(out, vec![5.0, 5.5, 1.0, 1.5]);
+        assert_eq!(out, on_wire([5.0, 5.5, 1.0, 1.5]));
         assert_eq!(server.shutdown(), 2);
     }
 
@@ -362,7 +371,7 @@ mod tests {
         let x: u64 = (0..100).sum();
         assert_eq!(x, 4950);
         let resp = handle.wait().unwrap();
-        assert_eq!(resp.payload, vec![3.0, 3.5]);
+        assert_eq!(resp.payload, on_wire([3.0, 3.5]));
         assert_eq!(resp.delay_k, 0);
     }
 
@@ -375,7 +384,7 @@ mod tests {
             .map(|c| {
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        assert_eq!(c.pull(vec![1]).unwrap(), vec![1.0, 1.5]);
+                        assert_eq!(c.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
                     }
                 })
             })
@@ -391,11 +400,11 @@ mod tests {
         let server = RpcServer::spawn_with_delay(kv(), std::time::Duration::from_millis(2));
         let client = server.client();
         let t0 = std::time::Instant::now();
-        assert_eq!(client.pull(vec![1]).unwrap(), vec![1.0, 1.5]);
+        assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
         assert!(t0.elapsed() >= std::time::Duration::from_millis(2));
         // Empty pulls skip the delay.
         let t1 = std::time::Instant::now();
-        assert_eq!(client.pull(vec![]).unwrap(), Vec::<f32>::new());
+        assert_eq!(client.pull(vec![]).unwrap(), Vec::<WireElem>::new());
         assert!(t1.elapsed() < std::time::Duration::from_millis(2));
     }
 
@@ -406,8 +415,8 @@ mod tests {
         let server =
             RpcServer::spawn_traced(kv(), std::time::Duration::from_millis(1), Arc::clone(&rec));
         let client = server.client();
-        assert_eq!(client.pull(vec![1]).unwrap(), vec![1.0, 1.5]);
-        assert_eq!(client.pull(vec![3]).unwrap(), vec![3.0, 3.5]);
+        assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
+        assert_eq!(client.pull(vec![3]).unwrap(), on_wire([3.0, 3.5]));
         server.shutdown();
         let t = rec.snapshot();
         let rpc = t.phase(Phase::Rpc).unwrap();
@@ -425,7 +434,10 @@ mod tests {
     #[test]
     fn empty_pull() {
         let server = RpcServer::spawn(kv());
-        assert_eq!(server.client().pull(vec![]).unwrap(), Vec::<f32>::new());
+        assert_eq!(
+            server.client().pull(vec![]).unwrap(),
+            Vec::<WireElem>::new()
+        );
     }
 
     #[test]
@@ -463,8 +475,11 @@ mod tests {
         });
         let server = RpcServer::spawn_planned(kv(), std::time::Duration::ZERO, Some(plan));
         let client = server.client();
-        assert_eq!(client.pull(vec![1]).unwrap(), vec![1.0, 1.5]);
-        assert_eq!(client.pull(vec![3, 5]).unwrap(), vec![3.0, 3.5, 5.0, 5.5]);
+        assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
+        assert_eq!(
+            client.pull(vec![3, 5]).unwrap(),
+            on_wire([3.0, 3.5, 5.0, 5.5])
+        );
         let handle = client.pull_async(vec![5]).unwrap();
         assert_eq!(handle.wait().unwrap_err(), RpcError::ServerGone);
         assert_eq!(server.shutdown(), 3);
@@ -499,7 +514,10 @@ mod tests {
             }
         );
         // Truncating an empty pull is a no-op, not an error.
-        assert_eq!(server.client().pull(vec![]).unwrap(), Vec::<f32>::new());
+        assert_eq!(
+            server.client().pull(vec![]).unwrap(),
+            Vec::<WireElem>::new()
+        );
     }
 
     #[test]
@@ -510,7 +528,7 @@ mod tests {
         });
         let server = RpcServer::spawn_planned(kv(), std::time::Duration::ZERO, Some(plan));
         let resp = server.client().pull_async(vec![5]).unwrap().wait().unwrap();
-        assert_eq!(resp.payload, vec![5.0, 5.5]);
+        assert_eq!(resp.payload, on_wire([5.0, 5.5]));
         assert_eq!(resp.delay_k, 7, "delay rides the reply as a sim-time tag");
     }
 
@@ -521,6 +539,6 @@ mod tests {
         let err = client.pull(vec![1, 2]).unwrap_err();
         assert_eq!(err, RpcError::Kv(KvError { node: 2, part: 0 }));
         // The server did not die serving the bad request.
-        assert_eq!(client.pull(vec![1]).unwrap(), vec![1.0, 1.5]);
+        assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
     }
 }

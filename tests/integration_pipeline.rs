@@ -1,6 +1,7 @@
 //! Cross-crate integration: dataset → partition → cluster → sampler →
 //! prefetcher, verifying that data stays consistent across every layer
-//! boundary (the features a trainer assembles must equal ground truth
+//! boundary (the features a trainer assembles must equal ground truth —
+//! local rows as stored, halo rows as the wire format rounds them —
 //! regardless of whether they came from the local KVStore, the prefetch
 //! buffer, or a remote fetch).
 
@@ -8,9 +9,12 @@ use massivegnn::init::initialize_prefetcher;
 use massivegnn::prefetcher::baseline_prepare;
 use massivegnn::PrefetchConfig;
 use mgnn_graph::{Dataset, DatasetKind, Scale};
-use mgnn_net::{CommMetrics, CostModel, SimCluster};
+use mgnn_model::{Model, SageModel};
+use mgnn_net::{wire, CommMetrics, CostModel, SimCluster};
 use mgnn_partition::{build_local_partitions, multilevel_partition};
 use mgnn_sampling::NeighborSampler;
+use mgnn_tensor::loss::cross_entropy;
+use mgnn_tensor::Tensor;
 use std::sync::Arc;
 
 struct Fixture {
@@ -19,13 +23,22 @@ struct Fixture {
     parts: Vec<mgnn_partition::LocalPartition>,
 }
 
+/// What a halo row must equal after its one trip over the wire, exactly.
+fn on_wire(row: &[f32]) -> Vec<f32> {
+    row.iter().map(|&x| wire::round_trip(x)).collect()
+}
+
 fn fixture(kind: DatasetKind) -> Fixture {
+    fixture_of(kind, 3)
+}
+
+fn fixture_of(kind: DatasetKind, num_parts: usize) -> Fixture {
     let dataset = Dataset::generate(kind, Scale::Unit, 77);
-    let partitioning = multilevel_partition(&dataset.graph, 3, 77);
+    let partitioning = multilevel_partition(&dataset.graph, num_parts, 77);
     let cluster = Arc::new(SimCluster::new(
         &dataset.features,
         &partitioning.assignment,
-        3,
+        num_parts,
     ));
     let parts = build_local_partitions(&dataset.graph, &partitioning, &dataset.train_nodes);
     Fixture {
@@ -76,10 +89,17 @@ fn prefetched_features_match_ground_truth_across_modes() {
                 &metrics,
             );
             // Every assembled input row must equal the global feature
-            // store's row for that node.
+            // store's row for that node: local rows exactly, halo rows
+            // exactly as the wire format rounds them (they crossed the
+            // network once, whether buffered, replaced or missed).
             for (i, &lid) in batch.minibatch.input_nodes.iter().enumerate() {
                 let gid = part.global_id(lid);
-                let expected = fx.dataset.features.row(gid);
+                let row = fx.dataset.features.row(gid);
+                let expected = if part.is_halo(lid) {
+                    on_wire(row)
+                } else {
+                    row.to_vec()
+                };
                 let got = batch.input.row(i);
                 assert_eq!(got, expected, "feature mismatch at node {gid} step {step}");
             }
@@ -129,6 +149,87 @@ fn baseline_and_prefetch_assemble_identical_batches() {
     // during steady state (excluding its init fetch).
     let hits = m1.snapshot().buffer_hits;
     assert!(hits > 0, "no hits in 4 steps");
+}
+
+/// The wire rounds halo rows to bf16, so training no longer sees the
+/// stored f32 inputs bit for bit. It must see them to within noise: on
+/// the same sampled blocks and the same model, inputs that crossed the
+/// wire and inputs rebuilt exactly from the dataset give the same loss to
+/// < 1 % and the same prediction for ≥ 99 % of seed nodes.
+#[test]
+fn wire_rounding_stays_inside_training_noise() {
+    let fx = fixture_of(DatasetKind::Products, 4);
+    let cost = CostModel::default();
+    let dim = fx.dataset.features.dim();
+    let classes = fx.dataset.features.num_classes();
+    let mut model = SageModel::new(&[dim, 32, classes], 5);
+    let sampler = NeighborSampler::new(vec![5, 10], 9);
+    let argmax = |row: &[f32]| {
+        (0..row.len())
+            .max_by(|&a, &b| row[a].total_cmp(&row[b]))
+            .unwrap()
+    };
+    let (mut batches, mut seeds_seen, mut flipped, mut rounded_elems) = (0, 0usize, 0usize, 0usize);
+    for part in fx.parts.iter().filter(|p| !p.train_nodes.is_empty()) {
+        let seeds: Vec<u32> = part
+            .train_nodes
+            .iter()
+            .take(48)
+            .map(|&g| part.local_id(g).unwrap())
+            .collect();
+        let metrics = CommMetrics::new();
+        for step in 0..3u64 {
+            let wire_batch = baseline_prepare(
+                part,
+                &sampler,
+                &seeds,
+                0,
+                step,
+                &fx.cluster,
+                &cost,
+                &metrics,
+            );
+            let nodes = &wire_batch.minibatch.input_nodes;
+            let exact_rows: Vec<f32> = nodes
+                .iter()
+                .flat_map(|&lid| fx.dataset.features.row(part.global_id(lid)))
+                .copied()
+                .collect();
+            let exact = Tensor::from_vec(nodes.len(), dim, exact_rows);
+            rounded_elems += exact
+                .data()
+                .iter()
+                .zip(wire_batch.input.data())
+                .filter(|(a, b)| a != b)
+                .count();
+
+            let blocks = &wire_batch.minibatch.blocks;
+            let logits_wire = model.forward(blocks, &wire_batch.input);
+            let reference = model.forward(blocks, &exact);
+            let (loss_wire, _) = cross_entropy(&logits_wire, &wire_batch.labels);
+            let (loss_ref, _) = cross_entropy(&reference, &wire_batch.labels);
+            let rel = ((loss_wire - loss_ref) / loss_ref).abs();
+            assert!(
+                rel < 0.01,
+                "part {} step {step}: loss {loss_wire} vs exact {loss_ref}",
+                part.part_id
+            );
+            flipped += (0..reference.rows())
+                .filter(|&i| argmax(logits_wire.row(i)) != argmax(reference.row(i)))
+                .count();
+            seeds_seen += reference.rows();
+            batches += 1;
+        }
+    }
+    assert!(batches >= 8, "only {batches} batches prepared");
+    assert!(
+        rounded_elems > 0,
+        "no halo row was rounded: nothing compared"
+    );
+    assert!(
+        flipped * 100 <= seeds_seen,
+        "{flipped} of {seeds_seen} predictions changed"
+    );
 }
 
 #[test]
@@ -228,7 +329,7 @@ fn buffered_features_stay_fresh_after_replacements() {
         let owner = fx.cluster.owner(gid);
         assert_eq!(
             pf.buffer.row(slot),
-            fx.cluster.store(owner).row(gid),
+            on_wire(fx.cluster.store(owner).row(gid)),
             "stale slot for node {gid}"
         );
     }

@@ -1,13 +1,102 @@
 //! Property-based tests over the runtime substrate: cost-model
-//! monotonicity/positivity, metrics accounting, KVStore/cluster pull
-//! consistency under arbitrary ownership, and SpMM-vs-fused-aggregation
-//! equivalence.
+//! monotonicity/positivity, metrics accounting, the bf16 wire format,
+//! KVStore/cluster pull consistency under arbitrary ownership, and
+//! SpMM-vs-fused-aggregation equivalence.
 
-use mgnn_net::{Backend, CommMetrics, CostModel, SimCluster};
+use mgnn_net::{wire, Backend, CommMetrics, CostModel, SimCluster};
 use mgnn_sampling::Block;
 use mgnn_tensor::sparse::SparseMatrix;
 use mgnn_tensor::Tensor;
 use proptest::prelude::*;
+
+/// Largest finite bf16 code, (2 − 2⁻⁷)·2¹²⁷.
+const BF16_MAX: wire::WireElem = 0x7f7f;
+
+/// Exhaustive over the 65 536 codes: every non-NaN code is a fixed point
+/// of decode → encode (so bf16-representable rows, ±0, ±∞ and subnormals
+/// cross unchanged), the codes are ordered as their values are, and
+/// rounding is to nearest with ties to even at every code — which at the
+/// top finite code means overflow to ∞.
+#[test]
+fn wire_every_code_round_trips() {
+    for h in 0..=u16::MAX {
+        let x = wire::decode(h);
+        if x.is_nan() {
+            assert!(wire::round_trip(x).is_nan(), "{h:#06x}");
+        } else {
+            assert_eq!(wire::encode(x), h, "{h:#06x}");
+        }
+    }
+    for h in 0..0x7f80u16 {
+        assert!(wire::decode(h) < wire::decode(h + 1), "{h:#06x}");
+    }
+    // Round-to-nearest-even against its definition, at every code's
+    // rounding boundaries: below, at and above the half-way point.
+    for h in (0..0x7f80u32).chain(0x8000..0xff80) {
+        for low in [0u32, 1, 0x7fff, 0x8000, 0x8001, 0xffff] {
+            let want = match low.cmp(&0x8000) {
+                std::cmp::Ordering::Less => h,
+                std::cmp::Ordering::Equal => h + (h & 1),
+                std::cmp::Ordering::Greater => h + 1,
+            };
+            let got = wire::encode(f32::from_bits(h << 16 | low));
+            assert_eq!(u32::from(got), want, "{h:#06x} {low:#06x}");
+        }
+    }
+}
+
+/// The cases the sweep above cannot name: NaNs, whose bare rounding add
+/// would carry into the sign bit or round the payload away.
+#[test]
+fn wire_nan_hazards_stay_nan() {
+    for bits in [0x7fff_ffffu32, 0xffff_ffff, 0x7f80_0001, 0xff80_0001] {
+        let y = wire::round_trip(f32::from_bits(bits));
+        assert!(y.is_nan(), "{bits:#010x} -> {y}");
+        assert_eq!(y.is_sign_negative(), bits >> 31 == 1, "{bits:#010x}");
+    }
+    // And the finite neighbours of those patterns overflow to ∞ instead.
+    assert_eq!(wire::round_trip(f32::MAX), f32::INFINITY);
+    assert_eq!(wire::round_trip(f32::MIN), f32::NEG_INFINITY);
+}
+
+proptest! {
+    // Cheap per case, and the domain is all of f32: sample it densely.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn wire_error_bounded_for_every_finite_normal(bits in 0u32..=u32::MAX) {
+        let x = f32::from_bits(bits);
+        prop_assume!(x.is_normal());
+        let y = wire::round_trip(x);
+        if y.is_finite() {
+            // Half an ulp of an 8-bit significand, relative to |x|.
+            let err = (f64::from(y) - f64::from(x)).abs();
+            prop_assert!(err <= f64::from(x).abs() / 256.0, "{x} -> {y}");
+        } else {
+            // RNE sends the top half-ulp below 2^128 to infinity.
+            prop_assert!(x.abs() > wire::decode(BF16_MAX), "{x} overflowed");
+            prop_assert_eq!(y, f32::INFINITY.copysign(x));
+        }
+    }
+
+    #[test]
+    fn wire_monotone_and_sign_symmetric(a in 0u32..=u32::MAX, b in 0u32..=u32::MAX) {
+        let (x, y) = (f32::from_bits(a), f32::from_bits(b));
+        prop_assume!(!x.is_nan() && !y.is_nan());
+        if x <= y {
+            prop_assert!(wire::round_trip(x) <= wire::round_trip(y), "{x} <= {y}");
+        }
+        prop_assert_eq!(wire::encode(-x), wire::encode(x) ^ 0x8000);
+    }
+
+    #[test]
+    fn wire_nan_stays_nan_with_its_sign(payload in 1u32..0x0080_0000, sign in 0u32..2) {
+        let bits = 0x7f80_0000 | payload | (sign << 31);
+        let y = wire::round_trip(f32::from_bits(bits));
+        prop_assert!(y.is_nan(), "{bits:#x} -> {y}");
+        prop_assert_eq!(y.is_sign_negative(), sign == 1);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -59,7 +148,7 @@ proptest! {
             misses += mi;
             if mi > 0 {
                 nodes += mi;
-                bytes += mi * dim as u64 * 4;
+                bytes += mi * (dim * wire::BYTES_PER_ELEM) as u64;
             }
         }
         let s = m.snapshot();
@@ -85,7 +174,8 @@ proptest! {
         let (out, rpcs) = cluster.pull_grouped(&ids);
         prop_assert!(rpcs <= 4);
         for (i, &gid) in ids.iter().enumerate() {
-            prop_assert_eq!(&out[i * 4..(i + 1) * 4], f.row(gid));
+            let on_wire: Vec<f32> = f.row(gid).iter().map(|&x| wire::round_trip(x)).collect();
+            prop_assert_eq!(&out[i * 4..(i + 1) * 4], &on_wire[..]);
         }
     }
 
