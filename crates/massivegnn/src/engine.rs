@@ -21,7 +21,7 @@ use crate::hitrate::HitRateTracker;
 use crate::init::{initialize_prefetcher, InitReport};
 use crate::pipeline::PrefetchPipeline;
 use crate::prefetcher::{Prefetcher, PreparedBatch};
-use mgnn_graph::{Dataset, DatasetKind, Scale};
+use mgnn_graph::{Dataset, DatasetGraph, DatasetKind, Scale};
 use mgnn_model::{
     train::{forward_backward, StepStats},
     GatModel, GcnModel, Model, ModelKind, Optimizer, SageModel, Sgd,
@@ -727,8 +727,16 @@ impl Engine {
     /// Build the experiment: generate, partition, shard, spawn servers.
     pub fn build(cfg: EngineConfig) -> Self {
         assert!(cfg.num_parts >= 1 && cfg.trainers_per_part >= 1);
-        let dataset = Dataset::generate(cfg.dataset, cfg.scale, cfg.seed);
-        let partitioning = multilevel_partition(&dataset.graph, cfg.num_parts, cfg.seed);
+        // Five stages, each holding only what it reads (DESIGN §9,
+        // "Set-up"). The partitioner's level stack and the feature
+        // synthesis scratch are the two large transients of a build, so
+        // they never overlap: the graph is partitioned before any feature
+        // exists, and the features are synthesized while nothing but the
+        // graph and the assignment is live — before the halo views. The
+        // cluster then shares that one matrix instead of copying shards.
+        let topology = DatasetGraph::generate(cfg.dataset, cfg.scale, cfg.seed);
+        let partitioning = multilevel_partition(&topology.graph, cfg.num_parts, cfg.seed);
+        let dataset = topology.with_features();
         let parts: Vec<Arc<LocalPartition>> =
             build_local_partitions(&dataset.graph, &partitioning, &dataset.train_nodes)
                 .into_iter()

@@ -23,7 +23,7 @@ pub const PERF_GUARD_MIN_SPEEDUP: f64 = 0.95;
 use massivegnn::config::{PrefetchConfig, ScoreLayout};
 use massivegnn::init::initialize_prefetcher;
 use massivegnn::scoreboard::AccessScores;
-use massivegnn::{Mode, PrefetchBuffer};
+use massivegnn::{EngineConfig, Mode, PrefetchBuffer};
 use mgnn_graph::generators::erdos_renyi;
 use mgnn_graph::{DatasetKind, FeatureStore, NodeId};
 use mgnn_net::{Backend, CommMetrics, CostModel, SimCluster};
@@ -270,6 +270,29 @@ fn bench_prepare(iters: usize, seed: u64) -> Value {
     )
 }
 
+/// What one `Engine::build(cfg)` costs in heap, by the counting
+/// allocator: `(live bytes it leaves behind, high-water mark it reaches
+/// on the way)`, both relative to the heap before the call. `(0, 0)`
+/// without the `alloc-count` feature — a build that allocates nothing
+/// does not exist, so zero reads as "not measured".
+fn build_footprint(cfg: &EngineConfig) -> (i64, i64) {
+    #[cfg(feature = "alloc-count")]
+    {
+        use massivegnn::alloc;
+        let before = alloc::live_bytes();
+        alloc::reset_peak();
+        let engine = massivegnn::Engine::build(cfg.clone());
+        let footprint = (alloc::live_bytes() - before, alloc::peak_bytes() - before);
+        drop(engine);
+        footprint
+    }
+    #[cfg(not(feature = "alloc-count"))]
+    {
+        let _ = cfg;
+        (0, 0)
+    }
+}
+
 /// End-to-end: sequential vs threaded engine on a real-math run.
 ///
 /// With the `alloc-count` feature, two extra columns prove the
@@ -277,7 +300,10 @@ fn bench_prepare(iters: usize, seed: u64) -> Value {
 /// allocations per steady-state step, across both engines' runs) and
 /// `alloc_peak_bytes` (high-water live heap over the measurement window,
 /// an RSS proxy). Without the feature both keys are `null`, so the
-/// document shape is stable across build configurations.
+/// document shape is stable across build configurations. Beside them,
+/// `build_live_bytes`/`build_peak_bytes` are the set-up footprint of
+/// one `Engine::build` ([`build_footprint`]; 0 without the feature),
+/// which `report-diff` holds against a baseline.
 fn bench_end_to_end(seed: u64, iters: usize) -> Value {
     let mut opts = Opts::quick();
     opts.seed = seed;
@@ -285,6 +311,7 @@ fn bench_end_to_end(seed: u64, iters: usize) -> Value {
     cfg.trainers_per_part = 2;
     cfg.train_math = true;
     cfg.mode = Mode::Prefetch(PrefetchConfig::default());
+    let (build_live_bytes, build_peak_bytes) = build_footprint(&cfg);
     #[cfg(feature = "alloc-count")]
     {
         massivegnn::alloc::take_hot();
@@ -337,6 +364,8 @@ fn bench_end_to_end(seed: u64, iters: usize) -> Value {
         ("speedup", speedup.to_value()),
         ("allocs_per_step", allocs_per_step),
         ("alloc_peak_bytes", alloc_peak_bytes),
+        ("build_live_bytes", build_live_bytes.to_value()),
+        ("build_peak_bytes", build_peak_bytes.to_value()),
     ])
 }
 
@@ -462,6 +491,8 @@ mod tests {
             "\"speedup\"",
             "\"allocs_per_step\"",
             "\"alloc_peak_bytes\"",
+            "\"build_live_bytes\"",
+            "\"build_peak_bytes\"",
         ] {
             assert!(text.contains(key), "bench JSON missing {key}");
         }
@@ -477,6 +508,16 @@ mod tests {
             assert!(e2e.get("alloc_peak_bytes").unwrap().as_f64().unwrap() > 0.0);
         } else {
             assert_eq!(allocs, &Value::Null, "null without the feature");
+        }
+        let footprint = |key: &str| e2e.get(key).and_then(Value::as_f64).expect(key);
+        let (live, peak) = (footprint("build_live_bytes"), footprint("build_peak_bytes"));
+        if cfg!(feature = "alloc-count") {
+            // The gauges are process-wide and tests run side by side:
+            // only that something was measured is stable here; the
+            // figures themselves are pinned by tests/setup_memory.rs.
+            assert!(peak > 0.0, "live {live} peak {peak}");
+        } else {
+            assert_eq!((live, peak), (0.0, 0.0), "0 without the feature");
         }
     }
 }

@@ -14,6 +14,13 @@
 //!   either document predates provenance — the relative rows are
 //!   reported for context but never breach; a warning says why.
 //!
+//! - **Set-up footprint** — `end_to_end.build_peak_bytes` (the heap
+//!   high-water mark of one `Engine::build`, counted by the `alloc-count`
+//!   allocator, so host independent) may not grow past
+//!   [`BUILD_PEAK_REGRESSION_TOLERANCE`]. Checked only against a baseline
+//!   that has the column: documents recorded before it existed, or
+//!   without the counting allocator (0), skip the check.
+//!
 //! Repro documents carry *simulated* makespans, which are host
 //! independent by construction, so their relative check always applies.
 //!
@@ -31,6 +38,11 @@ pub const KERNEL_REGRESSION_TOLERANCE: f64 = 1.25;
 /// before breaching. Simulated time is deterministic — the slack only
 /// absorbs intentional cost-model retunes, not noise.
 pub const MAKESPAN_REGRESSION_TOLERANCE: f64 = 1.05;
+
+/// A candidate's `build_peak_bytes` may exceed baseline's by this factor
+/// before breaching. Counted bytes are deterministic; the slack is for
+/// changes that legitimately hold a little more during set-up.
+pub const BUILD_PEAK_REGRESSION_TOLERANCE: f64 = 1.10;
 
 /// Outcome of one document comparison.
 #[derive(Debug, Default)]
@@ -129,6 +141,43 @@ fn diff_bench(baseline: &Value, candidate: &Value) -> DiffReport {
         None => rep
             .warnings
             .push("candidate has no end_to_end.speedup column".to_string()),
+    }
+
+    // Set-up footprint: counted bytes, enforced wherever both documents
+    // measured them.
+    let build_bytes = |doc: &Value, key: &str| {
+        doc.get("end_to_end")
+            .and_then(|e| e.get(key))
+            .and_then(Value::as_f64)
+            .filter(|&bytes| bytes > 0.0)
+    };
+    if let Some(b) = build_bytes(baseline, "build_peak_bytes") {
+        match build_bytes(candidate, "build_peak_bytes") {
+            Some(c) => {
+                let ratio = c / b;
+                rep.rows.push(format!(
+                    "end_to_end.build_peak_bytes: {b:.0} -> {c:.0} ({ratio:.3}x)"
+                ));
+                if let (Some(bl), Some(cl)) = (
+                    build_bytes(baseline, "build_live_bytes"),
+                    build_bytes(candidate, "build_live_bytes"),
+                ) {
+                    rep.rows.push(format!(
+                        "end_to_end.build_live_bytes: {bl:.0} -> {cl:.0} ({:.3}x)",
+                        cl / bl
+                    ));
+                }
+                if ratio > BUILD_PEAK_REGRESSION_TOLERANCE {
+                    rep.breaches.push(format!(
+                        "Engine::build peak heap grew {ratio:.3}x (tolerance {BUILD_PEAK_REGRESSION_TOLERANCE:.2}x)"
+                    ));
+                }
+            }
+            None => rep.warnings.push(
+                "candidate has no build_peak_bytes (recorded without alloc-count?): set-up footprint not checked"
+                    .to_string(),
+            ),
+        }
     }
 
     // Relative wall-clock rows: breach only on a same-host comparison.
@@ -298,6 +347,62 @@ mod tests {
         assert!(rep.warnings.iter().any(|w| w.contains("host mismatch")));
         // The row is still reported for context.
         assert!(rep.rows.iter().any(|r| r.contains("matmul")));
+    }
+
+    /// `bench_doc` with the set-up footprint columns set.
+    fn with_build_bytes(mut doc: Value, live: u64, peak: u64) -> Value {
+        let Value::Obj(fields) = &mut doc else {
+            unreachable!("bench_doc is an object")
+        };
+        let e2e = fields.iter_mut().find(|(k, _)| k == "end_to_end").unwrap();
+        e2e.1 = Value::obj([
+            ("speedup", 1.2f64.to_value()),
+            ("build_live_bytes", live.to_value()),
+            ("build_peak_bytes", peak.to_value()),
+        ]);
+        doc
+    }
+
+    #[test]
+    fn build_peak_growth_breaches_on_any_host() {
+        let base = with_build_bytes(bench_doc("a", 4, 1.2, 10.0, true), 80, 100);
+        let ok = with_build_bytes(bench_doc("b", 8, 1.2, 10.0, true), 85, 110);
+        let rep = diff_docs(&base, &ok).unwrap();
+        assert!(
+            !rep.failed(),
+            "10% is inside the tolerance: {:?}",
+            rep.breaches
+        );
+        assert!(rep
+            .rows
+            .iter()
+            .any(|r| r.contains("build_peak_bytes: 100 -> 110")));
+        assert!(rep
+            .rows
+            .iter()
+            .any(|r| r.contains("build_live_bytes: 80 -> 85")));
+
+        let fat = with_build_bytes(bench_doc("b", 8, 1.2, 10.0, true), 80, 111);
+        let rep = diff_docs(&base, &fat).unwrap();
+        assert!(rep.failed(), "11% growth must breach, host mismatch or not");
+        assert!(rep.breaches[0].contains("peak heap grew 1.110x"));
+    }
+
+    #[test]
+    fn build_peak_check_needs_the_column_on_both_sides() {
+        // Baselines older than the column (BENCH_PR3–5.json): skipped
+        // without a word, whatever the candidate says.
+        let old = bench_doc("a", 4, 1.2, 10.0, true);
+        let new = with_build_bytes(bench_doc("a", 4, 1.2, 10.0, true), 80, 1_000_000);
+        let rep = diff_docs(&old, &new).unwrap();
+        assert!(!rep.failed());
+        assert!(!rep.render().contains("build_peak_bytes"));
+        // Zero means "counting allocator compiled out", on either side.
+        let unmeasured = with_build_bytes(bench_doc("a", 4, 1.2, 10.0, true), 0, 0);
+        assert!(!diff_docs(&unmeasured, &new).unwrap().failed());
+        let rep = diff_docs(&new, &unmeasured).unwrap();
+        assert!(!rep.failed());
+        assert!(rep.warnings.iter().any(|w| w.contains("build_peak_bytes")));
     }
 
     #[test]

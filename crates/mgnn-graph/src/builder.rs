@@ -62,6 +62,23 @@ impl GraphBuilder {
         self.edges.extend(it);
     }
 
+    /// Append `count` edges written in place: `fill(i, slots)` receives
+    /// the `i`-th run of `chunk` slots (the last run may be shorter) and
+    /// must overwrite every slot. Runs are filled in parallel, so a
+    /// generator whose chunks are independent RNG streams writes straight
+    /// into the builder instead of collecting per-chunk vectors first.
+    pub fn extend_chunked<F>(&mut self, count: usize, chunk: usize, fill: F)
+    where
+        F: Fn(usize, &mut [(NodeId, NodeId)]) + Sync,
+    {
+        let start = self.edges.len();
+        self.edges.resize(start + count, (0, 0));
+        self.edges[start..]
+            .par_chunks_mut(chunk.max(1))
+            .enumerate()
+            .for_each(|(i, slots)| fill(i, slots));
+    }
+
     /// Number of raw (pre-dedup) edges accumulated so far.
     pub fn raw_edge_count(&self) -> usize {
         self.edges.len()
@@ -77,8 +94,13 @@ impl GraphBuilder {
             .retain(|&(u, v)| u < nid && v < nid && !(drop_loops && u == v));
 
         if self.symmetrize {
-            let rev: Vec<(NodeId, NodeId)> = self.edges.par_iter().map(|&(u, v)| (v, u)).collect();
-            self.edges.extend(rev);
+            // Reversed copies appended in place (generators reserve for
+            // them up front); sort + dedup below make the order moot.
+            let forward = self.edges.len();
+            self.edges.extend_from_within(..);
+            for e in &mut self.edges[forward..] {
+                *e = (e.1, e.0);
+            }
         }
 
         self.edges.par_sort_unstable();
@@ -156,6 +178,24 @@ mod tests {
         assert_eq!(b.raw_edge_count(), 2);
         let g = b.build();
         assert_eq!(g.num_edges(), 4);
+    }
+
+    #[test]
+    fn extend_chunked_fills_every_run_in_place() {
+        let mut b = GraphBuilder::new(100).directed().with_capacity(10);
+        b.add_edge(98, 99);
+        // 10 edges in runs of 4, 4, 2: run i writes (i, i + slot + 1).
+        b.extend_chunked(10, 4, |i, slots| {
+            for (k, e) in slots.iter_mut().enumerate() {
+                *e = (i as NodeId, (i + k + 1) as NodeId);
+            }
+        });
+        assert_eq!(b.raw_edge_count(), 11);
+        let g = b.build();
+        assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
+        assert_eq!(g.neighbors(1), &[2, 3, 4, 5]);
+        assert_eq!(g.neighbors(2), &[3, 4]);
+        assert!(g.has_edge(98, 99));
     }
 
     #[test]

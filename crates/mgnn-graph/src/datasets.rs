@@ -151,9 +151,31 @@ pub struct Dataset {
     pub test_nodes: Vec<u32>,
 }
 
-impl Dataset {
-    /// Generate the preset for `kind` at `scale` with deterministic `seed`.
-    pub fn generate(kind: DatasetKind, scale: Scale, seed: u64) -> Dataset {
+/// The structural half of a [`Dataset`]: graph and train/val/test split —
+/// everything partitioning and halo construction read — before the
+/// feature matrix, the largest object of a run, exists. A caller that
+/// partitions first and calls [`DatasetGraph::with_features`] afterwards
+/// never holds the partitioner's scratch and the feature synthesis
+/// scratch at the same time.
+#[derive(Debug, Clone)]
+pub struct DatasetGraph {
+    /// Which paper dataset this imitates.
+    pub kind: DatasetKind,
+    /// The (undirected, symmetrized) graph.
+    pub graph: CsrGraph,
+    /// Node ids used for training (the classification task's train split).
+    pub train_nodes: Vec<u32>,
+    /// Validation split.
+    pub val_nodes: Vec<u32>,
+    /// Test split.
+    pub test_nodes: Vec<u32>,
+    seed: u64,
+}
+
+impl DatasetGraph {
+    /// Generate the graph and split of the preset for `kind` at `scale`
+    /// with deterministic `seed`.
+    pub fn generate(kind: DatasetKind, scale: Scale, seed: u64) -> DatasetGraph {
         let n = scale.nodes_for(kind);
         // Preserve paper average degree, but cap reddit's (avg ~498) to keep
         // test-scale graphs tractable; density regime is still "very dense".
@@ -195,12 +217,6 @@ impl Dataset {
                 seed,
             ),
         };
-        let features = FeatureStore::synthesize(
-            &graph,
-            kind.feature_dim(),
-            kind.num_classes(),
-            seed ^ 0xfeed,
-        );
 
         // Deterministic 60/20/20 split by hashed node id (OGB splits are
         // fixed per dataset; a hash split is the seedable equivalent).
@@ -218,14 +234,41 @@ impl Dataset {
             }
         }
 
-        Dataset {
+        DatasetGraph {
             kind,
             graph,
-            features,
             train_nodes: train,
             val_nodes: val,
             test_nodes: test,
+            seed,
         }
+    }
+
+    /// Synthesize the features and labels that belong to this graph and
+    /// seed, completing the [`Dataset`].
+    pub fn with_features(self) -> Dataset {
+        let features = FeatureStore::synthesize(
+            &self.graph,
+            self.kind.feature_dim(),
+            self.kind.num_classes(),
+            self.seed ^ 0xfeed,
+        );
+        Dataset {
+            kind: self.kind,
+            graph: self.graph,
+            features,
+            train_nodes: self.train_nodes,
+            val_nodes: self.val_nodes,
+            test_nodes: self.test_nodes,
+        }
+    }
+}
+
+impl Dataset {
+    /// Generate the preset for `kind` at `scale` with deterministic `seed`:
+    /// [`DatasetGraph::generate`], then its features.
+    pub fn generate(kind: DatasetKind, scale: Scale, seed: u64) -> Dataset {
+        DatasetGraph::generate(kind, scale, seed).with_features()
     }
 
     /// Total number of nodes.
@@ -295,6 +338,19 @@ mod tests {
         let b = Dataset::generate(DatasetKind::Arxiv, Scale::Unit, 5);
         assert_eq!(a.graph, b.graph);
         assert_eq!(a.train_nodes, b.train_nodes);
+    }
+
+    #[test]
+    fn graph_half_is_the_datasets_graph_and_split() {
+        for kind in [DatasetKind::Arxiv, DatasetKind::Reddit] {
+            let half = DatasetGraph::generate(kind, Scale::Unit, 11);
+            let full = Dataset::generate(kind, Scale::Unit, 11);
+            assert_eq!(half.graph, full.graph);
+            assert_eq!(half.train_nodes, full.train_nodes);
+            assert_eq!(half.val_nodes, full.val_nodes);
+            assert_eq!(half.test_nodes, full.test_nodes);
+            assert_eq!(half.with_features().features, full.features);
+        }
     }
 
     #[test]

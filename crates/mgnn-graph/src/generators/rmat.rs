@@ -10,7 +10,6 @@ use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// R-MAT quadrant probabilities plus noise.
 #[derive(Debug, Clone, Copy)]
@@ -52,30 +51,23 @@ pub fn rmat(n: usize, m: usize, params: RmatParams, seed: u64) -> CsrGraph {
     assert!(n > 0, "rmat: n must be positive");
     let levels = (usize::BITS - (n - 1).leading_zeros()).max(1) as usize;
     let chunk = 1 << 14;
-    let num_chunks = m.div_ceil(chunk);
 
-    let edge_chunks: Vec<Vec<(NodeId, NodeId)>> = (0..num_chunks)
-        .into_par_iter()
-        .map(|ci| {
-            let mut rng = StdRng::seed_from_u64(
-                seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(ci as u64 + 1)),
-            );
-            let count = chunk.min(m - ci * chunk);
-            let mut out = Vec::with_capacity(count);
-            while out.len() < count {
-                let (u, v) = sample_edge(&mut rng, levels, &params);
-                if (u as usize) < n && (v as usize) < n && u != v {
-                    out.push((u, v));
-                }
-            }
-            out
-        })
-        .collect();
-
+    // Each run of `chunk` edges is its own RNG stream, drawn straight
+    // into the builder; the second half of the reservation is for the
+    // reversed copies `build` appends.
     let mut b = GraphBuilder::new(n).with_capacity(m * 2);
-    for ch in edge_chunks {
-        b.extend(ch);
-    }
+    b.extend_chunked(m, chunk, |ci, out| {
+        let mut rng =
+            StdRng::seed_from_u64(seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(ci as u64 + 1)));
+        let mut filled = 0;
+        while filled < out.len() {
+            let (u, v) = sample_edge(&mut rng, levels, &params);
+            if (u as usize) < n && (v as usize) < n && u != v {
+                out[filled] = (u, v);
+                filled += 1;
+            }
+        }
+    });
     b.build()
 }
 

@@ -28,5 +28,5 @@ pub mod stats;
 
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, NodeId};
-pub use datasets::{Dataset, DatasetKind, Scale};
+pub use datasets::{Dataset, DatasetGraph, DatasetKind, Scale};
 pub use features::FeatureStore;

@@ -1,4 +1,5 @@
-//! Simulated cluster wiring: one KVStore per partition, optional real RPC
+//! Simulated cluster wiring: one KVStore per partition (all of them
+//! views of the one resident feature matrix), optional real RPC
 //! server threads, and bulk pull helpers that group requested nodes by
 //! owner partition (DistDGL batches one RPC per remote server per
 //! minibatch).
@@ -183,14 +184,12 @@ impl SimCluster {
         for (u, &p) in assignment.iter().enumerate() {
             owned[p as usize].push(u as NodeId);
         }
+        // Every shard serves out of `features` itself (a shared handle):
+        // spawning a cluster copies no rows.
         let stores: Vec<Arc<KvStore>> = owned
             .into_iter()
             .enumerate()
-            .map(|(p, ids)| {
-                let feats = features.gather(&ids);
-                let labels: Vec<u32> = ids.iter().map(|&u| features.label(u)).collect();
-                Arc::new(KvStore::new(p as u32, ids, feats, labels, dim))
-            })
+            .map(|(p, ids)| Arc::new(KvStore::new(p as u32, ids, features)))
             .collect();
         let remotes: Vec<Mutex<Remote>> = stores
             .iter()

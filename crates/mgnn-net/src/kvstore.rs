@@ -1,12 +1,19 @@
 //! Per-partition feature KVStore, mirroring DistDGL's.
 //!
-//! Each partition's server holds the features (and labels) of the nodes it
-//! *owns*, keyed by global id. Trainers read local rows directly as f32
-//! ([`KvStore::row`]) and pull remote rows, in [`crate::wire`] format, via
-//! [`crate::rpc`] or [`crate::cluster::SimCluster::pull_grouped`].
+//! Each partition's server answers for the features (and labels) of the
+//! nodes it *owns*, keyed by global id. Trainers read local rows directly
+//! as f32 ([`KvStore::row`]) and pull remote rows, in [`crate::wire`]
+//! format, via [`crate::rpc`] or
+//! [`crate::cluster::SimCluster::pull_grouped`].
+//!
+//! The servers are simulated inside one address space, so a shard does
+//! not hold a private copy of its rows: it is its sorted `owned` list
+//! plus a handle on the one resident [`FeatureStore`]. What makes it a
+//! shard is that every access is checked against `owned` — a row another
+//! partition owns is a [`KvError`], exactly as if it were not there.
 
 use crate::wire::{self, WireElem};
-use mgnn_graph::NodeId;
+use mgnn_graph::{FeatureStore, NodeId};
 
 /// A pull touched a global id this shard does not own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,35 +38,28 @@ pub struct KvStore {
     part_id: u32,
     /// Sorted global ids of owned nodes.
     owned: Vec<NodeId>,
-    /// Row-major features, one row per owned node (aligned with `owned`).
-    features: Vec<f32>,
-    /// Labels aligned with `owned`.
-    labels: Vec<u32>,
-    dim: usize,
+    /// Handle on the global matrix; only `owned` rows are ever served.
+    features: FeatureStore,
 }
 
 impl KvStore {
-    /// Build a shard for `part_id` owning `owned` (sorted global ids), with
-    /// rows gathered from a global feature source.
-    pub fn new(
-        part_id: u32,
-        owned: Vec<NodeId>,
-        features: Vec<f32>,
-        labels: Vec<u32>,
-        dim: usize,
-    ) -> Self {
-        assert_eq!(features.len(), owned.len() * dim);
-        assert_eq!(labels.len(), owned.len());
+    /// The shard of `part_id`: `owned` (sorted global ids) out of
+    /// `features`, which is shared, not copied.
+    pub fn new(part_id: u32, owned: Vec<NodeId>, features: &FeatureStore) -> Self {
         debug_assert!(
             owned.windows(2).all(|w| w[0] < w[1]),
             "owned must be sorted"
         );
+        assert!(
+            owned
+                .last()
+                .is_none_or(|&g| (g as usize) < features.num_nodes()),
+            "owned id beyond the feature matrix"
+        );
         KvStore {
             part_id,
             owned,
-            features,
-            labels,
-            dim,
+            features: features.clone(),
         }
     }
 
@@ -72,7 +72,7 @@ impl KvStore {
     /// Feature dimension.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.dim
+        self.features.dim()
     }
 
     /// Number of owned nodes.
@@ -100,22 +100,24 @@ impl KvStore {
     /// Feature row of global node `g`, or a typed error if this shard
     /// does not own it.
     pub fn try_row(&self, g: NodeId) -> Result<&[f32], KvError> {
-        match self.owned.binary_search(&g) {
-            Ok(i) => Ok(&self.features[i * self.dim..(i + 1) * self.dim]),
-            Err(_) => Err(KvError {
+        if self.owns(g) {
+            Ok(self.features.row(g))
+        } else {
+            Err(KvError {
                 node: g,
                 part: self.part_id,
-            }),
+            })
         }
     }
 
-    /// Label of owned global node `g`.
+    /// Label of owned global node `g`. Panics if not owned.
     pub fn label(&self, g: NodeId) -> u32 {
-        let i = self
-            .owned
-            .binary_search(&g)
-            .unwrap_or_else(|_| panic!("node {g} not owned by partition {}", self.part_id));
-        self.labels[i]
+        assert!(
+            self.owns(g),
+            "node {g} not owned by partition {}",
+            self.part_id
+        );
+        self.features.label(g)
     }
 
     /// Bulk pull: gather rows for `ids` into a dense row-major buffer
@@ -124,16 +126,18 @@ impl KvStore {
     /// does not own, so a routing bug surfaces as a typed error at the
     /// server instead of a panic that kills the server thread.
     pub fn pull(&self, ids: &[NodeId]) -> Result<Vec<WireElem>, KvError> {
-        let mut out = Vec::with_capacity(ids.len() * self.dim);
+        let mut out = Vec::with_capacity(ids.len() * self.dim());
         for &g in ids {
             wire::encode_row(self.try_row(g)?, &mut out);
         }
         Ok(out)
     }
 
-    /// Approximate heap bytes (the paper's Fig. 14 memory accounting).
+    /// Approximate heap bytes of this shard (the paper's Fig. 14 memory
+    /// accounting): its own rows, labels and id list — what a real server
+    /// would hold, wherever the simulation keeps the rows.
     pub fn heap_bytes(&self) -> usize {
-        self.features.len() * 4 + self.owned.len() * 4 + self.labels.len() * 4
+        self.owned.len() * (self.features.row_bytes() + 4 + 4)
     }
 }
 
@@ -141,15 +145,16 @@ impl KvStore {
 mod tests {
     use super::*;
 
+    /// Ten nodes of width 2, row `g` = `[2g, 2g + 1]`, label `g % 2`.
+    fn features() -> FeatureStore {
+        let data = (0..20).map(|x| x as f32).collect();
+        let labels = (0..10).map(|g| g % 2).collect();
+        FeatureStore::from_parts(10, 2, data, labels, 2)
+    }
+
+    /// Owns nodes 2, 5, 9.
     fn store() -> KvStore {
-        // owns nodes 2, 5, 9 with dim 2
-        KvStore::new(
-            0,
-            vec![2, 5, 9],
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-            vec![0, 1, 0],
-            2,
-        )
+        KvStore::new(0, vec![2, 5, 9], &features())
     }
 
     #[test]
@@ -157,16 +162,17 @@ mod tests {
         let s = store();
         assert!(s.owns(5));
         assert!(!s.owns(3));
-        assert_eq!(s.row(5), &[3.0, 4.0]);
-        assert_eq!(s.label(9), 0);
+        assert_eq!(s.row(5), &[10.0, 11.0]);
+        assert_eq!(s.label(9), 1);
         assert_eq!(s.len(), 3);
+        assert_eq!(s.dim(), 2);
     }
 
     #[test]
     fn bulk_pull_order_preserved() {
         let s = store();
         let out = s.pull(&[9, 2]).unwrap();
-        assert_eq!(out, [5.0, 6.0, 1.0, 2.0].map(wire::encode));
+        assert_eq!(out, [18.0, 19.0, 4.0, 5.0].map(wire::encode));
     }
 
     #[test]
@@ -183,19 +189,45 @@ mod tests {
         let err = store().pull(&[2, 9, 7, 3]).unwrap_err();
         assert_eq!(err, KvError { node: 7, part: 0 });
         assert!(store().try_row(7).is_err());
-        assert_eq!(store().try_row(9).unwrap(), &[5.0, 6.0]);
+        assert_eq!(store().try_row(9).unwrap(), &[18.0, 19.0]);
     }
 
     #[test]
     fn empty_store() {
-        let s = KvStore::new(1, vec![], vec![], vec![], 4);
+        let s = KvStore::new(1, vec![], &features());
         assert!(s.is_empty());
         assert!(s.pull(&[]).unwrap().is_empty());
+        assert_eq!(s.heap_bytes(), 0);
     }
 
     #[test]
-    #[should_panic]
-    fn shape_mismatch_rejected() {
-        KvStore::new(0, vec![1, 2], vec![0.0; 3], vec![0, 0], 2);
+    #[should_panic(expected = "beyond the feature matrix")]
+    fn owned_id_outside_the_matrix_rejected() {
+        KvStore::new(0, vec![1, 10], &features());
+    }
+
+    #[test]
+    fn shards_of_one_store_share_its_matrix() {
+        let f = features();
+        let a = KvStore::new(0, vec![0, 2, 4], &f);
+        let b = KvStore::new(1, vec![1, 3], &f);
+        // Both serve rows out of the store's own memory, not a copy.
+        assert_eq!(a.row(2).as_ptr(), f.row(2).as_ptr());
+        assert_eq!(b.row(3).as_ptr(), f.row(3).as_ptr());
+        // Sharing does not widen what a shard answers for: a row that
+        // sits in the same matrix but belongs to the other shard is
+        // still a typed error, for the row, the pull and the label.
+        assert_eq!(a.try_row(3), Err(KvError { node: 3, part: 0 }));
+        assert_eq!(b.pull(&[1, 2]), Err(KvError { node: 2, part: 1 }));
+        assert!(a.try_row(9).is_err(), "owned by neither");
+        // Each shard accounts for its own rows only (Fig. 14).
+        assert_eq!(a.heap_bytes(), 3 * (8 + 4 + 4));
+        assert_eq!(b.heap_bytes(), 2 * (8 + 4 + 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "not owned by partition 0")]
+    fn label_of_unowned_node_panics() {
+        store().label(3);
     }
 }

@@ -468,8 +468,9 @@ mod tests {
         // cannot drift from the payload's element type.
         let dim = 5;
         let owned: Vec<u32> = (0..40).collect();
-        let features: Vec<f32> = (0..40 * dim).map(|i| i as f32 * 0.37 - 3.0).collect();
-        let kv = KvStore::new(0, owned, features, vec![0; 40], dim);
+        let rows: Vec<f32> = (0..40 * dim).map(|i| i as f32 * 0.37 - 3.0).collect();
+        let features = mgnn_graph::FeatureStore::from_parts(40, dim, rows, vec![0; 40], 1);
+        let kv = KvStore::new(0, owned, &features);
         let server = RpcServer::spawn(Arc::new(kv));
         let client = server.client();
         let m = CommMetrics::new();

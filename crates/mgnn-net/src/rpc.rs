@@ -330,6 +330,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultProfile;
     use crate::wire;
+    use mgnn_graph::FeatureStore;
 
     /// Wire image of `rows` (the fixture's values are bf16-representable,
     /// so this is what the store holds, bit for bit).
@@ -337,14 +338,11 @@ mod tests {
         rows.map(wire::encode).to_vec()
     }
 
+    /// Owns nodes 1, 3, 5 of six; row `g` is `[g, g + 0.5]`.
     fn kv() -> Arc<KvStore> {
-        Arc::new(KvStore::new(
-            0,
-            vec![1, 3, 5],
-            vec![1.0, 1.5, 3.0, 3.5, 5.0, 5.5],
-            vec![0, 1, 2],
-            2,
-        ))
+        let data = (0..6).flat_map(|g| [g as f32, g as f32 + 0.5]).collect();
+        let features = FeatureStore::from_parts(6, 2, data, vec![0, 0, 0, 1, 0, 2], 3);
+        Arc::new(KvStore::new(0, vec![1, 3, 5], &features))
     }
 
     fn plan_with(f: impl FnOnce(&mut FaultProfile)) -> FaultPlan {

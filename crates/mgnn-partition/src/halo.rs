@@ -155,6 +155,9 @@ fn build_one(
     }
     halo.sort_unstable();
     halo.dedup();
+    // One entry per cross edge went in, one per halo node stays: return
+    // the difference instead of keeping it as capacity for the whole run.
+    halo.shrink_to_fit();
     let halo_owner: Vec<u32> = halo.iter().map(|&h| parts.part_of(h)).collect();
     let halo_degree: Vec<u32> = halo.iter().map(|&h| g.degree(h) as u32).collect();
 
@@ -170,11 +173,12 @@ fn build_one(
     let total = num_local + halo.len();
     let mut offsets = Vec::with_capacity(total + 1);
     offsets.push(0u64);
-    let mut targets = Vec::new();
+    // Local rows keep every edge, so the array's final size is known.
+    let mut targets = Vec::with_capacity(local_nodes.iter().map(|&u| g.degree(u)).sum());
     for &u in local_nodes {
-        let mut row: Vec<u32> = g.neighbors(u).iter().map(|&v| to_local(v)).collect();
-        row.sort_unstable();
-        targets.extend_from_slice(&row);
+        let row = targets.len();
+        targets.extend(g.neighbors(u).iter().map(|&v| to_local(v)));
+        targets[row..].sort_unstable();
         offsets.push(targets.len() as u64);
     }
     for _ in 0..halo.len() {

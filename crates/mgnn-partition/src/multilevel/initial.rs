@@ -26,7 +26,7 @@ pub fn greedy_growth(g: &WGraph, num_parts: usize, seed: u64) -> Vec<u32> {
 
     for p in 0..num_parts as u32 {
         // Max-heap on connection weight to the growing region.
-        let mut heap: BinaryHeap<(u64, NodeId)> = BinaryHeap::new();
+        let mut heap: BinaryHeap<(u32, NodeId)> = BinaryHeap::new();
         while part_weight[p as usize] < ideal {
             let u = loop {
                 match heap.pop() {
@@ -45,12 +45,12 @@ pub fn greedy_growth(g: &WGraph, num_parts: usize, seed: u64) -> Vec<u32> {
             };
             let Some(u) = u else { break };
             assignment[u as usize] = p;
-            part_weight[p as usize] += g.node_weight(u);
-            for (&v, &w) in g.neighbors(u).iter().zip(g.edge_weights(u)) {
+            part_weight[p as usize] += u64::from(g.node_weight(u));
+            g.for_each_edge(u, |v, w| {
                 if assignment[v as usize] == u32::MAX {
                     heap.push((w, v));
                 }
-            }
+            });
         }
     }
 
@@ -59,7 +59,7 @@ pub fn greedy_growth(g: &WGraph, num_parts: usize, seed: u64) -> Vec<u32> {
         if *a == u32::MAX {
             let p = (0..num_parts).min_by_key(|&p| part_weight[p]).unwrap();
             *a = p as u32;
-            part_weight[p] += g.node_weight(u as NodeId);
+            part_weight[p] += u64::from(g.node_weight(u as NodeId));
         }
     }
     assignment
@@ -85,7 +85,7 @@ mod tests {
         let a = greedy_growth(&wg, 4, 1);
         let mut w = [0u64; 4];
         for (u, &p) in a.iter().enumerate() {
-            w[p as usize] += wg.node_weight(u as u32);
+            w[p as usize] += u64::from(wg.node_weight(u as u32));
         }
         let max = *w.iter().max().unwrap() as f64;
         let ideal = 100.0;

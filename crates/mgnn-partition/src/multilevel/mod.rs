@@ -39,34 +39,30 @@ pub fn multilevel_partition(g: &CsrGraph, num_parts: usize, seed: u64) -> Partit
         return Partitioning::new(vec![0; n], num_parts.max(1));
     }
 
-    // Phase 1: coarsen.
-    let mut levels: Vec<(WGraph, Vec<u32>)> = Vec::new(); // (coarser graph, fine->coarse map)
+    // Phase 1: coarsen. Level 0 is a view of `g`; every level is moved
+    // onto the stack when its coarser successor exists, never copied.
+    let mut levels: Vec<(WGraph, Vec<u32>)> = Vec::new(); // (finer graph, fine->coarse map)
     let mut current = WGraph::from_csr(g);
     let target = COARSE_TARGET * num_parts;
     while current.num_nodes() > target {
         let (coarser, map) = coarsen::coarsen_once(&current, seed ^ levels.len() as u64);
         // Matching stalled (e.g. star graphs): stop to avoid spinning.
-        if coarser.num_nodes() as f64 > 0.95 * current.num_nodes() as f64 {
-            levels.push((current.clone(), map));
-            current = coarser;
+        let stalled = coarser.num_nodes() as f64 > 0.95 * current.num_nodes() as f64;
+        levels.push((std::mem::replace(&mut current, coarser), map));
+        if stalled {
             break;
         }
-        levels.push((current.clone(), map));
-        current = coarser;
     }
 
     // Phase 2: initial partition of the coarsest graph.
     let mut assignment = initial::greedy_growth(&current, num_parts, seed);
     refine::refine(&current, &mut assignment, num_parts, BALANCE_EPS, 8);
+    drop(current);
 
-    // Phase 3: uncoarsen + refine at every level.
-    for (fine, map) in levels.iter().rev() {
-        let mut fine_assignment = vec![0u32; fine.num_nodes()];
-        for (u, a) in fine_assignment.iter_mut().enumerate() {
-            *a = assignment[map[u] as usize];
-        }
-        assignment = fine_assignment;
-        refine::refine(fine, &mut assignment, num_parts, BALANCE_EPS, 4);
+    // Phase 3: uncoarsen + refine, returning each level once it is refined.
+    while let Some((fine, map)) = levels.pop() {
+        assignment = map.iter().map(|&c| assignment[c as usize]).collect();
+        refine::refine(&fine, &mut assignment, num_parts, BALANCE_EPS, 4);
     }
 
     Partitioning::new(assignment, num_parts)

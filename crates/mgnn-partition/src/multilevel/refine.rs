@@ -19,47 +19,49 @@ pub fn refine(g: &WGraph, assignment: &mut [u32], num_parts: usize, eps: f64, ma
 
     let mut part_weight = vec![0u64; num_parts];
     for (u, &p) in assignment.iter().enumerate() {
-        part_weight[p as usize] += g.node_weight(u as NodeId);
+        part_weight[p as usize] += u64::from(g.node_weight(u as NodeId));
     }
 
-    // Scratch: connection weight from a node to each part.
+    // Scratch, reused by every node of every pass: connection weight from
+    // a node to each part, and the parts it touches.
     let mut conn = vec![0u64; num_parts];
+    let mut touched: Vec<u32> = Vec::with_capacity(num_parts);
     for _ in 0..max_passes {
         let mut moved = 0usize;
         for u in 0..n as NodeId {
             let from = assignment[u as usize];
-            let nbrs = g.neighbors(u);
-            if nbrs.is_empty() {
+            if g.neighbors(u).is_empty() {
                 continue;
             }
             // Compute connectivity to each adjacent part.
-            let mut touched: Vec<u32> = Vec::with_capacity(4);
-            for (&v, &w) in nbrs.iter().zip(g.edge_weights(u)) {
+            touched.clear();
+            g.for_each_edge(u, |v, w| {
                 let p = assignment[v as usize];
                 if conn[p as usize] == 0 {
                     touched.push(p);
                 }
-                conn[p as usize] += w;
-            }
+                conn[p as usize] += u64::from(w);
+            });
             // Only boundary nodes (with a neighbor in another part) matter.
             let internal = conn[from as usize];
+            let weight = u64::from(g.node_weight(u));
             let mut best: Option<(i64, u32)> = None;
             for &p in &touched {
                 if p == from {
                     continue;
                 }
                 let gain = conn[p as usize] as i64 - internal as i64;
-                let fits = part_weight[p as usize] + g.node_weight(u) <= cap;
+                let fits = part_weight[p as usize] + weight <= cap;
                 // Also never empty a partition below one node-weight unit.
-                let keeps_source = part_weight[from as usize] > g.node_weight(u);
+                let keeps_source = part_weight[from as usize] > weight;
                 if gain > 0 && fits && keeps_source && best.is_none_or(|(bg, _)| gain > bg) {
                     best = Some((gain, p));
                 }
             }
             if let Some((_, p)) = best {
                 assignment[u as usize] = p;
-                part_weight[from as usize] -= g.node_weight(u);
-                part_weight[p as usize] += g.node_weight(u);
+                part_weight[from as usize] -= weight;
+                part_weight[p as usize] += weight;
                 moved += 1;
             }
             for &p in &touched {
@@ -77,11 +79,11 @@ pub fn refine(g: &WGraph, assignment: &mut [u32], num_parts: usize, eps: f64, ma
 pub fn weighted_cut(g: &WGraph, assignment: &[u32]) -> u64 {
     let mut cut = 0u64;
     for u in 0..g.num_nodes() as NodeId {
-        for (&v, &w) in g.neighbors(u).iter().zip(g.edge_weights(u)) {
+        g.for_each_edge(u, |v, w| {
             if assignment[u as usize] != assignment[v as usize] {
-                cut += w;
+                cut += u64::from(w);
             }
-        }
+        });
     }
     cut
 }
@@ -121,7 +123,7 @@ mod tests {
         refine(&wg, &mut a, 4, 0.05, 8);
         let mut w = vec![0u64; 4];
         for (u, &p) in a.iter().enumerate() {
-            w[p as usize] += wg.node_weight(u as u32);
+            w[p as usize] += u64::from(wg.node_weight(u as u32));
         }
         let cap = (125.0f64 * 1.05).ceil() as u64;
         for &x in &w {
