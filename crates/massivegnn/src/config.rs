@@ -57,8 +57,6 @@ pub struct PrefetchConfig {
     pub eviction: bool,
     /// `S_A` layout.
     pub layout: ScoreLayout,
-    /// Look-ahead depth of the next-minibatch queue (the paper uses 1).
-    pub lookahead: usize,
     /// Admission/eviction/pull policy (DESIGN §10). `Scoreboard` is the
     /// paper-faithful default.
     pub policy: PrefetchPolicyKind,
@@ -72,7 +70,6 @@ impl Default for PrefetchConfig {
             delta: 64,
             eviction: true,
             layout: ScoreLayout::Dense,
-            lookahead: 1,
             policy: PrefetchPolicyKind::Scoreboard,
         }
     }
@@ -95,9 +92,6 @@ impl PrefetchConfig {
         }
         if self.eviction && self.delta == 0 {
             return Err("delta must be >= 1 when eviction is enabled".into());
-        }
-        if self.lookahead == 0 {
-            return Err("lookahead must be >= 1".into());
         }
         if let PrefetchPolicyKind::Lookahead { depth } = self.policy {
             if depth == 0 {
@@ -159,8 +153,6 @@ mod tests {
         assert!(c.validate().is_err());
         c = c.without_eviction();
         assert!(c.validate().is_ok(), "delta=0 fine without eviction");
-        c.lookahead = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]

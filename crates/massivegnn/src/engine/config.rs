@@ -1,0 +1,230 @@
+//! What an experiment is: [`Mode`] and [`EngineConfig`], and the check
+//! that rejects a bad one before any work is done.
+
+use crate::config::{PrefetchConfig, PrefetchPolicyKind};
+use mgnn_graph::{DatasetKind, Scale};
+use mgnn_model::ModelKind;
+use mgnn_net::{Backend, CostModel, FaultProfile, RetryPolicy};
+use mgnn_sampling::SamplingStrategy;
+
+/// Baseline DistDGL vs the paper's prefetch scheme.
+#[derive(Debug, Clone, Copy)]
+pub enum Mode {
+    /// DistDGL semantics: every sampled halo feature fetched over RPC,
+    /// serially with training.
+    Baseline,
+    /// MassiveGNN prefetch (+ optional eviction) with overlapped
+    /// next-minibatch preparation.
+    Prefetch(PrefetchConfig),
+}
+
+impl Mode {
+    /// Short label for reports.
+    pub fn label(&self) -> String {
+        match self {
+            Mode::Baseline => "DistDGL".into(),
+            Mode::Prefetch(c) => {
+                if let PrefetchPolicyKind::Lookahead { depth } = c.policy {
+                    return format!("Prefetch+Lookahead(d={},f={})", depth, c.f_h);
+                }
+                if c.eviction {
+                    format!("Prefetch+Evict(f={},γ={},Δ={})", c.f_h, c.gamma, c.delta)
+                } else {
+                    format!("Prefetch(f={})", c.f_h)
+                }
+            }
+        }
+    }
+}
+
+/// Full experiment configuration.
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// Which OGB-like dataset preset.
+    pub dataset: DatasetKind,
+    /// Generation scale.
+    pub scale: Scale,
+    /// Number of graph partitions (= compute nodes; the paper uses
+    /// #partitions = #nodes).
+    pub num_parts: usize,
+    /// Trainer PEs per compute node (4 in the paper).
+    pub trainers_per_part: usize,
+    /// Minibatch size per trainer (2000 in the paper, scaled here).
+    pub batch_size: usize,
+    /// Training epochs.
+    pub epochs: usize,
+    /// Sampler fanouts, input layer first ({10, 25} in the paper).
+    pub fanouts: Vec<usize>,
+    /// Neighbor-selection strategy (the paper's default is uniform).
+    pub sampling: SamplingStrategy,
+    /// Hidden dimension (256-class scale in the paper; scaled here).
+    pub hidden_dim: usize,
+    /// GraphSAGE or GAT.
+    pub model: ModelKind,
+    /// Attention heads for GAT (2 in the paper).
+    pub gat_heads: usize,
+    /// CPU or GPU training backend (cost model).
+    pub backend: Backend,
+    /// Baseline vs prefetch.
+    pub mode: Mode,
+    /// Master seed.
+    pub seed: u64,
+    /// Cost model parameters.
+    pub cost: CostModel,
+    /// Run real tensor math + DDP updates (slower; exact parameters) or
+    /// only the data pipeline + cost accounting (fast; identical counts).
+    pub train_math: bool,
+    /// Which scheduler steps the trainers: every trainer on its own OS
+    /// thread, meeting at a per-step DDP barrier (wall-clock
+    /// parallelism), instead of round-robin on the calling thread. Both
+    /// run the same step loop, so reports are bitwise-identical.
+    ///
+    /// Trainer threads are spawned *outside* the global kernel pool, so a
+    /// `num_parts × trainers_per_part` world multiplies against the
+    /// pool's size. On small machines set `MGNN_THREADS` (e.g. to 1) to
+    /// keep `world × pool` within the core count; results are unaffected
+    /// — the pool is bitwise-deterministic at any thread count.
+    pub parallel: bool,
+    /// Record per-phase spans, latency histograms, and per-step telemetry
+    /// into [`RunReport::traces`](super::RunReport::traces). Off by
+    /// default; when off, no recorder exists anywhere and the report is
+    /// bitwise-identical to an untraced run.
+    pub trace: bool,
+    /// Deterministic fault profile injected into every RPC server.
+    /// `None` disables the chaos machinery entirely; a profile whose
+    /// probabilities are all zero (`FaultProfile::off`) keeps the
+    /// machinery armed but produces a bitwise-identical report to
+    /// `None` — the identity tests pin exactly that.
+    pub fault: Option<FaultProfile>,
+    /// Retry/backoff policy failed pulls follow when `fault` is active.
+    /// Backoff is charged to the *simulated* clock, never slept.
+    pub retry: RetryPolicy,
+    /// Recycle per-step buffers (prepare scratch, `PreparedBatch`
+    /// carcasses, gradient-exchange arena, optimizer scratch) so the
+    /// steady-state hot loop performs no heap allocation. Off restores
+    /// allocate-per-step behavior; reports are bitwise-identical either
+    /// way.
+    pub pooling: bool,
+    /// Mirror counters into the process-global live-telemetry registry
+    /// ([`mgnn_obs::registry`]) so a Prometheus scrape server can expose
+    /// them mid-run. Perturbs only wall-clock (a few atomic adds per
+    /// step), never the simulated clock: the
+    /// [`RunReport`](super::RunReport) is bitwise-identical with
+    /// telemetry on or off.
+    pub telemetry: bool,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        EngineConfig {
+            dataset: DatasetKind::Products,
+            scale: Scale::Unit,
+            num_parts: 2,
+            trainers_per_part: 2,
+            batch_size: 64,
+            epochs: 2,
+            fanouts: vec![10, 25],
+            sampling: SamplingStrategy::Uniform,
+            hidden_dim: 32,
+            model: ModelKind::Sage,
+            gat_heads: 2,
+            backend: Backend::Cpu,
+            mode: Mode::Baseline,
+            seed: 42,
+            cost: CostModel::default(),
+            train_math: false,
+            parallel: false,
+            trace: false,
+            fault: None,
+            retry: RetryPolicy::default(),
+            pooling: true,
+            telemetry: false,
+        }
+    }
+}
+
+impl EngineConfig {
+    /// Check the fields a run cannot survive being wrong; the first
+    /// problem comes back as a message naming the field.
+    /// [`Engine::build`](super::Engine::build) calls this before it
+    /// generates anything.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("num_parts", self.num_parts),
+            ("trainers_per_part", self.trainers_per_part),
+            ("batch_size", self.batch_size),
+        ] {
+            if value == 0 {
+                return Err(format!("{name} must be >= 1"));
+            }
+        }
+        if self.fanouts.is_empty() || self.fanouts.contains(&0) {
+            return Err(format!(
+                "fanouts {:?} must be non-empty with every entry >= 1",
+                self.fanouts
+            ));
+        }
+        if matches!(self.model, ModelKind::Gat) && self.gat_heads == 0 {
+            return Err("gat_heads must be >= 1 for a GAT model".into());
+        }
+        if let Mode::Prefetch(p) = &self.mode {
+            p.validate()?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_bad_field_is_rejected_by_name() {
+        let prefetch = Mode::Prefetch;
+        let d = EngineConfig::default;
+        let p = PrefetchConfig::default;
+        #[rustfmt::skip]
+        let bad: [(&str, EngineConfig); 10] = [
+            ("num_parts", EngineConfig { num_parts: 0, ..d() }),
+            ("trainers_per_part", EngineConfig { trainers_per_part: 0, ..d() }),
+            ("batch_size", EngineConfig { batch_size: 0, ..d() }),
+            ("fanouts", EngineConfig { fanouts: vec![], ..d() }),
+            ("fanouts", EngineConfig { fanouts: vec![10, 0], ..d() }),
+            ("gat_heads", EngineConfig { model: ModelKind::Gat, gat_heads: 0, ..d() }),
+            ("f_h", EngineConfig { mode: prefetch(PrefetchConfig { f_h: 1.5, ..p() }), ..d() }),
+            ("gamma", EngineConfig { mode: prefetch(PrefetchConfig { gamma: 2.0, ..p() }), ..d() }),
+            ("delta", EngineConfig { mode: prefetch(PrefetchConfig { delta: 0, ..p() }), ..d() }),
+            ("depth", EngineConfig { mode: prefetch(p().with_lookahead_policy(0)), ..d() }),
+        ];
+        for (field, cfg) in bad {
+            let err = cfg.validate().expect_err(field);
+            assert!(err.contains(field), "{field}: message {err:?}");
+        }
+        // Zero heads only matter to the model that has heads.
+        assert!(EngineConfig {
+            gat_heads: 0,
+            ..d()
+        }
+        .validate()
+        .is_ok());
+        assert!(d().validate().is_ok());
+        assert!(EngineConfig {
+            mode: prefetch(p()),
+            ..d()
+        }
+        .validate()
+        .is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size must be >= 1")]
+    fn build_refuses_a_bad_config_before_generating() {
+        super::super::Engine::build(EngineConfig {
+            batch_size: 0,
+            // Bench scale would take seconds to generate; the panic must
+            // come first.
+            scale: Scale::Bench,
+            ..Default::default()
+        });
+    }
+}

@@ -5,7 +5,7 @@
 //! `ThreadPoolExecutor` (one look-ahead worker) plus NUMBA to escape the
 //! GIL. Rust needs no such escape hatch: [`PrefetchPipeline::spawn`] moves
 //! the [`Prefetcher`] onto a dedicated prepare thread that pushes
-//! [`PreparedBatch`]es into a bounded channel of depth `lookahead` (the
+//! [`PreparedBatch`]es into a bounded channel of depth [`QUEUE_DEPTH`] (the
 //! queue `Q`), while the caller trains on the previously prepared batch.
 //! Back-pressure is automatic: when training is slower than preparation
 //! (the paper's "perfect overlap" regime) the worker blocks on the full
@@ -25,6 +25,10 @@ use mgnn_partition::LocalPartition;
 use mgnn_sampling::{DataLoader, NeighborSampler};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Depth of the look-ahead queue `Q`: the paper prepares exactly one
+/// minibatch ahead. The engine's pipeline clock models the same depth.
+pub const QUEUE_DEPTH: usize = 1;
 
 /// A running prepare thread feeding a bounded queue of minibatches.
 ///
@@ -46,7 +50,7 @@ impl PrefetchPipeline {
     /// Spawn the prepare thread. It walks `epochs × steps` minibatches in
     /// order (continuous across epochs, like the paper's scheme), preparing
     /// each through the prefetcher and blocking when the queue holds
-    /// `lookahead` unconsumed batches.
+    /// [`QUEUE_DEPTH`] unconsumed batches.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         prefetcher: Prefetcher,
@@ -59,8 +63,7 @@ impl PrefetchPipeline {
         epochs: usize,
         steps_per_epoch: usize,
     ) -> Self {
-        let lookahead = prefetcher.cfg.lookahead;
-        let (tx, rx) = crossbeam_channel::bounded::<PreparedBatch>(lookahead);
+        let (tx, rx) = crossbeam_channel::bounded::<PreparedBatch>(QUEUE_DEPTH);
         let (recycle_tx, recycle_rx) = crossbeam_channel::unbounded::<PreparedBatch>();
         let handle = std::thread::Builder::new()
             .name("prefetch-prepare".into())

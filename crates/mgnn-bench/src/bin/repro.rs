@@ -23,9 +23,9 @@
 //! report stays bitwise identical to a telemetry-off run.
 
 use massivegnn::PrefetchPolicyKind;
-use mgnn_bench::{bench, experiments, figures::chaos, Opts};
-use mgnn_graph::Scale;
-use mgnn_net::FaultProfile;
+use mgnn_bench::{bench, experiments, figures::chaos, harness, Opts};
+use mgnn_graph::{DatasetKind, Scale};
+use mgnn_net::{Backend, FaultProfile};
 use serde::{Serialize, Value};
 use std::path::PathBuf;
 
@@ -195,6 +195,14 @@ fn main() {
             }
         }
         i += 1;
+    }
+
+    // Reject a bad size option here, with its reason, before any
+    // experiment generates a dataset for it (`--depth` is checked above).
+    let probe = harness::engine_config(&opts, DatasetKind::Products, Backend::Cpu, 2);
+    if let Err(problem) = probe.validate() {
+        eprintln!("invalid options: {problem}");
+        std::process::exit(2)
     }
 
     // Kernel benchmarks run first (and alone, unless an experiment was

@@ -79,7 +79,7 @@ impl Opts {
         })
     }
 
-    /// A quick profile for smoke tests and `cargo bench` figure runs.
+    /// A quick profile for smoke tests and the end-to-end bench rows.
     pub fn quick() -> Self {
         Opts {
             epochs: 2,
@@ -352,7 +352,6 @@ pub fn optimize_prefetch(base: &EngineConfig, full: bool) -> Optimized {
                 delta,
                 eviction: true,
                 layout,
-                lookahead: 1,
                 policy: PrefetchPolicyKind::Scoreboard,
             });
             let r = Engine::build(cfg).run();

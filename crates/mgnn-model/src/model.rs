@@ -29,8 +29,9 @@ impl ModelKind {
     }
 }
 
-/// A trainable GNN over sampled blocks.
-pub trait Model: Send {
+/// A trainable GNN over sampled blocks. `Sync` because threads price
+/// batches against one shared, untrained instance.
+pub trait Model: Send + Sync {
     /// Forward through all layers; `blocks.len()` must equal the layer
     /// count; `input` holds features of `blocks[0]`'s src nodes. Returns
     /// logits on the seed nodes.

@@ -242,3 +242,192 @@ fn reports_internally_consistent() {
         assert!(t.minibatches as usize == r.steps_per_epoch * 2);
     }
 }
+
+// ---------------------------------------------------------------------
+// Old ≡ new: the step loop was collapsed from two twin engines into one
+// driver with two schedulers (PR 14). The table below was recorded on
+// the parent commit (`5facb2a`) with [`print_engine_fingerprints`]; the
+// single driver has to reproduce every row under both schedulers — and,
+// for the fault rows, under the sequential one, which is the only place
+// the new round-robin scheduler is compared with the old one under
+// faults rather than with itself.
+// ---------------------------------------------------------------------
+
+use massivegnn::{FaultProfile, RetryPolicy, RunReport};
+use serde::Serialize;
+
+/// 64-bit FNV-1a of the report's JSON form (which carries the serialized
+/// `traces` when tracing is on) followed by the bits of `final_params`
+/// (which the JSON form leaves out).
+fn report_fingerprint(r: &RunReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(serde_json::to_string_pretty(&r.to_value()).as_bytes());
+    eat(&(r.final_params.len() as u64).to_le_bytes());
+    for p in &r.final_params {
+        eat(&p.to_bits().to_le_bytes());
+    }
+    h
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    Baseline,
+    Scoreboard,
+    Lookahead2,
+    /// Scoreboard with `EngineConfig::trace` on.
+    ScoreboardTraced,
+    /// `FaultProfile::heavy` with drops off (no verdict depends on the
+    /// wall clock). Sequential only: verdict order is racy under threads.
+    ScoreboardHeavy,
+    Lookahead2Heavy,
+}
+
+impl Shape {
+    const ALL: [Shape; 6] = [
+        Shape::Baseline,
+        Shape::Scoreboard,
+        Shape::Lookahead2,
+        Shape::ScoreboardTraced,
+        Shape::ScoreboardHeavy,
+        Shape::Lookahead2Heavy,
+    ];
+
+    fn faulted(self) -> bool {
+        matches!(self, Shape::ScoreboardHeavy | Shape::Lookahead2Heavy)
+    }
+}
+
+fn fingerprint_config(shape: Shape, math: bool, seed: u64) -> EngineConfig {
+    let scoreboard = PrefetchConfig {
+        f_h: 0.25,
+        gamma: 0.95,
+        delta: 4,
+        ..Default::default()
+    };
+    EngineConfig {
+        dataset: DatasetKind::Products,
+        scale: Scale::Unit,
+        num_parts: 2,
+        trainers_per_part: 2,
+        batch_size: 64,
+        epochs: 3,
+        fanouts: vec![5, 10],
+        hidden_dim: 16,
+        seed,
+        train_math: math,
+        trace: shape == Shape::ScoreboardTraced,
+        mode: match shape {
+            Shape::Baseline => Mode::Baseline,
+            Shape::Scoreboard | Shape::ScoreboardTraced | Shape::ScoreboardHeavy => {
+                Mode::Prefetch(scoreboard)
+            }
+            Shape::Lookahead2 | Shape::Lookahead2Heavy => {
+                Mode::Prefetch(scoreboard.with_lookahead_policy(2))
+            }
+        },
+        fault: shape.faulted().then(|| FaultProfile {
+            drop_prob: 0.0,
+            ..FaultProfile::heavy(seed ^ 0xfa17)
+        }),
+        retry: RetryPolicy {
+            timeout: std::time::Duration::from_secs(30),
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+const FINGERPRINT_SEEDS: [u64; 2] = [1, 42];
+
+/// `(shape, train_math, seed, fingerprint)`, recorded on the parent
+/// commit's *sequential* engine; regenerate only for a change that is
+/// meant to alter what a run computes (and say so in CHANGES.md).
+#[rustfmt::skip]
+const PARENT_RUNS: [(Shape, bool, u64, u64); 24] = [
+    (Shape::Baseline, false, 1, 0xca9eb153c41c535e),
+    (Shape::Baseline, false, 42, 0x720576668a34f618),
+    (Shape::Baseline, true, 1, 0xe550709ba5cd6985),
+    (Shape::Baseline, true, 42, 0x53e3a281144f2097),
+    (Shape::Scoreboard, false, 1, 0x69845dc5234c3d00),
+    (Shape::Scoreboard, false, 42, 0xb258fb0ccf793e2f),
+    (Shape::Scoreboard, true, 1, 0x040368a5eb0502b5),
+    (Shape::Scoreboard, true, 42, 0x20dfd643441bd534),
+    (Shape::Lookahead2, false, 1, 0x2bb6787f7addbe05),
+    (Shape::Lookahead2, false, 42, 0x1784443723147973),
+    (Shape::Lookahead2, true, 1, 0x43237e0de4e171a8),
+    (Shape::Lookahead2, true, 42, 0x1b5c1a4a2ef8ed22),
+    (Shape::ScoreboardTraced, false, 1, 0x44cc148d4de8b204),
+    (Shape::ScoreboardTraced, false, 42, 0x9f760a40bdcd3eb1),
+    (Shape::ScoreboardTraced, true, 1, 0x1d4c088f0731c31f),
+    (Shape::ScoreboardTraced, true, 42, 0xe706284eb3c4fc1e),
+    (Shape::ScoreboardHeavy, false, 1, 0x7559c3eb29ae9ff2),
+    (Shape::ScoreboardHeavy, false, 42, 0x4a719d132d86b748),
+    (Shape::ScoreboardHeavy, true, 1, 0x029a313a58eee9bd),
+    (Shape::ScoreboardHeavy, true, 42, 0xe3ad2cdd7dc2955b),
+    (Shape::Lookahead2Heavy, false, 1, 0x11746058dba819fe),
+    (Shape::Lookahead2Heavy, false, 42, 0x2081cfffd7a05b64),
+    (Shape::Lookahead2Heavy, true, 1, 0x97d0981f8fb913bb),
+    (Shape::Lookahead2Heavy, true, 42, 0x2384d59a626c7041),
+];
+
+#[test]
+fn both_schedulers_reproduce_the_parent_reports() {
+    let mut want = Vec::new();
+    for shape in Shape::ALL {
+        for math in [false, true] {
+            for seed in FINGERPRINT_SEEDS {
+                want.push((shape, math, seed));
+            }
+        }
+    }
+    let have: Vec<_> = PARENT_RUNS.iter().map(|r| (r.0, r.1, r.2)).collect();
+    assert_eq!(have, want, "table must cover every shape, math and seed");
+
+    for &(shape, math, seed, expect) in &PARENT_RUNS {
+        let mut cfg = fingerprint_config(shape, math, seed);
+        let seq = Engine::build(cfg.clone()).run();
+        assert_eq!(
+            report_fingerprint(&seq),
+            expect,
+            "sequential scheduler moved: {shape:?} math={math} seed={seed}"
+        );
+        if shape.faulted() {
+            let agg = seq.aggregate_metrics();
+            assert!(
+                agg.rpc_retries > 0 && agg.server_respawns >= 1,
+                "{shape:?}: ladder idle"
+            );
+            continue;
+        }
+        cfg.parallel = true;
+        let par = Engine::build(cfg).run();
+        assert_eq!(
+            report_fingerprint(&par),
+            expect,
+            "threaded scheduler moved: {shape:?} math={math} seed={seed}"
+        );
+    }
+}
+
+/// `cargo test --release -p mgnn-bench --test integration_engine -- --ignored --nocapture`
+/// prints the table in source form.
+#[test]
+#[ignore = "prints the fingerprint table; run on the commit whose bits are the reference"]
+fn print_engine_fingerprints() {
+    for shape in Shape::ALL {
+        for math in [false, true] {
+            for seed in FINGERPRINT_SEEDS {
+                let r = Engine::build(fingerprint_config(shape, math, seed)).run();
+                println!(
+                    "    (Shape::{shape:?}, {math}, {seed}, {:#018x}),",
+                    report_fingerprint(&r)
+                );
+            }
+        }
+    }
+}
