@@ -100,13 +100,19 @@ impl PrefetchBuffer {
     /// Insert halo node `h` with `feat` into the next free slot; returns
     /// the slot. Panics when full or when `h` is already present.
     pub fn insert(&mut self, h: u32, feat: &[f32]) -> u32 {
+        self.insert_with(h, |row| row.copy_from_slice(feat))
+    }
+
+    /// [`insert`](Self::insert) whose features are written by `fill`,
+    /// straight into the slot's row (which it must overwrite entirely)
+    /// — a pulled row is decoded there without an intermediate copy.
+    pub fn insert_with(&mut self, h: u32, fill: impl FnOnce(&mut [f32])) -> u32 {
         assert!(self.len < self.capacity(), "buffer full");
         assert!(!self.contains(h), "halo {h} already buffered");
-        assert_eq!(feat.len(), self.dim);
         let slot = self.len as u32;
         self.slot_of_halo[h as usize] = slot;
         self.halo_of_slot[slot as usize] = h;
-        self.features[self.len * self.dim..(self.len + 1) * self.dim].copy_from_slice(feat);
+        fill(&mut self.features[self.len * self.dim..(self.len + 1) * self.dim]);
         self.len += 1;
         slot
     }
@@ -115,14 +121,19 @@ impl PrefetchBuffer {
     /// `new_h` and its features — the paired evict-and-replace of
     /// Algorithm 2 lines 16–17. Returns the evicted halo index.
     pub fn replace(&mut self, slot: u32, new_h: u32, feat: &[f32]) -> u32 {
-        assert_eq!(feat.len(), self.dim);
+        self.replace_with(slot, new_h, |row| row.copy_from_slice(feat))
+    }
+
+    /// [`replace`](Self::replace) whose features are written by `fill`
+    /// (see [`insert_with`](Self::insert_with)).
+    pub fn replace_with(&mut self, slot: u32, new_h: u32, fill: impl FnOnce(&mut [f32])) -> u32 {
         assert!(!self.contains(new_h), "halo {new_h} already buffered");
         let old = self.halo_at(slot);
         self.slot_of_halo[old as usize] = NONE;
         self.slot_of_halo[new_h as usize] = slot;
         self.halo_of_slot[slot as usize] = new_h;
         let s = slot as usize;
-        self.features[s * self.dim..(s + 1) * self.dim].copy_from_slice(feat);
+        fill(&mut self.features[s * self.dim..(s + 1) * self.dim]);
         old
     }
 
@@ -240,6 +251,26 @@ mod tests {
         assert_eq!(b.row(s), &[5.0, 5.0]);
         assert_eq!(b.len(), 2, "capacity constant under replace");
         b.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn fill_forms_write_the_slot_in_place() {
+        let mut b = PrefetchBuffer::new(10, 2, 2);
+        let s = b.insert_with(4, |row| row.fill(4.0));
+        assert_eq!(b.row(s), &[4.0, 4.0]);
+        let old = b.replace_with(s, 6, |row| {
+            assert_eq!(row, [4.0, 4.0], "the evicted row, to be overwritten");
+            row.copy_from_slice(&[6.0, 6.5]);
+        });
+        assert_eq!(old, 4);
+        assert_eq!(b.row(s), &[6.0, 6.5]);
+        b.check_invariants().unwrap();
+    }
+
+    #[test]
+    #[should_panic]
+    fn wrong_width_row_rejected() {
+        PrefetchBuffer::new(5, 1, 2).insert(0, &[0.0]);
     }
 
     #[test]

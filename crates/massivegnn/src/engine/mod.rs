@@ -213,10 +213,15 @@ impl Engine {
     /// next minibatch, trains on it and hands the buffers back; then the
     /// gradients are averaged over the whole world through `share` (real
     /// math only), which is also where the schedulers' threads meet.
+    ///
+    /// One batch is alive per loop, not per trainer: the trainers of a
+    /// loop run one after another, so the batch one of them consumed is
+    /// the carcass the next prepares into.
     fn drive(&self, trainers: &mut [TrainerState], mut share: Share<'_>) {
         let cfg = &self.cfg;
         let steps_per_epoch = self.steps_per_epoch();
         let mut global_step = 0u64;
+        let mut carcass = None;
         for epoch in 0..cfg.epochs as u64 {
             for step in 0..steps_per_epoch {
                 #[cfg(feature = "alloc-count")]
@@ -225,9 +230,9 @@ impl Engine {
                     crate::alloc::thread_excluded(),
                 );
                 for ts in trainers.iter_mut() {
-                    let batch = ts.next_batch(self, epoch, step, global_step);
+                    let batch = ts.next_batch(self, epoch, step, global_step, carcass.take());
                     ts.train_on(&batch, self, global_step);
-                    ts.give_back(batch, cfg.pooling);
+                    carcass = ts.give_back(batch, cfg.pooling);
                 }
                 // DDP synchronization: the allgather's "all ranks end
                 // bitwise identical" property makes the shared average

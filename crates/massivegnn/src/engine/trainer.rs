@@ -49,8 +49,6 @@ pub(super) struct TrainerState {
     /// Pooled per-step preparation scratch of baseline mode (a
     /// [`Prefetcher`] owns its own).
     prep_scratch: PrepareScratch,
-    /// Consumed batch awaiting recycling into the next on-demand prepare.
-    carcass: Option<PreparedBatch>,
 }
 
 impl TrainerState {
@@ -76,15 +74,18 @@ impl TrainerState {
     /// The minibatch of `(epoch, step)`: popped from the prepare thread's
     /// queue when one is attached (Algorithm 1 line 5), prepared on
     /// demand otherwise (the overlap is then modeled by the pipeline
-    /// clock alone). Its timing and counters are folded into the
-    /// accumulators here, once per batch in preparation order, so every
-    /// floating-point sum sees the same operands under both schedulers.
+    /// clock alone), into the buffers of `reuse` — the step loop's last
+    /// consumed batch, whichever trainer it was for. Its timing and
+    /// counters are folded into the accumulators here, once per batch in
+    /// preparation order, so every floating-point sum sees the same
+    /// operands under both schedulers.
     pub(super) fn next_batch(
         &mut self,
         engine: &Engine,
         epoch: u64,
         step: usize,
         global_step: u64,
+        reuse: Option<PreparedBatch>,
     ) -> PreparedBatch {
         let (cfg, cluster) = (&engine.cfg, &*engine.cluster);
         let batch = if let Some(feed) = &self.feed {
@@ -94,7 +95,6 @@ impl TrainerState {
             #[cfg(feature = "alloc-count")]
             let _workload = crate::alloc::ExcludeGuard::new();
             let seeds = self.loader.epoch(epoch)[step].clone();
-            let reuse = self.carcass.take();
             match self.prefetcher.as_mut() {
                 Some(pf) => pf.prepare_reuse(
                     reuse,
@@ -139,13 +139,22 @@ impl TrainerState {
     }
 
     /// Return a consumed batch's buffers to whoever prepares the next
-    /// one: the prepare thread, or the next on-demand prepare.
-    pub(super) fn give_back(&mut self, batch: PreparedBatch, pooling: bool) {
-        if pooling {
-            match &self.feed {
-                Some(feed) => feed.recycle(batch),
-                None => self.carcass = Some(batch),
+    /// one: the prepare thread, or — handed back to the step loop — the
+    /// next on-demand prepare.
+    pub(super) fn give_back(
+        &mut self,
+        batch: PreparedBatch,
+        pooling: bool,
+    ) -> Option<PreparedBatch> {
+        if !pooling {
+            return None;
+        }
+        match &self.feed {
+            Some(feed) => {
+                feed.recycle(batch);
+                None
             }
+            None => Some(batch),
         }
     }
 
@@ -395,7 +404,6 @@ impl Engine {
                     peak_step_bytes: 0,
                     params_scratch: Vec::new(),
                     prep_scratch: PrepareScratch::default(),
-                    carcass: None,
                 }
             })
             .collect()

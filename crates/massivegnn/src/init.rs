@@ -73,7 +73,7 @@ pub fn initialize_prefetcher(
     let globals: Vec<u32> = order.iter().map(|&h| part.halo_nodes[h as usize]).collect();
     let req_id =
         mgnn_obs::events::request_id(mgnn_obs::events::ORIGIN_INIT, metrics.trace_rank(), 0);
-    let (fetched, outcome) = cluster.pull_grouped_tagged(&globals, req_id);
+    let (fetched, outcome) = cluster.pull_rows(&globals, req_id);
     // Fault charge is 0.0 on the fault-free path (see Prefetcher::prepare).
     let fetch_s = cost.t_rpc(capacity, dim) + outcome.charge_s(cost, dim, cluster.retry_policy());
     metrics.record_rpc(capacity as u64, dim);
@@ -102,7 +102,7 @@ pub fn initialize_prefetcher(
         if row_failed(i) {
             continue;
         }
-        buffer.insert(h, &fetched[i * dim..(i + 1) * dim]);
+        buffer.insert_with(h, |row| fetched.decode_into(i, row));
     }
     let populate_s = cost.t_copy(capacity, dim);
 

@@ -14,7 +14,7 @@
 //!   needs are computable ahead of time. Each prepare step the planner
 //!   walks the plan `depth` steps past the current one, re-runs the
 //!   sampler against those future seeds, and issues one batched
-//!   [`SimCluster::pull_grouped_checked`] for the not-yet-resident rows
+//!   [`SimCluster::pull_rows`] for the not-yet-resident rows
 //!   — before they are due. At steady state every probe hits and the
 //!   critical-path `t_rpc` collapses to the empty-fetch cost.
 //!
@@ -320,7 +320,7 @@ impl PrefetchPolicy for LookaheadPolicy {
             ctx.metrics.trace_rank(),
             step,
         );
-        let (rows, outcome) = ctx.cluster.pull_grouped_tagged(&self.want_globals, req_id);
+        let (rows, outcome) = ctx.cluster.pull_rows(&self.want_globals, req_id);
         let dim = ctx.cluster.dim();
         let t_fault = outcome.charge_s(ctx.cost, dim, ctx.cluster.retry_policy());
         let t_planned = ctx.cost.t_rpc(k, dim) + t_fault;
@@ -341,13 +341,13 @@ impl PrefetchPolicy for LookaheadPolicy {
             if outcome.failed_rows.binary_search(&i).is_ok() {
                 continue;
             }
-            let feat = &rows[i * dim..(i + 1) * dim];
+            let decode = |slot_row: &mut [f32]| rows.decode_into(i, slot_row);
             if ctx.buffer.len() < ctx.buffer.capacity() {
-                ctx.buffer.insert(h, feat);
+                ctx.buffer.insert_with(h, decode);
             } else {
                 let slot = self.evict_slots[next_evict];
                 next_evict += 1;
-                let old = ctx.buffer.replace(slot, h, feat);
+                let old = ctx.buffer.replace_with(slot, h, decode);
                 let need = self.need_until[old as usize];
                 if need > step {
                     self.pending.push((old, need - 1));

@@ -19,9 +19,12 @@
 //!
 //! Steady-state preparation is allocation-free: every per-step vector
 //! lives in [`PrepareScratch`] (cleared, never dropped), the miss-row map
-//! is a stamp-validated array instead of a `HashMap`, and a recycled
+//! is a stamp-validated array instead of a `HashMap`, a recycled
 //! [`PreparedBatch`] carcass donates its minibatch blocks, feature matrix
-//! and label vector back to the next [`Prefetcher::prepare_reuse`] call.
+//! and label vector back to the next [`Prefetcher::prepare_reuse`] call,
+//! and fetched rows are decoded off the cluster's recycled receive
+//! buffers ([`mgnn_net::cluster::PulledRows`]) straight into the input
+//! row or buffer slot they are for.
 
 use crate::buffer::PrefetchBuffer;
 use crate::config::{PrefetchConfig, ScoreLayout};
@@ -143,6 +146,14 @@ impl PrepareScratch {
         }
         self.stamp
     }
+}
+
+/// Give the input matrix `len` elements for an assembly that overwrites
+/// every one of them: only growth is zero-filled, and what a recycled
+/// matrix held stays until its row is written.
+fn size_for_overwrite(v: &mut Vec<f32>, len: usize) {
+    mgnn_net::kvstore::make_room(v, len);
+    v.resize(len, 0.0);
 }
 
 /// Per-trainer prefetcher state (`BUF_p^i`, `S_E`, `S_A`).
@@ -439,7 +450,7 @@ impl Prefetcher {
             metrics.trace_rank(),
             step,
         );
-        let (fetched, outcome) = cluster.pull_grouped_tagged(&scratch.fetch_ids, req_id);
+        let (fetched, outcome) = cluster.pull_rows(&scratch.fetch_ids, req_id);
         // Faults charge simulated time on top of the ideal RPC cost:
         // injected delays multiply the request's latency and every retry
         // re-pays it plus deterministic backoff (Eq. 6 still sees the
@@ -498,8 +509,9 @@ impl Prefetcher {
                 stale += 1;
                 continue;
             }
-            let feat = &fetched[r * dim..(r + 1) * dim];
-            let old_h = self.buffer.replace(slot, new_h, feat);
+            let old_h = self
+                .buffer
+                .replace_with(slot, new_h, |row| fetched.decode_into(r, row));
             let old_g = halo_nodes[old_h as usize];
             let new_g = halo_nodes[new_h as usize];
             // Swap: evicted node's new S_A ← its last S_E;
@@ -546,13 +558,14 @@ impl Prefetcher {
 
         // Assemble input features in input-node order: local rows from the
         // partition's own KVStore, halo hits from the buffer, halo misses
-        // from the fetched payload. Row-parallel: each output row selects
-        // its source slice independently and copies the same bytes the
-        // sequential assembly would, so the tensor is bitwise-identical
-        // at any thread count.
+        // decoded straight off the fetched payload. Row-parallel: each
+        // output row selects its source independently and receives the
+        // same bytes the sequential assembly would, so the tensor is
+        // bitwise-identical at any thread count. Every row is overwritten
+        // in full (`decode_into` writes a failed miss as zeros), so a
+        // recycled matrix is not cleared first.
         let local_store = cluster.store(part.part_id);
-        input_vec.clear();
-        input_vec.resize(mb.input_nodes.len() * dim, 0.0);
+        size_for_overwrite(&mut input_vec, mb.input_nodes.len() * dim);
         if dim > 0 {
             use rayon::prelude::*;
             let buffer = &self.buffer;
@@ -564,24 +577,24 @@ impl Prefetcher {
                 .enumerate()
                 .for_each(|(idx, row)| {
                     let lid = input_nodes[idx];
-                    let src: &[f32] = if (lid as usize) < num_local {
-                        local_store.row(part.local_nodes[lid as usize])
+                    if (lid as usize) < num_local {
+                        row.copy_from_slice(local_store.row(part.local_nodes[lid as usize]));
+                        return;
+                    }
+                    let h = lid - num_local as u32;
+                    if let Some(slot) = buffer.slot_of(h) {
+                        // Careful: a replacement installed *this step*
+                        // occupies a slot but was fetched fresh; either
+                        // path yields the same bytes.
+                        row.copy_from_slice(buffer.row(slot));
                     } else {
-                        let h = lid - num_local as u32;
-                        if let Some(slot) = buffer.slot_of(h) {
-                            // Careful: a replacement installed *this step*
-                            // occupies a slot but was fetched fresh; either
-                            // path yields the same bytes.
-                            buffer.row(slot)
-                        } else {
-                            debug_assert_eq!(row_stamp[h as usize], rstamp);
-                            let r = row_val[h as usize] as usize;
-                            &fetched[r * dim..(r + 1) * dim]
-                        }
-                    };
-                    row.copy_from_slice(src);
+                        debug_assert_eq!(row_stamp[h as usize], rstamp);
+                        fetched.decode_into(row_val[h as usize] as usize, row);
+                    }
                 });
         }
+        // The payload buffers go back to the cluster for the next pull.
+        drop(fetched);
         let t_copy = cost.t_copy(scratch.local_ids.len(), dim);
         metrics.record_local_copy_spanned(scratch.local_ids.len() as u64, step, serial, t_copy);
 
@@ -689,7 +702,7 @@ pub fn baseline_prepare_reuse(
         metrics.trace_rank(),
         step,
     );
-    let (fetched, outcome) = cluster.pull_grouped_tagged(&scratch.fetch_ids, req_id);
+    let (fetched, outcome) = cluster.pull_rows(&scratch.fetch_ids, req_id);
     // Same fault-time charging as the prefetch path; exactly 0.0 when
     // nothing fired.
     let t_fault = outcome.charge_s(cost, dim, cluster.retry_policy());
@@ -737,10 +750,9 @@ pub fn baseline_prepare_reuse(
         scratch.row_stamp[h] = rstamp;
         scratch.row_val[h] = i as u32;
     }
-    // Row-parallel gather, same bytes as the sequential loop (see the
-    // prefetch-path assembly above for the determinism argument).
-    input_vec.clear();
-    input_vec.resize(mb.input_nodes.len() * dim, 0.0);
+    // Row-parallel gather, same bytes as the sequential loop, every row
+    // overwritten in full (see the prefetch-path assembly above).
+    size_for_overwrite(&mut input_vec, mb.input_nodes.len() * dim);
     if dim > 0 {
         use rayon::prelude::*;
         let input_nodes = &mb.input_nodes;
@@ -751,17 +763,16 @@ pub fn baseline_prepare_reuse(
             .enumerate()
             .for_each(|(idx, row)| {
                 let lid = input_nodes[idx];
-                let src: &[f32] = if (lid as usize) < num_local {
-                    local_store.row(part.local_nodes[lid as usize])
+                if (lid as usize) < num_local {
+                    row.copy_from_slice(local_store.row(part.local_nodes[lid as usize]));
                 } else {
                     let h = (lid - num_local as u32) as usize;
                     debug_assert_eq!(row_stamp[h], rstamp);
-                    let r = row_val[h] as usize;
-                    &fetched[r * dim..(r + 1) * dim]
-                };
-                row.copy_from_slice(src);
+                    fetched.decode_into(row_val[h] as usize, row);
+                }
             });
     }
+    drop(fetched);
     let t_copy = cost.t_copy(scratch.local_ids.len(), dim);
     metrics.record_local_copy_spanned(scratch.local_ids.len() as u64, step, t_sampling, t_copy);
 

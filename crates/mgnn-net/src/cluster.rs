@@ -1,21 +1,28 @@
 //! Simulated cluster wiring: one KVStore per partition (all of them
 //! views of the one resident feature matrix), optional real RPC
-//! server threads, and bulk pull helpers that group requested nodes by
+//! server threads, and one bulk pull that groups requested nodes by
 //! owner partition (DistDGL batches one RPC per remote server per
 //! minibatch).
 //!
+//! [`SimCluster::pull_rows`] hands the rows back as they arrived — a
+//! [`PulledRows`] over the per-partition payloads, still in wire format
+//! — and the caller decodes each row once, straight into the tensor row
+//! or buffer slot it is for. The id lists, receive buffers and reply
+//! channels of a pull are recycled through a free-list on the cluster,
+//! so a fault-free pull allocates nothing once they have grown.
+//!
 //! The cluster is also where the fault-tolerance ladder lives. A pull
 //! against a faulty server can time out, come back truncated, or find
-//! the server dead; [`SimCluster::pull_grouped_checked`] retries with
-//! the configured [`RetryPolicy`], respawns a crashed server from its
-//! (still-resident) [`KvStore`], and — once retries are exhausted —
-//! zero-fills the affected rows rather than failing the whole pull,
-//! reporting exactly what happened in a [`PullOutcome`] so callers can
-//! charge simulated time and degrade gracefully.
+//! the server dead; the pull retries with the configured
+//! [`RetryPolicy`], respawns a crashed server from its (still-resident)
+//! [`KvStore`], and — once retries are exhausted — serves the affected
+//! rows as zeros rather than failing the whole pull, reporting exactly
+//! what happened in a [`PullOutcome`] so callers can charge simulated
+//! time and degrade gracefully.
 
 use crate::fault::{FaultProfile, RetryPolicy};
 use crate::kvstore::KvStore;
-use crate::rpc::{PullHandle, PullResponse, RpcClient, RpcError, RpcServer};
+use crate::rpc::{PullHandle, PullResponse, ReplyChannel, RpcClient, RpcError, RpcServer};
 use crate::wire::{self, WireElem};
 use mgnn_graph::{FeatureStore, NodeId};
 use std::sync::{Arc, Mutex};
@@ -59,6 +66,9 @@ pub struct PullOutcome {
     /// Attempts that found the server dead (send failed or the reply
     /// channel disconnected).
     pub disconnects: u64,
+    /// Requests a server refused because they named an id it does not
+    /// own. A routing error is deterministic: never retried.
+    pub rejections: u64,
     /// Servers respawned from their resident KvStore.
     pub respawns: u64,
     /// Injected delay tags observed: `(nodes_in_request, k)` per event.
@@ -78,6 +88,7 @@ impl PullOutcome {
             || self.timeouts > 0
             || self.truncations > 0
             || self.disconnects > 0
+            || self.rejections > 0
             || self.respawns > 0
             || !self.delay_events.is_empty()
             || !self.failed_rows.is_empty()
@@ -105,6 +116,73 @@ impl PullOutcome {
     }
 }
 
+/// One partition's leg of a grouped pull: what the request lends the
+/// server and gets back with the reply.
+#[derive(Default)]
+struct Leg {
+    /// Ids asked of this partition, in request order (away with the
+    /// request while it is in flight).
+    ids: Vec<NodeId>,
+    /// How many ids that is, for the accounting while `ids` is away.
+    rows: usize,
+    /// The receive buffer: `rows × dim` wire elements once `delivered`.
+    payload: Vec<WireElem>,
+    /// The reply channel of the last served pull, free for the next.
+    reply: Option<ReplyChannel>,
+    /// First-round request and the server generation it was sent to.
+    in_flight: Option<(Result<PullHandle, RpcError>, u64)>,
+    /// Whether `payload` holds this pull's rows. False for a partition
+    /// the pull did not touch or whose ladder was exhausted.
+    delivered: bool,
+}
+
+/// Everything one grouped pull allocates, kept together so that it is
+/// recycled in one piece.
+#[derive(Default)]
+struct PullSet {
+    /// One leg per partition.
+    legs: Vec<Leg>,
+    /// Request row → (partition, index within that partition's leg).
+    position: Vec<(u32, u32)>,
+}
+
+/// The rows of one grouped pull, as they arrived: per-partition payloads
+/// in [`wire`] format plus the table that says where each requested row
+/// sits. Nothing is decoded until [`decode_into`](Self::decode_into)
+/// writes a row where it is used. Dropping the handle returns its
+/// buffers to the cluster for the next pull.
+pub struct PulledRows<'a> {
+    cluster: &'a SimCluster,
+    set: PullSet,
+}
+
+impl PulledRows<'_> {
+    /// Widen request row `row` into `out` (`dim` long) — the one copy a
+    /// pulled row makes on the client. A row listed in
+    /// [`PullOutcome::failed_rows`] is written as zeros: `out` is fully
+    /// overwritten either way, whatever it held.
+    pub fn decode_into(&self, row: usize, out: &mut [f32]) {
+        let (part, idx) = self.set.position[row];
+        let leg = &self.set.legs[part as usize];
+        if leg.delivered {
+            let dim = self.cluster.dim;
+            let start = idx as usize * dim;
+            wire::decode_row(&leg.payload[start..start + dim], out);
+        } else {
+            out.fill(0.0);
+        }
+    }
+}
+
+impl Drop for PulledRows<'_> {
+    fn drop(&mut self) {
+        // A poisoned free-list only costs the recycling.
+        if let Ok(mut free) = self.cluster.free_sets.lock() {
+            free.push(std::mem::take(&mut self.set));
+        }
+    }
+}
+
 /// The in-process stand-in for a multi-node cluster.
 pub struct SimCluster {
     stores: Vec<Arc<KvStore>>,
@@ -115,6 +193,9 @@ pub struct SimCluster {
     delay: std::time::Duration,
     faults: Option<ClusterFaults>,
     retry: RetryPolicy,
+    /// Pull sets between pulls: as many as pulls were ever in flight at
+    /// once, each grown to the largest pull it carried.
+    free_sets: Mutex<Vec<PullSet>>,
 }
 
 impl SimCluster {
@@ -213,6 +294,7 @@ impl SimCluster {
             delay,
             faults: profile.map(|profile| ClusterFaults { profile }),
             retry,
+            free_sets: Mutex::new(Vec::new()),
         }
     }
 
@@ -250,95 +332,143 @@ impl SimCluster {
 
     /// Pull features for arbitrary global `ids` through the RPC servers,
     /// grouping by owner (one bulk request per touched partition, like
-    /// DistDGL). Returns rows in the order of `ids` — f32 again, each
-    /// element rounded once by the [`wire`] format it crossed in — plus
-    /// the number of first-round RPCs issued. Faults are absorbed by the
-    /// ladder in [`pull_grouped_checked`](Self::pull_grouped_checked);
-    /// rows that exhausted retries come back zero-filled.
+    /// DistDGL), and hand them back undecoded. `request_id` tags the
+    /// pull: when it is nonzero and the global event log
+    /// ([`mgnn_obs::events`]) is installed, every fault verdict this pull
+    /// hits is recorded against that id.
+    ///
+    /// Ladder per partition: issue → (on failure) respawn a dead server
+    /// and retry up to `RetryPolicy::max_retries` times → give the
+    /// partition's rows up: they read as zeros and are listed in
+    /// `PullOutcome::failed_rows`.
+    pub fn pull_rows(&self, ids: &[NodeId], request_id: u64) -> (PulledRows<'_>, PullOutcome) {
+        let mut outcome = PullOutcome {
+            request_id,
+            ..PullOutcome::default()
+        };
+        let mut set = self
+            .free_sets
+            .lock()
+            .expect("free-list holder panicked")
+            .pop()
+            .unwrap_or_default();
+        let PullSet { legs, position } = &mut set;
+        legs.resize_with(self.num_parts(), Leg::default);
+        for leg in legs.iter_mut() {
+            leg.ids.clear();
+            leg.delivered = false;
+        }
+        position.clear();
+        for &g in ids {
+            let part = self.owner(g);
+            let leg = &mut legs[part as usize];
+            position.push((part, leg.ids.len() as u32));
+            leg.ids.push(g);
+        }
+        // Issue all first-round pulls before waiting on any, so healthy
+        // servers overlap even while one partition misbehaves.
+        for (part, leg) in legs.iter_mut().enumerate() {
+            leg.rows = leg.ids.len();
+            if leg.rows == 0 {
+                continue;
+            }
+            outcome.rpcs += 1;
+            let (client, generation) = self.current_client(part);
+            let issued = client.pull_async_into(
+                std::mem::take(&mut leg.ids),
+                std::mem::take(&mut leg.payload),
+                leg.reply.take(),
+            );
+            leg.in_flight = Some((issued, generation));
+        }
+        for (part, leg) in legs.iter_mut().enumerate() {
+            let Some((issued, generation)) = leg.in_flight.take() else {
+                continue;
+            };
+            let served = match issued.and_then(|h| self.wait_on(h)) {
+                Ok(resp) => {
+                    self.note_delay(&resp, part, 0, &mut outcome);
+                    Some(resp)
+                }
+                Err(e) => {
+                    // What the failed attempt was lent is gone with it.
+                    let list: Vec<NodeId> = ids
+                        .iter()
+                        .zip(position.iter())
+                        .filter(|(_, &(p, _))| p as usize == part)
+                        .map(|(&g, _)| g)
+                        .collect();
+                    self.recover_part(part, &list, e, generation, &mut outcome)
+                }
+            };
+            if let Some(resp) = served {
+                leg.ids = resp.ids;
+                leg.payload = resp.payload;
+                leg.reply = Some(resp.reply);
+                leg.delivered = true;
+            }
+        }
+        // Rows of partitions that exhausted every retry are reported as
+        // failed, in request order.
+        let starved = |leg: &Leg| leg.rows > 0 && !leg.delivered;
+        if legs.iter().any(starved) {
+            for (row, &(part, _)) in position.iter().enumerate() {
+                if !legs[part as usize].delivered {
+                    outcome.failed_rows.push(row);
+                }
+            }
+            for (part, leg) in legs.iter().enumerate() {
+                if starved(leg) {
+                    Self::emit(&outcome, "zero_fill", part, 0, leg.rows as u64);
+                }
+            }
+        }
+        (PulledRows { cluster: self, set }, outcome)
+    }
+
+    /// [`pull_rows`](Self::pull_rows) decoded into one dense row-major
+    /// `Vec<f32>` in the order of `ids` — each element rounded once by
+    /// the [`wire`] format it crossed in, failed rows zero — plus the
+    /// number of first-round RPCs issued. For callers that want the
+    /// whole image; the training path decodes row by row instead.
     pub fn pull_grouped(&self, ids: &[NodeId]) -> (Vec<f32>, usize) {
         let (out, outcome) = self.pull_grouped_checked(ids);
         (out, outcome.rpcs)
     }
 
     /// [`pull_grouped`](Self::pull_grouped) with full fault accounting.
-    ///
-    /// Ladder per partition: issue → (on failure) respawn a dead server
-    /// and retry up to `RetryPolicy::max_retries` times → zero-fill the
-    /// partition's rows and report them in `PullOutcome::failed_rows`.
     pub fn pull_grouped_checked(&self, ids: &[NodeId]) -> (Vec<f32>, PullOutcome) {
         self.pull_grouped_tagged(ids, 0)
     }
 
     /// [`pull_grouped_checked`](Self::pull_grouped_checked) tagged with a
-    /// request correlation id. When `request_id` is nonzero and the
-    /// global event log ([`mgnn_obs::events`]) is installed, every fault
-    /// verdict this pull hits is recorded against that id.
+    /// request correlation id (see [`pull_rows`](Self::pull_rows)).
     pub fn pull_grouped_tagged(&self, ids: &[NodeId], request_id: u64) -> (Vec<f32>, PullOutcome) {
-        let p = self.num_parts();
-        let mut outcome = PullOutcome {
-            request_id,
-            ..PullOutcome::default()
-        };
-        let mut by_part: Vec<Vec<NodeId>> = vec![Vec::new(); p];
-        let mut position: Vec<(usize, usize)> = Vec::with_capacity(ids.len()); // (part, idx within part list)
-        for &g in ids {
-            let part = self.owner(g) as usize;
-            position.push((part, by_part[part].len()));
-            by_part[part].push(g);
-        }
-        // Issue all first-round pulls before waiting on any, so healthy
-        // servers overlap even while one partition misbehaves.
-        let mut handles: Vec<Option<(Result<PullHandle, RpcError>, u64)>> = Vec::with_capacity(p);
-        for (part, list) in by_part.iter().enumerate() {
-            if list.is_empty() {
-                handles.push(None);
-                continue;
-            }
-            outcome.rpcs += 1;
-            let (client, generation) = {
-                let g = self.remotes[part].lock().unwrap();
-                (g.client.clone(), g.generation)
-            };
-            handles.push(Some((client.pull_async(list.clone()), generation)));
-        }
-        let mut responses: Vec<Option<Vec<WireElem>>> = vec![None; p];
-        for (part, slot) in handles.into_iter().enumerate() {
-            let Some((issued, generation)) = slot else {
-                continue;
-            };
-            let first = match issued {
-                Ok(h) => self.wait_on(h),
-                Err(e) => Err(e),
-            };
-            responses[part] = match first {
-                Ok(resp) => {
-                    self.note_delay(&resp, &by_part[part], part, 0, &mut outcome);
-                    Some(resp.payload)
-                }
-                Err(e) => self.recover_part(part, &by_part[part], e, generation, &mut outcome),
-            };
-        }
-        // Assemble in request order, widening each row off the wire in
-        // the same copy; rows of partitions that exhausted every retry
-        // stay zero and are reported as failed.
+        let (rows, outcome) = self.pull_rows(ids, request_id);
         let mut out = vec![0.0f32; ids.len() * self.dim];
-        for (row, &(part, idx)) in position.iter().enumerate() {
-            match &responses[part] {
-                Some(resp) => wire::decode_row(
-                    &resp[idx * self.dim..(idx + 1) * self.dim],
-                    &mut out[row * self.dim..(row + 1) * self.dim],
-                ),
-                None => outcome.failed_rows.push(row),
-            }
-        }
-        if outcome.degraded() {
-            for (part, list) in by_part.iter().enumerate() {
-                if !list.is_empty() && responses[part].is_none() {
-                    Self::emit(&outcome, "zero_fill", part, 0, list.len() as u64);
-                }
+        if self.dim > 0 {
+            for (row, dst) in out.chunks_mut(self.dim).enumerate() {
+                rows.decode_into(row, dst);
             }
         }
         (out, outcome)
+    }
+
+    /// How many receive buffers sit in the free-list right now (grown
+    /// ones only: a buffer of a partition no pull ever touched holds
+    /// nothing).
+    pub fn pooled_buffers(&self) -> usize {
+        let free = self.free_sets.lock().expect("free-list holder panicked");
+        free.iter()
+            .flat_map(|set| &set.legs)
+            .filter(|leg| leg.payload.capacity() > 0)
+            .count()
+    }
+
+    /// The live client of partition `part` and the generation it talks to.
+    fn current_client(&self, part: usize) -> (RpcClient, u64) {
+        let g = self.remotes[part].lock().unwrap();
+        (g.client.clone(), g.generation)
     }
 
     /// Emit one fault-ladder event against a tagged pull. Free for
@@ -368,13 +498,12 @@ impl SimCluster {
     fn note_delay(
         &self,
         resp: &PullResponse,
-        list: &[NodeId],
         part: usize,
         attempt: u32,
         outcome: &mut PullOutcome,
     ) {
         if resp.delay_k > 0 {
-            outcome.delay_events.push((list.len(), resp.delay_k));
+            outcome.delay_events.push((resp.ids.len(), resp.delay_k));
             Self::emit(outcome, "delay", part, attempt, u64::from(resp.delay_k));
         }
     }
@@ -389,18 +518,24 @@ impl SimCluster {
                 outcome.truncations += 1;
                 "truncated"
             }
-            RpcError::ServerGone | RpcError::Kv(_) => {
+            RpcError::ServerGone => {
                 outcome.disconnects += 1;
                 "disconnect"
+            }
+            RpcError::Kv(_) => {
+                outcome.rejections += 1;
+                "rejected"
             }
         };
         Self::emit(outcome, kind, part, attempt, 0);
     }
 
-    /// Retry ladder for one partition after a failed first attempt.
-    /// Returns the payload, or `None` once every retry is exhausted (the
-    /// caller zero-fills). The server is respawned on disconnect even
-    /// when retries are spent, so later pulls find a healthy endpoint.
+    /// Retry ladder for one partition after a failed first attempt at
+    /// `list`. Returns the served response, or `None` once every retry is
+    /// exhausted (the rows then read as zeros). The server is respawned
+    /// on disconnect even when retries are spent, so later pulls find a
+    /// healthy endpoint. A rejection ends the ladder at once: the server
+    /// would refuse the same ids again.
     fn recover_part(
         &self,
         part: usize,
@@ -408,29 +543,28 @@ impl SimCluster {
         first_err: RpcError,
         seen_generation: u64,
         outcome: &mut PullOutcome,
-    ) -> Option<Vec<WireElem>> {
+    ) -> Option<PullResponse> {
         let mut err = first_err;
         let mut generation = seen_generation;
         for attempt in 1..=self.retry.max_retries {
             self.note_failure(&err, part, attempt - 1, outcome);
-            if matches!(err, RpcError::ServerGone) {
-                self.respawn(part, generation, attempt - 1, outcome);
+            match err {
+                RpcError::Kv(_) => return None,
+                RpcError::ServerGone => self.respawn(part, generation, attempt - 1, outcome),
+                RpcError::Timeout | RpcError::Truncated { .. } => {}
             }
             outcome.retries += 1;
             outcome.retry_events.push((list.len(), attempt));
             Self::emit(outcome, "retry", part, attempt, list.len() as u64);
-            let (client, gen_now) = {
-                let g = self.remotes[part].lock().unwrap();
-                (g.client.clone(), g.generation)
-            };
+            let (client, gen_now) = self.current_client(part);
             generation = gen_now;
             let result = client
                 .pull_async(list.to_vec())
                 .and_then(|h| self.wait_on(h));
             match result {
                 Ok(resp) => {
-                    self.note_delay(&resp, list, part, attempt, outcome);
-                    return Some(resp.payload);
+                    self.note_delay(&resp, part, attempt, outcome);
+                    return Some(resp);
                 }
                 Err(e) => err = e,
             }
@@ -612,6 +746,55 @@ mod tests {
         assert_eq!(outcome.retries, 8);
         assert!(out.iter().all(|&v| v == 0.0), "failed rows are zero-filled");
         assert!(outcome.degraded());
+    }
+
+    #[test]
+    fn pull_sets_are_recycled_not_accumulated() {
+        let (f, a) = fixture();
+        let c = SimCluster::new(&f, &a, 4);
+        assert_eq!(c.pooled_buffers(), 0);
+        for round in 0..50u32 {
+            // Parts 1 and 2 only, a different number of rows each round.
+            let ids: Vec<u32> = (0..=round % 7)
+                .flat_map(|k| [4 * k + 1, 4 * k + 2])
+                .collect();
+            let (rows, _) = c.pull_rows(&ids, 0);
+            assert_eq!(c.pooled_buffers(), 0, "in use while the handle lives");
+            drop(rows);
+            assert_eq!(c.pooled_buffers(), 2, "round {round}");
+        }
+        // Two pulls alive at once need two sets; both come back.
+        let (one, _) = c.pull_rows(&[1, 2], 0);
+        let (two, _) = c.pull_rows(&[3], 0);
+        drop((one, two));
+        assert_eq!(c.pooled_buffers(), 3);
+        assert_eq!(c.free_sets.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_rejected_pull_is_attempted_once_and_zero_filled() {
+        let (f, a) = fixture();
+        let mut c = SimCluster::with_faults(&f, &a, 4, None, fast_retry());
+        // A routing bug: node 5 (owned by part 1) is believed to be on 2.
+        c.assignment[5] = 2;
+        let (rows, outcome) = c.pull_rows(&[6, 5, 9], 0);
+        assert_eq!(outcome.rpcs, 2);
+        assert_eq!(outcome.rejections, 1);
+        assert_eq!(outcome.retries, 0, "the same ids would be refused again");
+        assert!(outcome.retry_events.is_empty());
+        assert_eq!((outcome.disconnects, outcome.respawns), (0, 0));
+        // Part 2's whole request was refused; part 1's row is intact.
+        assert_eq!(outcome.failed_rows, vec![0, 1]);
+        let mut out = [f32::NAN; 8];
+        for row in [0, 1] {
+            rows.decode_into(row, &mut out);
+            assert_eq!(out, [0.0; 8], "row {row}");
+        }
+        rows.decode_into(2, &mut out);
+        assert_eq!(out[..], on_wire(f.row(9))[..]);
+        drop(rows);
+        // The server survived the request it refused, and served none of it.
+        assert_eq!(c.shutdown(), vec![0, 1, 0, 0]);
     }
 
     #[test]

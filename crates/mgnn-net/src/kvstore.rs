@@ -32,6 +32,21 @@ impl std::fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
+/// Give a buffer whose content is about to be replaced room for `need`
+/// elements, for buffers that run to megabytes: payloads, input matrices.
+/// One that is too small is released *before* the new one is allocated,
+/// so it is never held twice, and the new one is `need` plus an eighth
+/// instead of the next doubling — sampled batches differ by a few
+/// percent from step to step, so that headroom ends the regrowing within
+/// the first steps at an eighth of the memory a doubling can cost.
+/// Whatever the buffer held is lost when it grows.
+pub fn make_room<T>(buf: &mut Vec<T>, need: usize) {
+    if buf.capacity() < need {
+        *buf = Vec::new();
+        buf.reserve_exact(need + need / 8);
+    }
+}
+
 /// Feature shard of one partition.
 #[derive(Debug, Clone)]
 pub struct KvStore {
@@ -120,16 +135,27 @@ impl KvStore {
         self.features.label(g)
     }
 
-    /// Bulk pull: gather rows for `ids` into a dense row-major buffer
-    /// in wire format — the payload of one bulk RPC response, encoded in
-    /// the same pass that gathers it. Fails on the first id this shard
-    /// does not own, so a routing bug surfaces as a typed error at the
-    /// server instead of a panic that kills the server thread.
-    pub fn pull(&self, ids: &[NodeId]) -> Result<Vec<WireElem>, KvError> {
-        let mut out = Vec::with_capacity(ids.len() * self.dim());
+    /// Bulk pull: gather rows for `ids` into `out` (cleared first) as a
+    /// dense row-major buffer in wire format — the payload of one bulk RPC
+    /// response, encoded in the same pass that gathers it. `out` is the
+    /// caller's receive buffer: once it has grown to the largest payload
+    /// it carries, a pull allocates nothing. Fails on the first id this
+    /// shard does not own (leaving `out` partly filled), so a routing bug
+    /// surfaces as a typed error at the server instead of a panic that
+    /// kills the server thread.
+    pub fn pull_into(&self, ids: &[NodeId], out: &mut Vec<WireElem>) -> Result<(), KvError> {
+        out.clear();
+        make_room(out, ids.len() * self.dim());
         for &g in ids {
-            wire::encode_row(self.try_row(g)?, &mut out);
+            wire::encode_row(self.try_row(g)?, out);
         }
+        Ok(())
+    }
+
+    /// [`pull_into`](Self::pull_into) a fresh buffer.
+    pub fn pull(&self, ids: &[NodeId]) -> Result<Vec<WireElem>, KvError> {
+        let mut out = Vec::new();
+        self.pull_into(ids, &mut out)?;
         Ok(out)
     }
 
@@ -173,6 +199,31 @@ mod tests {
         let s = store();
         let out = s.pull(&[9, 2]).unwrap();
         assert_eq!(out, [18.0, 19.0, 4.0, 5.0].map(wire::encode));
+    }
+
+    #[test]
+    fn make_room_regrows_with_an_eighth_to_spare() {
+        let mut buf = vec![1u16; 10];
+        make_room(&mut buf, 8);
+        assert_eq!(buf, [1; 10], "large enough: untouched");
+        make_room(&mut buf, 80);
+        assert!(
+            buf.is_empty(),
+            "regrown: the old content went with the old buffer"
+        );
+        assert!((90..100).contains(&buf.capacity()), "{}", buf.capacity());
+    }
+
+    #[test]
+    fn pull_into_replaces_what_the_buffer_held() {
+        let s = store();
+        let mut buf = vec![7; 9];
+        s.pull_into(&[5], &mut buf).unwrap();
+        assert_eq!(buf, [10.0, 11.0].map(wire::encode));
+        let held = buf.capacity();
+        s.pull_into(&[9, 2], &mut buf).unwrap();
+        assert_eq!(buf, s.pull(&[9, 2]).unwrap());
+        assert_eq!(buf.capacity(), held, "a grown buffer is refilled in place");
     }
 
     #[test]

@@ -619,6 +619,7 @@ mod tests {
             timeouts: 2,
             truncations: 1,
             disconnects: 1,
+            rejections: 0,
             respawns: 1,
             delay_events: vec![(4, 2), (1, 5)],
             retry_events: vec![(4, 1), (4, 2), (1, 1)],

@@ -8,6 +8,13 @@
 //! exercised for real, while the *time* such a pull would cost on a
 //! cluster is charged separately by the cost model.
 //!
+//! A pull *lends* the server everything it needs: the id list, the
+//! buffer the rows are gathered into and the reply channel all travel
+//! with the request and come back with the reply
+//! ([`RpcClient::pull_async_into`] → [`PullResponse`]), so a caller that
+//! feeds them into its next pull allocates nothing in steady state.
+//! Whatever a failed pull was lent is lost with it and grown again.
+//!
 //! Every client-facing call returns `Result<_, RpcError>` instead of
 //! panicking: a dead server surfaces as [`RpcError::ServerGone`], a
 //! swallowed reply as [`RpcError::Timeout`] (via
@@ -20,7 +27,7 @@
 use crate::fault::{FaultPlan, FaultVerdict};
 use crate::kvstore::{KvError, KvStore};
 use crate::wire::WireElem;
-use crossbeam_channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use mgnn_graph::NodeId;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,26 +70,50 @@ impl std::fmt::Display for RpcError {
 impl std::error::Error for RpcError {}
 
 /// One reply from a partition server.
-#[derive(Debug)]
 pub struct PullReply {
-    /// The gathered rows in wire format, or the server-side rejection.
-    pub payload: Result<Vec<WireElem>, KvError>,
+    /// The request's id list, handed back.
+    pub ids: Vec<NodeId>,
+    /// The request's buffer, holding the gathered rows in wire format
+    /// (unspecified content when `status` is an error).
+    pub payload: Vec<WireElem>,
+    /// Whether the server served the request or rejected it.
+    pub status: Result<(), KvError>,
     /// Injected sim-time delay factor (0 when no delay fault fired).
     pub delay_k: u32,
+    /// The sender this reply was sent on, so the receiving end owns
+    /// both halves again and can reuse the channel.
+    pub reply: Sender<PullReply>,
 }
 
 /// A request to a partition server.
 pub enum Request {
-    /// Pull feature rows for `ids` (all owned by the server's partition);
-    /// the dense row-major response goes to `reply`.
+    /// Pull feature rows for `ids` (all owned by the server's partition)
+    /// into `buf`; ids and buffer go back to `reply` with the rows.
     Pull {
         /// Global node ids to fetch.
         ids: Vec<NodeId>,
+        /// The caller's receive buffer (cleared, then filled).
+        buf: Vec<WireElem>,
         /// One-shot response channel.
         reply: Sender<PullReply>,
     },
     /// Stop the server loop.
     Shutdown,
+}
+
+/// The one-shot channel of a pull that was answered: empty again, both
+/// halves in one hand, free to carry the next pull. A channel whose
+/// reply never came is never reused — a late reply would be taken for
+/// the next pull's.
+pub struct ReplyChannel {
+    tx: Sender<PullReply>,
+    rx: Receiver<PullReply>,
+}
+
+impl std::fmt::Debug for ReplyChannel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ReplyChannel")
+    }
 }
 
 /// A running partition feature server.
@@ -155,13 +186,18 @@ impl RpcServer {
                 let mut parked: Vec<Sender<PullReply>> = Vec::new();
                 while let Ok(req) = rx.recv() {
                     match req {
-                        Request::Pull { ids, reply } => {
+                        Request::Pull {
+                            ids,
+                            mut buf,
+                            reply,
+                        } => {
                             if let Some(p) = &plan {
                                 if p.crash_before(requests) {
                                     // Simulated crash: exit without
                                     // replying. Dropping `reply` (and the
                                     // request channel) is what in-flight
-                                    // and queued clients observe.
+                                    // and queued clients observe; what the
+                                    // request lent goes down with it.
                                     break;
                                 }
                             }
@@ -181,21 +217,29 @@ impl RpcServer {
                                 parked.push(reply);
                                 continue;
                             }
-                            let mut payload = kv.pull(&ids);
+                            let status = kv.pull_into(&ids, &mut buf);
                             let delay_k = match verdict {
                                 FaultVerdict::Delay(k) => k,
                                 _ => 0,
                             };
-                            if matches!(verdict, FaultVerdict::Truncate) {
-                                if let Ok(p) = &mut payload {
-                                    p.truncate(p.len().saturating_sub(dim));
+                            if status.is_ok() {
+                                if matches!(verdict, FaultVerdict::Truncate) {
+                                    buf.truncate(buf.len().saturating_sub(dim));
                                 }
+                                served += (buf.len() / dim.max(1)) as u64;
                             }
-                            if let Ok(p) = &payload {
-                                served += (p.len() / dim.max(1)) as u64;
-                            }
-                            // A dropped client is not a server error.
-                            let _ = reply.send(PullReply { payload, delay_k });
+                            // The reply carries its own sender home. The
+                            // server's handle drops right after, so a
+                            // crash before this point still disconnects
+                            // the waiting client. A client that stopped
+                            // waiting is not a server error.
+                            let _ = reply.send(PullReply {
+                                ids,
+                                payload: buf,
+                                status,
+                                delay_k,
+                                reply: reply.clone(),
+                            });
                         }
                         Request::Shutdown => break,
                     }
@@ -256,13 +300,33 @@ impl RpcClient {
     /// work before blocking — the RPC/score-update overlap of Algorithm 2
     /// line 20–22. Fails immediately if the server is already gone.
     pub fn pull_async(&self, ids: Vec<NodeId>) -> Result<PullHandle, RpcError> {
-        let (rtx, rrx) = bounded(1);
+        self.pull_async_into(ids, Vec::new(), None)
+    }
+
+    /// [`pull_async`](Self::pull_async) into a registered receive buffer:
+    /// the server gathers the rows into `buf` (cleared first) and replies
+    /// on `reply` (a fresh channel when `None`); the [`PullResponse`]
+    /// hands `ids`, `buf` and the channel back for the next pull.
+    pub fn pull_async_into(
+        &self,
+        ids: Vec<NodeId>,
+        buf: Vec<WireElem>,
+        reply: Option<ReplyChannel>,
+    ) -> Result<PullHandle, RpcError> {
+        let ReplyChannel { tx, rx } = reply.unwrap_or_else(|| {
+            let (tx, rx) = bounded(1);
+            ReplyChannel { tx, rx }
+        });
         let expect_rows = ids.len();
         self.tx
-            .send(Request::Pull { ids, reply: rtx })
+            .send(Request::Pull {
+                ids,
+                buf,
+                reply: tx,
+            })
             .map_err(|_| RpcError::ServerGone)?;
         Ok(PullHandle {
-            rx: rrx,
+            rx,
             expect_rows,
             dim: self.dim,
         })
@@ -272,15 +336,19 @@ impl RpcClient {
 /// A validated, completed pull.
 #[derive(Debug)]
 pub struct PullResponse {
+    /// The id list the request carried.
+    pub ids: Vec<NodeId>,
     /// Dense row-major rows in request order, in wire format.
     pub payload: Vec<WireElem>,
     /// Injected sim-time delay factor carried back by the server.
     pub delay_k: u32,
+    /// The channel the reply came on, for the next pull.
+    pub reply: ReplyChannel,
 }
 
 /// In-flight pull.
 pub struct PullHandle {
-    rx: crossbeam_channel::Receiver<PullReply>,
+    rx: Receiver<PullReply>,
     expect_rows: usize,
     dim: usize,
 }
@@ -291,7 +359,7 @@ impl PullHandle {
     /// hanging or panicking.
     pub fn wait(self) -> Result<PullResponse, RpcError> {
         let reply = self.rx.recv().map_err(|_| RpcError::ServerGone)?;
-        Self::validate(reply, self.expect_rows, self.dim)
+        self.validate(reply)
     }
 
     /// Block at most `timeout` for the response. A swallowed reply
@@ -302,25 +370,26 @@ impl PullHandle {
             RecvTimeoutError::Timeout => RpcError::Timeout,
             RecvTimeoutError::Disconnected => RpcError::ServerGone,
         })?;
-        Self::validate(reply, self.expect_rows, self.dim)
+        self.validate(reply)
     }
 
-    fn validate(
-        reply: PullReply,
-        expect_rows: usize,
-        dim: usize,
-    ) -> Result<PullResponse, RpcError> {
-        let payload = reply.payload.map_err(RpcError::Kv)?;
-        let expected = expect_rows * dim;
-        if payload.len() != expected {
+    fn validate(self, reply: PullReply) -> Result<PullResponse, RpcError> {
+        reply.status.map_err(RpcError::Kv)?;
+        let expected = self.expect_rows * self.dim;
+        if reply.payload.len() != expected {
             return Err(RpcError::Truncated {
                 expected,
-                got: payload.len(),
+                got: reply.payload.len(),
             });
         }
         Ok(PullResponse {
-            payload,
+            ids: reply.ids,
+            payload: reply.payload,
             delay_k: reply.delay_k,
+            reply: ReplyChannel {
+                tx: reply.reply,
+                rx: self.rx,
+            },
         })
     }
 }
@@ -371,6 +440,33 @@ mod tests {
         let resp = handle.wait().unwrap();
         assert_eq!(resp.payload, on_wire([3.0, 3.5]));
         assert_eq!(resp.delay_k, 0);
+    }
+
+    #[test]
+    fn a_served_pull_hands_back_what_it_was_lent() {
+        let server = RpcServer::spawn(kv());
+        let client = server.client();
+        let first = client.pull_async(vec![5, 1]).unwrap().wait().unwrap();
+        assert_eq!(first.ids, [5, 1]);
+        let buf = first.payload.as_ptr();
+        // Second pull through the same id list, buffer and channel: the
+        // rows replace what the buffer held, in place.
+        let mut ids = first.ids;
+        ids.clear();
+        ids.push(3);
+        let second = client
+            .pull_async_into(ids, first.payload, Some(first.reply))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(second.ids, [3]);
+        assert_eq!(second.payload, on_wire([3.0, 3.5]));
+        assert_eq!(
+            second.payload.as_ptr(),
+            buf,
+            "gathered into the lent buffer"
+        );
+        assert_eq!(server.shutdown(), 3);
     }
 
     #[test]

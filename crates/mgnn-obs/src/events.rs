@@ -43,7 +43,8 @@ pub struct TraceEvent {
     /// The pull this event belongs to ([`request_id`]; never 0).
     pub request_id: u64,
     /// What happened: `"delay"`, `"timeout"`, `"truncated"`,
-    /// `"disconnect"`, `"retry"`, `"respawn"`, `"zero_fill"` (cluster),
+    /// `"disconnect"`, `"rejected"`, `"retry"`, `"respawn"`,
+    /// `"zero_fill"` (cluster),
     /// `"stale_rows"`, `"degraded_rows"` (prefetcher).
     pub kind: &'static str,
     /// Partition/server the event concerns.

@@ -6,11 +6,11 @@
 //! buffer, or a remote fetch).
 
 use massivegnn::init::initialize_prefetcher;
-use massivegnn::prefetcher::baseline_prepare;
+use massivegnn::prefetcher::{baseline_prepare, baseline_prepare_reuse, PrepareScratch};
 use massivegnn::PrefetchConfig;
 use mgnn_graph::{Dataset, DatasetKind, Scale};
 use mgnn_model::{Model, SageModel};
-use mgnn_net::{wire, CommMetrics, CostModel, SimCluster};
+use mgnn_net::{wire, CommMetrics, CostModel, FaultProfile, RetryPolicy, SimCluster};
 use mgnn_partition::{build_local_partitions, multilevel_partition};
 use mgnn_sampling::NeighborSampler;
 use mgnn_tensor::loss::cross_entropy;
@@ -333,4 +333,131 @@ fn buffered_features_stay_fresh_after_replacements() {
             "stale slot for node {gid}"
         );
     }
+}
+
+/// A row whose fetch exhausted every retry is served as zeros — also when
+/// the input matrix is a recycled one that still holds the last batch's
+/// features, which nothing clears: the zeros are written row by row.
+#[test]
+fn degraded_rows_are_zero_in_a_recycled_input_matrix() {
+    let fx = fixture(DatasetKind::Products);
+    // Same features and ownership, but every reply comes back truncated:
+    // each ladder is exhausted, every remote row of a pull fails.
+    let assignment: Vec<u32> = (0..fx.dataset.num_nodes() as u32)
+        .map(|g| fx.cluster.owner(g))
+        .collect();
+    let starved = SimCluster::with_faults(
+        &fx.dataset.features,
+        &assignment,
+        fx.parts.len(),
+        Some(FaultProfile {
+            truncate_prob: 1.0,
+            ..FaultProfile::off(3)
+        }),
+        RetryPolicy {
+            max_retries: 1,
+            ..RetryPolicy::default()
+        },
+    );
+    let cost = CostModel::default();
+    let part = &fx.parts[0];
+    let seeds: Vec<u32> = part
+        .train_nodes
+        .iter()
+        .take(32)
+        .map(|&g| part.local_id(g).unwrap())
+        .collect();
+    let sampler = NeighborSampler::new(vec![5, 10], 9);
+    let metrics = CommMetrics::new();
+    let local_or = |lid: u32, halo: &dyn Fn(&[f32]) -> Vec<f32>| {
+        let row = fx.dataset.features.row(part.global_id(lid));
+        if part.is_halo(lid) {
+            halo(row)
+        } else {
+            row.to_vec()
+        }
+    };
+
+    // Baseline: a healthy step fills the matrix, the starved step reuses it.
+    let mut scratch = PrepareScratch::default();
+    let healthy = baseline_prepare_reuse(
+        None,
+        &mut scratch,
+        part,
+        &sampler,
+        &seeds,
+        0,
+        0,
+        &fx.cluster,
+        &cost,
+        &metrics,
+    );
+    assert!(healthy.input.data().iter().all(|&x| x != 0.0));
+    let batch = baseline_prepare_reuse(
+        Some(healthy),
+        &mut scratch,
+        part,
+        &sampler,
+        &seeds,
+        0,
+        1,
+        &starved,
+        &cost,
+        &metrics,
+    );
+    assert!(batch.counts.halo > 0);
+    assert_eq!(batch.counts.degraded, batch.counts.halo);
+    for (i, &lid) in batch.minibatch.input_nodes.iter().enumerate() {
+        let want = local_or(lid, &|row| vec![0.0; row.len()]);
+        assert_eq!(batch.input.row(i), want, "baseline node {lid}");
+    }
+
+    // Prefetch: buffered rows keep serving, only the misses are zeros —
+    // and no failed replacement was installed.
+    let (mut pf, _) = initialize_prefetcher(
+        part,
+        PrefetchConfig {
+            f_h: 0.3,
+            delta: 1,
+            gamma: 0.5,
+            ..Default::default()
+        },
+        fx.dataset.num_nodes(),
+        &fx.cluster,
+        &cost,
+        &metrics,
+    );
+    let mut carcass = pf.prepare(part, &sampler, &seeds, 0, 0, &fx.cluster, &cost, &metrics);
+    let mut degraded = 0;
+    for step in 1..4u64 {
+        let buffered: Vec<bool> = (0..part.num_halo() as u32)
+            .map(|h| pf.buffer.contains(h))
+            .collect();
+        let batch = pf.prepare_reuse(
+            Some(carcass),
+            part,
+            &sampler,
+            &seeds,
+            0,
+            step,
+            &starved,
+            &cost,
+            &metrics,
+        );
+        assert_eq!(batch.counts.evicted, 0, "a failed replacement is cancelled");
+        for (i, &lid) in batch.minibatch.input_nodes.iter().enumerate() {
+            let hit = part.is_halo(lid) && buffered[lid as usize - part.num_local()];
+            let want = local_or(lid, &|row| {
+                if hit {
+                    on_wire(row)
+                } else {
+                    vec![0.0; row.len()]
+                }
+            });
+            assert_eq!(batch.input.row(i), want, "prefetch node {lid} step {step}");
+        }
+        degraded += batch.counts.degraded;
+        carcass = batch;
+    }
+    assert!(degraded > 0, "no miss was starved: nothing compared");
 }

@@ -1,9 +1,11 @@
 //! Property-based tests over the runtime substrate: cost-model
 //! monotonicity/positivity, metrics accounting, the bf16 wire format,
-//! KVStore/cluster pull consistency under arbitrary ownership, and
+//! KVStore/cluster pull consistency under arbitrary ownership (decoded
+//! row by row or as one image, with and without faults), and
 //! SpMM-vs-fused-aggregation equivalence.
 
-use mgnn_net::{wire, Backend, CommMetrics, CostModel, SimCluster};
+use mgnn_graph::FeatureStore;
+use mgnn_net::{wire, Backend, CommMetrics, CostModel, FaultProfile, RetryPolicy, SimCluster};
 use mgnn_sampling::Block;
 use mgnn_tensor::sparse::SparseMatrix;
 use mgnn_tensor::Tensor;
@@ -98,8 +100,129 @@ proptest! {
     }
 }
 
+/// `n` rows of width `dim` whose values the wire has to round (so a row
+/// that skipped it would show), none of them zero (so a zero-filled row
+/// cannot pass for a delivered one).
+fn off_grid_store(n: usize, dim: usize) -> FeatureStore {
+    let data = (0..n * dim)
+        .map(|i| 1.001 + i as f32 * 0.001_234_5)
+        .collect();
+    FeatureStore::from_parts(n, dim, data, vec![0; n], 2)
+}
+
+/// No drops, so no verdict depends on the wall clock; the timeout only
+/// has to outlast a loaded host.
+fn patient_retry() -> RetryPolicy {
+    RetryPolicy {
+        max_retries: 2,
+        timeout: std::time::Duration::from_secs(60),
+        ..RetryPolicy::default()
+    }
+}
+
+/// A thousand pulls through one cluster park at most one receive buffer
+/// per partition ever touched — they are recycled, not accumulated.
+#[test]
+fn a_thousand_pulls_leave_one_buffer_per_touched_partition() {
+    let n = 64;
+    let f = off_grid_store(n, 8);
+    let assignment: Vec<u32> = (0..n as u32).map(|u| u % 5).collect();
+    let cluster = SimCluster::new(&f, &assignment, 5);
+    let mut touched = [false; 5];
+    for round in 0..1000u32 {
+        // 0..=12 ids from a window of partitions that moves and never
+        // reaches partition 4.
+        let len = round % 13;
+        let ids: Vec<u32> = (0..len)
+            .map(|k| (round * 7 + k * 11) % n as u32)
+            .filter(|u| u % 5 != 4 && u % 5 <= round % 4)
+            .collect();
+        for &u in &ids {
+            touched[(u % 5) as usize] = true;
+        }
+        let (rows, outcome) = cluster.pull_rows(&ids, 0);
+        assert!(!outcome.had_faults());
+        drop(rows);
+        let ceiling = touched.iter().filter(|&&t| t).count();
+        assert!(
+            cluster.pooled_buffers() <= ceiling,
+            "round {round}: {} buffers parked for {ceiling} partitions",
+            cluster.pooled_buffers()
+        );
+    }
+    assert_eq!(touched, [true, true, true, true, false]);
+    assert_eq!(cluster.pooled_buffers(), 4);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Decoding row by row off the wire payloads is the materialised
+    /// image, bit for bit, and both are the ground truth: a delivered
+    /// row is the store's row as the wire rounds it, a failed row is
+    /// zeros — whatever the output buffer held before.
+    #[test]
+    fn scatter_decode_equals_the_materialised_image(
+        parts in 1usize..=5,
+        dim_sel in 0usize..4,
+        owners in prop::collection::vec(0u32..5, 12..40),
+        queries in prop::collection::vec(0usize..40, 0..30),
+        one_partition in 0u32..2,
+        fault_sel in 0u32..4,
+        seed in 0u64..1000,
+    ) {
+        let dim = [0, 1, 8, 602][dim_sel];
+        let n = owners.len();
+        let assignment: Vec<u32> = owners.iter().map(|&o| o % parts as u32).collect();
+        let f = off_grid_store(n, dim);
+        // Duplicates are kept; optionally every id sits on one partition.
+        let mut ids: Vec<u32> = queries.iter().map(|&q| (q % n) as u32).collect();
+        if one_partition == 1 {
+            if let Some(&first) = ids.first() {
+                ids.retain(|&g| assignment[g as usize] == assignment[first as usize]);
+            }
+        }
+        let profile = match fault_sel {
+            0 => None,
+            // Some ladders recover, some are exhausted.
+            1 => Some(FaultProfile { truncate_prob: 0.5, ..FaultProfile::off(seed) }),
+            // A crash within the three rounds below, on top of truncations.
+            2 => Some(FaultProfile {
+                truncate_prob: 0.2,
+                crash_part: Some((seed % parts as u64) as u32),
+                crash_after: seed % 3,
+                ..FaultProfile::off(seed)
+            }),
+            // Every ladder is exhausted.
+            _ => Some(FaultProfile { truncate_prob: 1.0, ..FaultProfile::off(seed) }),
+        };
+        // Same seed, same request order: both clusters see the same verdicts.
+        let make = || SimCluster::with_faults(&f, &assignment, parts, profile.clone(), patient_retry());
+        let (whole, scattered) = (make(), make());
+        for round in 0..3 {
+            let (image, want) = whole.pull_grouped_checked(&ids);
+            let (rows, got) = scattered.pull_rows(&ids, 0);
+            prop_assert_eq!(&got, &want, "round {}", round);
+            let mut out = vec![f32::NAN; ids.len() * dim];
+            for row in (0..ids.len()).rev() {
+                rows.decode_into(row, &mut out[row * dim..(row + 1) * dim]);
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&out), bits(&image), "round {}", round);
+            for (row, &g) in ids.iter().enumerate() {
+                let truth: Vec<f32> = if got.failed_rows.binary_search(&row).is_ok() {
+                    vec![0.0; dim]
+                } else {
+                    f.row(g).iter().map(|&x| wire::round_trip(x)).collect()
+                };
+                prop_assert_eq!(bits(&out[row * dim..(row + 1) * dim]), bits(&truth), "row {}", row);
+            }
+            // A truncation cannot show on zero-width rows.
+            if fault_sel == 3 && dim > 0 {
+                prop_assert_eq!(&got.failed_rows, &(0..ids.len()).collect::<Vec<_>>());
+            }
+        }
+    }
 
     #[test]
     fn cost_model_monotone_and_positive(
