@@ -736,11 +736,15 @@ mod tests {
         }
     }
 
-    /// The PR's headline claim, proven by the counting allocator: once
-    /// the warmup epoch has stretched every pooled buffer to its
-    /// high-water mark, steady-state steps allocate *nothing* in the
-    /// trainer hot loop (preparation and model math are excluded as
-    /// workload; see `alloc`).
+    /// Proven by the counting allocator, under both schedulers: once the
+    /// warmup epoch has stretched every pooled buffer to its high-water
+    /// mark, steady-state steps allocate *nothing* in the trainer hot
+    /// loop (preparation and model math are excluded as workload; see
+    /// `alloc`).
+    ///
+    /// The threaded half reads process-wide totals, so run this test on
+    /// its own (`-q steady_state`, as CI does): any other test's
+    /// thread-per-trainer run would flush into the same window.
     #[cfg(feature = "alloc-count")]
     #[test]
     fn steady_state_steps_allocate_nothing() {
@@ -751,19 +755,37 @@ mod tests {
             if prefetch {
                 cfg.mode = prefetch_mode();
             }
-            let engine = Engine::build(cfg);
-            let steps_per_epoch = engine.steps_per_epoch();
+            let engine = Engine::build(cfg.clone());
+            let (world, steps_per_epoch) = (engine.world(), engine.steps_per_epoch());
+            // Each step loop records its own steps of epochs 1..3.
+            let assert_none = |(hot_allocs, hot_steps): (u64, u64), loops: usize| {
+                assert_eq!(hot_steps, (loops * 2 * steps_per_epoch) as u64);
+                assert_eq!(
+                    hot_allocs, 0,
+                    "steady-state trainer loop must not allocate ({hot_allocs} allocations \
+                     over {hot_steps} steps, prefetch={prefetch}, {loops} step loop(s))"
+                );
+            };
+
+            // Round-robin: one loop, recorded on this thread.
             crate::alloc::take_hot(); // discard anything a previous run left
             let report = engine.run();
             assert!(!report.final_params.is_empty());
-            let (hot_allocs, hot_steps) = crate::alloc::take_hot();
-            // Sequential engine records on this thread: epochs 1..3.
-            assert_eq!(hot_steps, (2 * steps_per_epoch) as u64);
-            assert_eq!(
-                hot_allocs, 0,
-                "steady-state trainer loop must not allocate \
-                 ({hot_allocs} allocations over {hot_steps} steps, prefetch={prefetch})"
-            );
+            assert_none(crate::alloc::take_hot(), 1);
+
+            // Thread per trainer: every worker flushes its loop's counts
+            // into the process-wide totals as it ends.
+            if !real_parallelism_available() {
+                println!(
+                    "one core and no MGNN_THREADS: `parallel` would run \
+                     round-robin again, threaded half skipped"
+                );
+                continue;
+            }
+            crate::alloc::reset_global_hot();
+            cfg.parallel = true;
+            Engine::build(cfg).run();
+            assert_none(crate::alloc::global_hot(), world);
         }
     }
 

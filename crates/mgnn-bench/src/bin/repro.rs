@@ -23,7 +23,7 @@
 //! report stays bitwise identical to a telemetry-off run.
 
 use massivegnn::PrefetchPolicyKind;
-use mgnn_bench::{bench, experiments, figures::chaos, harness, Opts};
+use mgnn_bench::{experiments, figures::chaos, harness, Opts};
 use mgnn_graph::{DatasetKind, Scale};
 use mgnn_net::{Backend, FaultProfile};
 use serde::{Serialize, Value};
@@ -33,7 +33,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro --experiment <{}|all> [--scale unit|small|bench] [--epochs N] [--batch N] \
          [--hidden N] [--full] [--seed N] [--trace-out DIR] [--json-out FILE] \
-         [--bench-out FILE] [--bench-iters N] [--perf-guard] \
          [--policy scoreboard|lookahead] [--depth N] \
          [--fault-profile <{}>] [--fault-seed N] \
          [--telemetry-port N] [--metrics-out FILE] [--telemetry-linger-ms N]",
@@ -49,9 +48,6 @@ fn main() {
     let mut opts = Opts::standard();
     let mut trace_out: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
-    let mut bench_out: Option<PathBuf> = None;
-    let mut bench_iters = 5usize;
-    let mut perf_guard = false;
     let mut telemetry_port: Option<u16> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut telemetry_linger_ms = 0u64;
@@ -110,19 +106,6 @@ fn main() {
                 json_out = Some(PathBuf::from(
                     args.get(i).cloned().unwrap_or_else(|| usage()),
                 ));
-            }
-            "--bench-out" => {
-                i += 1;
-                bench_out = Some(PathBuf::from(
-                    args.get(i).cloned().unwrap_or_else(|| usage()),
-                ));
-            }
-            "--bench-iters" => {
-                i += 1;
-                bench_iters = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
             }
             "--policy" => {
                 i += 1;
@@ -186,7 +169,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
             }
-            "--perf-guard" => perf_guard = true,
             "--full" => opts.full = true,
             "--help" | "-h" => usage(),
             other => {
@@ -203,53 +185,6 @@ fn main() {
     if let Err(problem) = probe.validate() {
         eprintln!("invalid options: {problem}");
         std::process::exit(2)
-    }
-
-    // Kernel benchmarks run first (and alone, unless an experiment was
-    // explicitly requested alongside them).
-    if let Some(file) = &bench_out {
-        let doc = bench::run_all(opts.seed, bench_iters);
-        write_or_die(file, &serde_json::to_string_pretty(&doc));
-        eprintln!("[bench timings written to {}]", file.display());
-        // Perf guard (CI): the end-to-end threaded engine must not fall
-        // behind the sequential one beyond the shared tolerance.
-        if perf_guard {
-            // A single-core host has no helpers to speed the threaded
-            // engine up, so the speedup floor would flag the hardware,
-            // not a regression. Warn and skip instead of failing.
-            let cores = doc
-                .get("cores")
-                .and_then(Value::as_f64)
-                .expect("bench document carries cores");
-            if cores <= 1.0 {
-                eprintln!(
-                    "perf guard: skipped — single-core host cannot exercise the threaded engine"
-                );
-            } else {
-                let speedup = doc
-                    .get("end_to_end")
-                    .and_then(|e| e.get("speedup"))
-                    .and_then(Value::as_f64)
-                    .expect("bench document carries end_to_end.speedup");
-                if speedup < bench::PERF_GUARD_MIN_SPEEDUP {
-                    eprintln!(
-                        "perf guard: end-to-end speedup {speedup:.3} fell below the floor {:.2}",
-                        bench::PERF_GUARD_MIN_SPEEDUP
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "[perf guard: speedup {speedup:.3} >= {:.2}]",
-                    bench::PERF_GUARD_MIN_SPEEDUP
-                );
-            }
-        }
-        if experiment.is_none() {
-            return;
-        }
-    } else if perf_guard {
-        eprintln!("--perf-guard requires --bench-out FILE");
-        usage()
     }
 
     let experiment = experiment.unwrap_or_else(|| String::from("all"));

@@ -79,7 +79,7 @@ impl Opts {
         })
     }
 
-    /// A quick profile for smoke tests and the end-to-end bench rows.
+    /// A quick profile for smoke tests.
     pub fn quick() -> Self {
         Opts {
             epochs: 2,
@@ -102,8 +102,7 @@ impl Opts {
     ///
     /// Debug builds keep the Unit scale and fewer epochs so `cargo test`
     /// stays fast; the figure *shapes* asserted by tests hold at both
-    /// sizes, and release runs (`repro`, `cargo bench`) use the full
-    /// profile.
+    /// sizes, and release runs (`repro`) use the full profile.
     pub fn longrun_of(&self) -> Opts {
         let mut o = self.clone();
         if cfg!(debug_assertions) {
@@ -205,75 +204,6 @@ pub fn assert_trace_consistent(report: &RunReport) {
             });
             assert!(abs >= 0.0 && abs.is_finite());
         }
-    }
-}
-
-/// Wall-clock comparison of the sequential engine against the threaded
-/// one on the *same* configuration. Both runs produce bitwise-identical
-/// reports (asserted here); the interesting output is the real elapsed
-/// time, which is what the paper's multi-trainer deployment buys.
-pub struct WallclockCompare {
-    /// Elapsed seconds, sequential engine.
-    pub sequential_s: f64,
-    /// Elapsed seconds, threaded engine.
-    pub parallel_s: f64,
-    /// The (identical) run report.
-    pub report: RunReport,
-    /// Total trainers.
-    pub world: usize,
-}
-
-impl WallclockCompare {
-    /// Sequential time over threaded time (>1 = threading wins).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_s == 0.0 {
-            1.0
-        } else {
-            self.sequential_s / self.parallel_s
-        }
-    }
-}
-
-/// Run `cfg` once sequentially and once threaded, timing each with a real
-/// wall clock, and check the two reports agree on the bitwise-sensitive
-/// fields (final params, aggregate counters, simulated makespan).
-pub fn wallclock_compare(cfg: &EngineConfig) -> WallclockCompare {
-    wallclock_compare_ordered(cfg, false)
-}
-
-/// [`wallclock_compare`] with explicit measurement order. Whichever run
-/// goes second inherits the first run's warmed (and fragmented) heap —
-/// a few percent of systematic bias on short runs — so benchmarks that
-/// repeat the comparison alternate `parallel_first` to cancel it.
-pub fn wallclock_compare_ordered(cfg: &EngineConfig, parallel_first: bool) -> WallclockCompare {
-    let time_one = |parallel: bool| {
-        let mut c = cfg.clone();
-        c.parallel = parallel;
-        let engine = Engine::build(c);
-        let t0 = std::time::Instant::now();
-        let report = engine.run();
-        (report, t0.elapsed().as_secs_f64())
-    };
-    let world = Engine::build(cfg.clone()).world();
-    let ((sequential, sequential_s), (parallel, parallel_s)) = if parallel_first {
-        let p = time_one(true);
-        (time_one(false), p)
-    } else {
-        let s = time_one(false);
-        (s, time_one(true))
-    };
-
-    assert_eq!(
-        sequential.final_params, parallel.final_params,
-        "threaded engine diverged from sequential"
-    );
-    assert_eq!(sequential.aggregate_metrics(), parallel.aggregate_metrics());
-    assert_eq!(sequential.makespan_s, parallel.makespan_s);
-    WallclockCompare {
-        sequential_s,
-        parallel_s,
-        report: parallel,
-        world,
     }
 }
 
@@ -418,20 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_compare_reports_agree() {
-        // The identity assertions live inside wallclock_compare; this
-        // exercises them on a real-math run at world 4. Speedup itself is
-        // machine-dependent and checked by the ignored scaling test below.
-        let mut cfg = engine_config(&Opts::quick(), DatasetKind::Products, Backend::Cpu, 2);
-        cfg.trainers_per_part = 2;
-        cfg.train_math = true;
-        let cmp = wallclock_compare(&cfg);
-        assert_eq!(cmp.world, 4);
-        assert!(cmp.sequential_s > 0.0 && cmp.parallel_s > 0.0);
-        assert!(!cmp.report.final_params.is_empty());
-    }
-
-    #[test]
     fn traced_run_passes_the_consistency_check() {
         let mut cfg = engine_config(&Opts::quick(), DatasetKind::Products, Backend::Cpu, 2);
         cfg.trainers_per_part = 2;
@@ -439,69 +355,5 @@ mod tests {
         cfg.mode = Mode::Prefetch(PrefetchConfig::default());
         let report = Engine::build(cfg).run();
         assert_trace_consistent(&report);
-    }
-
-    #[test]
-    #[ignore = "timing-sensitive; run explicitly: cargo test --release -- --ignored tracing_overhead"]
-    fn tracing_overhead_under_one_percent() {
-        // Acceptance check for the no-op fast path: on a unit-scale run,
-        // even *enabled* tracing must cost < 1% wall clock, so the
-        // disabled path (a handful of `Option::None` checks) is free.
-        // Median of several runs to damp scheduler noise; run in release.
-        let mut cfg = engine_config(&Opts::quick(), DatasetKind::Products, Backend::Cpu, 2);
-        cfg.trainers_per_part = 2;
-        cfg.mode = Mode::Prefetch(PrefetchConfig::default());
-        let median = |cfg: &EngineConfig| {
-            let mut times: Vec<f64> = (0..7)
-                .map(|_| {
-                    let engine = Engine::build(cfg.clone());
-                    let t0 = std::time::Instant::now();
-                    let _ = engine.run();
-                    t0.elapsed().as_secs_f64()
-                })
-                .collect();
-            times.sort_by(f64::total_cmp);
-            times[times.len() / 2]
-        };
-        let plain_s = median(&cfg);
-        cfg.trace = true;
-        let traced_s = median(&cfg);
-        let overhead_pct = 100.0 * (traced_s - plain_s) / plain_s;
-        println!("untraced {plain_s:.4}s, traced {traced_s:.4}s, overhead {overhead_pct:.2}%");
-        assert!(
-            overhead_pct < 1.0,
-            "tracing overhead {overhead_pct:.2}% exceeds the 1% contract"
-        );
-    }
-
-    #[test]
-    #[ignore = "timing-sensitive; run explicitly: cargo test --release -- --ignored threaded_speedup"]
-    fn threaded_speedup_at_world_8() {
-        // Acceptance check for the threaded engine: ≥2× wall-clock at
-        // world ≥ 8 on a 4+ core machine (run in release).
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut cfg = engine_config(&Opts::standard(), DatasetKind::Products, Backend::Cpu, 2);
-        cfg.trainers_per_part = 4; // world = 8
-        cfg.train_math = true;
-        cfg.hidden_dim = 64;
-        cfg.epochs = 3;
-        let cmp = wallclock_compare(&cfg);
-        println!(
-            "world {} on {} cores: sequential {:.3}s, threaded {:.3}s, speedup {:.2}x",
-            cmp.world,
-            cores,
-            cmp.sequential_s,
-            cmp.parallel_s,
-            cmp.speedup()
-        );
-        if cores >= 4 {
-            assert!(
-                cmp.speedup() >= 2.0,
-                "threaded engine only {:.2}x faster at world {} on {} cores",
-                cmp.speedup(),
-                cmp.world,
-                cores
-            );
-        }
     }
 }

@@ -25,8 +25,6 @@
 //! (who wins, by what factor, where crossovers sit) come from real sampled
 //! data movement. See EXPERIMENTS.md for paper-vs-measured notes.
 
-pub mod bench;
-pub mod diff;
 pub mod experiments;
 pub mod figures;
 pub mod harness;

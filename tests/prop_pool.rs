@@ -4,16 +4,20 @@
 //! behavior every earlier PR shipped — must reproduce the pooled run's
 //! `RunReport` bit for bit: same counters, same sim-clock charges, same
 //! final parameters. The property holds at any kernel-pool width, under
-//! chaos (the `light` fault profile drops, delays and truncates replies,
-//! exercising the degraded-fetch paths through the pooled scratch), and
-//! on the threaded engine.
+//! chaos (the `light` fault profile's delayed and truncated replies
+//! exercise the degraded-fetch paths through the pooled scratch), and on
+//! the threaded engine.
+//!
+//! The chaos case runs `light` minus its drops. A drop is detected by a
+//! wall-clock timeout, so on a loaded host a slow reply became a spurious
+//! retry on one side of the comparison only. Drops return here once
+//! verdicts stop depending on the wall clock (ROADMAP item 1); until then
+//! the drop → timeout rung is covered, deterministically, by mgnn-net's
+//! `exhausted_retries_zero_fill_and_report_rows`.
 
-use massivegnn::{
-    Engine, EngineConfig, FaultProfile, Mode, PrefetchConfig, RetryPolicy, RunReport,
-};
+use massivegnn::{Engine, EngineConfig, FaultProfile, Mode, PrefetchConfig, RunReport};
 use proptest::prelude::*;
 use serde::Serialize;
-use std::time::Duration;
 
 fn pool_config(seed: u64, prefetch: bool, fault: Option<FaultProfile>) -> EngineConfig {
     EngineConfig {
@@ -25,12 +29,6 @@ fn pool_config(seed: u64, prefetch: bool, fault: Option<FaultProfile>) -> Engine
         fanouts: vec![4, 4],
         hidden_dim: 16,
         train_math: true,
-        // Dropped replies are detected by wall-clock timeout; keep the
-        // retry wait short so `light`'s 2% drops cost milliseconds.
-        retry: RetryPolicy {
-            timeout: Duration::from_millis(50),
-            ..Default::default()
-        },
         mode: if prefetch {
             Mode::Prefetch(PrefetchConfig {
                 f_h: 0.25,
@@ -96,7 +94,10 @@ proptest! {
         let cfg = pool_config(
             run_seed,
             prefetch_sel == 1,
-            Some(FaultProfile::light(fault_seed)),
+            Some(FaultProfile {
+                drop_prob: 0.0,
+                ..FaultProfile::light(fault_seed)
+            }),
         );
         let pooled = Engine::build(cfg.clone()).run();
         let fresh = {
