@@ -105,12 +105,12 @@ pub struct EngineConfig {
     /// allocate-per-step behavior; reports are bitwise-identical either
     /// way.
     pub pooling: bool,
-    /// Mirror counters into the process-global live-telemetry registry
-    /// ([`mgnn_obs::registry`]) so a Prometheus scrape server can expose
-    /// them mid-run. Perturbs only wall-clock (a few atomic adds per
-    /// step), never the simulated clock: the
-    /// [`RunReport`](super::RunReport) is bitwise-identical with
-    /// telemetry on or off.
+    /// Attach every trainer's counters to the process-global
+    /// live-telemetry registry ([`mgnn_obs::registry`]) so a Prometheus
+    /// scrape server can expose them mid-run, and record step counts and
+    /// per-lane step latencies there. Perturbs only wall-clock, never
+    /// the simulated clock: the [`RunReport`](super::RunReport) is
+    /// bitwise-identical with telemetry on or off.
     pub telemetry: bool,
 }
 

@@ -168,10 +168,10 @@ impl Engine {
     /// scheduler runs instead unless `MGNN_THREADS` forces the threads.
     pub fn run(&self) -> RunReport {
         let cfg = &self.cfg;
-        // Arm the live-telemetry registry for this run. `enable` resets
-        // every metric, so scraped totals are attributable to the run
-        // that armed them; the registry stays enabled after the run so a
-        // final snapshot (`--metrics-out`) sees the totals.
+        // Arm the live-telemetry registry for this run: `enable` drops
+        // the previous run's counter sets before this run's trainers
+        // attach theirs, and they stay attached afterwards so a final
+        // snapshot (`--metrics-out`) sees the totals.
         if cfg.telemetry {
             registry::enable();
         }
@@ -303,8 +303,7 @@ impl Engine {
         };
         // Final telemetry gauges: run-level summaries a mid-run scrape
         // can't derive from counters alone.
-        if cfg.telemetry && registry::enabled() {
-            registry::HIT_RATE.set(report.hit_rate());
+        if cfg.telemetry {
             registry::MAKESPAN.set(report.makespan_s);
             registry::WORLD.set(report.world as f64);
         }
@@ -751,6 +750,9 @@ mod tests {
         for prefetch in [false, true] {
             let mut cfg = base_cfg();
             cfg.train_math = true;
+            // Live telemetry on: the counter sets are attached while the
+            // trainers are built, never in the step loop.
+            cfg.telemetry = true;
             cfg.epochs = 3;
             if prefetch {
                 cfg.mode = prefetch_mode();

@@ -182,7 +182,7 @@ impl TrainerState {
         // Live telemetry: step counters and modeled per-lane latencies.
         // Wall-clock only — nothing here feeds the simulated clock or the
         // report.
-        if cfg.telemetry && registry::enabled() {
+        if cfg.telemetry {
             registry::STEPS.inc();
             registry::STEP_LATENCY.record("prepare", timing.t_prepare());
             registry::STEP_LATENCY.record("train", t_train);
@@ -336,6 +336,10 @@ impl Engine {
                 // prefetcher tags its pulls with; set unconditionally —
                 // it is a plain field, free when correlation is unused.
                 metrics.set_trace_rank(t as u64);
+                // Attached here, not in the step loop: attaching allocates.
+                if cfg.telemetry {
+                    registry::attach(Arc::clone(metrics.counters()));
+                }
                 let metrics = Arc::new(metrics);
                 let loader = DataLoader::new(
                     seeds.clone(),

@@ -78,22 +78,11 @@ pub fn initialize_prefetcher(
     let fetch_s = cost.t_rpc(capacity, dim) + outcome.charge_s(cost, dim, cluster.retry_policy());
     metrics.record_rpc(capacity as u64, dim);
     metrics.record_pull_outcome(&outcome);
-    if !outcome.failed_rows.is_empty() {
-        // Rows a dead partition never delivered are simply not buffered
-        // (buffering zeros would serve wrong data on every later hit);
-        // those nodes stay ordinary misses and are fetched the first
-        // time the sampler needs them, so init stays infallible.
-        metrics.record_degradation(0, outcome.failed_rows.len() as u64);
-        if mgnn_obs::events::enabled() {
-            mgnn_obs::events::push(mgnn_obs::events::TraceEvent {
-                request_id: req_id,
-                kind: "degraded_rows",
-                part: part.part_id,
-                attempt: 0,
-                value: outcome.failed_rows.len() as u64,
-            });
-        }
-    }
+    // Rows a dead partition never delivered are simply not buffered
+    // (buffering zeros would serve wrong data on every later hit); those
+    // nodes stay ordinary misses and are fetched the first time the
+    // sampler needs them, so init stays infallible.
+    metrics.record_degradation(req_id, part.part_id, 0, outcome.failed_rows.len() as u64);
     let row_failed = |r: usize| outcome.failed_rows.binary_search(&r).is_ok();
 
     // Populate buffer.

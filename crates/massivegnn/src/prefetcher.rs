@@ -532,29 +532,7 @@ impl Prefetcher {
             .iter()
             .filter(|&&r| r < scratch.misses.len())
             .count();
-        if stale > 0 || degraded > 0 {
-            metrics.record_degradation(stale as u64, degraded as u64);
-            if mgnn_obs::events::enabled() {
-                if stale > 0 {
-                    mgnn_obs::events::push(mgnn_obs::events::TraceEvent {
-                        request_id: req_id,
-                        kind: "stale_rows",
-                        part: part.part_id,
-                        attempt: 0,
-                        value: stale as u64,
-                    });
-                }
-                if degraded > 0 {
-                    mgnn_obs::events::push(mgnn_obs::events::TraceEvent {
-                        request_id: req_id,
-                        kind: "degraded_rows",
-                        part: part.part_id,
-                        attempt: 0,
-                        value: degraded as u64,
-                    });
-                }
-            }
-        }
+        metrics.record_degradation(req_id, part.part_id, stale as u64, degraded as u64);
 
         // Assemble input features in input-node order: local rows from the
         // partition's own KVStore, halo hits from the buffer, halo misses
@@ -728,18 +706,7 @@ pub fn baseline_prepare_reuse(
     }
     // No buffer to fall back on: every failed row is a zero-filled input
     // row (the baseline skips degradation rung 2 entirely).
-    if !outcome.failed_rows.is_empty() {
-        metrics.record_degradation(0, outcome.failed_rows.len() as u64);
-        if mgnn_obs::events::enabled() {
-            mgnn_obs::events::push(mgnn_obs::events::TraceEvent {
-                request_id: req_id,
-                kind: "degraded_rows",
-                part: part.part_id,
-                attempt: 0,
-                value: outcome.failed_rows.len() as u64,
-            });
-        }
-    }
+    metrics.record_degradation(req_id, part.part_id, 0, outcome.failed_rows.len() as u64);
 
     let local_store = cluster.store(part.part_id);
     // Map halo idx -> fetch row (one row per sampled halo node;

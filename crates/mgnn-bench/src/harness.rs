@@ -44,7 +44,7 @@ pub struct Opts {
     /// measures exactly this policy against the scoreboard); the
     /// paper-figure experiments always use the paper's scoreboard.
     pub policy: PrefetchPolicyKind,
-    /// Mirror counters into the live-telemetry registry
+    /// Expose the trainers' counters through the live-telemetry registry
     /// (`--telemetry-port`/`--metrics-out`). Wall-clock only; reports
     /// stay bitwise identical.
     pub telemetry: bool,

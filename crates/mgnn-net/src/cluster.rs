@@ -438,13 +438,7 @@ impl SimCluster {
 
     /// [`pull_grouped`](Self::pull_grouped) with full fault accounting.
     pub fn pull_grouped_checked(&self, ids: &[NodeId]) -> (Vec<f32>, PullOutcome) {
-        self.pull_grouped_tagged(ids, 0)
-    }
-
-    /// [`pull_grouped_checked`](Self::pull_grouped_checked) tagged with a
-    /// request correlation id (see [`pull_rows`](Self::pull_rows)).
-    pub fn pull_grouped_tagged(&self, ids: &[NodeId], request_id: u64) -> (Vec<f32>, PullOutcome) {
-        let (rows, outcome) = self.pull_rows(ids, request_id);
+        let (rows, outcome) = self.pull_rows(ids, 0);
         let mut out = vec![0.0f32; ids.len() * self.dim];
         if self.dim > 0 {
             for (row, dst) in out.chunks_mut(self.dim).enumerate() {
@@ -841,7 +835,15 @@ mod tests {
         assert_eq!(untagged.request_id, 0);
         assert!(events::drain().is_empty(), "untagged pulls must be silent");
         // Tagged: every ladder rung lands in the log under one id.
-        let (_, tagged) = c.pull_grouped_tagged(&[4u32, 5, 6, 7], req);
+        let (_, tagged) = c.pull_rows(&[4u32, 5, 6, 7], req);
+        // The degradation the trainer then books lands under the same
+        // id, from the one call that also moves the counters; an
+        // untagged one moves the counters only.
+        let m = crate::CommMetrics::new();
+        m.record_degradation(req, 2, 0, tagged.failed_rows.len() as u64);
+        m.record_degradation(0, 2, 1, 1);
+        assert_eq!(m.snapshot().degraded_rows, 5);
+        assert_eq!(m.snapshot().stale_served, 1);
         let got = events::uninstall();
         assert_eq!(tagged.request_id, req);
         assert!(got.iter().all(|e| e.request_id == req));
@@ -855,8 +857,16 @@ mod tests {
             .map(|e| e.value)
             .sum();
         assert_eq!(zero_rows as usize, tagged.failed_rows.len());
+        let degraded: Vec<_> = got.iter().filter(|e| e.kind == "degraded_rows").collect();
+        assert_eq!(
+            degraded.len(),
+            1,
+            "one event per non-zero count of a tagged request"
+        );
+        assert_eq!((degraded[0].part, degraded[0].value), (2, 4));
+        assert_eq!(count_kind("stale_rows"), 0);
         // With the log uninstalled, tagged pulls cost one atomic load.
-        let (_, after) = c.pull_grouped_tagged(&[4u32], req);
+        let (_, after) = c.pull_rows(&[4u32], req);
         assert_eq!(after.request_id, req);
     }
 

@@ -1,22 +1,28 @@
 //! Communication and prefetch counters.
 //!
-//! All counters are atomics so the prepare thread and the trainer thread
-//! can update them concurrently (the paper's Fig. 11 "remote nodes fetched"
-//! and §V-B5 communication-time analysis come straight from these).
-//!
-//! When the live telemetry registry ([`mgnn_obs::registry`]) is enabled,
-//! every `record_*` method mirrors its increments into the corresponding
-//! global counter — the hook lives *inside* the method that updates the
-//! per-trainer atomic, so registry totals reconcile exactly with the
-//! summed [`MetricsSnapshot`]s by construction. Disabled, each hook is
-//! one relaxed atomic load.
+//! Which counters exist, and what each is called in a report and in a
+//! scrape, is the table in [`mgnn_obs::counters`]; this module folds the
+//! pipeline's events into them. All are atomics so the prepare thread
+//! and the trainer thread can update them concurrently (the paper's
+//! Fig. 11 "remote nodes fetched" and §V-B5 communication-time analysis
+//! come straight from these). Live telemetry reads the same atomics —
+//! a telemetry run attaches [`CommMetrics::counters`] to
+//! [`mgnn_obs::registry`] — so nothing here knows whether anyone is
+//! looking.
 
 use crate::wire::BYTES_PER_ELEM;
-use mgnn_obs::registry;
-use mgnn_obs::{Lane, Phase, SpanRecorder};
-use serde::{Serialize, Value};
+use mgnn_obs::events::{self, TraceEvent};
+use mgnn_obs::{CounterSet, Lane, Phase, SpanRecorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Plain-data snapshot of [`CommMetrics`]' counters.
+pub use mgnn_obs::CounterSnapshot as MetricsSnapshot;
+
+/// Counters publish no other data, so every update is relaxed.
+fn add(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+}
 
 /// Exact event counters for one trainer.
 ///
@@ -24,8 +30,8 @@ use std::sync::Arc;
 /// the one handle already shared by the trainer thread, its prepare
 /// thread, and the prefetcher, so piggybacking the recorder here wires
 /// span recording through the whole pipeline without changing any
-/// signatures. With no recorder attached (the default), the `*_spanned`
-/// methods degrade to their plain counterparts.
+/// signatures. With no recorder attached (the default), the span
+/// methods record nothing.
 #[derive(Debug, Default)]
 pub struct CommMetrics {
     /// Span recorder for this trainer, when tracing is enabled.
@@ -34,48 +40,9 @@ pub struct CommMetrics {
     /// ([`mgnn_obs::events::request_id`]). Plain data set once at build
     /// time, before the metrics are shared.
     trace_rank: u64,
-    /// Bulk RPC requests issued.
-    pub rpc_calls: AtomicU64,
-    /// Remote node feature rows fetched over RPC (the paper's Fig. 11 Y).
-    pub remote_nodes_fetched: AtomicU64,
-    /// Payload bytes of the remote feature rows moved over the network.
-    pub remote_bytes: AtomicU64,
-    /// Local feature rows copied from the partition's own KVStore.
-    pub local_nodes_copied: AtomicU64,
-    /// Prefetch-buffer hits (sampled halo node found in buffer).
-    pub buffer_hits: AtomicU64,
-    /// Prefetch-buffer misses.
-    pub buffer_misses: AtomicU64,
-    /// Nodes evicted from the buffer.
-    pub evictions: AtomicU64,
-    /// Replacement nodes fetched on eviction rounds.
-    pub replacements_fetched: AtomicU64,
-    /// RPC retry attempts issued after a failed pull.
-    pub rpc_retries: AtomicU64,
-    /// Pull attempts that timed out (dropped replies).
-    pub rpc_timeouts: AtomicU64,
-    /// Replies rejected for a truncated payload.
-    pub rpc_truncations: AtomicU64,
-    /// Pull attempts that found a dead server.
-    pub rpc_disconnects: AtomicU64,
-    /// Injected delay tags observed on replies.
-    pub rpc_delays: AtomicU64,
-    /// Servers respawned from their resident KvStore.
-    pub server_respawns: AtomicU64,
-    /// Eviction replacements cancelled because the fetch failed — the
-    /// stale resident row kept serving instead (degradation rung 2).
-    pub stale_served: AtomicU64,
-    /// Input rows zero-filled after retries were exhausted
-    /// (degradation rung 3).
-    pub degraded_rows: AtomicU64,
-    /// Planned lookahead pulls issued (one per planning round that
-    /// actually fetched rows). Zero under the scoreboard policy.
-    pub planned_pulls: AtomicU64,
-    /// Halo rows fetched ahead of their due step by the lookahead
-    /// planner. Also counted in `remote_nodes_fetched` (they are real
-    /// network traffic); this counter separates planned from
-    /// critical-path volume.
-    pub planned_rows: AtomicU64,
+    /// The counters, shareable on their own so the live registry can
+    /// hold them without holding the recorder's span ring.
+    counters: Arc<CounterSet>,
 }
 
 impl CommMetrics {
@@ -95,6 +62,11 @@ impl CommMetrics {
     /// The attached span recorder, if tracing is enabled.
     pub fn recorder(&self) -> Option<&Arc<SpanRecorder>> {
         self.recorder.as_ref()
+    }
+
+    /// The counter set every `record_*` method updates.
+    pub fn counters(&self) -> &Arc<CounterSet> {
+        &self.counters
     }
 
     /// Set the trainer rank request ids derive from. Called once at
@@ -124,43 +96,23 @@ impl CommMetrics {
             return;
         }
         let bytes = nodes * (dim * BYTES_PER_ELEM) as u64;
-        self.rpc_calls.fetch_add(1, Ordering::Relaxed);
-        self.remote_nodes_fetched
-            .fetch_add(nodes, Ordering::Relaxed);
-        self.remote_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if registry::enabled() {
-            registry::RPC_CALLS.inc();
-            registry::REMOTE_NODES.add(nodes);
-            registry::REMOTE_BYTES.add(bytes);
-        }
+        let c = &*self.counters;
+        add(&c.rpc_calls, 1);
+        add(&c.remote_nodes_fetched, nodes);
+        add(&c.remote_bytes, bytes);
     }
 
     /// Record gathering `nodes` local rows.
     pub fn record_local_copy(&self, nodes: u64) {
-        self.local_nodes_copied.fetch_add(nodes, Ordering::Relaxed);
-        if registry::enabled() {
-            registry::LOCAL_NODES.add(nodes);
-        }
+        add(&self.counters.local_nodes_copied, nodes);
     }
 
-    /// [`record_rpc`](Self::record_rpc) plus an `rpc` span for `step`.
-    /// The span is recorded even for `nodes == 0` (a zero-duration fetch
-    /// is still one pipeline stage), keeping histogram counts equal to
-    /// the step count.
-    pub fn record_rpc_spanned(
-        &self,
-        nodes: u64,
-        dim: usize,
-        step: u64,
-        rel_start_s: f64,
-        dur_s: f64,
-    ) {
-        self.record_rpc_spanned_corr(nodes, dim, step, rel_start_s, dur_s, 0);
-    }
-
-    /// [`record_rpc_spanned`](Self::record_rpc_spanned) with a
-    /// request-correlation id on the span (0 = none), tying the `rpc`
-    /// slice to its tagged pull in Perfetto flow renderings.
+    /// [`record_rpc`](Self::record_rpc) plus an `rpc` span for `step`,
+    /// tagged with the pull's request-correlation id (0 = none) so
+    /// Perfetto can tie the slice to its tagged pull. The span is
+    /// recorded even for `nodes == 0` (a zero-duration fetch is still
+    /// one pipeline stage), keeping histogram counts equal to the step
+    /// count.
     pub fn record_rpc_spanned_corr(
         &self,
         nodes: u64,
@@ -178,7 +130,7 @@ impl CommMetrics {
 
     /// [`record_local_copy`](Self::record_local_copy) plus a `copy` span
     /// for `step` (recorded even for `nodes == 0`; see
-    /// [`record_rpc_spanned`](Self::record_rpc_spanned)).
+    /// [`record_rpc_spanned_corr`](Self::record_rpc_spanned_corr)).
     pub fn record_local_copy_spanned(&self, nodes: u64, step: u64, rel_start_s: f64, dur_s: f64) {
         self.span(step, Phase::Copy, rel_start_s, dur_s);
         self.record_local_copy(nodes);
@@ -186,23 +138,16 @@ impl CommMetrics {
 
     /// Record buffer lookup results for one minibatch.
     pub fn record_lookup(&self, hits: u64, misses: u64) {
-        self.buffer_hits.fetch_add(hits, Ordering::Relaxed);
-        self.buffer_misses.fetch_add(misses, Ordering::Relaxed);
-        if registry::enabled() {
-            registry::PREFETCH_HITS.add(hits);
-            registry::PREFETCH_MISSES.add(misses);
-        }
+        let c = &*self.counters;
+        add(&c.buffer_hits, hits);
+        add(&c.buffer_misses, misses);
     }
 
     /// Record an eviction round.
     pub fn record_eviction(&self, evicted: u64, replaced: u64) {
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        self.replacements_fetched
-            .fetch_add(replaced, Ordering::Relaxed);
-        if registry::enabled() {
-            registry::EVICTIONS.add(evicted);
-            registry::REPLACEMENTS.add(replaced);
-        }
+        let c = &*self.counters;
+        add(&c.evictions, evicted);
+        add(&c.replacements_fetched, replaced);
     }
 
     /// Fold one grouped pull's fault accounting into the counters.
@@ -212,47 +157,49 @@ impl CommMetrics {
         if !o.had_faults() {
             return;
         }
-        self.rpc_retries.fetch_add(o.retries, Ordering::Relaxed);
-        self.rpc_timeouts.fetch_add(o.timeouts, Ordering::Relaxed);
-        self.rpc_truncations
-            .fetch_add(o.truncations, Ordering::Relaxed);
-        self.rpc_disconnects
-            .fetch_add(o.disconnects, Ordering::Relaxed);
-        self.rpc_delays
-            .fetch_add(o.delay_events.len() as u64, Ordering::Relaxed);
-        self.server_respawns
-            .fetch_add(o.respawns, Ordering::Relaxed);
-        if registry::enabled() {
-            registry::RPC_RETRIES.add(o.retries);
-            registry::RPC_TIMEOUTS.add(o.timeouts);
-            registry::RPC_TRUNCATIONS.add(o.truncations);
-            registry::RPC_DISCONNECTS.add(o.disconnects);
-            registry::RPC_DELAYS.add(o.delay_events.len() as u64);
-            registry::SERVER_RESPAWNS.add(o.respawns);
-        }
+        let c = &*self.counters;
+        add(&c.rpc_retries, o.retries);
+        add(&c.rpc_timeouts, o.timeouts);
+        add(&c.rpc_truncations, o.truncations);
+        add(&c.rpc_disconnects, o.disconnects);
+        add(&c.rpc_delays, o.delay_events.len() as u64);
+        add(&c.server_respawns, o.respawns);
     }
 
-    /// Record graceful-degradation events: `stale` cancelled eviction
+    /// Record the graceful-degradation rungs pull `request_id` of
+    /// partition `part`'s trainer ended on: `stale` cancelled eviction
     /// replacements (the old resident kept serving) and `zero_filled`
-    /// input rows served as zeros.
-    pub fn record_degradation(&self, stale: u64, zero_filled: u64) {
-        self.stale_served.fetch_add(stale, Ordering::Relaxed);
-        self.degraded_rows.fetch_add(zero_filled, Ordering::Relaxed);
-        if registry::enabled() {
-            registry::STALE_SERVED.add(stale);
-            registry::DEGRADED_ROWS.add(zero_filled);
+    /// input rows served as zeros. Each non-zero count of a tagged pull
+    /// (`request_id != 0`) also becomes a `stale_rows` / `degraded_rows`
+    /// [`TraceEvent`] of that request, so the counters and the event log
+    /// cannot be told different things.
+    pub fn record_degradation(&self, request_id: u64, part: u32, stale: u64, zero_filled: u64) {
+        let c = &*self.counters;
+        for (counter, kind, value) in [
+            (&c.stale_served, "stale_rows", stale),
+            (&c.degraded_rows, "degraded_rows", zero_filled),
+        ] {
+            if value == 0 {
+                continue;
+            }
+            add(counter, value);
+            if request_id != 0 {
+                events::push(TraceEvent {
+                    request_id,
+                    kind,
+                    part,
+                    attempt: 0,
+                    value,
+                });
+            }
         }
     }
 
     /// Record a fault-lane span covering the simulated time `step` lost
-    /// to faults (injected delays + retry/backoff charges).
-    pub fn fault_span(&self, step: u64, rel_start_s: f64, dur_s: f64) {
-        self.fault_span_corr(step, rel_start_s, dur_s, 0);
-    }
-
-    /// [`fault_span`](Self::fault_span) tagged with a request correlation
-    /// id, so the Perfetto export can draw a flow arrow from the pull's
-    /// RPC span to the fault time it induced.
+    /// to faults (injected delays + retry/backoff charges), tagged with
+    /// the pull's request-correlation id so the Perfetto export can draw
+    /// a flow arrow from the pull's RPC span to the fault time it
+    /// induced.
     pub fn fault_span_corr(&self, step: u64, rel_start_s: f64, dur_s: f64, corr: u64) {
         if let Some(r) = &self.recorder {
             r.record_corr(Lane::Fault, step, Phase::Fault, rel_start_s, dur_s, corr);
@@ -268,12 +215,9 @@ impl CommMetrics {
         if nodes == 0 {
             return;
         }
-        self.planned_pulls.fetch_add(1, Ordering::Relaxed);
-        self.planned_rows.fetch_add(nodes, Ordering::Relaxed);
-        if registry::enabled() {
-            registry::PLANNED_PULLS.inc();
-            registry::PLANNED_ROWS.add(nodes);
-        }
+        let c = &*self.counters;
+        add(&c.planned_pulls, 1);
+        add(&c.planned_rows, nodes);
         self.record_rpc(nodes, dim);
     }
 
@@ -285,162 +229,21 @@ impl CommMetrics {
         }
     }
 
-    /// Cumulative hit rate (Eq. 8 of the paper): `h / (h + m)`;
-    /// 0.0 before any lookup.
+    /// Cumulative hit rate so far ([`MetricsSnapshot::hit_rate`]).
     pub fn hit_rate(&self) -> f64 {
-        let h = self.buffer_hits.load(Ordering::Relaxed) as f64;
-        let m = self.buffer_misses.load(Ordering::Relaxed) as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
+        self.snapshot().hit_rate()
     }
 
     /// Snapshot all counters into a plain struct.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            rpc_calls: self.rpc_calls.load(Ordering::Relaxed),
-            remote_nodes_fetched: self.remote_nodes_fetched.load(Ordering::Relaxed),
-            remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
-            local_nodes_copied: self.local_nodes_copied.load(Ordering::Relaxed),
-            buffer_hits: self.buffer_hits.load(Ordering::Relaxed),
-            buffer_misses: self.buffer_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            replacements_fetched: self.replacements_fetched.load(Ordering::Relaxed),
-            rpc_retries: self.rpc_retries.load(Ordering::Relaxed),
-            rpc_timeouts: self.rpc_timeouts.load(Ordering::Relaxed),
-            rpc_truncations: self.rpc_truncations.load(Ordering::Relaxed),
-            rpc_disconnects: self.rpc_disconnects.load(Ordering::Relaxed),
-            rpc_delays: self.rpc_delays.load(Ordering::Relaxed),
-            server_respawns: self.server_respawns.load(Ordering::Relaxed),
-            stale_served: self.stale_served.load(Ordering::Relaxed),
-            degraded_rows: self.degraded_rows.load(Ordering::Relaxed),
-            planned_pulls: self.planned_pulls.load(Ordering::Relaxed),
-            planned_rows: self.planned_rows.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`CommMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Bulk RPC requests issued.
-    pub rpc_calls: u64,
-    /// Remote node feature rows fetched over RPC.
-    pub remote_nodes_fetched: u64,
-    /// Payload bytes of the remote feature rows moved over the network.
-    pub remote_bytes: u64,
-    /// Local feature rows copied.
-    pub local_nodes_copied: u64,
-    /// Prefetch-buffer hits.
-    pub buffer_hits: u64,
-    /// Prefetch-buffer misses.
-    pub buffer_misses: u64,
-    /// Nodes evicted.
-    pub evictions: u64,
-    /// Replacement rows fetched.
-    pub replacements_fetched: u64,
-    /// RPC retry attempts.
-    pub rpc_retries: u64,
-    /// Pull attempts that timed out.
-    pub rpc_timeouts: u64,
-    /// Truncated replies rejected.
-    pub rpc_truncations: u64,
-    /// Pull attempts that found a dead server.
-    pub rpc_disconnects: u64,
-    /// Injected delay tags observed.
-    pub rpc_delays: u64,
-    /// Servers respawned.
-    pub server_respawns: u64,
-    /// Stale buffer rows served after a cancelled replacement.
-    pub stale_served: u64,
-    /// Zero-filled input rows.
-    pub degraded_rows: u64,
-    /// Planned lookahead pulls issued.
-    pub planned_pulls: u64,
-    /// Halo rows fetched ahead of need by the lookahead planner.
-    pub planned_rows: u64,
-}
-
-impl MetricsSnapshot {
-    /// Hit rate of this snapshot.
-    pub fn hit_rate(&self) -> f64 {
-        let t = self.buffer_hits + self.buffer_misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.buffer_hits as f64 / t as f64
-        }
-    }
-
-    /// Sum two snapshots (aggregate across trainers).
-    pub fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            rpc_calls: self.rpc_calls + other.rpc_calls,
-            remote_nodes_fetched: self.remote_nodes_fetched + other.remote_nodes_fetched,
-            remote_bytes: self.remote_bytes + other.remote_bytes,
-            local_nodes_copied: self.local_nodes_copied + other.local_nodes_copied,
-            buffer_hits: self.buffer_hits + other.buffer_hits,
-            buffer_misses: self.buffer_misses + other.buffer_misses,
-            evictions: self.evictions + other.evictions,
-            replacements_fetched: self.replacements_fetched + other.replacements_fetched,
-            rpc_retries: self.rpc_retries + other.rpc_retries,
-            rpc_timeouts: self.rpc_timeouts + other.rpc_timeouts,
-            rpc_truncations: self.rpc_truncations + other.rpc_truncations,
-            rpc_disconnects: self.rpc_disconnects + other.rpc_disconnects,
-            rpc_delays: self.rpc_delays + other.rpc_delays,
-            server_respawns: self.server_respawns + other.server_respawns,
-            stale_served: self.stale_served + other.stale_served,
-            degraded_rows: self.degraded_rows + other.degraded_rows,
-            planned_pulls: self.planned_pulls + other.planned_pulls,
-            planned_rows: self.planned_rows + other.planned_rows,
-        }
-    }
-
-    /// Whether any fault, retry, or degradation event was recorded.
-    pub fn had_faults(&self) -> bool {
-        self.rpc_retries
-            + self.rpc_timeouts
-            + self.rpc_truncations
-            + self.rpc_disconnects
-            + self.rpc_delays
-            + self.server_respawns
-            + self.stale_served
-            + self.degraded_rows
-            > 0
-    }
-}
-
-impl Serialize for MetricsSnapshot {
-    fn to_value(&self) -> Value {
-        Value::obj([
-            ("rpc_calls", self.rpc_calls.to_value()),
-            ("remote_nodes_fetched", self.remote_nodes_fetched.to_value()),
-            ("remote_bytes", self.remote_bytes.to_value()),
-            ("local_nodes_copied", self.local_nodes_copied.to_value()),
-            ("buffer_hits", self.buffer_hits.to_value()),
-            ("buffer_misses", self.buffer_misses.to_value()),
-            ("evictions", self.evictions.to_value()),
-            ("replacements_fetched", self.replacements_fetched.to_value()),
-            ("rpc_retries", self.rpc_retries.to_value()),
-            ("rpc_timeouts", self.rpc_timeouts.to_value()),
-            ("rpc_truncations", self.rpc_truncations.to_value()),
-            ("rpc_disconnects", self.rpc_disconnects.to_value()),
-            ("rpc_delays", self.rpc_delays.to_value()),
-            ("server_respawns", self.server_respawns.to_value()),
-            ("stale_served", self.stale_served.to_value()),
-            ("degraded_rows", self.degraded_rows.to_value()),
-            ("planned_pulls", self.planned_pulls.to_value()),
-            ("planned_rows", self.planned_rows.to_value()),
-            ("hit_rate", self.hit_rate().to_value()),
-        ])
+        self.counters.snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize;
 
     #[test]
     fn empty_rpc_not_counted() {
@@ -574,8 +377,8 @@ mod tests {
         use std::sync::Arc;
         let rec = Arc::new(SpanRecorder::for_trainer(0, 0));
         let m = CommMetrics::with_recorder(Arc::clone(&rec));
-        m.record_rpc_spanned(10, 4, 0, 0.001, 0.002);
-        m.record_rpc_spanned(0, 4, 1, 0.001, 0.0); // empty fetch: span only
+        m.record_rpc_spanned_corr(10, 4, 0, 0.001, 0.002, 0);
+        m.record_rpc_spanned_corr(0, 4, 1, 0.001, 0.0, 0); // empty fetch: span only
         m.record_local_copy_spanned(7, 0, 0.001, 0.0005);
         let s = m.snapshot();
         assert_eq!(s.rpc_calls, 1, "empty RPC still skipped in counters");
@@ -590,7 +393,7 @@ mod tests {
     fn spanned_variants_without_recorder_match_plain() {
         let a = CommMetrics::new();
         let b = CommMetrics::new();
-        a.record_rpc_spanned(10, 4, 0, 0.0, 0.1);
+        a.record_rpc_spanned_corr(10, 4, 0, 0.0, 0.1, 0);
         a.record_local_copy_spanned(3, 0, 0.0, 0.1);
         b.record_rpc(10, 4);
         b.record_local_copy(3);
@@ -626,7 +429,7 @@ mod tests {
             failed_rows: vec![0],
         };
         m.record_pull_outcome(&chaotic);
-        m.record_degradation(2, 1);
+        m.record_degradation(0, 0, 2, 1);
         let s = m.snapshot();
         assert!(s.had_faults());
         assert_eq!(s.rpc_retries, 3);
@@ -651,7 +454,7 @@ mod tests {
         use std::sync::Arc;
         let rec = Arc::new(SpanRecorder::for_trainer(0, 0));
         let m = CommMetrics::with_recorder(Arc::clone(&rec));
-        m.fault_span(3, 0.001, 0.01);
+        m.fault_span_corr(3, 0.001, 0.01, 0);
         let t = rec.snapshot();
         let f = t.phase(Phase::Fault).unwrap();
         assert_eq!(f.count, 1);

@@ -13,7 +13,7 @@
 //! image with relative error ≤ 2⁻⁸ and no subnormal or overflow special
 //! cases below the bf16 maximum; encode is an add and a shift, decode a
 //! shift, and both auto-vectorise inside the copies the pull path already
-//! makes (DESIGN §12).
+//! makes (DESIGN §11).
 
 /// One feature element as it crosses the network.
 pub type WireElem = u16;

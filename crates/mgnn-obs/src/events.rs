@@ -17,8 +17,7 @@
 //! as sorted JSON-lines; the sort is deterministic even though threaded
 //! trainers interleave their pushes arbitrarily.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use crate::collector::Collector;
 
 /// Request originated in the prefetcher's steady-state prepare loop.
 pub const ORIGIN_PREPARE: u8 = 0;
@@ -55,36 +54,31 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
+static LOG: Collector<TraceEvent> = Collector::new();
 
 /// Install the global event log; subsequent emissions land here.
 pub fn install() {
-    EVENTS.lock().unwrap().clear();
-    ENABLED.store(true, Ordering::Release);
+    LOG.install()
 }
 
 /// Disable the log and return anything still buffered.
 pub fn uninstall() -> Vec<TraceEvent> {
-    ENABLED.store(false, Ordering::Release);
-    std::mem::take(&mut *EVENTS.lock().unwrap())
+    LOG.uninstall()
 }
 
 /// Whether the log is installed (one atomic load).
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
+    LOG.enabled()
 }
 
 /// Record an event if the log is installed; a no-op otherwise.
 pub fn push(event: TraceEvent) {
-    if enabled() {
-        EVENTS.lock().unwrap().push(event);
-    }
+    LOG.push(event)
 }
 
 /// Take all buffered events, leaving the log installed.
 pub fn drain() -> Vec<TraceEvent> {
-    std::mem::take(&mut *EVENTS.lock().unwrap())
+    LOG.drain()
 }
 
 /// Canonical order: by request id, then ladder position approximated by

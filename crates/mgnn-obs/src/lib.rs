@@ -16,18 +16,21 @@
 //!    (one process per trainer, one thread per lane) and a compact serde
 //!    JSON snapshot; a process-global sink lets the repro binary collect
 //!    reports from experiment modules without rewiring them.
-//! 4. **Live telemetry** ([`registry`], [`prom`], [`events`]) — a
-//!    process-global metric registry (lock-free counters/gauges plus
-//!    labeled log₂ histograms) rendered as Prometheus text exposition
-//!    over a one-thread scrape server, and a request-correlated event
-//!    log that ties every degraded row to the fault verdict that caused
-//!    it. Like the sink, each layer costs one atomic load when disabled.
+//! 4. **Live telemetry** ([`counters`], [`registry`], [`prom`],
+//!    [`events`]) — the one table every per-trainer counter is declared
+//!    in, a process-global registry that a telemetry run attaches its
+//!    trainers' counter sets to (a scrape reads the atomics the report
+//!    is snapshotted from), Prometheus text exposition over a one-thread
+//!    scrape server, and a request-correlated event log that ties every
+//!    degraded row to the fault verdict that caused it.
 //!
 //! Recording is strictly opt-in: when tracing is off, no recorder exists
 //! and every integration point short-circuits on `Option::None`, so the
 //! engine's simulated timings and reports are bitwise identical to a
 //! build without this crate.
 
+mod collector;
+pub mod counters;
 pub mod events;
 pub mod export;
 pub mod hist;
@@ -36,6 +39,7 @@ pub mod registry;
 pub mod sink;
 pub mod span;
 
+pub use counters::{CounterSet, CounterSnapshot};
 pub use events::TraceEvent;
 pub use hist::LatencyHistogram;
 pub use prom::ScrapeServer;

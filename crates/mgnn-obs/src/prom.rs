@@ -78,19 +78,32 @@ fn render_histogram(
 }
 
 /// Render the entire registry as Prometheus text exposition. The output
-/// is deterministic for fixed metric values: metrics render in their
-/// static declaration order and histogram series sort by label.
+/// is deterministic for fixed metric values: the per-trainer counters
+/// render in table order from one [`registry::scrape`], the hit-rate
+/// gauge is derived from that same scrape through the one `hit_rate`
+/// formula — so it is live, not a value stored at the end of a run — and
+/// histogram series sort by label.
 pub fn render() -> String {
     let mut out = String::with_capacity(4096);
-    for c in registry::COUNTERS {
-        out.push_str(&format!("# HELP {} {}\n", c.name(), c.help()));
-        out.push_str(&format!("# TYPE {} counter\n", c.name()));
-        out.push_str(&format!("{} {}\n", c.name(), c.get()));
+    let mut family = |name: &str, help: &str, kind: &str, value: String| {
+        out.push_str(&format!(
+            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
+        ));
+    };
+    let live = registry::scrape();
+    let steps = &registry::STEPS;
+    let engine_side = [(steps.name(), steps.help(), steps.get())];
+    for (name, help, value) in live.rows().chain(engine_side) {
+        family(name, help, "counter", value.to_string());
     }
+    family(
+        "mgnn_buffer_hit_rate",
+        "Cumulative prefetch buffer hit rate of the attached trainers",
+        "gauge",
+        fmt_f64(live.hit_rate()),
+    );
     for g in registry::GAUGES {
-        out.push_str(&format!("# HELP {} {}\n", g.name(), g.help()));
-        out.push_str(&format!("# TYPE {} gauge\n", g.name()));
-        out.push_str(&format!("{} {}\n", g.name(), fmt_f64(g.get())));
+        family(g.name(), g.help(), "gauge", fmt_f64(g.get()));
     }
     for h in registry::HISTOGRAMS {
         render_histogram(&mut out, h.name(), h.help(), h.label_key(), &h.series());
@@ -205,6 +218,7 @@ impl Drop for ScrapeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::CounterSet;
     use crate::registry::TEST_LOCK;
 
     fn http_get(addr: SocketAddr, path: &str) -> String {
@@ -220,10 +234,14 @@ mod tests {
     #[test]
     fn exposition_format_and_scrape_server() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        registry::reset();
-        registry::RPC_CALLS.add(5);
-        registry::PREFETCH_HITS.add(120);
-        registry::HIT_RATE.set(0.8);
+        registry::enable();
+        let set = Arc::new(CounterSet::default());
+        registry::attach(Arc::clone(&set));
+        // Recorded after the attach: the exposition reads the set live,
+        // hit rate included (3 hits / 1 miss through the one formula).
+        set.rpc_calls.fetch_add(5, Ordering::Relaxed);
+        set.buffer_hits.fetch_add(3, Ordering::Relaxed);
+        set.buffer_misses.fetch_add(1, Ordering::Relaxed);
         for i in 1..=100u64 {
             registry::STEP_LATENCY.record("train", i as f64 * 1.0e-6);
         }
@@ -231,16 +249,15 @@ mod tests {
 
         let text = render();
         // HELP precedes TYPE precedes the sample for every metric.
-        for c in registry::COUNTERS {
-            let name = c.name();
+        for (name, _, _) in registry::scrape().rows() {
             let help_at = text.find(&format!("# HELP {name} ")).unwrap();
             let type_at = text.find(&format!("# TYPE {name} counter")).unwrap();
             assert!(help_at < type_at, "{name}: HELP after TYPE");
         }
         assert!(text.contains("mgnn_rpc_calls_total 5\n"));
-        assert!(text.contains("mgnn_prefetch_hits_total 120\n"));
+        assert!(text.contains("mgnn_prefetch_hits_total 3\n"));
         assert!(text.contains("# TYPE mgnn_buffer_hit_rate gauge"));
-        assert!(text.contains("mgnn_buffer_hit_rate 0.8\n"));
+        assert!(text.contains("mgnn_buffer_hit_rate 0.75\n"));
         assert!(text.contains("# TYPE mgnn_step_latency histogram"));
         assert!(text.contains("mgnn_step_latency_bucket{lane=\"train\",le=\"+Inf\"} 100\n"));
         assert!(text.contains("mgnn_step_latency_count{lane=\"train\"} 100\n"));
@@ -271,7 +288,81 @@ mod tests {
             TcpStream::connect(addr).is_err() || http_get_safe(addr).is_none(),
             "server must stop serving after shutdown"
         );
+        registry::disable();
         registry::reset();
+    }
+
+    /// Generating the snapshot's serializer and the exposition from one
+    /// table must not move a key or a family: these are the orders the
+    /// hand-written serializer and statics had, as literals. (The engine
+    /// fingerprints hash the report, so they catch a reordered snapshot;
+    /// nothing else catches a reordered exposition.)
+    #[test]
+    fn generated_orders_match_the_hand_written_ones() {
+        use serde::{Serialize, Value};
+        let Value::Obj(fields) = CounterSet::default().snapshot().to_value() else {
+            panic!("a snapshot serializes as an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "rpc_calls",
+                "remote_nodes_fetched",
+                "remote_bytes",
+                "local_nodes_copied",
+                "buffer_hits",
+                "buffer_misses",
+                "evictions",
+                "replacements_fetched",
+                "rpc_retries",
+                "rpc_timeouts",
+                "rpc_truncations",
+                "rpc_disconnects",
+                "rpc_delays",
+                "server_respawns",
+                "stale_served",
+                "degraded_rows",
+                "planned_pulls",
+                "planned_rows",
+                "hit_rate",
+            ]
+        );
+
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let text = render();
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        assert_eq!(
+            families,
+            [
+                "mgnn_rpc_calls_total counter",
+                "mgnn_remote_nodes_fetched_total counter",
+                "mgnn_remote_bytes_total counter",
+                "mgnn_local_nodes_copied_total counter",
+                "mgnn_prefetch_hits_total counter",
+                "mgnn_prefetch_misses_total counter",
+                "mgnn_evictions_total counter",
+                "mgnn_replacements_fetched_total counter",
+                "mgnn_rpc_retries_total counter",
+                "mgnn_rpc_timeouts_total counter",
+                "mgnn_rpc_truncations_total counter",
+                "mgnn_rpc_disconnects_total counter",
+                "mgnn_rpc_delays_total counter",
+                "mgnn_server_respawns_total counter",
+                "mgnn_stale_served_total counter",
+                "mgnn_degraded_rows_total counter",
+                "mgnn_planned_pulls_total counter",
+                "mgnn_planned_rows_total counter",
+                "mgnn_steps_total counter",
+                "mgnn_buffer_hit_rate gauge",
+                "mgnn_sim_makespan_seconds gauge",
+                "mgnn_world_trainers gauge",
+                "mgnn_step_latency histogram",
+            ]
+        );
     }
 
     fn http_get_safe(addr: SocketAddr) -> Option<String> {

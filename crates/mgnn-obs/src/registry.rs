@@ -1,30 +1,29 @@
-//! Live metric registry: process-global counters, gauges, and labeled
-//! log₂ histograms.
+//! Live metric registry: what a scrape can read while a run is going.
 //!
-//! The span layer ([`crate::span`]) answers *post-hoc* questions — it
-//! buffers everything and exports after the run. The registry answers
-//! *live* ones: every metric is a static with interior mutability, so a
-//! scrape thread ([`crate::prom`]) can render a consistent snapshot at
-//! any instant while trainer threads keep recording. Recording is
-//! lock-free for counters and gauges (one relaxed atomic op) and a
-//! short uncontended mutex for histograms.
+//! The span layer ([`crate::span`]) buffers everything and exports after
+//! the run; the registry answers *live* questions, and holds no copy of
+//! anything the run report counts. A telemetry run [`attach`]es each
+//! trainer's own [`CounterSet`] — the atomics its `CommMetrics` updates
+//! and its report is snapshotted from — and a scrape ([`crate::prom`])
+//! sums what is attached ([`scrape`]): scraped totals equal the report's
+//! aggregate because they are the same memory, and recording a counter
+//! never names the registry. Beside the sets sit the few engine-side
+//! values no trainer owns: a step counter, two run-level gauges and the
+//! per-lane step-latency histogram.
 //!
-//! Lifecycle mirrors [`crate::sink`]: the registry is disabled by
-//! default and every producer gates on [`enabled`] (one atomic load),
-//! so a build that never calls [`enable`] pays nothing. [`enable`]
-//! resets all metrics first, making the registry's totals attributable
-//! to the run that enabled it — the reconciliation tests compare them
-//! against the engine's own `CommMetrics` totals for exactness.
-//!
-//! Determinism contract: nothing in this module is read by the engine.
-//! Metrics flow one way (engine → registry), so enabling telemetry can
-//! never perturb the simulated clock or a `RunReport`.
+//! Lifecycle mirrors [`crate::sink`]: disabled by default; [`enable`]
+//! resets first, so everything a scrape shows is attributable to the run
+//! that enabled it; [`disable`] keeps what is there for a final snapshot.
+//! Nothing in this module is read by the engine, so enabling telemetry
+//! can never perturb the simulated clock or a `RunReport`.
 
+use crate::counters::{CounterSet, CounterSnapshot};
 use crate::hist::LatencyHistogram;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// A monotonically increasing counter (Prometheus `counter`).
+/// A monotonically increasing counter (Prometheus `counter`) for events
+/// no trainer owns; per-trainer counters are rows of [`crate::counters`].
 pub struct Counter {
     name: &'static str,
     help: &'static str,
@@ -41,17 +40,9 @@ impl Counter {
         }
     }
 
-    /// Add `n` (no-op for 0 — keeps fault-free runs free of even the
-    /// relaxed RMW).
-    pub fn add(&self, n: u64) {
-        if n != 0 {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Add 1.
     pub fn inc(&self) {
-        self.add(1);
+        self.value.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -177,95 +168,9 @@ impl LabeledHistogram {
     }
 }
 
-// ---------------------------------------------------------------------
-// The metric set. The first 18 counters mirror `CommMetrics` field for
-// field — the hooks live inside the corresponding `CommMetrics` methods,
-// so registry totals reconcile exactly with the summed per-trainer
-// snapshots (asserted by the integration tests).
-// ---------------------------------------------------------------------
-
-/// RPC pulls issued (`CommMetrics::rpc_calls`).
-pub static RPC_CALLS: Counter = Counter::new("mgnn_rpc_calls_total", "RPC pull calls issued");
-/// Remote feature rows fetched (`CommMetrics::remote_nodes_fetched`).
-pub static REMOTE_NODES: Counter = Counter::new(
-    "mgnn_remote_nodes_fetched_total",
-    "Remote feature rows fetched over RPC",
-);
-/// Remote bytes moved (`CommMetrics::remote_bytes`).
-pub static REMOTE_BYTES: Counter =
-    Counter::new("mgnn_remote_bytes_total", "Remote feature bytes fetched");
-/// Local feature rows copied (`CommMetrics::local_nodes_copied`).
-pub static LOCAL_NODES: Counter = Counter::new(
-    "mgnn_local_nodes_copied_total",
-    "Feature rows copied from the local partition",
-);
-/// Prefetch-buffer hits (`CommMetrics::buffer_hits`).
-pub static PREFETCH_HITS: Counter =
-    Counter::new("mgnn_prefetch_hits_total", "Prefetch buffer lookup hits");
-/// Prefetch-buffer misses (`CommMetrics::buffer_misses`).
-pub static PREFETCH_MISSES: Counter = Counter::new(
-    "mgnn_prefetch_misses_total",
-    "Prefetch buffer lookup misses",
-);
-/// Buffer evictions (`CommMetrics::evictions`).
-pub static EVICTIONS: Counter =
-    Counter::new("mgnn_evictions_total", "Prefetch buffer rows evicted");
-/// Replacement rows fetched (`CommMetrics::replacements_fetched`).
-pub static REPLACEMENTS: Counter = Counter::new(
-    "mgnn_replacements_fetched_total",
-    "Replacement rows fetched after eviction",
-);
-/// RPC retries (`CommMetrics::rpc_retries`).
-pub static RPC_RETRIES: Counter =
-    Counter::new("mgnn_rpc_retries_total", "RPC pulls retried after a fault");
-/// RPC timeouts (`CommMetrics::rpc_timeouts`).
-pub static RPC_TIMEOUTS: Counter =
-    Counter::new("mgnn_rpc_timeouts_total", "RPC pulls that timed out");
-/// Truncated replies (`CommMetrics::rpc_truncations`).
-pub static RPC_TRUNCATIONS: Counter = Counter::new(
-    "mgnn_rpc_truncations_total",
-    "RPC replies truncated by fault injection",
-);
-/// Server disconnects (`CommMetrics::rpc_disconnects`).
-pub static RPC_DISCONNECTS: Counter = Counter::new(
-    "mgnn_rpc_disconnects_total",
-    "RPC failures from crashed or dropped servers",
-);
-/// Injected delay events (`CommMetrics::rpc_delays`).
-pub static RPC_DELAYS: Counter = Counter::new("mgnn_rpc_delays_total", "Injected RPC delay events");
-/// Server respawns (`CommMetrics::server_respawns`).
-pub static SERVER_RESPAWNS: Counter = Counter::new(
-    "mgnn_server_respawns_total",
-    "Crashed feature servers respawned",
-);
-/// Stale rows served (`CommMetrics::stale_served`).
-pub static STALE_SERVED: Counter = Counter::new(
-    "mgnn_stale_served_total",
-    "Stale buffer rows served when a replacement pull failed",
-);
-/// Zero-filled degraded rows (`CommMetrics::degraded_rows`).
-pub static DEGRADED_ROWS: Counter = Counter::new(
-    "mgnn_degraded_rows_total",
-    "Input rows zero-filled after the degradation ladder was exhausted",
-);
-/// Lookahead planned pulls (`CommMetrics::planned_pulls`).
-pub static PLANNED_PULLS: Counter = Counter::new(
-    "mgnn_planned_pulls_total",
-    "Lookahead-planned pulls issued off the critical path",
-);
-/// Lookahead planned rows (`CommMetrics::planned_rows`).
-pub static PLANNED_ROWS: Counter = Counter::new(
-    "mgnn_planned_rows_total",
-    "Feature rows fetched by lookahead-planned pulls",
-);
-/// Training steps completed (engine-side; not a `CommMetrics` field).
+/// Training steps completed (engine-side; not a per-trainer counter).
 pub static STEPS: Counter = Counter::new("mgnn_steps_total", "Training steps completed");
 
-/// Cumulative prefetch-buffer hit rate of the latest finished run.
-pub static HIT_RATE: Gauge = Gauge::new(
-    "mgnn_buffer_hit_rate",
-    "Cumulative prefetch buffer hit rate of the last finished run",
-);
 /// Simulated makespan of the latest finished run.
 pub static MAKESPAN: Gauge = Gauge::new(
     "mgnn_sim_makespan_seconds",
@@ -286,62 +191,58 @@ pub static STEP_LATENCY: LabeledHistogram = LabeledHistogram::new(
     "lane",
 );
 
-/// Every counter, in render order.
-pub static COUNTERS: [&Counter; 19] = [
-    &RPC_CALLS,
-    &REMOTE_NODES,
-    &REMOTE_BYTES,
-    &LOCAL_NODES,
-    &PREFETCH_HITS,
-    &PREFETCH_MISSES,
-    &EVICTIONS,
-    &REPLACEMENTS,
-    &RPC_RETRIES,
-    &RPC_TIMEOUTS,
-    &RPC_TRUNCATIONS,
-    &RPC_DISCONNECTS,
-    &RPC_DELAYS,
-    &SERVER_RESPAWNS,
-    &STALE_SERVED,
-    &DEGRADED_ROWS,
-    &PLANNED_PULLS,
-    &PLANNED_ROWS,
-    &STEPS,
-];
-
-/// Every gauge, in render order.
-pub static GAUGES: [&Gauge; 3] = [&HIT_RATE, &MAKESPAN, &WORLD];
+/// Every stored gauge, in render order (the hit-rate gauge is derived
+/// from [`scrape`] at render time and precedes them).
+pub static GAUGES: [&Gauge; 2] = [&MAKESPAN, &WORLD];
 
 /// Every histogram family, in render order.
 pub static HISTOGRAMS: [&LabeledHistogram; 1] = [&STEP_LATENCY];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Enable the registry, resetting every metric first so totals are
-/// attributable to the run that enabled it. Producers start recording
-/// on their next [`enabled`] check.
+/// The trainers' own counter sets, as attached by the current run.
+static ATTACHED: Mutex<Vec<Arc<CounterSet>>> = Mutex::new(Vec::new());
+
+/// Enable the registry, resetting it first so totals are attributable
+/// to the run that enabled it.
 pub fn enable() {
     reset();
     ENABLED.store(true, Ordering::Release);
 }
 
-/// Disable the registry. Metric values are left in place so a final
-/// snapshot can still be rendered after the run.
+/// Disable the registry: nothing further is attached, everything stays
+/// in place so a final snapshot can still be rendered after the run.
 pub fn disable() {
     ENABLED.store(false, Ordering::Release);
 }
 
-/// Whether the registry is live (one atomic load — every producer's
-/// entire cost when telemetry is off).
+/// Whether the registry is live (one atomic load).
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Acquire)
 }
 
-/// Zero every counter and gauge and clear every histogram series.
-pub fn reset() {
-    for c in COUNTERS {
-        c.reset();
+/// Make a trainer's counters visible to scrapes until the next
+/// [`enable`] or [`reset`]. Ignored while the registry is disabled.
+pub fn attach(set: Arc<CounterSet>) {
+    if enabled() {
+        ATTACHED.lock().unwrap().push(set);
     }
+}
+
+/// The attached sets, summed: what a run report's aggregate will say
+/// once the counters stop moving, read live.
+pub fn scrape() -> CounterSnapshot {
+    let attached = ATTACHED.lock().unwrap();
+    attached
+        .iter()
+        .fold(CounterSnapshot::default(), |a, s| a.merge(&s.snapshot()))
+}
+
+/// Drop every attached set, zero the engine-side counter and gauges and
+/// clear every histogram series.
+pub fn reset() {
+    ATTACHED.lock().unwrap().clear();
+    STEPS.reset();
     for g in GAUGES {
         g.reset();
     }
@@ -366,15 +267,20 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         assert!(!enabled());
-        assert_eq!(RPC_CALLS.get(), 0);
+        let ignored = Arc::new(CounterSet::default());
+        ignored.rpc_calls.fetch_add(9, Ordering::Relaxed);
+        attach(Arc::clone(&ignored));
+        assert_eq!(
+            scrape().rpc_calls,
+            0,
+            "a disabled registry attaches nothing"
+        );
 
-        RPC_CALLS.inc();
-        RPC_CALLS.add(2);
-        RPC_CALLS.add(0); // no-op by contract
-        assert_eq!(RPC_CALLS.get(), 3);
-
-        HIT_RATE.set(0.75);
-        assert_eq!(HIT_RATE.get(), 0.75);
+        STEPS.inc();
+        STEPS.inc();
+        assert_eq!(STEPS.get(), 2);
+        MAKESPAN.set(0.75);
+        assert_eq!(MAKESPAN.get(), 0.75);
 
         STEP_LATENCY.record("train", 1.0e-3);
         STEP_LATENCY.record("prepare", 2.0e-3);
@@ -388,28 +294,62 @@ mod tests {
 
         enable();
         assert!(enabled(), "enable flips the flag");
-        assert_eq!(RPC_CALLS.get(), 0, "enable resets counters");
-        assert_eq!(HIT_RATE.get(), 0.0, "enable resets gauges");
+        assert_eq!(STEPS.get(), 0, "enable resets counters");
+        assert_eq!(MAKESPAN.get(), 0.0, "enable resets gauges");
         assert!(STEP_LATENCY.series().is_empty(), "enable resets histograms");
 
-        RPC_CALLS.add(7);
+        // Attached *before* its increments: a scrape reads the set's own
+        // atomics, so two scrapes around an increment are monotone and
+        // two sets sum.
+        let (a, b) = (
+            Arc::new(CounterSet::default()),
+            Arc::new(CounterSet::default()),
+        );
+        attach(Arc::clone(&a));
+        attach(Arc::clone(&b));
+        assert_eq!(scrape(), CounterSnapshot::default());
+        a.rpc_calls.fetch_add(7, Ordering::Relaxed);
+        let first = scrape();
+        assert_eq!(first.rpc_calls, 7);
+        b.rpc_calls.fetch_add(1, Ordering::Relaxed);
+        b.evictions.fetch_add(4, Ordering::Relaxed);
+        let second = scrape();
+        assert_eq!((second.rpc_calls, second.evictions), (8, 4));
+        for ((name, _, was), (_, _, is)) in first.rows().zip(second.rows()) {
+            assert!(is >= was, "{name} went back");
+        }
+
         disable();
         assert!(!enabled());
         assert_eq!(
-            RPC_CALLS.get(),
-            7,
-            "disable keeps values for a final snapshot"
+            scrape(),
+            second,
+            "disable keeps the sets for a final scrape"
         );
+        a.rpc_calls.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(scrape().rpc_calls, 9, "and they are still read live");
+
+        enable();
+        assert_eq!(
+            scrape(),
+            CounterSnapshot::default(),
+            "the next enable drops the previous run's sets"
+        );
+        disable();
         reset();
-        assert_eq!(RPC_CALLS.get(), 0);
     }
 
     #[test]
     fn metric_names_are_prometheus_style() {
-        for c in COUNTERS {
-            assert!(c.name().starts_with("mgnn_"), "{}", c.name());
-            assert!(c.name().ends_with("_total"), "{}", c.name());
-            assert!(!c.help().is_empty());
+        let table = CounterSnapshot::default();
+        for (name, help) in table
+            .rows()
+            .map(|(name, help, _)| (name, help))
+            .chain([(STEPS.name(), STEPS.help())])
+        {
+            assert!(name.starts_with("mgnn_"), "{name}");
+            assert!(name.ends_with("_total"), "{name}");
+            assert!(!help.is_empty());
         }
         for g in GAUGES {
             assert!(g.name().starts_with("mgnn_"), "{}", g.name());
@@ -420,9 +360,10 @@ mod tests {
             assert!(!h.label_key().is_empty());
         }
         // Names must be unique across the whole registry.
-        let mut names: Vec<&str> = COUNTERS
-            .iter()
-            .map(|c| c.name())
+        let mut names: Vec<&str> = table
+            .rows()
+            .map(|(name, _, _)| name)
+            .chain([STEPS.name()])
             .chain(GAUGES.iter().map(|g| g.name()))
             .chain(HISTOGRAMS.iter().map(|h| h.name()))
             .collect();

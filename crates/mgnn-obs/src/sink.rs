@@ -10,10 +10,9 @@
 //! is a cheap atomic load — the library never pays for observability it
 //! did not ask for.
 
+use crate::collector::Collector;
 use crate::span::TrainerTrace;
 use serde::Value;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// One finished run, as captured by the engine.
 #[derive(Debug, Clone)]
@@ -26,36 +25,31 @@ pub struct RunCapture {
     pub traces: Vec<TrainerTrace>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static CAPTURES: Mutex<Vec<RunCapture>> = Mutex::new(Vec::new());
+static SINK: Collector<RunCapture> = Collector::new();
 
 /// Install the global sink; subsequent runs push their captures here.
 pub fn install() {
-    CAPTURES.lock().unwrap().clear();
-    ENABLED.store(true, Ordering::Release);
+    SINK.install()
 }
 
 /// Disable the sink and return anything still buffered.
 pub fn uninstall() -> Vec<RunCapture> {
-    ENABLED.store(false, Ordering::Release);
-    std::mem::take(&mut *CAPTURES.lock().unwrap())
+    SINK.uninstall()
 }
 
 /// Whether a sink is currently installed (one atomic load).
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
+    SINK.enabled()
 }
 
 /// Push a capture if a sink is installed; a no-op otherwise.
 pub fn push(capture: RunCapture) {
-    if enabled() {
-        CAPTURES.lock().unwrap().push(capture);
-    }
+    SINK.push(capture)
 }
 
 /// Take all buffered captures, leaving the sink installed.
 pub fn drain() -> Vec<RunCapture> {
-    std::mem::take(&mut *CAPTURES.lock().unwrap())
+    SINK.drain()
 }
 
 #[cfg(test)]
