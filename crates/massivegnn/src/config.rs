@@ -20,9 +20,9 @@ pub enum PrefetchPolicyKind {
     /// The paper's reactive S_E/S_A scoreboard with Δ-periodic
     /// evict-and-replace (Algorithm 2).
     Scoreboard,
-    /// Deterministic lookahead planning: walk the memoized epoch plan
-    /// `depth` steps ahead, re-run the seeded sampler against future
-    /// seeds, and pull each upcoming batch's not-yet-resident halo rows
+    /// Deterministic lookahead planning: run the seeded sampler over the
+    /// memoized epoch plan a window of `depth + 1` steps at a time, and
+    /// pull the window's not-yet-resident halo rows in one request
     /// before they are due. Disables the reactive scoreboard passes.
     Lookahead {
         /// Planning horizon in minibatch steps (≥ 1).

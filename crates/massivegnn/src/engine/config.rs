@@ -170,6 +170,53 @@ impl EngineConfig {
         if let Mode::Prefetch(p) = &self.mode {
             p.validate()?;
         }
+        if let Some(f) = &self.fault {
+            self.validate_fault(f)?;
+        }
+        for (name, value) in [
+            ("retry.base_backoff_s", self.retry.base_backoff_s),
+            ("retry.backoff_mult", self.retry.backoff_mult),
+        ] {
+            // A negative backoff would run the simulated clock backwards.
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!("{name} {value} must be finite and >= 0"));
+            }
+        }
+        Ok(())
+    }
+
+    /// A fault profile `FaultPlan::verdict` reads the way it was meant:
+    /// three probabilities that share one unit interval, a delay that
+    /// delays, and a crash on a partition that exists.
+    fn validate_fault(&self, f: &FaultProfile) -> Result<(), String> {
+        let probs = [
+            ("fault.drop_prob", f.drop_prob),
+            ("fault.delay_prob", f.delay_prob),
+            ("fault.truncate_prob", f.truncate_prob),
+        ];
+        for (name, p) in probs {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name} {p} out of [0,1]"));
+            }
+        }
+        let total: f64 = probs.iter().map(|&(_, p)| p).sum();
+        if total > 1.0 {
+            return Err(format!(
+                "fault.drop_prob + fault.delay_prob + fault.truncate_prob = {total} exceeds 1: \
+                 a request gets one verdict"
+            ));
+        }
+        if f.delay_prob > 0.0 && f.delay_factor == 0 {
+            return Err("fault.delay_factor must be >= 1 when fault.delay_prob > 0".into());
+        }
+        if let Some(part) = f.crash_part {
+            if part as usize >= self.num_parts {
+                return Err(format!(
+                    "fault.crash_part {part} is not one of the {} partitions",
+                    self.num_parts
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -183,8 +230,15 @@ mod tests {
         let prefetch = Mode::Prefetch;
         let d = EngineConfig::default;
         let p = PrefetchConfig::default;
+        let f = || FaultProfile::heavy(7);
+        let faulty = |fault| EngineConfig {
+            fault: Some(fault),
+            ..d()
+        };
+        let retrying = |retry| EngineConfig { retry, ..d() };
+        let r = RetryPolicy::default;
         #[rustfmt::skip]
-        let bad: [(&str, EngineConfig); 10] = [
+        let bad: [(&str, EngineConfig); 22] = [
             ("num_parts", EngineConfig { num_parts: 0, ..d() }),
             ("trainers_per_part", EngineConfig { trainers_per_part: 0, ..d() }),
             ("batch_size", EngineConfig { batch_size: 0, ..d() }),
@@ -195,6 +249,23 @@ mod tests {
             ("gamma", EngineConfig { mode: prefetch(PrefetchConfig { gamma: 2.0, ..p() }), ..d() }),
             ("delta", EngineConfig { mode: prefetch(PrefetchConfig { delta: 0, ..p() }), ..d() }),
             ("depth", EngineConfig { mode: prefetch(p().with_lookahead_policy(0)), ..d() }),
+            ("fault.drop_prob", faulty(FaultProfile { drop_prob: f64::NAN, ..f() })),
+            ("fault.drop_prob", faulty(FaultProfile { drop_prob: -0.1, ..f() })),
+            ("fault.delay_prob", faulty(FaultProfile { delay_prob: 1.5, ..f() })),
+            ("fault.truncate_prob", faulty(FaultProfile { truncate_prob: f64::INFINITY, ..f() })),
+            // Each in range, together more than one verdict per request:
+            // `FaultPlan::verdict` would silently never truncate.
+            ("fault.drop_prob + fault.delay_prob + fault.truncate_prob",
+             faulty(FaultProfile { drop_prob: 0.5, delay_prob: 0.4, truncate_prob: 0.2, ..f() })),
+            ("fault.delay_factor", faulty(FaultProfile { delay_factor: 0, ..f() })),
+            // The crash would silently never happen.
+            ("fault.crash_part", faulty(FaultProfile { crash_part: Some(2), ..f() })),
+            ("fault.crash_part",
+             EngineConfig { num_parts: 4, ..faulty(FaultProfile { crash_part: Some(4), ..f() }) }),
+            ("retry.base_backoff_s", retrying(RetryPolicy { base_backoff_s: -1e-3, ..r() })),
+            ("retry.base_backoff_s", retrying(RetryPolicy { base_backoff_s: f64::NAN, ..r() })),
+            ("retry.backoff_mult", retrying(RetryPolicy { backoff_mult: -2.0, ..r() })),
+            ("retry.backoff_mult", retrying(RetryPolicy { backoff_mult: f64::INFINITY, ..r() })),
         ];
         for (field, cfg) in bad {
             let err = cfg.validate().expect_err(field);
@@ -210,6 +281,40 @@ mod tests {
         assert!(d().validate().is_ok());
         assert!(EngineConfig {
             mode: prefetch(p()),
+            ..d()
+        }
+        .validate()
+        .is_ok());
+        // The named profiles, and the benchmark's `chaos-lookahead` one.
+        let chaos_lookahead = FaultProfile {
+            drop_prob: 0.0,
+            truncate_prob: 0.10,
+            ..f()
+        };
+        for profile in [
+            FaultProfile::off(7),
+            FaultProfile::light(7),
+            f(),
+            chaos_lookahead,
+        ] {
+            let cfg = EngineConfig {
+                fault: Some(profile),
+                retry: RetryPolicy {
+                    max_retries: 4,
+                    ..Default::default()
+                },
+                ..d()
+            };
+            assert_eq!(cfg.validate(), Ok(()), "{:?}", cfg.fault);
+        }
+        // A delay factor of 0 is what `off` carries: fine while nothing
+        // is ever delayed.
+        assert!(EngineConfig {
+            fault: Some(FaultProfile {
+                delay_prob: 0.0,
+                delay_factor: 0,
+                ..f()
+            }),
             ..d()
         }
         .validate()

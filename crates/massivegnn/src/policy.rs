@@ -11,12 +11,16 @@
 //! * [`LookaheadPolicy`] — a deterministic planner in the RapidGNN
 //!   spirit. The sampler is seeded and [`DataLoader::epoch`] memoizes the
 //!   full shuffled plan, so the exact halo rows every *future* minibatch
-//!   needs are computable ahead of time. Each prepare step the planner
-//!   walks the plan `depth` steps past the current one, re-runs the
-//!   sampler against those future seeds, and issues one batched
-//!   [`SimCluster::pull_rows`] for the not-yet-resident rows
-//!   — before they are due. At steady state every probe hits and the
-//!   critical-path `t_rpc` collapses to the empty-fetch cost.
+//!   needs are computable ahead of time. The planner works a window at a
+//!   time: when the step being prepared is the first one it has not
+//!   planned, it samples that step and the `depth` after it — each once,
+//!   into a ring of `depth + 1` recycled minibatches — and issues one
+//!   batched [`SimCluster::pull_rows`] for every row the window probes
+//!   that is not resident. The steps in between plan nothing and pull
+//!   nothing, and the prepare path takes each step's minibatch out of the
+//!   ring ([`PrefetchPolicy::take_sampled`]) instead of sampling it a
+//!   second time. At steady state every probe hits and the critical-path
+//!   `t_rpc` collapses to the empty-fetch cost.
 //!
 //! Contract (all policies):
 //!
@@ -39,6 +43,7 @@ use mgnn_graph::NodeId;
 use mgnn_net::{CommMetrics, CostModel, SimCluster};
 use mgnn_partition::LocalPartition;
 use mgnn_sampling::{DataLoader, NeighborSampler, SampledMinibatch, SamplerScratch};
+use std::sync::Arc;
 
 /// Everything a policy may read or mutate during one planning round.
 /// Borrowed out of the prefetcher at the head of each prepare call.
@@ -70,11 +75,35 @@ pub trait PrefetchPolicy: Send {
     /// themselves return `false`.
     fn reactive(&self) -> bool;
 
-    /// One planning round at the head of `ctx.step`'s prepare window.
-    /// Returns the modeled seconds of planned-pull work to charge to the
-    /// prepare window (exactly `0.0` when nothing was pulled, keeping
-    /// scoreboard timings bitwise-unchanged).
+    /// The head of `ctx.step`'s prepare window: plan, if this step calls
+    /// for it. Returns the modeled seconds of planned-pull work to charge
+    /// to the prepare window (exactly `0.0` when nothing was pulled,
+    /// keeping scoreboard timings bitwise-unchanged).
     fn plan(&mut self, ctx: PlanCtx<'_>) -> f64;
+
+    /// Hand over the minibatch this policy has already sampled for
+    /// exactly this call — this sampler, these seeds, this epoch and
+    /// global step — by swapping it into `mb`, whose old buffers the
+    /// policy keeps for a later step. `false`, with `mb` untouched, when
+    /// it holds no such minibatch: the caller then samples. Policies that
+    /// sample nothing keep the default.
+    fn take_sampled(
+        &mut self,
+        _sampler: &NeighborSampler,
+        _seeds: &[u32],
+        _epoch: u64,
+        _step: u64,
+        _mb: &mut SampledMinibatch,
+    ) -> bool {
+        false
+    }
+
+    /// Persistent heap bytes of the policy's own state, counted into
+    /// [`crate::prefetcher::Prefetcher::heap_bytes`]. The scoreboards
+    /// belong to the prefetcher, so a policy that adds none reports 0.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// The paper-faithful reactive policy: all decisions stay on the
@@ -96,47 +125,74 @@ impl PrefetchPolicy for ScoreboardPolicy {
     }
 }
 
+/// Tag of a ring slot that holds no planned minibatch.
+const UNPLANNED: u64 = u64::MAX;
+
+/// One slot of the planner's window ring: the minibatch sampled for
+/// global step `step`, kept until the prepare path takes it.
+struct Planned {
+    /// The step `mb` was sampled for, [`UNPLANNED`] once handed over.
+    step: u64,
+    /// The loader's seed list `mb` was sampled from.
+    seeds: Option<Arc<[u32]>>,
+    mb: SampledMinibatch,
+    /// Halo indices `mb` probes (its input nodes past the local range).
+    halo: Vec<u32>,
+}
+
+impl Planned {
+    /// Bytes of the sampled structure held here.
+    fn heap_bytes(&self) -> usize {
+        let blocks: usize = self
+            .mb
+            .blocks
+            .iter()
+            .map(|b| b.src_nodes.len() + b.offsets.len() + b.indices.len())
+            .sum();
+        4 * (self.mb.seeds.len() + self.mb.input_nodes.len() + blocks + self.halo.len())
+    }
+}
+
 /// Deterministic lookahead planner (see the module docs).
 ///
 /// Owns private clones of the trainer's [`DataLoader`] and
 /// [`NeighborSampler`]: both are pure functions of `(epoch, step)` given
-/// their construction seed, so re-running them here reproduces exactly
-/// the minibatches the prepare loop will sample later — without
-/// thrashing the prepare loop's single-slot epoch memo.
+/// their construction seed, so running them here produces exactly the
+/// minibatches the prepare loop is going to ask for — without thrashing
+/// the prepare loop's single-slot epoch memo.
 pub struct LookaheadPolicy {
     depth: usize,
     loader: DataLoader,
     sampler: NeighborSampler,
     steps_per_epoch: u64,
     total_steps: u64,
-    /// First global step whose needs have not been planned yet.
-    next_plan: u64,
-    /// Per-halo-idx "needed through step f" marks, stored as `f + 1`
-    /// (0 = never needed so far). A buffered row is evictable at step
-    /// `s` iff `need_until <= s`.
-    need_until: Vec<u64>,
-    /// Stamp-dedup for the per-round want list (same mechanism as the
-    /// prefetcher's `sampled_stamp`).
-    want_stamp: Vec<u64>,
+    /// The window: slot `f % (depth + 1)` holds planned step `f`. A step
+    /// whose slot does not carry its tag has not been planned.
+    ring: Vec<Planned>,
+    /// Earliest step that probes a row the last round wanted and left
+    /// out of the buffer — no room for it, its fetch failed, or Belady
+    /// eviction displaced it. A round runs then, ahead of the window's
+    /// end: by its due step earlier rows have finished serving and freed
+    /// evictable slots. `u64::MAX` when every want was installed.
+    next_due: u64,
+    /// Per-halo-idx first step of the current round's window that probes
+    /// the row; valid where `seen[h] == stamp`. A buffered row is
+    /// evictable for free iff no step of the window probes it.
+    next_use: Vec<u64>,
+    /// Stamp marking the halo indices the current round's window probes
+    /// (same mechanism as the prefetcher's `sampled_stamp`).
+    seen: Vec<u64>,
     stamp: u64,
-    /// `(halo, due)` rows wanted but not yet installed: wants that found
-    /// no room, plus still-needed occupants displaced by Belady
-    /// eviction. Re-tried first every round while still needed: as their
-    /// due approaches, earlier rows finish serving and free evictable
-    /// slots, so a near-due want usually lands before the demand path
-    /// would have missed on it.
-    pending: Vec<(u32, u64)>,
+    /// High-water mark of the bytes the ring held right after a round.
+    ring_peak_bytes: usize,
     // Reusable planning scratch — allocation-free after warmup, like
     // `PrepareScratch`.
-    mb: SampledMinibatch,
     samp: SamplerScratch,
-    local_ids: Vec<u32>,
-    halo_ids: Vec<u32>,
-    /// `(due, halo)` wants for the current round, sorted earliest-first.
+    /// `(due, halo)` wants of the current round, earliest-due first.
     want: Vec<(u64, u32)>,
     want_globals: Vec<NodeId>,
     evict_slots: Vec<u32>,
-    /// `(need_until, slot)` Belady candidates, furthest-needed first.
+    /// `(next_use, slot)` Belady candidates, furthest-needed first.
     far_slots: Vec<(u64, u32)>,
 }
 
@@ -157,21 +213,25 @@ impl LookaheadPolicy {
     ) -> Self {
         assert!(depth >= 1, "lookahead depth must be >= 1");
         let steps_per_epoch = steps_per_epoch as u64;
+        let ring = (0..=depth).map(|_| Planned {
+            step: UNPLANNED,
+            seeds: None,
+            mb: SampledMinibatch::default(),
+            halo: Vec::new(),
+        });
         LookaheadPolicy {
             depth,
             loader,
             sampler,
             steps_per_epoch,
             total_steps: steps_per_epoch * epochs as u64,
-            next_plan: 0,
-            need_until: vec![0; num_halo],
-            want_stamp: vec![0; num_halo],
+            ring: ring.collect(),
+            next_due: u64::MAX,
+            next_use: vec![0; num_halo],
+            seen: vec![0; num_halo],
             stamp: 0,
-            pending: Vec::new(),
-            mb: SampledMinibatch::default(),
+            ring_peak_bytes: 0,
             samp: SamplerScratch::default(),
-            local_ids: Vec::new(),
-            halo_ids: Vec::new(),
             want: Vec::new(),
             want_globals: Vec::new(),
             evict_slots: Vec::new(),
@@ -182,6 +242,10 @@ impl LookaheadPolicy {
     /// Planning horizon in steps.
     pub fn depth(&self) -> usize {
         self.depth
+    }
+
+    fn slot_of(&self, step: u64) -> usize {
+        (step % self.ring.len() as u64) as usize
     }
 }
 
@@ -195,69 +259,71 @@ impl PrefetchPolicy for LookaheadPolicy {
     }
 
     fn plan(&mut self, ctx: PlanCtx<'_>) -> f64 {
-        if self.total_steps == 0 || self.steps_per_epoch == 0 {
+        let step = ctx.step;
+        if step >= self.total_steps {
             return 0.0;
         }
-        let step = ctx.step;
+        // The window cadence: a step the ring already holds, with no
+        // left-out row due yet, was planned by an earlier round.
+        if self.ring[self.slot_of(step)].step == step && step < self.next_due {
+            return 0.0;
+        }
         let horizon = (step + self.depth as u64).min(self.total_steps - 1);
         let num_local = ctx.part.num_local();
 
-        // Collect this round's wants as (due, halo) pairs: carried-over
-        // pending rows first (with their original dues, clamped up to
-        // `step` once missed), then every not-yet-planned step up to the
-        // horizon, re-sampling its minibatch to learn the exact halo ids
-        // it will probe.
+        // Walk the window: sample the steps the ring does not hold yet —
+        // each exactly once, here — and collect, earliest step first,
+        // every halo row the window probes that is not resident, due at
+        // the first step that probes it.
         self.stamp += 1;
         self.want.clear();
-        for i in 0..self.pending.len() {
-            let (h, due) = self.pending[i];
-            if self.need_until[h as usize] > step
-                && self.want_stamp[h as usize] != self.stamp
-                && !ctx.buffer.contains(h)
-            {
-                self.want_stamp[h as usize] = self.stamp;
-                self.want.push((due.max(step), h));
+        let mut ring_bytes = 0;
+        for f in step..=horizon {
+            let i = self.slot_of(f);
+            let slot = &mut self.ring[i];
+            if slot.step != f {
+                let epoch = f / self.steps_per_epoch;
+                let seeds =
+                    Arc::clone(&self.loader.epoch(epoch)[(f % self.steps_per_epoch) as usize]);
+                self.sampler
+                    .sample_into(ctx.part, &seeds, epoch, f, &mut slot.mb, &mut self.samp);
+                slot.halo.clear();
+                slot.halo.extend(
+                    slot.mb
+                        .input_nodes
+                        .iter()
+                        .filter(|&&lid| lid as usize >= num_local)
+                        .map(|&lid| lid - num_local as u32),
+                );
+                slot.seeds = Some(seeds);
+                slot.step = f;
+            }
+            ring_bytes += slot.heap_bytes();
+            for &h in &slot.halo {
+                if self.seen[h as usize] != self.stamp {
+                    self.seen[h as usize] = self.stamp;
+                    self.next_use[h as usize] = f;
+                    if !ctx.buffer.contains(h) {
+                        self.want.push((f, h));
+                    }
+                }
             }
         }
-        for f in self.next_plan..=horizon {
-            let epoch = f / self.steps_per_epoch;
-            let s = (f % self.steps_per_epoch) as usize;
-            let plan = self.loader.epoch(epoch);
-            let seeds = &plan[s];
-            self.sampler
-                .sample_into(ctx.part, seeds, epoch, f, &mut self.mb, &mut self.samp);
-            self.mb
-                .split_local_halo_into(num_local, &mut self.local_ids, &mut self.halo_ids);
-            for &lid in &self.halo_ids {
-                let h = lid - num_local as u32;
-                let due = f + 1;
-                if self.need_until[h as usize] < due {
-                    self.need_until[h as usize] = due;
-                }
-                if self.want_stamp[h as usize] != self.stamp && !ctx.buffer.contains(h) {
-                    self.want_stamp[h as usize] = self.stamp;
-                    self.want.push((f, h));
-                }
-            }
-        }
-        self.next_plan = horizon + 1;
+        self.ring_peak_bytes = self.ring_peak_bytes.max(ring_bytes);
+        self.next_due = u64::MAX;
         if self.want.is_empty() {
-            self.pending.clear();
             return 0.0;
         }
-        // Earliest-due first; halo id tiebreak keeps the order — and the
-        // whole run — deterministic at any thread count.
-        self.want.sort_unstable();
 
         // Room for installs, Belady-style: unused capacity first, then
-        // occupants whose last planned use has passed, then — pairing
-        // the latest wants against the furthest-needed occupants — an
-        // occupant needed strictly *later* than the want being placed.
-        // Such an occupant is re-pended with its own (later) due, so
-        // displacement chains strictly increase in due and cannot churn;
-        // never evicting an occupant needed sooner than the incoming
-        // want is what keeps deep horizons from squatting on slots that
-        // near-due rows need.
+        // occupants no step of the window probes, then — pairing the
+        // latest wants against the furthest-needed occupants — an
+        // occupant whose next use is strictly *later* than the due of
+        // the want being placed. Never evicting an occupant needed
+        // sooner than the incoming want is what keeps deep horizons from
+        // squatting on slots that near-due rows need; what the buffer
+        // holds after a round is the earliest-needed rows it has room
+        // for.
         let spare = ctx.buffer.capacity() - ctx.buffer.len();
         self.evict_slots.clear();
         if self.want.len() > spare {
@@ -266,95 +332,119 @@ impl PrefetchPolicy for LookaheadPolicy {
                 if self.evict_slots.len() == needed {
                     break;
                 }
-                let h = ctx.buffer.halo_at(slot);
-                if self.need_until[h as usize] <= step {
+                if self.seen[ctx.buffer.halo_at(slot) as usize] != self.stamp {
                     self.evict_slots.push(slot);
                 }
             }
             if self.evict_slots.len() < needed {
                 self.far_slots.clear();
                 for slot in 0..ctx.buffer.len() as u32 {
-                    let h = ctx.buffer.halo_at(slot);
-                    let need = self.need_until[h as usize];
-                    if need > step {
-                        self.far_slots.push((need, slot));
+                    let h = ctx.buffer.halo_at(slot) as usize;
+                    if self.seen[h] == self.stamp {
+                        self.far_slots.push((self.next_use[h], slot));
                     }
                 }
+                // Slot tiebreak keeps the order — and the whole run —
+                // deterministic at any thread count.
                 self.far_slots
                     .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                let mut fi = 0;
-                let mut wi = spare + self.evict_slots.len();
-                while wi < self.want.len() && fi < self.far_slots.len() {
-                    let (need, slot) = self.far_slots[fi];
-                    // `need` is "needed through step need-1": evict only
-                    // if that is strictly after the want's due.
-                    if need <= self.want[wi].0 + 1 {
+                let placed = spare + self.evict_slots.len();
+                for (&(next_use, slot), &(due, _)) in
+                    self.far_slots.iter().zip(&self.want[placed..])
+                {
+                    if next_use <= due {
                         break;
                     }
                     self.evict_slots.push(slot);
-                    fi += 1;
-                    wi += 1;
                 }
             }
         }
-        // Wants that found no room carry over to the next round's
-        // pending list, falling back to a demand fetch only if their due
-        // step arrives first.
+
+        // One batched pull for everything that found room, through the
+        // same retry/degradation ladder as demand fetches.
         let k = self.want.len().min(spare + self.evict_slots.len());
-        self.pending.clear();
-        self.pending
-            .extend(self.want[k..].iter().map(|&(due, h)| (h, due)));
-        if k == 0 {
-            return 0.0;
-        }
-        self.want.truncate(k);
-
-        // One batched pull for the whole round, through the same
-        // retry/degradation ladder as demand fetches.
-        let halo_nodes = &ctx.part.halo_nodes;
-        self.want_globals.clear();
-        self.want_globals
-            .extend(self.want.iter().map(|&(_, h)| halo_nodes[h as usize]));
-        let req_id = mgnn_obs::events::request_id(
-            mgnn_obs::events::ORIGIN_PLANNED,
-            ctx.metrics.trace_rank(),
-            step,
-        );
-        let (rows, outcome) = ctx.cluster.pull_rows(&self.want_globals, req_id);
-        let dim = ctx.cluster.dim();
-        let t_fault = outcome.charge_s(ctx.cost, dim, ctx.cluster.retry_policy());
-        let t_planned = ctx.cost.t_rpc(k, dim) + t_fault;
-        ctx.metrics.record_planned(k as u64, dim);
-        ctx.metrics.record_pull_outcome(&outcome);
-        ctx.metrics.planned_span(step, 0.0, t_planned);
-        if t_fault > 0.0 {
-            ctx.metrics.fault_span_corr(step, 0.0, t_fault, req_id);
-        }
-
-        // Install the rows that survived the ladder. A failed row is
-        // skipped — never zero-filled into the buffer — so the demand
-        // path re-fetches it at its due step with full retries. An
-        // evicted occupant that is still needed goes back on the pending
-        // list with its own later due, to be re-pulled before then.
-        let mut next_evict = 0usize;
-        for (i, &(_, h)) in self.want.iter().enumerate() {
-            if outcome.failed_rows.binary_search(&i).is_ok() {
-                continue;
+        let mut t_planned = 0.0;
+        if k > 0 {
+            let halo_nodes = &ctx.part.halo_nodes;
+            self.want_globals.clear();
+            self.want_globals
+                .extend(self.want[..k].iter().map(|&(_, h)| halo_nodes[h as usize]));
+            let req_id = mgnn_obs::events::request_id(
+                mgnn_obs::events::ORIGIN_PLANNED,
+                ctx.metrics.trace_rank(),
+                step,
+            );
+            let (rows, outcome) = ctx.cluster.pull_rows(&self.want_globals, req_id);
+            let dim = ctx.cluster.dim();
+            let t_fault = outcome.charge_s(ctx.cost, dim, ctx.cluster.retry_policy());
+            t_planned = ctx.cost.t_rpc(k, dim) + t_fault;
+            ctx.metrics.record_planned(k as u64, dim);
+            ctx.metrics.record_pull_outcome(&outcome);
+            ctx.metrics.planned_span(step, 0.0, t_planned);
+            if t_fault > 0.0 {
+                ctx.metrics.fault_span_corr(step, 0.0, t_fault, req_id);
             }
-            let decode = |slot_row: &mut [f32]| rows.decode_into(i, slot_row);
-            if ctx.buffer.len() < ctx.buffer.capacity() {
-                ctx.buffer.insert_with(h, decode);
-            } else {
-                let slot = self.evict_slots[next_evict];
-                next_evict += 1;
-                let old = ctx.buffer.replace_with(slot, h, decode);
-                let need = self.need_until[old as usize];
-                if need > step {
-                    self.pending.push((old, need - 1));
+
+            // Install the rows that survived the ladder. A failed row is
+            // skipped — never zero-filled into the buffer. An evicted
+            // occupant the window still probes comes due at its next
+            // use, like every want left out below.
+            let mut next_evict = 0usize;
+            for (i, &(_, h)) in self.want[..k].iter().enumerate() {
+                if outcome.failed_rows.binary_search(&i).is_ok() {
+                    continue;
                 }
+                let decode = |slot_row: &mut [f32]| rows.decode_into(i, slot_row);
+                if ctx.buffer.len() < ctx.buffer.capacity() {
+                    ctx.buffer.insert_with(h, decode);
+                } else {
+                    let slot = self.evict_slots[next_evict];
+                    next_evict += 1;
+                    let old = ctx.buffer.replace_with(slot, h, decode) as usize;
+                    if self.seen[old] == self.stamp {
+                        self.next_due = self.next_due.min(self.next_use[old]);
+                    }
+                }
+            }
+        }
+
+        // Whatever stays wanted falls back to a demand fetch only if no
+        // round can place it first: the planner comes back for it at its
+        // due step — at the next step for a row this very step probes,
+        // whose later uses only a fresh walk can tell.
+        for &(due, h) in &self.want {
+            if !ctx.buffer.contains(h) {
+                self.next_due = self.next_due.min(due.max(step + 1));
             }
         }
         t_planned
+    }
+
+    fn take_sampled(
+        &mut self,
+        sampler: &NeighborSampler,
+        seeds: &[u32],
+        epoch: u64,
+        step: u64,
+        mb: &mut SampledMinibatch,
+    ) -> bool {
+        let i = self.slot_of(step);
+        let slot = &mut self.ring[i];
+        // A tagged slot implies a non-empty schedule, so the division is
+        // defined whenever it is reached.
+        let planned = slot.step == step
+            && epoch == step / self.steps_per_epoch
+            && slot.seeds.as_deref() == Some(seeds)
+            && *sampler == self.sampler;
+        if planned {
+            std::mem::swap(&mut slot.mb, mb);
+            slot.step = UNPLANNED;
+        }
+        planned
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.next_use.len() + self.seen.len()) * 8 + self.ring_peak_bytes
     }
 }
 
@@ -364,21 +454,32 @@ mod tests {
 
     #[test]
     fn scoreboard_policy_is_inert() {
-        let p = ScoreboardPolicy;
+        let mut p = ScoreboardPolicy;
         assert_eq!(p.name(), "scoreboard");
         assert!(p.reactive());
+        // It samples nothing, so it has nothing to hand over or to count.
+        let sampler = NeighborSampler::new(vec![2], 0);
+        let mut mb = SampledMinibatch::default();
+        assert!(!p.take_sampled(&sampler, &[0], 0, 0, &mut mb));
+        assert_eq!(p.heap_bytes(), 0);
     }
 
     #[test]
     fn lookahead_policy_reports_shape() {
         let loader = DataLoader::new((0..32).collect(), 8, 7);
         let sampler = NeighborSampler::new(vec![2, 2], 9);
-        let p = LookaheadPolicy::new(4, loader, sampler, 4, 2, 100);
+        let mut p = LookaheadPolicy::new(4, loader, sampler.clone(), 4, 2, 100);
         assert_eq!(p.name(), "lookahead");
         assert!(!p.reactive());
         assert_eq!(p.depth(), 4);
         assert_eq!(p.steps_per_epoch, 4);
         assert_eq!(p.total_steps, 8);
+        // One slot per step of a window; nothing planned, nothing to take.
+        assert_eq!(p.ring.len(), 5);
+        let mut mb = SampledMinibatch::default();
+        assert!(!p.take_sampled(&sampler, &[0], 0, 0, &mut mb));
+        // `next_use` + `seen`, 8 B each per halo node.
+        assert_eq!(p.heap_bytes(), 16 * 100);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! `PREFETCH_WITH_EVICTION` — Algorithm 2 of the paper.
 //!
-//! Per minibatch the prefetcher: samples the neighborhood, splits it into
+//! Per minibatch the prefetcher: samples the neighborhood (or takes the
+//! sample a planning policy already made of this very step), splits it into
 //! local (`V_p^{l|s}`) and halo (`V_p^{h|s}`) nodes, probes the buffer for
 //! hits/misses, decays `S_E` of unsampled buffered nodes, increments `S_A`
 //! of missed nodes (overlapped with the miss RPC in spirit — here the
@@ -229,12 +230,14 @@ impl Prefetcher {
         self.pooling = on;
     }
 
-    /// Persistent heap bytes (buffer + scoreboards + stamp array).
+    /// Persistent heap bytes (buffer + scoreboards + stamp array + what
+    /// the policy keeps of its own).
     pub fn heap_bytes(&self) -> usize {
         self.buffer.heap_bytes()
             + self.s_e.heap_bytes()
             + self.s_a.heap_bytes()
             + self.sampled_stamp.len() * 8
+            + self.policy.heap_bytes()
     }
 
     /// Peak transient allocation observed during eviction rounds.
@@ -292,10 +295,11 @@ impl Prefetcher {
         let num_local = part.num_local();
         let dim = cluster.dim();
 
-        // Policy planning round (DESIGN §10): the lookahead planner
-        // pulls future minibatches' halo rows into the buffer here,
-        // before this step's probe. The scoreboard policy is a no-op
-        // returning exactly 0.0, so its path is bitwise-unchanged.
+        // The policy's turn (DESIGN §10): on the first step of a window
+        // the lookahead planner pulls the window's halo rows into the
+        // buffer here, before this step's probe. The scoreboard policy
+        // is a no-op returning exactly 0.0, so its path is
+        // bitwise-unchanged.
         let reactive = self.policy.reactive();
         let t_planned = self.policy.plan(PlanCtx {
             buffer: &mut self.buffer,
@@ -306,8 +310,14 @@ impl Prefetcher {
             step,
         });
 
-        // Line 1: sample the neighborhood.
-        sampler.sample_into(part, seeds, epoch, step, &mut mb, &mut scratch.sampler);
+        // Line 1: sample the neighborhood — unless the planner already
+        // did, for exactly this call, to learn which rows it probes.
+        if !self
+            .policy
+            .take_sampled(sampler, seeds, epoch, step, &mut mb)
+        {
+            sampler.sample_into(part, seeds, epoch, step, &mut mb, &mut scratch.sampler);
+        }
         let t_sampling = cost.t_sampling(mb.total_edges());
 
         // Lines 2–3: split local / halo.
@@ -776,5 +786,250 @@ pub fn baseline_prepare_reuse(
         labels,
         timing,
         counts,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::init::initialize_prefetcher;
+    use crate::policy::LookaheadPolicy;
+    use mgnn_graph::generators::erdos_renyi;
+    use mgnn_graph::FeatureStore;
+    use mgnn_partition::{build_local_partitions, multilevel_partition};
+    use mgnn_sampling::DataLoader;
+    use std::sync::Arc;
+
+    const EPOCHS: usize = 2;
+    const DEPTH: usize = 2;
+
+    struct Fixture {
+        part: LocalPartition,
+        cluster: SimCluster,
+        nodes: usize,
+        loader: DataLoader,
+        sampler: NeighborSampler,
+        cost: CostModel,
+        metrics: CommMetrics,
+    }
+
+    fn fixture() -> Fixture {
+        let g = erdos_renyi(400, 4000, 21);
+        let p = multilevel_partition(&g, 2, 21);
+        let feats = FeatureStore::synthesize(&g, 8, 3, 4);
+        let cluster = SimCluster::new(&feats, &p.assignment, 2);
+        let train: Vec<u32> = (0..400).collect();
+        let part = build_local_partitions(&g, &p, &train).remove(0);
+        let shard = part
+            .train_nodes
+            .iter()
+            .map(|&g| part.local_id(g).unwrap())
+            .collect();
+        Fixture {
+            part,
+            cluster,
+            nodes: g.num_nodes(),
+            loader: DataLoader::new(shard, 32, 5),
+            sampler: NeighborSampler::new(vec![4, 4], 9),
+            cost: CostModel::default(),
+            metrics: CommMetrics::new(),
+        }
+    }
+
+    impl Fixture {
+        /// A prefetcher at the default `f_h`: a buffer too small for a
+        /// window here, so rows come due mid-window and Belady evicts.
+        fn prefetcher(&self) -> Prefetcher {
+            self.prefetcher_holding(PrefetchConfig::default().f_h)
+        }
+
+        fn prefetcher_holding(&self, f_h: f64) -> Prefetcher {
+            let cfg = PrefetchConfig {
+                f_h,
+                ..Default::default()
+            };
+            initialize_prefetcher(
+                &self.part,
+                cfg,
+                self.nodes,
+                &self.cluster,
+                &self.cost,
+                &self.metrics,
+            )
+            .0
+        }
+
+        fn planner(&self) -> LookaheadPolicy {
+            LookaheadPolicy::new(
+                DEPTH,
+                self.loader.clone(),
+                self.sampler.clone(),
+                self.loader.batches_per_epoch(),
+                EPOCHS,
+                self.part.num_halo(),
+            )
+        }
+
+        /// Every step of the schedule through `pf`, recycling the last
+        /// batch; `seeds_of` picks what the caller asks for at
+        /// `(epoch, step in epoch)`.
+        fn run(
+            &self,
+            pf: &mut Prefetcher,
+            seeds_of: impl Fn(u64, usize) -> Arc<[u32]>,
+        ) -> Vec<PreparedBatch> {
+            let per_epoch = self.loader.batches_per_epoch();
+            let mut out: Vec<PreparedBatch> = Vec::new();
+            for g in 0..(EPOCHS * per_epoch) as u64 {
+                let epoch = g / per_epoch as u64;
+                let seeds = seeds_of(epoch, g as usize % per_epoch);
+                let batch = pf.prepare_reuse(
+                    out.last().cloned(),
+                    &self.part,
+                    &self.sampler,
+                    &seeds,
+                    epoch,
+                    g,
+                    &self.cluster,
+                    &self.cost,
+                    &self.metrics,
+                );
+                assert_eq!(
+                    batch.minibatch,
+                    self.sampler.sample(&self.part, &seeds, epoch, g),
+                    "step {g}: not the minibatch of the call"
+                );
+                out.push(batch);
+            }
+            out
+        }
+    }
+
+    /// The planner with the hand-off taken away: it plans and pulls the
+    /// same, and leaves `prepare` to sample every step itself.
+    struct Resampling(LookaheadPolicy);
+
+    impl PrefetchPolicy for Resampling {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn reactive(&self) -> bool {
+            self.0.reactive()
+        }
+        fn plan(&mut self, ctx: PlanCtx<'_>) -> f64 {
+            self.0.plan(ctx)
+        }
+    }
+
+    fn bits(b: &PreparedBatch) -> (Vec<u32>, String) {
+        (
+            b.input.data().iter().map(|x| x.to_bits()).collect(),
+            format!("{:?}", (&b.minibatch, &b.labels, b.timing, b.counts)),
+        )
+    }
+
+    #[test]
+    fn a_handed_over_minibatch_builds_the_same_batch_as_a_resampled_one() {
+        let fx = fixture();
+        let per_epoch = fx.loader.batches_per_epoch();
+        // Some window straddles the epoch boundary.
+        assert!(per_epoch > DEPTH + 1 && !per_epoch.is_multiple_of(DEPTH + 1));
+        let planned = |epoch, s: usize| Arc::clone(&fx.loader.epoch(epoch)[s]);
+        // A caller with seed lists of its own: the plan's, one step off.
+        let own = |epoch, s: usize| planned(epoch, (s + 1) % per_epoch);
+        for pooling in [true, false] {
+            for own_seeds in [false, true] {
+                let mut handed = fx.prefetcher();
+                handed.set_pooling(pooling);
+                handed.set_policy(Box::new(fx.planner()));
+                let mut resampled = fx.prefetcher();
+                resampled.set_pooling(pooling);
+                resampled.set_policy(Box::new(Resampling(fx.planner())));
+                let (a, b) = if own_seeds {
+                    (fx.run(&mut handed, own), fx.run(&mut resampled, own))
+                } else {
+                    (
+                        fx.run(&mut handed, planned),
+                        fx.run(&mut resampled, planned),
+                    )
+                };
+                assert_eq!(a.len(), EPOCHS * per_epoch);
+                assert!(a.iter().any(|x| x.timing.t_planned > 0.0));
+                for (g, (x, y)) in a.iter().zip(&b).enumerate() {
+                    assert_eq!(
+                        bits(x),
+                        bits(y),
+                        "step {g} pooling {pooling} own seeds {own_seeds}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_planner_hands_over_only_the_call_it_sampled_for() {
+        // Narrow fanouts and room for a whole window, but not for every
+        // halo row: the round pulls, and leaves nothing to come due
+        // before the window ends.
+        let fx = Fixture {
+            sampler: NeighborSampler::new(vec![2, 2], 9),
+            ..fixture()
+        };
+        let mut pf = fx.prefetcher_holding(0.9);
+        let mut planner = fx.planner();
+        let plan = fx.loader.epoch(0);
+        let round = planner.plan(PlanCtx {
+            buffer: &mut pf.buffer,
+            part: &fx.part,
+            cluster: &fx.cluster,
+            cost: &fx.cost,
+            metrics: &fx.metrics,
+            step: 0,
+        });
+        assert!(round > 0.0, "the first window pulls");
+        let mut mb = SampledMinibatch::default();
+        let other = NeighborSampler::new(vec![2, 2], 10);
+        assert!(!planner.take_sampled(&fx.sampler, &plan[0], 0, 1, &mut mb));
+        assert!(!planner.take_sampled(&fx.sampler, &plan[0], 1, 0, &mut mb));
+        assert!(!planner.take_sampled(&fx.sampler, &plan[1], 0, 0, &mut mb));
+        assert!(!planner.take_sampled(&other, &plan[0], 0, 0, &mut mb));
+        assert_eq!(mb, SampledMinibatch::default(), "a refusal swaps nothing");
+        assert!(planner.take_sampled(&fx.sampler, &plan[0], 0, 0, &mut mb));
+        assert_eq!(mb, fx.sampler.sample(&fx.part, &plan[0], 0, 0));
+        // Taken is taken: the slot holds the caller's old buffers now.
+        assert!(!planner.take_sampled(&fx.sampler, &plan[0], 0, 0, &mut mb));
+        // The steps in between belong to the same window: nothing to
+        // plan, nothing pulled, exactly nothing charged.
+        for step in 1..=DEPTH as u64 {
+            let pulls = fx.metrics.snapshot().planned_pulls;
+            let t = planner.plan(PlanCtx {
+                buffer: &mut pf.buffer,
+                part: &fx.part,
+                cluster: &fx.cluster,
+                cost: &fx.cost,
+                metrics: &fx.metrics,
+                step,
+            });
+            assert_eq!(t.to_bits(), 0.0f64.to_bits(), "step {step}");
+            assert_eq!(fx.metrics.snapshot().planned_pulls, pulls);
+            assert!(planner.take_sampled(&fx.sampler, &plan[step as usize], 0, step, &mut mb));
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_what_the_policy_keeps() {
+        let fx = fixture();
+        let scoreboard = fx.prefetcher();
+        let mut lookahead = fx.prefetcher();
+        lookahead.set_policy(Box::new(fx.planner()));
+        // `next_use` + `seen`: 16 B per halo node, before any step.
+        let marks = 16 * fx.part.num_halo();
+        assert_eq!(lookahead.heap_bytes(), scoreboard.heap_bytes() + marks);
+        // A window's worth of sampled minibatches on top, once it plans.
+        let before = lookahead.heap_bytes();
+        fx.run(&mut lookahead, |epoch, s| {
+            Arc::clone(&fx.loader.epoch(epoch)[s])
+        });
+        assert!(lookahead.heap_bytes() > before);
     }
 }

@@ -112,8 +112,8 @@ fn main() {
                 opts.policy = match args.get(i).map(String::as_str) {
                     Some("scoreboard") => PrefetchPolicyKind::Scoreboard,
                     Some("lookahead") => {
-                        // Keep a --depth seen earlier on the line;
-                        // depth 1 (just-in-time) is the robust default.
+                        // Keep a --depth seen earlier on the line; the
+                        // default is the shortest window, depth 1.
                         let depth = match opts.policy {
                             PrefetchPolicyKind::Lookahead { depth } => depth,
                             PrefetchPolicyKind::Scoreboard => 1,

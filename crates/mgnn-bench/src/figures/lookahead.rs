@@ -2,9 +2,10 @@
 //! future work proposes "options to prefetch future minibatches … towards
 //! a sustainable 'perfect overlap' model". Because the sampler and the
 //! epoch plan are both seeded, every future minibatch's halo needs are
-//! *computable* — the lookahead policy (DESIGN §10) walks the memoized
-//! epoch plan `depth` steps ahead and pulls not-yet-resident rows before
-//! they are due, off the critical RPC path. This study compares the
+//! *computable* — the lookahead policy (DESIGN §10) samples the memoized
+//! epoch plan a window of `depth + 1` steps at a time and pulls the
+//! window's not-yet-resident rows in one request before they are due,
+//! off the critical RPC path. This study compares the
 //! paper's reactive scoreboard against lookahead at increasing depths on
 //! the same seed: cumulative hit rate should approach 100% and the
 //! critical-path remote-fetch time should collapse into `planned_s`.
@@ -57,12 +58,10 @@ fn measure(cfg: massivegnn::EngineConfig) -> Point {
 
 /// Run scoreboard and lookahead on the same seed. With `--policy
 /// lookahead --depth N` only that depth is measured; otherwise depths
-/// {1, 2, 4} are swept. Depth 1 (pull each batch's rows one step ahead,
-/// just in time) is the robust choice: deeper horizons pay off only
-/// when the buffer comfortably holds the whole window's working set,
-/// and on tiny graphs — where a single minibatch samples a large
-/// fraction of the halo — they pin rows across their whole lifetime
-/// and starve near-due installs.
+/// {1, 2, 4} are swept. One planned pull serves `depth + 1` steps, so a
+/// deeper horizon is cheaper whenever the buffer holds the window's
+/// working set (it does here, at `f_h` 0.5) and no worse when it does
+/// not: the planner then comes back as rows fall due.
 pub fn run(opts: &Opts) -> Lookahead {
     // Pin the sampling shape: with the repro CLI's paper-shaped batch
     // size and fanouts on a unit-scale graph, a single minibatch

@@ -63,7 +63,7 @@ pub struct SamplerScratch {
 }
 
 /// Fanout sampler bound to one partition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NeighborSampler {
     /// Per-layer fanouts in *forward* order: `fanouts[0]` is the input
     /// layer's fanout (the paper's GraphSAGE uses `{10, 25}` for 2 layers

@@ -1,13 +1,14 @@
 //! Run-time memory of the pull path, free of allocator slack: what
 //! `Engine::run` holds above what `Engine::build` left, and what one
-//! preparation allocates once its buffers have grown — both read from the
-//! counting allocator (`--features alloc-count`; without it this file is
-//! not built).
+//! preparation — baseline, or through the lookahead planner — allocates
+//! once its buffers have grown: all read from the counting allocator
+//! (`--features alloc-count`; without it this file is not built).
 //!
 //! The gauges are process-wide, so this binary holds exactly one test.
 
+use massivegnn::init::initialize_prefetcher;
 use massivegnn::prefetcher::{baseline_prepare_reuse, PrepareScratch};
-use massivegnn::{alloc, Engine, EngineConfig, Mode};
+use massivegnn::{alloc, Engine, EngineConfig, LookaheadPolicy, Mode, PrefetchConfig};
 use mgnn_graph::{Dataset, DatasetKind, Scale};
 use mgnn_net::{wire, CommMetrics, CostModel, SimCluster};
 use mgnn_partition::{build_local_partitions, multilevel_partition};
@@ -78,12 +79,12 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
     let cluster = SimCluster::new(&dataset.features, &partitioning.assignment, 3);
     let parts = build_local_partitions(&dataset.graph, &partitioning, &dataset.train_nodes);
     let part = &parts[0];
-    let shard = part
+    let shard: Vec<u32> = part
         .train_nodes
         .iter()
         .map(|&g| part.local_id(g).expect("train node in its partition"))
         .collect();
-    let loader = DataLoader::new(shard, 32, 7);
+    let loader = DataLoader::new(shard.clone(), 32, 7);
     let sampler = NeighborSampler::new(vec![5, 10], 7);
     let (cost, metrics) = (CostModel::default(), CommMetrics::new());
     let mut scratch = PrepareScratch::default();
@@ -125,4 +126,76 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
         }
     }
     assert!(pulled > 0, "nothing pulled: nothing counted");
+
+    // (c) The same replay through a lookahead prefetcher: the planner's
+    // window ring, its want lists and the one bulk pull of a planning
+    // step recycle like everything else, and so do the steps in between,
+    // which take their minibatch out of the ring. The hand-off swaps the
+    // caller's minibatch buffers with a ring slot's, so a set of
+    // `DEPTH + 2` buffers rotates through the `DEPTH + 1` slots; a pass
+    // of a multiple of `(DEPTH + 1)(DEPTH + 2)` steps leaves each where
+    // it began, and the replay — from the same buffer content — asks
+    // every buffer for exactly what it grew to. One epoch: the planner
+    // reads the loader's memoised plan, and a new epoch is a new shuffle.
+    const DEPTH: usize = 2;
+    const ROTATION: usize = (DEPTH + 1) * (DEPTH + 2);
+    let loader = DataLoader::new(shard, 16, 7);
+    let plan = loader.epoch(0);
+    let steps = plan.len() / ROTATION * ROTATION;
+    assert!(steps > 0, "{} steps an epoch", plan.len());
+    let pcfg = PrefetchConfig {
+        f_h: 0.6,
+        ..Default::default()
+    };
+    let (mut pf, _) =
+        initialize_prefetcher(part, pcfg, dataset.num_nodes(), &cluster, &cost, &metrics);
+    pf.set_policy(Box::new(LookaheadPolicy::new(
+        DEPTH,
+        loader.clone(),
+        sampler.clone(),
+        steps,
+        1,
+        part.num_halo(),
+    )));
+    let initial = pf.buffer.clone();
+    let mut carcass = None;
+    let (mut planning, mut between) = (0, 0);
+    for counted in [false, true] {
+        pf.buffer = initial.clone();
+        for (step, seeds) in plan.iter().take(steps).enumerate() {
+            let live = alloc::live_bytes();
+            alloc::reset_peak();
+            let before = alloc::thread_allocs();
+            let batch = pf.prepare_reuse(
+                carcass.take(),
+                part,
+                &sampler,
+                seeds,
+                0,
+                step as u64,
+                &cluster,
+                &cost,
+                &metrics,
+            );
+            let allocs = alloc::thread_allocs() - before;
+            let grown = alloc::peak_bytes() - live;
+            if counted {
+                assert_eq!(
+                    (allocs, grown),
+                    (0, 0),
+                    "lookahead step {step}: {allocs} allocations, {grown} B grown"
+                );
+                if batch.timing.t_planned > 0.0 {
+                    planning += 1;
+                } else {
+                    between += 1;
+                }
+            }
+            carcass = Some(batch);
+        }
+    }
+    assert!(
+        planning > 0 && between >= planning,
+        "{planning} planning steps, {between} in between"
+    );
 }
