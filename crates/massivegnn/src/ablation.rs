@@ -111,11 +111,6 @@ impl CacheSim {
         }
     }
 
-    /// The policy driving this simulator.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Current occupant count (constant = capacity).
     pub fn len(&self) -> usize {
         self.occupants.len()

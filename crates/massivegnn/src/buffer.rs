@@ -138,24 +138,14 @@ impl PrefetchBuffer {
     }
 
     /// Partition a sampled halo-index batch into (hits, misses) —
-    /// Algorithm 2 lines 4–5. Large batches run on the rayon pool (the
-    /// paper parallelizes this lookup with NUMBA to escape the Python
-    /// GIL; here the direct-mapped table makes each probe O(1) and the
-    /// split embarrassingly parallel). The shim's `partition_map`
-    /// combines per-chunk results in chunk order, so both output
-    /// vectors preserve input order exactly like the serial loop, at
-    /// any thread count.
-    pub fn probe_batch(&self, sampled: &[u32]) -> (Vec<u32>, Vec<u32>) {
-        let mut hits = Vec::new();
-        let mut misses = Vec::new();
-        self.probe_batch_into(sampled, &mut hits, &mut misses);
-        (hits, misses)
-    }
-
-    /// [`probe_batch`](Self::probe_batch) into caller-owned buffers
-    /// (cleared first), so the steady-state prepare loop reuses the same
-    /// two vectors every step. Output order is identical on both size
-    /// paths — `partition_map` combines per-chunk results in chunk order.
+    /// Algorithm 2 lines 4–5 — in caller-owned buffers (cleared first),
+    /// so the steady-state prepare loop reuses the same two vectors every
+    /// step. Large batches run on the rayon pool (the paper parallelizes
+    /// this lookup with NUMBA to escape the Python GIL; here the
+    /// direct-mapped table makes each probe O(1) and the split
+    /// embarrassingly parallel). The shim's `partition_map` combines
+    /// per-chunk results in chunk order, so both output vectors preserve
+    /// input order exactly like the serial loop, at any thread count.
     pub fn probe_batch_into(&self, sampled: &[u32], hits: &mut Vec<u32>, misses: &mut Vec<u32>) {
         const PAR_THRESHOLD: usize = 4096;
         hits.clear();
@@ -313,7 +303,8 @@ mod tests {
             b.insert(h * 3, &[h as f32]);
         }
         let sampled: Vec<u32> = (0..60).collect();
-        let (hits, misses) = b.probe_batch(&sampled);
+        let (mut hits, mut misses) = (Vec::new(), Vec::new());
+        b.probe_batch_into(&sampled, &mut hits, &mut misses);
         assert_eq!(hits.len() + misses.len(), 60);
         for &h in &hits {
             assert!(b.contains(h));
@@ -333,7 +324,8 @@ mod tests {
             b.insert(h * 7, &[0.0]);
         }
         let sampled: Vec<u32> = (0..50_000).collect();
-        let (hits, misses) = b.probe_batch(&sampled);
+        let (mut hits, mut misses) = (Vec::new(), Vec::new());
+        b.probe_batch_into(&sampled, &mut hits, &mut misses);
         assert_eq!(hits.len() + misses.len(), 50_000);
         let expected_hits = sampled.iter().filter(|&&h| b.contains(h)).count();
         assert_eq!(hits.len(), expected_hits);

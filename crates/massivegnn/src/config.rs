@@ -93,6 +93,14 @@ impl PrefetchConfig {
         if self.eviction && self.delta == 0 {
             return Err("delta must be >= 1 when eviction is enabled".into());
         }
+        // `alpha()` computes γ^Δ with `powi`, whose exponent is an `i32`.
+        if i32::try_from(self.delta).is_err() {
+            return Err(format!(
+                "delta {} exceeds {}: alpha() = gamma^delta takes an i32 exponent",
+                self.delta,
+                i32::MAX
+            ));
+        }
         if let PrefetchPolicyKind::Lookahead { depth } = self.policy {
             if depth == 0 {
                 return Err("lookahead policy depth must be >= 1".into());

@@ -164,6 +164,15 @@ impl EngineConfig {
                 self.fanouts
             ));
         }
+        // `make_model` builds `[in, hidden, classes]` whatever the sampler
+        // depth, and a model consumes exactly one block per layer.
+        if self.fanouts.len() != 2 {
+            return Err(format!(
+                "fanouts {:?} must have exactly 2 entries: every model is built with two \
+                 layers and takes one sampled block per layer",
+                self.fanouts
+            ));
+        }
         if matches!(self.model, ModelKind::Gat) && self.gat_heads == 0 {
             return Err("gat_heads must be >= 1 for a GAT model".into());
         }
@@ -238,16 +247,27 @@ mod tests {
         let retrying = |retry| EngineConfig { retry, ..d() };
         let r = RetryPolicy::default;
         #[rustfmt::skip]
-        let bad: [(&str, EngineConfig); 22] = [
+        let bad: [(&str, EngineConfig); 25] = [
             ("num_parts", EngineConfig { num_parts: 0, ..d() }),
             ("trainers_per_part", EngineConfig { trainers_per_part: 0, ..d() }),
             ("batch_size", EngineConfig { batch_size: 0, ..d() }),
             ("fanouts", EngineConfig { fanouts: vec![], ..d() }),
             ("fanouts", EngineConfig { fanouts: vec![10, 0], ..d() }),
+            // `Model::forward` would panic at the first step ("blocks/layers
+            // mismatch"); without `train_math`, `macs` would price the
+            // wrong blocks into t_ddp.
+            ("fanouts", EngineConfig { fanouts: vec![5], ..d() }),
+            ("fanouts", EngineConfig { fanouts: vec![5, 5, 5], ..d() }),
             ("gat_heads", EngineConfig { model: ModelKind::Gat, gat_heads: 0, ..d() }),
             ("f_h", EngineConfig { mode: prefetch(PrefetchConfig { f_h: 1.5, ..p() }), ..d() }),
             ("gamma", EngineConfig { mode: prefetch(PrefetchConfig { gamma: 2.0, ..p() }), ..d() }),
             ("delta", EngineConfig { mode: prefetch(PrefetchConfig { delta: 0, ..p() }), ..d() }),
+            // `alpha()` raises γ to `delta as i32`: past i32::MAX the
+            // exponent wraps negative and α > 1 evicts every slot.
+            ("delta", EngineConfig {
+                mode: prefetch(PrefetchConfig { delta: i32::MAX as usize + 1, ..p() }),
+                ..d()
+            }),
             ("depth", EngineConfig { mode: prefetch(p().with_lookahead_policy(0)), ..d() }),
             ("fault.drop_prob", faulty(FaultProfile { drop_prob: f64::NAN, ..f() })),
             ("fault.drop_prob", faulty(FaultProfile { drop_prob: -0.1, ..f() })),

@@ -6,7 +6,7 @@ use super::{make_model, Breakdown, Engine, EngineConfig, Mode, TrainerReport};
 use crate::config::PrefetchPolicyKind;
 use crate::hitrate::HitRateTracker;
 use crate::init::{initialize_prefetcher, InitReport};
-use crate::pipeline::{PrefetchPipeline, QUEUE_DEPTH};
+use crate::pipeline::PrefetchPipeline;
 use crate::policy::LookaheadPolicy;
 use crate::prefetcher::{baseline_prepare_reuse, Prefetcher, PrepareScratch, PreparedBatch};
 use mgnn_model::train::{forward_backward, StepStats};
@@ -381,7 +381,7 @@ impl Engine {
                             )));
                         }
                         init = rep;
-                        pipeline = Some(PipelineClock::new(QUEUE_DEPTH, init.total_s()));
+                        pipeline = Some(PipelineClock::new(init.total_s()));
                         Some(pf)
                     }
                 };

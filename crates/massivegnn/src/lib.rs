@@ -8,7 +8,7 @@
 //! owned ("halo") nodes over RPC every minibatch, putting the network on
 //! the critical path. MassiveGNN adds, per trainer:
 //!
-//! * a [`PrefetchBuffer`](buffer::PrefetchBuffer) of halo-node features,
+//! * a [`PrefetchBuffer`] of halo-node features,
 //!   initialized with the highest-degree `f_p^h`% of halo nodes
 //!   ([`init`], Algorithm 1 `INITIALIZE_PREFETCHER`);
 //! * dual [scoreboards](scoreboard): an eviction score `S_E` decayed by

@@ -114,12 +114,6 @@ impl PrefetchPipeline {
         self.rx.as_ref().and_then(|rx| rx.recv().ok())
     }
 
-    /// Non-blocking pop — `None` means the queue is momentarily empty
-    /// (a stall) or finished.
-    pub fn try_next(&self) -> Option<PreparedBatch> {
-        self.rx.as_ref().and_then(|rx| rx.try_recv().ok())
-    }
-
     /// Wait for the prepare thread and recover the prefetcher state
     /// (buffer, scoreboards) for inspection.
     pub fn join(mut self) -> Prefetcher {

@@ -66,9 +66,6 @@ pub struct PlanCtx<'a> {
 /// A prefetch admission/eviction/pull policy (see the module docs for
 /// the determinism / clock-charging / fault-composition contract).
 pub trait PrefetchPolicy: Send {
-    /// Stable name for reports and labels.
-    fn name(&self) -> &'static str;
-
     /// Whether the prepare path runs the paper's reactive scoreboard
     /// passes (S_E decay, S_A increments, Δ-periodic evict-and-replace).
     /// `true` for the scoreboard policy; planners that manage the buffer
@@ -112,10 +109,6 @@ pub trait PrefetchPolicy: Send {
 pub struct ScoreboardPolicy;
 
 impl PrefetchPolicy for ScoreboardPolicy {
-    fn name(&self) -> &'static str {
-        "scoreboard"
-    }
-
     fn reactive(&self) -> bool {
         true
     }
@@ -239,21 +232,12 @@ impl LookaheadPolicy {
         }
     }
 
-    /// Planning horizon in steps.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     fn slot_of(&self, step: u64) -> usize {
         (step % self.ring.len() as u64) as usize
     }
 }
 
 impl PrefetchPolicy for LookaheadPolicy {
-    fn name(&self) -> &'static str {
-        "lookahead"
-    }
-
     fn reactive(&self) -> bool {
         false
     }
@@ -455,7 +439,6 @@ mod tests {
     #[test]
     fn scoreboard_policy_is_inert() {
         let mut p = ScoreboardPolicy;
-        assert_eq!(p.name(), "scoreboard");
         assert!(p.reactive());
         // It samples nothing, so it has nothing to hand over or to count.
         let sampler = NeighborSampler::new(vec![2], 0);
@@ -469,9 +452,8 @@ mod tests {
         let loader = DataLoader::new((0..32).collect(), 8, 7);
         let sampler = NeighborSampler::new(vec![2, 2], 9);
         let mut p = LookaheadPolicy::new(4, loader, sampler.clone(), 4, 2, 100);
-        assert_eq!(p.name(), "lookahead");
         assert!(!p.reactive());
-        assert_eq!(p.depth(), 4);
+        assert_eq!(p.depth, 4);
         assert_eq!(p.steps_per_epoch, 4);
         assert_eq!(p.total_steps, 8);
         // One slot per step of a window; nothing planned, nothing to take.

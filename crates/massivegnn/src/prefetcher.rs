@@ -32,7 +32,8 @@ use crate::config::{PrefetchConfig, ScoreLayout};
 use crate::policy::{PlanCtx, PrefetchPolicy, ScoreboardPolicy};
 use crate::scoreboard::{AccessScores, EvictionScores};
 use mgnn_graph::NodeId;
-use mgnn_net::{CommMetrics, CostModel, SimCluster};
+use mgnn_net::cluster::PulledRows;
+use mgnn_net::{CommMetrics, CostModel, KvStore, PullOutcome, SimCluster};
 use mgnn_obs::Phase;
 use mgnn_partition::LocalPartition;
 use mgnn_sampling::{NeighborSampler, SampledMinibatch, SamplerScratch};
@@ -157,6 +158,150 @@ fn size_for_overwrite(v: &mut Vec<f32>, len: usize) {
     v.resize(len, 0.0);
 }
 
+/// What a recycled batch donates to the next one: its minibatch blocks,
+/// feature matrix and label vector (empty ones without a carcass).
+fn take_apart(reuse: Option<PreparedBatch>) -> (SampledMinibatch, Vec<f32>, Vec<u32>) {
+    match reuse {
+        Some(b) => (b.minibatch, b.input.into_vec(), b.labels),
+        None => (SampledMinibatch::default(), Vec::new(), Vec::new()),
+    }
+}
+
+/// Labels of the seed nodes, in seed order, into the recycled vector.
+fn fill_labels(labels: &mut Vec<u32>, seeds: &[u32], part: &LocalPartition, local_store: &KvStore) {
+    labels.clear();
+    labels.extend(
+        seeds
+            .iter()
+            .map(|&lid| local_store.label(part.local_nodes[lid as usize])),
+    );
+}
+
+impl PreparedBatch {
+    fn assemble(
+        minibatch: SampledMinibatch,
+        input_vec: Vec<f32>,
+        dim: usize,
+        labels: Vec<u32>,
+        timing: PrepareTiming,
+        counts: PrepareCounts,
+    ) -> Self {
+        let input = Tensor::from_vec(minibatch.input_nodes.len(), dim, input_vec);
+        PreparedBatch {
+            minibatch,
+            input,
+            labels,
+            timing,
+            counts,
+        }
+    }
+}
+
+/// One step's bulk pull with its simulated cost.
+struct ChargedPull<'c> {
+    /// Deterministic request id: a pure function of (origin, rank,
+    /// step), so it is identical across the sequential and threaded
+    /// engines and across pool widths.
+    req_id: u64,
+    rows: PulledRows<'c>,
+    outcome: PullOutcome,
+    /// Simulated time the fault ladder added; exactly 0.0 when nothing
+    /// fired.
+    t_fault: f64,
+    /// Ideal RPC cost of the request plus `t_fault`.
+    t_rpc: f64,
+}
+
+/// Pull `ids` for `step` and price the pull. Faults charge simulated
+/// time on top of the ideal RPC cost: injected delays multiply the
+/// request's latency and every retry re-pays it plus deterministic
+/// backoff (Eq. 6 still sees the loss through `t_prepare`). `charge_s`
+/// is exactly 0.0 on the fault-free path, so `t_rpc` is
+/// bitwise-unchanged there.
+fn pull_and_charge<'c>(
+    origin: u8,
+    ids: &[NodeId],
+    step: u64,
+    cluster: &'c SimCluster,
+    cost: &CostModel,
+    metrics: &CommMetrics,
+) -> ChargedPull<'c> {
+    let dim = cluster.dim();
+    let req_id = mgnn_obs::events::request_id(origin, metrics.trace_rank(), step);
+    let (rows, outcome) = cluster.pull_rows(ids, req_id);
+    let t_fault = outcome.charge_s(cost, dim, cluster.retry_policy());
+    let t_rpc = cost.t_rpc(ids.len(), dim) + t_fault;
+    ChargedPull {
+        req_id,
+        rows,
+        outcome,
+        t_fault,
+        t_rpc,
+    }
+}
+
+impl ChargedPull<'_> {
+    /// The pull's fault counters, and its `Fault` span at `offset` into
+    /// the prepare window when the ladder charged any time.
+    fn record_outcome(&self, step: u64, offset: f64, metrics: &CommMetrics) {
+        metrics.record_pull_outcome(&self.outcome);
+        if self.t_fault > 0.0 {
+            metrics.fault_span_corr(step, offset, self.t_fault, self.req_id);
+        }
+    }
+}
+
+/// Assemble input features in input-node order: local rows from the
+/// partition's own KVStore, halo rows resident in `buffer` (the baseline
+/// has none) from their slot, the rest decoded straight off the fetched
+/// payload at the row `row_val` maps their halo idx to. Row-parallel:
+/// each output row selects its source independently and receives the
+/// same bytes the sequential assembly would, so the matrix is
+/// bitwise-identical at any thread count. Every row is overwritten in
+/// full (`decode_into` writes a failed row as zeros), so a recycled
+/// matrix is not cleared first.
+#[allow(clippy::too_many_arguments)]
+fn gather_rows(
+    input_vec: &mut Vec<f32>,
+    input_nodes: &[u32],
+    dim: usize,
+    part: &LocalPartition,
+    local_store: &KvStore,
+    buffer: Option<&PrefetchBuffer>,
+    scratch: &PrepareScratch,
+    rstamp: u64,
+    fetched: &PulledRows<'_>,
+) {
+    size_for_overwrite(input_vec, input_nodes.len() * dim);
+    if dim == 0 {
+        return;
+    }
+    use rayon::prelude::*;
+    let num_local = part.num_local();
+    let row_stamp = &scratch.row_stamp;
+    let row_val = &scratch.row_val;
+    input_vec
+        .par_chunks_mut(dim)
+        .enumerate()
+        .for_each(|(idx, row)| {
+            let lid = input_nodes[idx];
+            if (lid as usize) < num_local {
+                row.copy_from_slice(local_store.row(part.local_nodes[lid as usize]));
+                return;
+            }
+            let h = lid - num_local as u32;
+            if let Some(resident) = buffer.and_then(|b| b.slot_of(h).map(|slot| b.row(slot))) {
+                // Careful: a replacement installed *this step*
+                // occupies a slot but was fetched fresh; either
+                // path yields the same bytes.
+                row.copy_from_slice(resident);
+            } else {
+                debug_assert_eq!(row_stamp[h as usize], rstamp);
+                fetched.decode_into(row_val[h as usize] as usize, row);
+            }
+        });
+}
+
 /// Per-trainer prefetcher state (`BUF_p^i`, `S_E`, `S_A`).
 pub struct Prefetcher {
     /// Configuration in force.
@@ -211,11 +356,6 @@ impl Prefetcher {
     /// Install a prefetch policy (default: [`ScoreboardPolicy`]).
     pub fn set_policy(&mut self, policy: Box<dyn PrefetchPolicy>) {
         self.policy = policy;
-    }
-
-    /// Name of the policy in force.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// The Eq. 1 threshold in force.
@@ -287,10 +427,7 @@ impl Prefetcher {
         if !self.pooling {
             scratch = PrepareScratch::default();
         }
-        let (mut mb, mut input_vec, mut labels) = match reuse.filter(|_| self.pooling) {
-            Some(b) => (b.minibatch, b.input.into_vec(), b.labels),
-            None => (SampledMinibatch::default(), Vec::new(), Vec::new()),
-        };
+        let (mut mb, mut input_vec, mut labels) = take_apart(reuse.filter(|_| self.pooling));
 
         let num_local = part.num_local();
         let dim = cluster.dim();
@@ -452,22 +589,15 @@ impl Prefetcher {
                 scratch.fetch_ids.push(halo_nodes[new_h as usize]);
             }
         }
-        // Deterministic request id: pure function of (origin, rank,
-        // step), so it is identical across the sequential and threaded
-        // engines and across pool widths.
-        let req_id = mgnn_obs::events::request_id(
+        let pull = pull_and_charge(
             mgnn_obs::events::ORIGIN_PREPARE,
-            metrics.trace_rank(),
+            &scratch.fetch_ids,
             step,
+            cluster,
+            cost,
+            metrics,
         );
-        let (fetched, outcome) = cluster.pull_rows(&scratch.fetch_ids, req_id);
-        // Faults charge simulated time on top of the ideal RPC cost:
-        // injected delays multiply the request's latency and every retry
-        // re-pays it plus deterministic backoff (Eq. 6 still sees the
-        // loss through `t_prepare`). `charge_s` is exactly 0.0 on the
-        // fault-free path, so `t_rpc` is bitwise-unchanged there.
-        let t_fault = outcome.charge_s(cost, dim, cluster.retry_policy());
-        let t_rpc = cost.t_rpc(scratch.fetch_ids.len(), dim) + t_fault;
+        let (req_id, t_rpc) = (pull.req_id, pull.t_rpc);
         // Spans of this preparation, at their Eq. 3 offsets within the
         // prepare window: a planning round (if any) runs first, then the
         // serial prefix sampling → lookup → scoring → evict, then RPC
@@ -499,10 +629,8 @@ impl Prefetcher {
             req_id,
         );
         metrics.record_lookup(scratch.hits.len() as u64, scratch.misses.len() as u64);
-        metrics.record_pull_outcome(&outcome);
-        if t_fault > 0.0 {
-            metrics.fault_span_corr(step, serial, t_fault, req_id);
-        }
+        pull.record_outcome(step, serial, metrics);
+        let (fetched, outcome) = (pull.rows, pull.outcome);
 
         // Lines 16–17 + score swap (§IV-B): install replacements. A
         // replacement whose fetch row exhausted every retry is cancelled
@@ -544,54 +672,23 @@ impl Prefetcher {
             .count();
         metrics.record_degradation(req_id, part.part_id, stale as u64, degraded as u64);
 
-        // Assemble input features in input-node order: local rows from the
-        // partition's own KVStore, halo hits from the buffer, halo misses
-        // decoded straight off the fetched payload. Row-parallel: each
-        // output row selects its source independently and receives the
-        // same bytes the sequential assembly would, so the tensor is
-        // bitwise-identical at any thread count. Every row is overwritten
-        // in full (`decode_into` writes a failed miss as zeros), so a
-        // recycled matrix is not cleared first.
         let local_store = cluster.store(part.part_id);
-        size_for_overwrite(&mut input_vec, mb.input_nodes.len() * dim);
-        if dim > 0 {
-            use rayon::prelude::*;
-            let buffer = &self.buffer;
-            let input_nodes = &mb.input_nodes;
-            let row_stamp = &scratch.row_stamp;
-            let row_val = &scratch.row_val;
-            input_vec
-                .par_chunks_mut(dim)
-                .enumerate()
-                .for_each(|(idx, row)| {
-                    let lid = input_nodes[idx];
-                    if (lid as usize) < num_local {
-                        row.copy_from_slice(local_store.row(part.local_nodes[lid as usize]));
-                        return;
-                    }
-                    let h = lid - num_local as u32;
-                    if let Some(slot) = buffer.slot_of(h) {
-                        // Careful: a replacement installed *this step*
-                        // occupies a slot but was fetched fresh; either
-                        // path yields the same bytes.
-                        row.copy_from_slice(buffer.row(slot));
-                    } else {
-                        debug_assert_eq!(row_stamp[h as usize], rstamp);
-                        fetched.decode_into(row_val[h as usize] as usize, row);
-                    }
-                });
-        }
+        gather_rows(
+            &mut input_vec,
+            &mb.input_nodes,
+            dim,
+            part,
+            local_store,
+            Some(&self.buffer),
+            &scratch,
+            rstamp,
+            &fetched,
+        );
         // The payload buffers go back to the cluster for the next pull.
         drop(fetched);
         let t_copy = cost.t_copy(scratch.local_ids.len(), dim);
         metrics.record_local_copy_spanned(scratch.local_ids.len() as u64, step, serial, t_copy);
-
-        labels.clear();
-        labels.extend(
-            mb.seeds
-                .iter()
-                .map(|&lid| local_store.label(part.local_nodes[lid as usize])),
-        );
+        fill_labels(&mut labels, &mb.seeds, part, local_store);
 
         let counts = PrepareCounts {
             local: scratch.local_ids.len(),
@@ -612,15 +709,8 @@ impl Prefetcher {
             t_copy,
             t_planned,
         };
-        let input = Tensor::from_vec(mb.input_nodes.len(), dim, input_vec);
         self.scratch = scratch;
-        PreparedBatch {
-            minibatch: mb,
-            input,
-            labels,
-            timing,
-            counts,
-        }
+        PreparedBatch::assemble(mb, input_vec, dim, labels, timing, counts)
     }
 }
 
@@ -670,10 +760,7 @@ pub fn baseline_prepare_reuse(
 ) -> PreparedBatch {
     let num_local = part.num_local();
     let dim = cluster.dim();
-    let (mut mb, mut input_vec, mut labels) = match reuse {
-        Some(b) => (b.minibatch, b.input.into_vec(), b.labels),
-        None => (SampledMinibatch::default(), Vec::new(), Vec::new()),
-    };
+    let (mut mb, mut input_vec, mut labels) = take_apart(reuse);
     sampler.sample_into(part, seeds, epoch, step, &mut mb, &mut scratch.sampler);
     let t_sampling = cost.t_sampling(mb.total_edges());
     mb.split_local_halo_into(num_local, &mut scratch.local_ids, &mut scratch.halo_ids);
@@ -685,16 +772,15 @@ pub fn baseline_prepare_reuse(
             .iter()
             .map(|&lid| part.halo_nodes[(lid - num_local as u32) as usize]),
     );
-    let req_id = mgnn_obs::events::request_id(
+    let pull = pull_and_charge(
         mgnn_obs::events::ORIGIN_BASELINE,
-        metrics.trace_rank(),
+        &scratch.fetch_ids,
         step,
+        cluster,
+        cost,
+        metrics,
     );
-    let (fetched, outcome) = cluster.pull_rows(&scratch.fetch_ids, req_id);
-    // Same fault-time charging as the prefetch path; exactly 0.0 when
-    // nothing fired.
-    let t_fault = outcome.charge_s(cost, dim, cluster.retry_policy());
-    let t_rpc = cost.t_rpc(scratch.fetch_ids.len(), dim) + t_fault;
+    let (req_id, t_rpc) = (pull.req_id, pull.t_rpc);
     // Baseline has no buffer work, but zero-length spans for the
     // prefetch-only phases keep per-phase histogram counts equal to the
     // step count in both modes.
@@ -710,10 +796,8 @@ pub fn baseline_prepare_reuse(
         t_rpc,
         req_id,
     );
-    metrics.record_pull_outcome(&outcome);
-    if t_fault > 0.0 {
-        metrics.fault_span_corr(step, t_sampling, t_fault, req_id);
-    }
+    pull.record_outcome(step, t_sampling, metrics);
+    let (fetched, outcome) = (pull.rows, pull.outcome);
     // No buffer to fall back on: every failed row is a zero-filled input
     // row (the baseline skips degradation rung 2 entirely).
     metrics.record_degradation(req_id, part.part_id, 0, outcome.failed_rows.len() as u64);
@@ -727,38 +811,21 @@ pub fn baseline_prepare_reuse(
         scratch.row_stamp[h] = rstamp;
         scratch.row_val[h] = i as u32;
     }
-    // Row-parallel gather, same bytes as the sequential loop, every row
-    // overwritten in full (see the prefetch-path assembly above).
-    size_for_overwrite(&mut input_vec, mb.input_nodes.len() * dim);
-    if dim > 0 {
-        use rayon::prelude::*;
-        let input_nodes = &mb.input_nodes;
-        let row_stamp = &scratch.row_stamp;
-        let row_val = &scratch.row_val;
-        input_vec
-            .par_chunks_mut(dim)
-            .enumerate()
-            .for_each(|(idx, row)| {
-                let lid = input_nodes[idx];
-                if (lid as usize) < num_local {
-                    row.copy_from_slice(local_store.row(part.local_nodes[lid as usize]));
-                } else {
-                    let h = (lid - num_local as u32) as usize;
-                    debug_assert_eq!(row_stamp[h], rstamp);
-                    fetched.decode_into(row_val[h] as usize, row);
-                }
-            });
-    }
+    gather_rows(
+        &mut input_vec,
+        &mb.input_nodes,
+        dim,
+        part,
+        local_store,
+        None,
+        scratch,
+        rstamp,
+        &fetched,
+    );
     drop(fetched);
     let t_copy = cost.t_copy(scratch.local_ids.len(), dim);
     metrics.record_local_copy_spanned(scratch.local_ids.len() as u64, step, t_sampling, t_copy);
-
-    labels.clear();
-    labels.extend(
-        mb.seeds
-            .iter()
-            .map(|&lid| local_store.label(part.local_nodes[lid as usize])),
-    );
+    fill_labels(&mut labels, &mb.seeds, part, local_store);
 
     let counts = PrepareCounts {
         local: scratch.local_ids.len(),
@@ -779,14 +846,7 @@ pub fn baseline_prepare_reuse(
         t_copy,
         t_planned: 0.0,
     };
-    let input = Tensor::from_vec(mb.input_nodes.len(), dim, input_vec);
-    PreparedBatch {
-        minibatch: mb,
-        input,
-        labels,
-        timing,
-        counts,
-    }
+    PreparedBatch::assemble(mb, input_vec, dim, labels, timing, counts)
 }
 
 #[cfg(test)]
@@ -910,9 +970,6 @@ mod tests {
     struct Resampling(LookaheadPolicy);
 
     impl PrefetchPolicy for Resampling {
-        fn name(&self) -> &'static str {
-            self.0.name()
-        }
         fn reactive(&self) -> bool {
             self.0.reactive()
         }

@@ -29,7 +29,7 @@ pub const LONG_INTERVAL_DELTA: usize = 64;
 ///
 /// ```
 /// use massivegnn::tradeoff::{classify, Quadrant};
-/// assert!(classify(0.995, 512).recommended());
+/// assert_eq!(classify(0.995, 512), Quadrant::LowDecayLongInterval);
 /// assert_eq!(classify(0.5, 16), Quadrant::HighDecayShortInterval);
 /// ```
 pub fn classify(gamma: f64, delta: usize) -> Quadrant {
@@ -43,35 +43,6 @@ pub fn classify(gamma: f64, delta: usize) -> Quadrant {
     }
 }
 
-impl Quadrant {
-    /// Whether this is the paper's recommended operating regime.
-    pub fn recommended(&self) -> bool {
-        matches!(self, Quadrant::LowDecayLongInterval)
-    }
-
-    /// Relative eviction-inspection overhead of the regime (short
-    /// intervals inspect more often).
-    pub fn overhead_rank(&self) -> u8 {
-        match self {
-            Quadrant::HighDecayShortInterval => 3,
-            Quadrant::LowDecayShortInterval => 2,
-            Quadrant::HighDecayLongInterval => 1,
-            Quadrant::LowDecayLongInterval => 0,
-        }
-    }
-
-    /// Expected fraction of the buffer evicted per round, qualitatively:
-    /// high decay evicts aggressively.
-    pub fn eviction_aggressiveness(&self) -> &'static str {
-        match self {
-            Quadrant::LowDecayShortInterval => "few nodes per round",
-            Quadrant::HighDecayShortInterval => "many nodes, frequent",
-            Quadrant::HighDecayLongInterval => "bulk, delayed",
-            Quadrant::LowDecayLongInterval => "strategic, gradual",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,7 +51,7 @@ mod tests {
     fn paper_optimal_settings_land_in_recommended_quadrant() {
         // Table IV's most common CPU settings: γ ∈ {0.95, 0.995}, Δ ≥ 64.
         for (g, d) in [(0.95, 64), (0.995, 128), (0.9995, 1024), (0.995, 512)] {
-            assert!(classify(g, d).recommended(), "({g}, {d})");
+            assert_eq!(classify(g, d), Quadrant::LowDecayLongInterval, "({g}, {d})");
         }
     }
 
@@ -90,13 +61,5 @@ mod tests {
         assert_eq!(classify(0.5, 16), Quadrant::HighDecayShortInterval);
         assert_eq!(classify(0.5, 512), Quadrant::HighDecayLongInterval);
         assert_eq!(classify(0.99, 512), Quadrant::LowDecayLongInterval);
-    }
-
-    #[test]
-    fn overhead_ordering() {
-        assert!(
-            classify(0.5, 16).overhead_rank() > classify(0.99, 512).overhead_rank(),
-            "frequent eviction must rank higher overhead"
-        );
     }
 }

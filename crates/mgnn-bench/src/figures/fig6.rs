@@ -37,11 +37,6 @@ impl Group {
             .fold(f64::INFINITY, f64::min);
         improvement_pct(self.baseline_s, best)
     }
-
-    /// Improvement of the no-eviction variant (%).
-    pub fn no_evict_improvement_pct(&self) -> f64 {
-        improvement_pct(self.baseline_s, self.no_evict.1)
-    }
 }
 
 /// The whole figure.

@@ -58,7 +58,7 @@ fn partitioners(
 
 /// Run baseline + prefetch under each partitioner on products, 2 nodes.
 ///
-/// Note: [`Engine`] always partitions with the multilevel partitioner; to
+/// Note: [`massivegnn::Engine`] always partitions with the multilevel partitioner; to
 /// compare others this study measures structural metrics per partitioner
 /// directly and runs the engine comparison on the two extremes by
 /// re-deriving halo statistics through [`build_local_partitions`].
@@ -153,7 +153,7 @@ fn manual_comparison(
             let (mut pf, init) =
                 initialize_prefetcher(lp, pcfg, dataset.num_nodes(), &cluster, cost, &pm);
             let mut base_clock = 0.0f64;
-            let mut pipe = PipelineClock::new(1, init.total_s());
+            let mut pipe = PipelineClock::new(init.total_s());
             let mut gs = 0u64;
             for epoch in 0..cfg.epochs as u64 {
                 for seeds in loader.epoch(epoch).iter().take(steps) {
@@ -170,7 +170,7 @@ fn manual_comparison(
                         b.timing.t_sampling + b.timing.t_rpc.max(b.timing.t_copy) + t_train;
 
                     let p = pf.prepare(lp, &sampler, seeds, epoch, gs, &cluster, cost, &pm);
-                    pipe.step(p.timing.t_prepare(), t_train);
+                    pipe.step_timed(p.timing.t_prepare(), t_train);
                     gs += 1;
                 }
             }

@@ -310,14 +310,6 @@ pub fn improvement_pct(old: f64, new: f64) -> f64 {
     }
 }
 
-/// Render a series as `a, b, c` with fixed precision.
-pub fn fmt_series(xs: &[f64], decimals: usize) -> String {
-    xs.iter()
-        .map(|x| format!("{x:.decimals$}"))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,11 +332,6 @@ mod tests {
     fn papers_uses_mem_efficient_layout() {
         assert_eq!(layout_for(DatasetKind::Papers), ScoreLayout::MemEfficient);
         assert_eq!(layout_for(DatasetKind::Arxiv), ScoreLayout::Dense);
-    }
-
-    #[test]
-    fn fmt_series_rounds() {
-        assert_eq!(fmt_series(&[0.123, 0.456], 2), "0.12, 0.46");
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub struct GraphBuilder {
     num_nodes: usize,
     edges: Vec<(NodeId, NodeId)>,
     symmetrize: bool,
-    drop_self_loops: bool,
 }
 
 impl GraphBuilder {
@@ -26,19 +25,12 @@ impl GraphBuilder {
             num_nodes,
             edges: Vec::new(),
             symmetrize: true,
-            drop_self_loops: true,
         }
     }
 
     /// Keep the edge list directed (no reverse-edge insertion).
     pub fn directed(mut self) -> Self {
         self.symmetrize = false;
-        self
-    }
-
-    /// Keep self-loops instead of dropping them.
-    pub fn keep_self_loops(mut self) -> Self {
-        self.drop_self_loops = false;
         self
     }
 
@@ -79,19 +71,12 @@ impl GraphBuilder {
             .for_each(|(i, slots)| fill(i, slots));
     }
 
-    /// Number of raw (pre-dedup) edges accumulated so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalize into a canonical CSR graph.
     pub fn build(mut self) -> CsrGraph {
         let n = self.num_nodes;
         let nid = n as NodeId;
-        // Drop out-of-range defensively, and self-loops if requested.
-        let drop_loops = self.drop_self_loops;
-        self.edges
-            .retain(|&(u, v)| u < nid && v < nid && !(drop_loops && u == v));
+        // Drop out-of-range defensively, and self-loops.
+        self.edges.retain(|&(u, v)| u < nid && v < nid && u != v);
 
         if self.symmetrize {
             // Reversed copies appended in place (generators reserve for
@@ -157,14 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn self_loops_kept_when_asked() {
-        let mut b = GraphBuilder::new(2).keep_self_loops().directed();
-        b.add_edge(0, 0);
-        let g = b.build();
-        assert!(g.has_edge(0, 0));
-    }
-
-    #[test]
     fn empty_builder_builds_empty_graph() {
         let g = GraphBuilder::new(3).build();
         assert_eq!(g.num_nodes(), 3);
@@ -175,7 +152,7 @@ mod tests {
     fn extend_and_raw_count() {
         let mut b = GraphBuilder::new(3);
         b.extend([(0, 1), (1, 2)]);
-        assert_eq!(b.raw_edge_count(), 2);
+        assert_eq!(b.edges.len(), 2);
         let g = b.build();
         assert_eq!(g.num_edges(), 4);
     }
@@ -190,7 +167,7 @@ mod tests {
                 *e = (i as NodeId, (i + k + 1) as NodeId);
             }
         });
-        assert_eq!(b.raw_edge_count(), 11);
+        assert_eq!(b.edges.len(), 11);
         let g = b.build();
         assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
         assert_eq!(g.neighbors(1), &[2, 3, 4, 5]);

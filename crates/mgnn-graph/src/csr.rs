@@ -36,20 +36,12 @@ impl CsrGraph {
 
     /// Build from raw parts without validation.
     ///
-    /// Intended for trusted internal callers (the builder, I/O after
-    /// checksum). Debug builds still validate.
+    /// Intended for trusted internal callers (the builder). Debug builds
+    /// still validate.
     pub fn from_parts_unchecked(offsets: Vec<u64>, targets: Vec<NodeId>) -> Self {
         let g = CsrGraph { offsets, targets };
         debug_assert!(g.validate().is_ok(), "CSR invariant violated");
         g
-    }
-
-    /// An empty graph with `n` isolated nodes.
-    pub fn empty(n: usize) -> Self {
-        CsrGraph {
-            offsets: vec![0; n + 1],
-            targets: Vec::new(),
-        }
     }
 
     /// Check every structural invariant; `Ok(())` when canonical.
@@ -145,21 +137,6 @@ impl CsrGraph {
         &self.targets
     }
 
-    /// Degrees of every node, as a vector.
-    pub fn degrees(&self) -> Vec<u32> {
-        (0..self.num_nodes())
-            .map(|u| self.degree(u as NodeId) as u32)
-            .collect()
-    }
-
-    /// Maximum degree over all nodes (0 for the empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_nodes())
-            .map(|u| self.degree(u as NodeId))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Average degree.
     pub fn avg_degree(&self) -> f64 {
         if self.num_nodes() == 0 {
@@ -172,35 +149,6 @@ impl CsrGraph {
     /// Whether the adjacency is symmetric (u→v implies v→u).
     pub fn is_symmetric(&self) -> bool {
         self.edges().all(|(u, v)| self.has_edge(v, u))
-    }
-
-    /// Extract the induced subgraph on `nodes` (given in ascending global
-    /// order); returns the subgraph plus the local→global id map (which is
-    /// just `nodes` echoed back) for convenience.
-    ///
-    /// Edges to nodes outside the set are dropped.
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (CsrGraph, Vec<NodeId>) {
-        debug_assert!(
-            nodes.windows(2).all(|w| w[0] < w[1]),
-            "nodes must be sorted"
-        );
-        // global -> local position via binary search on the sorted node list.
-        let mut offsets = Vec::with_capacity(nodes.len() + 1);
-        let mut targets = Vec::new();
-        offsets.push(0u64);
-        for &g in nodes {
-            for &v in self.neighbors(g) {
-                if let Ok(local) = nodes.binary_search(&v) {
-                    targets.push(local as NodeId);
-                }
-            }
-            // Neighbor lists stay sorted because global order == local order.
-            offsets.push(targets.len() as u64);
-        }
-        (
-            CsrGraph::from_parts_unchecked(offsets, targets),
-            nodes.to_vec(),
-        )
     }
 
     /// Approximate heap footprint in bytes.
@@ -241,23 +189,21 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(0, 2));
         assert!(g.is_symmetric());
-        assert_eq!(g.max_degree(), 2);
         assert!((g.avg_degree() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::empty(5);
+        let g = CsrGraph::from_parts(vec![0; 6], vec![]).unwrap();
         assert_eq!(g.num_nodes(), 5);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.degree(4), 0);
-        assert_eq!(g.max_degree(), 0);
         assert!(g.validate().is_ok());
     }
 
     #[test]
     fn zero_node_graph() {
-        let g = CsrGraph::empty(0);
+        let g = CsrGraph::from_parts(vec![0], vec![]).unwrap();
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.avg_degree(), 0.0);
         assert_eq!(g.edges().count(), 0);
@@ -282,29 +228,6 @@ mod tests {
         let g = path3();
         let e: Vec<_> = g.edges().collect();
         assert_eq!(e, vec![(0, 1), (1, 0), (1, 2), (2, 1)]);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let g = path3();
-        let (sub, map) = g.induced_subgraph(&[0, 1]);
-        assert_eq!(map, vec![0, 1]);
-        assert_eq!(sub.num_nodes(), 2);
-        assert_eq!(sub.num_edges(), 2); // 0-1 both directions; edge 1-2 dropped
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(1, 0));
-        assert!(sub.validate().is_ok());
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = path3();
-        let (sub, map) = g.induced_subgraph(&[1, 2]);
-        assert_eq!(map, vec![1, 2]);
-        // global edge 1-2 becomes local 0-1
-        assert!(sub.has_edge(0, 1));
-        assert!(sub.has_edge(1, 0));
-        assert_eq!(sub.num_edges(), 2);
     }
 
     #[test]

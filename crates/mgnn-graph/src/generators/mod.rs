@@ -3,7 +3,7 @@
 //! Four families, chosen to span the structural regimes of the paper's OGB
 //! inputs:
 //!
-//! * [`rmat`] — recursive-matrix (Graph500 style): heavy-tailed degrees,
+//! * [`mod@rmat`] — recursive-matrix (Graph500 style): heavy-tailed degrees,
 //!   community-ish self-similarity. Used for the `products`- and
 //!   `papers`-like presets.
 //! * [`ba`] — Barabási–Albert preferential attachment: clean power law,
@@ -11,7 +11,7 @@
 //!   (the paper notes arxiv's "relatively large diameter and small degree").
 //! * [`erdos`] — uniform G(n, m): dense and homogeneous. Used for the
 //!   `reddit`-like preset's dense core mixing.
-//! * [`sbm`] — stochastic block model: explicit community structure, useful
+//! * [`mod@sbm`] — stochastic block model: explicit community structure, useful
 //!   for partitioner tests where ground-truth clusters exist.
 //!
 //! Every generator takes an explicit seed and is deterministic across runs
@@ -21,10 +21,8 @@ pub mod ba;
 pub mod erdos;
 pub mod rmat;
 pub mod sbm;
-pub mod ws;
 
 pub use ba::barabasi_albert;
 pub use erdos::erdos_renyi;
 pub use rmat::{rmat, RmatParams};
 pub use sbm::{sbm, SbmParams};
-pub use ws::watts_strogatz;

@@ -61,23 +61,6 @@ pub fn sbm(n: usize, params: SbmParams, seed: u64) -> CsrGraph {
     b.build()
 }
 
-/// Ground-truth community of node `u` for an SBM graph generated with the
-/// same `(n, communities)`.
-pub fn sbm_community(u: NodeId, n: usize, communities: usize) -> usize {
-    // Inverse of the contiguous assignment above.
-    let u = u as usize;
-    // community c owns [c*n/k, (c+1)*n/k); solve for c.
-    let mut c = u * communities / n;
-    // Guard against integer-division boundary drift.
-    while c < communities && (c + 1) * n / communities <= u {
-        c += 1;
-    }
-    while c > 0 && c * n / communities > u {
-        c -= 1;
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,29 +86,15 @@ mod tests {
         let g = sbm(n, p, 3);
         let mut intra = 0usize;
         let mut inter = 0usize;
+        // 4 divides n, so community c owns exactly [c * n / 4, (c + 1) * n / 4).
         for (u, v) in g.edges() {
-            if sbm_community(u, n, 4) == sbm_community(v, n, 4) {
+            if u as usize * 4 / n == v as usize * 4 / n {
                 intra += 1;
             } else {
                 inter += 1;
             }
         }
         assert!(intra > 5 * inter, "intra={intra} inter={inter}");
-    }
-
-    #[test]
-    fn community_assignment_partition() {
-        let n = 103;
-        let k = 4;
-        let mut counts = vec![0usize; k];
-        for u in 0..n as NodeId {
-            counts[sbm_community(u, n, k)] += 1;
-        }
-        assert_eq!(counts.iter().sum::<usize>(), n);
-        // Roughly balanced.
-        for &c in &counts {
-            assert!(c >= n / k - 1 && c <= n / k + 2);
-        }
     }
 
     #[test]

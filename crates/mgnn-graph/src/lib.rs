@@ -3,11 +3,10 @@
 //! This crate provides everything the rest of the workspace needs to *have a
 //! graph at all*: an immutable [CSR](csr::CsrGraph) representation, an
 //! edge-list [builder](builder::GraphBuilder), synthetic graph
-//! [generators](generators) (R-MAT, Barabási–Albert, Erdős–Rényi, SBM), a
+//! [generators] (R-MAT, Barabási–Albert, Erdős–Rényi, SBM), a
 //! node [feature/label store](features::FeatureStore), OGB-lookalike
 //! [dataset presets](datasets) matching the shape statistics of Table II of
-//! the MassiveGNN paper, degree/distribution [statistics](stats), and binary
-//! + text [I/O](io).
+//! the MassiveGNN paper, and degree/distribution [statistics](stats).
 //!
 //! The paper trains on `ogbn-arxiv`, `ogbn-products`, `reddit` and
 //! `ogbn-papers100M`. Those datasets (and the hardware to hold them) are not
@@ -23,7 +22,6 @@ pub mod csr;
 pub mod datasets;
 pub mod features;
 pub mod generators;
-pub mod io;
 pub mod stats;
 
 pub use builder::GraphBuilder;

@@ -1,5 +1,5 @@
-//! Graph statistics used by tests, the dataset presets and the Table II
-//! reproduction: degree histograms, tail heaviness, connectivity.
+//! Degree-distribution statistics used by tests and the Table II
+//! reproduction: extremes, quantiles, tail heaviness.
 
 use crate::csr::{CsrGraph, NodeId};
 
@@ -59,72 +59,6 @@ pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
     }
 }
 
-/// Degree histogram with logarithmic (power-of-two) buckets:
-/// bucket `i` counts nodes with degree in `[2^i, 2^(i+1))`; bucket 0 also
-/// includes degree-0 nodes.
-pub fn log_degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for u in 0..g.num_nodes() {
-        let d = g.degree(u as NodeId);
-        let b = if d <= 1 {
-            0
-        } else {
-            (usize::BITS - d.leading_zeros() - 1) as usize
-        };
-        if hist.len() <= b {
-            hist.resize(b + 1, 0);
-        }
-        hist[b] += 1;
-    }
-    hist
-}
-
-/// Number of connected components (undirected interpretation) via BFS.
-pub fn connected_components(g: &CsrGraph) -> usize {
-    let n = g.num_nodes();
-    let mut seen = vec![false; n];
-    let mut comps = 0;
-    let mut queue = std::collections::VecDeque::new();
-    for s in 0..n {
-        if seen[s] {
-            continue;
-        }
-        comps += 1;
-        seen[s] = true;
-        queue.push_back(s as NodeId);
-        while let Some(u) = queue.pop_front() {
-            for &v in g.neighbors(u) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    comps
-}
-
-/// BFS eccentricity from `start` (longest shortest-path hop count reachable);
-/// a cheap diameter proxy when called from a few random starts.
-pub fn bfs_eccentricity(g: &CsrGraph, start: NodeId) -> usize {
-    let n = g.num_nodes();
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[start as usize] = 0;
-    queue.push_back(start);
-    let mut max = 0;
-    while let Some(u) = queue.pop_front() {
-        for &v in g.neighbors(u) {
-            if dist[v as usize] == usize::MAX {
-                dist[v as usize] = dist[u as usize] + 1;
-                max = max.max(dist[v as usize]);
-                queue.push_back(v);
-            }
-        }
-    }
-    max
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,38 +81,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sums_to_n() {
-        let g = barabasi_albert(500, 3, 4);
-        let h = log_degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 500);
-    }
-
-    #[test]
-    fn components_of_disconnected_graph() {
-        // two disjoint edges: 0-1, 2-3
-        let g = crate::csr::CsrGraph::from_parts(vec![0, 1, 2, 3, 4], vec![1, 0, 3, 2]).unwrap();
-        assert_eq!(connected_components(&g), 2);
-    }
-
-    #[test]
-    fn ba_is_connected() {
-        let g = barabasi_albert(300, 2, 8);
-        assert_eq!(connected_components(&g), 1);
-    }
-
-    #[test]
-    fn eccentricity_path() {
-        // path 0-1-2: ecc from 0 is 2
-        let g = crate::csr::CsrGraph::from_parts(vec![0, 1, 3, 4], vec![1, 0, 2, 1]).unwrap();
-        assert_eq!(bfs_eccentricity(&g, 0), 2);
-        assert_eq!(bfs_eccentricity(&g, 1), 1);
-    }
-
-    #[test]
     fn empty_graph_stats() {
-        let g = crate::csr::CsrGraph::empty(0);
+        let g = crate::csr::CsrGraph::from_parts(vec![0], vec![]).unwrap();
         let s = degree_stats(&g);
         assert_eq!(s.max, 0);
-        assert_eq!(connected_components(&g), 0);
     }
 }

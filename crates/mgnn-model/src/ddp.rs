@@ -87,30 +87,20 @@ pub fn ring_chunk_bounds(len: usize, world: usize, chunk: usize) -> (usize, usiz
     (chunk * len / world, (chunk + 1) * len / world)
 }
 
-/// Average chunk `chunk` of the `world` equal-length gradient buffers in
-/// `srcs` into `dst[start..end)`, reproducing `ring_allreduce_average`'s
-/// accumulation order bit for bit: the ring's reduce-scatter folds chunk
-/// `c` as `((g_{c+1} + g_c) + g_{c+2}) + … + g_{c+world-1}` (ranks mod
-/// `world`), then scales by `1.0 / world as f32` — except at `world == 1`,
-/// where the ring returns early and the chunk is copied unscaled.
+/// Average chunk `chunk` of `world` equal-length gradient buffers into
+/// `dst`, reproducing `ring_allreduce_average`'s accumulation order bit
+/// for bit: the ring's reduce-scatter folds chunk `c` as
+/// `((g_{c+1} + g_c) + g_{c+2}) + … + g_{c+world-1}` (ranks mod `world`),
+/// then scales by `1.0 / world as f32` — except at `world == 1`, where the
+/// ring returns early and the chunk is copied unscaled.
 ///
-/// Elements of `dst` outside the chunk are left untouched, so `world`
-/// threads each reducing their own chunk into a shared buffer cover it
-/// exactly once with no overlap — lock-free by construction.
-pub fn reduce_ring_chunk_average(srcs: &[&[f32]], chunk: usize, dst: &mut [f32]) {
-    let world = srcs.len();
-    let len = dst.len();
-    debug_assert!(srcs.iter().all(|s| s.len() == len));
-    let (s, e) = ring_chunk_bounds(len, world, chunk);
-    reduce_ring_chunk_average_with(chunk, world, len, |r| srcs[r], &mut dst[s..e]);
-}
-
-/// [`reduce_ring_chunk_average`] with the source buffers behind an
-/// accessor instead of a slice list: `src(r)` returns rank `r`'s full
-/// gradient buffer, and `dst` is exactly the chunk's
-/// `[start, end)` window (`ring_chunk_bounds(len, world, chunk)`).
-/// Lets a lock-free arena hand out transient per-rank views without
-/// materializing (allocating) a `&[&[f32]]` every step.
+/// `src(r)` returns rank `r`'s full gradient buffer of `len` elements and
+/// `dst` is exactly the chunk's `[start, end)` window
+/// (`ring_chunk_bounds(len, world, chunk)`), so `world` threads each
+/// reducing their own chunk cover a shared buffer exactly once with no
+/// overlap — lock-free by construction — and a lock-free arena can hand
+/// out transient per-rank views without materializing (allocating) a
+/// `&[&[f32]]` every step.
 pub fn reduce_ring_chunk_average_with<'a, F>(
     chunk: usize,
     world: usize,
@@ -233,7 +223,8 @@ mod tests {
                 let srcs: Vec<&[f32]> = grads.iter().map(|g| g.as_slice()).collect();
                 let mut chunked = vec![0.0f32; len];
                 for c in 0..world {
-                    reduce_ring_chunk_average(&srcs, c, &mut chunked);
+                    let (s, e) = ring_chunk_bounds(len, world, c);
+                    reduce_ring_chunk_average_with(c, world, len, |r| srcs[r], &mut chunked[s..e]);
                 }
                 for (r, g) in ring.iter().enumerate() {
                     for (i, (a, b)) in g.iter().zip(&chunked).enumerate() {
@@ -260,22 +251,6 @@ mod tests {
                     next = e;
                 }
                 assert_eq!(next, len);
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_reduction_leaves_other_chunks_untouched() {
-        let grads = nasty_grads(4, 32);
-        let srcs: Vec<&[f32]> = grads.iter().map(|g| g.as_slice()).collect();
-        let mut dst = vec![f32::NAN; 32];
-        reduce_ring_chunk_average(&srcs, 1, &mut dst);
-        let (s, e) = ring_chunk_bounds(32, 4, 1);
-        for (i, v) in dst.iter().enumerate() {
-            if (s..e).contains(&i) {
-                assert!(v.is_finite());
-            } else {
-                assert!(v.is_nan(), "chunk 1 wrote outside [{s},{e}) at {i}");
             }
         }
     }

@@ -18,12 +18,9 @@ pub mod optim;
 pub mod sage;
 pub mod train;
 
-pub use ddp::{
-    reduce_ring_chunk_average, reduce_ring_chunk_average_with, ring_allreduce_average,
-    ring_chunk_bounds,
-};
+pub use ddp::{reduce_ring_chunk_average_with, ring_allreduce_average, ring_chunk_bounds};
 pub use gat::GatModel;
 pub use gcn::GcnModel;
-pub use model::{load_params, save_params, Model, ModelKind};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use model::{Model, ModelKind};
+pub use optim::{Optimizer, Sgd};
 pub use sage::SageModel;

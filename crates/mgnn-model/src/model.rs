@@ -317,55 +317,6 @@ impl Model for GcnModel {
     }
 }
 
-/// Serialize a model's parameters to little-endian bytes (a checkpoint).
-///
-/// ```
-/// use mgnn_model::{Model, SageModel, save_params, load_params};
-/// let model = SageModel::new(&[4, 8, 3], 7);
-/// let bytes = save_params(&model);
-/// let mut restored = SageModel::new(&[4, 8, 3], 99);
-/// load_params(&mut restored, &bytes).unwrap();
-/// let mut a = vec![0.0; Model::num_params(&model)];
-/// let mut b = vec![0.0; Model::num_params(&restored)];
-/// model.write_params(&mut a);
-/// restored.write_params(&mut b);
-/// assert_eq!(a, b);
-/// ```
-pub fn save_params(model: &dyn Model) -> Vec<u8> {
-    let mut params = vec![0.0f32; model.num_params()];
-    model.write_params(&mut params);
-    let mut out = Vec::with_capacity(8 + params.len() * 4);
-    out.extend_from_slice(&(params.len() as u64).to_le_bytes());
-    for v in params {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Restore parameters saved by [`save_params`]. Fails if the byte length
-/// or parameter count does not match the model.
-pub fn load_params(model: &mut dyn Model, bytes: &[u8]) -> Result<(), String> {
-    if bytes.len() < 8 {
-        return Err("checkpoint truncated".into());
-    }
-    let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-    if n != model.num_params() {
-        return Err(format!(
-            "checkpoint has {n} params, model expects {}",
-            model.num_params()
-        ));
-    }
-    if bytes.len() != 8 + n * 4 {
-        return Err("checkpoint length mismatch".into());
-    }
-    let mut params = Vec::with_capacity(n);
-    for c in bytes[8..].chunks_exact(4) {
-        params.push(f32::from_le_bytes(c.try_into().unwrap()));
-    }
-    model.read_params(&params);
-    Ok(())
-}
-
 fn mask_by_forward_positive(grad: &Tensor, forward_out: &Tensor) -> Tensor {
     assert_eq!(grad.shape(), forward_out.shape());
     let data = grad
@@ -525,25 +476,6 @@ mod tests {
         let mut gbuf2 = vec![0.0f32; gbuf.len()];
         gat2.write_params(&mut gbuf2);
         assert_eq!(gbuf, gbuf2);
-    }
-
-    #[test]
-    fn checkpoint_round_trip_and_rejects_mismatch() {
-        let model = SageModel::new(&[6, 8, 3], 5);
-        let bytes = crate::model::save_params(&model);
-        let mut other = SageModel::new(&[6, 8, 3], 77);
-        crate::model::load_params(&mut other, &bytes).unwrap();
-        let mut a = vec![0.0; Model::num_params(&model)];
-        let mut b = vec![0.0; Model::num_params(&other)];
-        model.write_params(&mut a);
-        other.write_params(&mut b);
-        assert_eq!(a, b);
-        // Wrong shape rejected.
-        let mut wrong = SageModel::new(&[6, 9, 3], 1);
-        assert!(crate::model::load_params(&mut wrong, &bytes).is_err());
-        // Truncation rejected.
-        assert!(crate::model::load_params(&mut other, &bytes[..bytes.len() - 1]).is_err());
-        assert!(crate::model::load_params(&mut other, &bytes[..4]).is_err());
     }
 
     #[test]

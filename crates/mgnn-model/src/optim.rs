@@ -6,104 +6,25 @@ pub trait Optimizer: Send {
     fn step(&mut self, params: &mut [f32], grads: &[f32]);
 }
 
-/// SGD with optional momentum.
+/// Plain SGD.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
-    /// Momentum coefficient (0 disables).
-    pub momentum: f32,
-    velocity: Vec<f32>,
 }
 
 impl Sgd {
-    /// Plain SGD.
+    /// SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len());
-        if self.momentum == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for ((p, &g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
-        }
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical floor.
-    pub eps: f32,
-    m: Vec<f32>,
-    v: Vec<f32>,
-    t: u64,
-}
-
-impl Adam {
-    /// Adam with the standard betas (0.9, 0.999).
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len());
-        if self.m.len() != params.len() {
-            self.m = vec![0.0; params.len()];
-            self.v = vec![0.0; params.len()];
-            self.t = 0;
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+        for (p, &g) in params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
     }
 }
@@ -126,27 +47,6 @@ mod tests {
     fn sgd_converges_on_quadratic() {
         let x = run(Sgd::new(0.1), 100);
         assert!((x - 3.0).abs() < 1e-3, "x={x}");
-    }
-
-    #[test]
-    fn momentum_converges() {
-        let x = run(Sgd::with_momentum(0.05, 0.9), 200);
-        assert!((x - 3.0).abs() < 1e-2, "x={x}");
-    }
-
-    #[test]
-    fn adam_converges() {
-        let x = run(Adam::new(0.3), 300);
-        assert!((x - 3.0).abs() < 1e-2, "x={x}");
-    }
-
-    #[test]
-    fn adam_bias_correction_first_step() {
-        // First Adam step should move by ≈ lr regardless of grad scale.
-        let mut opt = Adam::new(0.1);
-        let mut x = vec![0.0f32];
-        opt.step(&mut x, &[1e-4]);
-        assert!((x[0] + 0.1).abs() < 1e-3, "x={}", x[0]);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! One DDP training step over a sampled minibatch (Algorithm 1 lines
-//! 11–15: forward, loss, backward, synchronize, update).
+//! The local half of one DDP training step over a sampled minibatch
+//! (Algorithm 1 lines 11–13: forward, loss, backward); the engine
+//! synchronizes and updates.
 
-use crate::ddp::ring_allreduce_average;
 use crate::model::Model;
-use crate::optim::Optimizer;
 use mgnn_sampling::Block;
 use mgnn_tensor::loss::{accuracy, cross_entropy};
 use mgnn_tensor::Tensor;
@@ -40,36 +39,9 @@ pub fn forward_backward(
     }
 }
 
-/// Synchronize gradients across trainers (DDP) and apply one optimizer
-/// step on each. Models must be replicas (same parameter count).
-pub fn synchronize_and_step(models: &mut [&mut dyn Model], optimizers: &mut [Box<dyn Optimizer>]) {
-    assert_eq!(models.len(), optimizers.len());
-    if models.is_empty() {
-        return;
-    }
-    let np = models[0].num_params();
-    let mut grads: Vec<Vec<f32>> = models
-        .iter()
-        .map(|m| {
-            assert_eq!(m.num_params(), np, "replica mismatch");
-            let mut g = vec![0.0f32; np];
-            m.write_grads(&mut g);
-            g
-        })
-        .collect();
-    ring_allreduce_average(&mut grads);
-    for ((model, opt), grad) in models.iter_mut().zip(optimizers).zip(&grads) {
-        let mut params = vec![0.0f32; np];
-        model.write_params(&mut params);
-        opt.step(&mut params, grad);
-        model.read_params(&params);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::Sgd;
     use crate::sage::SageModel;
     use mgnn_graph::generators::erdos_renyi;
     use mgnn_graph::FeatureStore;
@@ -98,58 +70,6 @@ mod tests {
             .map(|&l| feats.label(part.global_id(l)))
             .collect();
         (mb.blocks, input, labels)
-    }
-
-    #[test]
-    fn two_replicas_stay_in_sync() {
-        let (blocks, input, labels) = fixture();
-        let mut m1 = SageModel::new(&[6, 8, 3], 5);
-        let mut m2 = SageModel::new(&[6, 8, 3], 5); // same seed ⇒ same init
-        for _ in 0..5 {
-            forward_backward(&mut m1, &blocks, &input, &labels);
-            forward_backward(&mut m2, &blocks, &input, &labels);
-            let mut models: Vec<&mut dyn Model> = vec![&mut m1, &mut m2];
-            let mut opts: Vec<Box<dyn Optimizer>> =
-                vec![Box::new(Sgd::new(0.05)), Box::new(Sgd::new(0.05))];
-            synchronize_and_step(&mut models, &mut opts);
-        }
-        let np = Model::num_params(&m1);
-        let mut p1 = vec![0.0f32; np];
-        let mut p2 = vec![0.0f32; np];
-        m1.write_params(&mut p1);
-        m2.write_params(&mut p2);
-        assert_eq!(p1, p2, "DDP replicas diverged");
-    }
-
-    #[test]
-    fn ddp_average_equals_single_on_identical_grads() {
-        // Two replicas with identical data: averaging is a no-op, so DDP
-        // must match single-trainer training exactly.
-        let (blocks, input, labels) = fixture();
-        let mut ddp_model = SageModel::new(&[6, 8, 3], 5);
-        let mut ddp_model2 = SageModel::new(&[6, 8, 3], 5);
-        let mut solo = SageModel::new(&[6, 8, 3], 5);
-        for _ in 0..3 {
-            forward_backward(&mut ddp_model, &blocks, &input, &labels);
-            forward_backward(&mut ddp_model2, &blocks, &input, &labels);
-            let mut models: Vec<&mut dyn Model> = vec![&mut ddp_model, &mut ddp_model2];
-            let mut opts: Vec<Box<dyn Optimizer>> =
-                vec![Box::new(Sgd::new(0.05)), Box::new(Sgd::new(0.05))];
-            synchronize_and_step(&mut models, &mut opts);
-
-            forward_backward(&mut solo, &blocks, &input, &labels);
-            let mut models: Vec<&mut dyn Model> = vec![&mut solo];
-            let mut opts: Vec<Box<dyn Optimizer>> = vec![Box::new(Sgd::new(0.05))];
-            synchronize_and_step(&mut models, &mut opts);
-        }
-        let np = Model::num_params(&solo);
-        let mut a = vec![0.0f32; np];
-        let mut b = vec![0.0f32; np];
-        ddp_model.write_params(&mut a);
-        solo.write_params(&mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-5);
-        }
     }
 
     #[test]

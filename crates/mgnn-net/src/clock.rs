@@ -72,92 +72,65 @@ impl SimClock {
             self.slack / denom
         }
     }
-
-    /// Merge per-trainer clocks into the *makespan* view: distributed
-    /// training finishes when the slowest trainer does (synchronous SGD
-    /// barriers every minibatch make the max the honest aggregate).
-    pub fn makespan(clocks: &[SimClock]) -> f64 {
-        clocks.iter().map(|c| c.now).fold(0.0, f64::max)
-    }
 }
 
-/// Simulated clock for a two-stage pipeline with a bounded look-ahead
-/// queue of depth `k` — the generalization of Eq. 5 beyond the paper's
-/// `k = 1` (its future-work direction: "options to prefetch future
-/// minibatches can pave the way towards a sustainable perfect overlap").
+/// Simulated clock for the two-stage prepare/train pipeline with its
+/// one-deep queue — Eq. 4/5 of the paper, batch by batch.
 ///
-/// Stage 1 (preparation) produces batches into the queue; stage 2
-/// (training) consumes them. Preparation of batch `i` may start once the
-/// prepare server is free **and** batch `i−k` has been popped for
+/// Stage 1 (preparation) produces a batch into the queue; stage 2
+/// (training) consumes it. Preparation of batch `i` may start once the
+/// prepare server is free **and** batch `i−1` has been popped for
 /// training (queue slot freed):
 ///
 /// ```text
-/// prep_start(i)  = max(prep_done(i−1), train_start(i−k))
+/// prep_start(i)  = max(prep_done(i−1), train_start(i−1))
 /// prep_done(i)   = prep_start(i) + t_prep(i)
 /// train_start(i) = max(train_done(i−1), prep_done(i))
 /// train_done(i)  = train_start(i) + t_train(i)
 /// ```
-///
-/// With `k = 1` this reduces exactly to the paper's Eq. 4/5. Deeper
-/// queues do not raise steady-state throughput (the slower server still
-/// bounds it) but absorb *bursts* — e.g. the Δ-periodic eviction rounds
-/// that spike `t_prep`.
 #[derive(Debug, Clone)]
 pub struct PipelineClock {
-    lookahead: usize,
     prep_done: f64,
     train_done: f64,
-    /// train_start times of the last `lookahead` batches.
-    recent_train_starts: std::collections::VecDeque<f64>,
+    /// `train_start` of the previous batch; `None` before the first.
+    prev_train_start: Option<f64>,
     stall: f64,
     slack: f64,
-    steps: u64,
 }
 
 impl PipelineClock {
-    /// A pipeline clock with queue depth `lookahead ≥ 1`, starting at
-    /// time `start` (e.g. after initialization costs).
-    pub fn new(lookahead: usize, start: f64) -> Self {
-        assert!(lookahead >= 1);
+    /// A pipeline clock starting at time `start` (e.g. after
+    /// initialization costs).
+    pub fn new(start: f64) -> Self {
         PipelineClock {
-            lookahead,
             prep_done: start,
             train_done: start,
-            recent_train_starts: std::collections::VecDeque::with_capacity(lookahead),
+            prev_train_start: None,
             stall: 0.0,
             slack: 0.0,
-            steps: 0,
         }
     }
 
     /// Process one batch: it is prepared (respecting server and queue
-    /// constraints) and then trained.
-    pub fn step(&mut self, t_prep: f64, t_train: f64) {
-        self.step_timed(t_prep, t_train);
-    }
-
-    /// [`step`](Self::step), returning where on the simulated timeline
-    /// the batch's preparation and training landed — the anchors the
+    /// constraints) and then trained. Returns where on the simulated
+    /// timeline its preparation and training landed — the anchors the
     /// tracing layer needs to place spans absolutely.
     pub fn step_timed(&mut self, t_prep: f64, t_train: f64) -> PipelineStepTimes {
         debug_assert!(t_prep >= 0.0 && t_train >= 0.0);
-        let queue_room = if self.recent_train_starts.len() < self.lookahead {
-            f64::NEG_INFINITY // queue not yet full; prep may start immediately
-        } else {
-            // Batch i−k's train_start frees the slot.
-            *self.recent_train_starts.front().unwrap()
-        };
+        // The previous batch's train_start frees the slot; before the
+        // first batch the queue is empty and prep may start immediately.
+        let queue_room = self.prev_train_start.unwrap_or(f64::NEG_INFINITY);
         let prep_start = self.prep_done.max(queue_room);
         let prep_done = prep_start + t_prep;
         let train_start = self.train_done.max(prep_done);
         // Stall: trainer idle waiting for the batch; slack: batch waited
-        // ready in the queue. The pipeline-fill warmup (first `lookahead`
-        // batches, Eq. 4's unavoidable serial preparation) is excluded
-        // from the efficiency metric, as in the paper's Fig. 9 which
-        // measures steady-state waiting.
+        // ready in the queue. The pipeline-fill warmup (the first batch,
+        // Eq. 4's unavoidable serial preparation) is excluded from the
+        // efficiency metric, as in the paper's Fig. 9 which measures
+        // steady-state waiting.
         let mut step_stall = 0.0;
         let mut step_slack = 0.0;
-        if self.steps >= self.lookahead as u64 {
+        if self.prev_train_start.is_some() {
             if prep_done > self.train_done {
                 step_stall = prep_done - self.train_done;
                 self.stall += step_stall;
@@ -169,11 +142,7 @@ impl PipelineClock {
         let train_done = train_start + t_train;
         self.prep_done = prep_done;
         self.train_done = train_done;
-        if self.recent_train_starts.len() == self.lookahead {
-            self.recent_train_starts.pop_front();
-        }
-        self.recent_train_starts.push_back(train_start);
-        self.steps += 1;
+        self.prev_train_start = Some(train_start);
         PipelineStepTimes {
             prep_start,
             prep_done,
@@ -282,9 +251,9 @@ mod tests {
     fn pipeline_depth1_matches_eq5() {
         // Constant times: steady state should advance by max(prep, train)
         // per step, matching SimClock::advance_overlapped.
-        let mut p = PipelineClock::new(1, 0.0);
+        let mut p = PipelineClock::new(0.0);
         for _ in 0..100 {
-            p.step(2.0, 3.0);
+            p.step_timed(2.0, 3.0);
         }
         // First batch: prep 2 then train 3 = 5; afterwards each step adds
         // max(2,3)=3. The warmup batch is excluded from efficiency.
@@ -293,42 +262,8 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_throughput_bound_by_slower_server() {
-        // prep slower than train: deeper queues cannot beat the prep rate.
-        let mut d1 = PipelineClock::new(1, 0.0);
-        let mut d8 = PipelineClock::new(8, 0.0);
-        for _ in 0..200 {
-            d1.step(3.0, 1.0);
-            d8.step(3.0, 1.0);
-        }
-        assert!((d1.now() - d8.now()).abs() < 3.0 + 1e-9);
-        assert!(d1.now() >= 200.0 * 3.0);
-    }
-
-    #[test]
-    fn deeper_queue_absorbs_prep_bursts() {
-        // Bursty prep (every 8th batch is 9× slower — an eviction round),
-        // train in between is long enough to amortize the burst if the
-        // queue can run ahead.
-        let run = |k: usize| {
-            let mut p = PipelineClock::new(k, 0.0);
-            for i in 0..160 {
-                let t_prep = if i % 8 == 0 { 9.0 } else { 1.0 };
-                p.step(t_prep, 2.5);
-            }
-            p.now()
-        };
-        let shallow = run(1);
-        let deep = run(4);
-        assert!(
-            deep < shallow * 0.95,
-            "depth 4 ({deep:.1}) should absorb bursts vs depth 1 ({shallow:.1})"
-        );
-    }
-
-    #[test]
     fn pipeline_never_faster_than_either_stage_sum() {
-        let mut p = PipelineClock::new(4, 0.0);
+        let mut p = PipelineClock::new(0.0);
         let mut prep_sum = 0.0;
         let mut train_sum = 0.0;
         for i in 0..50 {
@@ -336,7 +271,7 @@ mod tests {
             let b = 2.0 - (i % 2) as f64 * 0.5;
             prep_sum += a;
             train_sum += b;
-            p.step(a, b);
+            p.step_timed(a, b);
         }
         assert!(p.now() + 1e-9 >= prep_sum.max(train_sum));
         assert!(p.now() <= prep_sum + train_sum + 1e-9);
@@ -344,7 +279,7 @@ mod tests {
 
     #[test]
     fn step_timed_reports_timeline_and_per_step_stall() {
-        let mut p = PipelineClock::new(1, 10.0);
+        let mut p = PipelineClock::new(10.0);
         let t0 = p.step_timed(2.0, 3.0);
         assert_eq!(t0.prep_start, 10.0);
         assert_eq!(t0.prep_done, 12.0);
@@ -361,30 +296,5 @@ mod tests {
         assert!((t2.stall_s - (t2.prep_done - t1.train_done)).abs() < 1e-12);
         assert!((p.stall() - t2.stall_s).abs() < 1e-12);
         assert!((p.slack() - t1.slack_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn step_and_step_timed_agree() {
-        let mut a = PipelineClock::new(2, 0.0);
-        let mut b = PipelineClock::new(2, 0.0);
-        for i in 0..50 {
-            let prep = 1.0 + (i % 5) as f64;
-            let train = 2.0 + (i % 3) as f64;
-            a.step(prep, train);
-            b.step_timed(prep, train);
-        }
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.stall(), b.stall());
-        assert_eq!(a.overlap_efficiency(), b.overlap_efficiency());
-    }
-
-    #[test]
-    fn makespan_is_max() {
-        let mut a = SimClock::new();
-        a.advance(1.0);
-        let mut b = SimClock::new();
-        b.advance(4.0);
-        assert_eq!(SimClock::makespan(&[a, b]), 4.0);
-        assert_eq!(SimClock::makespan(&[]), 0.0);
     }
 }

@@ -277,7 +277,7 @@ impl SimCluster {
             .enumerate()
             .map(|(p, s)| {
                 let plan = profile.as_ref().map(|f| f.plan_for(p as u32));
-                let server = RpcServer::spawn_planned(Arc::clone(s), delay, plan);
+                let server = RpcServer::spawn(Arc::clone(s), delay, plan);
                 let client = server.client();
                 Mutex::new(Remote {
                     server: Some(server),
@@ -428,15 +428,9 @@ impl SimCluster {
 
     /// [`pull_rows`](Self::pull_rows) decoded into one dense row-major
     /// `Vec<f32>` in the order of `ids` — each element rounded once by
-    /// the [`wire`] format it crossed in, failed rows zero — plus the
-    /// number of first-round RPCs issued. For callers that want the
-    /// whole image; the training path decodes row by row instead.
-    pub fn pull_grouped(&self, ids: &[NodeId]) -> (Vec<f32>, usize) {
-        let (out, outcome) = self.pull_grouped_checked(ids);
-        (out, outcome.rpcs)
-    }
-
-    /// [`pull_grouped`](Self::pull_grouped) with full fault accounting.
+    /// the [`wire`] format it crossed in, failed rows zero — with the
+    /// pull's full fault accounting. For callers that want the whole
+    /// image; the training path decodes row by row instead.
     pub fn pull_grouped_checked(&self, ids: &[NodeId]) -> (Vec<f32>, PullOutcome) {
         let (rows, outcome) = self.pull_rows(ids, 0);
         let mut out = vec![0.0f32; ids.len() * self.dim];
@@ -584,7 +578,7 @@ impl SimCluster {
             .faults
             .as_ref()
             .map(|f| f.profile.plan_for(part as u32).without_crash());
-        let server = RpcServer::spawn_planned(Arc::clone(&self.stores[part]), self.delay, plan);
+        let server = RpcServer::spawn(Arc::clone(&self.stores[part]), self.delay, plan);
         g.client = server.client();
         // Dropping the old handle joins the already-dead thread.
         g.server = Some(server);
@@ -655,8 +649,8 @@ mod tests {
         let (f, a) = fixture();
         let c = SimCluster::new(&f, &a, 4);
         let ids = vec![7u32, 3, 42, 7, 11];
-        let (out, rpcs) = c.pull_grouped(&ids);
-        assert!((1..=4).contains(&rpcs));
+        let (out, outcome) = c.pull_grouped_checked(&ids);
+        assert!((1..=4).contains(&outcome.rpcs));
         for (i, &g) in ids.iter().enumerate() {
             assert_eq!(&out[i * 8..(i + 1) * 8], on_wire(f.row(g)), "row {g}");
         }
@@ -666,9 +660,9 @@ mod tests {
     fn pull_empty() {
         let (f, a) = fixture();
         let c = SimCluster::new(&f, &a, 4);
-        let (out, rpcs) = c.pull_grouped(&[]);
+        let (out, outcome) = c.pull_grouped_checked(&[]);
         assert!(out.is_empty());
-        assert_eq!(rpcs, 0);
+        assert_eq!(outcome.rpcs, 0);
     }
 
     #[test]

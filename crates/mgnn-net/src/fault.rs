@@ -109,15 +109,6 @@ impl FaultProfile {
     /// The CLI-recognized profile names.
     pub const NAMES: [&'static str; 3] = ["off", "light", "heavy"];
 
-    /// True when no verdict can ever fire: probabilities are all zero
-    /// and no crash is scheduled.
-    pub fn is_faultless(&self) -> bool {
-        self.drop_prob <= 0.0
-            && self.delay_prob <= 0.0
-            && self.truncate_prob <= 0.0
-            && self.crash_part.is_none()
-    }
-
     /// Derive the plan for one partition's server.
     pub fn plan_for(&self, part: u32) -> FaultPlan {
         FaultPlan {
@@ -307,7 +298,6 @@ mod tests {
     #[test]
     fn off_profile_is_faultless_and_silent() {
         let p = FaultProfile::off(7);
-        assert!(p.is_faultless());
         let plan = p.plan_for(0);
         assert!(!plan.crash_before(u64::MAX - 1));
         for i in 0..500 {
@@ -350,7 +340,10 @@ mod tests {
             assert!(FaultProfile::named(name, 1).is_some(), "{name}");
         }
         assert!(FaultProfile::named("bogus", 1).is_none());
-        assert!(FaultProfile::named("off", 1).unwrap().is_faultless());
-        assert!(!FaultProfile::named("heavy", 1).unwrap().is_faultless());
+        assert_eq!(FaultProfile::named("off", 1), Some(FaultProfile::off(1)));
+        assert_eq!(
+            FaultProfile::named("heavy", 1),
+            Some(FaultProfile::heavy(1))
+        );
     }
 }

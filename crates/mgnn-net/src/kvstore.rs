@@ -4,7 +4,7 @@
 //! nodes it *owns*, keyed by global id. Trainers read local rows directly
 //! as f32 ([`KvStore::row`]) and pull remote rows, in [`crate::wire`]
 //! format, via [`crate::rpc`] or
-//! [`crate::cluster::SimCluster::pull_grouped`].
+//! [`crate::cluster::SimCluster::pull_rows`].
 //!
 //! The servers are simulated inside one address space, so a shard does
 //! not hold a private copy of its rows: it is its sorted `owned` list

@@ -208,8 +208,8 @@ impl CommMetrics {
 
     /// Record one planned lookahead pull fetching `nodes` rows of `dim`
     /// features ahead of their due step. Counts into the planned
-    /// counters *and* the remote-traffic totals ([`record_rpc`]
-    /// (Self::record_rpc)) — planned pulls move real bytes; the split
+    /// counters *and* the remote-traffic totals
+    /// ([`record_rpc`](Self::record_rpc)) — planned pulls move real bytes; the split
     /// lets reports separate planned volume from critical-path fetches.
     pub fn record_planned(&self, nodes: u64, dim: usize) {
         if nodes == 0 {
@@ -274,7 +274,7 @@ mod tests {
         let rows: Vec<f32> = (0..40 * dim).map(|i| i as f32 * 0.37 - 3.0).collect();
         let features = mgnn_graph::FeatureStore::from_parts(40, dim, rows, vec![0; 40], 1);
         let kv = KvStore::new(0, owned, &features);
-        let server = RpcServer::spawn(Arc::new(kv));
+        let server = RpcServer::spawn(Arc::new(kv), std::time::Duration::ZERO, None);
         let client = server.client();
         let m = CommMetrics::new();
         let mut received = 0u64;

@@ -124,53 +124,17 @@ pub struct RpcServer {
 }
 
 impl RpcServer {
-    /// Spawn a server thread for `kv`.
-    pub fn spawn(kv: Arc<KvStore>) -> Self {
-        Self::spawn_with_delay(kv, std::time::Duration::ZERO)
-    }
-
-    /// Spawn a server that sleeps `delay` before answering each pull —
-    /// emulating real network/service latency with real wall-clock time,
-    /// so the threaded overlap pipeline has something genuine to hide
-    /// (in-process RPC is otherwise effectively free).
-    pub fn spawn_with_delay(kv: Arc<KvStore>, delay: std::time::Duration) -> Self {
-        Self::spawn_inner(kv, delay, None, None)
-    }
-
-    /// Spawn a server running under a deterministic fault plan: each
-    /// request's verdict (serve / drop / delay-tag / truncate) is a pure
-    /// function of the plan seed and the request index, and the server
-    /// thread exits — without replying — once the plan's crash budget is
-    /// reached. Injected delays are *sim-time tags* on the reply, not
-    /// wall-clock sleeps, so chaos runs stay fast and reproducible.
-    pub fn spawn_planned(
-        kv: Arc<KvStore>,
-        delay: std::time::Duration,
-        plan: Option<FaultPlan>,
-    ) -> Self {
-        Self::spawn_inner(kv, delay, None, plan)
-    }
-
-    /// [`spawn_with_delay`](Self::spawn_with_delay), recording one
-    /// wall-clock `rpc` span on the recorder's server lane per pull
-    /// served. Unlike the simulated-time spans the engine records, these
-    /// measure real service time on a real thread — the "step" key is the
-    /// server's running request index, since a server does not know which
-    /// training step a pull belongs to.
-    pub fn spawn_traced(
-        kv: Arc<KvStore>,
-        delay: std::time::Duration,
-        recorder: Arc<mgnn_obs::SpanRecorder>,
-    ) -> Self {
-        Self::spawn_inner(kv, delay, Some(recorder), None)
-    }
-
-    fn spawn_inner(
-        kv: Arc<KvStore>,
-        delay: std::time::Duration,
-        recorder: Option<Arc<mgnn_obs::SpanRecorder>>,
-        plan: Option<FaultPlan>,
-    ) -> Self {
+    /// Spawn a server thread for `kv`. It sleeps `delay` before answering
+    /// each non-empty pull — emulating real network/service latency with
+    /// real wall-clock time, so the threaded overlap pipeline has
+    /// something genuine to hide (in-process RPC is otherwise effectively
+    /// free). Under a fault `plan` each request's verdict (serve / drop /
+    /// delay-tag / truncate) is a pure function of the plan seed and the
+    /// request index, and the server thread exits — without replying —
+    /// once the plan's crash budget is reached. Injected delays are
+    /// *sim-time tags* on the reply, not wall-clock sleeps, so chaos runs
+    /// stay fast and reproducible.
+    pub fn spawn(kv: Arc<KvStore>, delay: std::time::Duration, plan: Option<FaultPlan>) -> Self {
         let dim = kv.dim();
         let (tx, rx) = unbounded::<Request>();
         let handle = std::thread::Builder::new()
@@ -205,9 +169,6 @@ impl RpcServer {
                                 .as_ref()
                                 .map(|p| p.verdict(requests))
                                 .unwrap_or(FaultVerdict::None);
-                            let _span = recorder.as_ref().map(|r| {
-                                r.start_wall(mgnn_obs::Lane::Server, requests, mgnn_obs::Phase::Rpc)
-                            });
                             requests += 1;
                             if !delay.is_zero() && !ids.is_empty() {
                                 std::thread::sleep(delay);
@@ -414,6 +375,11 @@ mod tests {
         Arc::new(KvStore::new(0, vec![1, 3, 5], &features))
     }
 
+    /// A server for [`kv`] that answers at once, under `plan` if any.
+    fn serve(plan: Option<FaultPlan>) -> RpcServer {
+        RpcServer::spawn(kv(), std::time::Duration::ZERO, plan)
+    }
+
     fn plan_with(f: impl FnOnce(&mut FaultProfile)) -> FaultPlan {
         let mut p = FaultProfile::off(11);
         f(&mut p);
@@ -422,7 +388,7 @@ mod tests {
 
     #[test]
     fn pull_round_trip() {
-        let server = RpcServer::spawn(kv());
+        let server = serve(None);
         let client = server.client();
         let out = client.pull(vec![5, 1]).unwrap();
         assert_eq!(out, on_wire([5.0, 5.5, 1.0, 1.5]));
@@ -431,7 +397,7 @@ mod tests {
 
     #[test]
     fn async_pull_overlaps() {
-        let server = RpcServer::spawn(kv());
+        let server = serve(None);
         let client = server.client();
         let handle = client.pull_async(vec![3]).unwrap();
         // Do "other work" before waiting.
@@ -444,7 +410,7 @@ mod tests {
 
     #[test]
     fn a_served_pull_hands_back_what_it_was_lent() {
-        let server = RpcServer::spawn(kv());
+        let server = serve(None);
         let client = server.client();
         let first = client.pull_async(vec![5, 1]).unwrap().wait().unwrap();
         assert_eq!(first.ids, [5, 1]);
@@ -471,7 +437,7 @@ mod tests {
 
     #[test]
     fn many_clients_one_server() {
-        let server = RpcServer::spawn(kv());
+        let server = serve(None);
         let clients: Vec<RpcClient> = (0..4).map(|_| server.client()).collect();
         let handles: Vec<_> = clients
             .into_iter()
@@ -491,7 +457,7 @@ mod tests {
 
     #[test]
     fn delayed_server_still_correct() {
-        let server = RpcServer::spawn_with_delay(kv(), std::time::Duration::from_millis(2));
+        let server = RpcServer::spawn(kv(), std::time::Duration::from_millis(2), None);
         let client = server.client();
         let t0 = std::time::Instant::now();
         assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
@@ -503,31 +469,8 @@ mod tests {
     }
 
     #[test]
-    fn traced_server_records_service_spans() {
-        use mgnn_obs::{Lane, Phase, SpanRecorder};
-        let rec = Arc::new(SpanRecorder::for_trainer(0, 0));
-        let server =
-            RpcServer::spawn_traced(kv(), std::time::Duration::from_millis(1), Arc::clone(&rec));
-        let client = server.client();
-        assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
-        assert_eq!(client.pull(vec![3]).unwrap(), on_wire([3.0, 3.5]));
-        server.shutdown();
-        let t = rec.snapshot();
-        let rpc = t.phase(Phase::Rpc).unwrap();
-        assert_eq!(rpc.count, 2);
-        assert!(rpc.min_s >= 1.0e-3, "span covers the service delay");
-        assert!(t.events.iter().all(|e| e.lane == Lane::Server));
-        assert_eq!(t.events[0].step, 0);
-        assert_eq!(t.events[1].step, 1);
-        assert!(
-            t.events[1].rel_start_s >= t.events[0].rel_start_s,
-            "server-lane spans are wall-ordered"
-        );
-    }
-
-    #[test]
     fn empty_pull() {
-        let server = RpcServer::spawn(kv());
+        let server = serve(None);
         assert_eq!(
             server.client().pull(vec![]).unwrap(),
             Vec::<WireElem>::new()
@@ -536,7 +479,7 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_cleanly() {
-        let server = RpcServer::spawn(kv());
+        let server = serve(None);
         let client = server.client();
         drop(server); // must not hang
         assert_eq!(client.pull(vec![1]), Err(RpcError::ServerGone));
@@ -552,7 +495,7 @@ mod tests {
             p.crash_part = Some(0);
             p.crash_after = 0;
         });
-        let server = RpcServer::spawn_planned(kv(), std::time::Duration::ZERO, Some(plan));
+        let server = serve(Some(plan));
         let client = server.client();
         let handle = client.pull_async(vec![1]).unwrap();
         assert_eq!(handle.wait().unwrap_err(), RpcError::ServerGone);
@@ -567,7 +510,7 @@ mod tests {
             p.crash_part = Some(0);
             p.crash_after = 2;
         });
-        let server = RpcServer::spawn_planned(kv(), std::time::Duration::ZERO, Some(plan));
+        let server = serve(Some(plan));
         let client = server.client();
         assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
         assert_eq!(
@@ -582,7 +525,7 @@ mod tests {
     #[test]
     fn dropped_reply_times_out() {
         let plan = plan_with(|p| p.drop_prob = 1.0);
-        let server = RpcServer::spawn_planned(kv(), std::time::Duration::ZERO, Some(plan));
+        let server = serve(Some(plan));
         let handle = server.client().pull_async(vec![1]).unwrap();
         let t0 = std::time::Instant::now();
         let err = handle
@@ -598,7 +541,7 @@ mod tests {
     #[test]
     fn truncated_payload_detected() {
         let plan = plan_with(|p| p.truncate_prob = 1.0);
-        let server = RpcServer::spawn_planned(kv(), std::time::Duration::ZERO, Some(plan));
+        let server = serve(Some(plan));
         let err = server.client().pull(vec![1, 3]).unwrap_err();
         assert_eq!(
             err,
@@ -620,7 +563,7 @@ mod tests {
             p.delay_prob = 1.0;
             p.delay_factor = 7;
         });
-        let server = RpcServer::spawn_planned(kv(), std::time::Duration::ZERO, Some(plan));
+        let server = serve(Some(plan));
         let resp = server.client().pull_async(vec![5]).unwrap().wait().unwrap();
         assert_eq!(resp.payload, on_wire([5.0, 5.5]));
         assert_eq!(resp.delay_k, 7, "delay rides the reply as a sim-time tag");
@@ -628,7 +571,7 @@ mod tests {
 
     #[test]
     fn unowned_id_is_typed_error_and_server_survives() {
-        let server = RpcServer::spawn(kv());
+        let server = serve(None);
         let client = server.client();
         let err = client.pull(vec![1, 2]).unwrap_err();
         assert_eq!(err, RpcError::Kv(KvError { node: 2, part: 0 }));

@@ -4,9 +4,8 @@
 //! `{"traceEvents": [...]}` envelope of complete `"X"` events plus `"M"`
 //! metadata naming processes and threads), which both
 //! <https://ui.perfetto.dev> and `chrome://tracing` open directly. Each
-//! trainer becomes one *process* with up to three *threads*: its train
-//! lane, its prepare lane, and (when the traced RPC server is used) a
-//! server lane. Timestamps are the simulated timeline in microseconds,
+//! trainer becomes one *process* with one *thread* per [`Lane`] it
+//! recorded on. Timestamps are the simulated timeline in microseconds,
 //! resolved through each trace's per-step anchors; spans whose step has
 //! no anchor (a batch prepared ahead but never consumed) are dropped.
 //!
@@ -249,7 +248,6 @@ mod tests {
         );
         assert_eq!(track_label(Lane::Prepare), "prepare");
         assert_eq!(track_label(Lane::Train), "train");
-        assert_eq!(track_label(Lane::Server), "server");
 
         // …and through the rendered metadata rows.
         let r = SpanRecorder::for_trainer(0, 0);

@@ -86,15 +86,6 @@ impl LatencyHistogram {
         self.max_s
     }
 
-    /// Mean duration; 0.0 when empty.
-    pub fn mean_s(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_s / self.count as f64
-        }
-    }
-
     /// Approximate quantile `q ∈ [0, 1]`: the upper bound of the bucket
     /// holding the q-th recorded value, clamped to `[min, max]`. 0.0 when
     /// empty; `q ≤ 0` (and NaN) return the observed min, `q ≥ 1` the

@@ -3,7 +3,7 @@
 //! A [`SpanRecorder`] belongs to one trainer and is shared (behind an
 //! `Arc`) between that trainer's worker thread and its prepare thread —
 //! exactly the two writers the threaded engine has. Every span is keyed by
-//! the *global step* and a [`Lane`] (prepare vs. train vs. server), and
+//! the *global step* and a [`Lane`] (prepare, train, fault, lookahead), and
 //! carries a start offset **relative to its lane's per-step anchor**: the
 //! engine, which owns the simulated clocks, records one [`StepAnchor`] per
 //! step mapping those offsets onto the absolute simulated timeline. This
@@ -18,7 +18,6 @@ use crate::hist::LatencyHistogram;
 use serde::{Serialize, Value};
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Pipeline phase a span measures. The first seven mirror the fields of
 /// the engine's `Breakdown`; `Allreduce` is the gradient-synchronization
@@ -131,9 +130,6 @@ pub enum Lane {
     /// The trainer thread: train (with allreduce nested at its tail).
     /// Offsets are relative to the step's `train_start_s`.
     Train,
-    /// A KVStore server thread recording real wall-clock service spans;
-    /// offsets are absolute wall seconds since the recorder was created.
-    Server,
     /// Fault activity (retries, backoff, injected delays) charged to the
     /// simulated clock; offsets are relative to the step's
     /// `prep_start_s`, like [`Lane::Prepare`] — faults strike during
@@ -152,7 +148,6 @@ impl Lane {
         match self {
             Lane::Prepare => "prepare",
             Lane::Train => "train",
-            Lane::Server => "server",
             Lane::Fault => "fault",
             Lane::Lookahead => "lookahead",
         }
@@ -163,7 +158,6 @@ impl Lane {
         match self {
             Lane::Train => 1,
             Lane::Prepare => 2,
-            Lane::Server => 3,
             Lane::Fault => 4,
             Lane::Lookahead => 5,
         }
@@ -284,18 +278,11 @@ impl TrainerTrace {
     /// anchors (`None` if the step has no anchor yet — e.g. a prepared-
     /// ahead batch that was never trained on).
     pub fn absolute_start_s(&self, ev: &SpanEvent) -> Option<f64> {
-        match ev.lane {
-            Lane::Server => Some(ev.rel_start_s),
-            Lane::Prepare | Lane::Train | Lane::Fault | Lane::Lookahead => {
-                let a = self.anchors.iter().find(|a| a.step == ev.step)?;
-                Some(match ev.lane {
-                    Lane::Prepare | Lane::Fault | Lane::Lookahead => {
-                        a.prep_start_s + ev.rel_start_s
-                    }
-                    _ => a.train_start_s + ev.rel_start_s,
-                })
-            }
-        }
+        let a = self.anchors.iter().find(|a| a.step == ev.step)?;
+        Some(match ev.lane {
+            Lane::Prepare | Lane::Fault | Lane::Lookahead => a.prep_start_s + ev.rel_start_s,
+            Lane::Train => a.train_start_s + ev.rel_start_s,
+        })
     }
 }
 
@@ -319,7 +306,6 @@ struct Inner {
 pub struct SpanRecorder {
     trainer: u32,
     part_id: u32,
-    epoch: Instant,
     inner: Mutex<Inner>,
 }
 
@@ -338,7 +324,6 @@ impl SpanRecorder {
         SpanRecorder {
             trainer,
             part_id,
-            epoch: Instant::now(),
             inner: Mutex::new(Inner {
                 ring: VecDeque::with_capacity(capacity.min(4096)),
                 capacity,
@@ -400,20 +385,6 @@ impl SpanRecorder {
         self.inner.lock().unwrap().series.push(point);
     }
 
-    /// Start a wall-clock span on `lane`; the span is recorded when the
-    /// guard drops, with its start expressed as seconds since this
-    /// recorder was created. Used by server threads, where no simulated
-    /// clock exists.
-    pub fn start_wall(&self, lane: Lane, step: u64, phase: Phase) -> WallSpan<'_> {
-        WallSpan {
-            recorder: self,
-            lane,
-            step,
-            phase,
-            t0: Instant::now(),
-        }
-    }
-
     /// Snapshot everything recorded so far into plain data.
     pub fn snapshot(&self) -> TrainerTrace {
         let g = self.inner.lock().unwrap();
@@ -443,24 +414,6 @@ impl SpanRecorder {
             phases,
             series: g.series.clone(),
         }
-    }
-}
-
-/// RAII wall-clock span (see [`SpanRecorder::start_wall`]).
-pub struct WallSpan<'a> {
-    recorder: &'a SpanRecorder,
-    lane: Lane,
-    step: u64,
-    phase: Phase,
-    t0: Instant,
-}
-
-impl Drop for WallSpan<'_> {
-    fn drop(&mut self) {
-        let rel = self.t0.duration_since(self.recorder.epoch).as_secs_f64();
-        let dur = self.t0.elapsed().as_secs_f64();
-        self.recorder
-            .record(self.lane, self.step, self.phase, rel, dur);
     }
 }
 
@@ -606,21 +559,6 @@ mod tests {
         let rpc = t.phase(Phase::Rpc).unwrap();
         assert_eq!(rpc.count, 4000);
         assert!((rpc.sum_s - 4000.0e-6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wall_span_guard_records_on_drop() {
-        let r = SpanRecorder::for_trainer(0, 0);
-        {
-            let _g = r.start_wall(Lane::Server, 7, Phase::Rpc);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let t = r.snapshot();
-        let ev = t.events[0];
-        assert_eq!(ev.lane, Lane::Server);
-        assert_eq!(ev.step, 7);
-        assert!(ev.dur_s >= 2.0e-3);
-        assert_eq!(t.absolute_start_s(&ev), Some(ev.rel_start_s));
     }
 
     #[test]

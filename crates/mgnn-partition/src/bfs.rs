@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn more_parts_than_interesting_nodes() {
-        let g = mgnn_graph::CsrGraph::empty(5);
+        let g = mgnn_graph::GraphBuilder::new(5).build();
         let p = bfs_partition(&g, 3);
         assert_eq!(p.sizes().iter().sum::<usize>(), 5);
     }

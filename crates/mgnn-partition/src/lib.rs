@@ -70,16 +70,6 @@ impl Partitioning {
         }
         s
     }
-
-    /// Sorted list of nodes owned by partition `p`.
-    pub fn nodes_of(&self, p: u32) -> Vec<NodeId> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|&(_, &q)| q == p)
-            .map(|(u, _)| u as NodeId)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +81,6 @@ mod tests {
         let p = Partitioning::new(vec![0, 1, 0, 1], 2);
         assert_eq!(p.part_of(2), 0);
         assert_eq!(p.sizes(), vec![2, 2]);
-        assert_eq!(p.nodes_of(1), vec![1, 3]);
     }
 
     #[test]

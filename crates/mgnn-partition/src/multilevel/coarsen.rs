@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn isolated_nodes_self_match() {
-        let g = CsrGraph::empty(10);
+        let g = mgnn_graph::GraphBuilder::new(10).build();
         let wg = WGraph::from_csr(&g);
         let (coarse, _) = coarsen_once(&wg, 0);
         assert_eq!(coarse.num_nodes(), 10);

@@ -86,11 +86,6 @@ pub struct SampledMinibatch {
 }
 
 impl SampledMinibatch {
-    /// Every unique partition-local node id touched by this minibatch.
-    pub fn all_nodes(&self) -> &[u32] {
-        &self.input_nodes
-    }
-
     /// Total sampled edges across all blocks — the sampling workload, used
     /// by the cost model's `t_sampling`.
     pub fn total_edges(&self) -> usize {

@@ -2,9 +2,9 @@
 //!
 //! DistDGL's trainer `DataLoader` shuffles its shard of train nodes each
 //! epoch, chops them into minibatches, and runs a fanout
-//! [`NeighborSampler`](sampler::NeighborSampler) over the *local partition*
+//! [`NeighborSampler`] over the *local partition*
 //! (halo nodes included as frontier leaves) to produce the per-layer
-//! bipartite [`Block`](block::Block)s (message-flow graphs) the GNN
+//! bipartite [`Block`]s (message-flow graphs) the GNN
 //! consumes. This crate reimplements that pipeline over
 //! [`mgnn_partition::LocalPartition`].
 //!

@@ -1,8 +1,6 @@
-//! Elementwise activations and their backward passes, plus dropout.
+//! ReLU with its backward pass, and the row-wise softmax.
 
 use crate::tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// ReLU forward: `max(0, x)`.
 pub fn relu(x: &Tensor) -> Tensor {
@@ -18,28 +16,6 @@ pub fn relu_backward(grad: &Tensor, input: &Tensor) -> Tensor {
         .iter()
         .zip(input.data())
         .map(|(&g, &x)| if x > 0.0 { g } else { 0.0 })
-        .collect();
-    Tensor::from_vec(grad.rows(), grad.cols(), data)
-}
-
-/// LeakyReLU forward with negative slope `alpha` (GAT uses 0.2).
-pub fn leaky_relu(x: &Tensor, alpha: f32) -> Tensor {
-    let data = x
-        .data()
-        .iter()
-        .map(|&v| if v > 0.0 { v } else { alpha * v })
-        .collect();
-    Tensor::from_vec(x.rows(), x.cols(), data)
-}
-
-/// LeakyReLU backward.
-pub fn leaky_relu_backward(grad: &Tensor, input: &Tensor, alpha: f32) -> Tensor {
-    assert_eq!(grad.shape(), input.shape());
-    let data = grad
-        .data()
-        .iter()
-        .zip(input.data())
-        .map(|(&g, &x)| if x > 0.0 { g } else { alpha * g })
         .collect();
     Tensor::from_vec(grad.rows(), grad.cols(), data)
 }
@@ -64,58 +40,6 @@ pub fn softmax_rows(x: &Tensor) -> Tensor {
     out
 }
 
-/// Inverted dropout: zero each element with probability `p`, scale the rest
-/// by `1/(1-p)`. Returns `(output, mask)`; the mask encodes the applied
-/// scale so the backward is a pure elementwise product.
-pub fn dropout(x: &Tensor, p: f32, seed: u64) -> (Tensor, Tensor) {
-    assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
-    if p == 0.0 {
-        let mask = Tensor::from_vec(x.rows(), x.cols(), vec![1.0; x.rows() * x.cols()]);
-        return (x.clone(), mask);
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let keep = 1.0 / (1.0 - p);
-    let mask_data: Vec<f32> = (0..x.rows() * x.cols())
-        .map(|_| if rng.gen::<f32>() < p { 0.0 } else { keep })
-        .collect();
-    let out_data: Vec<f32> = x
-        .data()
-        .iter()
-        .zip(&mask_data)
-        .map(|(&v, &m)| v * m)
-        .collect();
-    (
-        Tensor::from_vec(x.rows(), x.cols(), out_data),
-        Tensor::from_vec(x.rows(), x.cols(), mask_data),
-    )
-}
-
-/// Dropout backward: `grad * mask`.
-pub fn dropout_backward(grad: &Tensor, mask: &Tensor) -> Tensor {
-    assert_eq!(grad.shape(), mask.shape());
-    let data = grad
-        .data()
-        .iter()
-        .zip(mask.data())
-        .map(|(&g, &m)| g * m)
-        .collect();
-    Tensor::from_vec(grad.rows(), grad.cols(), data)
-}
-
-/// L2-normalize each row in place (GraphSAGE's final-layer normalization).
-pub fn l2_normalize_rows(x: &mut Tensor) {
-    for i in 0..x.rows() {
-        let row = x.row_mut(i);
-        let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
-        if norm > 1e-12 {
-            let inv = 1.0 / norm;
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,16 +55,6 @@ mod tests {
     }
 
     #[test]
-    fn leaky_relu_slope() {
-        let x = Tensor::from_vec(1, 2, vec![-10.0, 10.0]);
-        let y = leaky_relu(&x, 0.2);
-        assert_eq!(y.data(), &[-2.0, 10.0]);
-        let g = Tensor::from_vec(1, 2, vec![1.0, 1.0]);
-        let gx = leaky_relu_backward(&g, &x, 0.2);
-        assert_eq!(gx.data(), &[0.2, 1.0]);
-    }
-
-    #[test]
     fn softmax_rows_sum_to_one() {
         let x = Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 1000.0, 1000.0, 1000.0]);
         let s = softmax_rows(&x);
@@ -152,41 +66,5 @@ mod tests {
         assert!(s.data().iter().all(|v| v.is_finite()));
         // Monotone: bigger logit, bigger prob.
         assert!(s.get(0, 2) > s.get(0, 0));
-    }
-
-    #[test]
-    fn dropout_zero_p_is_identity() {
-        let x = Tensor::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let (y, m) = dropout(&x, 0.0, 1);
-        assert_eq!(y, x);
-        assert!(m.data().iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn dropout_preserves_expectation() {
-        let x = Tensor::from_vec(1, 10_000, vec![1.0; 10_000]);
-        let (y, _) = dropout(&x, 0.5, 7);
-        let mean: f32 = y.data().iter().sum::<f32>() / 10_000.0;
-        assert!((mean - 1.0).abs() < 0.1, "dropout mean {mean}");
-    }
-
-    #[test]
-    fn dropout_backward_masks_gradient() {
-        let x = Tensor::from_vec(1, 100, vec![1.0; 100]);
-        let (_, m) = dropout(&x, 0.3, 3);
-        let g = Tensor::from_vec(1, 100, vec![1.0; 100]);
-        let gx = dropout_backward(&g, &m);
-        for (gv, mv) in gx.data().iter().zip(m.data()) {
-            assert_eq!(gv, mv);
-        }
-    }
-
-    #[test]
-    fn l2_normalize() {
-        let mut x = Tensor::from_vec(2, 2, vec![3.0, 4.0, 0.0, 0.0]);
-        l2_normalize_rows(&mut x);
-        assert!((x.get(0, 0) - 0.6).abs() < 1e-6);
-        assert!((x.get(0, 1) - 0.8).abs() < 1e-6);
-        assert_eq!(x.row(1), &[0.0, 0.0]); // zero row untouched
     }
 }

@@ -103,30 +103,6 @@ impl SparseMatrix {
         });
         Tensor::from_vec(self.rows, d, out)
     }
-
-    /// Transposed sparse-dense product `selfᵀ · g` (`cols×rows · rows×d →
-    /// cols×d`) — the backward of [`SparseMatrix::spmm`].
-    pub fn spmm_t(&self, g: &Tensor) -> Tensor {
-        assert_eq!(self.rows, g.rows(), "spmm_t shape mismatch");
-        let d = g.cols();
-        let mut out = vec![0.0f32; self.cols * d];
-        // Scatter form: serial over rows (rows write disjoint target rows
-        // only if columns are unique, which they are not in general).
-        for i in 0..self.rows {
-            let s = self.offsets[i] as usize;
-            let e = self.offsets[i + 1] as usize;
-            let grow = g.row(i);
-            for k in s..e {
-                let j = self.indices[k] as usize;
-                let w = self.values[k];
-                let dst = &mut out[j * d..(j + 1) * d];
-                for (o, &v) in dst.iter_mut().zip(grow) {
-                    *o += w * v;
-                }
-            }
-        }
-        Tensor::from_vec(self.cols, d, out)
-    }
 }
 
 #[cfg(test)]
@@ -144,28 +120,6 @@ mod tests {
         let y = small().spmm(&x);
         // row0 = 0.5·x2 + 0.5·x0 = [3, 4]; row1 = x1 = [3, 4]
         assert_eq!(y.data(), &[3.0, 4.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn spmm_t_is_adjoint() {
-        // <A x, g> == <x, Aᵀ g> for random-ish data.
-        let a = small();
-        let x = Tensor::from_vec(3, 2, vec![0.3, -0.1, 0.7, 0.2, -0.5, 0.9]);
-        let g = Tensor::from_vec(2, 2, vec![1.0, -2.0, 0.5, 0.25]);
-        let lhs: f32 = a
-            .spmm(&x)
-            .data()
-            .iter()
-            .zip(g.data())
-            .map(|(p, q)| p * q)
-            .sum();
-        let rhs: f32 = x
-            .data()
-            .iter()
-            .zip(a.spmm_t(&g).data())
-            .map(|(p, q)| p * q)
-            .sum();
-        assert!((lhs - rhs).abs() < 1e-5, "{lhs} vs {rhs}");
     }
 
     #[test]

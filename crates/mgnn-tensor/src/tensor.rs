@@ -203,7 +203,8 @@ impl Tensor {
         Tensor::from_vec(m, n, out)
     }
 
-    /// Explicit transpose.
+    /// Explicit transpose — the reference the fused [`Tensor::t_matmul`]
+    /// and [`Tensor::matmul_t`] are tested against.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
         for i in 0..self.rows {
@@ -248,35 +249,6 @@ impl Tensor {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Concatenate two tensors with equal row counts along columns.
-    pub fn concat_cols(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.rows, rhs.rows);
-        let cols = self.cols + rhs.cols;
-        let mut out = Tensor::zeros(self.rows, cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(rhs.row(i));
-        }
-        out
-    }
-
-    /// Split columns at `at`, inverse of [`Tensor::concat_cols`].
-    pub fn split_cols(&self, at: usize) -> (Tensor, Tensor) {
-        assert!(at <= self.cols);
-        let mut a = Tensor::zeros(self.rows, at);
-        let mut b = Tensor::zeros(self.rows, self.cols - at);
-        for i in 0..self.rows {
-            a.row_mut(i).copy_from_slice(&self.row(i)[..at]);
-            b.row_mut(i).copy_from_slice(&self.row(i)[at..]);
-        }
-        (a, b)
     }
 }
 
@@ -362,20 +334,8 @@ mod tests {
     }
 
     #[test]
-    fn concat_split_round_trip() {
-        let a = t(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = t(2, 1, &[5.0, 6.0]);
-        let c = a.concat_cols(&b);
-        assert_eq!(c.shape(), (2, 3));
-        let (a2, b2) = c.split_cols(2);
-        assert_eq!(a2, a);
-        assert_eq!(b2, b);
-    }
-
-    #[test]
-    fn scale_and_norm() {
+    fn scale_in_place() {
         let mut a = t(1, 2, &[3.0, 4.0]);
-        assert!((a.norm() - 5.0).abs() < 1e-6);
         a.scale(2.0);
         assert_eq!(a.data(), &[6.0, 8.0]);
     }

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no crates.io access, so the workspace
 //! vendors a compact property-testing runner covering exactly the
-//! surface its tests use: the [`Strategy`] trait with `prop_map` /
+//! surface its tests use: the [`strategy::Strategy`] trait with `prop_map` /
 //! `prop_flat_map`, range and tuple strategies, [`strategy::Just`],
 //! `prop_oneof!` unions, `prop::collection::{vec, btree_set}`, the
 //! `proptest!` test macro with `#![proptest_config(..)]`, and the

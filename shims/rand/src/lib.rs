@@ -141,11 +141,6 @@ pub trait Rng: RngCore {
     {
         range.sample_from(self)
     }
-
-    /// Bernoulli draw with probability `p`.
-    fn gen_bool(&mut self, p: f64) -> bool {
-        <f64 as Standard>::sample_standard(self) < p
-    }
 }
 
 impl<R: RngCore + ?Sized> Rng for R {}
@@ -208,31 +203,15 @@ pub mod seq {
 
     /// Slice extension trait mirroring `rand::seq::SliceRandom`.
     pub trait SliceRandom {
-        /// Element type.
-        type Item;
-
         /// Fisher–Yates shuffle in place.
         fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R);
-
-        /// Uniformly pick one element, or `None` if empty.
-        fn choose<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
     }
 
     impl<T> SliceRandom for [T] {
-        type Item = T;
-
         fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
             for i in (1..self.len()).rev() {
                 let j = usize::sample_inclusive(rng, 0, i);
                 self.swap(i, j);
-            }
-        }
-
-        fn choose<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&T> {
-            if self.is_empty() {
-                None
-            } else {
-                Some(&self[usize::sample_half_open(rng, 0, self.len())])
             }
         }
     }

@@ -40,7 +40,7 @@ pub fn chunk_len(len: usize) -> usize {
 }
 
 /// Number of chunks an input of `len` items is split into. Depends
-/// only on `len`; at most [`TARGET_CHUNKS`].
+/// only on `len`; at most `TARGET_CHUNKS`.
 pub fn num_chunks(len: usize) -> usize {
     if len == 0 {
         0

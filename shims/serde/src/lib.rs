@@ -85,15 +85,6 @@ impl Value {
         }
     }
 
-    /// Signed payload, if exactly representable.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(n) => Some(*n),
-            Value::U64(n) if *n <= i64::MAX as u64 => Some(*n as i64),
-            _ => None,
-        }
-    }
-
     /// String payload, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -237,6 +228,5 @@ mod tests {
     fn numeric_conversions() {
         assert_eq!(Value::U64(7).as_f64(), Some(7.0));
         assert_eq!(Value::I64(-7).as_u64(), None);
-        assert_eq!(Value::U64(u64::MAX).as_i64(), None);
     }
 }

@@ -35,17 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn csr_roundtrip_binary((n, edges) in arb_edges(100, 300)) {
-        let mut b = GraphBuilder::new(n);
-        b.extend(edges);
-        let g = b.build();
-        let mut buf = Vec::new();
-        mgnn_graph::io::write_csr(&g, &mut buf).unwrap();
-        let g2 = mgnn_graph::io::read_csr(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(g, g2);
-    }
-
-    #[test]
     fn multilevel_partition_covers_and_balances(
         (n, edges) in arb_edges(300, 1500),
         parts in 2usize..6,
@@ -238,7 +227,8 @@ proptest! {
         let sizes = p.sizes();
         prop_assert_eq!(sizes.iter().sum::<usize>(), assign.len());
         for part in 0..4u32 {
-            prop_assert_eq!(p.nodes_of(part).len(), sizes[part as usize]);
+            let owned = assign.iter().filter(|&&q| q == part).count();
+            prop_assert_eq!(owned, sizes[part as usize]);
         }
     }
 }

@@ -294,8 +294,8 @@ proptest! {
         let f = mgnn_graph::FeatureStore::synthesize(&g, 4, 2, 9);
         let cluster = SimCluster::new(&f, &assignment, 4);
         let ids: Vec<u32> = queries.into_iter().map(|q| (q % n) as u32).collect();
-        let (out, rpcs) = cluster.pull_grouped(&ids);
-        prop_assert!(rpcs <= 4);
+        let (out, outcome) = cluster.pull_grouped_checked(&ids);
+        prop_assert!(outcome.rpcs <= 4);
         for (i, &gid) in ids.iter().enumerate() {
             let on_wire: Vec<f32> = f.row(gid).iter().map(|&x| wire::round_trip(x)).collect();
             prop_assert_eq!(&out[i * 4..(i + 1) * 4], &on_wire[..]);
