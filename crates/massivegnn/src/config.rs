@@ -23,9 +23,11 @@ pub enum PrefetchPolicyKind {
     /// Deterministic lookahead planning: run the seeded sampler over the
     /// memoized epoch plan a window of `depth + 1` steps at a time, and
     /// pull the window's not-yet-resident halo rows in one request
-    /// before they are due. Disables the reactive scoreboard passes.
+    /// before they are due. Disables the reactive scoreboard passes. The
+    /// look-ahead queue is as deep as the window.
     Lookahead {
-        /// Planning horizon in minibatch steps (≥ 1).
+        /// Planning horizon in minibatch steps (≥ 1; past the end of the
+        /// run it plans the whole run).
         depth: usize,
     },
 }

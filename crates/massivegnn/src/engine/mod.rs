@@ -747,16 +747,22 @@ mod tests {
     #[cfg(feature = "alloc-count")]
     #[test]
     fn steady_state_steps_allocate_nothing() {
-        for prefetch in [false, true] {
+        // Under the planner the threaded recycle loop circulates
+        // `window + 2` carcasses instead of three; they, and the queues
+        // that carry them, must reach their size inside epoch 0 too.
+        let lookahead = match prefetch_mode() {
+            Mode::Prefetch(p) => Mode::Prefetch(p.with_lookahead_policy(2)),
+            baseline => baseline,
+        };
+        for mode in [Mode::Baseline, prefetch_mode(), lookahead] {
             let mut cfg = base_cfg();
             cfg.train_math = true;
             // Live telemetry on: the counter sets are attached while the
             // trainers are built, never in the step loop.
             cfg.telemetry = true;
             cfg.epochs = 3;
-            if prefetch {
-                cfg.mode = prefetch_mode();
-            }
+            cfg.mode = mode;
+            let label = cfg.mode.label();
             let engine = Engine::build(cfg.clone());
             let (world, steps_per_epoch) = (engine.world(), engine.steps_per_epoch());
             // Each step loop records its own steps of epochs 1..3.
@@ -765,7 +771,7 @@ mod tests {
                 assert_eq!(
                     hot_allocs, 0,
                     "steady-state trainer loop must not allocate ({hot_allocs} allocations \
-                     over {hot_steps} steps, prefetch={prefetch}, {loops} step loop(s))"
+                     over {hot_steps} steps, {label}, {loops} step loop(s))"
                 );
             };
 

@@ -381,7 +381,7 @@ impl Engine {
                             )));
                         }
                         init = rep;
-                        pipeline = Some(PipelineClock::new(init.total_s()));
+                        pipeline = Some(PipelineClock::new(init.total_s(), pf.window()));
                         Some(pf)
                     }
                 };

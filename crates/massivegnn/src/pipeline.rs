@@ -5,8 +5,10 @@
 //! `ThreadPoolExecutor` (one look-ahead worker) plus NUMBA to escape the
 //! GIL. Rust needs no such escape hatch: [`PrefetchPipeline::spawn`] moves
 //! the [`Prefetcher`] onto a dedicated prepare thread that pushes
-//! [`PreparedBatch`]es into a bounded channel of depth [`QUEUE_DEPTH`] (the
-//! queue `Q`), while the caller trains on the previously prepared batch.
+//! [`PreparedBatch`]es into a bounded channel as deep as the prefetcher's
+//! [`window`](Prefetcher::window) (the queue `Q`: one batch under the
+//! paper's scoreboard, a planner's whole window), while the caller trains
+//! on a previously prepared batch.
 //! Back-pressure is automatic: when training is slower than preparation
 //! (the paper's "perfect overlap" regime) the worker blocks on the full
 //! queue; when preparation is slower, the caller blocks in
@@ -25,10 +27,6 @@ use mgnn_partition::LocalPartition;
 use mgnn_sampling::{DataLoader, NeighborSampler};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Depth of the look-ahead queue `Q`: the paper prepares exactly one
-/// minibatch ahead. The engine's pipeline clock models the same depth.
-pub const QUEUE_DEPTH: usize = 1;
 
 /// A running prepare thread feeding a bounded queue of minibatches.
 ///
@@ -50,7 +48,8 @@ impl PrefetchPipeline {
     /// Spawn the prepare thread. It walks `epochs × steps` minibatches in
     /// order (continuous across epochs, like the paper's scheme), preparing
     /// each through the prefetcher and blocking when the queue holds
-    /// [`QUEUE_DEPTH`] unconsumed batches.
+    /// [`Prefetcher::window`] unconsumed batches — the depth the engine's
+    /// pipeline clock models, read off the same prefetcher.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         prefetcher: Prefetcher,
@@ -63,7 +62,7 @@ impl PrefetchPipeline {
         epochs: usize,
         steps_per_epoch: usize,
     ) -> Self {
-        let (tx, rx) = crossbeam_channel::bounded::<PreparedBatch>(QUEUE_DEPTH);
+        let (tx, rx) = crossbeam_channel::bounded::<PreparedBatch>(prefetcher.window());
         let (recycle_tx, recycle_rx) = crossbeam_channel::unbounded::<PreparedBatch>();
         let handle = std::thread::Builder::new()
             .name("prefetch-prepare".into())
@@ -294,6 +293,73 @@ mod tests {
         }
         assert!(pipeline.next().is_none());
         assert_eq!(m1.snapshot(), m2.snapshot());
+    }
+
+    #[test]
+    fn the_queue_holds_one_window_of_batches() {
+        // The queue is `window` deep, and with nobody popping the prepare
+        // thread does get that far ahead: it fills the queue, prepares
+        // one more and blocks handing it over. `join` hangs up on it, so
+        // what the shared counters then hold is exactly `window + 1`
+        // preparations — compared with as many made in line by a twin.
+        use crate::policy::LookaheadPolicy;
+        let (part, cluster, n) = setup();
+        let cost = CostModel::default();
+        let loader = DataLoader::new(trainer_seeds(&part), 32, 5);
+        let steps = loader.batches_per_epoch();
+        let sampler = NeighborSampler::new(vec![4, 4], 9);
+        for depth in [None, Some(2)] {
+            let prefetcher = |metrics: &CommMetrics| {
+                let cfg = PrefetchConfig::default();
+                let (mut pf, _) = initialize_prefetcher(&part, cfg, n, &cluster, &cost, metrics);
+                if let Some(depth) = depth {
+                    let (loader, sampler) = (loader.clone(), sampler.clone());
+                    pf.set_policy(Box::new(LookaheadPolicy::new(
+                        depth,
+                        loader,
+                        sampler,
+                        steps,
+                        1,
+                        part.num_halo(),
+                    )));
+                }
+                pf
+            };
+            let window = depth.map_or(1, |d| d + 1);
+            assert!(
+                steps > window + 1,
+                "{steps} steps cannot overfill the queue"
+            );
+
+            let m1 = CommMetrics::new();
+            let mut twin = prefetcher(&m1);
+            assert_eq!(twin.window(), window);
+            for (step, seeds) in loader.epoch(0).iter().take(window + 1).enumerate() {
+                twin.prepare(&part, &sampler, seeds, 0, step as u64, &cluster, &cost, &m1);
+            }
+
+            let m2 = Arc::new(CommMetrics::new());
+            let pipeline = PrefetchPipeline::spawn(
+                prefetcher(&m2),
+                Arc::clone(&part),
+                sampler.clone(),
+                loader.clone(),
+                Arc::clone(&cluster),
+                cost.clone(),
+                Arc::clone(&m2),
+                1,
+                steps,
+            );
+            let queue = pipeline.rx.as_ref().expect("not joined yet");
+            assert_eq!(queue.capacity(), Some(window));
+            // Terminates: the capacity was just checked and the schedule
+            // has more steps than the queue has room.
+            while queue.len() < window {
+                std::thread::yield_now();
+            }
+            pipeline.join();
+            assert_eq!(m1.snapshot(), m2.snapshot(), "window {window}");
+        }
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //!   needs are computable ahead of time. The planner works a window at a
 //!   time: when the step being prepared is the first one it has not
 //!   planned, it samples that step and the `depth` after it — each once,
-//!   into a ring of `depth + 1` recycled minibatches — and issues one
-//!   batched [`SimCluster::pull_rows`] for every row the window probes
-//!   that is not resident. The steps in between plan nothing and pull
-//!   nothing, and the prepare path takes each step's minibatch out of the
-//!   ring ([`PrefetchPolicy::take_sampled`]) instead of sampling it a
-//!   second time. At steady state every probe hits and the critical-path
-//!   `t_rpc` collapses to the empty-fetch cost.
+//!   into a ring of [`window`](PrefetchPolicy::window) recycled
+//!   minibatches — and issues one batched [`SimCluster::pull_rows`] for
+//!   every row the window probes that is not resident. The look-ahead
+//!   queue is as deep as that ring, so the pull lands behind a window of
+//!   training, not one step of it. The steps in between plan nothing and
+//!   pull nothing, and the prepare path takes each step's minibatch out
+//!   of the ring ([`PrefetchPolicy::take_sampled`]) instead of sampling
+//!   it a second time. At steady state every probe hits and the
+//!   critical-path `t_rpc` collapses to the empty-fetch cost.
 //!
 //! Contract (all policies):
 //!
@@ -95,6 +97,15 @@ pub trait PrefetchPolicy: Send {
         false
     }
 
+    /// How many minibatches the policy makes ready in one go: the depth
+    /// of the look-ahead queue between the prepare side and the trainer,
+    /// in the engine's pipeline clock and in
+    /// [`PrefetchPipeline`](crate::pipeline::PrefetchPipeline)'s channel
+    /// alike. 1 — the paper's queue — unless the policy plans further.
+    fn window(&self) -> usize {
+        1
+    }
+
     /// Persistent heap bytes of the policy's own state, counted into
     /// [`crate::prefetcher::Prefetcher::heap_bytes`]. The scoreboards
     /// belong to the prefetcher, so a policy that adds none reports 0.
@@ -154,7 +165,9 @@ impl Planned {
 /// minibatches the prepare loop is going to ask for — without thrashing
 /// the prepare loop's single-slot epoch memo.
 pub struct LookaheadPolicy {
-    depth: usize,
+    /// Planning horizon in steps past the one being prepared, at most
+    /// `total_steps − 1`.
+    depth: u64,
     loader: DataLoader,
     sampler: NeighborSampler,
     steps_per_epoch: u64,
@@ -206,6 +219,10 @@ impl LookaheadPolicy {
     ) -> Self {
         assert!(depth >= 1, "lookahead depth must be >= 1");
         let steps_per_epoch = steps_per_epoch as u64;
+        let total_steps = steps_per_epoch * epochs as u64;
+        // A run has no steps to plan past its last one. Clamped before
+        // the ring is allocated: `depth` comes off the command line.
+        let depth = (depth as u64).min(total_steps.saturating_sub(1));
         let ring = (0..=depth).map(|_| Planned {
             step: UNPLANNED,
             seeds: None,
@@ -217,7 +234,7 @@ impl LookaheadPolicy {
             loader,
             sampler,
             steps_per_epoch,
-            total_steps: steps_per_epoch * epochs as u64,
+            total_steps,
             ring: ring.collect(),
             next_due: u64::MAX,
             next_use: vec![0; num_halo],
@@ -252,7 +269,7 @@ impl PrefetchPolicy for LookaheadPolicy {
         if self.ring[self.slot_of(step)].step == step && step < self.next_due {
             return 0.0;
         }
-        let horizon = (step + self.depth as u64).min(self.total_steps - 1);
+        let horizon = (step + self.depth).min(self.total_steps - 1);
         let num_local = ctx.part.num_local();
 
         // Walk the window: sample the steps the ring does not hold yet —
@@ -404,6 +421,10 @@ impl PrefetchPolicy for LookaheadPolicy {
         t_planned
     }
 
+    fn window(&self) -> usize {
+        self.ring.len()
+    }
+
     fn take_sampled(
         &mut self,
         sampler: &NeighborSampler,
@@ -445,6 +466,7 @@ mod tests {
         let mut mb = SampledMinibatch::default();
         assert!(!p.take_sampled(&sampler, &[0], 0, 0, &mut mb));
         assert_eq!(p.heap_bytes(), 0);
+        assert_eq!(p.window(), 1, "the paper's one-deep queue");
     }
 
     #[test]
@@ -458,6 +480,7 @@ mod tests {
         assert_eq!(p.total_steps, 8);
         // One slot per step of a window; nothing planned, nothing to take.
         assert_eq!(p.ring.len(), 5);
+        assert_eq!(p.window(), 5);
         let mut mb = SampledMinibatch::default();
         assert!(!p.take_sampled(&sampler, &[0], 0, 0, &mut mb));
         // `next_use` + `seen`, 8 B each per halo node.

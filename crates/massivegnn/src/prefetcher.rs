@@ -358,6 +358,12 @@ impl Prefetcher {
         self.policy = policy;
     }
 
+    /// Depth of the look-ahead queue this prefetcher's batches go
+    /// through: its policy's [`PrefetchPolicy::window`].
+    pub fn window(&self) -> usize {
+        self.policy.window()
+    }
+
     /// The Eq. 1 threshold in force.
     pub fn alpha(&self) -> f64 {
         self.alpha
@@ -920,8 +926,12 @@ mod tests {
         }
 
         fn planner(&self) -> LookaheadPolicy {
+            self.planner_of(DEPTH)
+        }
+
+        fn planner_of(&self, depth: usize) -> LookaheadPolicy {
             LookaheadPolicy::new(
-                DEPTH,
+                depth,
                 self.loader.clone(),
                 self.sampler.clone(),
                 self.loader.batches_per_epoch(),
@@ -1070,6 +1080,27 @@ mod tests {
             assert_eq!(t.to_bits(), 0.0f64.to_bits(), "step {step}");
             assert_eq!(fx.metrics.snapshot().planned_pulls, pulls);
             assert!(planner.take_sampled(&fx.sampler, &plan[step as usize], 0, step, &mut mb));
+        }
+    }
+
+    #[test]
+    fn a_depth_past_the_runs_end_plans_like_the_whole_run() {
+        let fx = fixture();
+        let total = EPOCHS * fx.loader.batches_per_epoch();
+        let planned = |epoch, s: usize| Arc::clone(&fx.loader.epoch(epoch)[s]);
+        let run = |depth: usize| {
+            let mut pf = fx.prefetcher();
+            pf.set_policy(Box::new(fx.planner_of(depth)));
+            // Ring and queue are sized by the run, not by the flag.
+            assert_eq!(pf.window(), total, "depth {depth}");
+            fx.run(&mut pf, planned)
+        };
+        let whole_run = run(total - 1);
+        assert!(whole_run.iter().any(|x| x.timing.t_planned > 0.0));
+        for depth in [total, 4_000_000_000, usize::MAX] {
+            for (g, (x, y)) in run(depth).iter().zip(&whole_run).enumerate() {
+                assert_eq!(bits(x), bits(y), "depth {depth} step {g}");
+            }
         }
     }
 

@@ -153,7 +153,7 @@ fn manual_comparison(
             let (mut pf, init) =
                 initialize_prefetcher(lp, pcfg, dataset.num_nodes(), &cluster, cost, &pm);
             let mut base_clock = 0.0f64;
-            let mut pipe = PipelineClock::new(init.total_s());
+            let mut pipe = PipelineClock::new(init.total_s(), pf.window());
             let mut gs = 0u64;
             for epoch in 0..cfg.epochs as u64 {
                 for seeds in loader.epoch(epoch).iter().take(steps) {

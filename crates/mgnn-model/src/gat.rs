@@ -164,6 +164,21 @@ impl GatLayer {
 
     /// Backward: returns grad w.r.t. `src`.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let dz = self.grad_z(grad_out);
+        self.w.backward(&dz)
+    }
+
+    /// [`backward`](Self::backward) for a layer whose `src` is data:
+    /// accumulates the parameter gradients and leaves out the one product
+    /// (`dz · Wᵀ`) that only the input's gradient needs.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let dz = self.grad_z(grad_out);
+        self.w.backward_params(&dz);
+    }
+
+    /// Through the attention: accumulates the gradients of `a_l`/`a_r`
+    /// and returns the gradient at the projected features `z`.
+    fn grad_z(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cached.take().expect("backward before forward");
         let (heads, d) = (self.heads, self.head_dim);
         let block = &cache.block;
@@ -230,7 +245,7 @@ impl GatLayer {
                 }
             }
         }
-        self.w.backward(&dz)
+        dz
     }
 
     /// Zero accumulated gradients.

@@ -20,7 +20,6 @@ pub struct GcnLayer {
 #[derive(Debug, Clone)]
 struct GcnCache {
     block: Block,
-    src_rows: usize,
     pre: Tensor,
     activated: bool,
 }
@@ -86,25 +85,37 @@ impl GcnLayer {
         let out = if activate { relu(&pre) } else { pre.clone() };
         self.cached = Some(GcnCache {
             block: block.clone(),
-            src_rows: src.rows(),
             pre,
             activated: activate,
         });
         out
     }
 
-    /// Backward: returns grad w.r.t. `src`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// The forward cache and the gradient at the pre-activation.
+    fn grad_pre(&mut self, grad_out: &Tensor) -> (GcnCache, Tensor) {
         let cache = self.cached.take().expect("backward before forward");
         let grad_pre = if cache.activated {
             relu_backward(grad_out, &cache.pre)
         } else {
             grad_out.clone()
         };
+        (cache, grad_pre)
+    }
+
+    /// Backward: returns grad w.r.t. `src`.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let (cache, grad_pre) = self.grad_pre(grad_out);
         let grad_agg = self.w.backward(&grad_pre);
-        let mut grad_src = Tensor::zeros(cache.src_rows, self.w.in_dim());
+        let mut grad_src = Tensor::zeros(cache.block.num_src(), self.w.in_dim());
         Self::aggregate_backward(&cache.block, &grad_agg, &mut grad_src);
         grad_src
+    }
+
+    /// [`backward`](Self::backward) for a layer whose `src` is data:
+    /// accumulates the parameter gradients and computes nothing else.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let (_, grad_pre) = self.grad_pre(grad_out);
+        self.w.backward_params(&grad_pre);
     }
 
     /// Zero accumulated gradients.

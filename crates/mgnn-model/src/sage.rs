@@ -23,8 +23,6 @@ pub struct SageLayer {
 struct SageCache {
     /// Sparse aggregation structure of the block (cloned offsets/indices).
     block: Block,
-    /// Input src features.
-    src: Tensor,
     /// Pre-activation output.
     pre: Tensor,
     /// Whether the activation was applied.
@@ -100,26 +98,31 @@ impl SageLayer {
         let out = if activate { relu(&pre) } else { pre.clone() };
         self.cached = Some(SageCache {
             block: block.clone(),
-            src: src.clone(),
             pre,
             activated: activate,
         });
         out
     }
 
-    /// Backward: returns grad w.r.t. `src`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// The forward cache and the gradient at the pre-activation.
+    fn grad_pre(&mut self, grad_out: &Tensor) -> (SageCache, Tensor) {
         let cache = self.cached.take().expect("backward before forward");
         let grad_pre = if cache.activated {
             relu_backward(grad_out, &cache.pre)
         } else {
             grad_out.clone()
         };
+        (cache, grad_pre)
+    }
+
+    /// Backward: returns grad w.r.t. `src`.
+    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let (cache, grad_pre) = self.grad_pre(grad_out);
         // Through the two linears.
         let grad_dst = self.w_self.backward(&grad_pre);
         let grad_agg = self.w_neigh.backward(&grad_pre);
         // Assemble grad for all src rows.
-        let mut grad_src = Tensor::zeros(cache.src.rows(), cache.src.cols());
+        let mut grad_src = Tensor::zeros(cache.block.num_src(), self.w_self.in_dim());
         // Self path hits the dst prefix.
         for i in 0..cache.block.num_dst {
             let g = grad_dst.row(i);
@@ -130,6 +133,14 @@ impl SageLayer {
         }
         Self::aggregate_backward(&cache.block, &grad_agg, &mut grad_src);
         grad_src
+    }
+
+    /// [`backward`](Self::backward) for a layer whose `src` is data:
+    /// accumulates the parameter gradients and computes nothing else.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let (_, grad_pre) = self.grad_pre(grad_out);
+        self.w_self.backward_params(&grad_pre);
+        self.w_neigh.backward_params(&grad_pre);
     }
 
     /// Zero accumulated gradients.

@@ -74,16 +74,18 @@ impl SimClock {
     }
 }
 
-/// Simulated clock for the two-stage prepare/train pipeline with its
-/// one-deep queue — Eq. 4/5 of the paper, batch by batch.
+/// Simulated clock for the two-stage prepare/train pipeline and the
+/// bounded queue between them — Eq. 4/5 of the paper, batch by batch.
 ///
 /// Stage 1 (preparation) produces a batch into the queue; stage 2
-/// (training) consumes it. Preparation of batch `i` may start once the
-/// prepare server is free **and** batch `i−1` has been popped for
-/// training (queue slot freed):
+/// (training) consumes it. The queue holds `window` batches: as many as
+/// its producer makes in one go (1 for the paper's per-step scoreboard,
+/// a planner's whole window). Preparation of batch `i` may start once the
+/// prepare server is free **and** batch `i − window` has been popped for
+/// training (a queue slot freed):
 ///
 /// ```text
-/// prep_start(i)  = max(prep_done(i−1), train_start(i−1))
+/// prep_start(i)  = max(prep_done(i−1), train_start(i−window))
 /// prep_done(i)   = prep_start(i) + t_prep(i)
 /// train_start(i) = max(train_done(i−1), prep_done(i))
 /// train_done(i)  = train_start(i) + t_train(i)
@@ -92,20 +94,25 @@ impl SimClock {
 pub struct PipelineClock {
     prep_done: f64,
     train_done: f64,
-    /// `train_start` of the previous batch; `None` before the first.
-    prev_train_start: Option<f64>,
+    /// `train_start` of the last `window` batches, batch `i` in slot
+    /// `i % window`; `−∞` where no batch has been yet.
+    train_starts: Vec<f64>,
+    /// Batches processed so far.
+    batches: usize,
     stall: f64,
     slack: f64,
 }
 
 impl PipelineClock {
     /// A pipeline clock starting at time `start` (e.g. after
-    /// initialization costs).
-    pub fn new(start: f64) -> Self {
+    /// initialization costs) whose queue holds `window ≥ 1` batches.
+    pub fn new(start: f64, window: usize) -> Self {
+        assert!(window >= 1, "the queue holds at least one batch");
         PipelineClock {
             prep_done: start,
             train_done: start,
-            prev_train_start: None,
+            train_starts: vec![f64::NEG_INFINITY; window],
+            batches: 0,
             stall: 0.0,
             slack: 0.0,
         }
@@ -117,10 +124,11 @@ impl PipelineClock {
     /// tracing layer needs to place spans absolutely.
     pub fn step_timed(&mut self, t_prep: f64, t_train: f64) -> PipelineStepTimes {
         debug_assert!(t_prep >= 0.0 && t_train >= 0.0);
-        // The previous batch's train_start frees the slot; before the
-        // first batch the queue is empty and prep may start immediately.
-        let queue_room = self.prev_train_start.unwrap_or(f64::NEG_INFINITY);
-        let prep_start = self.prep_done.max(queue_room);
+        // Batch `i − window`'s train_start frees the slot this batch's
+        // own train_start overwrites below; while the queue has never
+        // been full the slot reads −∞ and prep may start immediately.
+        let slot = self.batches % self.train_starts.len();
+        let prep_start = self.prep_done.max(self.train_starts[slot]);
         let prep_done = prep_start + t_prep;
         let train_start = self.train_done.max(prep_done);
         // Stall: trainer idle waiting for the batch; slack: batch waited
@@ -130,7 +138,7 @@ impl PipelineClock {
         // steady-state waiting.
         let mut step_stall = 0.0;
         let mut step_slack = 0.0;
-        if self.prev_train_start.is_some() {
+        if self.batches > 0 {
             if prep_done > self.train_done {
                 step_stall = prep_done - self.train_done;
                 self.stall += step_stall;
@@ -142,7 +150,8 @@ impl PipelineClock {
         let train_done = train_start + t_train;
         self.prep_done = prep_done;
         self.train_done = train_done;
-        self.prev_train_start = Some(train_start);
+        self.train_starts[slot] = train_start;
+        self.batches += 1;
         PipelineStepTimes {
             prep_start,
             prep_done,
@@ -251,7 +260,7 @@ mod tests {
     fn pipeline_depth1_matches_eq5() {
         // Constant times: steady state should advance by max(prep, train)
         // per step, matching SimClock::advance_overlapped.
-        let mut p = PipelineClock::new(0.0);
+        let mut p = PipelineClock::new(0.0, 1);
         for _ in 0..100 {
             p.step_timed(2.0, 3.0);
         }
@@ -263,7 +272,7 @@ mod tests {
 
     #[test]
     fn pipeline_never_faster_than_either_stage_sum() {
-        let mut p = PipelineClock::new(0.0);
+        let mut p = PipelineClock::new(0.0, 1);
         let mut prep_sum = 0.0;
         let mut train_sum = 0.0;
         for i in 0..50 {
@@ -279,7 +288,7 @@ mod tests {
 
     #[test]
     fn step_timed_reports_timeline_and_per_step_stall() {
-        let mut p = PipelineClock::new(10.0);
+        let mut p = PipelineClock::new(10.0, 1);
         let t0 = p.step_timed(2.0, 3.0);
         assert_eq!(t0.prep_start, 10.0);
         assert_eq!(t0.prep_done, 12.0);
@@ -296,5 +305,65 @@ mod tests {
         assert!((t2.stall_s - (t2.prep_done - t1.train_done)).abs() < 1e-12);
         assert!((p.stall() - t2.stall_s).abs() < 1e-12);
         assert!((p.slack() - t1.slack_s).abs() < 1e-12);
+    }
+
+    /// Makespan of `schedule` through a queue of `window` batches.
+    fn makespan(window: usize, schedule: &[(f64, f64)]) -> f64 {
+        let mut p = PipelineClock::new(0.0, window);
+        for &(prep, train) in schedule {
+            p.step_timed(prep, train);
+        }
+        p.now()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn deeper_queue_is_never_later_and_stays_in_bounds(
+            schedule in proptest::collection::vec((0.0f64..5.0, 0.0f64..5.0), 1..60),
+            window in 1usize..8,
+        ) {
+            let prep: f64 = schedule.iter().map(|s| s.0).sum();
+            let train: f64 = schedule.iter().map(|s| s.1).sum();
+            let shallow = makespan(window, &schedule);
+            let deep = makespan(window + 1, &schedule);
+            // Max and plus are monotone, so a looser queue constraint can
+            // only move every event earlier — exactly, not within an ε.
+            proptest::prop_assert!(deep <= shallow);
+            for t in [shallow, deep] {
+                proptest::prop_assert!(t >= prep.max(train) * (1.0 - 1e-12));
+                proptest::prop_assert!(t <= (prep + train) * (1.0 + 1e-12));
+            }
+        }
+    }
+
+    #[test]
+    fn window_deep_queue_hides_a_windowed_burst() {
+        // The planner's cadence: one bulk pull `burst` on the first step
+        // of every `w`-step window, `p` on every step, against constant
+        // training — and the prepare side keeps up on average:
+        // burst + w·p ≤ w·t_train.
+        let (w, burst, p, t_train) = (3usize, 4.0, 0.5, 2.0);
+        assert!(burst + w as f64 * p <= w as f64 * t_train);
+        let run = |window: usize| {
+            let mut clock = PipelineClock::new(0.0, window);
+            let mut stall = 0.0;
+            for i in 0..20 * w {
+                let t_prep = if i % w == 0 { burst + p } else { p };
+                let times = clock.step_timed(t_prep, t_train);
+                // Warm-up: the first window fills the queue.
+                if i >= w {
+                    stall += times.stall_s;
+                }
+            }
+            (stall, clock.now())
+        };
+        let (stall_1, end_1) = run(1);
+        let (stall_w, end_w) = run(w);
+        // One deep, the burst starts only when the previous batch is
+        // popped and outlasts its training every window.
+        assert!(stall_1 > 19.0 * (burst + p - t_train) - 1e-9, "{stall_1}");
+        // A window deep, it starts while the previous window trains.
+        assert_eq!(stall_w, 0.0);
+        assert!(end_w < end_1);
     }
 }

@@ -58,16 +58,24 @@ impl Linear {
     /// Backward pass: accumulates `grad_weight`/`grad_bias`, returns grad
     /// w.r.t. the input. Panics if called before `forward`.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dX = dY · Wᵀ
+        grad_out.matmul_t(&self.weight)
+    }
+
+    /// The parameter half of [`backward`](Self::backward) alone, for a
+    /// layer whose input needs no gradient (a model's first: its input is
+    /// data). Panics if called before `forward`.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        // dW = xᵀ · dY,  db = Σ_rows dY,  dX = dY · Wᵀ
+        // dW = xᵀ · dY,  db = Σ_rows dY
         self.grad_weight.add_assign(&x.t_matmul(grad_out));
         for (gb, s) in self.grad_bias.iter_mut().zip(grad_out.sum_rows()) {
             *gb += s;
         }
-        grad_out.matmul_t(&self.weight)
     }
 
     /// Zero accumulated gradients.

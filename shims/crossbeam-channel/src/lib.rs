@@ -204,6 +204,11 @@ impl<T> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The capacity the channel was created with; `None` if unbounded.
+    pub fn capacity(&self) -> Option<usize> {
+        self.chan.cap
+    }
 }
 
 impl<T> Clone for Receiver<T> {

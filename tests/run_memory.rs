@@ -1,8 +1,10 @@
 //! Run-time memory of the pull path, free of allocator slack: what
-//! `Engine::run` holds above what `Engine::build` left, and what one
-//! preparation — baseline, or through the lookahead planner — allocates
-//! once its buffers have grown: all read from the counting allocator
-//! (`--features alloc-count`; without it this file is not built).
+//! `Engine::run` holds above what `Engine::build` left — round-robin, and
+//! with a prepare thread and a look-ahead queue per trainer — and what
+//! one preparation — baseline, or through the lookahead planner —
+//! allocates once its buffers have grown: all read from the counting
+//! allocator (`--features alloc-count`; without it this file is not
+//! built).
 //!
 //! The gauges are process-wide, so this binary holds exactly one test.
 
@@ -28,18 +30,19 @@ fn baseline(num_parts: usize) -> EngineConfig {
     }
 }
 
-/// `(peak during run − live after build, one batch)` of a sequential
-/// baseline run over `num_parts` partitions, in bytes. The batch is the
-/// largest input matrix any trainer assembled: baseline trainers hold
-/// nothing else that `TrainerReport::peak_bytes` counts.
-fn run_footprint(num_parts: usize) -> (f64, f64) {
-    let engine = Engine::build(baseline(num_parts));
+/// `(peak during run − live after build, every trainer's `peak_bytes`)`
+/// of one run, in bytes. A baseline trainer's `peak_bytes` is the largest
+/// input matrix it assembled — it holds nothing else that
+/// `TrainerReport::peak_bytes` counts; a prefetching trainer's adds what
+/// its prefetcher keeps (buffer, scoreboards, the planner's ring).
+fn run_footprint(cfg: EngineConfig) -> (f64, Vec<f64>) {
+    let engine = Engine::build(cfg);
     let held = alloc::live_bytes();
     alloc::reset_peak();
     let report = engine.run();
     let peak = (alloc::peak_bytes() - held) as f64;
-    let batch = report.trainers.iter().map(|t| t.peak_bytes).max().unwrap() as f64;
-    (peak, batch)
+    let per_trainer = report.trainers.iter().map(|t| t.peak_bytes as f64);
+    (peak, per_trainer.collect())
 }
 
 #[test]
@@ -49,8 +52,10 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
     // A set of receive buffers is budgeted as the batch's rows once more
     // at wire width: what a pull of every input row would carry.
     let payload_share = wire::BYTES_PER_ELEM as f64 / std::mem::size_of::<f32>() as f64;
-    let (peak2, batch2) = run_footprint(2);
-    let (peak4, batch4) = run_footprint(4);
+    let (peak2, batches2) = run_footprint(baseline(2));
+    let (peak4, batches4) = run_footprint(baseline(4));
+    let largest = |batches: &[f64]| batches.iter().copied().fold(0.0, f64::max);
+    let (batch2, batch4) = (largest(&batches2), largest(&batches4));
     for (parts, peak, batch) in [(2, peak2, batch2), (4, peak4, batch4)] {
         let budget = batch * (1.0 + payload_share);
         assert!(
@@ -66,6 +71,37 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
         (per4 - per2).abs() < 0.10 * per2,
         "twice the trainers moved the run's footprint: {per2:.3} batches at 2 parts, {per4:.3} at 4"
     );
+
+    // (a') The price of the threads: every trainer has a prepare thread
+    // and a queue of its policy's `window` batches between them, so at
+    // most `window + 2` of its batches are alive — one being prepared,
+    // `window` queued, one being trained on — above what its prefetcher
+    // keeps. Three under the scoreboard, as ever; five under
+    // `lookahead(2)`, whose planner fills a window of three in one go.
+    // Loader and sampler do not depend on the mode, so the batches are
+    // the baseline run's. (That the queue holds exactly `window` batches
+    // is `pipeline::tests::the_queue_holds_one_window_of_batches`; on one
+    // core without `MGNN_THREADS`, `parallel` runs round-robin and the
+    // bound holds with room to spare.)
+    let scoreboard = PrefetchConfig {
+        f_h: 0.25,
+        ..Default::default()
+    };
+    for (window, pcfg) in [(1, scoreboard), (3, scoreboard.with_lookahead_policy(2))] {
+        let (peak, held) = run_footprint(EngineConfig {
+            mode: Mode::Prefetch(pcfg),
+            parallel: true,
+            ..baseline(2)
+        });
+        let kept: f64 = held.iter().zip(&batches2).map(|(h, b)| h - b).sum();
+        let budget = kept + (window + 2) as f64 * batches2.iter().sum::<f64>();
+        assert!(
+            peak <= 1.1 * budget,
+            "window {window}: a threaded run() peaks {peak:.0} B above the build, {:.2}x of what the prefetchers keep + {} batches a trainer ({budget:.0} B)",
+            peak / budget,
+            window + 2
+        );
+    }
 
     // (b) One preparation — sample, pull, assemble — the way the engine's
     // step loop calls it, under the `ExcludeGuard` that keeps it out of
