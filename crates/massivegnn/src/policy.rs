@@ -22,7 +22,10 @@
 //!   pull nothing, and the prepare path takes each step's minibatch out
 //!   of the ring ([`PrefetchPolicy::take_sampled`]) instead of sampling
 //!   it a second time. At steady state every probe hits and the
-//!   critical-path `t_rpc` collapses to the empty-fetch cost.
+//!   critical-path `t_rpc` collapses to the empty-fetch cost. A round
+//!   that needs room evicts by Belady's rule inside its window and, on
+//!   the rows the window does not probe, coldest first: fewest planned
+//!   steps that probed the row so far, then lowest degree.
 //!
 //! Contract (all policies):
 //!
@@ -75,9 +78,10 @@ pub trait PrefetchPolicy: Send {
     fn reactive(&self) -> bool;
 
     /// The head of `ctx.step`'s prepare window: plan, if this step calls
-    /// for it. Returns the modeled seconds of planned-pull work to charge
-    /// to the prepare window (exactly `0.0` when nothing was pulled,
-    /// keeping scoreboard timings bitwise-unchanged).
+    /// for it. Returns the modeled seconds of the round to charge to the
+    /// prepare window — the planned pull it issued plus its bookkeeping
+    /// (exactly `0.0` when the step runs no round, keeping scoreboard
+    /// timings bitwise-unchanged).
     fn plan(&mut self, ctx: PlanCtx<'_>) -> f64;
 
     /// Hand over the minibatch this policy has already sampled for
@@ -189,6 +193,12 @@ pub struct LookaheadPolicy {
     /// (same mechanism as the prefetcher's `sampled_stamp`).
     seen: Vec<u64>,
     stamp: u64,
+    /// Per-halo-idx number of planned steps that probed the row so far
+    /// (saturating), counted once when a step is sampled into the ring —
+    /// every step is, exactly once, so the count is a pure function of
+    /// the schedule. Past the window it is the planner's estimate of how
+    /// soon a row comes back: the paper's S_A, kept for every halo row.
+    probed: Vec<u32>,
     /// High-water mark of the bytes the ring held right after a round.
     ring_peak_bytes: usize,
     // Reusable planning scratch — allocation-free after warmup, like
@@ -198,6 +208,9 @@ pub struct LookaheadPolicy {
     want: Vec<(u64, u32)>,
     want_globals: Vec<NodeId>,
     evict_slots: Vec<u32>,
+    /// `(probed, halo_degree, slot)` of the occupants no step of the
+    /// window probes, coldest first.
+    cold_slots: Vec<(u32, u32, u32)>,
     /// `(next_use, slot)` Belady candidates, furthest-needed first.
     far_slots: Vec<(u64, u32)>,
 }
@@ -240,11 +253,13 @@ impl LookaheadPolicy {
             next_use: vec![0; num_halo],
             seen: vec![0; num_halo],
             stamp: 0,
+            probed: vec![0; num_halo],
             ring_peak_bytes: 0,
             samp: SamplerScratch::default(),
             want: Vec::new(),
             want_globals: Vec::new(),
             evict_slots: Vec::new(),
+            cold_slots: Vec::new(),
             far_slots: Vec::new(),
         }
     }
@@ -278,7 +293,7 @@ impl PrefetchPolicy for LookaheadPolicy {
         // the first step that probes it.
         self.stamp += 1;
         self.want.clear();
-        let mut ring_bytes = 0;
+        let (mut ring_bytes, mut counted) = (0, 0);
         for f in step..=horizon {
             let i = self.slot_of(f);
             let slot = &mut self.ring[i];
@@ -298,6 +313,11 @@ impl PrefetchPolicy for LookaheadPolicy {
                 );
                 slot.seeds = Some(seeds);
                 slot.step = f;
+                for &h in &slot.halo {
+                    let n = &mut self.probed[h as usize];
+                    *n = n.saturating_add(1);
+                }
+                counted += slot.halo.len();
             }
             ring_bytes += slot.heap_bytes();
             for &h in &slot.halo {
@@ -312,8 +332,12 @@ impl PrefetchPolicy for LookaheadPolicy {
         }
         self.ring_peak_bytes = self.ring_peak_bytes.max(ring_bytes);
         self.next_due = u64::MAX;
+        // The round's bookkeeping, charged with its pull: the count
+        // updates here, the eviction scan below. The walk's `seen` /
+        // `next_use` marks ride on the sampler pass and are not charged.
+        let mut t_planned = ctx.cost.t_scoring(counted, false, 0);
         if self.want.is_empty() {
-            return 0.0;
+            return t_planned;
         }
 
         // Room for installs, Belady-style: unused capacity first, then
@@ -324,19 +348,32 @@ impl PrefetchPolicy for LookaheadPolicy {
         // sooner than the incoming want is what keeps deep horizons from
         // squatting on slots that near-due rows need; what the buffer
         // holds after a round is the earliest-needed rows it has room
-        // for.
+        // for. Past the window the plan cannot see a next use, so the
+        // second group leaves coldest first: fewest planned steps that
+        // probed the row so far, then lowest degree — the paper's two
+        // estimates of how soon a halo row comes back.
         let spare = ctx.buffer.capacity() - ctx.buffer.len();
         self.evict_slots.clear();
         if self.want.len() > spare {
             let needed = self.want.len() - spare;
+            t_planned += ctx.cost.t_lookup(ctx.buffer.len());
+            self.cold_slots.clear();
             for slot in 0..ctx.buffer.len() as u32 {
-                if self.evict_slots.len() == needed {
-                    break;
-                }
-                if self.seen[ctx.buffer.halo_at(slot) as usize] != self.stamp {
-                    self.evict_slots.push(slot);
+                let h = ctx.buffer.halo_at(slot) as usize;
+                if self.seen[h] != self.stamp {
+                    self.cold_slots
+                        .push((self.probed[h], ctx.part.halo_degree[h], slot));
                 }
             }
+            // The slot makes every key distinct, so the unstable
+            // selection and sort are deterministic at any thread count.
+            if self.cold_slots.len() > needed {
+                self.cold_slots.select_nth_unstable(needed);
+                self.cold_slots.truncate(needed);
+            }
+            self.cold_slots.sort_unstable();
+            self.evict_slots
+                .extend(self.cold_slots.iter().map(|&(_, _, slot)| slot));
             if self.evict_slots.len() < needed {
                 self.far_slots.clear();
                 for slot in 0..ctx.buffer.len() as u32 {
@@ -364,7 +401,6 @@ impl PrefetchPolicy for LookaheadPolicy {
         // One batched pull for everything that found room, through the
         // same retry/degradation ladder as demand fetches.
         let k = self.want.len().min(spare + self.evict_slots.len());
-        let mut t_planned = 0.0;
         if k > 0 {
             let halo_nodes = &ctx.part.halo_nodes;
             self.want_globals.clear();
@@ -378,7 +414,7 @@ impl PrefetchPolicy for LookaheadPolicy {
             let (rows, outcome) = ctx.cluster.pull_rows(&self.want_globals, req_id);
             let dim = ctx.cluster.dim();
             let t_fault = outcome.charge_s(ctx.cost, dim, ctx.cluster.retry_policy());
-            t_planned = ctx.cost.t_rpc(k, dim) + t_fault;
+            t_planned += ctx.cost.t_rpc(k, dim) + t_fault;
             ctx.metrics.record_planned(k as u64, dim);
             ctx.metrics.record_pull_outcome(&outcome);
             ctx.metrics.planned_span(step, 0.0, t_planned);
@@ -449,13 +485,16 @@ impl PrefetchPolicy for LookaheadPolicy {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.next_use.len() + self.seen.len()) * 8 + self.ring_peak_bytes
+        (self.next_use.len() + self.seen.len()) * 8 + self.probed.len() * 4 + self.ring_peak_bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgnn_graph::generators::erdos_renyi;
+    use mgnn_graph::FeatureStore;
+    use mgnn_partition::{build_local_partitions, multilevel_partition};
 
     #[test]
     fn scoreboard_policy_is_inert() {
@@ -483,8 +522,77 @@ mod tests {
         assert_eq!(p.window(), 5);
         let mut mb = SampledMinibatch::default();
         assert!(!p.take_sampled(&sampler, &[0], 0, 0, &mut mb));
-        // `next_use` + `seen`, 8 B each per halo node.
-        assert_eq!(p.heap_bytes(), 16 * 100);
+        // `next_use` + `seen`, 8 B each per halo node, and `probed`, 4 B.
+        assert_eq!(p.heap_bytes(), 20 * 100);
+    }
+
+    #[test]
+    fn past_the_window_the_coldest_occupants_leave_first() {
+        let g = erdos_renyi(400, 4000, 21);
+        let p = multilevel_partition(&g, 2, 21);
+        let feats = FeatureStore::synthesize(&g, 8, 3, 4);
+        let cluster = SimCluster::new(&feats, &p.assignment, 2);
+        let train: Vec<u32> = (0..400).collect();
+        let mut part = build_local_partitions(&g, &p, &train).remove(0);
+        let shard = part
+            .train_nodes
+            .iter()
+            .map(|&g| part.local_id(g).unwrap())
+            .collect();
+        let loader = DataLoader::new(shard, 8, 5);
+        let sampler = NeighborSampler::new(vec![2, 2], 9);
+
+        // The halo rows the first window (steps 0 and 1) probes, and
+        // three it does not.
+        let num_local = part.num_local();
+        let mut in_window = vec![false; part.num_halo()];
+        for f in 0..2 {
+            let mb = sampler.sample(&part, &loader.epoch(0)[f], 0, f as u64);
+            for &lid in mb.input_nodes.iter().filter(|&&l| l as usize >= num_local) {
+                in_window[lid as usize - num_local] = true;
+            }
+        }
+        let halo = |probed: bool| -> Vec<u32> {
+            (0..part.num_halo() as u32)
+                .filter(|&h| in_window[h as usize] == probed)
+                .collect()
+        };
+        let window = halo(true);
+        let [hub, wide, narrow] = halo(false)[..3] else {
+            unreachable!()
+        };
+
+        // A full buffer: the hub in the lowest slot, the two cold rows
+        // above it, then all but two of the window's rows.
+        let mut policy = LookaheadPolicy::new(1, loader, sampler, 4, 1, part.num_halo());
+        policy.probed[hub as usize] = 3;
+        part.halo_degree[hub as usize] = 1;
+        part.halo_degree[wide as usize] = 5;
+        part.halo_degree[narrow as usize] = 2;
+        let mut buffer = PrefetchBuffer::new(part.num_halo(), 3 + window.len() - 2, 8);
+        for &h in [hub, wide, narrow].iter().chain(&window[2..]) {
+            buffer.insert(h, &[0.0; 8]);
+        }
+
+        let (cost, metrics) = (CostModel::default(), CommMetrics::new());
+        let t_planned = policy.plan(PlanCtx {
+            buffer: &mut buffer,
+            part: &part,
+            cluster: &cluster,
+            cost: &cost,
+            metrics: &metrics,
+            step: 0,
+        });
+        // (0, 2) goes first, then (0, 5); slot order would have taken
+        // the hub.
+        assert_eq!(policy.evict_slots, [2, 1]);
+        assert!(buffer.contains(hub));
+        assert!(!buffer.contains(wide) && !buffer.contains(narrow));
+        assert!(window.iter().all(|&h| buffer.contains(h)));
+        // The round's bookkeeping rides on the pull's charge.
+        let probes = policy.ring.iter().map(|s| s.halo.len()).sum();
+        let bookkeeping = cost.t_scoring(probes, false, 0) + cost.t_lookup(buffer.len());
+        assert_eq!(t_planned, bookkeeping + cost.t_rpc(2, 8));
     }
 
     #[test]

@@ -488,7 +488,8 @@ impl Prefetcher {
 
         // Lines 6–9 + 21 are the *reactive* scoreboard passes; a
         // planning policy manages the buffer itself and skips them
-        // (its scoring cost is already charged to `t_planned`).
+        // (`t_planned` already carries its round's pull, probe-count
+        // updates and eviction scan).
         let halo_nodes = &part.halo_nodes;
         let t_scoring = if reactive {
             // Decay S_E of buffered nodes not sampled this step; a
@@ -1110,8 +1111,9 @@ mod tests {
         let scoreboard = fx.prefetcher();
         let mut lookahead = fx.prefetcher();
         lookahead.set_policy(Box::new(fx.planner()));
-        // `next_use` + `seen`: 16 B per halo node, before any step.
-        let marks = 16 * fx.part.num_halo();
+        // `next_use` + `seen` + `probed`: 20 B per halo node, before any
+        // step.
+        let marks = 20 * fx.part.num_halo();
         assert_eq!(lookahead.heap_bytes(), scoreboard.heap_bytes() + marks);
         // A window's worth of sampled minibatches on top, once it plans.
         let before = lookahead.heap_bytes();

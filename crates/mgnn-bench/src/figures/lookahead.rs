@@ -9,6 +9,9 @@
 //! paper's reactive scoreboard against lookahead at increasing depths on
 //! the same seed: cumulative hit rate should approach 100% and the
 //! critical-path remote-fetch time should collapse into `planned_s`.
+//! Communication volume is printed beside time, as RapidGNN reports it:
+//! a planner that re-fetches what it has just evicted shows up in
+//! `remote MB` and `planned rows` before it shows up anywhere else.
 
 use crate::harness::{engine_config, Opts};
 use massivegnn::{Engine, Mode, PrefetchConfig, PrefetchPolicyKind};
@@ -27,6 +30,11 @@ pub struct Point {
     pub rpc_s: f64,
     /// Planner pull time charged off the critical path (`planned_s`).
     pub planned_s: f64,
+    /// Rows the planner's pulls carried (all trainers).
+    pub planned_rows: u64,
+    /// Communication volume: every byte that crossed the network, demand
+    /// and planned alike (all trainers, MB).
+    pub remote_mb: f64,
     /// Makespan (s).
     pub time_s: f64,
     /// Mean stall per trainer (s).
@@ -46,11 +54,14 @@ fn measure(cfg: massivegnn::EngineConfig) -> Point {
     let label = cfg.mode.label();
     let r = Engine::build(cfg).run();
     let n = r.trainers.len() as f64;
+    let agg = r.aggregate_metrics();
     Point {
         label,
         hit_rate: r.hit_rate(),
         rpc_s: r.trainers.iter().map(|t| t.breakdown.rpc_s).sum(),
         planned_s: r.trainers.iter().map(|t| t.breakdown.planned_s).sum(),
+        planned_rows: agg.planned_rows,
+        remote_mb: agg.remote_bytes as f64 / 1e6,
         time_s: r.makespan_s,
         stall_s: r.trainers.iter().map(|t| t.stall_s).sum::<f64>() / n,
     }
@@ -108,17 +119,26 @@ impl fmt::Display for Lookahead {
         )?;
         writeln!(
             f,
-            "{:>28} {:>8} {:>10} {:>11} {:>10} {:>10}",
-            "policy", "hit%", "rpc(s)", "planned(s)", "time(s)", "stall(s)"
+            "{:>28} {:>8} {:>10} {:>11} {:>13} {:>10} {:>10} {:>10}",
+            "policy",
+            "hit%",
+            "rpc(s)",
+            "planned(s)",
+            "planned rows",
+            "remote MB",
+            "time(s)",
+            "stall(s)"
         )?;
         for p in &self.points {
             writeln!(
                 f,
-                "{:>28} {:>8.2} {:>10.4} {:>11.4} {:>10.4} {:>10.4}",
+                "{:>28} {:>8.2} {:>10.4} {:>11.4} {:>13} {:>10.3} {:>10.4} {:>10.4}",
                 p.label,
                 100.0 * p.hit_rate,
                 p.rpc_s,
                 p.planned_s,
+                p.planned_rows,
+                p.remote_mb,
                 p.time_s,
                 p.stall_s
             )?;
@@ -139,6 +159,8 @@ mod tests {
         let scoreboard = &study.points[0];
         assert!(scoreboard.label.contains("Evict"));
         assert_eq!(scoreboard.planned_s, 0.0, "scoreboard must not plan");
+        assert_eq!(scoreboard.planned_rows, 0, "scoreboard must not plan");
+        assert!(scoreboard.remote_mb > 0.0);
         for p in &study.points[1..] {
             assert!(p.label.contains("Lookahead"));
             assert!(
@@ -156,6 +178,9 @@ mod tests {
                 scoreboard.rpc_s
             );
             assert!(p.planned_s > 0.0, "{}: planner never pulled", p.label);
+            // Volume beside time: every planned row is a row on the wire.
+            assert!(p.planned_rows > 0, "{}: no planned rows", p.label);
+            assert!(p.remote_mb > 0.0, "{}: no bytes moved", p.label);
         }
         // The planner re-runs the exact future sampler, so steady-state
         // demand lookups should essentially always hit.

@@ -256,22 +256,53 @@ fn reports_internally_consistent() {
 use massivegnn::{FaultProfile, RetryPolicy, RunReport};
 use serde::Serialize;
 
-/// 64-bit FNV-1a of the report's JSON form (which carries the serialized
-/// `traces` when tracing is on) followed by the bits of `final_params`
-/// (which the JSON form leaves out).
-fn report_fingerprint(r: &RunReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(serde_json::to_string_pretty(&r.to_value()).as_bytes());
-    eat(&(r.final_params.len() as u64).to_le_bytes());
-    for p in &r.final_params {
-        eat(&p.to_bits().to_le_bytes());
+/// 64-bit FNV-1a, fed a piece at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Hash of the report's JSON form (which carries the serialized `traces`
+/// when tracing is on) followed by the bits of `final_params` (which the
+/// JSON form leaves out).
+fn report_fingerprint(r: &RunReport) -> u64 {
+    let mut h = Fnv::new();
+    h.eat(serde_json::to_string_pretty(&r.to_value()).as_bytes());
+    h.eat(&(r.final_params.len() as u64).to_le_bytes());
+    for p in &r.final_params {
+        h.eat(&p.to_bits().to_le_bytes());
+    }
+    h.0
+}
+
+/// Hash of what a run learned and what it probed — the bits of
+/// `epoch_loss`, `epoch_acc` and `final_params`, then each trainer's
+/// `hits + misses` — and of nothing a policy may move: which rows ride
+/// in which pull, and when.
+fn learning_fingerprint(r: &RunReport) -> u64 {
+    let mut h = Fnv::new();
+    for x in &r.epoch_loss {
+        h.eat(&x.to_bits().to_le_bytes());
+    }
+    for x in &r.epoch_acc {
+        h.eat(&x.to_bits().to_le_bytes());
+    }
+    for x in &r.final_params {
+        h.eat(&x.to_bits().to_le_bytes());
+    }
+    for t in &r.trainers {
+        h.eat(&(t.metrics.buffer_hits + t.metrics.buffer_misses).to_le_bytes());
+    }
+    h.0
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -356,8 +387,21 @@ const FINGERPRINT_SEEDS: [u64; 2] = [1, 42];
 /// them — `makespan_s`, `mean_overlap_efficiency`, `load_imbalance` —
 /// moved; a line diff of the eight reports against `1c976db`'s showed no
 /// other line, counters, breakdowns, `epoch_loss` bits and
-/// `final_params` included). The other sixteen are still PR 14's
-/// parent's.
+/// `final_params` included) and once more when the planner began to evict
+/// coldest-first past its window and to charge its bookkeeping (PR 22:
+/// against `447e3cd` the eight reports differ in `planned_s` — the probe
+/// counts and the eviction scan are charged now — `peak_bytes` — 4 B per
+/// halo node of counts — and what follows from `planned_s`:
+/// `total_serial_s`, `sim_time_s`, `stall_s`, `overlap_efficiency`,
+/// `makespan_s`, `mean_overlap_efficiency`, `load_imbalance`. No counter
+/// moved, before → after: `remote_bytes` 1 381 200 / 1 339 800,
+/// `planned_pulls` 82 / 81, `planned_rows` 5 941 / 5 757 at seeds 1 / 42,
+/// heavy or not — at `f_h` 0.25 on the unit graph a window outgrows the
+/// buffer, every occupant the window does not probe leaves each round, and
+/// the order chooses nothing; `makespan_s` rose 0.2 %, 0.030074 → 0.030144
+/// at seed 1: the charge with nothing to buy. What those eight runs learn
+/// and probe is pinned to that parent separately, by `LOOKAHEAD_LEARNING`.)
+/// The other sixteen are still PR 14's parent's.
 #[rustfmt::skip]
 const PARENT_RUNS: [(Shape, bool, u64, u64); 24] = [
     (Shape::Baseline, false, 1, 0xca9eb153c41c535e),
@@ -368,10 +412,10 @@ const PARENT_RUNS: [(Shape, bool, u64, u64); 24] = [
     (Shape::Scoreboard, false, 42, 0xb258fb0ccf793e2f),
     (Shape::Scoreboard, true, 1, 0x040368a5eb0502b5),
     (Shape::Scoreboard, true, 42, 0x20dfd643441bd534),
-    (Shape::Lookahead2, false, 1, 0xa850c5f2e0156e4c),
-    (Shape::Lookahead2, false, 42, 0xdb2f6e9632905b76),
-    (Shape::Lookahead2, true, 1, 0x000d07d2e6d9fafd),
-    (Shape::Lookahead2, true, 42, 0xe19dc09b6fc929e3),
+    (Shape::Lookahead2, false, 1, 0x2a4007e3acb64df0),
+    (Shape::Lookahead2, false, 42, 0xb1debf6ee90c3c54),
+    (Shape::Lookahead2, true, 1, 0xc788cfcf3cdbaebf),
+    (Shape::Lookahead2, true, 42, 0xd491700fcd6a2651),
     (Shape::ScoreboardTraced, false, 1, 0x44cc148d4de8b204),
     (Shape::ScoreboardTraced, false, 42, 0x9f760a40bdcd3eb1),
     (Shape::ScoreboardTraced, true, 1, 0x1d4c088f0731c31f),
@@ -380,10 +424,22 @@ const PARENT_RUNS: [(Shape, bool, u64, u64); 24] = [
     (Shape::ScoreboardHeavy, false, 42, 0x4a719d132d86b748),
     (Shape::ScoreboardHeavy, true, 1, 0x029a313a58eee9bd),
     (Shape::ScoreboardHeavy, true, 42, 0xe3ad2cdd7dc2955b),
-    (Shape::Lookahead2Heavy, false, 1, 0x4abe8ab2d949d8ff),
-    (Shape::Lookahead2Heavy, false, 42, 0x9ba38d46498c5cae),
-    (Shape::Lookahead2Heavy, true, 1, 0x89bddd396a87ae96),
-    (Shape::Lookahead2Heavy, true, 42, 0x74eb4878691e8a0d),
+    (Shape::Lookahead2Heavy, false, 1, 0x3e991016d93a2d21),
+    (Shape::Lookahead2Heavy, false, 42, 0x2fdc7a7c76432883),
+    (Shape::Lookahead2Heavy, true, 1, 0x587f1f4937d07ea2),
+    (Shape::Lookahead2Heavy, true, 42, 0x13a5cadb77a53f9c),
+];
+
+/// `(train_math, seed, learning_fingerprint)` of the `Lookahead2` and
+/// `Lookahead2Heavy` runs, recorded on `447e3cd` — the last commit before
+/// the planner's eviction order changed. Heavy or not, the runs learn
+/// the same: the ladder recovers every row. A change to the policy may
+/// re-record the rows above; it may not move these.
+const LOOKAHEAD_LEARNING: [(bool, u64, u64); 4] = [
+    (false, 1, 0xbeee1fdb9534158f),
+    (false, 42, 0x7ea778113be1d2dc),
+    (true, 1, 0xbe45cc0f32457e11),
+    (true, 42, 0x8e11774daf002ff0),
 ];
 
 #[test]
@@ -402,6 +458,17 @@ fn both_schedulers_reproduce_the_parent_reports() {
     for &(shape, math, seed, expect) in &PARENT_RUNS {
         let mut cfg = fingerprint_config(shape, math, seed);
         let seq = Engine::build(cfg.clone()).run();
+        if matches!(shape, Shape::Lookahead2 | Shape::Lookahead2Heavy) {
+            let learned = LOOKAHEAD_LEARNING
+                .iter()
+                .find(|l| (l.0, l.1) == (math, seed))
+                .expect("a learning row per math and seed");
+            assert_eq!(
+                learning_fingerprint(&seq),
+                learned.2,
+                "the planner changed what a run learns or probes: {shape:?} math={math} seed={seed}"
+            );
+        }
         assert_eq!(
             report_fingerprint(&seq),
             expect,

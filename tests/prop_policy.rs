@@ -9,8 +9,8 @@
 //! Below them, the lookahead planner's own invariants, stated directly
 //! and checked round by round against an oracle that samples the same
 //! schedule itself: capacity, Belady's order of eviction, failed rows
-//! staying out, no miss the buffer had room to avoid, and the window
-//! cadence.
+//! staying out, no miss the buffer had room to avoid, the window
+//! cadence, and past the window the coldest rows leaving first.
 
 use massivegnn::init::initialize_prefetcher;
 use massivegnn::{
@@ -235,6 +235,8 @@ fn check_planner_round_by_round(world: &Schedule, f_h: f64, depth: usize, transp
             .collect()
     };
 
+    // How many of the steps `0..counted_through` probe each halo row.
+    let (mut probed_by, mut counted_through) = (vec![0u32; part.num_halo()], 0usize);
     let (mut next_plan, mut windows, mut forced) = (0u64, 0u64, 0u64);
     let mut last_misses = 0;
     let mut carcass = None;
@@ -302,6 +304,34 @@ fn check_planner_round_by_round(world: &Schedule, f_h: f64, depth: usize, transp
             assert!(
                 rows(&|h| after[h] && first[h].is_none()).is_empty(),
                 "{at}: a needed row evicted while an unneeded one stays"
+            );
+        }
+
+        // Past the window, coldest first. Among the occupants the window
+        // does not probe, no evicted row was probed by more of the steps
+        // planned so far — all of them up to this round's horizon — than
+        // a row that stayed, and at equal counts none has the higher
+        // degree (which of two equal rows goes is the slot's to decide).
+        let horizon = (g as usize + depth).min(probes.len() - 1);
+        for step_probes in &probes[counted_through..=horizon] {
+            for &h in step_probes {
+                probed_by[h as usize] += 1;
+            }
+        }
+        counted_through = horizon + 1;
+        let coldness = |h: &usize| (probed_by[*h], part.halo_degree[*h]);
+        let hottest_evicted = rows(&|h| before[h] && !after[h] && first[h].is_none())
+            .iter()
+            .map(coldness)
+            .max();
+        let coldest_kept = rows(&|h| before[h] && after[h] && first[h].is_none())
+            .iter()
+            .map(coldness)
+            .min();
+        if let (Some(evicted), Some(kept)) = (hottest_evicted, coldest_kept) {
+            assert!(
+                evicted <= kept,
+                "{at}: (probes, degree) {evicted:?} evicted, {kept:?} kept"
             );
         }
 
