@@ -111,21 +111,6 @@ impl CacheSim {
         }
     }
 
-    /// Current occupant count (constant = capacity).
-    pub fn len(&self) -> usize {
-        self.occupants.len()
-    }
-
-    /// Whether the cache has no occupants.
-    pub fn is_empty(&self) -> bool {
-        self.occupants.is_empty()
-    }
-
-    /// Whether halo index `h` is cached.
-    pub fn contains(&self, h: u32) -> bool {
-        self.present[h as usize]
-    }
-
     /// Process one minibatch's sampled halo set (deduplicated ids).
     pub fn access(&mut self, sampled: &[u32]) {
         self.step += 1;
@@ -332,7 +317,7 @@ mod tests {
             CachePolicy::Random { seed: 3 },
         ];
         for sim in replay_policies(&policies, 500, &initial, &stream) {
-            assert_eq!(sim.len(), 100, "{}", sim.policy.name());
+            assert_eq!(sim.occupants.len(), 100, "{}", sim.policy.name());
             // present[] agrees with occupants
             let count = sim.present.iter().filter(|&&p| p).count();
             assert_eq!(count, 100);

@@ -59,12 +59,6 @@ impl PrefetchBuffer {
         self.len == 0
     }
 
-    /// Feature dimension.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Slot of halo index `h`, if buffered.
     #[inline]
     pub fn slot_of(&self, h: u32) -> Option<u32> {
@@ -97,15 +91,11 @@ impl PrefetchBuffer {
         &self.features[s * self.dim..(s + 1) * self.dim]
     }
 
-    /// Insert halo node `h` with `feat` into the next free slot; returns
-    /// the slot. Panics when full or when `h` is already present.
-    pub fn insert(&mut self, h: u32, feat: &[f32]) -> u32 {
-        self.insert_with(h, |row| row.copy_from_slice(feat))
-    }
-
-    /// [`insert`](Self::insert) whose features are written by `fill`,
-    /// straight into the slot's row (which it must overwrite entirely)
-    /// — a pulled row is decoded there without an intermediate copy.
+    /// Insert halo node `h` into the next free slot; returns the slot.
+    /// Panics when full or when `h` is already present. Its features are
+    /// written by `fill`, straight into the slot's row (which it must
+    /// overwrite entirely) — a pulled row is decoded there without an
+    /// intermediate copy.
     pub fn insert_with(&mut self, h: u32, fill: impl FnOnce(&mut [f32])) -> u32 {
         assert!(self.len < self.capacity(), "buffer full");
         assert!(!self.contains(h), "halo {h} already buffered");
@@ -118,14 +108,9 @@ impl PrefetchBuffer {
     }
 
     /// Replace the occupant of `slot` (evicting halo `old`) with halo
-    /// `new_h` and its features — the paired evict-and-replace of
-    /// Algorithm 2 lines 16–17. Returns the evicted halo index.
-    pub fn replace(&mut self, slot: u32, new_h: u32, feat: &[f32]) -> u32 {
-        self.replace_with(slot, new_h, |row| row.copy_from_slice(feat))
-    }
-
-    /// [`replace`](Self::replace) whose features are written by `fill`
-    /// (see [`insert_with`](Self::insert_with)).
+    /// `new_h`, whose features `fill` writes (see
+    /// [`insert_with`](Self::insert_with)) — the paired evict-and-replace
+    /// of Algorithm 2 lines 16–17. Returns the evicted halo index.
     pub fn replace_with(&mut self, slot: u32, new_h: u32, fill: impl FnOnce(&mut [f32])) -> u32 {
         assert!(!self.contains(new_h), "halo {new_h} already buffered");
         let old = self.halo_at(slot);
@@ -216,10 +201,14 @@ impl PrefetchBuffer {
 mod tests {
     use super::*;
 
+    fn insert(b: &mut PrefetchBuffer, h: u32, feat: &[f32]) -> u32 {
+        b.insert_with(h, |row| row.copy_from_slice(feat))
+    }
+
     #[test]
     fn insert_and_lookup() {
         let mut b = PrefetchBuffer::new(10, 3, 2);
-        let s = b.insert(7, &[1.0, 2.0]);
+        let s = insert(&mut b, 7, &[1.0, 2.0]);
         assert_eq!(b.slot_of(7), Some(s));
         assert!(b.contains(7));
         assert!(!b.contains(3));
@@ -232,9 +221,9 @@ mod tests {
     #[test]
     fn replace_swaps_occupant() {
         let mut b = PrefetchBuffer::new(10, 2, 2);
-        let s = b.insert(1, &[1.0, 1.0]);
-        b.insert(2, &[2.0, 2.0]);
-        let old = b.replace(s, 5, &[5.0, 5.0]);
+        let s = insert(&mut b, 1, &[1.0, 1.0]);
+        insert(&mut b, 2, &[2.0, 2.0]);
+        let old = b.replace_with(s, 5, |row| row.copy_from_slice(&[5.0, 5.0]));
         assert_eq!(old, 1);
         assert!(!b.contains(1));
         assert!(b.contains(5));
@@ -260,30 +249,30 @@ mod tests {
     #[test]
     #[should_panic]
     fn wrong_width_row_rejected() {
-        PrefetchBuffer::new(5, 1, 2).insert(0, &[0.0]);
+        insert(&mut PrefetchBuffer::new(5, 1, 2), 0, &[0.0]);
     }
 
     #[test]
     #[should_panic]
     fn insert_when_full_panics() {
         let mut b = PrefetchBuffer::new(5, 1, 1);
-        b.insert(0, &[0.0]);
-        b.insert(1, &[1.0]);
+        insert(&mut b, 0, &[0.0]);
+        insert(&mut b, 1, &[1.0]);
     }
 
     #[test]
     #[should_panic]
     fn double_insert_panics() {
         let mut b = PrefetchBuffer::new(5, 2, 1);
-        b.insert(0, &[0.0]);
-        b.insert(0, &[0.0]);
+        insert(&mut b, 0, &[0.0]);
+        insert(&mut b, 0, &[0.0]);
     }
 
     #[test]
     fn occupied_iterates_in_slot_order() {
         let mut b = PrefetchBuffer::new(10, 3, 1);
-        b.insert(9, &[9.0]);
-        b.insert(4, &[4.0]);
+        insert(&mut b, 9, &[9.0]);
+        insert(&mut b, 4, &[4.0]);
         let pairs: Vec<_> = b.occupied().collect();
         assert_eq!(pairs, vec![(0, 9), (1, 4)]);
     }
@@ -300,7 +289,7 @@ mod tests {
     fn probe_batch_splits_correctly() {
         let mut b = PrefetchBuffer::new(100, 10, 1);
         for h in 0..10u32 {
-            b.insert(h * 3, &[h as f32]);
+            insert(&mut b, h * 3, &[h as f32]);
         }
         let sampled: Vec<u32> = (0..60).collect();
         let (mut hits, mut misses) = (Vec::new(), Vec::new());
@@ -321,7 +310,7 @@ mod tests {
     fn probe_batch_large_parallel_path() {
         let mut b = PrefetchBuffer::new(100_000, 1000, 1);
         for h in 0..1000u32 {
-            b.insert(h * 7, &[0.0]);
+            insert(&mut b, h * 7, &[0.0]);
         }
         let sampled: Vec<u32> = (0..50_000).collect();
         let (mut hits, mut misses) = (Vec::new(), Vec::new());

@@ -153,6 +153,9 @@ impl EngineConfig {
             ("num_parts", self.num_parts),
             ("trainers_per_part", self.trainers_per_part),
             ("batch_size", self.batch_size),
+            // A zero-wide hidden layer has no bias row to broadcast: the
+            // first `train_math` step would panic inside the tensor kernel.
+            ("hidden_dim", self.hidden_dim),
         ] {
             if value == 0 {
                 return Err(format!("{name} must be >= 1"));
@@ -247,10 +250,11 @@ mod tests {
         let retrying = |retry| EngineConfig { retry, ..d() };
         let r = RetryPolicy::default;
         #[rustfmt::skip]
-        let bad: [(&str, EngineConfig); 25] = [
+        let bad: [(&str, EngineConfig); 26] = [
             ("num_parts", EngineConfig { num_parts: 0, ..d() }),
             ("trainers_per_part", EngineConfig { trainers_per_part: 0, ..d() }),
             ("batch_size", EngineConfig { batch_size: 0, ..d() }),
+            ("hidden_dim", EngineConfig { hidden_dim: 0, ..d() }),
             ("fanouts", EngineConfig { fanouts: vec![], ..d() }),
             ("fanouts", EngineConfig { fanouts: vec![10, 0], ..d() }),
             // `Model::forward` would panic at the first step ("blocks/layers

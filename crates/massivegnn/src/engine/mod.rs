@@ -133,11 +133,6 @@ impl Engine {
         }
     }
 
-    /// The generated dataset (for inspection).
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
-    }
-
     /// The per-partition views.
     pub fn partitions(&self) -> &[Arc<LocalPartition>] {
         &self.parts

@@ -571,7 +571,7 @@ mod tests {
         part.halo_degree[narrow as usize] = 2;
         let mut buffer = PrefetchBuffer::new(part.num_halo(), 3 + window.len() - 2, 8);
         for &h in [hub, wide, narrow].iter().chain(&window[2..]) {
-            buffer.insert(h, &[0.0; 8]);
+            buffer.insert_with(h, |row| row.fill(0.0));
         }
 
         let (cost, metrics) = (CostModel::default(), CommMetrics::new());

@@ -69,22 +69,6 @@ impl EvictionScores {
         self.scores[slot as usize] *= gamma;
     }
 
-    /// Reset `slot` to the initial score 1.
-    #[inline]
-    pub fn reset(&mut self, slot: u32) {
-        self.scores[slot as usize] = 1.0;
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// Whether there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
-    }
-
     /// Slots whose score has decayed to `alpha` or below (Algorithm 2
     /// line 28, Eq. 1 `S_E ≤ α` — see [`meets_eviction_threshold`] for
     /// why the boundary is inclusive), in ascending score order (evict
@@ -185,14 +169,6 @@ impl AccessScores {
             ScoreLayout::MemEfficient => AccessScores::MemEfficient {
                 scores: vec![0.0; num_halo],
             },
-        }
-    }
-
-    /// Which layout this is.
-    pub fn layout(&self) -> ScoreLayout {
-        match self {
-            AccessScores::Dense { .. } => ScoreLayout::Dense,
-            AccessScores::MemEfficient { .. } => ScoreLayout::MemEfficient,
         }
     }
 
@@ -352,7 +328,7 @@ mod tests {
         e.decay(0, 0.5);
         e.decay(0, 0.5);
         assert!((e.get(0) - 0.25).abs() < 1e-12);
-        e.reset(0);
+        e.set(0, 1.0);
         assert_eq!(e.get(0), 1.0);
     }
 
@@ -384,7 +360,7 @@ mod tests {
             for _ in 0..delta.saturating_sub(1) {
                 e.decay(1, gamma);
             }
-            e.reset(1);
+            e.set(1, 1.0);
             e.decay(1, gamma);
             let evicted = e.below_threshold(alpha, &[]);
             assert_eq!(
@@ -549,7 +525,7 @@ mod tests {
         let mut expect_decayed = 0usize;
         for s in 0..prefix as u32 {
             if sampled(s) {
-                singles.reset(s);
+                singles.set(s, 1.0);
             } else {
                 singles.decay(s, gamma);
                 expect_decayed += 1;

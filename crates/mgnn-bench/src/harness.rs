@@ -79,17 +79,6 @@ impl Opts {
         })
     }
 
-    /// A quick profile for smoke tests.
-    pub fn quick() -> Self {
-        Opts {
-            epochs: 2,
-            batch_size: 96,
-            fanouts: vec![5, 10],
-            hidden_dim: 32,
-            ..Default::default()
-        }
-    }
-
     /// The paper-shaped profile used by the repro CLI by default.
     pub fn standard() -> Self {
         Opts::default()
@@ -307,6 +296,20 @@ pub fn improvement_pct(old: f64, new: f64) -> f64 {
         0.0
     } else {
         100.0 * (1.0 - new / old)
+    }
+}
+
+#[cfg(test)]
+impl Opts {
+    /// A quick profile for the figures' smoke tests.
+    pub fn quick() -> Self {
+        Opts {
+            epochs: 2,
+            batch_size: 96,
+            fanouts: vec![5, 10],
+            hidden_dim: 32,
+            ..Default::default()
+        }
     }
 }
 

@@ -150,12 +150,6 @@ impl CsrGraph {
     pub fn is_symmetric(&self) -> bool {
         self.edges().all(|(u, v)| self.has_edge(v, u))
     }
-
-    /// Approximate heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u64>()
-            + self.targets.len() * std::mem::size_of::<NodeId>()
-    }
 }
 
 impl fmt::Debug for CsrGraph {
@@ -228,11 +222,5 @@ mod tests {
         let g = path3();
         let e: Vec<_> = g.edges().collect();
         assert_eq!(e, vec![(0, 1), (1, 0), (1, 2), (2, 1)]);
-    }
-
-    #[test]
-    fn heap_bytes_positive() {
-        let g = path3();
-        assert!(g.heap_bytes() >= 4 * 8 + 4 * 4);
     }
 }

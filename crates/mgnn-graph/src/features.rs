@@ -139,30 +139,6 @@ impl FeatureStore {
     pub fn label(&self, u: NodeId) -> u32 {
         self.storage.labels[u as usize]
     }
-
-    /// All labels.
-    #[inline]
-    pub fn labels(&self) -> &[u32] {
-        &self.storage.labels
-    }
-
-    /// Raw feature buffer (row-major).
-    #[inline]
-    pub fn raw(&self) -> &[f32] {
-        &self.storage.data
-    }
-
-    /// Bytes per feature row.
-    #[inline]
-    pub fn row_bytes(&self) -> usize {
-        self.dim * std::mem::size_of::<f32>()
-    }
-
-    /// Approximate heap footprint in bytes of the shared matrix and
-    /// labels — counted once however many handles exist.
-    pub fn heap_bytes(&self) -> usize {
-        self.storage.data.len() * 4 + self.storage.labels.len() * 4
-    }
 }
 
 /// Feature noise amplitude around the class centroid.
@@ -324,9 +300,12 @@ mod tests {
         for (dim, classes, seed) in [(16, 4, 2), (1, 2, 9), (33, 7, 0xfeed)] {
             let got = FeatureStore::synthesize(&g, dim, classes, seed);
             let want = synthesize_reference(&g, dim, classes, seed);
-            assert_eq!(got.labels(), want.labels());
-            let bits = |f: &FeatureStore| f.raw().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "dim {dim} seed {seed}");
+            for u in g.nodes() {
+                assert_eq!(got.label(u), want.label(u));
+                let bits =
+                    |f: &FeatureStore| f.row(u).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "node {u} dim {dim} seed {seed}");
+            }
         }
     }
 
@@ -335,12 +314,11 @@ mod tests {
         let g = erdos_renyi(40, 120, 1);
         let f = FeatureStore::synthesize(&g, 4, 2, 3);
         let handle = f.clone();
-        assert_eq!(handle.raw().as_ptr(), f.raw().as_ptr());
-        assert_eq!(handle.labels().as_ptr(), f.labels().as_ptr());
+        assert_eq!(handle.row(0).as_ptr(), f.row(0).as_ptr());
         // An equal store built separately is a different matrix.
         let again = FeatureStore::synthesize(&g, 4, 2, 3);
         assert_eq!(again, f);
-        assert_ne!(again.raw().as_ptr(), f.raw().as_ptr());
+        assert_ne!(again.row(0).as_ptr(), f.row(0).as_ptr());
     }
 
     #[test]
@@ -350,8 +328,6 @@ mod tests {
         assert_eq!(f.num_nodes(), 100);
         assert_eq!(f.dim(), 16);
         assert_eq!(f.row(5).len(), 16);
-        assert_eq!(f.labels().len(), 100);
-        assert_eq!(f.row_bytes(), 64);
     }
 
     #[test]
@@ -366,10 +342,10 @@ mod tests {
     fn labels_in_range() {
         let g = erdos_renyi(200, 600, 4);
         let f = FeatureStore::synthesize(&g, 8, 5, 1);
-        assert!(f.labels().iter().all(|&l| l < 5));
+        assert!(g.nodes().all(|u| f.label(u) < 5));
         // All classes should appear on 200 nodes with 5 classes.
         for c in 0..5u32 {
-            assert!(f.labels().contains(&c), "class {c} missing");
+            assert!(g.nodes().any(|u| f.label(u) == c), "class {c} missing");
         }
     }
 

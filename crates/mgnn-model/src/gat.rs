@@ -12,8 +12,12 @@
 //! out_i = Σ_j α_ij · z_j
 //! ```
 //!
-//! Hidden layers concatenate heads; the output layer averages them.
+//! Hidden layers concatenate heads and apply ReLU (the usual GAT uses
+//! ELU; ReLU keeps the backward a pure mask); the output layer averages
+//! the heads into class logits.
 
+use crate::layer::{Cache, Layer};
+use crate::model::Stack;
 use mgnn_sampling::Block;
 use mgnn_tensor::{Linear, Tensor};
 
@@ -38,12 +42,12 @@ pub struct GatLayer {
     pub grad_a_r: Vec<f32>,
     /// Concatenate heads (hidden layers) vs average (output layer).
     pub concat: bool,
-    cached: Option<GatCache>,
+    cached: Option<Cache<Attention>>,
 }
 
+/// What the attention's backward needs besides the shared [`Cache`].
 #[derive(Debug, Clone)]
-struct GatCache {
-    block: Block,
+struct Attention {
     /// Projected features, `num_src × heads·head_dim`.
     z: Tensor,
     /// Attention coefficients per head per dst, ragged:
@@ -88,8 +92,85 @@ impl GatLayer {
         }
     }
 
-    /// Forward over one block.
-    pub fn forward(&mut self, block: &Block, src: &Tensor) -> Tensor {
+    /// Through the activation and the attention: accumulates the
+    /// gradients of `a_l`/`a_r` and returns the gradient at the projected
+    /// features `z`.
+    fn grad_z(&mut self, grad_out: &Tensor) -> Tensor {
+        let (cache, grad_out) = Cache::take(&mut self.cached, grad_out);
+        let (heads, d) = (self.heads, self.head_dim);
+        let block = &cache.block;
+        let Attention {
+            z,
+            alpha,
+            s,
+            att_offsets,
+        } = &cache.extra;
+        let mut dz = Tensor::zeros(z.rows(), z.cols());
+
+        for h in 0..heads {
+            let al = &self.a_l[h * d..(h + 1) * d];
+            let ar = &self.a_r[h * d..(h + 1) * d];
+            let zcol = h * d;
+            let ocol = if self.concat { h * d } else { 0 };
+            let scale = if self.concat { 1.0 } else { 1.0 / heads as f32 };
+            for (i, &att_start) in att_offsets.iter().take(block.num_dst).enumerate() {
+                let start = att_start as usize;
+                let nbrs = block.neighbors_of(i);
+                let cnt = 1 + nbrs.len();
+                let gi = &grad_out.row(i)[ocol..ocol + d];
+
+                // dα_ij = (g_i · z_j) · scale ; dz_j += α_ij·scale · g_i
+                let mut dalpha = vec![0.0f32; cnt];
+                for (k, &j) in std::iter::once(&(i as u32)).chain(nbrs.iter()).enumerate() {
+                    let a = alpha[h][start + k];
+                    let zj = &z.row(j as usize)[zcol..zcol + d];
+                    dalpha[k] = scale * gi.iter().zip(zj).map(|(a, b)| a * b).sum::<f32>();
+                    let dzj = dz.row_mut(j as usize);
+                    for (dd, &g) in dzj[zcol..zcol + d].iter_mut().zip(gi) {
+                        *dd += a * scale * g;
+                    }
+                }
+                // Softmax backward.
+                let dot: f32 = (0..cnt).map(|k| alpha[h][start + k] * dalpha[k]).sum();
+                let mut dli = 0.0f32;
+                for (k, &j) in std::iter::once(&(i as u32)).chain(nbrs.iter()).enumerate() {
+                    let a = alpha[h][start + k];
+                    let de = a * (dalpha[k] - dot);
+                    let sij = s[h][start + k];
+                    let ds = if sij > 0.0 { de } else { LEAKY_SLOPE * de };
+                    dli += ds;
+                    // r_j path: da_r += ds·z_j ; dz_j += ds·a_r
+                    let zj_row = j as usize;
+                    {
+                        let zj = &z.row(zj_row)[zcol..zcol + d];
+                        for (ga, &v) in self.grad_a_r[h * d..(h + 1) * d].iter_mut().zip(zj) {
+                            *ga += ds * v;
+                        }
+                    }
+                    let dzj = dz.row_mut(zj_row);
+                    for (dd, &a_v) in dzj[zcol..zcol + d].iter_mut().zip(ar) {
+                        *dd += ds * a_v;
+                    }
+                }
+                // l_i path: da_l += dli·z_i ; dz_i += dli·a_l
+                {
+                    let zi = &z.row(i)[zcol..zcol + d];
+                    for (ga, &v) in self.grad_a_l[h * d..(h + 1) * d].iter_mut().zip(zi) {
+                        *ga += dli * v;
+                    }
+                }
+                let dzi = dz.row_mut(i);
+                for (dd, &a_v) in dzi[zcol..zcol + d].iter_mut().zip(al) {
+                    *dd += dli * a_v;
+                }
+            }
+        }
+        dz
+    }
+}
+
+impl Layer for GatLayer {
+    fn forward(&mut self, block: &Block, src: &Tensor, activate: bool) -> Tensor {
         assert_eq!(src.rows(), block.num_src());
         let z = self.w.forward(src);
         let (heads, d) = (self.heads, self.head_dim);
@@ -152,127 +233,50 @@ impl GatLayer {
             }
         }
 
-        self.cached = Some(GatCache {
-            block: block.clone(),
+        let attention = Attention {
             z,
             alpha,
             s: s_store,
             att_offsets,
-        });
-        out
+        };
+        Cache::store(&mut self.cached, block, out, activate, attention)
     }
 
-    /// Backward: returns grad w.r.t. `src`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let dz = self.grad_z(grad_out);
         self.w.backward(&dz)
     }
 
-    /// [`backward`](Self::backward) for a layer whose `src` is data:
-    /// accumulates the parameter gradients and leaves out the one product
-    /// (`dz · Wᵀ`) that only the input's gradient needs.
-    pub fn backward_params(&mut self, grad_out: &Tensor) {
+    /// Leaves out the one product (`dz · Wᵀ`) that only the input's
+    /// gradient needs.
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let dz = self.grad_z(grad_out);
         self.w.backward_params(&dz);
     }
 
-    /// Through the attention: accumulates the gradients of `a_l`/`a_r`
-    /// and returns the gradient at the projected features `z`.
-    fn grad_z(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cached.take().expect("backward before forward");
-        let (heads, d) = (self.heads, self.head_dim);
-        let block = &cache.block;
-        let z = &cache.z;
-        let mut dz = Tensor::zeros(z.rows(), z.cols());
-
-        for h in 0..heads {
-            let al = &self.a_l[h * d..(h + 1) * d];
-            let ar = &self.a_r[h * d..(h + 1) * d];
-            let zcol = h * d;
-            let ocol = if self.concat { h * d } else { 0 };
-            let scale = if self.concat { 1.0 } else { 1.0 / heads as f32 };
-            for i in 0..block.num_dst {
-                let start = cache.att_offsets[i] as usize;
-                let nbrs = block.neighbors_of(i);
-                let cnt = 1 + nbrs.len();
-                let gi = &grad_out.row(i)[ocol..ocol + d];
-
-                // dα_ij = (g_i · z_j) · scale ; dz_j += α_ij·scale · g_i
-                let mut dalpha = vec![0.0f32; cnt];
-                for (k, &j) in std::iter::once(&(i as u32)).chain(nbrs.iter()).enumerate() {
-                    let a = cache.alpha[h][start + k];
-                    let zj = &z.row(j as usize)[zcol..zcol + d];
-                    dalpha[k] = scale * gi.iter().zip(zj).map(|(a, b)| a * b).sum::<f32>();
-                    let dzj = dz.row_mut(j as usize);
-                    for (dd, &g) in dzj[zcol..zcol + d].iter_mut().zip(gi) {
-                        *dd += a * scale * g;
-                    }
-                }
-                // Softmax backward.
-                let dot: f32 = (0..cnt)
-                    .map(|k| cache.alpha[h][start + k] * dalpha[k])
-                    .sum();
-                let mut dli = 0.0f32;
-                for (k, &j) in std::iter::once(&(i as u32)).chain(nbrs.iter()).enumerate() {
-                    let a = cache.alpha[h][start + k];
-                    let de = a * (dalpha[k] - dot);
-                    let sij = cache.s[h][start + k];
-                    let ds = if sij > 0.0 { de } else { LEAKY_SLOPE * de };
-                    dli += ds;
-                    // r_j path: da_r += ds·z_j ; dz_j += ds·a_r
-                    let zj_row = j as usize;
-                    {
-                        let zj = &z.row(zj_row)[zcol..zcol + d];
-                        for (ga, &v) in self.grad_a_r[h * d..(h + 1) * d].iter_mut().zip(zj) {
-                            *ga += ds * v;
-                        }
-                    }
-                    let dzj = dz.row_mut(zj_row);
-                    for (dd, &a_v) in dzj[zcol..zcol + d].iter_mut().zip(ar) {
-                        *dd += ds * a_v;
-                    }
-                }
-                // l_i path: da_l += dli·z_i ; dz_i += dli·a_l
-                {
-                    let zi = &z.row(i)[zcol..zcol + d];
-                    for (ga, &v) in self.grad_a_l[h * d..(h + 1) * d].iter_mut().zip(zi) {
-                        *ga += dli * v;
-                    }
-                }
-                let dzi = dz.row_mut(i);
-                for (dd, &a_v) in dzi[zcol..zcol + d].iter_mut().zip(al) {
-                    *dd += dli * a_v;
-                }
-            }
-        }
-        dz
+    fn visit(&self, visit: &mut dyn FnMut(&[f32], &[f32])) {
+        self.w.visit(visit);
+        visit(&self.a_l, &self.grad_a_l);
+        visit(&self.a_r, &self.grad_a_r);
     }
 
-    /// Zero accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.w.zero_grad();
-        self.grad_a_l.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_a_r.iter_mut().for_each(|g| *g = 0.0);
+    fn visit_mut(&mut self, visit: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        self.w.visit_mut(visit);
+        visit(&mut self.a_l, &mut self.grad_a_l);
+        visit(&mut self.a_r, &mut self.grad_a_r);
     }
 
-    /// Scalar parameter count (projection + both attention vectors).
-    pub fn num_params(&self) -> usize {
-        self.w.num_params() + self.a_l.len() + self.a_r.len()
+    fn macs(&self, block: &Block) -> f64 {
+        let projection = block.num_src() as f64 * self.w.in_dim() as f64 * self.w.out_dim() as f64;
+        // Attention: per edge (incl. self) per head, dot products.
+        let edges = (block.num_edges() + block.num_dst) as f64;
+        projection + edges * self.heads as f64 * self.head_dim as f64 * 3.0
     }
 }
 
-/// A stacked GAT model: hidden layers concat heads + ELU-free ReLU-style
-/// nonlinearity is folded into attention (the paper's 2-head config),
-/// final layer averages heads into class logits.
-#[derive(Debug, Clone)]
-pub struct GatModel {
-    /// GAT layers, input to output.
-    pub layers: Vec<GatLayer>,
-    /// Post-ReLU activations between layers, cached by forward for the
-    /// inter-layer ReLU mask in backward (`relu_inputs[i]` is the input
-    /// layer `i+1` consumed).
-    pub(crate) relu_inputs: Vec<Tensor>,
-}
+/// A stacked GAT model: hidden layers concatenate their heads (the
+/// paper's 2-head config), the final layer averages them into class logits.
+pub type GatModel = Stack<GatLayer>;
 
 impl GatModel {
     /// `dims = [in, hidden, ..., out]`, all hidden layers with `heads`
@@ -295,15 +299,7 @@ impl GatModel {
             in_dim = layer.out_dim();
             layers.push(layer);
         }
-        GatModel {
-            layers,
-            relu_inputs: Vec::new(),
-        }
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        Stack { layers }
     }
 }
 
@@ -324,17 +320,17 @@ mod tests {
     fn forward_shapes_concat_and_mean() {
         let src = Tensor::from_vec(4, 3, (0..12).map(|x| x as f32 * 0.1).collect());
         let mut concat = GatLayer::new(3, 4, 2, true, 1);
-        assert_eq!(concat.forward(&toy_block(), &src).shape(), (2, 8));
+        assert_eq!(concat.forward(&toy_block(), &src, false).shape(), (2, 8));
         let mut mean = GatLayer::new(3, 4, 2, false, 1);
-        assert_eq!(mean.forward(&toy_block(), &src).shape(), (2, 4));
+        assert_eq!(mean.forward(&toy_block(), &src, false).shape(), (2, 4));
     }
 
     #[test]
     fn attention_weights_normalized() {
         let src = Tensor::from_vec(4, 3, (0..12).map(|x| x as f32 * 0.3 - 1.0).collect());
         let mut layer = GatLayer::new(3, 2, 2, true, 3);
-        layer.forward(&toy_block(), &src);
-        let cache = layer.cached.as_ref().unwrap();
+        layer.forward(&toy_block(), &src, false);
+        let cache = &layer.cached.as_ref().unwrap().extra;
         for h in 0..2 {
             for i in 0..2 {
                 let start = cache.att_offsets[i] as usize;
@@ -355,7 +351,7 @@ mod tests {
         };
         let src = Tensor::from_vec(1, 2, vec![1.0, -1.0]);
         let mut layer = GatLayer::new(2, 2, 1, true, 5);
-        let out = layer.forward(&block, &src);
+        let out = layer.forward(&block, &src, false);
         // α over {self} is 1, so out = z_self exactly.
         let z = layer.w.forward_inference(&src);
         for (o, zv) in out.data().iter().zip(z.data()) {
@@ -371,12 +367,11 @@ mod tests {
 
         let loss_of = |layer: &GatLayer, src: &Tensor| -> f32 {
             let mut l = layer.clone();
-            l.forward(&block, src).data().iter().sum()
+            l.forward(&block, src, false).data().iter().sum()
         };
 
-        let out = layer.forward(&block, &src);
+        let out = layer.forward(&block, &src, false);
         let ones = Tensor::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);
-        layer.zero_grad();
         let grad_src = layer.backward(&ones);
 
         let eps = 1e-3f32;

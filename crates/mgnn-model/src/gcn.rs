@@ -5,8 +5,9 @@
 //! Per layer, with self-loop and mean normalization over the sampled
 //! neighborhood: `out_i = act( mean_{j ∈ N(i) ∪ {i}} h_j · W + b )`.
 
+use crate::layer::{mean_aggregate, mean_aggregate_backward, Cache, Layer};
+use crate::model::Stack;
 use mgnn_sampling::Block;
-use mgnn_tensor::ops::{relu, relu_backward};
 use mgnn_tensor::{Linear, Tensor};
 
 /// One GCN convolution layer.
@@ -14,14 +15,7 @@ use mgnn_tensor::{Linear, Tensor};
 pub struct GcnLayer {
     /// The shared projection.
     pub w: Linear,
-    cached: Option<GcnCache>,
-}
-
-#[derive(Debug, Clone)]
-struct GcnCache {
-    block: Block,
-    pre: Tensor,
-    activated: bool,
+    cached: Option<Cache>,
 }
 
 impl GcnLayer {
@@ -32,109 +26,47 @@ impl GcnLayer {
             cached: None,
         }
     }
+}
 
-    /// Mean over `N(i) ∪ {i}` of the src rows.
-    fn aggregate(block: &Block, src: &Tensor) -> Tensor {
-        let dim = src.cols();
-        let mut agg = Tensor::zeros(block.num_dst, dim);
-        for i in 0..block.num_dst {
-            let nbrs = block.neighbors_of(i);
-            let inv = 1.0 / (nbrs.len() + 1) as f32;
-            let row = agg.row_mut(i);
-            // self
-            for (r, &v) in row.iter_mut().zip(src.row(i)) {
-                *r += v;
-            }
-            for &j in nbrs {
-                for (r, &v) in row.iter_mut().zip(src.row(j as usize)) {
-                    *r += v;
-                }
-            }
-            for r in row.iter_mut() {
-                *r *= inv;
-            }
-        }
-        agg
-    }
-
-    fn aggregate_backward(block: &Block, grad_agg: &Tensor, grad_src: &mut Tensor) {
-        for i in 0..block.num_dst {
-            let nbrs = block.neighbors_of(i);
-            let inv = 1.0 / (nbrs.len() + 1) as f32;
-            let g = grad_agg.row(i);
-            {
-                let dst = grad_src.row_mut(i);
-                for (d, &v) in dst.iter_mut().zip(g) {
-                    *d += v * inv;
-                }
-            }
-            for &j in nbrs {
-                let dst = grad_src.row_mut(j as usize);
-                for (d, &v) in dst.iter_mut().zip(g) {
-                    *d += v * inv;
-                }
-            }
-        }
-    }
-
-    /// Forward over one block (`activate` applies ReLU for hidden layers).
-    pub fn forward(&mut self, block: &Block, src: &Tensor, activate: bool) -> Tensor {
+impl Layer for GcnLayer {
+    fn forward(&mut self, block: &Block, src: &Tensor, activate: bool) -> Tensor {
         assert_eq!(src.rows(), block.num_src());
-        let agg = Self::aggregate(block, src);
+        let agg = mean_aggregate(block, src, true);
         let pre = self.w.forward(&agg);
-        let out = if activate { relu(&pre) } else { pre.clone() };
-        self.cached = Some(GcnCache {
-            block: block.clone(),
-            pre,
-            activated: activate,
-        });
-        out
+        Cache::store(&mut self.cached, block, pre, activate, ())
     }
 
-    /// The forward cache and the gradient at the pre-activation.
-    fn grad_pre(&mut self, grad_out: &Tensor) -> (GcnCache, Tensor) {
-        let cache = self.cached.take().expect("backward before forward");
-        let grad_pre = if cache.activated {
-            relu_backward(grad_out, &cache.pre)
-        } else {
-            grad_out.clone()
-        };
-        (cache, grad_pre)
-    }
-
-    /// Backward: returns grad w.r.t. `src`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (cache, grad_pre) = self.grad_pre(grad_out);
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let (cache, grad_pre) = Cache::take(&mut self.cached, grad_out);
         let grad_agg = self.w.backward(&grad_pre);
         let mut grad_src = Tensor::zeros(cache.block.num_src(), self.w.in_dim());
-        Self::aggregate_backward(&cache.block, &grad_agg, &mut grad_src);
+        mean_aggregate_backward(&cache.block, &grad_agg, &mut grad_src, true);
         grad_src
     }
 
-    /// [`backward`](Self::backward) for a layer whose `src` is data:
-    /// accumulates the parameter gradients and computes nothing else.
-    pub fn backward_params(&mut self, grad_out: &Tensor) {
-        let (_, grad_pre) = self.grad_pre(grad_out);
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let (_, grad_pre) = Cache::take(&mut self.cached, grad_out);
         self.w.backward_params(&grad_pre);
     }
 
-    /// Zero accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.w.zero_grad();
+    fn visit(&self, visit: &mut dyn FnMut(&[f32], &[f32])) {
+        self.w.visit(visit);
     }
 
-    /// Scalar parameter count.
-    pub fn num_params(&self) -> usize {
-        self.w.num_params()
+    fn visit_mut(&mut self, visit: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        self.w.visit_mut(visit);
+    }
+
+    fn macs(&self, block: &Block) -> f64 {
+        let in_d = self.w.in_dim() as f64;
+        // The projection over the dst rows, plus aggregation edge work.
+        block.num_dst as f64 * in_d * self.w.out_dim() as f64
+            + (block.num_edges() + block.num_dst) as f64 * in_d
     }
 }
 
 /// A stacked GCN.
-#[derive(Debug, Clone)]
-pub struct GcnModel {
-    /// The layers, input to output.
-    pub layers: Vec<GcnLayer>,
-}
+pub type GcnModel = Stack<GcnLayer>;
 
 impl GcnModel {
     /// `dims = [in, hidden, ..., out]`.
@@ -145,12 +77,7 @@ impl GcnModel {
             .enumerate()
             .map(|(i, w)| GcnLayer::new(w[0], w[1], seed.wrapping_add(i as u64 * 6151)))
             .collect();
-        GcnModel { layers }
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        Stack { layers }
     }
 }
 
@@ -170,7 +97,7 @@ mod tests {
     #[test]
     fn aggregate_includes_self() {
         let src = Tensor::from_vec(4, 1, vec![1.0, 2.0, 3.0, 5.0]);
-        let agg = GcnLayer::aggregate(&toy_block(), &src);
+        let agg = mean_aggregate(&toy_block(), &src, true);
         // dst0: mean(self=1, 3, 5) = 3; dst1: mean(self=2, 1) = 1.5
         assert!((agg.get(0, 0) - 3.0).abs() < 1e-6);
         assert!((agg.get(1, 0) - 1.5).abs() < 1e-6);
@@ -187,7 +114,6 @@ mod tests {
         };
         let out = layer.forward(&block, &src, true);
         let ones = Tensor::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);
-        layer.zero_grad();
         let grad_src = layer.backward(&ones);
         let eps = 1e-3f32;
         for idx in 0..8 {
@@ -216,7 +142,7 @@ mod tests {
     #[test]
     fn model_shapes() {
         let m = GcnModel::new(&[8, 16, 3], 3);
-        assert_eq!(m.num_layers(), 2);
+        assert_eq!(m.layers.len(), 2);
         assert_eq!(m.layers[0].w.in_dim(), 8);
         assert_eq!(m.layers[1].w.out_dim(), 3);
     }

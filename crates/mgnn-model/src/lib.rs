@@ -5,14 +5,16 @@
 //! synchronous data-parallel SGD — gradients ring-allreduced across all
 //! trainer PEs every minibatch ([`ddp`]).
 //!
-//! Every layer implements an explicit `forward`/`backward` pair over
-//! [`mgnn_sampling::Block`]s, with gradient correctness pinned by
-//! finite-difference tests. [`Model`] abstracts parameter/gradient
-//! flattening so DDP and the optimizers work on plain `f32` slices.
+//! Every architecture is one [`Layer`] — an explicit `forward`/`backward`
+//! pair over [`mgnn_sampling::Block`]s, with gradient correctness pinned
+//! by finite-difference tests — and [`Model`] is implemented once, for a
+//! [`Stack`] of them: it abstracts parameter/gradient flattening so DDP
+//! and the optimizers work on plain `f32` slices.
 
 pub mod ddp;
 pub mod gat;
 pub mod gcn;
+pub mod layer;
 pub mod model;
 pub mod optim;
 pub mod sage;
@@ -21,6 +23,7 @@ pub mod train;
 pub use ddp::{reduce_ring_chunk_average_with, ring_allreduce_average, ring_chunk_bounds};
 pub use gat::GatModel;
 pub use gcn::GcnModel;
-pub use model::{Model, ModelKind};
+pub use layer::Layer;
+pub use model::{Model, ModelKind, Stack};
 pub use optim::{Optimizer, Sgd};
 pub use sage::SageModel;

@@ -1,9 +1,8 @@
 //! The [`Model`] abstraction: forward/backward over sampled blocks plus
-//! flat parameter/gradient views for DDP and the optimizers.
+//! flat parameter/gradient views for DDP and the optimizers — implemented
+//! once, for a [`Stack`] of any [`Layer`].
 
-use crate::gat::GatModel;
-use crate::gcn::GcnModel;
-use crate::sage::SageModel;
+use crate::layer::Layer;
 use mgnn_sampling::Block;
 use mgnn_tensor::Tensor;
 
@@ -16,17 +15,6 @@ pub enum ModelKind {
     Gat,
     /// GCN (extension beyond the paper's pair).
     Gcn,
-}
-
-impl ModelKind {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ModelKind::Sage => "GraphSAGE",
-            ModelKind::Gat => "GAT",
-            ModelKind::Gcn => "GCN",
-        }
-    }
 }
 
 /// A trainable GNN over sampled blocks. `Sync` because threads price
@@ -61,8 +49,9 @@ pub trait Model: Send + Sync {
     fn read_grads(&mut self, src: &[f32]);
 
     /// Estimated multiply-accumulates of one forward+backward over
-    /// `blocks` — feeds the cost model's `t_ddp`. Every model prices the
-    /// backward at twice the forward, in every layer, although
+    /// `blocks` — feeds the cost model's `t_ddp`: three times the layers'
+    /// forward [`Layer::macs`], i.e. the backward priced at twice the
+    /// forward, in every layer, although
     /// [`backward`](Self::backward) skips the first layer's input
     /// gradient: `CostModel`'s MAC rates were calibrated against this
     /// 3 × forward estimate (the Fig. 9 regime, CPU overlap > 0.9, is
@@ -72,7 +61,57 @@ pub trait Model: Send + Sync {
     fn macs(&self, blocks: &[Block]) -> f64;
 }
 
-impl Model for SageModel {
+/// Layers applied input to output, ReLU between them and none after the
+/// last (logits): the one [`Model`] of this crate. [`SageModel`],
+/// [`GatModel`] and [`GcnModel`] are its three instantiations.
+///
+/// [`SageModel`]: crate::SageModel
+/// [`GatModel`]: crate::GatModel
+/// [`GcnModel`]: crate::GcnModel
+#[derive(Debug, Clone)]
+pub struct Stack<L> {
+    /// The convolution layers, input to output.
+    pub layers: Vec<L>,
+}
+
+/// Which of a parameter tensor's two slices a flat buffer carries.
+type Pick = for<'a> fn(&'a [f32], &'a [f32]) -> &'a [f32];
+type PickMut = for<'a> fn(&'a mut [f32], &'a mut [f32]) -> &'a mut [f32];
+
+impl<L: Layer> Stack<L> {
+    /// Every layer's [`Layer::visit`], in order.
+    fn visit(&self, visit: &mut dyn FnMut(&[f32], &[f32])) {
+        self.layers.iter().for_each(|l| l.visit(visit));
+    }
+
+    /// Every layer's [`Layer::visit_mut`], in order.
+    fn visit_mut(&mut self, visit: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        self.layers.iter_mut().for_each(|l| l.visit_mut(visit));
+    }
+
+    /// Copies the picked slice of every parameter tensor into `out`.
+    fn write_flat(&self, out: &mut [f32], pick: Pick) {
+        let mut at = 0;
+        self.visit(&mut |p, g| {
+            let x = pick(p, g);
+            out[at..at + x.len()].copy_from_slice(x);
+            at += x.len();
+        });
+        debug_assert_eq!(at, self.num_params());
+    }
+
+    /// Loads the picked slice of every parameter tensor from `src`.
+    fn read_flat(&mut self, src: &[f32], pick: PickMut) {
+        let mut at = 0;
+        self.visit_mut(&mut |p, g| {
+            let x = pick(p, g);
+            x.copy_from_slice(&src[at..at + x.len()]);
+            at += x.len();
+        });
+    }
+}
+
+impl<L: Layer> Model for Stack<L> {
     fn forward(&mut self, blocks: &[Block], input: &Tensor) -> Tensor {
         assert_eq!(blocks.len(), self.layers.len(), "blocks/layers mismatch");
         let n = self.layers.len();
@@ -97,258 +136,41 @@ impl Model for SageModel {
     }
 
     fn zero_grad(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grad();
-        }
+        self.visit_mut(&mut |_, g| g.fill(0.0));
     }
 
     fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.num_params()).sum()
+        let mut n = 0;
+        self.visit(&mut |p, _| n += p.len());
+        n
     }
 
     fn write_params(&self, out: &mut [f32]) {
-        let mut at = 0;
-        for l in &self.layers {
-            at += l.w_self.write_params(&mut out[at..]);
-            at += l.w_neigh.write_params(&mut out[at..]);
-        }
-        debug_assert_eq!(at, self.num_params());
+        self.write_flat(out, |p, _| p);
     }
 
     fn read_params(&mut self, src: &[f32]) {
-        let mut at = 0;
-        for l in &mut self.layers {
-            at += l.w_self.read_params(&src[at..]);
-            at += l.w_neigh.read_params(&src[at..]);
-        }
+        self.read_flat(src, |p, _| p);
     }
 
     fn write_grads(&self, out: &mut [f32]) {
-        let mut at = 0;
-        for l in &self.layers {
-            at += l.w_self.write_grads(&mut out[at..]);
-            at += l.w_neigh.write_grads(&mut out[at..]);
-        }
+        self.write_flat(out, |_, g| g);
     }
 
     fn read_grads(&mut self, src: &[f32]) {
-        let mut at = 0;
-        for l in &mut self.layers {
-            at += l.w_self.read_grads(&src[at..]);
-            at += l.w_neigh.read_grads(&src[at..]);
-        }
+        self.read_flat(src, |_, g| g);
     }
 
     fn macs(&self, blocks: &[Block]) -> f64 {
-        // Forward: per layer, (src rows × in × out) for the self+neigh
-        // linears, plus aggregation edge work; backward ≈ 2× forward.
-        let mut total = 0.0;
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let in_d = layer.w_self.in_dim() as f64;
-            let out_d = layer.w_self.out_dim() as f64;
-            let rows = block.num_dst as f64;
-            total += 2.0 * rows * in_d * out_d; // two linears
-            total += block.num_edges() as f64 * in_d; // aggregation
-        }
-        total * 3.0 // fwd + bwd(×2)
+        let forward: f64 = self.layers.iter().zip(blocks).map(|(l, b)| l.macs(b)).sum();
+        forward * 3.0 // fwd + bwd(×2)
     }
-}
-
-impl Model for GatModel {
-    fn forward(&mut self, blocks: &[Block], input: &Tensor) -> Tensor {
-        assert_eq!(blocks.len(), self.layers.len(), "blocks/layers mismatch");
-        let n = self.layers.len();
-        self.relu_inputs.clear();
-        let mut h: Option<Tensor> = None;
-        for (i, (layer, block)) in self.layers.iter_mut().zip(blocks).enumerate() {
-            let mut out = layer.forward(block, h.as_ref().unwrap_or(input));
-            if i + 1 < n {
-                // Inter-layer ReLU (the usual GAT uses ELU; ReLU keeps the
-                // backward a pure mask). The post-ReLU activation doubles
-                // as the mask: relu'(x) = 1 ⇔ relu(x) > 0.
-                out = mgnn_tensor::ops::relu(&out);
-                self.relu_inputs.push(out.clone());
-            }
-            h = Some(out);
-        }
-        h.expect("a model has at least one layer")
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) {
-        let mut g = grad_logits.clone();
-        for i in (1..self.layers.len()).rev() {
-            g = self.layers[i].backward(&g);
-            // `g` now aligns with layer i's input = relu(layer i-1 out);
-            // apply the ReLU mask before descending further.
-            g = mask_by_forward_positive(&g, &self.relu_inputs[i - 1]);
-        }
-        self.layers[0].backward_params(&g);
-        self.relu_inputs.clear();
-    }
-
-    fn zero_grad(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grad();
-        }
-    }
-
-    fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.num_params()).sum()
-    }
-
-    fn write_params(&self, out: &mut [f32]) {
-        let mut at = 0;
-        for l in &self.layers {
-            at += l.w.write_params(&mut out[at..]);
-            out[at..at + l.a_l.len()].copy_from_slice(&l.a_l);
-            at += l.a_l.len();
-            out[at..at + l.a_r.len()].copy_from_slice(&l.a_r);
-            at += l.a_r.len();
-        }
-        debug_assert_eq!(at, self.num_params());
-    }
-
-    fn read_params(&mut self, src: &[f32]) {
-        let mut at = 0;
-        for l in &mut self.layers {
-            at += l.w.read_params(&src[at..]);
-            let n = l.a_l.len();
-            l.a_l.copy_from_slice(&src[at..at + n]);
-            at += n;
-            let n = l.a_r.len();
-            l.a_r.copy_from_slice(&src[at..at + n]);
-            at += n;
-        }
-    }
-
-    fn write_grads(&self, out: &mut [f32]) {
-        let mut at = 0;
-        for l in &self.layers {
-            at += l.w.write_grads(&mut out[at..]);
-            out[at..at + l.grad_a_l.len()].copy_from_slice(&l.grad_a_l);
-            at += l.grad_a_l.len();
-            out[at..at + l.grad_a_r.len()].copy_from_slice(&l.grad_a_r);
-            at += l.grad_a_r.len();
-        }
-    }
-
-    fn read_grads(&mut self, src: &[f32]) {
-        let mut at = 0;
-        for l in &mut self.layers {
-            at += l.w.read_grads(&src[at..]);
-            let n = l.grad_a_l.len();
-            l.grad_a_l.copy_from_slice(&src[at..at + n]);
-            at += n;
-            let n = l.grad_a_r.len();
-            l.grad_a_r.copy_from_slice(&src[at..at + n]);
-            at += n;
-        }
-    }
-
-    fn macs(&self, blocks: &[Block]) -> f64 {
-        let mut total = 0.0;
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let in_d = layer.w.in_dim() as f64;
-            let out_d = layer.w.out_dim() as f64;
-            let rows = block.num_src() as f64;
-            total += rows * in_d * out_d; // projection
-                                          // Attention: per edge (incl. self) per head, dot products.
-            let edges = (block.num_edges() + block.num_dst) as f64;
-            total += edges * layer.heads as f64 * layer.head_dim as f64 * 3.0;
-        }
-        total * 3.0
-    }
-}
-
-impl Model for GcnModel {
-    fn forward(&mut self, blocks: &[Block], input: &Tensor) -> Tensor {
-        assert_eq!(blocks.len(), self.layers.len(), "blocks/layers mismatch");
-        let n = self.layers.len();
-        let mut h: Option<Tensor> = None;
-        for (i, (layer, block)) in self.layers.iter_mut().zip(blocks).enumerate() {
-            let activate = i + 1 < n;
-            h = Some(layer.forward(block, h.as_ref().unwrap_or(input), activate));
-        }
-        h.expect("a model has at least one layer")
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) {
-        let (first, rest) = self
-            .layers
-            .split_first_mut()
-            .expect("a model has at least one layer");
-        let mut g = grad_logits.clone();
-        for layer in rest.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        first.backward_params(&g);
-    }
-
-    fn zero_grad(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grad();
-        }
-    }
-
-    fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.num_params()).sum()
-    }
-
-    fn write_params(&self, out: &mut [f32]) {
-        let mut at = 0;
-        for l in &self.layers {
-            at += l.w.write_params(&mut out[at..]);
-        }
-        debug_assert_eq!(at, self.num_params());
-    }
-
-    fn read_params(&mut self, src: &[f32]) {
-        let mut at = 0;
-        for l in &mut self.layers {
-            at += l.w.read_params(&src[at..]);
-        }
-    }
-
-    fn write_grads(&self, out: &mut [f32]) {
-        let mut at = 0;
-        for l in &self.layers {
-            at += l.w.write_grads(&mut out[at..]);
-        }
-    }
-
-    fn read_grads(&mut self, src: &[f32]) {
-        let mut at = 0;
-        for l in &mut self.layers {
-            at += l.w.read_grads(&src[at..]);
-        }
-    }
-
-    fn macs(&self, blocks: &[Block]) -> f64 {
-        let mut total = 0.0;
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let in_d = layer.w.in_dim() as f64;
-            let out_d = layer.w.out_dim() as f64;
-            total += block.num_dst as f64 * in_d * out_d; // projection
-            total += (block.num_edges() + block.num_dst) as f64 * in_d; // aggregation
-        }
-        total * 3.0
-    }
-}
-
-fn mask_by_forward_positive(grad: &Tensor, forward_out: &Tensor) -> Tensor {
-    assert_eq!(grad.shape(), forward_out.shape());
-    let data = grad
-        .data()
-        .iter()
-        .zip(forward_out.data())
-        .map(|(&g, &x)| if x > 0.0 { g } else { 0.0 })
-        .collect();
-    Tensor::from_vec(grad.rows(), grad.cols(), data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GatModel, GcnModel, SageModel};
     use mgnn_graph::generators::erdos_renyi;
     use mgnn_partition::{build_local_partitions, multilevel_partition};
     use mgnn_sampling::NeighborSampler;
@@ -490,38 +312,25 @@ mod tests {
             cross_entropy(&m.forward(&blocks, &input), &labels).1
         };
 
-        let mut sage = SageModel::new(&[8, 16, 3], 7);
-        let mut full = sage.clone();
-        let g = logits_grad(&mut sage);
-        sage.backward(&g);
-        let mut g = logits_grad(&mut full);
-        for layer in full.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        fn check<L: Layer + Clone>(
+            mut model: Stack<L>,
+            logits_grad: impl Fn(&mut dyn Model) -> Tensor,
+            input: &Tensor,
+            what: &str,
+        ) {
+            let mut full = model.clone();
+            let g = logits_grad(&mut model);
+            model.backward(&g);
+            let mut g = logits_grad(&mut full);
+            for layer in full.layers.iter_mut().rev() {
+                g = layer.backward(&g);
+            }
+            assert_eq!(g.shape(), input.shape());
+            assert_eq!(grad_bits(&model), grad_bits(&full), "{what}");
         }
-        assert_eq!(g.shape(), input.shape());
-        assert_eq!(grad_bits(&sage), grad_bits(&full), "sage");
-
-        let mut gcn = GcnModel::new(&[8, 16, 3], 13);
-        let mut full = gcn.clone();
-        let g = logits_grad(&mut gcn);
-        gcn.backward(&g);
-        let mut g = logits_grad(&mut full);
-        for layer in full.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        assert_eq!(g.shape(), input.shape());
-        assert_eq!(grad_bits(&gcn), grad_bits(&full), "gcn");
-
-        let mut gat = GatModel::new(&[8, 8, 3], 2, 11);
-        let mut full = gat.clone();
-        let g = logits_grad(&mut gat);
-        gat.backward(&g);
-        let mut g = logits_grad(&mut full);
-        g = full.layers[1].backward(&g);
-        g = mask_by_forward_positive(&g, &full.relu_inputs[0]);
-        g = full.layers[0].backward(&g);
-        assert_eq!(g.shape(), input.shape());
-        assert_eq!(grad_bits(&gat), grad_bits(&full), "gat");
+        check(SageModel::new(&[8, 16, 3], 7), logits_grad, &input, "sage");
+        check(GcnModel::new(&[8, 16, 3], 13), logits_grad, &input, "gcn");
+        check(GatModel::new(&[8, 8, 3], 2, 11), logits_grad, &input, "gat");
     }
 
     #[test]

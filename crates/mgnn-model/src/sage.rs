@@ -4,8 +4,9 @@
 //! where `N(i)` are the block-sampled in-neighbors of dst `i`. The final
 //! layer omits the activation (logits).
 
+use crate::layer::{mean_aggregate, mean_aggregate_backward, Cache, Layer};
+use crate::model::Stack;
 use mgnn_sampling::Block;
-use mgnn_tensor::ops::{relu, relu_backward};
 use mgnn_tensor::{Linear, Tensor};
 
 /// One SAGE convolution layer.
@@ -16,17 +17,7 @@ pub struct SageLayer {
     /// Transform of the mean-aggregated neighborhood.
     pub w_neigh: Linear,
     // Cached forward state for backward.
-    cached: Option<SageCache>,
-}
-
-#[derive(Debug, Clone)]
-struct SageCache {
-    /// Sparse aggregation structure of the block (cloned offsets/indices).
-    block: Block,
-    /// Pre-activation output.
-    pre: Tensor,
-    /// Whether the activation was applied.
-    activated: bool,
+    cached: Option<Cache>,
 }
 
 impl SageLayer {
@@ -38,53 +29,10 @@ impl SageLayer {
             cached: None,
         }
     }
+}
 
-    /// Mean-aggregate neighbor rows of `src` per the block.
-    fn aggregate(block: &Block, src: &Tensor) -> Tensor {
-        let dim = src.cols();
-        let mut agg = Tensor::zeros(block.num_dst, dim);
-        for i in 0..block.num_dst {
-            let nbrs = block.neighbors_of(i);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let inv = 1.0 / nbrs.len() as f32;
-            let row = agg.row_mut(i);
-            for &j in nbrs {
-                let s = src.row(j as usize);
-                for (r, &v) in row.iter_mut().zip(s) {
-                    *r += v;
-                }
-            }
-            for r in row.iter_mut() {
-                *r *= inv;
-            }
-        }
-        agg
-    }
-
-    /// Scatter-transpose of [`SageLayer::aggregate`]: given grad on the
-    /// aggregated dst rows, push `grad/deg` back onto each neighbor row.
-    fn aggregate_backward(block: &Block, grad_agg: &Tensor, grad_src: &mut Tensor) {
-        for i in 0..block.num_dst {
-            let nbrs = block.neighbors_of(i);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let inv = 1.0 / nbrs.len() as f32;
-            let g = grad_agg.row(i);
-            for &j in nbrs {
-                let dst = grad_src.row_mut(j as usize);
-                for (d, &v) in dst.iter_mut().zip(g) {
-                    *d += v * inv;
-                }
-            }
-        }
-    }
-
-    /// Forward over one block. `src` has `block.num_src()` rows; output has
-    /// `block.num_dst` rows. `activate` applies ReLU (hidden layers).
-    pub fn forward(&mut self, block: &Block, src: &Tensor, activate: bool) -> Tensor {
+impl Layer for SageLayer {
+    fn forward(&mut self, block: &Block, src: &Tensor, activate: bool) -> Tensor {
         assert_eq!(src.rows(), block.num_src());
         // Self path uses the dst prefix of src.
         let dst_feats = Tensor::from_vec(
@@ -92,32 +40,14 @@ impl SageLayer {
             src.cols(),
             src.data()[..block.num_dst * src.cols()].to_vec(),
         );
-        let agg = Self::aggregate(block, src);
+        let agg = mean_aggregate(block, src, false);
         let mut pre = self.w_self.forward(&dst_feats);
         pre.add_assign(&self.w_neigh.forward(&agg));
-        let out = if activate { relu(&pre) } else { pre.clone() };
-        self.cached = Some(SageCache {
-            block: block.clone(),
-            pre,
-            activated: activate,
-        });
-        out
+        Cache::store(&mut self.cached, block, pre, activate, ())
     }
 
-    /// The forward cache and the gradient at the pre-activation.
-    fn grad_pre(&mut self, grad_out: &Tensor) -> (SageCache, Tensor) {
-        let cache = self.cached.take().expect("backward before forward");
-        let grad_pre = if cache.activated {
-            relu_backward(grad_out, &cache.pre)
-        } else {
-            grad_out.clone()
-        };
-        (cache, grad_pre)
-    }
-
-    /// Backward: returns grad w.r.t. `src`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (cache, grad_pre) = self.grad_pre(grad_out);
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let (cache, grad_pre) = Cache::take(&mut self.cached, grad_out);
         // Through the two linears.
         let grad_dst = self.w_self.backward(&grad_pre);
         let grad_agg = self.w_neigh.backward(&grad_pre);
@@ -131,36 +61,36 @@ impl SageLayer {
                 *d += v;
             }
         }
-        Self::aggregate_backward(&cache.block, &grad_agg, &mut grad_src);
+        mean_aggregate_backward(&cache.block, &grad_agg, &mut grad_src, false);
         grad_src
     }
 
-    /// [`backward`](Self::backward) for a layer whose `src` is data:
-    /// accumulates the parameter gradients and computes nothing else.
-    pub fn backward_params(&mut self, grad_out: &Tensor) {
-        let (_, grad_pre) = self.grad_pre(grad_out);
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let (_, grad_pre) = Cache::take(&mut self.cached, grad_out);
         self.w_self.backward_params(&grad_pre);
         self.w_neigh.backward_params(&grad_pre);
     }
 
-    /// Zero accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.w_self.zero_grad();
-        self.w_neigh.zero_grad();
+    fn visit(&self, visit: &mut dyn FnMut(&[f32], &[f32])) {
+        self.w_self.visit(visit);
+        self.w_neigh.visit(visit);
     }
 
-    /// Scalar parameter count.
-    pub fn num_params(&self) -> usize {
-        self.w_self.num_params() + self.w_neigh.num_params()
+    fn visit_mut(&mut self, visit: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        self.w_self.visit_mut(visit);
+        self.w_neigh.visit_mut(visit);
+    }
+
+    fn macs(&self, block: &Block) -> f64 {
+        let in_d = self.w_self.in_dim() as f64;
+        let out_d = self.w_self.out_dim() as f64;
+        // The two linears over the dst rows, plus aggregation edge work.
+        2.0 * block.num_dst as f64 * in_d * out_d + block.num_edges() as f64 * in_d
     }
 }
 
 /// A stacked GraphSAGE model (the paper's is 2 layers, hidden 256).
-#[derive(Debug, Clone)]
-pub struct SageModel {
-    /// The convolution layers, input to output.
-    pub layers: Vec<SageLayer>,
-}
+pub type SageModel = Stack<SageLayer>;
 
 impl SageModel {
     /// Build a model with `dims = [in, hidden, ..., out]` (one layer per
@@ -172,12 +102,7 @@ impl SageModel {
             .enumerate()
             .map(|(i, w)| SageLayer::new(w[0], w[1], seed.wrapping_add(i as u64 * 7919)))
             .collect();
-        SageModel { layers }
-    }
-
-    /// Number of GNN layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        Stack { layers }
     }
 }
 
@@ -198,7 +123,7 @@ mod tests {
     #[test]
     fn aggregate_means_neighbors() {
         let src = Tensor::from_vec(4, 2, vec![1.0, 0.0, 0.0, 1.0, 2.0, 2.0, 4.0, 4.0]);
-        let agg = SageLayer::aggregate(&toy_block(), &src);
+        let agg = mean_aggregate(&toy_block(), &src, false);
         assert_eq!(agg.row(0), &[3.0, 3.0]); // mean of src2, src3
         assert_eq!(agg.row(1), &[1.0, 0.0]); // src0
     }
@@ -212,7 +137,7 @@ mod tests {
             indices: vec![],
         };
         let src = Tensor::from_vec(1, 2, vec![5.0, 5.0]);
-        let agg = SageLayer::aggregate(&block, &src);
+        let agg = mean_aggregate(&block, &src, false);
         assert_eq!(agg.row(0), &[0.0, 0.0]);
     }
 
@@ -238,7 +163,6 @@ mod tests {
 
         let out = layer.forward(&block, &src, true);
         let ones = Tensor::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);
-        layer.zero_grad();
         let grad_src = layer.backward(&ones);
 
         let eps = 1e-3f32;
@@ -277,7 +201,7 @@ mod tests {
     #[test]
     fn model_construction() {
         let m = SageModel::new(&[16, 32, 8], 5);
-        assert_eq!(m.num_layers(), 2);
+        assert_eq!(m.layers.len(), 2);
         assert_eq!(m.layers[0].w_self.in_dim(), 16);
         assert_eq!(m.layers[1].w_self.out_dim(), 8);
     }

@@ -55,12 +55,6 @@ impl SimClock {
         self.stall
     }
 
-    /// Cumulative slack time (preparation fully hidden under training).
-    #[inline]
-    pub fn slack(&self) -> f64 {
-        self.slack
-    }
-
     /// Overlap efficiency in `[0, 1]`: the fraction of overlapped rounds'
     /// preparation time hidden under training. 1.0 = the paper's "perfect
     /// overlap". Returns 1.0 when nothing was overlapped.
@@ -172,11 +166,6 @@ impl PipelineClock {
         self.stall
     }
 
-    /// Cumulative slack time (batches waiting ready in the queue).
-    pub fn slack(&self) -> f64 {
-        self.slack
-    }
-
     /// Overlap efficiency in `[0, 1]` (1 = every batch was ready when the
     /// trainer wanted it).
     pub fn overlap_efficiency(&self) -> f64 {
@@ -225,7 +214,7 @@ mod tests {
         c.advance_overlapped(1.0, 3.0);
         assert!((c.now() - 3.0).abs() < 1e-12);
         assert_eq!(c.stall(), 0.0);
-        assert!((c.slack() - 2.0).abs() < 1e-12);
+        assert!((c.slack - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -304,7 +293,7 @@ mod tests {
         let t2 = p.step_timed(10.0, 3.0);
         assert!((t2.stall_s - (t2.prep_done - t1.train_done)).abs() < 1e-12);
         assert!((p.stall() - t2.stall_s).abs() < 1e-12);
-        assert!((p.slack() - t1.slack_s).abs() < 1e-12);
+        assert!((p.slack - t1.slack_s).abs() < 1e-12);
     }
 
     /// Makespan of `schedule` through a queue of `window` batches.

@@ -94,11 +94,6 @@ impl PullOutcome {
             || !self.failed_rows.is_empty()
     }
 
-    /// Whether some rows came back zero-filled.
-    pub fn degraded(&self) -> bool {
-        !self.failed_rows.is_empty()
-    }
-
     /// Simulated seconds this pull lost to faults: each injected delay
     /// charges `k ×` the request's RPC time, and each retry re-charges
     /// the request's RPC time plus the policy's deterministic backoff.
@@ -322,12 +317,6 @@ impl SimCluster {
     /// *local* KVStore path, no RPC.
     pub fn store(&self, part: u32) -> &Arc<KvStore> {
         &self.stores[part as usize]
-    }
-
-    /// RPC client to partition `part`'s server (the current incarnation,
-    /// if it has been respawned).
-    pub fn client(&self, part: u32) -> RpcClient {
-        self.remotes[part as usize].lock().unwrap().client.clone()
     }
 
     /// Pull features for arbitrary global `ids` through the RPC servers,
@@ -733,7 +722,7 @@ mod tests {
         );
         assert_eq!(outcome.retries, 8);
         assert!(out.iter().all(|&v| v == 0.0), "failed rows are zero-filled");
-        assert!(outcome.degraded());
+        assert!(!outcome.failed_rows.is_empty());
     }
 
     #[test]
@@ -825,7 +814,7 @@ mod tests {
         events::install();
         // Untagged: full fault ladder, zero events.
         let (_, untagged) = c.pull_grouped_checked(&[4u32, 5, 6, 7]);
-        assert!(untagged.degraded());
+        assert!(!untagged.failed_rows.is_empty());
         assert_eq!(untagged.request_id, 0);
         assert!(events::drain().is_empty(), "untagged pulls must be silent");
         // Tagged: every ladder rung lands in the log under one id.

@@ -90,18 +90,6 @@ impl KvStore {
         self.features.dim()
     }
 
-    /// Number of owned nodes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.owned.len()
-    }
-
-    /// Whether the shard is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.owned.is_empty()
-    }
-
     /// Whether this shard owns global node `g`.
     pub fn owns(&self, g: NodeId) -> bool {
         self.owned.binary_search(&g).is_ok()
@@ -158,13 +146,6 @@ impl KvStore {
         self.pull_into(ids, &mut out)?;
         Ok(out)
     }
-
-    /// Approximate heap bytes of this shard (the paper's Fig. 14 memory
-    /// accounting): its own rows, labels and id list — what a real server
-    /// would hold, wherever the simulation keeps the rows.
-    pub fn heap_bytes(&self) -> usize {
-        self.owned.len() * (self.features.row_bytes() + 4 + 4)
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +171,6 @@ mod tests {
         assert!(!s.owns(3));
         assert_eq!(s.row(5), &[10.0, 11.0]);
         assert_eq!(s.label(9), 1);
-        assert_eq!(s.len(), 3);
         assert_eq!(s.dim(), 2);
     }
 
@@ -246,9 +226,8 @@ mod tests {
     #[test]
     fn empty_store() {
         let s = KvStore::new(1, vec![], &features());
-        assert!(s.is_empty());
+        assert!(!s.owns(0));
         assert!(s.pull(&[]).unwrap().is_empty());
-        assert_eq!(s.heap_bytes(), 0);
     }
 
     #[test]
@@ -271,9 +250,6 @@ mod tests {
         assert_eq!(a.try_row(3), Err(KvError { node: 3, part: 0 }));
         assert_eq!(b.pull(&[1, 2]), Err(KvError { node: 2, part: 1 }));
         assert!(a.try_row(9).is_err(), "owned by neither");
-        // Each shard accounts for its own rows only (Fig. 14).
-        assert_eq!(a.heap_bytes(), 3 * (8 + 4 + 4));
-        assert_eq!(b.heap_bytes(), 2 * (8 + 4 + 4));
     }
 
     #[test]

@@ -251,12 +251,6 @@ pub struct RpcClient {
 }
 
 impl RpcClient {
-    /// Blocking bulk pull of `ids` from the server; the payload as it
-    /// arrived, still in wire format.
-    pub fn pull(&self, ids: Vec<NodeId>) -> Result<Vec<WireElem>, RpcError> {
-        self.pull_async(ids)?.wait().map(|r| r.payload)
-    }
-
     /// Fire a pull and return a waiter, letting the caller overlap other
     /// work before blocking — the RPC/score-update overlap of Algorithm 2
     /// line 20–22. Fails immediately if the server is already gone.
@@ -375,6 +369,11 @@ mod tests {
         Arc::new(KvStore::new(0, vec![1, 3, 5], &features))
     }
 
+    /// Issue, wait, keep the payload.
+    fn pull(client: &RpcClient, ids: Vec<NodeId>) -> Result<Vec<WireElem>, RpcError> {
+        client.pull_async(ids)?.wait().map(|r| r.payload)
+    }
+
     /// A server for [`kv`] that answers at once, under `plan` if any.
     fn serve(plan: Option<FaultPlan>) -> RpcServer {
         RpcServer::spawn(kv(), std::time::Duration::ZERO, plan)
@@ -390,7 +389,7 @@ mod tests {
     fn pull_round_trip() {
         let server = serve(None);
         let client = server.client();
-        let out = client.pull(vec![5, 1]).unwrap();
+        let out = pull(&client, vec![5, 1]).unwrap();
         assert_eq!(out, on_wire([5.0, 5.5, 1.0, 1.5]));
         assert_eq!(server.shutdown(), 2);
     }
@@ -444,7 +443,7 @@ mod tests {
             .map(|c| {
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        assert_eq!(c.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
+                        assert_eq!(pull(&c, vec![1]).unwrap(), on_wire([1.0, 1.5]));
                     }
                 })
             })
@@ -460,11 +459,11 @@ mod tests {
         let server = RpcServer::spawn(kv(), std::time::Duration::from_millis(2), None);
         let client = server.client();
         let t0 = std::time::Instant::now();
-        assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
+        assert_eq!(pull(&client, vec![1]).unwrap(), on_wire([1.0, 1.5]));
         assert!(t0.elapsed() >= std::time::Duration::from_millis(2));
         // Empty pulls skip the delay.
         let t1 = std::time::Instant::now();
-        assert_eq!(client.pull(vec![]).unwrap(), Vec::<WireElem>::new());
+        assert_eq!(pull(&client, vec![]).unwrap(), Vec::<WireElem>::new());
         assert!(t1.elapsed() < std::time::Duration::from_millis(2));
     }
 
@@ -472,7 +471,7 @@ mod tests {
     fn empty_pull() {
         let server = serve(None);
         assert_eq!(
-            server.client().pull(vec![]).unwrap(),
+            pull(&server.client(), vec![]).unwrap(),
             Vec::<WireElem>::new()
         );
     }
@@ -482,7 +481,7 @@ mod tests {
         let server = serve(None);
         let client = server.client();
         drop(server); // must not hang
-        assert_eq!(client.pull(vec![1]), Err(RpcError::ServerGone));
+        assert_eq!(pull(&client, vec![1]), Err(RpcError::ServerGone));
         assert!(client.pull_async(vec![1]).is_err());
     }
 
@@ -500,7 +499,7 @@ mod tests {
         let handle = client.pull_async(vec![1]).unwrap();
         assert_eq!(handle.wait().unwrap_err(), RpcError::ServerGone);
         // The server is dead for good: later sends fail fast too.
-        assert_eq!(client.pull(vec![3]), Err(RpcError::ServerGone));
+        assert_eq!(pull(&client, vec![3]), Err(RpcError::ServerGone));
         assert_eq!(server.shutdown(), 0);
     }
 
@@ -512,9 +511,9 @@ mod tests {
         });
         let server = serve(Some(plan));
         let client = server.client();
-        assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
+        assert_eq!(pull(&client, vec![1]).unwrap(), on_wire([1.0, 1.5]));
         assert_eq!(
-            client.pull(vec![3, 5]).unwrap(),
+            pull(&client, vec![3, 5]).unwrap(),
             on_wire([3.0, 3.5, 5.0, 5.5])
         );
         let handle = client.pull_async(vec![5]).unwrap();
@@ -542,7 +541,7 @@ mod tests {
     fn truncated_payload_detected() {
         let plan = plan_with(|p| p.truncate_prob = 1.0);
         let server = serve(Some(plan));
-        let err = server.client().pull(vec![1, 3]).unwrap_err();
+        let err = pull(&server.client(), vec![1, 3]).unwrap_err();
         assert_eq!(
             err,
             RpcError::Truncated {
@@ -552,7 +551,7 @@ mod tests {
         );
         // Truncating an empty pull is a no-op, not an error.
         assert_eq!(
-            server.client().pull(vec![]).unwrap(),
+            pull(&server.client(), vec![]).unwrap(),
             Vec::<WireElem>::new()
         );
     }
@@ -573,9 +572,9 @@ mod tests {
     fn unowned_id_is_typed_error_and_server_survives() {
         let server = serve(None);
         let client = server.client();
-        let err = client.pull(vec![1, 2]).unwrap_err();
+        let err = pull(&client, vec![1, 2]).unwrap_err();
         assert_eq!(err, RpcError::Kv(KvError { node: 2, part: 0 }));
         // The server did not die serving the bad request.
-        assert_eq!(client.pull(vec![1]).unwrap(), on_wire([1.0, 1.5]));
+        assert_eq!(pull(&client, vec![1]).unwrap(), on_wire([1.0, 1.5]));
     }
 }

@@ -336,11 +336,6 @@ impl SpanRecorder {
         }
     }
 
-    /// Trainer index this recorder belongs to.
-    pub fn trainer(&self) -> u32 {
-        self.trainer
-    }
-
     /// Record one span. Histogram and sum are always updated; the ring
     /// drops its oldest event once full (counted in `dropped`).
     pub fn record(&self, lane: Lane, step: u64, phase: Phase, rel_start_s: f64, dur_s: f64) {

@@ -48,12 +48,6 @@ impl<'a> WGraph<'a> {
         self.offsets.len() - 1
     }
 
-    /// Number of directed weighted edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.targets.len()
-    }
-
     #[inline]
     fn edge_range(&self, u: NodeId) -> std::ops::Range<usize> {
         self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize
@@ -284,7 +278,7 @@ mod tests {
         let wg = WGraph::from_csr(&g);
         let (coarse, _) = coarsen_once(&wg, 0);
         assert_eq!(coarse.num_nodes(), 10);
-        assert_eq!(coarse.num_edges(), 0);
+        assert!(coarse.targets.is_empty());
     }
 
     #[test]
@@ -316,7 +310,7 @@ mod tests {
             };
             assert_eq!(targets.capacity(), targets.len(), "no slack");
             assert_eq!(eweights.capacity(), eweights.len(), "no slack");
-            assert_eq!(eweights.len(), level.num_edges());
+            assert_eq!(eweights.len(), level.targets.len());
         }
         assert_eq!(level2.total_weight(), 600, "weighted levels coarsen too");
     }

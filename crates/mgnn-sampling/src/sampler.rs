@@ -91,11 +91,6 @@ impl NeighborSampler {
         }
     }
 
-    /// Number of GNN layers this sampler serves.
-    pub fn num_layers(&self) -> usize {
-        self.fanouts.len()
-    }
-
     /// Sample the blocks for `seeds` (partition-local ids of locally-owned
     /// train nodes) at `(epoch, step)`.
     pub fn sample(

@@ -78,49 +78,17 @@ impl Linear {
         }
     }
 
-    /// Zero accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.grad_weight = Tensor::zeros(self.in_dim(), self.out_dim());
-        self.grad_bias.iter_mut().for_each(|b| *b = 0.0);
+    /// Calls `visit(parameters, their gradients)` for the weight, then
+    /// for the bias: the order of every flat parameter/gradient buffer.
+    pub fn visit(&self, visit: &mut dyn FnMut(&[f32], &[f32])) {
+        visit(self.weight.data(), self.grad_weight.data());
+        visit(&self.bias, &self.grad_bias);
     }
 
-    /// Number of scalar parameters.
-    pub fn num_params(&self) -> usize {
-        self.in_dim() * self.out_dim() + self.out_dim()
-    }
-
-    /// Copy parameters into `out`, returning the number written.
-    pub fn write_params(&self, out: &mut [f32]) -> usize {
-        let w = self.weight.data();
-        out[..w.len()].copy_from_slice(w);
-        out[w.len()..w.len() + self.bias.len()].copy_from_slice(&self.bias);
-        w.len() + self.bias.len()
-    }
-
-    /// Load parameters from `src`, returning the number read.
-    pub fn read_params(&mut self, src: &[f32]) -> usize {
-        let wlen = self.weight.data().len();
-        self.weight.data_mut().copy_from_slice(&src[..wlen]);
-        let blen = self.bias.len();
-        self.bias.copy_from_slice(&src[wlen..wlen + blen]);
-        wlen + blen
-    }
-
-    /// Copy gradients into `out`, returning the number written.
-    pub fn write_grads(&self, out: &mut [f32]) -> usize {
-        let w = self.grad_weight.data();
-        out[..w.len()].copy_from_slice(w);
-        out[w.len()..w.len() + self.grad_bias.len()].copy_from_slice(&self.grad_bias);
-        w.len() + self.grad_bias.len()
-    }
-
-    /// Load gradients from `src` (after allreduce), returning number read.
-    pub fn read_grads(&mut self, src: &[f32]) -> usize {
-        let wlen = self.grad_weight.data().len();
-        self.grad_weight.data_mut().copy_from_slice(&src[..wlen]);
-        let blen = self.grad_bias.len();
-        self.grad_bias.copy_from_slice(&src[wlen..wlen + blen]);
-        wlen + blen
+    /// [`visit`](Self::visit) with both slices writable.
+    pub fn visit_mut(&mut self, visit: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        visit(self.weight.data_mut(), self.grad_weight.data_mut());
+        visit(&mut self.bias, &mut self.grad_bias);
     }
 }
 
@@ -136,7 +104,6 @@ mod tests {
         // Loss = sum(y); dL/dy = ones.
         let y = layer.forward(&x);
         let ones = Tensor::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-        layer.zero_grad();
         let gx = layer.backward(&ones);
 
         let eps = 1e-3f32;
@@ -173,10 +140,15 @@ mod tests {
     #[test]
     fn params_round_trip() {
         let layer = Linear::new(4, 3, 7);
-        let mut buf = vec![0.0f32; layer.num_params()];
-        assert_eq!(layer.write_params(&mut buf), 15);
+        let mut buf = Vec::new();
+        layer.visit(&mut |p, _| buf.extend_from_slice(p));
+        assert_eq!(buf.len(), 15);
         let mut other = Linear::new(4, 3, 99);
-        other.read_params(&buf);
+        let mut at = 0;
+        other.visit_mut(&mut |p, _| {
+            p.copy_from_slice(&buf[at..at + p.len()]);
+            at += p.len();
+        });
         assert_eq!(other.weight, layer.weight);
         assert_eq!(other.bias, layer.bias);
     }
@@ -194,7 +166,7 @@ mod tests {
         for (a, b) in layer.grad_weight.data().iter().zip(after_one.data()) {
             assert!((a - 2.0 * b).abs() < 1e-5);
         }
-        layer.zero_grad();
+        layer.visit_mut(&mut |_, g| g.fill(0.0));
         assert!(layer.grad_weight.data().iter().all(|&v| v == 0.0));
     }
 

@@ -65,16 +65,6 @@ impl SparseMatrix {
         SparseMatrix::from_parts(num_dst, num_src, offsets.to_vec(), indices.to_vec(), values)
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()

@@ -246,30 +246,6 @@ pub mod iter {
             }))
         }
 
-        /// Reduce all items (or the identity when empty). Chunk-local
-        /// reductions happen in index order and are combined in chunk
-        /// order.
-        pub fn reduce<ID, F>(self, identity: ID, op: F) -> S::Item
-        where
-            ID: Fn() -> S::Item,
-            F: Fn(S::Item, S::Item) -> S::Item + Sync,
-        {
-            let src = self.0;
-            run_chunked(src.len(), |lo, hi| {
-                let mut acc: Option<S::Item> = None;
-                src.drive(lo, hi, &mut |x| {
-                    acc = Some(match acc.take() {
-                        Some(a) => op(a, x),
-                        None => x,
-                    });
-                });
-                acc.expect("non-empty chunk reduces to a value")
-            })
-            .into_iter()
-            .reduce(&op)
-            .unwrap_or_else(identity)
-        }
-
         /// Collect into any `FromIterator` collection, in index order.
         pub fn collect<C: FromIterator<S::Item>>(self) -> C {
             let src = self.0;
@@ -455,14 +431,6 @@ pub mod slice {
                 data: self.data,
                 size: self.size,
             }
-        }
-
-        /// Run `f` on every chunk (pool-parallel, disjoint chunks).
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(&mut [T]) + Sync,
-        {
-            self.enumerate().for_each(|(_, chunk)| f(chunk));
         }
     }
 

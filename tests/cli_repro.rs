@@ -8,10 +8,13 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_exit_2_with_usage_on_stderr() {
-    let rejected: [&[&str]; 5] = [
+    let rejected: [&[&str]; 6] = [
         &["--bench-out", "x"],
         &["--perf-guard"],
         &["--batch", "0"],
+        // A zero-wide hidden layer is refused by `validate`; the tensor
+        // kernel would panic on it in the first training step.
+        &["--hidden", "0"],
         &["--depth", "0"],
         &["--no-such-flag"],
     ];

@@ -442,6 +442,46 @@ const LOOKAHEAD_LEARNING: [(bool, u64, u64); 4] = [
     (true, 42, 0x8e11774daf002ff0),
 ];
 
+/// `(model, seed, fingerprint)` of the `train_math` `Scoreboard` run with
+/// `EngineConfig::model` set: every row above trains the default SAGE, and
+/// baseline ≡ prefetch (`oracle_holds_for_gat_too`) passes a change that
+/// moves both sides alike. Recorded on `e273fe9`, the last commit with an
+/// `impl Model` per architecture.
+#[rustfmt::skip]
+const PARENT_MODEL_RUNS: [(ModelKind, u64, u64); 4] = [
+    (ModelKind::Gat, 1, 0xeb0bdd38234e5712),
+    (ModelKind::Gat, 42, 0x17ec5b64afb4c9ca),
+    (ModelKind::Gcn, 1, 0xe8dc47ff594cc31f),
+    (ModelKind::Gcn, 42, 0x5fc38a0f8156ba9b),
+];
+
+fn model_config(model: ModelKind, seed: u64) -> EngineConfig {
+    EngineConfig {
+        model,
+        ..fingerprint_config(Shape::Scoreboard, true, seed)
+    }
+}
+
+#[test]
+fn gat_and_gcn_reproduce_the_parent_reports() {
+    for &(model, seed, expect) in &PARENT_MODEL_RUNS {
+        let mut cfg = model_config(model, seed);
+        let seq = Engine::build(cfg.clone()).run();
+        assert!(seq.epoch_loss.iter().all(|l| l.is_finite()), "{model:?}");
+        assert_eq!(
+            report_fingerprint(&seq),
+            expect,
+            "sequential scheduler moved: {model:?} seed={seed}"
+        );
+        cfg.parallel = true;
+        assert_eq!(
+            report_fingerprint(&Engine::build(cfg).run()),
+            expect,
+            "threaded scheduler moved: {model:?} seed={seed}"
+        );
+    }
+}
+
 #[test]
 fn both_schedulers_reproduce_the_parent_reports() {
     let mut want = Vec::new();
@@ -506,6 +546,15 @@ fn print_engine_fingerprints() {
                     report_fingerprint(&r)
                 );
             }
+        }
+    }
+    for model in [ModelKind::Gat, ModelKind::Gcn] {
+        for seed in FINGERPRINT_SEEDS {
+            let r = Engine::build(model_config(model, seed)).run();
+            println!(
+                "    (ModelKind::{model:?}, {seed}, {:#018x}),",
+                report_fingerprint(&r)
+            );
         }
     }
 }

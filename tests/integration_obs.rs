@@ -14,7 +14,14 @@ use serde::Serialize;
 // tests in this binary would cross-contaminate its captures.
 #[test]
 fn traced_run_exports_consistent_perfetto_and_json() {
-    let mut cfg = engine_config(&Opts::quick(), DatasetKind::Products, Backend::Cpu, 2);
+    let opts = Opts {
+        epochs: 2,
+        batch_size: 96,
+        fanouts: vec![5, 10],
+        hidden_dim: 32,
+        ..Default::default()
+    };
+    let mut cfg = engine_config(&opts, DatasetKind::Products, Backend::Cpu, 2);
     cfg.trainers_per_part = 2;
     cfg.trace = true;
     cfg.mode = Mode::Prefetch(PrefetchConfig::default());

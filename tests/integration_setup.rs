@@ -51,8 +51,10 @@ fn dataset_fingerprint(d: &Dataset) -> u64 {
     let mut h = Fnv::new();
     h.u64s(d.graph.offsets());
     h.u32s(d.graph.targets());
-    h.f32s(d.features.raw());
-    h.u32s(d.features.labels());
+    let nodes = || 0..d.graph.num_nodes() as u32;
+    let rows: Vec<f32> = nodes().flat_map(|u| d.features.row(u)).copied().collect();
+    h.f32s(&rows);
+    h.u32s(&nodes().map(|u| d.features.label(u)).collect::<Vec<_>>());
     h.u32s(&d.train_nodes);
     h.u32s(&d.val_nodes);
     h.u32s(&d.test_nodes);

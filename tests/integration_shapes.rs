@@ -6,9 +6,13 @@ use mgnn_bench::tables::table3;
 use mgnn_bench::Opts;
 
 fn opts() -> Opts {
-    let mut o = Opts::quick();
-    o.epochs = 2;
-    o
+    Opts {
+        epochs: 2,
+        batch_size: 96,
+        fanouts: vec![5, 10],
+        hidden_dim: 32,
+        ..Default::default()
+    }
 }
 
 /// Fig. 6 is the most expensive artifact; share one run across its tests.

@@ -59,11 +59,11 @@ proptest! {
         let dim = 4;
         let mut buf = PrefetchBuffer::new(256, 64, dim);
         for h in 0..64u32 {
-            buf.insert(h, &[h as f32; 4]);
+            buf.insert_with(h, |row| row.fill(h as f32));
         }
         for (slot, new_h) in ops {
             if !buf.contains(new_h) {
-                let old = buf.replace(slot, new_h, &[new_h as f32; 4]);
+                let old = buf.replace_with(slot, new_h, |row| row.fill(new_h as f32));
                 prop_assert!(!buf.contains(old));
             }
             prop_assert_eq!(buf.len(), 64);

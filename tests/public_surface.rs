@@ -1,17 +1,31 @@
-//! Every `pub fn` serves traffic. A `pub fn` / `pub(crate) fn` in the
-//! non-test text of `crates/*/src` must be named somewhere else in that
-//! text (the two binaries included), in `examples/` or in
-//! `benchmark/src` — or be listed in `ORACLES` with the reached code it
-//! checks. It is a floor, not a proof: a name shared with a reached
-//! function passes, and a caller that is itself unreached hides its
-//! callees until it is deleted and the test re-run.
+//! Every `pub fn` serves traffic, and the docs name what exists.
+//!
+//! A `pub fn` / `pub(crate) fn` in the non-test text of `crates/*/src`
+//! must be reached from somewhere else in that text (the two binaries
+//! included), from `examples/` or from `benchmark/src` — or be listed in
+//! `ORACLES` with the reached code it checks. A *method* (a `fn` taking
+//! `self`) is reached only by a call- or path-shaped occurrence of its
+//! name (`.name(`, `::name`), so a field, a local or a struct literal of
+//! the same name is not a caller; a free or associated function by any
+//! occurrence. `shims/*/src` lives under the same rule, with more
+//! callers: a shim serves its callers' tests too, so all text of
+//! `crates/`, `tests/` and the shims' own `tests/` counts. It is a
+//! floor, not a proof: the lexer knows no types, so a method that shares
+//! its name with a reached method of `std` or of a sibling type passes,
+//! and a caller that is itself unreached hides its callees until it is
+//! deleted and the test re-run.
+//!
+//! `docs_name_what_exists` holds README, DESIGN and EXPERIMENTS to the
+//! tree with the same lexer: every back-ticked `path.rs`, `path.rs:LINE`
+//! and `Type::method` resolves.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Functions nothing but tests call, kept because a test checks reached
-/// code against them: (name, what it is the oracle or probe for).
+/// code against them: (name — `Type::name` where the bare name is
+/// ambiguous —, what it is the oracle or probe for).
 const ORACLES: &[(&str, &str)] = &[
     // mgnn-net
     (
@@ -26,7 +40,23 @@ const ORACLES: &[(&str, &str)] = &[
         "pooled_buffers",
         "free-list probe: a thousand `SimCluster::pull_rows` leave one receive buffer per touched partition",
     ),
-    // mgnn-graph / mgnn-partition
+    (
+        "SimCluster::shutdown",
+        "joins the servers and returns the rows each served: how many requests `SimCluster::pull_rows` really sent, and that a server outlives a request it refused",
+    ),
+    // mgnn-graph / mgnn-partition / mgnn-sampling
+    (
+        "CsrGraph::from_parts",
+        "the validating constructor: hand-written CSR fixtures, and the invariants `from_parts_unchecked` (reached) trusts `GraphBuilder` for, rejected one by one",
+    ),
+    (
+        "FeatureStore::from_parts",
+        "a store with known rows: what `KvStore`, `RpcServer` and `SimCluster::pull_rows` must serve is compared with rows the test chose (tests/prop_net.rs)",
+    ),
+    (
+        "Block::validate",
+        "the bipartite-CSR invariants every block `NeighborSampler::sample_into` emits is held to (tests/prop_sampling.rs, prop_model.rs)",
+    ),
     (
         "is_symmetric",
         "checks that `GraphBuilder::build` and every generator emit an undirected graph",
@@ -178,8 +208,22 @@ fn is_word(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Identifier → (occurrences, occurrences directly after `fn `).
-fn count_words(code: &str, counts: &mut HashMap<String, (usize, usize)>) {
+/// The identifier `text` starts with.
+fn leading_word(text: &str) -> &str {
+    let end = text.bytes().position(|b| !is_word(b)).unwrap_or(text.len());
+    &text[..end]
+}
+
+/// How often an identifier occurs: anywhere, directly after `fn `, and
+/// shaped like a method call or a path's tail (`.name(`, `::name`).
+#[derive(Default, Clone, Copy)]
+struct Seen {
+    any: usize,
+    defs: usize,
+    called: usize,
+}
+
+fn count_words(code: &str, counts: &mut HashMap<String, Seen>) {
     let bytes = code.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -191,80 +235,352 @@ fn count_words(code: &str, counts: &mut HashMap<String, (usize, usize)>) {
         while i < bytes.len() && is_word(bytes[i]) {
             i += 1;
         }
-        let entry = counts.entry(code[start..i].to_string()).or_default();
-        entry.0 += 1;
-        if code[..start].ends_with("fn ") {
-            entry.1 += 1;
+        let (before, after) = (&code[..start], &code[i..]);
+        let seen = counts.entry(code[start..i].to_string()).or_default();
+        seen.any += 1;
+        seen.defs += usize::from(before.ends_with("fn "));
+        let call = before.ends_with('.') && (after.starts_with('(') || after.starts_with("::<"));
+        seen.called += usize::from(call || before.ends_with("::"));
+    }
+}
+
+/// The type an `impl … {` header is for: `Stack` of
+/// `impl<L: Layer> Model for Stack<L> {`.
+fn impl_target(header: &str) -> String {
+    let mut rest = header.strip_prefix("impl").expect("an impl header");
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let close = rest.bytes().position(|b| {
+            depth += i32::from(b == b'<') - i32::from(b == b'>');
+            depth == 0
+        });
+        rest = &rest[close.expect("balanced generics") + 1..];
+    }
+    let rest = rest.rsplit(" for ").next().expect("rsplit yields once");
+    let path = rest.trim_start_matches(['&', ' ']);
+    let end = path
+        .bytes()
+        .position(|b| !is_word(b) && b != b':')
+        .unwrap_or(path.len());
+    let path = &path[..end];
+    path.rsplit("::").next().unwrap_or(path).to_string()
+}
+
+/// Whether a signature (the text between a `fn`'s name and its body)
+/// takes `self`, `&self`, `&'a self`, `&mut self` or `mut self`.
+fn takes_self(signature: &str) -> bool {
+    signature.match_indices('(').any(|(at, _)| {
+        let mut rest = signature[at + 1..].trim_start();
+        rest = rest.strip_prefix('&').unwrap_or(rest).trim_start();
+        if rest.starts_with('\'') {
+            rest = rest[1..].trim_start_matches(|c: char| is_word(c as u8));
+        }
+        rest = rest.trim_start();
+        rest = rest.strip_prefix("mut ").unwrap_or(rest);
+        leading_word(rest) == "self"
+    })
+}
+
+struct Def {
+    file: String,
+    /// The `impl`'s type; `None` for a free function.
+    owner: Option<String>,
+    name: String,
+    method: bool,
+}
+
+impl Def {
+    fn is(&self, key: &str) -> bool {
+        match (key.split_once("::"), &self.owner) {
+            (Some((owner, name)), Some(mine)) => owner == mine && name == self.name,
+            (Some(_), None) => false,
+            (None, _) => key == self.name,
         }
     }
 }
 
-#[test]
-fn every_pub_fn_is_reached_or_a_named_oracle() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut counts = HashMap::new();
-    let mut defined: Vec<(String, String)> = Vec::new();
-
-    let mut crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
-        .expect("read crates/")
-        .map(|e| e.expect("dir entry").path().join("src"))
-        .collect();
-    crate_dirs.sort();
-    let mut sources = Vec::new();
-    for dir in &crate_dirs {
-        rust_files(dir, &mut sources);
-    }
-    for path in &sources {
-        let code = code_of(&fs::read_to_string(path).expect("read source"), true);
-        count_words(&code, &mut counts);
-        let shown = path
-            .strip_prefix(&root)
-            .unwrap_or(path)
-            .display()
-            .to_string();
+/// Every `pub fn` / `pub(crate) fn` of `code` (rustfmt's layout: an
+/// `impl` block closes with a `}` at its header's indentation).
+fn definitions(code: &str, file: &str, out: &mut Vec<Def>) {
+    let mut owner: Option<(usize, String)> = None;
+    let mut at = 0;
+    for line in code.split_inclusive('\n') {
+        let head = line.trim_start();
+        let indent = line.len() - head.len();
+        if head.starts_with("impl ") || head.starts_with("impl<") {
+            owner = Some((indent, impl_target(head)));
+        } else if head.trim_end() == "}" && owner.as_ref().is_some_and(|o| o.0 == indent) {
+            owner = None;
+        }
         for marker in ["pub fn ", "pub(crate) fn "] {
-            for (at, _) in code.match_indices(marker) {
-                let rest = &code[at + marker.len()..];
-                let end = rest.bytes().position(|b| !is_word(b)).unwrap_or(rest.len());
-                defined.push((shown.clone(), rest[..end].to_string()));
+            if let Some(rest) = head.strip_prefix(marker) {
+                let name = leading_word(rest);
+                let tail = &code[at + indent + marker.len() + name.len()..];
+                let signature = &tail[..tail.find(['{', ';']).unwrap_or(tail.len())];
+                out.push(Def {
+                    file: file.to_string(),
+                    owner: owner.as_ref().map(|o| o.1.clone()),
+                    name: name.to_string(),
+                    method: takes_self(signature),
+                });
             }
         }
+        at += line.len();
+    }
+}
+
+fn workspace() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The `.rs` files under `root/<dir>/*/<sub>` for every member `*`.
+fn member_files(root: &Path, dir: &str, sub: &str) -> Vec<PathBuf> {
+    let mut members: Vec<PathBuf> = fs::read_dir(root.join(dir))
+        .unwrap_or_else(|e| panic!("read {dir}/: {e}"))
+        .map(|e| e.expect("dir entry").path().join(sub))
+        .filter(|p| p.is_dir())
+        .collect();
+    members.sort();
+    let mut files = Vec::new();
+    for member in &members {
+        rust_files(member, &mut files);
+    }
+    files
+}
+
+fn read(path: &Path) -> String {
+    fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+#[test]
+fn every_pub_fn_is_reached_or_a_named_oracle() {
+    let root = workspace();
+    let shown = |path: &Path| {
+        path.strip_prefix(&root)
+            .unwrap_or(path)
+            .display()
+            .to_string()
+    };
+    // Callers of the crates, and of the shims (a superset).
+    let mut serving = HashMap::new();
+    let mut testing = HashMap::new();
+    let mut crate_defs = Vec::new();
+    let mut shim_defs = Vec::new();
+
+    for path in member_files(&root, "crates", "src") {
+        let text = read(&path);
+        let code = code_of(&text, true);
+        count_words(&code, &mut serving);
+        definitions(&code, &shown(&path), &mut crate_defs);
+        // The file's test module serves nothing but is a shim's caller.
+        let tests = &text[text.find("#[cfg(test)]").unwrap_or(text.len())..];
+        count_words(&code_of(tests, false), &mut testing);
     }
     let mut traffic = Vec::new();
     rust_files(&root.join("examples"), &mut traffic);
     rust_files(&root.join("benchmark/src"), &mut traffic);
     for path in &traffic {
-        let code = code_of(&fs::read_to_string(path).expect("read source"), false);
-        count_words(&code, &mut counts);
+        count_words(&code_of(&read(path), false), &mut serving);
+    }
+    for path in member_files(&root, "shims", "src") {
+        let code = code_of(&read(&path), true);
+        count_words(&code, &mut testing);
+        definitions(&code, &shown(&path), &mut shim_defs);
+    }
+    let mut tests = member_files(&root, "shims", "tests");
+    rust_files(&root.join("tests"), &mut tests);
+    for path in &tests {
+        count_words(&code_of(&read(path), false), &mut testing);
+    }
+    for (name, seen) in &serving {
+        let both = testing.entry(name.clone()).or_default();
+        both.any += seen.any;
+        both.defs += seen.defs;
+        both.called += seen.called;
     }
     assert!(
-        defined.len() > 100,
-        "scan found only {} pub fns",
-        defined.len()
+        crate_defs.len() > 100 && shim_defs.len() > 30,
+        "scan found only {} + {} pub fns",
+        crate_defs.len(),
+        shim_defs.len()
     );
 
-    let unreached: Vec<String> = defined
+    let oracle = |d: &Def| ORACLES.iter().any(|(key, _)| d.is(key));
+    let reached = |d: &Def, callers: &HashMap<String, Seen>| {
+        let seen = callers[&d.name];
+        if d.method {
+            seen.called > 0
+        } else {
+            seen.any > seen.defs
+        }
+    };
+    let unreached: Vec<String> = crate_defs
         .iter()
-        .filter(|(_, name)| {
-            let (all, defs) = counts[name];
-            all == defs && !ORACLES.iter().any(|(oracle, _)| oracle == name)
+        .filter(|d| !reached(d, &serving) && !oracle(d))
+        .chain(shim_defs.iter().filter(|d| !reached(d, &testing)))
+        .map(|d| match &d.owner {
+            Some(owner) => format!("{}: {owner}::{}", d.file, d.name),
+            None => format!("{}: {}", d.file, d.name),
         })
-        .map(|(file, name)| format!("{file}: {name}"))
         .collect();
     assert!(
         unreached.is_empty(),
-        "{} pub fn(s) named by nothing but tests — delete them, or list them in ORACLES \
+        "{} pub fn(s) reached by nothing but tests — delete them, or list them in ORACLES \
          with the reached code they check:\n  {}",
         unreached.len(),
         unreached.join("\n  ")
     );
 
     assert!(ORACLES.len() <= 25, "ORACLES has {} entries", ORACLES.len());
-    for (name, reason) in ORACLES {
-        assert!(!reason.is_empty(), "{name}: an oracle needs its reason");
-        assert!(
-            defined.iter().any(|(_, d)| d == name),
-            "{name} is in ORACLES but no pub fn has that name"
+    for (key, reason) in ORACLES {
+        assert!(!reason.is_empty(), "{key}: an oracle needs its reason");
+        let named = crate_defs.iter().filter(|d| d.is(key)).count();
+        assert_eq!(
+            named, 1,
+            "{key} is in ORACLES and names {named} pub fns: one `Type::name` each"
         );
     }
+}
+
+/// Types of `std` the docs may name members of.
+const STD_TYPES: &[&str] = &["Option"];
+/// What a path in the docs may start from outside the tree.
+const FOREIGN: &[&str] = &["std", "mem"];
+
+/// The back-ticked spans of a Markdown text, fenced blocks left out.
+fn code_spans(markdown: &str) -> Vec<&str> {
+    let mut spans = Vec::new();
+    let mut fenced = false;
+    for line in markdown.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            spans.extend(line.split('`').skip(1).step_by(2));
+        }
+    }
+    spans
+}
+
+#[test]
+fn docs_name_what_exists() {
+    let root = workspace();
+    let mut files = member_files(&root, "crates", "src");
+    files.extend(member_files(&root, "shims", "src"));
+    files.extend(member_files(&root, "shims", "tests"));
+    for dir in ["tests", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    // Per file: its path from the root, its line count, its words; and
+    // per type, the files that define or implement it.
+    let mut tree: Vec<(String, usize, HashMap<String, Seen>)> = Vec::new();
+    let mut homes: HashMap<String, Vec<usize>> = HashMap::new();
+    for path in &files {
+        let text = read(path);
+        let code = code_of(&text, false);
+        let mut words = HashMap::new();
+        count_words(&code, &mut words);
+        for line in code.lines() {
+            let head = line.trim_start();
+            let head = head.strip_prefix("pub ").unwrap_or(head);
+            let owner = if head.starts_with("impl ") || head.starts_with("impl<") {
+                impl_target(head)
+            } else {
+                ["struct ", "enum ", "trait ", "type "]
+                    .iter()
+                    .find_map(|k| head.strip_prefix(k))
+                    .map_or(String::new(), |rest| leading_word(rest).to_string())
+            };
+            if !owner.is_empty() {
+                homes.entry(owner).or_default().push(tree.len());
+            }
+        }
+        let shown = path.strip_prefix(&root).expect("under the root");
+        tree.push((format!("/{}", shown.display()), text.lines().count(), words));
+    }
+    // A module is its file, its `mod.rs`, or its crate's (or shim's) files.
+    let module = |name: &str| -> Vec<usize> {
+        let package = format!("/{}/", name.replace('_', "-"));
+        let ends = [format!("/{name}.rs"), format!("/{name}/mod.rs")];
+        let tree = &tree;
+        (0..tree.len())
+            .filter(|&f| {
+                let path = &tree[f].0;
+                ["/crates", "/shims"].iter().any(|dir| {
+                    path.strip_prefix(dir)
+                        .is_some_and(|p| p.starts_with(&package))
+                }) || ends.iter().any(|e| path.ends_with(e))
+            })
+            .collect()
+    };
+
+    let mut broken = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        for span in code_spans(&read(&root.join(doc))) {
+            if ["..", "…", "*", "{"].iter().any(|glob| span.contains(glob)) {
+                continue;
+            }
+            let mut segments: Vec<&str> = span.split("::").collect();
+            let mut within: Option<Vec<usize>> = None;
+            if let Some((path, tail)) = segments[0].split_once(".rs") {
+                // `path.rs`, `path.rs:LINE`, `path.rs::item`.
+                if !path.bytes().all(|b| is_word(b) || b == b'/' || b == b'-') {
+                    continue;
+                }
+                let line: usize = match tail.strip_prefix(':') {
+                    Some(n) => n.parse().unwrap_or(usize::MAX),
+                    None if tail.is_empty() => 0,
+                    None => continue,
+                };
+                let suffix = format!("/{path}.rs");
+                let found: Vec<usize> = (0..tree.len())
+                    .filter(|&f| tree[f].0.ends_with(&suffix) && tree[f].1 >= line)
+                    .collect();
+                if found.is_empty() {
+                    broken.push(format!("{doc}: `{span}`: no such file, or a shorter one"));
+                    continue;
+                }
+                within = Some(found);
+                segments.remove(0);
+            } else if segments.len() < 2 || segments.iter().any(|s| leading_word(s).is_empty()) {
+                continue;
+            }
+            // `Type::member`, `module::item`: the last segment that is a
+            // type or a module says where the ones after it must occur.
+            let mut missing = None;
+            for (i, segment) in segments.iter().enumerate() {
+                // A crate may be named as Cargo does: `mgnn-net::metrics`.
+                let word = match segment.split_once('-') {
+                    Some((_, rest)) if i == 0 && !leading_word(rest).is_empty() => segment,
+                    _ => leading_word(segment),
+                };
+                let here = match homes.get(word) {
+                    Some(files) => files.clone(),
+                    None => module(word),
+                };
+                if !here.is_empty() {
+                    within = Some(here);
+                } else if let Some(files) = &within {
+                    if !files.iter().any(|&f| tree[f].2.contains_key(word)) {
+                        missing = Some(word);
+                    }
+                } else if i == 0 && (FOREIGN.contains(&word) || STD_TYPES.contains(&word)) {
+                    break;
+                } else {
+                    missing = Some(word);
+                }
+                if missing.is_some() {
+                    break;
+                }
+            }
+            if let Some(word) = missing {
+                broken.push(format!("{doc}: `{span}`: `{word}` is not there"));
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "{} name(s) in the docs resolve to nothing in the tree:\n  {}",
+        broken.len(),
+        broken.join("\n  ")
+    );
 }

@@ -5,7 +5,7 @@
 //! The gauges are process-wide, so this binary holds exactly one test.
 
 use massivegnn::{alloc, Engine, EngineConfig, Mode, PrefetchConfig};
-use mgnn_graph::{DatasetKind, Scale};
+use mgnn_graph::{CsrGraph, Dataset, DatasetKind, Scale};
 
 #[test]
 fn engine_build_keeps_one_copy_of_the_features_and_returns_its_scratch() {
@@ -19,7 +19,7 @@ fn engine_build_keeps_one_copy_of_the_features_and_returns_its_scratch() {
     };
     let before = alloc::live_bytes();
     alloc::reset_peak();
-    let engine = Engine::build(cfg);
+    let engine = Engine::build(cfg.clone());
     let live = (alloc::live_bytes() - before) as f64;
     let peak = (alloc::peak_bytes() - before) as f64;
 
@@ -27,13 +27,18 @@ fn engine_build_keeps_one_copy_of_the_features_and_returns_its_scratch() {
     // local graphs — and a tenth of that for id lists, splits and the
     // cluster. A second copy of the features (the per-shard gathers the
     // KvStores used to hold) would alone put this at 1.8x.
-    let dataset = engine.dataset();
+    let csr_bytes =
+        |g: &CsrGraph| std::mem::size_of_val(g.offsets()) + std::mem::size_of_val(g.targets());
     let views: usize = engine
         .partitions()
         .iter()
-        .map(|p| p.graph.heap_bytes())
+        .map(|p| csr_bytes(&p.graph))
         .sum();
-    let floor = (dataset.features.heap_bytes() + dataset.graph.heap_bytes() + views) as f64;
+    // The engine's dataset, generated again for its sizes: a row of
+    // `dim` features and a label per node.
+    let dataset = Dataset::generate(cfg.dataset, cfg.scale, cfg.seed);
+    let features = dataset.num_nodes() * (dataset.features.dim() + 1) * 4;
+    let floor = (features + csr_bytes(&dataset.graph) + views) as f64;
     assert!(
         live <= 1.10 * floor,
         "live after build {live:.0} B is {:.3}x of features + graph + views ({floor:.0} B)",
