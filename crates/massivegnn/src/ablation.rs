@@ -11,7 +11,10 @@
 //! (hit/miss counting only, no feature payloads), so differences are
 //! purely the replacement decisions.
 
+use crate::buffer::PrefetchBuffer;
+use crate::config::{PrefetchConfig, ScoreLayout};
 use crate::hitrate::HitRateTracker;
+use crate::scoreboard::{AccessScores, EvictionScores, Scoreboards};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,18 +59,20 @@ impl CachePolicy {
 /// A feature-less cache simulator over halo indices `0..num_halo`.
 pub struct CacheSim {
     policy: CachePolicy,
-    capacity: usize,
-    num_halo: usize,
-    /// halo -> present
-    present: Vec<bool>,
-    /// Occupants (unordered for score-based/static, recency-ordered for
-    /// LRU where front = oldest).
-    occupants: Vec<u32>,
-    // Per-policy state.
+    /// Who is resident, and in which slot: the prefetcher's buffer at
+    /// zero width (no feature payloads).
+    pub buffer: PrefetchBuffer,
+    /// Halo indices are their own ids here (what `S_A` is addressed by).
+    halo_ids: Vec<u32>,
+    halo_degree: Vec<u32>,
     last_used: Vec<u64>, // LRU timestamps, per halo
     freq: Vec<u64>,      // LFU counts, per halo
-    s_e: Vec<f64>,       // score-based: aligned with occupants
-    s_a: Vec<f64>,       // score-based: per halo
+    /// Score-based: the production scoreboards, driven through
+    /// [`Scoreboards`] exactly as the prefetcher drives them.
+    pub s_e: EvictionScores,
+    /// See [`s_e`](Self::s_e).
+    pub s_a: AccessScores,
+    /// Minibatches seen so far: the prefetcher's global step.
     step: u64,
     rng: StdRng,
     /// Running hit/miss record.
@@ -80,14 +85,17 @@ pub struct CacheSim {
 }
 
 impl CacheSim {
-    /// Create with an initial occupant set (e.g. top-degree halo indices).
-    pub fn new(policy: CachePolicy, num_halo: usize, initial: &[u32]) -> Self {
-        let capacity = initial.len();
-        let mut present = vec![false; num_halo];
+    /// Create over halo nodes of the given degrees (which break the
+    /// score-based policy's ties) with an initial occupant set, in slot
+    /// order (e.g. [`crate::init::top_degree_halo`]).
+    pub fn new(policy: CachePolicy, halo_degree: &[u32], initial: &[u32]) -> Self {
+        let num_halo = halo_degree.len();
+        let mut buffer = PrefetchBuffer::new(num_halo, initial.len(), 0);
+        let mut s_a = AccessScores::new(ScoreLayout::Dense, num_halo, num_halo);
+        let halo_ids: Vec<u32> = (0..num_halo as u32).collect();
         for &h in initial {
-            assert!((h as usize) < num_halo);
-            assert!(!present[h as usize], "duplicate initial occupant");
-            present[h as usize] = true;
+            buffer.insert_with(h, |_| ());
+            s_a.set(&halo_ids, h, -1.0);
         }
         let seed = match policy {
             CachePolicy::Random { seed } => seed,
@@ -95,14 +103,13 @@ impl CacheSim {
         };
         CacheSim {
             policy,
-            capacity,
-            num_halo,
-            present,
-            occupants: initial.to_vec(),
+            s_e: EvictionScores::new(initial.len()),
+            s_a,
+            buffer,
+            halo_ids,
+            halo_degree: halo_degree.to_vec(),
             last_used: vec![0; num_halo],
             freq: vec![0; num_halo],
-            s_e: vec![1.0; capacity],
-            s_a: vec![0.0; num_halo],
             step: 0,
             rng: StdRng::seed_from_u64(seed),
             tracker: HitRateTracker::new(),
@@ -113,21 +120,19 @@ impl CacheSim {
 
     /// Process one minibatch's sampled halo set (deduplicated ids).
     pub fn access(&mut self, sampled: &[u32]) {
+        let step = self.step;
         self.step += 1;
-        let mut hits = 0u64;
-        let mut misses_list: Vec<u32> = Vec::new();
+        let (mut hits, mut misses) = (Vec::new(), Vec::new());
+        self.buffer
+            .probe_batch_into(sampled, &mut hits, &mut misses);
         for &h in sampled {
-            if self.present[h as usize] {
-                hits += 1;
-                self.last_used[h as usize] = self.step;
-                self.freq[h as usize] += 1;
-            } else {
-                misses_list.push(h);
-                self.freq[h as usize] += 1;
-            }
+            self.freq[h as usize] += 1;
         }
-        self.tracker.record(hits, misses_list.len() as u64);
-        if self.capacity == 0 {
+        for &h in &hits {
+            self.last_used[h as usize] = self.step;
+        }
+        self.tracker.record(hits.len() as u64, misses.len() as u64);
+        if self.buffer.capacity() == 0 {
             return;
         }
 
@@ -135,106 +140,85 @@ impl CacheSim {
             CachePolicy::Static => {}
             CachePolicy::Lru => {
                 self.maintenance_events += 1;
-                for &h in &misses_list {
-                    let victim_pos = self.victim_min_by(|s, h| s.last_used[h as usize]);
-                    self.swap_in(victim_pos, h);
+                for &h in &misses {
+                    let victim = self.victim_min_by(|s, h| s.last_used[h as usize]);
+                    self.swap_in(victim, h);
                     self.last_used[h as usize] = self.step;
                 }
             }
             CachePolicy::Lfu => {
                 self.maintenance_events += 1;
-                for &h in &misses_list {
-                    let victim_pos = self.victim_min_by(|s, h| s.freq[h as usize]);
+                for &h in &misses {
+                    let victim = self.victim_min_by(|s, h| s.freq[h as usize]);
                     // Only replace if the newcomer is at least as frequent
                     // (classic LFU admission).
-                    let victim = self.occupants[victim_pos];
-                    if self.freq[h as usize] >= self.freq[victim as usize] {
-                        self.swap_in(victim_pos, h);
+                    let old = self.buffer.halo_at(victim);
+                    if self.freq[h as usize] >= self.freq[old as usize] {
+                        self.swap_in(victim, h);
                     }
                 }
             }
             CachePolicy::Random { .. } => {
                 self.maintenance_events += 1;
-                for &h in &misses_list {
-                    let victim_pos = self.rng.gen_range(0..self.occupants.len());
-                    self.swap_in(victim_pos, h);
+                for &h in &misses {
+                    let victim = self.rng.gen_range(0..self.buffer.len()) as u32;
+                    self.swap_in(victim, h);
                 }
             }
             CachePolicy::ScoreBased { gamma, delta } => {
-                // Decay unsampled occupants (used ones reset to 1),
-                // bump S_A of misses.
-                for i in 0..self.occupants.len() {
-                    let h = self.occupants[i];
-                    if self.last_used[h as usize] != self.step {
-                        self.s_e[i] *= gamma;
-                    } else {
-                        self.s_e[i] = 1.0;
-                    }
+                let cfg = PrefetchConfig {
+                    gamma,
+                    delta,
+                    ..PrefetchConfig::default()
+                };
+                let mut boards = Scoreboards {
+                    s_e: &mut self.s_e,
+                    s_a: &mut self.s_a,
+                    halo_nodes: &self.halo_ids,
+                    halo_degree: &self.halo_degree,
+                };
+                let (last_used, now) = (&self.last_used, self.step);
+                boards.record_minibatch(
+                    &self.buffer,
+                    gamma,
+                    |h| last_used[h as usize] == now,
+                    &misses,
+                );
+                let mut pairs = Vec::new();
+                let round = boards.select_replacements(
+                    &self.buffer,
+                    &cfg,
+                    step,
+                    &hits,
+                    &mut Vec::new(),
+                    &mut pairs,
+                );
+                self.maintenance_events += u64::from(round.is_some());
+                for &(slot, new_h) in &pairs {
+                    let old_h = self.buffer.replace_with(slot, new_h, |_| ());
+                    boards.swap_scores(slot, old_h, new_h);
                 }
-                for &h in &misses_list {
-                    self.s_a[h as usize] += 1.0;
-                }
-                if delta > 0 && self.step.is_multiple_of(delta as u64) {
-                    self.maintenance_events += 1;
-                    let alpha = gamma.powi(delta as i32);
-                    // Eviction candidates at/below threshold (Eq. 1 is
-                    // inclusive — see scoreboard::meets_eviction_threshold),
-                    // ascending score.
-                    let mut evict: Vec<usize> = (0..self.occupants.len())
-                        .filter(|&i| {
-                            crate::scoreboard::meets_eviction_threshold(self.s_e[i], alpha)
-                                && self.last_used[self.occupants[i] as usize] != self.step
-                        })
-                        .collect();
-                    // `total_cmp` + index tie-break: panic-proof under
-                    // NaN and fully deterministic on equal scores.
-                    evict.sort_unstable_by(|&a, &b| {
-                        self.s_e[a].total_cmp(&self.s_e[b]).then(a.cmp(&b))
-                    });
-                    // Replacement candidates: uncached with S_A > 0, by S_A.
-                    let mut cands: Vec<u32> = (0..self.num_halo as u32)
-                        .filter(|&h| !self.present[h as usize] && self.s_a[h as usize] > 0.0)
-                        .collect();
-                    cands.sort_unstable_by(|&a, &b| {
-                        self.s_a[b as usize]
-                            .total_cmp(&self.s_a[a as usize])
-                            .then(a.cmp(&b))
-                    });
-                    let k = evict.len().min(cands.len());
-                    for i in 0..k {
-                        let pos = evict[i];
-                        let new_h = cands[i];
-                        let old = self.occupants[pos];
-                        // Score swap, as in the paper.
-                        self.s_a[old as usize] = self.s_e[pos];
-                        self.s_e[pos] = self.s_a[new_h as usize];
-                        self.s_a[new_h as usize] = -1.0;
-                        self.swap_in(pos, new_h);
-                    }
-                }
+                self.replacements += pairs.len() as u64;
             }
         }
     }
 
-    fn victim_min_by(&self, key: impl Fn(&Self, u32) -> u64) -> usize {
-        let mut best = 0usize;
+    /// The occupied slot whose occupant has the smallest `key`.
+    fn victim_min_by(&self, key: impl Fn(&Self, u32) -> u64) -> u32 {
+        let mut best = 0u32;
         let mut best_key = u64::MAX;
-        for (i, &h) in self.occupants.iter().enumerate() {
+        for (slot, h) in self.buffer.occupied() {
             let k = key(self, h);
             if k < best_key {
                 best_key = k;
-                best = i;
+                best = slot;
             }
         }
         best
     }
 
-    fn swap_in(&mut self, pos: usize, new_h: u32) {
-        let old = self.occupants[pos];
-        debug_assert!(self.present[old as usize] && !self.present[new_h as usize]);
-        self.present[old as usize] = false;
-        self.present[new_h as usize] = true;
-        self.occupants[pos] = new_h;
+    fn swap_in(&mut self, slot: u32, new_h: u32) {
+        self.buffer.replace_with(slot, new_h, |_| ());
         self.replacements += 1;
     }
 }
@@ -244,14 +228,14 @@ impl CacheSim {
 /// the shared starting occupancy (top-degree, as the paper initializes).
 pub fn replay_policies(
     policies: &[CachePolicy],
-    num_halo: usize,
+    halo_degree: &[u32],
     initial: &[u32],
     stream: &[Vec<u32>],
 ) -> Vec<CacheSim> {
     policies
         .iter()
         .map(|&p| {
-            let mut sim = CacheSim::new(p, num_halo, initial);
+            let mut sim = CacheSim::new(p, halo_degree, initial);
             for mb in stream {
                 sim.access(mb);
             }
@@ -316,11 +300,9 @@ mod tests {
             CachePolicy::Lfu,
             CachePolicy::Random { seed: 3 },
         ];
-        for sim in replay_policies(&policies, 500, &initial, &stream) {
-            assert_eq!(sim.occupants.len(), 100, "{}", sim.policy.name());
-            // present[] agrees with occupants
-            let count = sim.present.iter().filter(|&&p| p).count();
-            assert_eq!(count, 100);
+        for sim in replay_policies(&policies, &[0; 500], &initial, &stream) {
+            assert_eq!(sim.buffer.len(), 100, "{}", sim.policy.name());
+            sim.buffer.check_invariants().unwrap();
         }
     }
 
@@ -337,7 +319,7 @@ mod tests {
             CachePolicy::Lru,
             CachePolicy::Lfu,
         ];
-        let sims = replay_policies(&policies, 800, &initial, &stream);
+        let sims = replay_policies(&policies, &[0; 800], &initial, &stream);
         let hr: Vec<f64> = sims.iter().map(|s| s.tracker.cumulative()).collect();
         let (score, stat, lru, lfu) = (hr[0], hr[1], hr[2], hr[3]);
         assert!(score > stat + 0.05, "score {score} vs static {stat}");
@@ -357,7 +339,7 @@ mod tests {
                 },
                 CachePolicy::Lru,
             ],
-            500,
+            &[0; 500],
             &initial,
             &stream,
         );
@@ -378,7 +360,7 @@ mod tests {
     fn static_never_replaces() {
         let stream = skewed_stream(300, 30, 20, 2);
         let initial = initial_random(300, 50);
-        let sims = replay_policies(&[CachePolicy::Static], 300, &initial, &stream);
+        let sims = replay_policies(&[CachePolicy::Static], &[0; 300], &initial, &stream);
         assert_eq!(sims[0].replacements, 0);
         assert_eq!(sims[0].maintenance_events, 0);
     }
@@ -387,8 +369,18 @@ mod tests {
     fn random_policy_reproducible() {
         let stream = skewed_stream(300, 30, 20, 2);
         let initial = initial_random(300, 50);
-        let a = replay_policies(&[CachePolicy::Random { seed: 9 }], 300, &initial, &stream);
-        let b = replay_policies(&[CachePolicy::Random { seed: 9 }], 300, &initial, &stream);
+        let a = replay_policies(
+            &[CachePolicy::Random { seed: 9 }],
+            &[0; 300],
+            &initial,
+            &stream,
+        );
+        let b = replay_policies(
+            &[CachePolicy::Random { seed: 9 }],
+            &[0; 300],
+            &initial,
+            &stream,
+        );
         assert_eq!(a[0].tracker.cumulative(), b[0].tracker.cumulative());
         assert_eq!(a[0].replacements, b[0].replacements);
     }
@@ -396,7 +388,7 @@ mod tests {
     #[test]
     fn zero_capacity_all_misses() {
         let stream = skewed_stream(100, 10, 5, 1);
-        let mut sim = CacheSim::new(CachePolicy::Lru, 100, &[]);
+        let mut sim = CacheSim::new(CachePolicy::Lru, &[0; 100], &[]);
         for mb in &stream {
             sim.access(mb);
         }

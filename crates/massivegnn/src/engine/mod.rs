@@ -30,14 +30,14 @@ pub use config::{EngineConfig, Mode};
 pub use report::{Breakdown, RunReport, TrainerReport};
 
 use exchange::{GradExchange, Share};
-use mgnn_graph::{Dataset, DatasetGraph, FeatureStore};
+use mgnn_graph::{CsrGraph, Dataset, DatasetGraph, FeatureStore};
 use mgnn_model::{GatModel, GcnModel, Model, ModelKind, SageModel};
 use mgnn_net::SimCluster;
 use mgnn_obs::{registry, TrainerTrace};
 use mgnn_partition::{
-    build_local_partitions, multilevel_partition, split_train_nodes, LocalPartition,
+    build_local_partitions, multilevel_partition, split_train_nodes, LocalPartition, Partitioning,
 };
-use mgnn_sampling::NeighborSampler;
+use mgnn_sampling::{DataLoader, NeighborSampler};
 use serde::Serialize;
 use std::sync::Arc;
 use trainer::TrainerState;
@@ -78,8 +78,19 @@ fn make_model(cfg: &EngineConfig, features: &FeatureStore) -> Box<dyn Model> {
 }
 
 impl Engine {
-    /// Build the experiment: generate, partition, shard, spawn servers.
+    /// Build the experiment on the paper's partitioner (the multilevel
+    /// METIS stand-in).
     pub fn build(cfg: EngineConfig) -> Self {
+        Self::build_with(cfg, multilevel_partition)
+    }
+
+    /// Build the experiment: generate, partition, shard, spawn servers.
+    /// `partitioner` gets the graph, `num_parts` and the seed, and makes
+    /// the first-level assignment.
+    pub fn build_with(
+        cfg: EngineConfig,
+        partitioner: impl FnOnce(&CsrGraph, usize, u64) -> Partitioning,
+    ) -> Self {
         if let Err(problem) = cfg.validate() {
             panic!("invalid EngineConfig: {problem}");
         }
@@ -91,7 +102,7 @@ impl Engine {
         // graph and the assignment is live — before the halo views. The
         // cluster then shares that one matrix instead of copying shards.
         let topology = DatasetGraph::generate(cfg.dataset, cfg.scale, cfg.seed);
-        let partitioning = multilevel_partition(&topology.graph, cfg.num_parts, cfg.seed);
+        let partitioning = partitioner(&topology.graph, cfg.num_parts, cfg.seed);
         let dataset = topology.with_features();
         let parts: Vec<Arc<LocalPartition>> =
             build_local_partitions(&dataset.graph, &partitioning, &dataset.train_nodes)
@@ -151,6 +162,25 @@ impl Engine {
     /// Total trainers.
     pub fn world(&self) -> usize {
         self.trainer_shards.len()
+    }
+
+    /// What trainer `t` of the world trains from: its partition, and the
+    /// dataloader (over its shard) and sampler, seeded as every run seeds
+    /// them.
+    pub fn trainer_inputs(&self, t: usize) -> (Arc<LocalPartition>, DataLoader, NeighborSampler) {
+        let cfg = &self.cfg;
+        let (pid, seeds) = &self.trainer_shards[t];
+        let loader = DataLoader::new(
+            seeds.clone(),
+            cfg.batch_size,
+            cfg.seed ^ (t as u64).wrapping_mul(0x517c_c1b7_2722_0a95),
+        );
+        let sampler = NeighborSampler::with_strategy(
+            cfg.fanouts.clone(),
+            cfg.sampling,
+            cfg.seed ^ (t as u64).wrapping_mul(0xda94_2042_e4dd_58b5),
+        );
+        (Arc::clone(&self.parts[*pid]), loader, sampler)
     }
 
     /// Run the configured mode end to end: one step loop, stepped

@@ -321,13 +321,11 @@ impl Engine {
     pub(super) fn build_trainer_states(&self) -> Vec<TrainerState> {
         let cfg = &self.cfg;
         let total_steps = cfg.epochs * self.steps_per_epoch();
-        self.trainer_shards
-            .iter()
-            .enumerate()
-            .map(|(t, (pid, seeds))| {
-                let part = Arc::clone(&self.parts[*pid]);
+        (0..self.world())
+            .map(|t| {
+                let (part, loader, sampler) = self.trainer_inputs(t);
                 let mut metrics = if cfg.trace {
-                    let recorder = SpanRecorder::for_trainer(t as u32, *pid as u32);
+                    let recorder = SpanRecorder::for_trainer(t as u32, part.part_id);
                     CommMetrics::with_recorder(Arc::new(recorder))
                 } else {
                     CommMetrics::new()
@@ -341,16 +339,6 @@ impl Engine {
                     registry::attach(Arc::clone(metrics.counters()));
                 }
                 let metrics = Arc::new(metrics);
-                let loader = DataLoader::new(
-                    seeds.clone(),
-                    cfg.batch_size,
-                    cfg.seed ^ (t as u64).wrapping_mul(0x517c_c1b7_2722_0a95),
-                );
-                let sampler = NeighborSampler::with_strategy(
-                    cfg.fanouts.clone(),
-                    cfg.sampling,
-                    cfg.seed ^ (t as u64).wrapping_mul(0xda94_2042_e4dd_58b5),
-                );
                 let mut init = InitReport::default();
                 let mut pipeline = None;
                 let prefetcher = match cfg.mode {

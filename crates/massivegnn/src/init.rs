@@ -37,6 +37,30 @@ impl InitReport {
     }
 }
 
+/// Line 16: the `round(f_h · |V_p^h|)` halo indices of highest degree,
+/// highest first (ties by id for determinism) — the buffer's initial
+/// occupants, in slot order.
+///
+/// O(n) partial selection instead of a full O(n log n) sort over all
+/// halo nodes (Fig. 8 init cost): quickselect the capacity-th node, drop
+/// the tail, sort only the survivors. The (Reverse(degree), id) key is a
+/// total order over distinct ids, so this reproduces the full-sort prefix
+/// exactly.
+pub fn top_degree_halo(part: &LocalPartition, f_h: f64) -> Vec<u32> {
+    let num_halo = part.num_halo();
+    let capacity = (((num_halo as f64) * f_h).round() as usize).min(num_halo);
+    let key = |h: &u32| (std::cmp::Reverse(part.halo_degree[*h as usize]), *h);
+    let mut order: Vec<u32> = (0..num_halo as u32).collect();
+    if capacity == 0 {
+        order.clear();
+    } else if capacity < order.len() {
+        order.select_nth_unstable_by_key(capacity - 1, key);
+        order.truncate(capacity);
+    }
+    order.sort_unstable_by_key(key);
+    order
+}
+
 /// Build a ready [`Prefetcher`] for one trainer on `part`.
 pub fn initialize_prefetcher(
     part: &LocalPartition,
@@ -49,24 +73,8 @@ pub fn initialize_prefetcher(
     cfg.validate().expect("invalid prefetch config");
     let num_halo = part.num_halo();
     let dim = cluster.dim();
-    let capacity = ((num_halo as f64) * cfg.f_h).round() as usize;
-    let capacity = capacity.min(num_halo);
-
-    // Top-capacity halo indices by degree (ties by id for determinism).
-    // O(n) partial selection instead of a full O(n log n) sort over all
-    // halo nodes (Fig. 8 init cost): quickselect the capacity-th node,
-    // drop the tail, sort only the survivors. The (Reverse(degree), id)
-    // key is a total order over distinct ids, so this reproduces the
-    // full-sort prefix exactly.
-    let key = |h: &u32| (std::cmp::Reverse(part.halo_degree[*h as usize]), *h);
-    let mut order: Vec<u32> = (0..num_halo as u32).collect();
-    if capacity == 0 {
-        order.clear();
-    } else if capacity < order.len() {
-        order.select_nth_unstable_by_key(capacity - 1, key);
-        order.truncate(capacity);
-    }
-    order.sort_unstable_by_key(key);
+    let order = top_degree_halo(part, cfg.f_h);
+    let capacity = order.len();
     let selection_s = cost.t_lookup(num_halo) + cost.t_scoring(num_halo, false, num_halo);
 
     // Bulk fetch (line 18: RPC).
@@ -74,7 +82,7 @@ pub fn initialize_prefetcher(
     let req_id =
         mgnn_obs::events::request_id(mgnn_obs::events::ORIGIN_INIT, metrics.trace_rank(), 0);
     let (fetched, outcome) = cluster.pull_rows(&globals, req_id);
-    // Fault charge is 0.0 on the fault-free path (see Prefetcher::prepare).
+    // Fault charge is 0.0 on the fault-free path (see `Prefetcher::prepare_reuse`).
     let fetch_s = cost.t_rpc(capacity, dim) + outcome.charge_s(cost, dim, cluster.retry_policy());
     metrics.record_rpc(capacity as u64, dim);
     metrics.record_pull_outcome(&outcome);

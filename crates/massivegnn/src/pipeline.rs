@@ -16,7 +16,7 @@
 //! metric measures.
 //!
 //! Preparation is deliberately *infallible* even under a fault profile:
-//! RPC failures are absorbed inside [`Prefetcher::prepare`]'s
+//! RPC failures are absorbed inside [`Prefetcher::prepare_reuse`]'s
 //! degradation ladder (retry → stale buffered row → zero-fill), so the
 //! prepare thread never dies mid-run and the queue protocol needs no
 //! error variant.
@@ -216,7 +216,9 @@ mod tests {
         let mut gs = 0u64;
         for epoch in 0..2u64 {
             for seeds in loader.epoch(epoch).iter().take(steps) {
-                expected.push(pf1.prepare(&part, &sampler, seeds, epoch, gs, &cluster, &cost, &m1));
+                expected.push(pf1.prepare_reuse(
+                    None, &part, &sampler, seeds, epoch, gs, &cluster, &cost, &m1,
+                ));
                 gs += 1;
             }
         }
@@ -266,7 +268,9 @@ mod tests {
         let mut gs = 0u64;
         for epoch in 0..2u64 {
             for seeds in loader.epoch(epoch).iter().take(steps) {
-                expected.push(pf1.prepare(&part, &sampler, seeds, epoch, gs, &cluster, &cost, &m1));
+                expected.push(pf1.prepare_reuse(
+                    None, &part, &sampler, seeds, epoch, gs, &cluster, &cost, &m1,
+                ));
                 gs += 1;
             }
         }
@@ -335,7 +339,17 @@ mod tests {
             let mut twin = prefetcher(&m1);
             assert_eq!(twin.window(), window);
             for (step, seeds) in loader.epoch(0).iter().take(window + 1).enumerate() {
-                twin.prepare(&part, &sampler, seeds, 0, step as u64, &cluster, &cost, &m1);
+                twin.prepare_reuse(
+                    None,
+                    &part,
+                    &sampler,
+                    seeds,
+                    0,
+                    step as u64,
+                    &cluster,
+                    &cost,
+                    &m1,
+                );
             }
 
             let m2 = Arc::new(CommMetrics::new());

@@ -30,7 +30,7 @@
 use crate::buffer::PrefetchBuffer;
 use crate::config::{PrefetchConfig, ScoreLayout};
 use crate::policy::{PlanCtx, PrefetchPolicy, ScoreboardPolicy};
-use crate::scoreboard::{AccessScores, EvictionScores};
+use crate::scoreboard::{AccessScores, EvictionScores, Scoreboards};
 use mgnn_graph::NodeId;
 use mgnn_net::cluster::PulledRows;
 use mgnn_net::{CommMetrics, CostModel, KvStore, PullOutcome, SimCluster};
@@ -128,7 +128,6 @@ pub struct PrepareScratch {
     halo_idx: Vec<u32>,
     hits: Vec<u32>,
     misses: Vec<u32>,
-    miss_globals: Vec<NodeId>,
     fetch_ids: Vec<NodeId>,
     replacements: Vec<(u32, u32)>,
     replacement_rows: Vec<usize>,
@@ -312,7 +311,6 @@ pub struct Prefetcher {
     pub s_e: EvictionScores,
     /// Per-halo access scores.
     pub s_a: AccessScores,
-    alpha: f64,
     /// Stamp array marking which halo indices were sampled this step.
     sampled_stamp: Vec<u64>,
     current_stamp: u64,
@@ -337,13 +335,11 @@ impl Prefetcher {
         s_a: AccessScores,
         num_halo: usize,
     ) -> Self {
-        let alpha = cfg.alpha();
         Prefetcher {
             cfg,
             buffer,
             s_e,
             s_a,
-            alpha,
             sampled_stamp: vec![0; num_halo],
             current_stamp: 0,
             peak_transient_bytes: 0,
@@ -366,7 +362,7 @@ impl Prefetcher {
 
     /// The Eq. 1 threshold in force.
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        self.cfg.alpha()
     }
 
     /// Enable or disable per-step scratch reuse. Outputs are
@@ -393,29 +389,11 @@ impl Prefetcher {
 
     /// Sample and prepare one minibatch (Algorithm 2). `step` is the
     /// *global* minibatch counter (continuous across epochs — the scheme
-    /// is continuous).
-    #[allow(clippy::too_many_arguments)]
-    pub fn prepare(
-        &mut self,
-        part: &LocalPartition,
-        sampler: &NeighborSampler,
-        seeds: &[u32],
-        epoch: u64,
-        step: u64,
-        cluster: &SimCluster,
-        cost: &CostModel,
-        metrics: &CommMetrics,
-    ) -> PreparedBatch {
-        self.prepare_reuse(
-            None, part, sampler, seeds, epoch, step, cluster, cost, metrics,
-        )
-    }
-
-    /// [`prepare`](Self::prepare), recycling a consumed batch: the
-    /// carcass donates its minibatch blocks, feature matrix and label
-    /// vector, which are cleared and refilled in place. The produced
-    /// batch is bitwise-identical to a fresh preparation — gather fully
-    /// overwrites every feature row, so no stale bytes can leak.
+    /// is continuous). A consumed batch passed as `reuse` donates its
+    /// minibatch blocks, feature matrix and label vector, which are
+    /// cleared and refilled in place; the produced batch is
+    /// bitwise-identical to a fresh preparation — gather fully overwrites
+    /// every feature row, so no stale bytes can leak.
     #[allow(clippy::too_many_arguments)]
     pub fn prepare_reuse(
         &mut self,
@@ -486,105 +464,59 @@ impl Prefetcher {
             .probe_batch_into(&scratch.halo_idx, &mut scratch.hits, &mut scratch.misses);
         let t_lookup = cost.t_lookup(scratch.halo_ids.len() + self.buffer.len());
 
-        // Lines 6–9 + 21 are the *reactive* scoreboard passes; a
-        // planning policy manages the buffer itself and skips them
-        // (`t_planned` already carries its round's pull, probe-count
-        // updates and eviction scan).
+        // Lines 15 + 22: one bulk fetch of miss + replacement features,
+        // the misses first.
         let halo_nodes = &part.halo_nodes;
-        let t_scoring = if reactive {
-            // Decay S_E of buffered nodes not sampled this step; a
-            // sampled (hit) node's score returns to the initial 1 (paper
-            // Fig. 4 shows used nodes back at score 1 — without the
-            // reset, every node's lifetime idle budget is finite and
-            // even hot nodes churn out, which contradicts the paper's
-            // observed hit-rate growth).
-            let decayed = {
-                let buffer = &self.buffer;
-                let sampled_stamp = &self.sampled_stamp;
-                self.s_e
-                    .decay_or_reset_prefix(buffer.len(), self.cfg.gamma, |slot| {
-                        sampled_stamp[buffer.halo_at(slot) as usize] == stamp
-                    })
-            };
+        scratch.fetch_ids.clear();
+        scratch
+            .fetch_ids
+            .extend(scratch.misses.iter().map(|&h| halo_nodes[h as usize]));
 
-            // Line 21: S_A increments for misses (batched; the memory-
-            // efficient layout binary-searches in parallel, §IV-B).
-            scratch.miss_globals.clear();
-            scratch
-                .miss_globals
-                .extend(scratch.misses.iter().map(|&h| halo_nodes[h as usize]));
-            self.s_a.increment_batch(halo_nodes, &scratch.miss_globals);
-            let mem_eff = self.cfg.layout == ScoreLayout::MemEfficient;
-            cost.t_scoring(decayed + scratch.misses.len(), mem_eff, part.num_halo())
-        } else {
-            0.0
+        // Lines 6–9 + 21 and 12–14 are the *reactive* scoreboard passes
+        // (`Scoreboards`); a planning policy manages the buffer itself
+        // and skips them (`t_planned` already carries its round's pull,
+        // probe-count updates and eviction scan).
+        let mut boards = Scoreboards {
+            s_e: &mut self.s_e,
+            s_a: &mut self.s_a,
+            halo_nodes,
+            halo_degree: &part.halo_degree,
         };
+        let (mut t_scoring, mut t_evict) = (0.0, 0.0);
+        if reactive {
+            let sampled_stamp = &self.sampled_stamp;
+            let decayed = boards.record_minibatch(
+                &self.buffer,
+                self.cfg.gamma,
+                |h| sampled_stamp[h as usize] == stamp,
+                &scratch.fetch_ids,
+            );
+            let mem_eff = self.cfg.layout == ScoreLayout::MemEfficient;
+            t_scoring = cost.t_scoring(decayed + scratch.misses.len(), mem_eff, part.num_halo());
 
-        // Map miss halo idx -> row in the bulk fetch payload.
+            if let Some(transient) = boards.select_replacements(
+                &self.buffer,
+                &self.cfg,
+                step,
+                &scratch.hits,
+                &mut scratch.protect,
+                &mut scratch.replacements,
+            ) {
+                // Eviction-round overhead: scan every slot plus every
+                // halo candidate (the "extra work" of §IV-E).
+                t_evict = cost.t_lookup(self.buffer.capacity() + part.num_halo());
+                self.peak_transient_bytes = self.peak_transient_bytes.max(transient);
+            }
+        }
+
+        // Map miss halo idx -> row in the bulk fetch payload. A
+        // replacement that is also a miss this step reuses the miss row
+        // (DistDGL's bulk pull deduplicates node ids the same way).
         let rstamp = scratch.mark_rows(part.num_halo());
         for (i, &h) in scratch.misses.iter().enumerate() {
             scratch.row_stamp[h as usize] = rstamp;
             scratch.row_val[h as usize] = i as u32;
         }
-
-        // Lines 12–17: Δ-periodic evict-and-replace (reactive policies
-        // only — a planner's installs already happened in its round).
-        let mut t_evict = 0.0;
-        scratch.replacements.clear();
-        if reactive
-            && self.cfg.eviction
-            && self.cfg.delta > 0
-            && step > 0
-            && step.is_multiple_of(self.cfg.delta as u64)
-        {
-            // Hits were copied out of the buffer (line 11) before eviction;
-            // protecting their slots keeps that copy semantics without
-            // materializing it, and avoids evicting a node the sampler is
-            // using this very minibatch.
-            scratch.protect.clear();
-            scratch
-                .protect
-                .extend(scratch.hits.iter().filter_map(|&h| self.buffer.slot_of(h)));
-            scratch.protect.sort_unstable();
-            let evict_slots = self.s_e.below_threshold(self.alpha, &scratch.protect);
-            // Replacement candidates: non-buffered halo nodes with S_A > 0.
-            let buffer = &self.buffer;
-            let s_a = &self.s_a;
-            let candidates = (0..part.num_halo() as u32).filter(|&h| !buffer.contains(h));
-            let (replace_globals, scoring_bytes) = s_a.top_k_candidates_with_footprint(
-                halo_nodes,
-                candidates.map(|h| halo_nodes[h as usize]),
-                evict_slots.len(),
-                |g| {
-                    let h = halo_nodes.binary_search(&g).unwrap();
-                    part.halo_degree[h]
-                },
-            );
-            let k = evict_slots.len().min(replace_globals.len());
-            for i in 0..k {
-                let slot = evict_slots[i];
-                let new_g = replace_globals[i];
-                let new_h = halo_nodes.binary_search(&new_g).unwrap() as u32;
-                scratch.replacements.push((slot, new_h));
-            }
-            // Eviction-round overhead: scan every slot plus every halo
-            // candidate (the "extra work" of §IV-E).
-            t_evict = cost.t_lookup(self.buffer.capacity() + part.num_halo());
-            // The dominant transient of the round is the scored-candidate
-            // vector top_k_candidates materializes over every positive-S_A
-            // non-buffered halo node — not the slot/id vectors, which are
-            // bounded by the buffer capacity.
-            let transient = scoring_bytes + evict_slots.len() * 4 + replace_globals.len() * 8;
-            self.peak_transient_bytes = self.peak_transient_bytes.max(transient);
-        }
-
-        // Lines 15 + 22: one bulk fetch of miss + replacement features.
-        // A replacement that is also a miss this step reuses the miss row
-        // (DistDGL's bulk pull deduplicates node ids the same way).
-        scratch.fetch_ids.clear();
-        scratch
-            .fetch_ids
-            .extend(scratch.misses.iter().map(|&h| halo_nodes[h as usize]));
         scratch.replacement_rows.clear();
         for &(_, new_h) in &scratch.replacements {
             if scratch.row_stamp[new_h as usize] == rstamp {
@@ -657,15 +589,7 @@ impl Prefetcher {
             let old_h = self
                 .buffer
                 .replace_with(slot, new_h, |row| fetched.decode_into(r, row));
-            let old_g = halo_nodes[old_h as usize];
-            let new_g = halo_nodes[new_h as usize];
-            // Swap: evicted node's new S_A ← its last S_E;
-            // replacement's new S_E ← its last S_A; then mark buffered.
-            let last_se = self.s_e.get(slot);
-            let last_sa = self.s_a.get(halo_nodes, new_g) as f64;
-            self.s_a.set(halo_nodes, old_g, last_se as f32);
-            self.s_e.set(slot, last_sa);
-            self.s_a.set(halo_nodes, new_g, -1.0);
+            boards.swap_scores(slot, old_h, new_h);
             installed += 1;
         }
         metrics.record_eviction(installed as u64, installed as u64);
@@ -723,35 +647,9 @@ impl Prefetcher {
 
 /// Baseline DistDGL preparation (Eq. 2): sample, fetch *all* sampled halo
 /// features over RPC, gather local features — no buffer, no scoreboards.
-#[allow(clippy::too_many_arguments)]
-pub fn baseline_prepare(
-    part: &LocalPartition,
-    sampler: &NeighborSampler,
-    seeds: &[u32],
-    epoch: u64,
-    step: u64,
-    cluster: &SimCluster,
-    cost: &CostModel,
-    metrics: &CommMetrics,
-) -> PreparedBatch {
-    let mut scratch = PrepareScratch::default();
-    baseline_prepare_reuse(
-        None,
-        &mut scratch,
-        part,
-        sampler,
-        seeds,
-        epoch,
-        step,
-        cluster,
-        cost,
-        metrics,
-    )
-}
-
-/// [`baseline_prepare`] with caller-owned scratch and an optional
-/// recycled carcass — the allocation-free steady-state path. Outputs are
-/// bitwise-identical to the fresh version.
+/// Scratch is the caller's and `reuse` an optional recycled carcass, so
+/// the steady state allocates nothing; the batch is bitwise-identical to
+/// one prepared with neither.
 #[allow(clippy::too_many_arguments)]
 pub fn baseline_prepare_reuse(
     reuse: Option<PreparedBatch>,

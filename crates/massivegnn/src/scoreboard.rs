@@ -12,8 +12,13 @@
 //!   addressing (the halo list itself already lives in the
 //!   [`mgnn_partition::LocalPartition`] and is passed in per call, so the
 //!   memory-efficient layout allocates only the score array).
+//!
+//! What Algorithm 2 *decides* with them — who decays, who is evicted for
+//! whom and when, how the scores swap — is [`Scoreboards`]: the
+//! prefetcher and the ablation's cache simulator both call it.
 
-use crate::config::ScoreLayout;
+use crate::buffer::PrefetchBuffer;
+use crate::config::{PrefetchConfig, ScoreLayout};
 use mgnn_graph::NodeId;
 
 /// Relative tolerance for the Eq. 1 eviction boundary `S_E ≤ α`.
@@ -314,6 +319,107 @@ impl AccessScores {
                 scores.len() * 4
             }
         }
+    }
+}
+
+/// Algorithm 2's decisions over one trainer's scoreboards. The caller
+/// owns the buffer and does what moves bytes (the pull, the install, the
+/// gather); every vector a decision fills is the caller's scratch.
+pub struct Scoreboards<'a> {
+    /// Per-slot eviction scores.
+    pub s_e: &'a mut EvictionScores,
+    /// Per-halo access scores.
+    pub s_a: &'a mut AccessScores,
+    /// The partition's sorted halo list (`S_A` is addressed by its ids).
+    pub halo_nodes: &'a [NodeId],
+    /// Degree per halo index: breaks `S_A` ties among candidates.
+    pub halo_degree: &'a [u32],
+}
+
+impl Scoreboards<'_> {
+    /// Lines 6–9 and 21, once per minibatch: `S_E` of a buffered node
+    /// decays by `gamma` unless `sampled` (by halo index) says it was
+    /// used, which returns it to the initial 1 (paper Fig. 4 shows used
+    /// nodes back at score 1 — without the reset every node's lifetime
+    /// idle budget is finite and even hot nodes churn out, which
+    /// contradicts the paper's observed hit-rate growth); `S_A` of every
+    /// `missed` node (unique global ids) goes up by one. Returns how many
+    /// slots decayed.
+    pub fn record_minibatch(
+        &mut self,
+        buffer: &PrefetchBuffer,
+        gamma: f64,
+        sampled: impl Fn(u32) -> bool + Sync,
+        missed: &[NodeId],
+    ) -> usize {
+        let decayed = self
+            .s_e
+            .decay_or_reset_prefix(buffer.len(), gamma, |slot| sampled(buffer.halo_at(slot)));
+        self.s_a.increment_batch(self.halo_nodes, missed);
+        decayed
+    }
+
+    /// Lines 12–14 and 28–30, on every Δ-th step after the first: pair
+    /// the slots whose `S_E` fell to Eq. 1's `α` (lowest first) with
+    /// equally many non-buffered halo nodes of positive `S_A` (highest
+    /// first, then higher degree, then lower id) as `(slot, halo index)`
+    /// in `replacements`, which is cleared on every call. The slots of
+    /// this step's `hits` are spared: their features were copied out
+    /// before eviction (line 11), and evicting a node the sampler is
+    /// using would re-fetch it at once. Returns the round's transient
+    /// bytes, or `None` when `step` is not a round.
+    pub fn select_replacements(
+        &self,
+        buffer: &PrefetchBuffer,
+        cfg: &PrefetchConfig,
+        step: u64,
+        hits: &[u32],
+        protect: &mut Vec<u32>,
+        replacements: &mut Vec<(u32, u32)>,
+    ) -> Option<usize> {
+        replacements.clear();
+        if !cfg.eviction || cfg.delta == 0 || step == 0 || !step.is_multiple_of(cfg.delta as u64) {
+            return None;
+        }
+        protect.clear();
+        protect.extend(hits.iter().filter_map(|&h| buffer.slot_of(h)));
+        protect.sort_unstable();
+        let evict_slots = self.s_e.below_threshold(cfg.alpha(), protect);
+        let halo_nodes = self.halo_nodes;
+        let halo_idx = |g: NodeId| halo_nodes.binary_search(&g).expect("a halo id");
+        let candidates = (0..halo_nodes.len() as u32)
+            .filter(|&h| !buffer.contains(h))
+            .map(|h| halo_nodes[h as usize]);
+        let (replace_globals, scoring_bytes) = self.s_a.top_k_candidates_with_footprint(
+            halo_nodes,
+            candidates,
+            evict_slots.len(),
+            |g| self.halo_degree[halo_idx(g)],
+        );
+        replacements.extend(
+            evict_slots
+                .iter()
+                .zip(&replace_globals)
+                .map(|(&slot, &g)| (slot, halo_idx(g) as u32)),
+        );
+        // The dominant transient of the round is the scored-candidate
+        // vector `top_k_candidates` materializes over every positive-S_A
+        // non-buffered halo node — not the slot/id vectors, which are
+        // bounded by the buffer capacity.
+        Some(scoring_bytes + evict_slots.len() * 4 + replace_globals.len() * 8)
+    }
+
+    /// The score swap of §IV-B, after `new_h` took `slot` from `old_h`:
+    /// the evicted node's `S_A` ← its last `S_E`, the replacement's `S_E`
+    /// ← its last `S_A`, and the replacement is marked buffered.
+    pub fn swap_scores(&mut self, slot: u32, old_h: u32, new_h: u32) {
+        let old_g = self.halo_nodes[old_h as usize];
+        let new_g = self.halo_nodes[new_h as usize];
+        let last_se = self.s_e.get(slot);
+        let last_sa = self.s_a.get(self.halo_nodes, new_g) as f64;
+        self.s_a.set(self.halo_nodes, old_g, last_se as f32);
+        self.s_e.set(slot, last_sa);
+        self.s_a.set(self.halo_nodes, new_g, -1.0);
     }
 }
 

@@ -7,10 +7,10 @@
 
 use crate::harness::{engine_config, Opts};
 use massivegnn::ablation::{replay_policies, CachePolicy};
+use massivegnn::init::top_degree_halo;
 use massivegnn::Engine;
 use mgnn_graph::DatasetKind;
 use mgnn_net::Backend;
-use mgnn_sampling::{DataLoader, NeighborSampler};
 use std::fmt;
 
 /// One policy's outcome on the shared stream.
@@ -36,47 +36,34 @@ pub struct Ablation {
     pub capacity: usize,
 }
 
-/// Build a real sampled halo stream (products-like, partition 0) and
+/// Build the halo stream trainer 0 of a products-like engine samples and
 /// replay it through all policies.
 pub fn run(opts: &Opts) -> Ablation {
     let cfg = engine_config(opts, DatasetKind::Products, Backend::Cpu, 2);
-    let engine = Engine::build(cfg.clone());
-    let part = &engine.partitions()[0];
+    let engine = Engine::build(cfg);
+    // Trainer 0's partition, shard and seeds, as every run gets them.
+    let (part, loader, sampler) = engine.trainer_inputs(0);
     let num_local = part.num_local();
-    let num_halo = part.num_halo();
-
-    // Trainer-0 shard, as the engine would assign it.
-    let seeds: Vec<u32> = part
-        .train_nodes
-        .iter()
-        .map(|&g| part.local_id(g).unwrap())
-        .collect();
-    let loader = DataLoader::new(seeds, cfg.batch_size, cfg.seed);
-    let sampler = NeighborSampler::new(cfg.fanouts.clone(), cfg.seed ^ 7);
 
     let epochs = (opts.epochs * 8).max(12) as u64;
     let mut stream: Vec<Vec<u32>> = Vec::new();
     let mut gs = 0u64;
     for epoch in 0..epochs {
         for seeds in loader.epoch(epoch).iter() {
-            let mb = sampler.sample(part, seeds, epoch, gs);
+            let mb = sampler.sample(&part, seeds, epoch, gs);
             gs += 1;
             let (_, halo) = mb.split_local_halo(num_local);
             stream.push(halo.iter().map(|&l| l - num_local as u32).collect());
         }
     }
 
-    // Shared top-degree initial occupancy (25% of halo).
-    let capacity = num_halo / 4;
-    let mut order: Vec<u32> = (0..num_halo as u32).collect();
-    order.sort_by_key(|&h| (std::cmp::Reverse(part.halo_degree[h as usize]), h));
-    order.truncate(capacity);
+    // Shared initial occupancy: what a prefetcher buffers at `f_h` 0.25.
+    let initial = top_degree_halo(&part, 0.25);
 
     let policies = [
-        // Δ matches the engine's default eviction interval (PrefetchConfig
-        // prefetch_mode uses Δ = 8): at quick scale a 32-step interval
-        // leaves no occupant idle a full window, silently disabling the
-        // policy under test.
+        // Δ = 8, not the engine's default 64: at quick scale a 32-step
+        // interval already leaves no occupant idle a full window,
+        // silently disabling the policy under test.
         CachePolicy::ScoreBased {
             gamma: 0.995,
             delta: 8,
@@ -86,7 +73,7 @@ pub fn run(opts: &Opts) -> Ablation {
         CachePolicy::Lfu,
         CachePolicy::Random { seed: 11 },
     ];
-    let sims = replay_policies(&policies, num_halo, &order, &stream);
+    let sims = replay_policies(&policies, &part.halo_degree, &initial, &stream);
     let rows = policies
         .iter()
         .zip(&sims)
@@ -100,7 +87,7 @@ pub fn run(opts: &Opts) -> Ablation {
     Ablation {
         rows,
         minibatches: stream.len(),
-        capacity,
+        capacity: initial.len(),
     }
 }
 

@@ -7,12 +7,12 @@
 //! most.
 
 use crate::harness::{engine_config, improvement_pct, Opts};
-use massivegnn::{EngineConfig, PrefetchConfig};
-use mgnn_graph::{Dataset, DatasetKind};
+use massivegnn::{Engine, Mode, PrefetchConfig};
+use mgnn_graph::{CsrGraph, DatasetKind};
 use mgnn_net::Backend;
 use mgnn_partition::random::random_partition;
 use mgnn_partition::{
-    bfs::bfs_partition, build_local_partitions, edge_cut, halo_fraction, hash::hash_partition,
+    balance, bfs::bfs_partition, edge_cut, halo_fraction, hash::hash_partition,
     multilevel_partition, Partitioning,
 };
 use std::fmt;
@@ -24,6 +24,9 @@ pub struct Row {
     pub partitioner: &'static str,
     /// Undirected edge cut.
     pub edge_cut: usize,
+    /// Largest partition over the ideal size (1.0 is perfect): whether a
+    /// low cut was bought with imbalance.
+    pub balance: f64,
     /// Mean halo fraction across partitions.
     pub halo_fraction: f64,
     /// Baseline remote nodes fetched (total).
@@ -40,156 +43,53 @@ pub struct PartitionStudy {
     pub rows: Vec<Row>,
 }
 
-fn partitioners(
-    dataset: &Dataset,
-    num_parts: usize,
-    seed: u64,
-) -> Vec<(&'static str, Partitioning)> {
-    vec![
-        (
-            "multilevel",
-            multilevel_partition(&dataset.graph, num_parts, seed),
-        ),
-        ("bfs", bfs_partition(&dataset.graph, num_parts)),
-        ("hash", hash_partition(&dataset.graph, num_parts)),
-        ("random", random_partition(&dataset.graph, num_parts, seed)),
-    ]
-}
+type Partitioner = fn(&CsrGraph, usize, u64) -> Partitioning;
 
-/// Run baseline + prefetch under each partitioner on products, 2 nodes.
-///
-/// Note: [`massivegnn::Engine`] always partitions with the multilevel partitioner; to
-/// compare others this study measures structural metrics per partitioner
-/// directly and runs the engine comparison on the two extremes by
-/// re-deriving halo statistics through [`build_local_partitions`].
+const PARTITIONERS: [(&str, Partitioner); 4] = [
+    ("multilevel", multilevel_partition),
+    ("bfs", |g, k, _| bfs_partition(g, k)),
+    ("hash", |g, k, _| hash_partition(g, k)),
+    ("random", random_partition),
+];
+
+/// Run baseline + prefetch under each partitioner on products, 2 nodes:
+/// two whole engine runs per assignment.
 pub fn run(opts: &Opts) -> PartitionStudy {
-    let num_parts = 2;
-    let dataset = Dataset::generate(DatasetKind::Products, opts.scale, opts.seed);
-    let mut rows = Vec::new();
-    for (name, parts) in partitioners(&dataset, num_parts, opts.seed) {
-        let lps = build_local_partitions(&dataset.graph, &parts, &dataset.train_nodes);
-        let cut = edge_cut(&dataset.graph, &parts);
-        let hf = lps.iter().map(halo_fraction).sum::<f64>() / lps.len() as f64;
-
-        // Engine comparison under this assignment: construct via the
-        // engine's own pipeline but override the partitioning by seeding
-        // a custom build (the engine's multilevel call is deterministic,
-        // so for non-multilevel partitioners we run a manual comparison
-        // through the same prefetcher/baseline preparation paths).
-        let (baseline_remote, improvement, hit) = manual_comparison(
-            &dataset,
-            &parts,
-            opts,
-            engine_config(opts, DatasetKind::Products, Backend::Cpu, num_parts),
-        );
-        rows.push(Row {
-            partitioner: name,
-            edge_cut: cut,
-            halo_fraction: hf,
-            baseline_remote,
-            prefetch_improvement_pct: improvement,
-            hit_rate: hit,
-        });
-    }
+    let mut cfg = engine_config(opts, DatasetKind::Products, Backend::Cpu, 2);
+    let rows = PARTITIONERS
+        .iter()
+        .map(|&(name, partitioner)| {
+            // The engine hands the partitioner the graph; its cut and
+            // balance are read where the assignment is made.
+            let mut quality = (0, 0.0);
+            cfg.mode = Mode::Baseline;
+            let engine = Engine::build_with(cfg.clone(), |g, k, seed| {
+                let p = partitioner(g, k, seed);
+                quality = (edge_cut(g, &p), balance(&p));
+                p
+            });
+            let parts = engine.partitions();
+            let halo = parts.iter().map(|p| halo_fraction(p)).sum::<f64>() / parts.len() as f64;
+            let baseline = engine.run();
+            cfg.mode = Mode::Prefetch(PrefetchConfig {
+                f_h: 0.25,
+                gamma: 0.995,
+                delta: 16,
+                ..Default::default()
+            });
+            let prefetch = Engine::build_with(cfg.clone(), partitioner).run();
+            Row {
+                partitioner: name,
+                edge_cut: quality.0,
+                balance: quality.1,
+                halo_fraction: halo,
+                baseline_remote: baseline.aggregate_metrics().remote_nodes_fetched,
+                prefetch_improvement_pct: improvement_pct(baseline.makespan_s, prefetch.makespan_s),
+                hit_rate: prefetch.hit_rate(),
+            }
+        })
+        .collect();
     PartitionStudy { rows }
-}
-
-/// Run baseline vs prefetch preparation over a fixed partitioning, using
-/// the same per-trainer dataloader/sampler/prefetcher machinery as the
-/// engine, and summing Eq. 2 / Eq. 5 per-step times.
-fn manual_comparison(
-    dataset: &Dataset,
-    parts: &Partitioning,
-    _opts: &Opts,
-    cfg: EngineConfig,
-) -> (u64, f64, f64) {
-    use massivegnn::init::initialize_prefetcher;
-    use massivegnn::prefetcher::baseline_prepare;
-    use mgnn_net::clock::PipelineClock;
-    use mgnn_net::{CommMetrics, SimCluster};
-    use mgnn_partition::split_train_nodes;
-    use mgnn_sampling::{DataLoader, NeighborSampler};
-
-    let cluster = SimCluster::new(&dataset.features, &parts.assignment, parts.num_parts);
-    let lps = build_local_partitions(&dataset.graph, parts, &dataset.train_nodes);
-    let cost = &cfg.cost;
-    let pcfg = PrefetchConfig {
-        f_h: 0.25,
-        gamma: 0.995,
-        delta: 16,
-        ..Default::default()
-    };
-
-    let mut base_total = 0.0f64;
-    let mut pref_total = 0.0f64;
-    let mut base_remote = 0u64;
-    let mut hit_rate_sum = 0.0f64;
-    let mut trainer_count = 0usize;
-
-    // A shape model for MAC estimation.
-    let shape = mgnn_model::SageModel::new(
-        &[
-            dataset.features.dim(),
-            cfg.hidden_dim,
-            dataset.features.num_classes(),
-        ],
-        1,
-    );
-    let param_bytes = mgnn_model::Model::num_params(&shape) * 4;
-    let world = parts.num_parts * cfg.trainers_per_part;
-
-    for lp in &lps {
-        let shards = split_train_nodes(&lp.train_nodes, cfg.trainers_per_part, cfg.seed);
-        for (t, shard) in shards.into_iter().enumerate() {
-            let seeds: Vec<u32> = shard.iter().map(|&g| lp.local_id(g).unwrap()).collect();
-            let loader = DataLoader::new(seeds, cfg.batch_size, cfg.seed ^ t as u64);
-            let steps = loader.batches_per_epoch().min(6);
-            if steps == 0 {
-                continue;
-            }
-            let sampler = NeighborSampler::new(cfg.fanouts.clone(), cfg.seed ^ (t as u64) << 3);
-            let bm = CommMetrics::new();
-            let pm = CommMetrics::new();
-            let (mut pf, init) =
-                initialize_prefetcher(lp, pcfg, dataset.num_nodes(), &cluster, cost, &pm);
-            let mut base_clock = 0.0f64;
-            let mut pipe = PipelineClock::new(init.total_s(), pf.window());
-            let mut gs = 0u64;
-            for epoch in 0..cfg.epochs as u64 {
-                for seeds in loader.epoch(epoch).iter().take(steps) {
-                    let b = baseline_prepare(lp, &sampler, seeds, epoch, gs, &cluster, cost, &bm);
-                    let macs = mgnn_model::Model::macs(&shape, &b.minibatch.blocks);
-                    let t_train = cost.t_ddp(
-                        macs,
-                        b.input.data().len() * 4,
-                        param_bytes,
-                        world,
-                        cfg.backend,
-                    );
-                    base_clock +=
-                        b.timing.t_sampling + b.timing.t_rpc.max(b.timing.t_copy) + t_train;
-
-                    let p = pf.prepare(lp, &sampler, seeds, epoch, gs, &cluster, cost, &pm);
-                    pipe.step_timed(p.timing.t_prepare(), t_train);
-                    gs += 1;
-                }
-            }
-            base_total = base_total.max(base_clock);
-            pref_total = pref_total.max(pipe.now());
-            base_remote += bm.snapshot().remote_nodes_fetched;
-            hit_rate_sum += pm.hit_rate();
-            trainer_count += 1;
-        }
-    }
-    (
-        base_remote,
-        improvement_pct(base_total, pref_total),
-        if trainer_count == 0 {
-            0.0
-        } else {
-            hit_rate_sum / trainer_count as f64
-        },
-    )
 }
 
 impl fmt::Display for PartitionStudy {
@@ -200,15 +100,16 @@ impl fmt::Display for PartitionStudy {
         )?;
         writeln!(
             f,
-            "{:<12} {:>10} {:>10} {:>14} {:>9} {:>8}",
-            "partitioner", "edge cut", "halo frac", "base remote", "impr(%)", "hit(%)"
+            "{:<12} {:>10} {:>8} {:>10} {:>14} {:>9} {:>8}",
+            "partitioner", "edge cut", "balance", "halo frac", "base remote", "impr(%)", "hit(%)"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<12} {:>10} {:>10.3} {:>14} {:>9.1} {:>8.1}",
+                "{:<12} {:>10} {:>8.3} {:>10.3} {:>14} {:>9.1} {:>8.1}",
                 r.partitioner,
                 r.edge_cut,
+                r.balance,
                 r.halo_fraction,
                 r.baseline_remote,
                 r.prefetch_improvement_pct,

@@ -185,7 +185,6 @@ pub struct SimCluster {
     dim: usize,
     /// Owner partition of every global node.
     assignment: Vec<u32>,
-    delay: std::time::Duration,
     faults: Option<ClusterFaults>,
     retry: RetryPolicy,
     /// Pull sets between pulls: as many as pulls were ever in flight at
@@ -198,30 +197,10 @@ impl SimCluster {
     /// `assignment` (`assignment[u]` = owner partition of node `u`).
     /// Spawns one real server thread per partition.
     pub fn new(features: &FeatureStore, assignment: &[u32], num_parts: usize) -> Self {
-        Self::with_options(
+        Self::with_faults(
             features,
             assignment,
             num_parts,
-            std::time::Duration::ZERO,
-            None,
-            RetryPolicy::default(),
-        )
-    }
-
-    /// Like [`SimCluster::new`], but every server sleeps `delay` before
-    /// answering a non-empty pull — real wall-clock network emulation for
-    /// the threaded overlap demos.
-    pub fn with_rpc_delay(
-        features: &FeatureStore,
-        assignment: &[u32],
-        num_parts: usize,
-        delay: std::time::Duration,
-    ) -> Self {
-        Self::with_options(
-            features,
-            assignment,
-            num_parts,
-            delay,
             None,
             RetryPolicy::default(),
         )
@@ -233,24 +212,6 @@ impl SimCluster {
         features: &FeatureStore,
         assignment: &[u32],
         num_parts: usize,
-        profile: Option<FaultProfile>,
-        retry: RetryPolicy,
-    ) -> Self {
-        Self::with_options(
-            features,
-            assignment,
-            num_parts,
-            std::time::Duration::ZERO,
-            profile,
-            retry,
-        )
-    }
-
-    fn with_options(
-        features: &FeatureStore,
-        assignment: &[u32],
-        num_parts: usize,
-        delay: std::time::Duration,
         profile: Option<FaultProfile>,
         retry: RetryPolicy,
     ) -> Self {
@@ -272,7 +233,7 @@ impl SimCluster {
             .enumerate()
             .map(|(p, s)| {
                 let plan = profile.as_ref().map(|f| f.plan_for(p as u32));
-                let server = RpcServer::spawn(Arc::clone(s), delay, plan);
+                let server = RpcServer::spawn(Arc::clone(s), plan);
                 let client = server.client();
                 Mutex::new(Remote {
                     server: Some(server),
@@ -286,7 +247,6 @@ impl SimCluster {
             remotes,
             dim,
             assignment: assignment.to_vec(),
-            delay,
             faults: profile.map(|profile| ClusterFaults { profile }),
             retry,
             free_sets: Mutex::new(Vec::new()),
@@ -567,7 +527,7 @@ impl SimCluster {
             .faults
             .as_ref()
             .map(|f| f.profile.plan_for(part as u32).without_crash());
-        let server = RpcServer::spawn(Arc::clone(&self.stores[part]), self.delay, plan);
+        let server = RpcServer::spawn(Arc::clone(&self.stores[part]), plan);
         g.client = server.client();
         // Dropping the old handle joins the already-dead thread.
         g.server = Some(server);

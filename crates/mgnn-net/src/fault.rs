@@ -13,7 +13,7 @@
 //! [`RetryPolicy`] is the client-side counterpart: bounded retries
 //! with a wall-clock wait per attempt and a deterministic exponential
 //! backoff schedule that is charged to the *simulated* clock (see
-//! `Prefetcher::prepare`), so retries surface in `t_prepare` and the
+//! `Prefetcher::prepare_reuse`), so retries surface in `t_prepare` and the
 //! Eq. 6 overlap model rather than silently vanishing.
 
 use std::time::Duration;

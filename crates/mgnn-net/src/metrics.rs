@@ -229,11 +229,6 @@ impl CommMetrics {
         }
     }
 
-    /// Cumulative hit rate so far ([`MetricsSnapshot::hit_rate`]).
-    pub fn hit_rate(&self) -> f64 {
-        self.snapshot().hit_rate()
-    }
-
     /// Snapshot all counters into a plain struct.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.counters.snapshot()
@@ -274,7 +269,7 @@ mod tests {
         let rows: Vec<f32> = (0..40 * dim).map(|i| i as f32 * 0.37 - 3.0).collect();
         let features = mgnn_graph::FeatureStore::from_parts(40, dim, rows, vec![0; 40], 1);
         let kv = KvStore::new(0, owned, &features);
-        let server = RpcServer::spawn(Arc::new(kv), std::time::Duration::ZERO, None);
+        let server = RpcServer::spawn(Arc::new(kv), None);
         let client = server.client();
         let m = CommMetrics::new();
         let mut received = 0u64;
@@ -292,9 +287,9 @@ mod tests {
     #[test]
     fn hit_rate_math() {
         let m = CommMetrics::new();
-        assert_eq!(m.hit_rate(), 0.0);
+        assert_eq!(m.snapshot().hit_rate(), 0.0);
         m.record_lookup(3, 1);
-        assert!((m.hit_rate() - 0.75).abs() < 1e-12);
+        assert!((m.snapshot().hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -124,17 +124,13 @@ pub struct RpcServer {
 }
 
 impl RpcServer {
-    /// Spawn a server thread for `kv`. It sleeps `delay` before answering
-    /// each non-empty pull — emulating real network/service latency with
-    /// real wall-clock time, so the threaded overlap pipeline has
-    /// something genuine to hide (in-process RPC is otherwise effectively
-    /// free). Under a fault `plan` each request's verdict (serve / drop /
-    /// delay-tag / truncate) is a pure function of the plan seed and the
-    /// request index, and the server thread exits — without replying —
-    /// once the plan's crash budget is reached. Injected delays are
-    /// *sim-time tags* on the reply, not wall-clock sleeps, so chaos runs
-    /// stay fast and reproducible.
-    pub fn spawn(kv: Arc<KvStore>, delay: std::time::Duration, plan: Option<FaultPlan>) -> Self {
+    /// Spawn a server thread for `kv`. Under a fault `plan` each
+    /// request's verdict (serve / drop / delay-tag / truncate) is a pure
+    /// function of the plan seed and the request index, and the server
+    /// thread exits — without replying — once the plan's crash budget is
+    /// reached. Injected delays are *sim-time tags* on the reply, not
+    /// wall-clock sleeps, so chaos runs stay fast and reproducible.
+    pub fn spawn(kv: Arc<KvStore>, plan: Option<FaultPlan>) -> Self {
         let dim = kv.dim();
         let (tx, rx) = unbounded::<Request>();
         let handle = std::thread::Builder::new()
@@ -170,9 +166,6 @@ impl RpcServer {
                                 .map(|p| p.verdict(requests))
                                 .unwrap_or(FaultVerdict::None);
                             requests += 1;
-                            if !delay.is_zero() && !ids.is_empty() {
-                                std::thread::sleep(delay);
-                            }
                             if matches!(verdict, FaultVerdict::Drop) {
                                 // Swallow the reply; the client times out.
                                 parked.push(reply);
@@ -374,9 +367,9 @@ mod tests {
         client.pull_async(ids)?.wait().map(|r| r.payload)
     }
 
-    /// A server for [`kv`] that answers at once, under `plan` if any.
+    /// A server for [`kv`], under `plan` if any.
     fn serve(plan: Option<FaultPlan>) -> RpcServer {
-        RpcServer::spawn(kv(), std::time::Duration::ZERO, plan)
+        RpcServer::spawn(kv(), plan)
     }
 
     fn plan_with(f: impl FnOnce(&mut FaultProfile)) -> FaultPlan {
@@ -452,19 +445,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(server.shutdown(), 200);
-    }
-
-    #[test]
-    fn delayed_server_still_correct() {
-        let server = RpcServer::spawn(kv(), std::time::Duration::from_millis(2), None);
-        let client = server.client();
-        let t0 = std::time::Instant::now();
-        assert_eq!(pull(&client, vec![1]).unwrap(), on_wire([1.0, 1.5]));
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(2));
-        // Empty pulls skip the delay.
-        let t1 = std::time::Instant::now();
-        assert_eq!(pull(&client, vec![]).unwrap(), Vec::<WireElem>::new());
-        assert!(t1.elapsed() < std::time::Duration::from_millis(2));
     }
 
     #[test]

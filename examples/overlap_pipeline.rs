@@ -1,161 +1,64 @@
-//! Real-thread overlap demo: uses [`massivegnn::pipeline::PrefetchPipeline`]
-//! to prepare minibatches on a dedicated thread while the main thread
-//! trains, and measures *actual wall-clock* overlap — the mechanism the
-//! paper implements with ThreadPoolExecutor + NUMBA, here with native
-//! threads and a bounded queue.
+//! Real-thread overlap demo: the same prefetch run stepped round-robin on
+//! one thread, then with a trainer thread and a prepare thread (feeding a
+//! bounded look-ahead queue) per trainer — the mechanism the paper
+//! implements with ThreadPoolExecutor + NUMBA. Prints both wall clocks;
+//! the two reports must agree bit for bit.
 //!
 //! ```bash
 //! cargo run --release --example overlap_pipeline
 //! ```
 
-use massivegnn::init::initialize_prefetcher;
-use massivegnn::pipeline::PrefetchPipeline;
-use massivegnn::PrefetchConfig;
-use mgnn_graph::{Dataset, DatasetKind, Scale};
-use mgnn_model::{train::forward_backward, Model, SageModel};
-use mgnn_net::{CommMetrics, CostModel, SimCluster};
-use mgnn_partition::{build_local_partitions, multilevel_partition, split_train_nodes};
-use mgnn_sampling::{DataLoader, NeighborSampler};
-use std::sync::Arc;
+use massivegnn::{Engine, EngineConfig, Mode, PrefetchConfig};
+use mgnn_graph::{DatasetKind, Scale};
 use std::time::Instant;
 
 fn main() {
-    let dataset = Dataset::generate(DatasetKind::Products, Scale::Small, 7);
-    let parts = multilevel_partition(&dataset.graph, 2, 7);
-    // Emulate real network latency: each remote pull costs 4 ms of wall
-    // clock, so the prepare thread has genuine communication to hide.
-    let cluster = Arc::new(SimCluster::with_rpc_delay(
-        &dataset.features,
-        &parts.assignment,
-        2,
-        std::time::Duration::from_millis(4),
-    ));
-    let lps = build_local_partitions(&dataset.graph, &parts, &dataset.train_nodes);
-    let part = Arc::new(lps.into_iter().next().unwrap());
-
-    let shard = split_train_nodes(&part.train_nodes, 1, 3).remove(0);
-    let seeds: Vec<u32> = shard.iter().map(|&g| part.local_id(g).unwrap()).collect();
-    let loader = DataLoader::new(seeds, 256, 11);
-    let steps = loader.batches_per_epoch();
-    let epochs = 2;
-    let sampler = NeighborSampler::new(vec![10, 25], 13);
-    let metrics = Arc::new(CommMetrics::new());
-    let cost = CostModel::default();
-
-    let (prefetcher, init) = initialize_prefetcher(
-        &part,
-        PrefetchConfig {
+    let mut cfg = EngineConfig {
+        dataset: DatasetKind::Products,
+        scale: Scale::Small,
+        num_parts: 2,
+        trainers_per_part: 1,
+        batch_size: 256,
+        epochs: 2,
+        fanouts: vec![10, 25],
+        hidden_dim: 96,
+        train_math: true,
+        mode: Mode::Prefetch(PrefetchConfig {
             f_h: 0.35,
             delta: 16,
             ..Default::default()
-        },
-        dataset.num_nodes(),
-        &cluster,
-        &cost,
-        &metrics,
-    );
+        }),
+        ..Default::default()
+    };
+    let timed = |cfg: &EngineConfig| {
+        let engine = Engine::build(cfg.clone());
+        let t0 = Instant::now();
+        let report = engine.run();
+        (report, t0.elapsed())
+    };
+
+    let (sequential, serial) = timed(&cfg);
     println!(
-        "prefetcher initialized: {} halo nodes buffered ({} KiB persistent)",
-        init.buffer_nodes,
-        init.persistent_bytes / 1024
+        "sequential: {} steps x {} trainers in {serial:.2?} (final loss {:.3}, hit rate {:.1}%)",
+        cfg.epochs * sequential.steps_per_epoch,
+        sequential.world,
+        sequential.epoch_loss.last().copied().unwrap_or(f32::NAN),
+        100.0 * sequential.hit_rate()
     );
 
-    let mut model = SageModel::new(
-        &[dataset.features.dim(), 96, dataset.features.num_classes()],
-        5,
-    );
-
-    // --- overlapped: prepare thread + training thread (this one) ---
-    let t0 = Instant::now();
-    let pipeline = PrefetchPipeline::spawn(
-        prefetcher,
-        Arc::clone(&part),
-        sampler.clone(),
-        loader.clone(),
-        Arc::clone(&cluster),
-        cost.clone(),
-        Arc::clone(&metrics),
-        epochs,
-        steps,
-    );
-    let mut batches = 0;
-    let mut last_loss = 0.0f32;
-    while let Some(batch) = pipeline.next() {
-        let stats = forward_backward(
-            &mut model,
-            &batch.minibatch.blocks,
-            &batch.input,
-            &batch.labels,
-        );
-        // Single-trainer "DDP": apply plain SGD on own grads.
-        let np = Model::num_params(&model);
-        let mut params = vec![0.0f32; np];
-        let mut grads = vec![0.0f32; np];
-        model.write_params(&mut params);
-        model.write_grads(&mut grads);
-        for (p, g) in params.iter_mut().zip(&grads) {
-            *p -= 0.05 * g;
-        }
-        model.read_params(&params);
-        last_loss = stats.loss;
-        batches += 1;
-    }
-    let overlapped = t0.elapsed();
-    let pf = pipeline.join();
-    println!(
-        "overlapped: {batches} minibatches in {:.2?} (final loss {last_loss:.3}, hit rate {:.1}%)",
-        overlapped,
-        100.0 * metrics.hit_rate()
-    );
-    pf.buffer.check_invariants().expect("buffer intact");
-
-    // --- serial reference: prepare then train, same work ---
-    let metrics2 = Arc::new(CommMetrics::new());
-    let (mut pf2, _) = initialize_prefetcher(
-        &part,
-        PrefetchConfig {
-            f_h: 0.35,
-            delta: 16,
-            ..Default::default()
-        },
-        dataset.num_nodes(),
-        &cluster,
-        &cost,
-        &metrics2,
-    );
-    let mut model2 = SageModel::new(
-        &[dataset.features.dim(), 96, dataset.features.num_classes()],
-        5,
-    );
-    let t1 = Instant::now();
-    let mut gs = 0u64;
-    for epoch in 0..epochs as u64 {
-        for seeds in loader.epoch(epoch).iter().take(steps) {
-            let batch = pf2.prepare(
-                &part, &sampler, seeds, epoch, gs, &cluster, &cost, &metrics2,
-            );
-            gs += 1;
-            forward_backward(
-                &mut model2,
-                &batch.minibatch.blocks,
-                &batch.input,
-                &batch.labels,
-            );
-            let np = Model::num_params(&model2);
-            let mut params = vec![0.0f32; np];
-            let mut grads = vec![0.0f32; np];
-            model2.write_params(&mut params);
-            model2.write_grads(&mut grads);
-            for (p, g) in params.iter_mut().zip(&grads) {
-                *p -= 0.05 * g;
-            }
-            model2.read_params(&params);
-        }
-    }
-    let serial = t1.elapsed();
-    println!("serial:     {gs} minibatches in {serial:.2?}");
+    // On a single core `parallel` falls back to round-robin unless
+    // MGNN_THREADS forces the threads.
+    cfg.parallel = true;
+    let (threaded, overlapped) = timed(&cfg);
+    println!("threaded:   same run in {overlapped:.2?}");
     println!(
         "wall-clock overlap benefit: {:.1}%",
         100.0 * (1.0 - overlapped.as_secs_f64() / serial.as_secs_f64())
     );
+
+    assert_eq!(sequential.final_params, threaded.final_params);
+    assert_eq!(sequential.epoch_loss, threaded.epoch_loss);
+    assert_eq!(sequential.makespan_s, threaded.makespan_s);
+    assert_eq!(sequential.aggregate_metrics(), threaded.aggregate_metrics());
+    println!("both schedulers report the same run ✓");
 }

@@ -532,6 +532,32 @@ fn both_schedulers_reproduce_the_parent_reports() {
     }
 }
 
+/// The partitioner is an argument of the constructor: naming the default
+/// changes nothing, and an assignment the multilevel partitioner did not
+/// make (hash: every other node remote, halo fractions near 1) runs
+/// through both schedulers bit for bit.
+#[test]
+fn the_partitioner_is_an_argument_and_any_assignment_runs_on_both_schedulers() {
+    use mgnn_partition::{hash::hash_partition, multilevel_partition};
+    for shape in [Shape::Baseline, Shape::Scoreboard, Shape::Lookahead2] {
+        let mut cfg = fingerprint_config(shape, true, 42);
+        assert_eq!(
+            report_fingerprint(&Engine::build_with(cfg.clone(), multilevel_partition).run()),
+            report_fingerprint(&Engine::build(cfg.clone()).run()),
+            "{shape:?}: build_with(multilevel_partition) is not build"
+        );
+        let hash = |g: &_, k, _| hash_partition(g, k);
+        let seq = Engine::build_with(cfg.clone(), hash).run();
+        assert!(seq.aggregate_metrics().remote_nodes_fetched > 0);
+        cfg.parallel = true;
+        assert_eq!(
+            report_fingerprint(&Engine::build_with(cfg, hash).run()),
+            report_fingerprint(&seq),
+            "{shape:?}: threaded scheduler differs on a hash assignment"
+        );
+    }
+}
+
 /// `cargo test --release -p mgnn-bench --test integration_engine -- --ignored --nocapture`
 /// prints the table in source form.
 #[test]

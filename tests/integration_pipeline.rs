@@ -6,7 +6,7 @@
 //! buffer, or a remote fetch).
 
 use massivegnn::init::initialize_prefetcher;
-use massivegnn::prefetcher::{baseline_prepare, baseline_prepare_reuse, PrepareScratch};
+use massivegnn::prefetcher::{baseline_prepare_reuse, PrepareScratch};
 use massivegnn::PrefetchConfig;
 use mgnn_graph::{Dataset, DatasetKind, Scale};
 use mgnn_model::{Model, SageModel};
@@ -78,7 +78,8 @@ fn prefetched_features_match_ground_truth_across_modes() {
             &metrics,
         );
         for step in 0..6u64 {
-            let batch = pf.prepare(
+            let batch = pf.prepare_reuse(
+                None,
                 part,
                 &sampler,
                 &seeds,
@@ -136,8 +137,29 @@ fn baseline_and_prefetch_assemble_identical_batches() {
         &m1,
     );
     for step in 0..4u64 {
-        let a = pf.prepare(part, &sampler, &seeds, 0, step, &fx.cluster, &cost, &m1);
-        let b = baseline_prepare(part, &sampler, &seeds, 0, step, &fx.cluster, &cost, &m2);
+        let a = pf.prepare_reuse(
+            None,
+            part,
+            &sampler,
+            &seeds,
+            0,
+            step,
+            &fx.cluster,
+            &cost,
+            &m1,
+        );
+        let b = baseline_prepare_reuse(
+            None,
+            &mut PrepareScratch::default(),
+            part,
+            &sampler,
+            &seeds,
+            0,
+            step,
+            &fx.cluster,
+            &cost,
+            &m2,
+        );
         assert_eq!(
             a.minibatch, b.minibatch,
             "sampling must be mode-independent"
@@ -179,7 +201,9 @@ fn wire_rounding_stays_inside_training_noise() {
             .collect();
         let metrics = CommMetrics::new();
         for step in 0..3u64 {
-            let wire_batch = baseline_prepare(
+            let wire_batch = baseline_prepare_reuse(
+                None,
+                &mut PrepareScratch::default(),
                 part,
                 &sampler,
                 &seeds,
@@ -261,7 +285,8 @@ fn eviction_keeps_buffer_capacity_constant_across_many_steps() {
     let capacity = pf.buffer.len();
     for epoch in 0..3u64 {
         for step in 0..10u64 {
-            pf.prepare(
+            pf.prepare_reuse(
+                None,
                 part,
                 &sampler,
                 &seeds,
@@ -313,7 +338,8 @@ fn buffered_features_stay_fresh_after_replacements() {
         &metrics,
     );
     for step in 0..12u64 {
-        pf.prepare(
+        pf.prepare_reuse(
+            None,
             part,
             &sampler,
             &seeds,
@@ -427,7 +453,17 @@ fn degraded_rows_are_zero_in_a_recycled_input_matrix() {
         &cost,
         &metrics,
     );
-    let mut carcass = pf.prepare(part, &sampler, &seeds, 0, 0, &fx.cluster, &cost, &metrics);
+    let mut carcass = pf.prepare_reuse(
+        None,
+        part,
+        &sampler,
+        &seeds,
+        0,
+        0,
+        &fx.cluster,
+        &cost,
+        &metrics,
+    );
     let mut degraded = 0;
     for step in 1..4u64 {
         let buffered: Vec<bool> = (0..part.num_halo() as u32)

@@ -100,7 +100,7 @@ proptest! {
     ) {
         // Regression for the duplicate-miss bug: a halo node sampled
         // through several seeds in one minibatch must bump S_A once, not
-        // once per occurrence. Mirrors Prefetcher::prepare's stamp-based
+        // once per occurrence. Mirrors Prefetcher::prepare_reuse's stamp-based
         // dedup and checks it against a set-based reference on both
         // layouts.
         let halo: Vec<u32> = (0..64u32).map(|h| 1000 + h * 3).collect();

@@ -66,10 +66,6 @@ const ORACLES: &[(&str, &str)] = &[
         "planted-partition fixture `multilevel_partition`, `bfs_partition` and `refine` must recover",
     ),
     (
-        "balance",
-        "the ε-balance `multilevel_partition` is held to (`balanced_within_tolerance`)",
-    ),
-    (
         "weighted_cut",
         "the cut `multilevel::refine` must never increase, measured before and after",
     ),
@@ -92,8 +88,8 @@ const ORACLES: &[(&str, &str)] = &[
         "serial reference of `EvictionScores::decay_or_reset_prefix`",
     ),
     (
-        "occupied",
-        "buffer-membership probe for `initialize_prefetcher` and the evict-and-replace rounds of `prepare`",
+        "check_invariants",
+        "the slot and halo maps of `PrefetchBuffer` stay mutually inverse, occupancy a prefix, through `initialize_prefetcher` and every evict-and-replace round of `Prefetcher::prepare_reuse`",
     ),
     (
         "t_prefetch_first",
