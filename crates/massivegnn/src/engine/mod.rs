@@ -401,7 +401,7 @@ mod tests {
     use super::*;
     use crate::config::{PrefetchConfig, PrefetchPolicyKind, ScoreLayout};
     use mgnn_graph::{DatasetKind, Scale};
-    use mgnn_net::{Backend, FaultProfile, RetryPolicy};
+    use mgnn_net::{Backend, FaultProfile};
     use mgnn_obs::{Lane, Phase};
 
     fn base_cfg() -> EngineConfig {
@@ -971,18 +971,9 @@ mod tests {
         assert!(pp > pb, "prefetch should allocate buffer memory");
     }
 
-    /// Retry policy whose timeout is far beyond any healthy reply, so a
-    /// loaded test machine can never produce a spurious timeout.
-    fn generous_retry() -> RetryPolicy {
-        RetryPolicy {
-            timeout: std::time::Duration::from_secs(120),
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The faults-disabled identity oracle: arming the chaos machinery
     /// with an all-zero profile must leave every report field bitwise
-    /// unchanged against a `fault: None` run — timeouts, Result plumbing
+    /// unchanged against a `fault: None` run — fault keys, Result plumbing
     /// and outcome accounting cost exactly nothing when nothing fires.
     #[test]
     fn faultless_chaos_config_is_bitwise_identical() {
@@ -994,7 +985,6 @@ mod tests {
                 cfg.train_math = true;
                 let plain = Engine::build(cfg.clone()).run();
                 cfg.fault = Some(FaultProfile::off(0xC4A0));
-                cfg.retry = generous_retry();
                 let armed = Engine::build(cfg).run();
                 assert!(!armed.aggregate_metrics().had_faults());
                 assert_reports_identical(&plain, &armed);
@@ -1016,7 +1006,6 @@ mod tests {
             crash_after: 8,
             ..FaultProfile::off(7)
         });
-        cfg.retry = generous_retry();
         let crashed = Engine::build(cfg).run();
         let agg = crashed.aggregate_metrics();
         assert!(agg.server_respawns >= 1, "crash must trigger a respawn");
@@ -1054,10 +1043,6 @@ mod tests {
             crash_after: 8,
             ..FaultProfile::off(99)
         });
-        cfg.retry = RetryPolicy {
-            timeout: std::time::Duration::from_millis(500),
-            ..RetryPolicy::default()
-        };
         let a = Engine::build(cfg.clone()).run();
         let b = Engine::build(cfg).run();
         assert!(
@@ -1082,7 +1067,6 @@ mod tests {
             delay_factor: 4,
             ..FaultProfile::off(5)
         });
-        cfg.retry = generous_retry();
         let chaos = Engine::build(cfg).run();
         let total_steps = chaos.steps_per_epoch as u64;
         for ((ct, xt), trace) in clean

@@ -10,9 +10,12 @@
 //! retry failed. The verdict line carries a machine-readable marker so
 //! `repro` can exit non-zero when a chaos run diverges (CI gates on it).
 //!
-//! Chaos runs use the sequential engine: one issuing thread gives every
-//! request a stable index, so the same `--fault-seed` replays the exact
-//! same drops/delays/crashes at any `MGNN_THREADS`.
+//! Every drop, delay and truncation is keyed on the request (its id and
+//! attempt), so it would replay under trainer threads too; the crash of
+//! `heavy` is the one decision counted in arrival order. Chaos runs
+//! therefore use the sequential engine, whose one issuing thread fixes
+//! that order, and the same `--fault-seed` replays the exact same
+//! drops/delays/crashes at any `MGNN_THREADS`.
 
 use crate::harness::{engine_config, Opts};
 use massivegnn::{Engine, FaultProfile, Mode, PrefetchConfig, RunReport};
@@ -62,7 +65,7 @@ pub fn run(opts: &Opts) -> Chaos {
 
     let mut cfg = engine_config(opts, DatasetKind::Products, Backend::Cpu, 2);
     cfg.train_math = true;
-    cfg.parallel = false; // chaos replay is pinned to the sequential engine
+    cfg.parallel = false; // the crash budget counts arrivals: one issuing thread
     cfg.mode = Mode::Prefetch(PrefetchConfig {
         f_h: 0.25,
         gamma: 0.995,

@@ -12,15 +12,17 @@
 //! so a fault-free pull allocates nothing once they have grown.
 //!
 //! The cluster is also where the fault-tolerance ladder lives. A pull
-//! against a faulty server can time out, come back truncated, or find
-//! the server dead; the pull retries with the configured
-//! [`RetryPolicy`], respawns a crashed server from its (still-resident)
-//! [`KvStore`], and — once retries are exhausted — serves the affected
-//! rows as zeros rather than failing the whole pull, reporting exactly
-//! what happened in a [`PullOutcome`] so callers can charge simulated
-//! time and degrade gracefully.
+//! against a faulty server can have its reply dropped (a timeout), come
+//! back truncated, or find the server dead; the pull retries with the
+//! configured [`RetryPolicy`], respawns a crashed server from its
+//! (still-resident) [`KvStore`], and — once retries are exhausted —
+//! serves the affected rows as zeros rather than failing the whole pull,
+//! reporting exactly what happened in a [`PullOutcome`] so callers can
+//! charge simulated time and degrade gracefully. Each attempt carries
+//! the [`fault_key`] of its request id and attempt number, so what it
+//! meets does not depend on which trainer got to a server first.
 
-use crate::fault::{FaultProfile, RetryPolicy};
+use crate::fault::{fault_key, FaultProfile, RetryPolicy};
 use crate::kvstore::KvStore;
 use crate::rpc::{PullHandle, PullResponse, ReplyChannel, RpcClient, RpcError, RpcServer};
 use crate::wire::{self, WireElem};
@@ -37,14 +39,10 @@ struct Remote {
     generation: u64,
 }
 
-/// Chaos configuration attached to a cluster.
-struct ClusterFaults {
-    profile: FaultProfile,
-}
-
 /// Everything that deviated from the happy path during one grouped pull.
-/// All counts are exact and — with a seeded [`FaultProfile`] and a
-/// single issuing thread — fully deterministic.
+/// All counts are exact and — with a seeded [`FaultProfile`] — a pure
+/// function of the pull's request id, whichever thread issues it, unless
+/// the pull meets the profile's crash.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PullOutcome {
     /// Correlation id this pull was tagged with
@@ -59,7 +57,7 @@ pub struct PullOutcome {
     pub rpcs: usize,
     /// Retry attempts issued after a failed attempt.
     pub retries: u64,
-    /// Attempts that timed out waiting for a reply.
+    /// Attempts whose reply was dropped.
     pub timeouts: u64,
     /// Replies rejected for a short payload.
     pub truncations: u64,
@@ -185,7 +183,7 @@ pub struct SimCluster {
     dim: usize,
     /// Owner partition of every global node.
     assignment: Vec<u32>,
-    faults: Option<ClusterFaults>,
+    faults: Option<FaultProfile>,
     retry: RetryPolicy,
     /// Pull sets between pulls: as many as pulls were ever in flight at
     /// once, each grown to the largest pull it carried.
@@ -247,7 +245,7 @@ impl SimCluster {
             remotes,
             dim,
             assignment: assignment.to_vec(),
-            faults: profile.map(|profile| ClusterFaults { profile }),
+            faults: profile,
             retry,
             free_sets: Mutex::new(Vec::new()),
         }
@@ -282,9 +280,10 @@ impl SimCluster {
     /// Pull features for arbitrary global `ids` through the RPC servers,
     /// grouping by owner (one bulk request per touched partition, like
     /// DistDGL), and hand them back undecoded. `request_id` tags the
-    /// pull: when it is nonzero and the global event log
-    /// ([`mgnn_obs::events`]) is installed, every fault verdict this pull
-    /// hits is recorded against that id.
+    /// pull: it keys every fault verdict the pull meets ([`fault_key`]),
+    /// and when it is nonzero and the global event log
+    /// ([`mgnn_obs::events`]) is installed, every verdict is recorded
+    /// against that id.
     ///
     /// Ladder per partition: issue → (on failure) respawn a dead server
     /// and retry up to `RetryPolicy::max_retries` times → give the
@@ -327,6 +326,7 @@ impl SimCluster {
                 std::mem::take(&mut leg.ids),
                 std::mem::take(&mut leg.payload),
                 leg.reply.take(),
+                fault_key(request_id, 0),
             );
             leg.in_flight = Some((issued, generation));
         }
@@ -334,7 +334,7 @@ impl SimCluster {
             let Some((issued, generation)) = leg.in_flight.take() else {
                 continue;
             };
-            let served = match issued.and_then(|h| self.wait_on(h)) {
+            let served = match issued.and_then(PullHandle::wait) {
                 Ok(resp) => {
                     self.note_delay(&resp, part, 0, &mut outcome);
                     Some(resp)
@@ -379,7 +379,9 @@ impl SimCluster {
     /// `Vec<f32>` in the order of `ids` — each element rounded once by
     /// the [`wire`] format it crossed in, failed rows zero — with the
     /// pull's full fault accounting. For callers that want the whole
-    /// image; the training path decodes row by row instead.
+    /// image; the training path decodes row by row instead. The pull is
+    /// untagged (request id 0): under a fault profile every such pull
+    /// meets one fixed verdict per partition and attempt.
     pub fn pull_grouped_checked(&self, ids: &[NodeId]) -> (Vec<f32>, PullOutcome) {
         let (rows, outcome) = self.pull_rows(ids, 0);
         let mut out = vec![0.0f32; ids.len() * self.dim];
@@ -419,16 +421,6 @@ impl SimCluster {
                 attempt,
                 value,
             });
-        }
-    }
-
-    /// Wait for one reply, bounded by the retry policy's timeout when a
-    /// fault profile is active. The fault-free path blocks indefinitely
-    /// — exactly the pre-fault behaviour, with no wall-clock sensitivity.
-    fn wait_on(&self, handle: PullHandle) -> Result<PullResponse, RpcError> {
-        match &self.faults {
-            Some(_) => handle.wait_timeout(self.retry.timeout),
-            None => handle.wait(),
         }
     }
 
@@ -495,9 +487,10 @@ impl SimCluster {
             Self::emit(outcome, "retry", part, attempt, list.len() as u64);
             let (client, gen_now) = self.current_client(part);
             generation = gen_now;
+            let key = fault_key(outcome.request_id, attempt);
             let result = client
-                .pull_async(list.to_vec())
-                .and_then(|h| self.wait_on(h));
+                .pull_async_into(list.to_vec(), Vec::new(), None, key)
+                .and_then(PullHandle::wait);
             match result {
                 Ok(resp) => {
                     self.note_delay(&resp, part, attempt, outcome);
@@ -526,7 +519,7 @@ impl SimCluster {
         let plan = self
             .faults
             .as_ref()
-            .map(|f| f.profile.plan_for(part as u32).without_crash());
+            .map(|f| f.plan_for(part as u32).without_crash());
         let server = RpcServer::spawn(Arc::clone(&self.stores[part]), plan);
         g.client = server.client();
         // Dropping the old handle joins the already-dead thread.
@@ -567,18 +560,11 @@ mod tests {
         row.iter().map(|&x| wire::round_trip(x)).collect()
     }
 
-    fn retry_with_timeout(ms: u64) -> RetryPolicy {
+    fn two_retries() -> RetryPolicy {
         RetryPolicy {
             max_retries: 2,
-            timeout: std::time::Duration::from_millis(ms),
             ..RetryPolicy::default()
         }
-    }
-
-    /// Generous timeout for tests where a timeout firing would be a
-    /// spurious failure (loaded CI), short enough to not matter.
-    fn fast_retry() -> RetryPolicy {
-        retry_with_timeout(2_000)
     }
 
     #[test]
@@ -626,7 +612,7 @@ mod tests {
     #[test]
     fn faultless_profile_outcome_is_clean() {
         let (f, a) = fixture();
-        let c = SimCluster::with_faults(&f, &a, 4, Some(FaultProfile::off(3)), fast_retry());
+        let c = SimCluster::with_faults(&f, &a, 4, Some(FaultProfile::off(3)), two_retries());
         let ids = vec![7u32, 3, 42, 7, 11];
         let (out, outcome) = c.pull_grouped_checked(&ids);
         assert!(!outcome.had_faults());
@@ -644,7 +630,7 @@ mod tests {
             crash_after: 0,
             ..FaultProfile::off(5)
         };
-        let c = SimCluster::with_faults(&f, &a, 4, Some(profile), fast_retry());
+        let c = SimCluster::with_faults(&f, &a, 4, Some(profile), two_retries());
         let ids: Vec<u32> = (0..60).collect();
         let (out, outcome) = c.pull_grouped_checked(&ids);
         assert_eq!(outcome.respawns, 1);
@@ -663,15 +649,63 @@ mod tests {
         assert!(!second.had_faults());
     }
 
+    /// A crash moves no other request's verdict: the respawned server
+    /// keys its verdicts on the request, as the one it replaced did, so
+    /// the same tagged pulls meet the same delays, truncations and drops
+    /// on a crashing cluster as on a crash-free one — all but the pull
+    /// the crash hit.
+    #[test]
+    fn a_crash_moves_no_other_requests_verdict() {
+        use mgnn_obs::events::{request_id, ORIGIN_PREPARE};
+        let (f, a) = fixture();
+        let calm = FaultProfile {
+            drop_prob: 0.1,
+            delay_prob: 0.2,
+            delay_factor: 2,
+            truncate_prob: 0.1,
+            ..FaultProfile::off(13)
+        };
+        let crashing = FaultProfile {
+            crash_part: Some(1),
+            crash_after: 5,
+            ..calm.clone()
+        };
+        let retry = RetryPolicy {
+            max_retries: 4,
+            ..RetryPolicy::default()
+        };
+        let calm = SimCluster::with_faults(&f, &a, 4, Some(calm), retry.clone());
+        let crashing = SimCluster::with_faults(&f, &a, 4, Some(crashing), retry);
+        let ids: Vec<u32> = (0..60).collect();
+        let mut differ = Vec::new();
+        let mut faults = 0;
+        for step in 0..32 {
+            let req = request_id(ORIGIN_PREPARE, 0, step);
+            let (_, want) = calm.pull_rows(&ids, req);
+            let (_, got) = crashing.pull_rows(&ids, req);
+            faults += want.timeouts + want.truncations + want.delay_events.len() as u64;
+            if got != want {
+                differ.push((step, got.respawns));
+            }
+        }
+        assert!(faults > 20, "the profile must fire: {faults}");
+        assert_eq!(
+            differ.len(),
+            1,
+            "only the pull the crash hit moves: {differ:?}"
+        );
+        assert_eq!(differ[0].1, 1, "and that pull met the crash");
+    }
+
     #[test]
     fn exhausted_retries_zero_fill_and_report_rows() {
         let (f, a) = fixture();
-        // Partition 1 drops every reply; retries can never succeed.
+        // Every partition drops every reply; retries can never succeed.
         let profile = FaultProfile {
             drop_prob: 1.0,
             ..FaultProfile::off(9)
         };
-        let c = SimCluster::with_faults(&f, &a, 4, Some(profile), retry_with_timeout(10));
+        let c = SimCluster::with_faults(&f, &a, 4, Some(profile), two_retries());
         let ids = vec![4u32, 5, 6, 7]; // parts 0..=3, one row each
         let (out, outcome) = c.pull_grouped_checked(&ids);
         assert_eq!(outcome.failed_rows, vec![0, 1, 2, 3]);
@@ -711,7 +745,7 @@ mod tests {
     #[test]
     fn a_rejected_pull_is_attempted_once_and_zero_filled() {
         let (f, a) = fixture();
-        let mut c = SimCluster::with_faults(&f, &a, 4, None, fast_retry());
+        let mut c = SimCluster::with_faults(&f, &a, 4, None, two_retries());
         // A routing bug: node 5 (owned by part 1) is believed to be on 2.
         c.assignment[5] = 2;
         let (rows, outcome) = c.pull_rows(&[6, 5, 9], 0);
@@ -742,7 +776,7 @@ mod tests {
             delay_factor: 6,
             ..FaultProfile::off(2)
         };
-        let c = SimCluster::with_faults(&f, &a, 4, Some(profile), fast_retry());
+        let c = SimCluster::with_faults(&f, &a, 4, Some(profile), two_retries());
         let ids = vec![0u32, 1, 2, 3];
         let (out, outcome) = c.pull_grouped_checked(&ids);
         assert_eq!(outcome.delay_events.len(), 4);
@@ -769,7 +803,7 @@ mod tests {
             drop_prob: 1.0,
             ..FaultProfile::off(9)
         };
-        let c = SimCluster::with_faults(&f, &a, 4, Some(profile), retry_with_timeout(10));
+        let c = SimCluster::with_faults(&f, &a, 4, Some(profile), two_retries());
         let req = events::request_id(events::ORIGIN_PREPARE, 1, 42);
         events::install();
         // Untagged: full fault ladder, zero events.
@@ -824,8 +858,7 @@ mod tests {
             ..FaultProfile::off(77)
         };
         let run = || {
-            let c =
-                SimCluster::with_faults(&f, &a, 4, Some(profile.clone()), retry_with_timeout(500));
+            let c = SimCluster::with_faults(&f, &a, 4, Some(profile.clone()), two_retries());
             let mut outs = Vec::new();
             for _ in 0..3 {
                 outs.push(c.pull_grouped_checked(&[1, 2, 3, 4, 5, 6, 7, 8]));

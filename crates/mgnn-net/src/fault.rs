@@ -4,27 +4,27 @@
 //! plus per-request probabilities for dropping a reply, delaying it by
 //! a sim-time factor, or truncating the payload, and an optional
 //! crash-after-N-requests budget for one partition. From it each
-//! server derives a [`FaultPlan`] whose per-request verdict is a pure
-//! function of `(seed, part, request_index)` — no RNG state, no wall
-//! clock — so a chaos run replays bit-for-bit from its seed alone, and
-//! the verdict for request *i* is independent of how many other
-//! requests interleaved before it.
+//! server derives a [`FaultPlan`] whose verdict is a pure function of
+//! `(seed, part, key)`, where the key ([`fault_key`]) names the request
+//! itself — the pull's request id and the attempt — so no RNG state, no
+//! wall clock and no arrival order enters it: a chaos run replays
+//! bit-for-bit from its seed alone, under any interleaving of trainers
+//! and across a respawn. The crash budget is the one decision still
+//! counted in arrival order.
 //!
 //! [`RetryPolicy`] is the client-side counterpart: bounded retries
-//! with a wall-clock wait per attempt and a deterministic exponential
-//! backoff schedule that is charged to the *simulated* clock (see
-//! `Prefetcher::prepare_reuse`), so retries surface in `t_prepare` and the
-//! Eq. 6 overlap model rather than silently vanishing.
-
-use std::time::Duration;
+//! with a deterministic exponential backoff schedule that is charged to
+//! the *simulated* clock (see `Prefetcher::prepare_reuse`), so retries
+//! surface in `t_prepare` and the Eq. 6 overlap model rather than
+//! silently vanishing.
 
 /// What the server does with one incoming pull request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultVerdict {
     /// Serve normally.
     None,
-    /// Swallow the request: never send a reply. The client observes a
-    /// timeout.
+    /// Lose the reply: the server answers at once, unserved, and the
+    /// client reads the answer as a timeout.
     Drop,
     /// Serve correctly, but tag the reply as having taken `k` extra
     /// RPC-times on the modeled timeline.
@@ -127,7 +127,8 @@ impl FaultProfile {
 }
 
 /// Per-server fault schedule. Verdicts are a pure function of the
-/// request index, so they are stable under any client interleaving.
+/// request's [`fault_key`], so they are stable under any client
+/// interleaving and across a respawn.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -147,19 +148,19 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the server should exit instead of serving request
-    /// `request_index`.
-    pub fn crash_before(&self, request_index: u64) -> bool {
-        matches!(self.crash_after, Some(n) if request_index >= n)
+    /// Whether the server should exit instead of serving the request
+    /// that arrived `arrivals`-th (0-based).
+    pub fn crash_before(&self, arrivals: u64) -> bool {
+        matches!(self.crash_after, Some(n) if arrivals >= n)
     }
 
-    /// The verdict for request `request_index`.
-    pub fn verdict(&self, request_index: u64) -> FaultVerdict {
+    /// The verdict for the request with fault key `key`.
+    pub fn verdict(&self, key: u64) -> FaultVerdict {
         let total = self.drop_prob + self.delay_prob + self.truncate_prob;
         if total <= 0.0 {
             return FaultVerdict::None;
         }
-        let u = unit_hash(self.seed, self.part, request_index);
+        let u = unit_hash(self.seed, self.part, key);
         if u < self.drop_prob {
             FaultVerdict::Drop
         } else if u < self.drop_prob + self.delay_prob {
@@ -172,12 +173,20 @@ impl FaultPlan {
     }
 }
 
-/// Hash `(seed, part, index)` to a uniform value in `[0, 1)` via two
+/// The fault key of attempt `attempt` (0 for the first round) of the
+/// pull tagged `request_id` ([`mgnn_obs::events::request_id`]). An
+/// untagged pull (id 0) has one key per attempt, so every untagged pull
+/// to a partition meets the same verdict at the same attempt.
+pub fn fault_key(request_id: u64, attempt: u32) -> u64 {
+    request_id ^ u64::from(attempt).wrapping_mul(0xd6e8_feb8_6659_fd93)
+}
+
+/// Hash `(seed, part, key)` to a uniform value in `[0, 1)` via two
 /// rounds of splitmix64 finalization.
-fn unit_hash(seed: u64, part: u32, index: u64) -> f64 {
+fn unit_hash(seed: u64, part: u32, key: u64) -> f64 {
     let mut x = seed
         ^ (u64::from(part)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ index.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        ^ key.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
@@ -190,10 +199,6 @@ fn unit_hash(seed: u64, part: u32, index: u64) -> f64 {
 pub struct RetryPolicy {
     /// Retries after the first failed attempt; 0 disables retrying.
     pub max_retries: u32,
-    /// Wall-clock wait per attempt before declaring a timeout. Only
-    /// applied when a fault profile is active — the fault-free path
-    /// blocks indefinitely exactly as before.
-    pub timeout: Duration,
     /// Simulated seconds charged for the first backoff.
     pub base_backoff_s: f64,
     /// Multiplier applied per further attempt.
@@ -204,7 +209,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 3,
-            timeout: Duration::from_millis(250),
             base_backoff_s: 1e-3,
             backoff_mult: 2.0,
         }
@@ -259,6 +263,38 @@ mod tests {
         assert!(differs(&p0, &other), "seed must matter");
     }
 
+    /// The keys a run issues: four trainers' prepare pulls, every attempt.
+    fn run_keys() -> impl Iterator<Item = u64> {
+        use mgnn_obs::events::{request_id, ORIGIN_PREPARE};
+        (0..4u64).flat_map(|rank| {
+            (0..1250u64).flat_map(move |step| {
+                (0..4)
+                    .map(move |attempt| fault_key(request_id(ORIGIN_PREPARE, rank, step), attempt))
+            })
+        })
+    }
+
+    #[test]
+    fn fault_keys_are_distinct_per_request_and_attempt() {
+        let keys: Vec<u64> = run_keys().collect();
+        let mut unique = keys.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), keys.len());
+        assert_eq!(fault_key(0, 0), 0, "an untagged first round");
+        // A retry is not doomed to repeat its first round's verdict.
+        let plan = chaotic().plan_for(2);
+        let dropped_first: Vec<u64> = (0..2000)
+            .filter(|&id| plan.verdict(fault_key(id, 0)) == FaultVerdict::Drop)
+            .collect();
+        let again = dropped_first
+            .iter()
+            .filter(|&&id| plan.verdict(fault_key(id, 1)) == FaultVerdict::Drop)
+            .count();
+        let rate = again as f64 / dropped_first.len() as f64;
+        assert!((rate - 0.2).abs() < 0.06, "retry drop rate {rate}");
+    }
+
     #[test]
     fn verdict_mix_tracks_probabilities() {
         let plan = chaotic().plan_for(2);
@@ -266,8 +302,8 @@ mod tests {
         let mut drops = 0;
         let mut delays = 0;
         let mut truncs = 0;
-        for i in 0..n {
-            match plan.verdict(i) {
+        for key in run_keys() {
+            match plan.verdict(key) {
                 FaultVerdict::Drop => drops += 1,
                 FaultVerdict::Delay(k) => {
                     assert_eq!(k, 4);

@@ -275,7 +275,12 @@ mod tests {
         let mut received = 0u64;
         for ids in [vec![3u32, 1, 4], vec![], vec![15u32; 9], (0..40).collect()] {
             let rows = ids.len() as u64;
-            let payload = client.pull_async(ids).unwrap().wait().unwrap().payload;
+            let payload = client
+                .pull_async_into(ids, Vec::new(), None, 0)
+                .unwrap()
+                .wait()
+                .unwrap()
+                .payload;
             received += std::mem::size_of_val(&payload[..]) as u64;
             m.record_rpc(rows, dim);
         }

@@ -17,17 +17,18 @@
 //!
 //! Every client-facing call returns `Result<_, RpcError>` instead of
 //! panicking: a dead server surfaces as [`RpcError::ServerGone`], a
-//! swallowed reply as [`RpcError::Timeout`] (via
-//! [`PullHandle::wait_timeout`]), a short payload as
+//! dropped reply as [`RpcError::Timeout`], a short payload as
 //! [`RpcError::Truncated`], and a routing bug as [`RpcError::Kv`].
 //! Servers optionally run under a deterministic [`FaultPlan`] that
-//! decides per request whether to drop, delay-tag, or truncate the
-//! reply, or crash the server thread outright.
+//! decides per request — by the fault key the request carries — whether
+//! to drop, delay-tag, or truncate the reply, or crash the server thread
+//! outright. Every verdict rides back on the reply, a drop included, so
+//! no client ever waits on the wall clock to learn one.
 
 use crate::fault::{FaultPlan, FaultVerdict};
 use crate::kvstore::{KvError, KvStore};
 use crate::wire::WireElem;
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use mgnn_graph::NodeId;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -38,7 +39,7 @@ pub enum RpcError {
     /// The server thread is gone: the request could not be sent, or the
     /// reply channel disconnected before a reply arrived.
     ServerGone,
-    /// No reply arrived within the wait bound.
+    /// The reply was lost: the server answered with a drop verdict.
     Timeout,
     /// The reply arrived with fewer elements than `rows × dim`.
     Truncated {
@@ -74,12 +75,14 @@ pub struct PullReply {
     /// The request's id list, handed back.
     pub ids: Vec<NodeId>,
     /// The request's buffer, holding the gathered rows in wire format
-    /// (unspecified content when `status` is an error).
+    /// (unspecified content when `status` is an error or the reply was
+    /// dropped).
     pub payload: Vec<WireElem>,
     /// Whether the server served the request or rejected it.
     pub status: Result<(), KvError>,
-    /// Injected sim-time delay factor (0 when no delay fault fired).
-    pub delay_k: u32,
+    /// The fault verdict the request met ([`FaultVerdict::None`] without
+    /// a plan); a [`FaultVerdict::Drop`] reply was not served.
+    pub verdict: FaultVerdict,
     /// The sender this reply was sent on, so the receiving end owns
     /// both halves again and can reuse the channel.
     pub reply: Sender<PullReply>,
@@ -96,6 +99,9 @@ pub enum Request {
         buf: Vec<WireElem>,
         /// One-shot response channel.
         reply: Sender<PullReply>,
+        /// What the fault plan keys this request's verdict on
+        /// ([`crate::fault::fault_key`]).
+        key: u64,
     },
     /// Stop the server loop.
     Shutdown,
@@ -126,10 +132,11 @@ pub struct RpcServer {
 impl RpcServer {
     /// Spawn a server thread for `kv`. Under a fault `plan` each
     /// request's verdict (serve / drop / delay-tag / truncate) is a pure
-    /// function of the plan seed and the request index, and the server
-    /// thread exits — without replying — once the plan's crash budget is
-    /// reached. Injected delays are *sim-time tags* on the reply, not
-    /// wall-clock sleeps, so chaos runs stay fast and reproducible.
+    /// function of the plan seed and the request's fault key, and the
+    /// server thread exits — without replying — once the plan's crash
+    /// budget of arrivals is reached. Every verdict is a *tag* on an
+    /// immediate reply, not a wall-clock sleep or silence, so chaos runs
+    /// stay fast and reproducible.
     pub fn spawn(kv: Arc<KvStore>, plan: Option<FaultPlan>) -> Self {
         let dim = kv.dim();
         let (tx, rx) = unbounded::<Request>();
@@ -137,50 +144,36 @@ impl RpcServer {
             .name(format!("kvserver-{}", kv.part_id()))
             .spawn(move || {
                 let mut served = 0u64;
-                let mut requests = 0u64;
-                // Reply senders for swallowed (dropped) replies are parked
-                // here instead of being dropped: dropping one would signal
-                // "disconnected" to the waiting client, but a swallowed
-                // reply must look like *silence* (a timeout), exactly as
-                // on a real network.
-                let mut parked: Vec<Sender<PullReply>> = Vec::new();
+                let mut arrivals = 0u64;
                 while let Ok(req) = rx.recv() {
                     match req {
                         Request::Pull {
                             ids,
                             mut buf,
                             reply,
+                            key,
                         } => {
-                            if let Some(p) = &plan {
-                                if p.crash_before(requests) {
-                                    // Simulated crash: exit without
-                                    // replying. Dropping `reply` (and the
-                                    // request channel) is what in-flight
-                                    // and queued clients observe; what the
-                                    // request lent goes down with it.
-                                    break;
-                                }
+                            if plan.as_ref().is_some_and(|p| p.crash_before(arrivals)) {
+                                // Simulated crash: exit without replying.
+                                // Dropping `reply` (and the request
+                                // channel) is what in-flight and queued
+                                // clients observe; what the request lent
+                                // goes down with it.
+                                break;
                             }
-                            let verdict = plan
-                                .as_ref()
-                                .map(|p| p.verdict(requests))
-                                .unwrap_or(FaultVerdict::None);
-                            requests += 1;
-                            if matches!(verdict, FaultVerdict::Drop) {
-                                // Swallow the reply; the client times out.
-                                parked.push(reply);
-                                continue;
-                            }
-                            let status = kv.pull_into(&ids, &mut buf);
-                            let delay_k = match verdict {
-                                FaultVerdict::Delay(k) => k,
-                                _ => 0,
-                            };
-                            if status.is_ok() {
-                                if matches!(verdict, FaultVerdict::Truncate) {
-                                    buf.truncate(buf.len().saturating_sub(dim));
+                            let verdict =
+                                plan.as_ref().map_or(FaultVerdict::None, |p| p.verdict(key));
+                            arrivals += 1;
+                            // A dropped reply is answered at once, unserved.
+                            let mut status = Ok(());
+                            if verdict != FaultVerdict::Drop {
+                                status = kv.pull_into(&ids, &mut buf);
+                                if status.is_ok() {
+                                    if verdict == FaultVerdict::Truncate {
+                                        buf.truncate(buf.len().saturating_sub(dim));
+                                    }
+                                    served += (buf.len() / dim.max(1)) as u64;
                                 }
-                                served += (buf.len() / dim.max(1)) as u64;
                             }
                             // The reply carries its own sender home. The
                             // server's handle drops right after, so a
@@ -191,7 +184,7 @@ impl RpcServer {
                                 ids,
                                 payload: buf,
                                 status,
-                                delay_k,
+                                verdict,
                                 reply: reply.clone(),
                             });
                         }
@@ -246,20 +239,18 @@ pub struct RpcClient {
 impl RpcClient {
     /// Fire a pull and return a waiter, letting the caller overlap other
     /// work before blocking — the RPC/score-update overlap of Algorithm 2
-    /// line 20–22. Fails immediately if the server is already gone.
-    pub fn pull_async(&self, ids: Vec<NodeId>) -> Result<PullHandle, RpcError> {
-        self.pull_async_into(ids, Vec::new(), None)
-    }
-
-    /// [`pull_async`](Self::pull_async) into a registered receive buffer:
-    /// the server gathers the rows into `buf` (cleared first) and replies
-    /// on `reply` (a fresh channel when `None`); the [`PullResponse`]
-    /// hands `ids`, `buf` and the channel back for the next pull.
+    /// line 20–22. The server gathers the rows into `buf` (cleared first)
+    /// and replies on `reply` (a fresh channel when `None`); the
+    /// [`PullResponse`] hands `ids`, `buf` and the channel back for the
+    /// next pull. `key` is what a fault plan keys the verdict on
+    /// ([`crate::fault::fault_key`]). Fails immediately if the server is
+    /// already gone.
     pub fn pull_async_into(
         &self,
         ids: Vec<NodeId>,
         buf: Vec<WireElem>,
         reply: Option<ReplyChannel>,
+        key: u64,
     ) -> Result<PullHandle, RpcError> {
         let ReplyChannel { tx, rx } = reply.unwrap_or_else(|| {
             let (tx, rx) = bounded(1);
@@ -271,6 +262,7 @@ impl RpcClient {
                 ids,
                 buf,
                 reply: tx,
+                key,
             })
             .map_err(|_| RpcError::ServerGone)?;
         Ok(PullHandle {
@@ -302,26 +294,15 @@ pub struct PullHandle {
 }
 
 impl PullHandle {
-    /// Block until the response arrives. If the server thread dies
-    /// mid-request this returns [`RpcError::ServerGone`] instead of
-    /// hanging or panicking.
+    /// Block until the reply arrives, which it always does unless the
+    /// server thread dies mid-request: that returns
+    /// [`RpcError::ServerGone`] instead of hanging or panicking. A reply
+    /// with a drop verdict reads as [`RpcError::Timeout`].
     pub fn wait(self) -> Result<PullResponse, RpcError> {
         let reply = self.rx.recv().map_err(|_| RpcError::ServerGone)?;
-        self.validate(reply)
-    }
-
-    /// Block at most `timeout` for the response. A swallowed reply
-    /// surfaces as [`RpcError::Timeout`]; a dead server as
-    /// [`RpcError::ServerGone`].
-    pub fn wait_timeout(self, timeout: std::time::Duration) -> Result<PullResponse, RpcError> {
-        let reply = self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RpcError::Timeout,
-            RecvTimeoutError::Disconnected => RpcError::ServerGone,
-        })?;
-        self.validate(reply)
-    }
-
-    fn validate(self, reply: PullReply) -> Result<PullResponse, RpcError> {
+        if reply.verdict == FaultVerdict::Drop {
+            return Err(RpcError::Timeout);
+        }
         reply.status.map_err(RpcError::Kv)?;
         let expected = self.expect_rows * self.dim;
         if reply.payload.len() != expected {
@@ -333,7 +314,10 @@ impl PullHandle {
         Ok(PullResponse {
             ids: reply.ids,
             payload: reply.payload,
-            delay_k: reply.delay_k,
+            delay_k: match reply.verdict {
+                FaultVerdict::Delay(k) => k,
+                _ => 0,
+            },
             reply: ReplyChannel {
                 tx: reply.reply,
                 rx: self.rx,
@@ -362,9 +346,14 @@ mod tests {
         Arc::new(KvStore::new(0, vec![1, 3, 5], &features))
     }
 
+    /// Issue an untagged first-round pull into fresh buffers.
+    fn issue(client: &RpcClient, ids: Vec<NodeId>) -> Result<PullHandle, RpcError> {
+        client.pull_async_into(ids, Vec::new(), None, 0)
+    }
+
     /// Issue, wait, keep the payload.
     fn pull(client: &RpcClient, ids: Vec<NodeId>) -> Result<Vec<WireElem>, RpcError> {
-        client.pull_async(ids)?.wait().map(|r| r.payload)
+        issue(client, ids)?.wait().map(|r| r.payload)
     }
 
     /// A server for [`kv`], under `plan` if any.
@@ -391,7 +380,7 @@ mod tests {
     fn async_pull_overlaps() {
         let server = serve(None);
         let client = server.client();
-        let handle = client.pull_async(vec![3]).unwrap();
+        let handle = issue(&client, vec![3]).unwrap();
         // Do "other work" before waiting.
         let x: u64 = (0..100).sum();
         assert_eq!(x, 4950);
@@ -404,7 +393,7 @@ mod tests {
     fn a_served_pull_hands_back_what_it_was_lent() {
         let server = serve(None);
         let client = server.client();
-        let first = client.pull_async(vec![5, 1]).unwrap().wait().unwrap();
+        let first = issue(&client, vec![5, 1]).unwrap().wait().unwrap();
         assert_eq!(first.ids, [5, 1]);
         let buf = first.payload.as_ptr();
         // Second pull through the same id list, buffer and channel: the
@@ -413,7 +402,7 @@ mod tests {
         ids.clear();
         ids.push(3);
         let second = client
-            .pull_async_into(ids, first.payload, Some(first.reply))
+            .pull_async_into(ids, first.payload, Some(first.reply), 0)
             .unwrap()
             .wait()
             .unwrap();
@@ -462,7 +451,7 @@ mod tests {
         let client = server.client();
         drop(server); // must not hang
         assert_eq!(pull(&client, vec![1]), Err(RpcError::ServerGone));
-        assert!(client.pull_async(vec![1]).is_err());
+        assert!(issue(&client, vec![1]).is_err());
     }
 
     #[test]
@@ -476,7 +465,7 @@ mod tests {
         });
         let server = serve(Some(plan));
         let client = server.client();
-        let handle = client.pull_async(vec![1]).unwrap();
+        let handle = issue(&client, vec![1]).unwrap();
         assert_eq!(handle.wait().unwrap_err(), RpcError::ServerGone);
         // The server is dead for good: later sends fail fast too.
         assert_eq!(pull(&client, vec![3]), Err(RpcError::ServerGone));
@@ -496,7 +485,7 @@ mod tests {
             pull(&client, vec![3, 5]).unwrap(),
             on_wire([3.0, 3.5, 5.0, 5.5])
         );
-        let handle = client.pull_async(vec![5]).unwrap();
+        let handle = issue(&client, vec![5]).unwrap();
         assert_eq!(handle.wait().unwrap_err(), RpcError::ServerGone);
         assert_eq!(server.shutdown(), 3);
     }
@@ -505,16 +494,39 @@ mod tests {
     fn dropped_reply_times_out() {
         let plan = plan_with(|p| p.drop_prob = 1.0);
         let server = serve(Some(plan));
-        let handle = server.client().pull_async(vec![1]).unwrap();
-        let t0 = std::time::Instant::now();
-        let err = handle
-            .wait_timeout(std::time::Duration::from_millis(10))
-            .unwrap_err();
-        assert_eq!(err, RpcError::Timeout);
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(10));
-        // The server is still alive — it swallowed the reply, it did not
-        // die — so shutdown drains normally.
-        assert_eq!(server.shutdown(), 0);
+        let client = server.client();
+        // The drop comes back at once, as a reply, and reads as a timeout.
+        assert_eq!(pull(&client, vec![1]), Err(RpcError::Timeout));
+        // The server is still alive — it lost the reply, it did not die —
+        // so it keeps answering, and shutdown drains normally.
+        assert_eq!(pull(&client, vec![3, 5]), Err(RpcError::Timeout));
+        assert_eq!(server.shutdown(), 0, "a dropped reply serves no rows");
+    }
+
+    #[test]
+    fn the_verdict_is_the_requests_not_its_arrivals() {
+        let plan = plan_with(|p| {
+            p.drop_prob = 0.3;
+            p.delay_prob = 0.3;
+            p.delay_factor = 2;
+            p.truncate_prob = 0.2;
+        });
+        let server = serve(Some(plan.clone()));
+        let client = server.client();
+        for key in (0..40).chain((0..40).rev()) {
+            let got = client
+                .pull_async_into(vec![1, 3], Vec::new(), None, key)
+                .unwrap()
+                .wait();
+            let want = plan.verdict(key);
+            match got {
+                Err(RpcError::Timeout) => assert_eq!(want, FaultVerdict::Drop),
+                Err(RpcError::Truncated { .. }) => assert_eq!(want, FaultVerdict::Truncate),
+                Ok(resp) if resp.delay_k > 0 => assert_eq!(want, FaultVerdict::Delay(2)),
+                Ok(_) => assert_eq!(want, FaultVerdict::None),
+                Err(e) => panic!("key {key}: {e}"),
+            }
+        }
     }
 
     #[test]
@@ -543,7 +555,7 @@ mod tests {
             p.delay_factor = 7;
         });
         let server = serve(Some(plan));
-        let resp = server.client().pull_async(vec![5]).unwrap().wait().unwrap();
+        let resp = issue(&server.client(), vec![5]).unwrap().wait().unwrap();
         assert_eq!(resp.payload, on_wire([5.0, 5.5]));
         assert_eq!(resp.delay_k, 7, "delay rides the reply as a sim-time tag");
     }

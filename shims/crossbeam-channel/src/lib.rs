@@ -36,15 +36,6 @@ pub enum TryRecvError {
     Disconnected,
 }
 
-/// Outcome of a bounded-wait receive attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The wait elapsed without a message arriving.
-    Timeout,
-    /// No message available and all senders dropped.
-    Disconnected,
-}
-
 struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
@@ -150,33 +141,6 @@ impl<T> Receiver<T> {
                 return Err(RecvError);
             }
             st = self.chan.not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// Take the next message, waiting at most `timeout` for one to
-    /// arrive. Disconnection still drains queued messages first.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.chan.state.lock().unwrap();
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                drop(st);
-                self.chan.not_full.notify_one();
-                return Ok(v);
-            }
-            if st.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            let (guard, _) = self
-                .chan
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap();
-            st = guard;
         }
     }
 
@@ -307,32 +271,6 @@ mod tests {
         drop(rx); // server died with the request still queued
         assert_eq!(reply_rx.recv(), Err(RecvError));
         assert!(tx.send(bounded::<u8>(1).0).is_err(), "sends now fail fast");
-    }
-
-    #[test]
-    fn recv_timeout_states() {
-        use std::time::Duration;
-        let (tx, rx) = unbounded::<u32>();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Ok(9));
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-
-        // A message sent from another thread mid-wait is picked up.
-        let (tx, rx) = unbounded::<u32>();
-        let t = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(10));
-            tx.send(3).unwrap();
-        });
-        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(3));
-        t.join().unwrap();
     }
 
     #[test]

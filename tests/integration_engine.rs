@@ -253,7 +253,7 @@ fn reports_internally_consistent() {
 // faults rather than with itself.
 // ---------------------------------------------------------------------
 
-use massivegnn::{FaultProfile, RetryPolicy, RunReport};
+use massivegnn::{FaultProfile, RunReport};
 use serde::Serialize;
 
 /// 64-bit FNV-1a, fed a piece at a time.
@@ -312,8 +312,8 @@ enum Shape {
     Lookahead2,
     /// Scoreboard with `EngineConfig::trace` on.
     ScoreboardTraced,
-    /// `FaultProfile::heavy` with drops off (no verdict depends on the
-    /// wall clock). Sequential only: verdict order is racy under threads.
+    /// `FaultProfile::heavy`, drops and crash included. Sequential only:
+    /// the crash budget is counted in arrival order.
     ScoreboardHeavy,
     Lookahead2Heavy,
 }
@@ -361,14 +361,7 @@ fn fingerprint_config(shape: Shape, math: bool, seed: u64) -> EngineConfig {
                 Mode::Prefetch(scoreboard.with_lookahead_policy(2))
             }
         },
-        fault: shape.faulted().then(|| FaultProfile {
-            drop_prob: 0.0,
-            ..FaultProfile::heavy(seed ^ 0xfa17)
-        }),
-        retry: RetryPolicy {
-            timeout: std::time::Duration::from_secs(30),
-            ..Default::default()
-        },
+        fault: shape.faulted().then(|| FaultProfile::heavy(seed ^ 0xfa17)),
         ..Default::default()
     }
 }
@@ -401,6 +394,18 @@ const FINGERPRINT_SEEDS: [u64; 2] = [1, 42];
 /// the order chooses nothing; `makespan_s` rose 0.2 %, 0.030074 → 0.030144
 /// at seed 1: the charge with nothing to buy. What those eight runs learn
 /// and probe is pinned to that parent separately, by `LOOKAHEAD_LEARNING`.)
+/// The eight `*Heavy` rows were re-recorded when a fault verdict became a
+/// function of the request instead of its arrival index, and a drop a
+/// reply instead of a wall-clock timeout (PR 25), which also gave these
+/// runs `heavy`'s own drops back. A line diff of the eight reports against
+/// `1bcc0b5`'s moved only fault counters (`rpc_timeouts` 0 → 5–12 a run,
+/// `rpc_retries`, `rpc_delays`, `rpc_truncations`, and at seed 42 which
+/// trainer's pull met the crash) and the simulated times charged for them
+/// (`fetch_s`, `rpc_s`, `planned_s`, `stall_s`, `communication_stall_s`,
+/// `total_s`, `total_serial_s`, `total_init_s`, `sim_time_s`, the two
+/// overlap efficiencies, `makespan_s`, `load_imbalance`);
+/// `degraded_rows` and `stale_served` stay 0, one
+/// respawn a run, and `epoch_loss` and `final_params` did not move.
 /// The other sixteen are still PR 14's parent's.
 #[rustfmt::skip]
 const PARENT_RUNS: [(Shape, bool, u64, u64); 24] = [
@@ -420,14 +425,14 @@ const PARENT_RUNS: [(Shape, bool, u64, u64); 24] = [
     (Shape::ScoreboardTraced, false, 42, 0x9f760a40bdcd3eb1),
     (Shape::ScoreboardTraced, true, 1, 0x1d4c088f0731c31f),
     (Shape::ScoreboardTraced, true, 42, 0xe706284eb3c4fc1e),
-    (Shape::ScoreboardHeavy, false, 1, 0x7559c3eb29ae9ff2),
-    (Shape::ScoreboardHeavy, false, 42, 0x4a719d132d86b748),
-    (Shape::ScoreboardHeavy, true, 1, 0x029a313a58eee9bd),
-    (Shape::ScoreboardHeavy, true, 42, 0xe3ad2cdd7dc2955b),
-    (Shape::Lookahead2Heavy, false, 1, 0x3e991016d93a2d21),
-    (Shape::Lookahead2Heavy, false, 42, 0x2fdc7a7c76432883),
-    (Shape::Lookahead2Heavy, true, 1, 0x587f1f4937d07ea2),
-    (Shape::Lookahead2Heavy, true, 42, 0x13a5cadb77a53f9c),
+    (Shape::ScoreboardHeavy, false, 1, 0xaebc0b50f9acdc8c),
+    (Shape::ScoreboardHeavy, false, 42, 0x7b1a1ad5a4287ff2),
+    (Shape::ScoreboardHeavy, true, 1, 0x28e9a67a609ff723),
+    (Shape::ScoreboardHeavy, true, 42, 0x135ca6fa38e5e3f3),
+    (Shape::Lookahead2Heavy, false, 1, 0x798b2d5cb94f2cf7),
+    (Shape::Lookahead2Heavy, false, 42, 0xc266e2c795dc6e5f),
+    (Shape::Lookahead2Heavy, true, 1, 0x61b2d5bfecdcaebc),
+    (Shape::Lookahead2Heavy, true, 42, 0x4c1042900ce038a4),
 ];
 
 /// `(train_math, seed, learning_fingerprint)` of the `Lookahead2` and
@@ -529,6 +534,43 @@ fn both_schedulers_reproduce_the_parent_reports() {
             expect,
             "threaded scheduler moved: {shape:?} math={math} seed={seed}"
         );
+    }
+}
+
+/// A fault verdict is a function of the request — its id and attempt —
+/// not of when it reached the server, so under a profile without a crash
+/// (the one decision still counted in arrival order) a thread per
+/// trainer replays the sequential report bit for bit, drops included.
+#[test]
+fn threaded_chaos_replays_the_sequential_report() {
+    for seed in FINGERPRINT_SEEDS {
+        let profiles = [
+            FaultProfile::light(seed ^ 0xfa17),
+            FaultProfile {
+                crash_part: None,
+                ..FaultProfile::heavy(seed ^ 0xfa17)
+            },
+        ];
+        for shape in [Shape::Baseline, Shape::Scoreboard, Shape::Lookahead2] {
+            for (name, profile) in ["light", "heavy"].into_iter().zip(profiles.clone()) {
+                let mut cfg = EngineConfig {
+                    fault: Some(profile),
+                    ..fingerprint_config(shape, true, seed)
+                };
+                let seq = Engine::build(cfg.clone()).run();
+                let agg = seq.aggregate_metrics();
+                assert!(agg.had_faults(), "{shape:?} {name}: nothing fired");
+                if name == "heavy" {
+                    assert!(agg.rpc_timeouts > 0, "{shape:?} {name}: no drop fired");
+                }
+                cfg.parallel = true;
+                assert_eq!(
+                    report_fingerprint(&Engine::build(cfg).run()),
+                    report_fingerprint(&seq),
+                    "threaded chaos differs: {shape:?} {name} seed={seed}"
+                );
+            }
+        }
     }
 }
 

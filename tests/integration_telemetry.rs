@@ -5,12 +5,9 @@
 //! One `#[test]` fn: the registry and the event log are process-global,
 //! so concurrent tests in this binary would cross-contaminate them.
 
-use massivegnn::{
-    Engine, EngineConfig, FaultProfile, Mode, PrefetchConfig, RetryPolicy, RunReport,
-};
+use massivegnn::{Engine, EngineConfig, FaultProfile, Mode, PrefetchConfig, RunReport};
 use mgnn_obs::{events, prom, registry};
 use serde::Serialize;
-use std::time::Duration;
 
 fn telemetry_config(seed: u64, fault: Option<FaultProfile>) -> EngineConfig {
     EngineConfig {
@@ -20,14 +17,6 @@ fn telemetry_config(seed: u64, fault: Option<FaultProfile>) -> EngineConfig {
         fanouts: vec![4, 4],
         hidden_dim: 16,
         train_math: true,
-        // No verdict in this file may depend on the wall clock: the fault
-        // profiles below never drop a reply (see `without_drops`), so no
-        // legitimate timeout exists and the bound only has to be long
-        // enough that a slow host cannot turn a served reply into one.
-        retry: RetryPolicy {
-            timeout: Duration::from_secs(30),
-            ..Default::default()
-        },
         mode: Mode::Prefetch(PrefetchConfig {
             f_h: 0.25,
             delta: 4,
@@ -36,18 +25,6 @@ fn telemetry_config(seed: u64, fault: Option<FaultProfile>) -> EngineConfig {
         fault,
         telemetry: true,
         ..Default::default()
-    }
-}
-
-/// `profile` minus its drops. A drop is detected by a wall-clock
-/// timeout, and a timeout short enough to be cheap also fires spuriously
-/// on a loaded host, which made the event logs of two runs differ. The
-/// drop → timeout rung stays covered, deterministically, by mgnn-net's
-/// `exhausted_retries_zero_fill_and_report_rows` (`drop_prob: 1.0`).
-fn without_drops(profile: FaultProfile) -> FaultProfile {
-    FaultProfile {
-        drop_prob: 0.0,
-        ..profile
     }
 }
 
@@ -117,20 +94,20 @@ fn telemetry_reconciles_and_never_perturbs_reports() {
     }
 
     // --- 2. Telemetry is report-neutral: bitwise-identical RunReports
-    // with telemetry on and off, faultless and under light chaos (the
-    // chaos schedule replays only on the sequential engine, so the
-    // faulted comparison runs there).
-    for fault in [None, Some(without_drops(FaultProfile::light(5)))] {
+    // with telemetry on and off, faultless and under light chaos, on the
+    // threaded engine (`light` crashes nothing, so its verdicts replay
+    // under threads).
+    for fault in [None, Some(FaultProfile::light(5))] {
         let faulted = fault.is_some();
         let with_tel = {
             let mut cfg = telemetry_config(23, fault.clone());
-            cfg.parallel = !faulted;
+            cfg.parallel = true;
             Engine::build(cfg).run()
         };
         registry::disable();
         let without_tel = {
             let mut cfg = telemetry_config(23, fault);
-            cfg.parallel = !faulted;
+            cfg.parallel = true;
             cfg.telemetry = false;
             Engine::build(cfg).run()
         };
@@ -151,7 +128,7 @@ fn telemetry_reconciles_and_never_perturbs_reports() {
     let chaos_events = |width: usize| {
         rayon::pool::with_max_threads(width, || {
             events::install();
-            let mut cfg = telemetry_config(7, Some(without_drops(FaultProfile::heavy(3))));
+            let mut cfg = telemetry_config(7, Some(FaultProfile::heavy(3)));
             cfg.telemetry = false;
             let report = Engine::build(cfg).run();
             let mut got = events::uninstall();

@@ -110,17 +110,14 @@ fn off_grid_store(n: usize, dim: usize) -> FeatureStore {
     FeatureStore::from_parts(n, dim, data, vec![0; n], 2)
 }
 
-/// No drops, so no verdict depends on the wall clock; the timeout only
-/// has to outlast a loaded host.
-fn patient_retry() -> RetryPolicy {
+fn two_retries() -> RetryPolicy {
     RetryPolicy {
         max_retries: 2,
-        timeout: std::time::Duration::from_secs(60),
         ..RetryPolicy::default()
     }
 }
 
-/// A thousand pulls through one cluster park at most one receive buffer
+/// A thousand pulls through one cluster pool at most one receive buffer
 /// per partition ever touched — they are recycled, not accumulated.
 #[test]
 fn a_thousand_pulls_leave_one_buffer_per_touched_partition() {
@@ -146,7 +143,7 @@ fn a_thousand_pulls_leave_one_buffer_per_touched_partition() {
         let ceiling = touched.iter().filter(|&&t| t).count();
         assert!(
             cluster.pooled_buffers() <= ceiling,
-            "round {round}: {} buffers parked for {ceiling} partitions",
+            "round {round}: {} buffers pooled for {ceiling} partitions",
             cluster.pooled_buffers()
         );
     }
@@ -185,7 +182,11 @@ proptest! {
         let profile = match fault_sel {
             0 => None,
             // Some ladders recover, some are exhausted.
-            1 => Some(FaultProfile { truncate_prob: 0.5, ..FaultProfile::off(seed) }),
+            1 => Some(FaultProfile {
+                drop_prob: 0.2,
+                truncate_prob: 0.3,
+                ..FaultProfile::off(seed)
+            }),
             // A crash within the three rounds below, on top of truncations.
             2 => Some(FaultProfile {
                 truncate_prob: 0.2,
@@ -196,8 +197,9 @@ proptest! {
             // Every ladder is exhausted.
             _ => Some(FaultProfile { truncate_prob: 1.0, ..FaultProfile::off(seed) }),
         };
-        // Same seed, same request order: both clusters see the same verdicts.
-        let make = || SimCluster::with_faults(&f, &assignment, parts, profile.clone(), patient_retry());
+        // Same seed, same requests: both clusters meet the same verdicts
+        // (and, in the same arrival order, the same crash).
+        let make = || SimCluster::with_faults(&f, &assignment, parts, profile.clone(), two_retries());
         let (whole, scattered) = (make(), make());
         for round in 0..3 {
             let (image, want) = whole.pull_grouped_checked(&ids);

@@ -21,7 +21,6 @@ use mgnn_net::{wire, CommMetrics, CostModel, SimCluster};
 use mgnn_partition::{build_local_partitions, multilevel_partition, LocalPartition, Partitioning};
 use mgnn_sampling::{DataLoader, NeighborSampler};
 use proptest::prelude::*;
-use std::time::Duration;
 
 fn policy_config(seed: u64, fault: Option<FaultProfile>, pcfg: PrefetchConfig) -> EngineConfig {
     EngineConfig {
@@ -33,12 +32,6 @@ fn policy_config(seed: u64, fault: Option<FaultProfile>, pcfg: PrefetchConfig) -
         fanouts: vec![4, 4],
         hidden_dim: 16,
         train_math: true,
-        // Dropped replies are detected by wall-clock timeout; keep the
-        // retry wait short so `light`'s 2% drops cost milliseconds.
-        retry: RetryPolicy {
-            timeout: Duration::from_millis(50),
-            ..Default::default()
-        },
         mode: Mode::Prefetch(pcfg),
         fault,
         ..Default::default()
@@ -83,11 +76,10 @@ proptest! {
         fault_seed in 0u64..1000,
         depth_sel in 0u32..3,
     ) {
-        // Chaos replay is pinned to the sequential engine (stable
-        // per-server request indices). The planner pulls through the
-        // same faulted transport but skips installing failed rows, so
-        // every feature the trainer reads is still the server's truth
-        // and the training trajectory cannot diverge.
+        // The planner pulls through the same faulted transport but
+        // skips installing failed rows, so every feature the trainer
+        // reads is still the server's truth and the training trajectory
+        // cannot diverge.
         let depth = 1usize << depth_sel;
         let pcfg = PrefetchConfig {
             f_h: 0.25,
@@ -195,7 +187,6 @@ fn check_planner_round_by_round(world: &Schedule, f_h: f64, depth: usize, transp
     };
     let retry = RetryPolicy {
         max_retries: 0,
-        timeout: Duration::from_millis(50),
         ..Default::default()
     };
     let cluster =

@@ -4,16 +4,9 @@
 //! behavior every earlier PR shipped — must reproduce the pooled run's
 //! `RunReport` bit for bit: same counters, same sim-clock charges, same
 //! final parameters. The property holds at any kernel-pool width, under
-//! chaos (the `light` fault profile's delayed and truncated replies
-//! exercise the degraded-fetch paths through the pooled scratch), and on
-//! the threaded engine.
-//!
-//! The chaos case runs `light` minus its drops. A drop is detected by a
-//! wall-clock timeout, so on a loaded host a slow reply became a spurious
-//! retry on one side of the comparison only. Drops return here once
-//! verdicts stop depending on the wall clock (ROADMAP item 1); until then
-//! the drop → timeout rung is covered, deterministically, by mgnn-net's
-//! `exhausted_retries_zero_fill_and_report_rows`.
+//! chaos (the `light` fault profile's dropped, delayed and truncated
+//! replies exercise the degraded-fetch paths through the pooled
+//! scratch), and on the threaded engine, chaos included.
 
 use massivegnn::{Engine, EngineConfig, FaultProfile, Mode, PrefetchConfig, RunReport};
 use proptest::prelude::*;
@@ -87,25 +80,25 @@ proptest! {
         fault_seed in 0u64..1000,
         prefetch_sel in 0u32..2,
     ) {
-        // Chaos replay is pinned to the sequential engine (stable
-        // per-server request indices); pooling must not perturb the
-        // fault schedule or the degraded rows written into recycled
-        // feature buffers.
-        let cfg = pool_config(
-            run_seed,
-            prefetch_sel == 1,
-            Some(FaultProfile {
-                drop_prob: 0.0,
-                ..FaultProfile::light(fault_seed)
-            }),
-        );
+        // Pooling must not perturb the fault schedule or the degraded
+        // rows written into recycled feature buffers, on either
+        // scheduler: `light` crashes nothing, so its verdicts are the
+        // requests' own whichever thread issues them.
+        let cfg = pool_config(run_seed, prefetch_sel == 1, Some(FaultProfile::light(fault_seed)));
         let pooled = Engine::build(cfg.clone()).run();
         let fresh = {
-            let mut c = cfg;
+            let mut c = cfg.clone();
             c.pooling = false;
             Engine::build(c).run()
         };
         prop_assert_eq!(pooled.aggregate_metrics(), fresh.aggregate_metrics());
         prop_assert_eq!(fingerprint(&pooled), fingerprint(&fresh));
+        let fresh_threaded = Engine::build(EngineConfig {
+            pooling: false,
+            parallel: true,
+            ..cfg
+        })
+        .run();
+        prop_assert_eq!(fingerprint(&pooled), fingerprint(&fresh_threaded));
     }
 }
