@@ -109,14 +109,6 @@ impl Engine {
                 .into_iter()
                 .map(Arc::new)
                 .collect();
-        let cluster = Arc::new(SimCluster::with_faults(
-            &dataset.features,
-            &partitioning.assignment,
-            cfg.num_parts,
-            cfg.fault.clone(),
-            cfg.retry.clone(),
-        ));
-
         // Second-level split: train nodes of each partition among its
         // trainers, converted to partition-local ids.
         let mut trainer_shards = Vec::with_capacity(cfg.num_parts * cfg.trainers_per_part);
@@ -134,6 +126,20 @@ impl Engine {
                 trainer_shards.push((pid, local));
             }
         }
+        // A profile's crash meets the lowest rank not on the crashing
+        // partition: that partition's own trainers read it locally.
+        let crash_part = cfg.fault.as_ref().and_then(|f| f.crash_part);
+        let designated = trainer_shards
+            .iter()
+            .position(|s| Some(s.0 as u32) != crash_part);
+        let cluster = Arc::new(SimCluster::with_faults_designating(
+            &dataset.features,
+            &partitioning.assignment,
+            cfg.num_parts,
+            cfg.fault.clone(),
+            cfg.retry.clone(),
+            designated.unwrap_or_default() as u64,
+        ));
         Engine {
             shape_model: make_model(&cfg, &dataset.features),
             cfg,
@@ -992,9 +998,9 @@ mod tests {
         }
     }
 
-    /// A server crash mid-run is fully absorbed: the cluster respawns it
-    /// from the resident KvStore, retries return the exact bytes, and
-    /// training is bitwise-unaffected — only simulated time pays.
+    /// A server crash mid-run is fully absorbed: the ladder books the
+    /// respawn, retries return the exact bytes, and training is
+    /// bitwise-unaffected — only simulated time pays.
     #[test]
     fn crash_only_chaos_recovers_and_trains_identically() {
         let mut cfg = base_cfg();

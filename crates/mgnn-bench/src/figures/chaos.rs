@@ -2,7 +2,7 @@
 //! once under a deterministic fault profile — with real tensor math.
 //!
 //! The faulted run exercises the whole robustness ladder (retry with
-//! exponential backoff, server respawn from the `KvStore`, stale buffer
+//! exponential backoff, a respawn booked for the crash, stale buffer
 //! rows, zero-fill degradation) and the report reconciles the fault
 //! counters against the loss trajectory: training must *complete* and
 //! the final-epoch loss must stay within a tolerance of the clean run,
@@ -11,14 +11,14 @@
 //! `repro` can exit non-zero when a chaos run diverges (CI gates on it).
 //!
 //! Every drop, delay and truncation is keyed on the request (its id and
-//! attempt), so it would replay under trainer threads too; the crash of
-//! `heavy` is the one decision counted in arrival order. Chaos runs
-//! therefore use the sequential engine, whose one issuing thread fixes
-//! that order, and the same `--fault-seed` replays the exact same
-//! drops/delays/crashes at any `MGNN_THREADS`.
+//! attempt), and the crash of `heavy` meets one request of the
+//! designated trainer, counted in that trainer's own order. So chaos
+//! runs on the threaded engine, a thread per trainer, and the same
+//! `--fault-seed` replays the exact same drops/delays/crash — and the
+//! report of the sequential engine — at any `MGNN_THREADS`.
 
 use crate::harness::{engine_config, Opts};
-use massivegnn::{Engine, FaultProfile, Mode, PrefetchConfig, RunReport};
+use massivegnn::{Engine, EngineConfig, FaultProfile, Mode, PrefetchConfig, RunReport};
 use mgnn_graph::DatasetKind;
 use mgnn_net::{Backend, MetricsSnapshot};
 use std::fmt;
@@ -62,21 +62,8 @@ pub fn run(opts: &Opts) -> Chaos {
         .fault()
         .unwrap_or_else(|| FaultProfile::light(opts.fault_seed));
     let profile_name = opts.fault_profile.clone().unwrap_or_else(|| "light".into());
-
-    let mut cfg = engine_config(opts, DatasetKind::Products, Backend::Cpu, 2);
-    cfg.train_math = true;
-    cfg.parallel = false; // the crash budget counts arrivals: one issuing thread
-    cfg.mode = Mode::Prefetch(PrefetchConfig {
-        f_h: 0.25,
-        gamma: 0.995,
-        delta: 16,
-        ..Default::default()
-    });
-    cfg.fault = None;
-    let clean = Engine::build(cfg.clone()).run();
-
-    cfg.fault = Some(profile);
-    let chaos = Engine::build(cfg).run();
+    let clean = Engine::build(config(opts, None)).run();
+    let chaos = Engine::build(config(opts, Some(profile))).run();
 
     let divergence = final_loss_divergence(&clean, &chaos);
     Chaos {
@@ -89,6 +76,22 @@ pub fn run(opts: &Opts) -> Chaos {
         diverged: divergence > LOSS_TOLERANCE,
         clean_loss: clean.epoch_loss,
         chaos_loss: chaos.epoch_loss,
+    }
+}
+
+/// The experiment's products-like run, threaded, under `fault`.
+fn config(opts: &Opts, fault: Option<FaultProfile>) -> EngineConfig {
+    EngineConfig {
+        train_math: true,
+        parallel: true,
+        mode: Mode::Prefetch(PrefetchConfig {
+            f_h: 0.25,
+            gamma: 0.995,
+            delta: 16,
+            ..Default::default()
+        }),
+        fault,
+        ..engine_config(opts, DatasetKind::Products, Backend::Cpu, 2)
     }
 }
 
@@ -157,6 +160,7 @@ impl fmt::Display for Chaos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize;
 
     #[test]
     fn light_chaos_trains_within_tolerance() {
@@ -186,8 +190,20 @@ mod tests {
             m.rpc_retries + m.rpc_delays + m.rpc_disconnects > 0,
             "heavy profile injected nothing"
         );
-        assert!(m.server_respawns >= 1, "crash never respawned");
+        assert_eq!(m.server_respawns, 1, "one crash, one respawn");
         assert!(c.chaos_makespan_s > c.clean_makespan_s);
         assert!(format!("{c}").contains("respawns"));
+        // The threaded run is the sequential one, crash included.
+        let threaded = config(&opts, opts.fault());
+        assert!(threaded.parallel);
+        let sequential = EngineConfig {
+            parallel: false,
+            ..threaded.clone()
+        };
+        let report = |cfg| {
+            let r = Engine::build(cfg).run();
+            (serde_json::to_string(&r.to_value()), r.final_params)
+        };
+        assert_eq!(report(threaded), report(sequential));
     }
 }

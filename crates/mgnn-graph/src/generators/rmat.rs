@@ -84,20 +84,13 @@ fn sample_edge(rng: &mut StdRng, levels: usize, p: &RmatParams) -> (NodeId, Node
         let b = jitter(p.b, rng);
         let c = jitter(p.c, rng);
         let d = jitter(p.d(), rng);
-        let sum = a + b + c + d;
-        let r = rng.gen::<f64>() * sum;
-        u <<= 1;
-        v <<= 1;
-        if r < a {
-            // (0,0): nothing to add
-        } else if r < a + b {
-            v |= 1;
-        } else if r < a + b + c {
-            u |= 1;
-        } else {
-            u |= 1;
-            v |= 1;
-        }
+        let r = rng.gen::<f64>() * (a + b + c + d);
+        // Quadrant (0,0) lies below a, (0,1) below a + b, (1,0) below
+        // a + b + c and (1,1) above; with b, c ≥ 0 the bits are two
+        // comparisons each, not a chain of branches.
+        let (ab, abc) = (a + b, a + b + c);
+        u = (u << 1) | u64::from(r >= ab);
+        v = (v << 1) | u64::from((r >= a && r < ab) || r >= abc);
     }
     (u as NodeId, v as NodeId)
 }
@@ -105,6 +98,63 @@ fn sample_edge(rng: &mut StdRng, levels: usize, p: &RmatParams) -> (NodeId, Node
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The branch chain `sample_edge` replaced: same draws, same sums.
+    fn sample_edge_by_branches(
+        rng: &mut StdRng,
+        levels: usize,
+        p: &RmatParams,
+    ) -> (NodeId, NodeId) {
+        let mut u: u64 = 0;
+        let mut v: u64 = 0;
+        for _ in 0..levels {
+            let jitter = |x: f64, r: &mut StdRng| {
+                let f = 1.0 + p.noise * (r.gen::<f64>() * 2.0 - 1.0);
+                x * f
+            };
+            let a = jitter(p.a, rng);
+            let b = jitter(p.b, rng);
+            let c = jitter(p.c, rng);
+            let d = jitter(p.d(), rng);
+            let sum = a + b + c + d;
+            let r = rng.gen::<f64>() * sum;
+            u <<= 1;
+            v <<= 1;
+            if r < a {
+            } else if r < a + b {
+                v |= 1;
+            } else if r < a + b + c {
+                u |= 1;
+            } else {
+                u |= 1;
+                v |= 1;
+            }
+        }
+        (u as NodeId, v as NodeId)
+    }
+
+    proptest! {
+        #[test]
+        fn comparisons_pick_the_quadrants_the_branches_picked(
+            a in 0.0f64..0.7,
+            b in 0.0f64..0.3,
+            c in 0.0f64..0.3,
+            noise in 0.0f64..0.99,
+            levels in 1usize..21,
+            seed in 0u64..u64::MAX,
+        ) {
+            let p = RmatParams { a, b, c, noise };
+            let mut fast = StdRng::seed_from_u64(seed);
+            let mut reference = fast.clone();
+            for _ in 0..64 {
+                prop_assert_eq!(
+                    sample_edge(&mut fast, levels, &p),
+                    sample_edge_by_branches(&mut reference, levels, &p)
+                );
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

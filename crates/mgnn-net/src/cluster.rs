@@ -13,36 +13,29 @@
 //!
 //! The cluster is also where the fault-tolerance ladder lives. A pull
 //! against a faulty server can have its reply dropped (a timeout), come
-//! back truncated, or find the server dead; the pull retries with the
-//! configured [`RetryPolicy`], respawns a crashed server from its
-//! (still-resident) [`KvStore`], and — once retries are exhausted —
-//! serves the affected rows as zeros rather than failing the whole pull,
-//! reporting exactly what happened in a [`PullOutcome`] so callers can
-//! charge simulated time and degrade gracefully. Each attempt carries
-//! the [`fault_key`] of its request id and attempt number, so what it
-//! meets does not depend on which trainer got to a server first.
+//! back truncated, or meet the profile's crash; the pull retries with
+//! the configured [`RetryPolicy`], books a respawn for the crash, and —
+//! once retries are exhausted — serves the affected rows as zeros rather
+//! than failing the whole pull, reporting exactly what happened in a
+//! [`PullOutcome`] so callers can charge simulated time and degrade
+//! gracefully. What an attempt meets depends on its request id and
+//! attempt number alone — the crash meets the designated trainer's
+//! `crash_after`-th request to its part — never on which trainer got to
+//! a server first. The crashed server keeps running, so its respawn is
+//! an event and a count; a server that really stopped (shut down, or
+//! panicked) is retried and then zero-filled, not respawned.
 
-use crate::fault::{fault_key, FaultProfile, RetryPolicy};
+use crate::fault::{FaultProfile, RetryPolicy};
 use crate::kvstore::KvStore;
-use crate::rpc::{PullHandle, PullResponse, ReplyChannel, RpcClient, RpcError, RpcServer};
+use crate::rpc::{PullHandle, PullResponse, ReplyChannel, RpcError, RpcServer};
 use crate::wire::{self, WireElem};
 use mgnn_graph::{FeatureStore, NodeId};
 use std::sync::{Arc, Mutex};
 
-/// One partition's live server endpoint. Guarded by a mutex so a
-/// crashed server can be respawned (and its client handle swapped)
-/// without tearing down the cluster; `generation` detects respawns that
-/// already happened between a failed attempt and the recovery path.
-struct Remote {
-    server: Option<RpcServer>,
-    client: RpcClient,
-    generation: u64,
-}
-
 /// Everything that deviated from the happy path during one grouped pull.
 /// All counts are exact and — with a seeded [`FaultProfile`] — a pure
-/// function of the pull's request id, whichever thread issues it, unless
-/// the pull meets the profile's crash.
+/// function of the pull's request id and its trainer's earlier requests
+/// to the crashing part, whichever thread issues it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PullOutcome {
     /// Correlation id this pull was tagged with
@@ -61,13 +54,13 @@ pub struct PullOutcome {
     pub timeouts: u64,
     /// Replies rejected for a short payload.
     pub truncations: u64,
-    /// Attempts that found the server dead (send failed or the reply
-    /// channel disconnected).
+    /// Attempts that found the server gone: the crash, a failed send or
+    /// a reply channel that disconnected.
     pub disconnects: u64,
     /// Requests a server refused because they named an id it does not
     /// own. A routing error is deterministic: never retried.
     pub rejections: u64,
-    /// Servers respawned from their resident KvStore.
+    /// Crashes met, each booked as a server respawn.
     pub respawns: u64,
     /// Injected delay tags observed: `(nodes_in_request, k)` per event.
     pub delay_events: Vec<(usize, u32)>,
@@ -122,8 +115,8 @@ struct Leg {
     payload: Vec<WireElem>,
     /// The reply channel of the last served pull, free for the next.
     reply: Option<ReplyChannel>,
-    /// First-round request and the server generation it was sent to.
-    in_flight: Option<(Result<PullHandle, RpcError>, u64)>,
+    /// First-round request.
+    in_flight: Option<Result<PullHandle, RpcError>>,
     /// Whether `payload` holds this pull's rows. False for a partition
     /// the pull did not touch or whose ladder was exhausted.
     delivered: bool,
@@ -179,11 +172,10 @@ impl Drop for PulledRows<'_> {
 /// The in-process stand-in for a multi-node cluster.
 pub struct SimCluster {
     stores: Vec<Arc<KvStore>>,
-    remotes: Vec<Mutex<Remote>>,
+    servers: Vec<RpcServer>,
     dim: usize,
     /// Owner partition of every global node.
     assignment: Vec<u32>,
-    faults: Option<FaultProfile>,
     retry: RetryPolicy,
     /// Pull sets between pulls: as many as pulls were ever in flight at
     /// once, each grown to the largest pull it carried.
@@ -205,13 +197,27 @@ impl SimCluster {
     }
 
     /// Like [`SimCluster::new`], but servers run under a deterministic
-    /// fault profile (when `Some`) and failed pulls follow `retry`.
+    /// fault profile (when `Some`) and failed pulls follow `retry`. The
+    /// profile's crash, if it has one, meets rank 0's requests.
     pub fn with_faults(
         features: &FeatureStore,
         assignment: &[u32],
         num_parts: usize,
         profile: Option<FaultProfile>,
         retry: RetryPolicy,
+    ) -> Self {
+        Self::with_faults_designating(features, assignment, num_parts, profile, retry, 0)
+    }
+
+    /// [`SimCluster::with_faults`], with the profile's crash meeting the
+    /// requests of trainer `designated` (the rank its request ids carry).
+    pub fn with_faults_designating(
+        features: &FeatureStore,
+        assignment: &[u32],
+        num_parts: usize,
+        profile: Option<FaultProfile>,
+        retry: RetryPolicy,
+        designated: u64,
     ) -> Self {
         assert_eq!(features.num_nodes(), assignment.len());
         let dim = features.dim();
@@ -226,26 +232,19 @@ impl SimCluster {
             .enumerate()
             .map(|(p, ids)| Arc::new(KvStore::new(p as u32, ids, features)))
             .collect();
-        let remotes: Vec<Mutex<Remote>> = stores
+        let servers = stores
             .iter()
             .enumerate()
             .map(|(p, s)| {
-                let plan = profile.as_ref().map(|f| f.plan_for(p as u32));
-                let server = RpcServer::spawn(Arc::clone(s), plan);
-                let client = server.client();
-                Mutex::new(Remote {
-                    server: Some(server),
-                    client,
-                    generation: 0,
-                })
+                let plan = profile.as_ref().map(|f| f.plan_for(p as u32, designated));
+                RpcServer::spawn(Arc::clone(s), plan)
             })
             .collect();
         SimCluster {
             stores,
-            remotes,
+            servers,
             dim,
             assignment: assignment.to_vec(),
-            faults: profile,
             retry,
             free_sets: Mutex::new(Vec::new()),
         }
@@ -280,13 +279,13 @@ impl SimCluster {
     /// Pull features for arbitrary global `ids` through the RPC servers,
     /// grouping by owner (one bulk request per touched partition, like
     /// DistDGL), and hand them back undecoded. `request_id` tags the
-    /// pull: it keys every fault verdict the pull meets ([`fault_key`]),
-    /// and when it is nonzero and the global event log
-    /// ([`mgnn_obs::events`]) is installed, every verdict is recorded
-    /// against that id.
+    /// pull: every fault verdict the pull meets is answered for it
+    /// ([`crate::FaultPlan::answer`]), and when it is nonzero and the
+    /// global event log ([`mgnn_obs::events`]) is installed, every
+    /// verdict is recorded against that id.
     ///
-    /// Ladder per partition: issue → (on failure) respawn a dead server
-    /// and retry up to `RetryPolicy::max_retries` times → give the
+    /// Ladder per partition: issue → (on failure) book a respawn for a
+    /// crash and retry up to `RetryPolicy::max_retries` times → give the
     /// partition's rows up: they read as zeros and are listed in
     /// `PullOutcome::failed_rows`.
     pub fn pull_rows(&self, ids: &[NodeId], request_id: u64) -> (PulledRows<'_>, PullOutcome) {
@@ -321,17 +320,16 @@ impl SimCluster {
                 continue;
             }
             outcome.rpcs += 1;
-            let (client, generation) = self.current_client(part);
-            let issued = client.pull_async_into(
+            leg.in_flight = Some(self.servers[part].client().pull_async_into(
                 std::mem::take(&mut leg.ids),
                 std::mem::take(&mut leg.payload),
                 leg.reply.take(),
-                fault_key(request_id, 0),
-            );
-            leg.in_flight = Some((issued, generation));
+                request_id,
+                0,
+            ));
         }
         for (part, leg) in legs.iter_mut().enumerate() {
-            let Some((issued, generation)) = leg.in_flight.take() else {
+            let Some(issued) = leg.in_flight.take() else {
                 continue;
             };
             let served = match issued.and_then(PullHandle::wait) {
@@ -347,7 +345,7 @@ impl SimCluster {
                         .filter(|(_, &(p, _))| p as usize == part)
                         .map(|(&g, _)| g)
                         .collect();
-                    self.recover_part(part, &list, e, generation, &mut outcome)
+                    self.recover_part(part, &list, e, &mut outcome)
                 }
             };
             if let Some(resp) = served {
@@ -404,12 +402,6 @@ impl SimCluster {
             .count()
     }
 
-    /// The live client of partition `part` and the generation it talks to.
-    fn current_client(&self, part: usize) -> (RpcClient, u64) {
-        let g = self.remotes[part].lock().unwrap();
-        (g.client.clone(), g.generation)
-    }
-
     /// Emit one fault-ladder event against a tagged pull. Free for
     /// untagged pulls and one atomic load when the event log is off.
     fn emit(outcome: &PullOutcome, kind: &'static str, part: usize, attempt: u32, value: u64) {
@@ -461,35 +453,30 @@ impl SimCluster {
 
     /// Retry ladder for one partition after a failed first attempt at
     /// `list`. Returns the served response, or `None` once every retry is
-    /// exhausted (the rows then read as zeros). The server is respawned
-    /// on disconnect even when retries are spent, so later pulls find a
-    /// healthy endpoint. A rejection ends the ladder at once: the server
-    /// would refuse the same ids again.
+    /// exhausted (the rows then read as zeros). A crash is booked as a
+    /// respawn even when retries are spent. A rejection ends the ladder
+    /// at once: the server would refuse the same ids again.
     fn recover_part(
         &self,
         part: usize,
         list: &[NodeId],
         first_err: RpcError,
-        seen_generation: u64,
         outcome: &mut PullOutcome,
     ) -> Option<PullResponse> {
         let mut err = first_err;
-        let mut generation = seen_generation;
         for attempt in 1..=self.retry.max_retries {
             self.note_failure(&err, part, attempt - 1, outcome);
             match err {
                 RpcError::Kv(_) => return None,
-                RpcError::ServerGone => self.respawn(part, generation, attempt - 1, outcome),
+                RpcError::ServerGone => self.respawn(part, attempt - 1, outcome),
                 RpcError::Timeout | RpcError::Truncated { .. } => {}
             }
             outcome.retries += 1;
             outcome.retry_events.push((list.len(), attempt));
             Self::emit(outcome, "retry", part, attempt, list.len() as u64);
-            let (client, gen_now) = self.current_client(part);
-            generation = gen_now;
-            let key = fault_key(outcome.request_id, attempt);
-            let result = client
-                .pull_async_into(list.to_vec(), Vec::new(), None, key)
+            let result = self.servers[part]
+                .client()
+                .pull_async_into(list.to_vec(), Vec::new(), None, outcome.request_id, attempt)
                 .and_then(PullHandle::wait);
             match result {
                 Ok(resp) => {
@@ -501,43 +488,26 @@ impl SimCluster {
         }
         self.note_failure(&err, part, self.retry.max_retries, outcome);
         if matches!(err, RpcError::ServerGone) {
-            self.respawn(part, generation, self.retry.max_retries, outcome);
+            self.respawn(part, self.retry.max_retries, outcome);
         }
         None
     }
 
-    /// Respawn a dead server from its resident KvStore, unless another
-    /// caller already did (the generation moved past what the failed
-    /// attempt used). A respawned server's plan has its crash budget
-    /// spent — a partition crashes at most once per incarnation chain.
-    fn respawn(&self, part: usize, seen_generation: u64, attempt: u32, outcome: &mut PullOutcome) {
-        let mut g = self.remotes[part].lock().unwrap();
-        if g.generation != seen_generation {
-            return;
+    /// Book the respawn a crash stands for: an event and a count. The
+    /// server answered the crash and runs on, so nothing is restarted; a
+    /// `ServerGone` from a server that really stopped books nothing.
+    fn respawn(&self, part: usize, attempt: u32, outcome: &mut PullOutcome) {
+        if self.servers[part].is_running() {
+            Self::emit(outcome, "respawn", part, attempt, 0);
+            outcome.respawns += 1;
         }
-        Self::emit(outcome, "respawn", part, attempt, 0);
-        let plan = self
-            .faults
-            .as_ref()
-            .map(|f| f.plan_for(part as u32).without_crash());
-        let server = RpcServer::spawn(Arc::clone(&self.stores[part]), plan);
-        g.client = server.client();
-        // Dropping the old handle joins the already-dead thread.
-        g.server = Some(server);
-        g.generation += 1;
-        outcome.respawns += 1;
     }
 
-    /// Shut all servers down, returning total rows served per partition
-    /// (for a respawned partition: rows served by its current
-    /// incarnation).
+    /// Shut all servers down, returning total rows served per partition.
     pub fn shutdown(self) -> Vec<u64> {
-        self.remotes
+        self.servers
             .into_iter()
-            .map(|m| {
-                let mut g = m.into_inner().unwrap();
-                g.server.take().map(|s| s.shutdown()).unwrap_or(0)
-            })
+            .map(|mut server| server.shutdown())
             .collect()
     }
 }
@@ -649,11 +619,35 @@ mod tests {
         assert!(!second.had_faults());
     }
 
-    /// A crash moves no other request's verdict: the respawned server
-    /// keys its verdicts on the request, as the one it replaced did, so
-    /// the same tagged pulls meet the same delays, truncations and drops
-    /// on a crashing cluster as on a crash-free one — all but the pull
-    /// the crash hit.
+    /// A server that really stopped is no crash: its rows are retried,
+    /// then zero-filled, and no respawn is booked — not even on the part
+    /// whose crash the profile arms.
+    #[test]
+    fn a_stopped_server_is_retried_and_zero_filled_not_respawned() {
+        let (f, a) = fixture();
+        let profile = FaultProfile {
+            crash_part: Some(1),
+            crash_after: 0,
+            ..FaultProfile::off(4)
+        };
+        let mut c = SimCluster::with_faults(&f, &a, 4, Some(profile), two_retries());
+        c.servers[1].shutdown();
+        let ids = vec![4u32, 5, 6]; // parts 0, 1, 2
+        let (out, outcome) = c.pull_grouped_checked(&ids);
+        assert_eq!(outcome.disconnects, 3, "the first try and two retries");
+        assert_eq!(outcome.retries, 2);
+        assert_eq!(outcome.respawns, 0);
+        assert_eq!(outcome.failed_rows, vec![1]);
+        assert_eq!(out[..8], on_wire(f.row(4))[..]);
+        assert_eq!(out[8..16], [0.0; 8]);
+        assert_eq!(out[16..], on_wire(f.row(6))[..]);
+    }
+
+    /// A crash moves no other request's verdict: every other request is
+    /// keyed on itself, so the same tagged pulls meet the same delays,
+    /// truncations and drops on a crashing cluster as on a crash-free one
+    /// — all but the designated rank's pull the crash hit, however the
+    /// pulls of two ranks on two threads interleave.
     #[test]
     fn a_crash_moves_no_other_requests_verdict() {
         use mgnn_obs::events::{request_id, ORIGIN_PREPARE};
@@ -674,27 +668,43 @@ mod tests {
             max_retries: 4,
             ..RetryPolicy::default()
         };
-        let calm = SimCluster::with_faults(&f, &a, 4, Some(calm), retry.clone());
-        let crashing = SimCluster::with_faults(&f, &a, 4, Some(crashing), retry);
-        let ids: Vec<u32> = (0..60).collect();
+        let calm = &SimCluster::with_faults(&f, &a, 4, Some(calm), retry.clone());
+        let crashing = &SimCluster::with_faults(&f, &a, 4, Some(crashing), retry);
+        let ids: &[u32] = &(0..60).collect::<Vec<_>>();
+        // Rank 0 is a directly built cluster's designated trainer.
+        let per_rank = std::thread::scope(|s| {
+            [0u64, 1]
+                .map(|rank| {
+                    s.spawn(move || {
+                        let mut differ = Vec::new();
+                        let mut faults = 0;
+                        for step in 0..32 {
+                            let req = request_id(ORIGIN_PREPARE, rank, step);
+                            let (_, want) = calm.pull_rows(ids, req);
+                            let (_, got) = crashing.pull_rows(ids, req);
+                            faults += want.timeouts + want.truncations;
+                            faults += want.delay_events.len() as u64;
+                            if got != want {
+                                differ.push((rank, step, got.respawns));
+                            }
+                        }
+                        (differ, faults)
+                    })
+                })
+                .map(|t| t.join().expect("puller panicked"))
+        });
         let mut differ = Vec::new();
-        let mut faults = 0;
-        for step in 0..32 {
-            let req = request_id(ORIGIN_PREPARE, 0, step);
-            let (_, want) = calm.pull_rows(&ids, req);
-            let (_, got) = crashing.pull_rows(&ids, req);
-            faults += want.timeouts + want.truncations + want.delay_events.len() as u64;
-            if got != want {
-                differ.push((step, got.respawns));
-            }
+        for (moved, faults) in per_rank {
+            assert!(faults > 20, "the profile must fire: {faults}");
+            differ.extend(moved);
         }
-        assert!(faults > 20, "the profile must fire: {faults}");
         assert_eq!(
             differ.len(),
             1,
             "only the pull the crash hit moves: {differ:?}"
         );
-        assert_eq!(differ[0].1, 1, "and that pull met the crash");
+        assert_eq!(differ[0].0, 0, "the designated rank's pull");
+        assert_eq!(differ[0].2, 1, "and that pull met the crash");
     }
 
     #[test]

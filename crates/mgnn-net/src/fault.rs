@@ -2,15 +2,16 @@
 //!
 //! A [`FaultProfile`] is the user-facing chaos configuration: a seed
 //! plus per-request probabilities for dropping a reply, delaying it by
-//! a sim-time factor, or truncating the payload, and an optional
-//! crash-after-N-requests budget for one partition. From it each
-//! server derives a [`FaultPlan`] whose verdict is a pure function of
-//! `(seed, part, key)`, where the key ([`fault_key`]) names the request
-//! itself — the pull's request id and the attempt — so no RNG state, no
-//! wall clock and no arrival order enters it: a chaos run replays
-//! bit-for-bit from its seed alone, under any interleaving of trainers
-//! and across a respawn. The crash budget is the one decision still
-//! counted in arrival order.
+//! a sim-time factor, or truncating the payload, and an optional crash
+//! of one partition's server. From it each server derives a
+//! [`FaultPlan`] whose verdict is a pure function of `(seed, part,
+//! key)`, where the key ([`fault_key`]) names the request itself — the
+//! pull's request id and the attempt. The crash is a verdict too: it
+//! answers one request of one *designated* trainer, its `crash_after`-th
+//! to the crashing part, and a trainer's requests leave in its own
+//! program order. So no RNG state, no wall clock and no arrival order
+//! enters a verdict: a chaos run replays bit-for-bit from its seed
+//! alone, under any interleaving of trainers.
 //!
 //! [`RetryPolicy`] is the client-side counterpart: bounded retries
 //! with a deterministic exponential backoff schedule that is charged to
@@ -32,6 +33,9 @@ pub enum FaultVerdict {
     /// Serve a payload with the last row missing; the client detects
     /// the short byte count.
     Truncate,
+    /// Answer, unserved, that the server crashed; the client reads it as
+    /// a disconnect and books a respawn. The server keeps serving.
+    Crash,
 }
 
 /// Seeded chaos configuration for a whole cluster.
@@ -47,9 +51,12 @@ pub struct FaultProfile {
     pub delay_factor: u32,
     /// Probability a reply is served truncated.
     pub truncate_prob: f64,
-    /// Partition whose server crashes (thread exits) once.
+    /// Partition whose server answers one request with a crash. That
+    /// request is the designated trainer's — the engine's lowest rank not
+    /// on this partition; rank 0 on a directly built `SimCluster`.
     pub crash_part: Option<u32>,
-    /// Requests the crashing server completes before dying.
+    /// Requests (retries included) the designated trainer sends
+    /// `crash_part` before the one that meets the crash.
     pub crash_after: u64,
 }
 
@@ -109,8 +116,9 @@ impl FaultProfile {
     /// The CLI-recognized profile names.
     pub const NAMES: [&'static str; 3] = ["off", "light", "heavy"];
 
-    /// Derive the plan for one partition's server.
-    pub fn plan_for(&self, part: u32) -> FaultPlan {
+    /// Derive the plan for one partition's server; if the profile
+    /// crashes `part`, the crash meets trainer `designated`'s requests.
+    pub fn plan_for(&self, part: u32, designated: u64) -> FaultPlan {
         FaultPlan {
             seed: self.seed,
             part,
@@ -118,17 +126,14 @@ impl FaultProfile {
             delay_prob: self.delay_prob,
             delay_factor: self.delay_factor,
             truncate_prob: self.truncate_prob,
-            crash_after: match self.crash_part {
-                Some(p) if p == part => Some(self.crash_after),
-                _ => None,
-            },
+            crash: (self.crash_part == Some(part)).then_some((designated, self.crash_after)),
         }
     }
 }
 
 /// Per-server fault schedule. Verdicts are a pure function of the
-/// request's [`fault_key`], so they are stable under any client
-/// interleaving and across a respawn.
+/// request's [`fault_key`], and the crash meets one request of the
+/// designated trainer, counted in that trainer's own order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -137,21 +142,26 @@ pub struct FaultPlan {
     delay_prob: f64,
     delay_factor: u32,
     truncate_prob: f64,
-    crash_after: Option<u64>,
+    /// The designated rank and how many of its requests are still
+    /// served before one meets the crash; `None` once it has.
+    crash: Option<(u64, u64)>,
 }
 
 impl FaultPlan {
-    /// The same plan with the crash budget spent — what a respawned
-    /// server runs with, so a partition crashes at most once.
-    pub fn without_crash(mut self) -> Self {
-        self.crash_after = None;
-        self
-    }
-
-    /// Whether the server should exit instead of serving the request
-    /// that arrived `arrivals`-th (0-based).
-    pub fn crash_before(&self, arrivals: u64) -> bool {
-        matches!(self.crash_after, Some(n) if arrivals >= n)
+    /// What the server answers attempt `attempt` of the pull tagged
+    /// `request_id` with: the crash on the designated trainer's request
+    /// it falls on, else the [`verdict`](Self::verdict) of its fault key.
+    pub fn answer(&mut self, request_id: u64, attempt: u32) -> FaultVerdict {
+        if let Some((rank, before)) = &mut self.crash {
+            if *rank == mgnn_obs::events::rank_of(request_id) {
+                if *before == 0 {
+                    self.crash = None;
+                    return FaultVerdict::Crash;
+                }
+                *before -= 1;
+            }
+        }
+        self.verdict(fault_key(request_id, attempt))
     }
 
     /// The verdict for the request with fault key `key`.
@@ -242,8 +252,8 @@ mod tests {
 
     #[test]
     fn verdicts_are_reproducible() {
-        let a = chaotic().plan_for(0);
-        let b = chaotic().plan_for(0);
+        let a = chaotic().plan_for(0, 0);
+        let b = chaotic().plan_for(0, 0);
         for i in 0..1000 {
             assert_eq!(a.verdict(i), b.verdict(i));
         }
@@ -251,13 +261,13 @@ mod tests {
 
     #[test]
     fn verdicts_differ_across_parts_and_seeds() {
-        let p0 = chaotic().plan_for(0);
-        let p1 = chaotic().plan_for(3);
+        let p0 = chaotic().plan_for(0, 0);
+        let p1 = chaotic().plan_for(3, 0);
         let other = FaultProfile {
             seed: 43,
             ..chaotic()
         }
-        .plan_for(0);
+        .plan_for(0, 0);
         let differs = |x: &FaultPlan, y: &FaultPlan| (0..200).any(|i| x.verdict(i) != y.verdict(i));
         assert!(differs(&p0, &p1), "per-part plans must decorrelate");
         assert!(differs(&p0, &other), "seed must matter");
@@ -283,7 +293,7 @@ mod tests {
         assert_eq!(unique.len(), keys.len());
         assert_eq!(fault_key(0, 0), 0, "an untagged first round");
         // A retry is not doomed to repeat its first round's verdict.
-        let plan = chaotic().plan_for(2);
+        let plan = chaotic().plan_for(2, 0);
         let dropped_first: Vec<u64> = (0..2000)
             .filter(|&id| plan.verdict(fault_key(id, 0)) == FaultVerdict::Drop)
             .collect();
@@ -297,7 +307,7 @@ mod tests {
 
     #[test]
     fn verdict_mix_tracks_probabilities() {
-        let plan = chaotic().plan_for(2);
+        let plan = chaotic().plan_for(2, 0);
         let n = 20_000u64;
         let mut drops = 0;
         let mut delays = 0;
@@ -311,6 +321,7 @@ mod tests {
                 }
                 FaultVerdict::Truncate => truncs += 1,
                 FaultVerdict::None => {}
+                FaultVerdict::Crash => panic!("a key is never a crash"),
             }
         }
         let frac = |c: u64| c as f64 / n as f64;
@@ -334,28 +345,39 @@ mod tests {
     #[test]
     fn off_profile_is_faultless_and_silent() {
         let p = FaultProfile::off(7);
-        let plan = p.plan_for(0);
-        assert!(!plan.crash_before(u64::MAX - 1));
+        let mut plan = p.plan_for(0, 0);
         for i in 0..500 {
             assert_eq!(plan.verdict(i), FaultVerdict::None);
+            assert_eq!(plan.answer(i, 0), FaultVerdict::None);
         }
     }
 
+    /// The crash applies to one part and one rank: the designated
+    /// trainer's sixth request there (`crash_after` 5, retries counted)
+    /// meets it, once. Every other answer is its request's verdict —
+    /// another rank's requests in between included.
     #[test]
     fn crash_budget_applies_to_one_part_and_is_spent_by_respawn() {
+        use mgnn_obs::events::{request_id, ORIGIN_PREPARE};
         let profile = chaotic();
-        let crashing = profile.plan_for(1);
-        let healthy = profile.plan_for(0);
-        assert!(!crashing.crash_before(4));
-        assert!(crashing.crash_before(5));
-        assert!(crashing.crash_before(6));
-        assert!(!healthy.crash_before(u64::MAX - 1));
-        let respawned = crashing.clone().without_crash();
-        assert!(!respawned.crash_before(u64::MAX - 1));
-        // Verdicts are unchanged by the respawn.
-        for i in 0..200 {
-            assert_eq!(crashing.verdict(i), respawned.verdict(i));
+        let mut crashing = profile.plan_for(1, 2);
+        let mut healthy = profile.plan_for(0, 2);
+        let mut crashed = Vec::new();
+        for step in 0..20 {
+            for rank in [3, 2] {
+                for attempt in 0..2 {
+                    let id = request_id(ORIGIN_PREPARE, rank, step);
+                    let key = fault_key(id, attempt);
+                    assert_eq!(healthy.answer(id, attempt), healthy.verdict(key));
+                    match crashing.answer(id, attempt) {
+                        FaultVerdict::Crash => crashed.push((rank, step, attempt)),
+                        got => assert_eq!(got, crashing.verdict(key)),
+                    }
+                }
+            }
         }
+        // Two requests a step: rank 2's sixth is step 2's retry.
+        assert_eq!(crashed, [(2, 2, 1)]);
     }
 
     #[test]

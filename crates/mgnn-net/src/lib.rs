@@ -23,7 +23,7 @@
 
 //! A third layer rides on top of both: **deterministic chaos**. A
 //! seeded [`fault::FaultProfile`] makes servers drop, delay-tag,
-//! truncate, or crash per a pure hash of the request index; clients
+//! truncate, or answer a crash, each decided by the request itself; clients
 //! retry with [`fault::RetryPolicy`] backoff charged to the *modeled*
 //! clock; and [`cluster::SimCluster`] degrades (respawn → retry →
 //! zero-fill) instead of panicking, reporting every deviation exactly.

@@ -276,7 +276,7 @@ mod tests {
         for ids in [vec![3u32, 1, 4], vec![], vec![15u32; 9], (0..40).collect()] {
             let rows = ids.len() as u64;
             let payload = client
-                .pull_async_into(ids, Vec::new(), None, 0)
+                .pull_async_into(ids, Vec::new(), None, 0, 0)
                 .unwrap()
                 .wait()
                 .unwrap()

@@ -20,10 +20,12 @@
 //! dropped reply as [`RpcError::Timeout`], a short payload as
 //! [`RpcError::Truncated`], and a routing bug as [`RpcError::Kv`].
 //! Servers optionally run under a deterministic [`FaultPlan`] that
-//! decides per request — by the fault key the request carries — whether
-//! to drop, delay-tag, or truncate the reply, or crash the server thread
-//! outright. Every verdict rides back on the reply, a drop included, so
-//! no client ever waits on the wall clock to learn one.
+//! decides per request — by the request id and attempt it carries —
+//! whether to drop, delay-tag or truncate the reply, or to answer that
+//! the server crashed, which reads as `ServerGone`. Every verdict rides
+//! back on the reply, a drop and the crash included, so no client ever
+//! waits on the wall clock to learn one, and a server thread only stops
+//! when it is shut down.
 
 use crate::fault::{FaultPlan, FaultVerdict};
 use crate::kvstore::{KvError, KvStore};
@@ -36,8 +38,9 @@ use std::thread::JoinHandle;
 /// Why a pull failed at the client.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RpcError {
-    /// The server thread is gone: the request could not be sent, or the
-    /// reply channel disconnected before a reply arrived.
+    /// The server is gone: the request could not be sent, the reply
+    /// channel disconnected before a reply arrived, or the server
+    /// answered with a crash verdict.
     ServerGone,
     /// The reply was lost: the server answered with a drop verdict.
     Timeout,
@@ -81,7 +84,8 @@ pub struct PullReply {
     /// Whether the server served the request or rejected it.
     pub status: Result<(), KvError>,
     /// The fault verdict the request met ([`FaultVerdict::None`] without
-    /// a plan); a [`FaultVerdict::Drop`] reply was not served.
+    /// a plan); a [`FaultVerdict::Drop`] or [`FaultVerdict::Crash`]
+    /// reply was not served.
     pub verdict: FaultVerdict,
     /// The sender this reply was sent on, so the receiving end owns
     /// both halves again and can reuse the channel.
@@ -99,9 +103,11 @@ pub enum Request {
         buf: Vec<WireElem>,
         /// One-shot response channel.
         reply: Sender<PullReply>,
-        /// What the fault plan keys this request's verdict on
-        /// ([`crate::fault::fault_key`]).
-        key: u64,
+        /// The pull's request id, which a fault plan answers with its
+        /// attempt ([`FaultPlan::answer`]).
+        request_id: u64,
+        /// 0 for the first round, then one more per retry.
+        attempt: u32,
     },
     /// Stop the server loop.
     Shutdown,
@@ -124,49 +130,40 @@ impl std::fmt::Debug for ReplyChannel {
 
 /// A running partition feature server.
 pub struct RpcServer {
-    tx: Sender<Request>,
+    client: RpcClient,
     handle: Option<JoinHandle<u64>>,
-    dim: usize,
 }
 
 impl RpcServer {
     /// Spawn a server thread for `kv`. Under a fault `plan` each
-    /// request's verdict (serve / drop / delay-tag / truncate) is a pure
-    /// function of the plan seed and the request's fault key, and the
-    /// server thread exits — without replying — once the plan's crash
-    /// budget of arrivals is reached. Every verdict is a *tag* on an
-    /// immediate reply, not a wall-clock sleep or silence, so chaos runs
-    /// stay fast and reproducible.
-    pub fn spawn(kv: Arc<KvStore>, plan: Option<FaultPlan>) -> Self {
+    /// request's verdict (serve / drop / delay-tag / truncate / crash) is
+    /// what [`FaultPlan::answer`] says for its request id and attempt.
+    /// Every verdict is a *tag* on an immediate reply, not a wall-clock
+    /// sleep, silence or a thread exit, so chaos runs stay fast and
+    /// reproducible.
+    pub fn spawn(kv: Arc<KvStore>, mut plan: Option<FaultPlan>) -> Self {
         let dim = kv.dim();
         let (tx, rx) = unbounded::<Request>();
         let handle = std::thread::Builder::new()
             .name(format!("kvserver-{}", kv.part_id()))
             .spawn(move || {
                 let mut served = 0u64;
-                let mut arrivals = 0u64;
                 while let Ok(req) = rx.recv() {
                     match req {
                         Request::Pull {
                             ids,
                             mut buf,
                             reply,
-                            key,
+                            request_id,
+                            attempt,
                         } => {
-                            if plan.as_ref().is_some_and(|p| p.crash_before(arrivals)) {
-                                // Simulated crash: exit without replying.
-                                // Dropping `reply` (and the request
-                                // channel) is what in-flight and queued
-                                // clients observe; what the request lent
-                                // goes down with it.
-                                break;
-                            }
-                            let verdict =
-                                plan.as_ref().map_or(FaultVerdict::None, |p| p.verdict(key));
-                            arrivals += 1;
-                            // A dropped reply is answered at once, unserved.
+                            let verdict = plan
+                                .as_mut()
+                                .map_or(FaultVerdict::None, |p| p.answer(request_id, attempt));
+                            // A dropped reply and a crash are answered at
+                            // once, unserved.
                             let mut status = Ok(());
-                            if verdict != FaultVerdict::Drop {
+                            if !matches!(verdict, FaultVerdict::Drop | FaultVerdict::Crash) {
                                 status = kv.pull_into(&ids, &mut buf);
                                 if status.is_ok() {
                                     if verdict == FaultVerdict::Truncate {
@@ -177,9 +174,9 @@ impl RpcServer {
                             }
                             // The reply carries its own sender home. The
                             // server's handle drops right after, so a
-                            // crash before this point still disconnects
-                            // the waiting client. A client that stopped
-                            // waiting is not a server error.
+                            // server that stops before this point still
+                            // disconnects the waiting client. A client
+                            // that stopped waiting is not a server error.
                             let _ = reply.send(PullReply {
                                 ids,
                                 payload: buf,
@@ -195,34 +192,36 @@ impl RpcServer {
             })
             .expect("failed to spawn kvserver thread");
         RpcServer {
-            tx,
+            client: RpcClient { tx, dim },
             handle: Some(handle),
-            dim,
         }
     }
 
-    /// A client handle to this server (cheaply cloneable).
-    pub fn client(&self) -> RpcClient {
-        RpcClient {
-            tx: self.tx.clone(),
-            dim: self.dim,
-        }
+    /// The client handle to this server (cheaply cloneable).
+    pub fn client(&self) -> &RpcClient {
+        &self.client
     }
 
-    /// Shut the server down, returning the total rows it served. Safe to
-    /// call on a server that already crashed: the join still succeeds.
-    pub fn shutdown(mut self) -> u64 {
-        let _ = self.tx.send(Request::Shutdown);
+    /// Shut the server down, returning the rows it served (0 if it already
+    /// was); requests queued behind the shutdown read `ServerGone`.
+    pub fn shutdown(&mut self) -> u64 {
+        let _ = self.client.tx.send(Request::Shutdown);
         self.handle
             .take()
             .map(|h| h.join().expect("kvserver panicked"))
             .unwrap_or(0)
     }
+
+    /// Whether the server thread still runs: a crash verdict comes from a
+    /// running server, a real disconnect from one that stopped.
+    pub fn is_running(&self) -> bool {
+        self.handle.as_ref().is_some_and(|h| !h.is_finished())
+    }
 }
 
 impl Drop for RpcServer {
     fn drop(&mut self) {
-        let _ = self.tx.send(Request::Shutdown);
+        let _ = self.client.tx.send(Request::Shutdown);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -242,15 +241,16 @@ impl RpcClient {
     /// line 20–22. The server gathers the rows into `buf` (cleared first)
     /// and replies on `reply` (a fresh channel when `None`); the
     /// [`PullResponse`] hands `ids`, `buf` and the channel back for the
-    /// next pull. `key` is what a fault plan keys the verdict on
-    /// ([`crate::fault::fault_key`]). Fails immediately if the server is
+    /// next pull. `request_id` and `attempt` name the request to a fault
+    /// plan ([`FaultPlan::answer`]). Fails immediately if the server is
     /// already gone.
     pub fn pull_async_into(
         &self,
         ids: Vec<NodeId>,
         buf: Vec<WireElem>,
         reply: Option<ReplyChannel>,
-        key: u64,
+        request_id: u64,
+        attempt: u32,
     ) -> Result<PullHandle, RpcError> {
         let ReplyChannel { tx, rx } = reply.unwrap_or_else(|| {
             let (tx, rx) = bounded(1);
@@ -262,7 +262,8 @@ impl RpcClient {
                 ids,
                 buf,
                 reply: tx,
-                key,
+                request_id,
+                attempt,
             })
             .map_err(|_| RpcError::ServerGone)?;
         Ok(PullHandle {
@@ -295,13 +296,16 @@ pub struct PullHandle {
 
 impl PullHandle {
     /// Block until the reply arrives, which it always does unless the
-    /// server thread dies mid-request: that returns
+    /// server stops with the request in flight: that returns
     /// [`RpcError::ServerGone`] instead of hanging or panicking. A reply
-    /// with a drop verdict reads as [`RpcError::Timeout`].
+    /// with a drop verdict reads as [`RpcError::Timeout`], one with a
+    /// crash verdict as [`RpcError::ServerGone`].
     pub fn wait(self) -> Result<PullResponse, RpcError> {
         let reply = self.rx.recv().map_err(|_| RpcError::ServerGone)?;
-        if reply.verdict == FaultVerdict::Drop {
-            return Err(RpcError::Timeout);
+        match reply.verdict {
+            FaultVerdict::Drop => return Err(RpcError::Timeout),
+            FaultVerdict::Crash => return Err(RpcError::ServerGone),
+            _ => {}
         }
         reply.status.map_err(RpcError::Kv)?;
         let expected = self.expect_rows * self.dim;
@@ -348,7 +352,7 @@ mod tests {
 
     /// Issue an untagged first-round pull into fresh buffers.
     fn issue(client: &RpcClient, ids: Vec<NodeId>) -> Result<PullHandle, RpcError> {
-        client.pull_async_into(ids, Vec::new(), None, 0)
+        client.pull_async_into(ids, Vec::new(), None, 0, 0)
     }
 
     /// Issue, wait, keep the payload.
@@ -361,17 +365,42 @@ mod tests {
         RpcServer::spawn(kv(), plan)
     }
 
+    /// A plan for part 0 whose crash, if any, meets rank 0.
     fn plan_with(f: impl FnOnce(&mut FaultProfile)) -> FaultPlan {
         let mut p = FaultProfile::off(11);
         f(&mut p);
-        p.plan_for(0)
+        p.plan_for(0, 0)
+    }
+
+    /// Stop `server` with a pull for `ids` in flight: the server is held
+    /// on a reply channel that is already full until the shutdown and the
+    /// pull are both queued, so it reads the shutdown first, and the
+    /// pull's channel goes down with the queue it sat in.
+    fn stop_with_a_pull_in_flight(server: &RpcServer, ids: Vec<NodeId>) -> PullHandle {
+        let client = server.client();
+        let (tx, rx) = bounded(1);
+        let filler = PullReply {
+            ids: Vec::new(),
+            payload: Vec::new(),
+            status: Ok(()),
+            verdict: FaultVerdict::None,
+            reply: tx.clone(),
+        };
+        tx.send(filler).unwrap();
+        let held = client
+            .pull_async_into(Vec::new(), Vec::new(), Some(ReplyChannel { tx, rx }), 0, 0)
+            .unwrap();
+        server.client.tx.send(Request::Shutdown).unwrap();
+        let in_flight = issue(client, ids).unwrap();
+        drop(held); // the server's reply finds no reader; it reads on
+        in_flight
     }
 
     #[test]
     fn pull_round_trip() {
-        let server = serve(None);
+        let mut server = serve(None);
         let client = server.client();
-        let out = pull(&client, vec![5, 1]).unwrap();
+        let out = pull(client, vec![5, 1]).unwrap();
         assert_eq!(out, on_wire([5.0, 5.5, 1.0, 1.5]));
         assert_eq!(server.shutdown(), 2);
     }
@@ -380,7 +409,7 @@ mod tests {
     fn async_pull_overlaps() {
         let server = serve(None);
         let client = server.client();
-        let handle = issue(&client, vec![3]).unwrap();
+        let handle = issue(client, vec![3]).unwrap();
         // Do "other work" before waiting.
         let x: u64 = (0..100).sum();
         assert_eq!(x, 4950);
@@ -391,9 +420,9 @@ mod tests {
 
     #[test]
     fn a_served_pull_hands_back_what_it_was_lent() {
-        let server = serve(None);
+        let mut server = serve(None);
         let client = server.client();
-        let first = issue(&client, vec![5, 1]).unwrap().wait().unwrap();
+        let first = issue(client, vec![5, 1]).unwrap().wait().unwrap();
         assert_eq!(first.ids, [5, 1]);
         let buf = first.payload.as_ptr();
         // Second pull through the same id list, buffer and channel: the
@@ -402,7 +431,7 @@ mod tests {
         ids.clear();
         ids.push(3);
         let second = client
-            .pull_async_into(ids, first.payload, Some(first.reply), 0)
+            .pull_async_into(ids, first.payload, Some(first.reply), 0, 0)
             .unwrap()
             .wait()
             .unwrap();
@@ -418,8 +447,8 @@ mod tests {
 
     #[test]
     fn many_clients_one_server() {
-        let server = serve(None);
-        let clients: Vec<RpcClient> = (0..4).map(|_| server.client()).collect();
+        let mut server = serve(None);
+        let clients: Vec<RpcClient> = (0..4).map(|_| server.client().clone()).collect();
         let handles: Vec<_> = clients
             .into_iter()
             .map(|c| {
@@ -440,7 +469,7 @@ mod tests {
     fn empty_pull() {
         let server = serve(None);
         assert_eq!(
-            pull(&server.client(), vec![]).unwrap(),
+            pull(server.client(), vec![]).unwrap(),
             Vec::<WireElem>::new()
         );
     }
@@ -448,58 +477,84 @@ mod tests {
     #[test]
     fn drop_shuts_down_cleanly() {
         let server = serve(None);
-        let client = server.client();
+        let client = server.client().clone();
         drop(server); // must not hang
         assert_eq!(pull(&client, vec![1]), Err(RpcError::ServerGone));
         assert!(issue(&client, vec![1]).is_err());
     }
 
+    /// A server that stops with a request in flight — the death that
+    /// once panicked `wait` via `expect("server dropped reply")` — reads
+    /// as `ServerGone`: the queue the request sat in is drained on
+    /// disconnect, its reply channel with it, so nothing hangs.
     #[test]
     fn wait_after_server_crash_errors_instead_of_hanging() {
-        // Crash budget 0: the server dies on its first request without
-        // replying — exactly the mid-request death that used to panic
-        // `wait` via `expect("server dropped reply")`.
-        let plan = plan_with(|p| {
-            p.crash_part = Some(0);
-            p.crash_after = 0;
-        });
-        let server = serve(Some(plan));
+        let mut server = serve(None);
         let client = server.client();
-        let handle = issue(&client, vec![1]).unwrap();
+        let handle = stop_with_a_pull_in_flight(&server, vec![1]);
         assert_eq!(handle.wait().unwrap_err(), RpcError::ServerGone);
-        // The server is dead for good: later sends fail fast too.
-        assert_eq!(pull(&client, vec![3]), Err(RpcError::ServerGone));
+        // The server is gone for good: later sends fail fast too.
+        assert_eq!(pull(client, vec![3]), Err(RpcError::ServerGone));
         assert_eq!(server.shutdown(), 0);
+        assert!(!server.is_running());
     }
 
+    /// A server that served two pulls, then stopped with a third in
+    /// flight: the third reads as `ServerGone`, and the rows it served
+    /// before it stopped are all it reports.
     #[test]
     fn crash_after_n_serves_n_then_dies() {
-        let plan = plan_with(|p| {
-            p.crash_part = Some(0);
-            p.crash_after = 2;
-        });
-        let server = serve(Some(plan));
+        let mut server = serve(None);
         let client = server.client();
-        assert_eq!(pull(&client, vec![1]).unwrap(), on_wire([1.0, 1.5]));
+        assert_eq!(pull(client, vec![1]).unwrap(), on_wire([1.0, 1.5]));
         assert_eq!(
-            pull(&client, vec![3, 5]).unwrap(),
+            pull(client, vec![3, 5]).unwrap(),
             on_wire([3.0, 3.5, 5.0, 5.5])
         );
-        let handle = issue(&client, vec![5]).unwrap();
+        let handle = stop_with_a_pull_in_flight(&server, vec![5]);
         assert_eq!(handle.wait().unwrap_err(), RpcError::ServerGone);
         assert_eq!(server.shutdown(), 3);
+    }
+
+    /// The crash is a verdict: the designated rank's (rank 0's) second
+    /// request is answered at once with it, which reads as `ServerGone`,
+    /// and the server keeps serving — that rank's retry and every other
+    /// rank's pulls, which never count towards the crash.
+    #[test]
+    fn a_crash_is_answered_at_once_and_the_server_keeps_serving() {
+        use mgnn_obs::events::{request_id, ORIGIN_PREPARE};
+        let plan = plan_with(|p| {
+            p.crash_part = Some(0);
+            p.crash_after = 1;
+        });
+        let mut server = serve(Some(plan));
+        let client = server.client();
+        let tagged = |rank, attempt| {
+            let id = request_id(ORIGIN_PREPARE, rank, 0);
+            let resp = client.pull_async_into(vec![3], Vec::new(), None, id, attempt);
+            resp.and_then(PullHandle::wait).map(|r| r.payload)
+        };
+        assert_eq!(tagged(1, 0).unwrap(), on_wire([3.0, 3.5]));
+        assert_eq!(tagged(0, 0).unwrap(), on_wire([3.0, 3.5]));
+        assert_eq!(tagged(1, 1).unwrap(), on_wire([3.0, 3.5]));
+        assert_eq!(tagged(0, 1), Err(RpcError::ServerGone));
+        assert!(server.is_running(), "the crash is an answer, not an exit");
+        for (rank, attempt) in [(0, 2), (1, 2), (0, 3)] {
+            assert_eq!(tagged(rank, attempt).unwrap(), on_wire([3.0, 3.5]));
+        }
+        assert_eq!(server.shutdown(), 6, "the crashed request served nothing");
     }
 
     #[test]
     fn dropped_reply_times_out() {
         let plan = plan_with(|p| p.drop_prob = 1.0);
-        let server = serve(Some(plan));
+        let mut server = serve(Some(plan));
         let client = server.client();
         // The drop comes back at once, as a reply, and reads as a timeout.
-        assert_eq!(pull(&client, vec![1]), Err(RpcError::Timeout));
+        assert_eq!(pull(client, vec![1]), Err(RpcError::Timeout));
         // The server is still alive — it lost the reply, it did not die —
         // so it keeps answering, and shutdown drains normally.
-        assert_eq!(pull(&client, vec![3, 5]), Err(RpcError::Timeout));
+        assert_eq!(pull(client, vec![3, 5]), Err(RpcError::Timeout));
         assert_eq!(server.shutdown(), 0, "a dropped reply serves no rows");
     }
 
@@ -513,18 +568,18 @@ mod tests {
         });
         let server = serve(Some(plan.clone()));
         let client = server.client();
-        for key in (0..40).chain((0..40).rev()) {
+        for (id, attempt) in (0..40).chain((0..40).rev()).zip((0..4).cycle()) {
             let got = client
-                .pull_async_into(vec![1, 3], Vec::new(), None, key)
+                .pull_async_into(vec![1, 3], Vec::new(), None, id, attempt)
                 .unwrap()
                 .wait();
-            let want = plan.verdict(key);
+            let want = plan.verdict(crate::fault::fault_key(id, attempt));
             match got {
                 Err(RpcError::Timeout) => assert_eq!(want, FaultVerdict::Drop),
                 Err(RpcError::Truncated { .. }) => assert_eq!(want, FaultVerdict::Truncate),
                 Ok(resp) if resp.delay_k > 0 => assert_eq!(want, FaultVerdict::Delay(2)),
                 Ok(_) => assert_eq!(want, FaultVerdict::None),
-                Err(e) => panic!("key {key}: {e}"),
+                Err(e) => panic!("request {id}, attempt {attempt}: {e}"),
             }
         }
     }
@@ -533,7 +588,7 @@ mod tests {
     fn truncated_payload_detected() {
         let plan = plan_with(|p| p.truncate_prob = 1.0);
         let server = serve(Some(plan));
-        let err = pull(&server.client(), vec![1, 3]).unwrap_err();
+        let err = pull(server.client(), vec![1, 3]).unwrap_err();
         assert_eq!(
             err,
             RpcError::Truncated {
@@ -543,7 +598,7 @@ mod tests {
         );
         // Truncating an empty pull is a no-op, not an error.
         assert_eq!(
-            pull(&server.client(), vec![]).unwrap(),
+            pull(server.client(), vec![]).unwrap(),
             Vec::<WireElem>::new()
         );
     }
@@ -555,7 +610,7 @@ mod tests {
             p.delay_factor = 7;
         });
         let server = serve(Some(plan));
-        let resp = issue(&server.client(), vec![5]).unwrap().wait().unwrap();
+        let resp = issue(server.client(), vec![5]).unwrap().wait().unwrap();
         assert_eq!(resp.payload, on_wire([5.0, 5.5]));
         assert_eq!(resp.delay_k, 7, "delay rides the reply as a sim-time tag");
     }
@@ -564,9 +619,9 @@ mod tests {
     fn unowned_id_is_typed_error_and_server_survives() {
         let server = serve(None);
         let client = server.client();
-        let err = pull(&client, vec![1, 2]).unwrap_err();
+        let err = pull(client, vec![1, 2]).unwrap_err();
         assert_eq!(err, RpcError::Kv(KvError { node: 2, part: 0 }));
         // The server did not die serving the bad request.
-        assert_eq!(pull(&client, vec![1]).unwrap(), on_wire([1.0, 1.5]));
+        assert_eq!(pull(client, vec![1]).unwrap(), on_wire([1.0, 1.5]));
     }
 }

@@ -88,11 +88,11 @@ counter_table! {
     rpc_timeouts: "mgnn_rpc_timeouts_total", "RPC pulls that timed out", fault = true;
     /// Replies rejected for a truncated payload.
     rpc_truncations: "mgnn_rpc_truncations_total", "RPC replies truncated by fault injection", fault = true;
-    /// Pull attempts that found a dead server.
+    /// Pull attempts that met the crash or found a stopped server.
     rpc_disconnects: "mgnn_rpc_disconnects_total", "RPC failures from crashed or dropped servers", fault = true;
     /// Injected delay tags observed on replies.
     rpc_delays: "mgnn_rpc_delays_total", "Injected RPC delay events", fault = true;
-    /// Servers respawned from their resident KvStore.
+    /// Crashes met, each booked as a server respawn.
     server_respawns: "mgnn_server_respawns_total", "Crashed feature servers respawned", fault = true;
     /// Eviction replacements cancelled because the fetch failed — the
     /// stale resident row kept serving instead (degradation rung 2).

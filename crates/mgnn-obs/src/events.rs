@@ -36,6 +36,11 @@ pub fn request_id(origin: u8, rank: u64, step: u64) -> u64 {
     ((origin as u64 + 1) << 56) | ((rank & 0xFFFF) << 40) | (step & 0xFF_FFFF_FFFF)
 }
 
+/// The trainer rank a [`request_id`] was made for; 0 for an untagged pull.
+pub fn rank_of(request_id: u64) -> u64 {
+    (request_id >> 40) & 0xFFFF
+}
+
 /// One event in a request's fault/degradation history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -176,5 +181,8 @@ mod tests {
         assert_eq!((b >> 56) & 0xFF, ORIGIN_PREPARE as u64 + 1);
         assert_eq!((b >> 40) & 0xFFFF, 3);
         assert_eq!(b & 0xFF_FFFF_FFFF, 12345);
+        assert_eq!(rank_of(b), 3);
+        assert_eq!(rank_of(request_id(ORIGIN_INIT, 0xFFFF, u64::MAX)), 0xFFFF);
+        assert_eq!(rank_of(0), 0, "an untagged pull reads as rank 0");
     }
 }

@@ -70,18 +70,25 @@ pub trait SampleUniform: PartialOrd + Copy {
     fn sample_inclusive<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self;
 }
 
+/// `x mod span` for a span in `1..=2^64`: a u64 remainder — the u128 one,
+/// without a 128-bit division — whenever the span fits in 64 bits.
+fn reduce(x: u64, span: u128) -> u128 {
+    match u64::try_from(span) {
+        Ok(span) => u128::from(x % span),
+        Err(_) => u128::from(x) % span,
+    }
+}
+
 macro_rules! impl_sample_uniform_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
             fn sample_half_open<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 let span = (hi as i128 - lo as i128) as u128;
-                let r = ((rng.next_u64() as u128) % span) as i128;
-                (lo as i128 + r) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
             fn sample_inclusive<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self) -> Self {
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                let r = ((rng.next_u64() as u128) % span) as i128;
-                (lo as i128 + r) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
     )*};
@@ -228,7 +235,49 @@ pub mod prelude {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
+
+    /// The u128 remainder every integer draw used to reduce with.
+    fn reference(x: u64, span: u128) -> u128 {
+        u128::from(x) % span
+    }
+
+    #[test]
+    fn the_64_bit_reduction_is_the_u128_remainder() {
+        let spans = [
+            1u128,
+            3,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            u128::from(u64::MAX),
+            1 << 64,
+        ];
+        let mut r = StdRng::seed_from_u64(5);
+        let edges = [0, 1, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+        let xs: Vec<u64> = edges
+            .into_iter()
+            .chain((0..1000).map(|_| r.next_u64()))
+            .collect();
+        for x in xs {
+            for span in spans {
+                assert_eq!(super::reduce(x, span), reference(x, span), "{x} mod {span}");
+            }
+        }
+        // Through `gen_range`, full 64-bit inclusive ranges included.
+        let (mut a, mut b) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        let mut draw = |lo: i128, span: u128| lo + reference(b.next_u64(), span) as i128;
+        for _ in 0..1000 {
+            assert_eq!(i128::from(a.gen_range(0..=u64::MAX)), draw(0, 1 << 64));
+            let full = a.gen_range(i64::MIN..=i64::MAX);
+            assert_eq!(i128::from(full), draw(i128::from(i64::MIN), 1 << 64));
+            assert_eq!(i128::from(a.gen_range(7u32..10)), draw(7, 3));
+            let wide = a.gen_range(-5i64..(1 << 32) - 4);
+            assert_eq!(i128::from(wide), draw(-5, (1 << 32) + 1));
+            let most = a.gen_range(1u64..=u64::MAX);
+            assert_eq!(i128::from(most), draw(1, u128::from(u64::MAX)));
+        }
+    }
 
     #[test]
     fn deterministic_across_instances() {

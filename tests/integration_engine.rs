@@ -312,8 +312,7 @@ enum Shape {
     Lookahead2,
     /// Scoreboard with `EngineConfig::trace` on.
     ScoreboardTraced,
-    /// `FaultProfile::heavy`, drops and crash included. Sequential only:
-    /// the crash budget is counted in arrival order.
+    /// `FaultProfile::heavy`, drops and crash included.
     ScoreboardHeavy,
     Lookahead2Heavy,
 }
@@ -406,6 +405,19 @@ const FINGERPRINT_SEEDS: [u64; 2] = [1, 42];
 /// overlap efficiencies, `makespan_s`, `load_imbalance`);
 /// `degraded_rows` and `stale_served` stay 0, one
 /// respawn a run, and `epoch_loss` and `final_params` did not move.
+/// They were re-recorded once more when the crash became a verdict on
+/// the designated trainer's own `crash_after`-th request instead of the
+/// server's arrival count, which lets them run threaded. Against
+/// `945a80e`'s, the event log of each run differs in exactly two
+/// requests: the one that met the crash there (rank 2 or 3), which now
+/// meets its own verdict, and rank 2's pull that meets the crash now
+/// (step 7 or 8). The report lines that moved are those two pulls' fault
+/// counters (`rpc_disconnects` and `server_respawns` where the crash
+/// changed trainer, `rpc_retries`, `rpc_timeouts`, `rpc_truncations`,
+/// `rpc_delays`) and the simulated times charged for them (`rpc_s`,
+/// `planned_s`, `communication_stall_s`, `total_serial_s`, `sim_time_s`,
+/// `stall_s`, the overlap efficiencies, `makespan_s`, `load_imbalance`);
+/// `epoch_loss` and `final_params` did not move.
 /// The other sixteen are still PR 14's parent's.
 #[rustfmt::skip]
 const PARENT_RUNS: [(Shape, bool, u64, u64); 24] = [
@@ -425,14 +437,14 @@ const PARENT_RUNS: [(Shape, bool, u64, u64); 24] = [
     (Shape::ScoreboardTraced, false, 42, 0x9f760a40bdcd3eb1),
     (Shape::ScoreboardTraced, true, 1, 0x1d4c088f0731c31f),
     (Shape::ScoreboardTraced, true, 42, 0xe706284eb3c4fc1e),
-    (Shape::ScoreboardHeavy, false, 1, 0xaebc0b50f9acdc8c),
-    (Shape::ScoreboardHeavy, false, 42, 0x7b1a1ad5a4287ff2),
-    (Shape::ScoreboardHeavy, true, 1, 0x28e9a67a609ff723),
-    (Shape::ScoreboardHeavy, true, 42, 0x135ca6fa38e5e3f3),
-    (Shape::Lookahead2Heavy, false, 1, 0x798b2d5cb94f2cf7),
-    (Shape::Lookahead2Heavy, false, 42, 0xc266e2c795dc6e5f),
-    (Shape::Lookahead2Heavy, true, 1, 0x61b2d5bfecdcaebc),
-    (Shape::Lookahead2Heavy, true, 42, 0x4c1042900ce038a4),
+    (Shape::ScoreboardHeavy, false, 1, 0x112ae642d3057c1b),
+    (Shape::ScoreboardHeavy, false, 42, 0x8b05e46cda19c1b8),
+    (Shape::ScoreboardHeavy, true, 1, 0x27fbc2c9f0bd838e),
+    (Shape::ScoreboardHeavy, true, 42, 0x0ef0df3a632e464d),
+    (Shape::Lookahead2Heavy, false, 1, 0x932e4760a635fc31),
+    (Shape::Lookahead2Heavy, false, 42, 0xcb2fbd97888a3f25),
+    (Shape::Lookahead2Heavy, true, 1, 0x5bb95222973aed10),
+    (Shape::Lookahead2Heavy, true, 42, 0xfbbba3df4d247178),
 ];
 
 /// `(train_math, seed, learning_fingerprint)` of the `Lookahead2` and
@@ -522,10 +534,9 @@ fn both_schedulers_reproduce_the_parent_reports() {
         if shape.faulted() {
             let agg = seq.aggregate_metrics();
             assert!(
-                agg.rpc_retries > 0 && agg.server_respawns >= 1,
+                agg.rpc_retries > 0 && agg.server_respawns == 1,
                 "{shape:?}: ladder idle"
             );
-            continue;
         }
         cfg.parallel = true;
         let par = Engine::build(cfg).run();
@@ -538,18 +549,15 @@ fn both_schedulers_reproduce_the_parent_reports() {
 }
 
 /// A fault verdict is a function of the request — its id and attempt —
-/// not of when it reached the server, so under a profile without a crash
-/// (the one decision still counted in arrival order) a thread per
-/// trainer replays the sequential report bit for bit, drops included.
+/// and the crash of the designated trainer's own request count, not of
+/// when a request reached the server, so a thread per trainer replays the
+/// sequential report bit for bit, drops and crash included.
 #[test]
 fn threaded_chaos_replays_the_sequential_report() {
     for seed in FINGERPRINT_SEEDS {
         let profiles = [
             FaultProfile::light(seed ^ 0xfa17),
-            FaultProfile {
-                crash_part: None,
-                ..FaultProfile::heavy(seed ^ 0xfa17)
-            },
+            FaultProfile::heavy(seed ^ 0xfa17),
         ];
         for shape in [Shape::Baseline, Shape::Scoreboard, Shape::Lookahead2] {
             for (name, profile) in ["light", "heavy"].into_iter().zip(profiles.clone()) {
@@ -570,6 +578,81 @@ fn threaded_chaos_replays_the_sequential_report() {
                     "threaded chaos differs: {shape:?} {name} seed={seed}"
                 );
             }
+        }
+    }
+}
+
+/// A profile's crash meets one request: the designated trainer's — the
+/// lowest rank not on `crash_part` — `crash_after`-th to that part. Every
+/// shape that arms a crash issues it: the fingerprint shapes under
+/// `heavy`, and the benchmark's `chaos-lookahead` shape at two of its
+/// seeds. Under either scheduler a run books exactly one respawn, on the
+/// designated trainer (`crash_part` 0 of a 2 × 2 world: rank 2), and the
+/// ladder loses no row to it.
+#[test]
+fn the_designated_crash_is_issued_in_every_shape_that_arms_one() {
+    use massivegnn::RetryPolicy;
+    let mut runs = Vec::new();
+    for seed in FINGERPRINT_SEEDS {
+        for shape in [Shape::Baseline, Shape::Scoreboard, Shape::Lookahead2] {
+            let cfg = EngineConfig {
+                fault: Some(FaultProfile::heavy(seed ^ 0xfa17)),
+                ..fingerprint_config(shape, false, seed)
+            };
+            runs.push((format!("{shape:?} seed={seed}"), cfg));
+        }
+    }
+    for seed in [42, 2718] {
+        let chaos_lookahead = EngineConfig {
+            dataset: DatasetKind::Products,
+            scale: Scale::Small,
+            num_parts: 2,
+            trainers_per_part: 2,
+            batch_size: 128,
+            epochs: 2,
+            fanouts: vec![10, 25],
+            hidden_dim: 64,
+            seed,
+            mode: Mode::Prefetch(
+                PrefetchConfig {
+                    f_h: 0.35,
+                    ..Default::default()
+                }
+                .with_lookahead_policy(2),
+            ),
+            fault: Some(FaultProfile {
+                drop_prob: 0.0,
+                truncate_prob: 0.10,
+                ..FaultProfile::heavy(seed ^ 0xFA01)
+            }),
+            retry: RetryPolicy {
+                max_retries: 4,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        runs.push((format!("chaos-lookahead seed={seed}"), chaos_lookahead));
+    }
+    for (name, cfg) in runs {
+        for parallel in [false, true] {
+            let report = Engine::build(EngineConfig {
+                parallel,
+                ..cfg.clone()
+            })
+            .run();
+            let agg = report.aggregate_metrics();
+            assert!(agg.rpc_retries > 0, "{name} parallel={parallel}: no retry");
+            assert_eq!(agg.degraded_rows, 0, "{name} parallel={parallel}");
+            let respawns: Vec<u64> = report
+                .trainers
+                .iter()
+                .map(|t| t.metrics.server_respawns)
+                .collect();
+            assert_eq!(
+                respawns,
+                [0, 0, 1, 0],
+                "{name} parallel={parallel}: one respawn, on the designated trainer"
+            );
         }
     }
 }

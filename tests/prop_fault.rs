@@ -1,15 +1,14 @@
 //! Chaos determinism properties: a fault schedule is part of the seeded
 //! configuration, so the same `FaultProfile` seed must replay bit for
 //! bit — same counters, same degradation, same sim-clock charges — no
-//! matter how wide the kernel pool runs, and, without a crash, on the
-//! threaded engine too.
+//! matter how wide the kernel pool runs, and on the threaded engine too.
 //!
-//! A verdict is a function of the request (its id and attempt), so the
-//! only order-dependent decision is the crash budget, counted in arrival
-//! order: a profile with a crash replays on the sequential engine, one
-//! without replays on either. Every verdict — a drop included — comes
-//! back at once on the reply and covers every sim-time-charging path:
-//! delay tags, retry round-trips, backoff, respawn.
+//! A verdict is a function of the request (its id and attempt), and the
+//! crash meets the designated trainer's `crash_after`-th request to its
+//! part, counted in that trainer's own program order: nothing is decided
+//! in arrival order. Every verdict — a drop and the crash included —
+//! comes back at once on the reply and covers every sim-time-charging
+//! path: delay tags, retry round-trips, backoff, respawn.
 
 use massivegnn::{Engine, EngineConfig, FaultProfile, Mode, PrefetchConfig, RunReport};
 use proptest::prelude::*;
@@ -82,12 +81,10 @@ proptest! {
         let again = rayon::pool::with_max_threads(4, || Engine::build(cfg.clone()).run());
         prop_assert_eq!(fingerprint(&wide), fingerprint(&again));
 
-        // Without a crash nothing is decided in arrival order: a thread
-        // per trainer replays it too.
-        if crash_sel == 2 {
-            let threaded = Engine::build(EngineConfig { parallel: true, ..cfg }).run();
-            prop_assert_eq!(fingerprint(&narrow), fingerprint(&threaded));
-        }
+        // Nothing is decided in arrival order, the crash included: a
+        // thread per trainer replays it too.
+        let threaded = Engine::build(EngineConfig { parallel: true, ..cfg }).run();
+        prop_assert_eq!(fingerprint(&narrow), fingerprint(&threaded));
     }
 
     #[test]

@@ -198,7 +198,7 @@ proptest! {
             _ => Some(FaultProfile { truncate_prob: 1.0, ..FaultProfile::off(seed) }),
         };
         // Same seed, same requests: both clusters meet the same verdicts
-        // (and, in the same arrival order, the same crash).
+        // (and, at rank 0's same request count, the same crash).
         let make = || SimCluster::with_faults(&f, &assignment, parts, profile.clone(), two_retries());
         let (whole, scattered) = (make(), make());
         for round in 0..3 {

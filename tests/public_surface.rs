@@ -15,8 +15,8 @@
 //! and a caller that is itself unreached hides its callees until it is
 //! deleted and the test re-run.
 //!
-//! `docs_name_what_exists` holds README, DESIGN and EXPERIMENTS to the
-//! tree with the same lexer: every back-ticked `path.rs`, `path.rs:LINE`
+//! `docs_name_what_exists` holds README, DESIGN, EXPERIMENTS and the
+//! ROADMAP to the tree with the same lexer: every back-ticked `path.rs`, `path.rs:LINE`
 //! and `Type::method` resolves.
 
 use std::collections::HashMap;
@@ -510,7 +510,7 @@ fn docs_name_what_exists() {
     };
 
     let mut broken = Vec::new();
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"] {
         for span in code_spans(&read(&root.join(doc))) {
             if ["..", "…", "*", "{"].iter().any(|glob| span.contains(glob)) {
                 continue;
