@@ -93,9 +93,14 @@ pub struct TrainerReport {
     pub trainer_id: u32,
     /// Simulated end-to-end time.
     pub sim_time_s: f64,
-    /// Stall time (preparation exceeding training during overlap).
+    /// Time the trainer waited for its next batch, the first batch's
+    /// preparation excluded. In baseline mode, where nothing is prepared
+    /// ahead, that is every later batch's whole preparation; §V-B5's
+    /// communication stall is [`Breakdown::communication_stall_s`].
     pub stall_s: f64,
-    /// Overlap efficiency (1.0 = the paper's perfect overlap).
+    /// The share of the waiting the batches did, not the trainer:
+    /// `slack / (stall + slack)`. 1.0 = the paper's perfect overlap, 0.0 =
+    /// none (baseline mode).
     pub overlap_efficiency: f64,
     /// Exact communication counters.
     pub metrics: MetricsSnapshot,

@@ -11,8 +11,7 @@ use crate::policy::LookaheadPolicy;
 use crate::prefetcher::{baseline_prepare_reuse, Prefetcher, PrepareScratch, PreparedBatch};
 use mgnn_model::train::{forward_backward, StepStats};
 use mgnn_model::{Model, Optimizer, Sgd};
-use mgnn_net::clock::PipelineClock;
-use mgnn_net::{CommMetrics, SimClock};
+use mgnn_net::{CommMetrics, PipelineClock};
 use mgnn_obs::{registry, Lane, Phase, SpanRecorder, StepAnchor, StepPoint, TrainerTrace};
 use mgnn_partition::LocalPartition;
 use mgnn_sampling::{DataLoader, NeighborSampler};
@@ -31,8 +30,9 @@ pub(super) struct TrainerState {
     feed: Option<PrefetchPipeline>,
     /// Carries the span recorder when tracing is on.
     metrics: Arc<CommMetrics>,
-    clock: SimClock,
-    pipeline: Option<PipelineClock>,
+    /// The prepare/train pipeline: the prefetcher's window deep, or
+    /// nothing in flight (window 0) in baseline mode.
+    clock: PipelineClock,
     hits: HitRateTracker,
     breakdown: Breakdown,
     init: InitReport,
@@ -159,8 +159,8 @@ impl TrainerState {
     }
 
     /// Train on one batch: modeled DDP time, the real tensor math when
-    /// enabled, and the clock advance (serial Eq. 2 in baseline mode, the
-    /// bounded-queue pipeline clock in prefetch mode).
+    /// enabled, and the pipeline clock's advance (Eqs. 4–5; with nothing
+    /// in flight in baseline mode, Eq. 2).
     pub(super) fn train_on(&mut self, batch: &PreparedBatch, engine: &Engine, global_step: u64) {
         let (cfg, world) = (&engine.cfg, engine.world());
         let timing = &batch.timing;
@@ -204,33 +204,12 @@ impl TrainerState {
         // Advance the clock, keeping where the prepare window and the
         // train window landed in simulated time, the step's stall and
         // how much of the wait was hidden.
-        let (prep_start_s, train_start_s, stall_s, overlap_efficiency) = match &mut self.pipeline {
-            // Baseline is serial (Eq. 2): nothing overlaps, and the stall
-            // is §V-B5's per-step communication stall.
-            None => {
-                let t_fetch = timing.t_rpc.max(timing.t_copy);
-                let start = self.clock.now();
-                self.clock.advance(timing.t_sampling + t_fetch + t_train);
-                let stall = (timing.t_rpc - timing.t_copy).max(0.0);
-                (start, start + timing.t_sampling + t_fetch, stall, 0.0)
-            }
-            // Prefetch feeds the bounded-queue pipeline clock (Eqs. 4–5).
-            Some(pipeline) => {
-                let times = pipeline.step_timed(timing.t_prepare(), t_train);
-                let waited = times.stall_s + times.slack_s;
-                let hidden = if waited == 0.0 {
-                    1.0
-                } else {
-                    times.slack_s / waited
-                };
-                (times.prep_start, times.train_start, times.stall_s, hidden)
-            }
-        };
+        let times = self.clock.step_timed(timing.t_prepare(), t_train);
         if let Some(rec) = self.metrics.recorder() {
             rec.record_anchor(StepAnchor {
                 step: global_step,
-                prep_start_s,
-                train_start_s,
+                prep_start_s: times.prep_start,
+                train_start_s: times.train_start,
             });
             // The `train` span is train-lane relative, so it starts at 0;
             // the ring-allreduce tail is nested at its end.
@@ -245,10 +224,10 @@ impl TrainerState {
             );
             rec.record_step(StepPoint {
                 step: global_step,
-                stall_s,
+                stall_s: times.stall_s,
                 hits: batch.counts.hits as u64,
                 misses: batch.counts.misses as u64,
-                overlap_efficiency,
+                overlap_efficiency: times.overlap_efficiency(),
             });
         }
     }
@@ -294,16 +273,12 @@ impl TrainerState {
             .map(PrefetchPipeline::join)
             .or(self.prefetcher)
             .map_or(0, |p| p.heap_bytes() + p.peak_transient_bytes());
-        let (sim_time_s, stall_s, overlap_efficiency) = match (&self.pipeline, &self.clock) {
-            (Some(p), _) => (p.now(), p.stall(), p.overlap_efficiency()),
-            (None, c) => (c.now(), c.stall(), c.overlap_efficiency()),
-        };
         TrainerReport {
             part_id: self.part.part_id,
             trainer_id: (rank % cfg.trainers_per_part) as u32,
-            sim_time_s,
-            stall_s,
-            overlap_efficiency,
+            sim_time_s: self.clock.now(),
+            stall_s: self.clock.stall(),
+            overlap_efficiency: self.clock.overlap_efficiency(),
             metrics: self.metrics.snapshot(),
             remote_sampled_frac: self.halo_frac_sum / self.hits.len().max(1) as f64,
             minibatches: self.hits.len() as u64,
@@ -340,7 +315,6 @@ impl Engine {
                 }
                 let metrics = Arc::new(metrics);
                 let mut init = InitReport::default();
-                let mut pipeline = None;
                 let prefetcher = match cfg.mode {
                     Mode::Baseline => None,
                     Mode::Prefetch(pcfg) => {
@@ -369,10 +343,12 @@ impl Engine {
                             )));
                         }
                         init = rep;
-                        pipeline = Some(PipelineClock::new(init.total_s(), pf.window()));
                         Some(pf)
                     }
                 };
+                // Baseline prepares each batch only once the last one has
+                // trained: a queue that holds nothing (Eq. 2).
+                let window = prefetcher.as_ref().map_or(0, Prefetcher::window);
                 let mut hits = HitRateTracker::new();
                 hits.reserve(total_steps);
                 TrainerState {
@@ -382,8 +358,7 @@ impl Engine {
                     prefetcher,
                     feed: None,
                     metrics,
-                    clock: SimClock::new(),
-                    pipeline,
+                    clock: PipelineClock::new(init.total_s(), window),
                     hits,
                     breakdown: Breakdown::default(),
                     init,

@@ -1,72 +1,4 @@
 //! Per-trainer simulated clock.
-//!
-//! A [`SimClock`] accumulates modeled seconds. The combinator that matters
-//! for the paper is [`SimClock::advance_overlapped`]: Eq. 5's
-//! `max(t_prepare, t_DDP)` — two activities running concurrently advance
-//! the clock by the longer one, and the shorter activity's *slack* is
-//! recorded so overlap efficiency (Fig. 9) can be reported.
-
-/// Simulated wall clock for one trainer.
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now: f64,
-    /// Total time the trainer stalled waiting for data preparation
-    /// (preparation exceeding training during overlap).
-    stall: f64,
-    /// Total slack: training exceeding preparation (preparation fully
-    /// hidden).
-    slack: f64,
-}
-
-impl SimClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current simulated time in seconds.
-    #[inline]
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advance by a serial activity of duration `dt`.
-    pub fn advance(&mut self, dt: f64) {
-        debug_assert!(dt >= 0.0, "negative duration");
-        self.now += dt;
-    }
-
-    /// Advance by two concurrent activities (Eq. 4/5 of the paper):
-    /// the clock moves by `max(a, b)`; if `a` (preparation) exceeds `b`
-    /// (training) the difference is a stall, otherwise it is slack.
-    pub fn advance_overlapped(&mut self, prepare: f64, train: f64) {
-        debug_assert!(prepare >= 0.0 && train >= 0.0);
-        self.now += prepare.max(train);
-        if prepare > train {
-            self.stall += prepare - train;
-        } else {
-            self.slack += train - prepare;
-        }
-    }
-
-    /// Cumulative stall time (trainer waiting on preparation).
-    #[inline]
-    pub fn stall(&self) -> f64 {
-        self.stall
-    }
-
-    /// Overlap efficiency in `[0, 1]`: the fraction of overlapped rounds'
-    /// preparation time hidden under training. 1.0 = the paper's "perfect
-    /// overlap". Returns 1.0 when nothing was overlapped.
-    pub fn overlap_efficiency(&self) -> f64 {
-        let denom = self.stall + self.slack;
-        if denom == 0.0 {
-            1.0
-        } else {
-            self.slack / denom
-        }
-    }
-}
 
 /// Simulated clock for the two-stage prepare/train pipeline and the
 /// bounded queue between them — Eq. 4/5 of the paper, batch by batch.
@@ -76,10 +8,13 @@ impl SimClock {
 /// its producer makes in one go (1 for the paper's per-step scoreboard,
 /// a planner's whole window). Preparation of batch `i` may start once the
 /// prepare server is free **and** batch `i − window` has been popped for
-/// training (a queue slot freed):
+/// training (a queue slot freed). A window of 0 holds nothing in flight:
+/// batch `i` is prepared only once batch `i − 1` has trained, which is the
+/// paper's serial baseline (Eq. 2).
 ///
 /// ```text
-/// prep_start(i)  = max(prep_done(i−1), train_start(i−window))
+/// prep_start(i)  = max(prep_done(i−1), train_start(i−window))   window ≥ 1
+/// prep_start(i)  = max(prep_done(i−1), train_done(i−1))         window 0
 /// prep_done(i)   = prep_start(i) + t_prep(i)
 /// train_start(i) = max(train_done(i−1), prep_done(i))
 /// train_done(i)  = train_start(i) + t_train(i)
@@ -89,7 +24,7 @@ pub struct PipelineClock {
     prep_done: f64,
     train_done: f64,
     /// `train_start` of the last `window` batches, batch `i` in slot
-    /// `i % window`; `−∞` where no batch has been yet.
+    /// `i % window`; `−∞` where no batch has been yet. Empty at window 0.
     train_starts: Vec<f64>,
     /// Batches processed so far.
     batches: usize,
@@ -99,9 +34,8 @@ pub struct PipelineClock {
 
 impl PipelineClock {
     /// A pipeline clock starting at time `start` (e.g. after
-    /// initialization costs) whose queue holds `window ≥ 1` batches.
+    /// initialization costs) whose queue holds `window` batches.
     pub fn new(start: f64, window: usize) -> Self {
-        assert!(window >= 1, "the queue holds at least one batch");
         PipelineClock {
             prep_done: start,
             train_done: start,
@@ -121,8 +55,10 @@ impl PipelineClock {
         // Batch `i − window`'s train_start frees the slot this batch's
         // own train_start overwrites below; while the queue has never
         // been full the slot reads −∞ and prep may start immediately.
-        let slot = self.batches % self.train_starts.len();
-        let prep_start = self.prep_done.max(self.train_starts[slot]);
+        // Without a slot, the previous batch must finish training.
+        let slot = self.batches.checked_rem(self.train_starts.len());
+        let freed = slot.map_or(self.train_done, |s| self.train_starts[s]);
+        let prep_start = self.prep_done.max(freed);
         let prep_done = prep_start + t_prep;
         let train_start = self.train_done.max(prep_done);
         // Stall: trainer idle waiting for the batch; slack: batch waited
@@ -144,7 +80,9 @@ impl PipelineClock {
         let train_done = train_start + t_train;
         self.prep_done = prep_done;
         self.train_done = train_done;
-        self.train_starts[slot] = train_start;
+        if let Some(s) = slot {
+            self.train_starts[s] = train_start;
+        }
         self.batches += 1;
         PipelineStepTimes {
             prep_start,
@@ -166,15 +104,10 @@ impl PipelineClock {
         self.stall
     }
 
-    /// Overlap efficiency in `[0, 1]` (1 = every batch was ready when the
-    /// trainer wanted it).
+    /// Overlap efficiency of every batch so far (see
+    /// [`PipelineStepTimes::overlap_efficiency`]).
     pub fn overlap_efficiency(&self) -> f64 {
-        let denom = self.stall + self.slack;
-        if denom == 0.0 {
-            1.0
-        } else {
-            self.slack / denom
-        }
+        hidden_fraction(self.stall, self.slack)
     }
 }
 
@@ -196,59 +129,93 @@ pub struct PipelineStepTimes {
     pub slack_s: f64,
 }
 
+impl PipelineStepTimes {
+    /// Overlap efficiency in `[0, 1]`: `slack / (stall + slack)`, the share
+    /// of the waiting that the batch did, not the trainer. 1 = the paper's
+    /// perfect overlap, 0 = every wait was a stall (a window-0 clock after
+    /// warmup); 1 when nobody waited.
+    pub fn overlap_efficiency(&self) -> f64 {
+        hidden_fraction(self.stall_s, self.slack_s)
+    }
+}
+
+/// `slack / (stall + slack)`, 1 when both are 0.
+fn hidden_fraction(stall: f64, slack: f64) -> f64 {
+    let waited = stall + slack;
+    if waited == 0.0 {
+        1.0
+    } else {
+        slack / waited
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn serial_advance_accumulates() {
-        let mut c = SimClock::new();
-        c.advance(1.5);
-        c.advance(0.5);
-        assert!((c.now() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_takes_max() {
-        let mut c = SimClock::new();
-        c.advance_overlapped(1.0, 3.0);
-        assert!((c.now() - 3.0).abs() < 1e-12);
-        assert_eq!(c.stall(), 0.0);
-        assert!((c.slack - 2.0).abs() < 1e-12);
+        // Window 0: nothing in flight. Every batch is prepared once the
+        // previous one has trained, so the clock is the serial sum.
+        let mut p = PipelineClock::new(10.0, 0);
+        let mut prev_train_done = 10.0;
+        let mut serial = 10.0;
+        for i in 0..20 {
+            let (prep, train) = (1.0 + (i % 3) as f64, 2.0 - (i % 2) as f64 * 0.5);
+            let t = p.step_timed(prep, train);
+            assert_eq!(t.prep_start, prev_train_done);
+            assert_eq!(t.train_start, t.prep_done);
+            if i > 0 {
+                // After warmup the trainer waits out every preparation.
+                assert!((t.stall_s - prep).abs() < 1e-12);
+                assert_eq!(t.slack_s, 0.0);
+                assert_eq!(t.overlap_efficiency(), 0.0);
+            }
+            prev_train_done = t.train_done;
+            serial += prep + train;
+        }
+        assert!((p.now() - serial).abs() < 1e-12 * serial);
+        assert_eq!(p.overlap_efficiency(), 0.0);
     }
 
     #[test]
     fn stall_recorded_when_prepare_dominates() {
-        let mut c = SimClock::new();
-        c.advance_overlapped(5.0, 2.0);
-        assert!((c.now() - 5.0).abs() < 1e-12);
-        assert!((c.stall() - 3.0).abs() < 1e-12);
+        // One deep, prep 5 against train 2: each step after warmup waits
+        // 3 for its batch.
+        let mut p = PipelineClock::new(0.0, 1);
+        for _ in 0..4 {
+            p.step_timed(5.0, 2.0);
+        }
+        assert!((p.now() - (5.0 + 4.0 * 5.0 - 3.0)).abs() < 1e-12);
+        assert!((p.stall() - 3.0 * 3.0).abs() < 1e-12);
+        assert_eq!(p.overlap_efficiency(), 0.0);
     }
 
     #[test]
     fn overlap_efficiency_bounds() {
-        let mut perfect = SimClock::new();
-        perfect.advance_overlapped(1.0, 2.0);
-        assert!((perfect.overlap_efficiency() - 1.0).abs() < 1e-12);
-
-        let mut poor = SimClock::new();
-        poor.advance_overlapped(2.0, 1.0);
-        poor.advance_overlapped(2.0, 1.0);
-        assert_eq!(poor.overlap_efficiency(), 0.0);
-
-        let mut mixed = SimClock::new();
-        mixed.advance_overlapped(1.0, 2.0); // slack 1
-        mixed.advance_overlapped(3.0, 2.0); // stall 1
-        assert!((mixed.overlap_efficiency() - 0.5).abs() < 1e-12);
-
-        let untouched = SimClock::new();
-        assert_eq!(untouched.overlap_efficiency(), 1.0);
+        let run = |window: usize, schedule: &[(f64, f64)]| {
+            let mut p = PipelineClock::new(0.0, window);
+            for &(prep, train) in schedule {
+                p.step_timed(prep, train);
+            }
+            p.overlap_efficiency()
+        };
+        // Prep always hidden under training: perfect overlap.
+        assert_eq!(run(1, &[(1.0, 2.0); 3]), 1.0);
+        // The same batches with nothing in flight: none.
+        assert_eq!(run(0, &[(1.0, 2.0); 3]), 0.0);
+        // Warmup, then slack 1 (ready at 2, wanted at 3), then stall 1
+        // (ready at 6, wanted at 5).
+        assert!((run(1, &[(1.0, 2.0), (1.0, 2.0), (3.0, 2.0)]) - 0.5).abs() < 1e-12);
+        // Zero-time batches: nobody waited.
+        assert_eq!(run(0, &[(0.0, 0.0); 3]), 1.0);
+        assert_eq!(run(1, &[]), 1.0);
     }
 
     #[test]
     fn pipeline_depth1_matches_eq5() {
         // Constant times: steady state should advance by max(prep, train)
-        // per step, matching SimClock::advance_overlapped.
+        // per step.
         let mut p = PipelineClock::new(0.0, 1);
         for _ in 0..100 {
             p.step_timed(2.0, 3.0);
@@ -309,7 +276,7 @@ mod tests {
         #[test]
         fn deeper_queue_is_never_later_and_stays_in_bounds(
             schedule in proptest::collection::vec((0.0f64..5.0, 0.0f64..5.0), 1..60),
-            window in 1usize..8,
+            window in 0usize..8,
         ) {
             let prep: f64 = schedule.iter().map(|s| s.0).sum();
             let train: f64 = schedule.iter().map(|s| s.1).sum();
@@ -321,6 +288,10 @@ mod tests {
             for t in [shallow, deep] {
                 proptest::prop_assert!(t >= prep.max(train) * (1.0 - 1e-12));
                 proptest::prop_assert!(t <= (prep + train) * (1.0 + 1e-12));
+            }
+            // Nothing in flight is the serial sum.
+            if window == 0 {
+                proptest::prop_assert!((shallow - (prep + train)).abs() <= (prep + train) * 1e-12);
             }
         }
     }

@@ -13,7 +13,7 @@
 //! * **Modeled time** — [`cost::CostModel`] converts those exact counts
 //!   into seconds using latency/bandwidth/compute-rate parameters
 //!   calibrated to the paper's platform (§V), accumulated in a
-//!   [`clock::SimClock`]. The paper's CPU-vs-GPU distinction is a compute
+//!   [`clock::PipelineClock`]. The paper's CPU-vs-GPU distinction is a compute
 //!   rate; the `t_RPC / t_DDP` ratio that decides whether prefetch overlap
 //!   wins (Eq. 6) is explicit and testable.
 //!
@@ -37,7 +37,7 @@ pub mod metrics;
 pub mod rpc;
 pub mod wire;
 
-pub use clock::{PipelineClock, PipelineStepTimes, SimClock};
+pub use clock::{PipelineClock, PipelineStepTimes};
 pub use cluster::{PullOutcome, SimCluster};
 pub use cost::{Backend, CostModel};
 pub use fault::{FaultPlan, FaultProfile, FaultVerdict, RetryPolicy};

@@ -7,9 +7,30 @@
 use massivegnn::scoreboard::{AccessScores, EvictionScores};
 use massivegnn::{perfmodel, PrefetchBuffer, ScoreLayout};
 use mgnn_graph::GraphBuilder;
-use mgnn_net::SimClock;
+use mgnn_net::PipelineClock;
 use mgnn_partition::{multilevel_partition, Partitioning};
 use proptest::prelude::*;
+
+fn arb_components() -> impl Strategy<Value = perfmodel::Components> {
+    (
+        0.0f64..1.0,
+        0.0f64..1.0,
+        0.0f64..1.0,
+        0.0f64..0.1,
+        0.0f64..0.1,
+        0.0f64..1.0,
+    )
+        .prop_map(|(t_sampling, t_rpc, t_copy, t_lookup, t_scoring, t_ddp)| {
+            perfmodel::Components {
+                t_sampling,
+                t_rpc,
+                t_copy,
+                t_lookup,
+                t_scoring,
+                t_ddp,
+            }
+        })
+}
 
 fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (2..max_n).prop_flat_map(move |n| {
@@ -177,22 +198,41 @@ proptest! {
 
     #[test]
     fn clock_overlap_never_exceeds_serial(
-        pairs in prop::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..50)
+        steps in prop::collection::vec(arb_components(), 1..50)
     ) {
-        let mut overlapped = SimClock::new();
-        let mut serial = 0.0f64;
-        for &(a, b) in &pairs {
-            overlapped.advance_overlapped(a, b);
-            serial += a + b;
+        // Nothing in flight (window 0): every step is Eq. 2's baseline.
+        let mut serial = PipelineClock::new(0.0, 0);
+        let mut overlapped = PipelineClock::new(0.0, 1);
+        let mut prev = 0.0;
+        for c in &steps {
+            let base = perfmodel::Components { t_lookup: 0.0, t_scoring: 0.0, ..*c };
+            let done = serial.step_timed(perfmodel::t_prepare(&base), c.t_ddp).train_done;
+            prop_assert!((done - prev - perfmodel::t_baseline(&base)).abs() <= 1e-12 * done);
+            prev = done;
+            overlapped.step_timed(perfmodel::t_prepare(c), c.t_ddp);
         }
-        prop_assert!(overlapped.now() <= serial + 1e-9);
+        let prep: f64 = steps.iter().map(perfmodel::t_prepare).sum();
+        let train: f64 = steps.iter().map(|c| c.t_ddp).sum();
+        prop_assert!(overlapped.now() <= (prep + train) * (1.0 + 1e-12));
         // And at least the max single stream.
-        let amax: f64 = pairs.iter().map(|p| p.0).sum();
-        let bmax: f64 = pairs.iter().map(|p| p.1).sum();
-        prop_assert!(overlapped.now() + 1e-9 >= amax.max(bmax));
-        // Efficiency in range.
-        let e = overlapped.overlap_efficiency();
-        prop_assert!((0.0..=1.0).contains(&e));
+        prop_assert!(overlapped.now() >= prep.max(train) * (1.0 - 1e-12));
+        for e in [serial.overlap_efficiency(), overlapped.overlap_efficiency()] {
+            prop_assert!((0.0..=1.0).contains(&e));
+        }
+
+        // Constant times, one deep: the trainer starts batch 1 after
+        // Eq. 4's first step, the pipeline fill included, and every later
+        // batch one Eq. 5 step after the one before.
+        let c = &steps[0];
+        let mut one_deep = PipelineClock::new(0.0, 1);
+        let starts: Vec<f64> = (0..=steps.len())
+            .map(|_| one_deep.step_timed(perfmodel::t_prepare(c), c.t_ddp).train_start)
+            .collect();
+        let tol = 1e-12 * one_deep.now();
+        prop_assert!((starts[1] - perfmodel::t_prefetch_first(c)).abs() <= tol);
+        for w in starts[1..].windows(2) {
+            prop_assert!((w[1] - w[0] - perfmodel::t_prefetch_steady(c)).abs() <= tol);
+        }
     }
 
     #[test]

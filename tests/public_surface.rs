@@ -33,10 +33,6 @@ const ORACLES: &[(&str, &str)] = &[
         "the bf16 rounding every pulled row (`wire::encode_row` → `decode_row`) is compared with",
     ),
     (
-        "advance_overlapped",
-        "Eq. 5's `max(t_prepare, t_DDP)` in one call: what a `PipelineClock::step_timed` step settles to, never above the serial sum",
-    ),
-    (
         "pooled_buffers",
         "free-list probe: a thousand `SimCluster::pull_rows` leave one receive buffer per touched partition",
     ),
@@ -93,7 +89,7 @@ const ORACLES: &[(&str, &str)] = &[
     ),
     (
         "t_prefetch_first",
-        "the paper's Eq. 4, the first-batch cost `t_prefetch_steady` (Eq. 5, reached) may never exceed",
+        "the paper's Eq. 4, the first-batch cost `t_prefetch_steady` (Eq. 5, reached) may never exceed, and when a one-deep `PipelineClock` starts training its second batch",
     ),
     (
         "improvement_factor",
