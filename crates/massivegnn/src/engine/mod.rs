@@ -408,7 +408,7 @@ mod tests {
     use crate::config::{PrefetchConfig, PrefetchPolicyKind, ScoreLayout};
     use mgnn_graph::{DatasetKind, Scale};
     use mgnn_net::{Backend, FaultProfile};
-    use mgnn_obs::{Lane, Phase};
+    use mgnn_obs::{Lane, Phase, PhaseStats};
 
     fn base_cfg() -> EngineConfig {
         EngineConfig {
@@ -848,6 +848,11 @@ mod tests {
         }
     }
 
+    /// `trace`'s summary of `phase`, if any span of it was recorded.
+    fn stats(trace: &TrainerTrace, phase: Phase) -> Option<&PhaseStats> {
+        trace.phases.iter().find(|p| p.phase == phase)
+    }
+
     /// Shared trace-consistency assertions: every phase present with
     /// histogram counts equal to the step count, and span sums matching
     /// the breakdown fields.
@@ -858,8 +863,7 @@ mod tests {
             assert_eq!(trace.part_id, trainer.part_id);
             assert_eq!(trace.dropped, 0, "unit-scale runs must not drop events");
             for phase in Phase::ALL {
-                let stats = trace
-                    .phase(phase)
+                let stats = stats(trace, phase)
                     .unwrap_or_else(|| panic!("no {} spans recorded", phase.name()));
                 assert_eq!(
                     stats.count,
@@ -940,6 +944,95 @@ mod tests {
                 + trainer.stall_s
                 + trainer.breakdown.train_s;
             assert!((serial - trainer.sim_time_s).abs() < 1e-9);
+        }
+    }
+
+    /// Every second a planning round charges is on the trace: a lookahead
+    /// trainer's `Planned` spans sum to its `planned_s`, rounds that only
+    /// did bookkeeping included. A buffer holding every halo row (`f_h`
+    /// 1.0) leaves the rounds nothing to pull.
+    #[test]
+    fn traced_planned_spans_match_planned_s() {
+        let pcfg = PrefetchConfig {
+            f_h: 1.0,
+            ..PrefetchConfig::default()
+        };
+        let mut cfg = EngineConfig {
+            mode: Mode::Prefetch(pcfg.with_lookahead_policy(2)),
+            epochs: 4,
+            trace: true,
+            ..Default::default()
+        };
+        for parallel in [false, true] {
+            cfg.parallel = parallel;
+            let report = Engine::build(cfg.clone()).run();
+            for (trainer, trace) in report.trainers.iter().zip(&report.traces) {
+                let planned = trainer.breakdown.planned_s;
+                assert!(planned > 0.0);
+                let spans = stats(trace, Phase::Planned).map_or(0.0, |p| p.sum_s);
+                assert!(
+                    (spans - planned).abs() < 1e-9,
+                    "parallel {parallel}, trainer {}: Planned spans sum to {spans} over {} spans, \
+                     planned_s is {planned}",
+                    trace.trainer,
+                    stats(trace, Phase::Planned).map_or(0, |p| p.count)
+                );
+                assert_eq!(trainer.breakdown.phase_s(Phase::Planned), Some(planned));
+            }
+        }
+    }
+
+    /// Each prepare window is laid out from its batch's timing (Eq. 3): a
+    /// planning round at offset 0, then sampling → lookup → scoring →
+    /// evict back to back, then RPC and copy side by side. With nothing
+    /// in flight (baseline) the trainer starts training where its window
+    /// ends.
+    #[test]
+    fn traced_windows_are_laid_out_from_their_timing() {
+        let lookahead = Mode::Prefetch(PrefetchConfig::default().with_lookahead_policy(2));
+        for mode in [Mode::Baseline, prefetch_mode(), lookahead] {
+            for parallel in [false, true] {
+                let mut cfg = base_cfg();
+                cfg.mode = mode;
+                cfg.parallel = parallel;
+                cfg.trace = true;
+                let report = Engine::build(cfg).run();
+                for trace in &report.traces {
+                    assert_eq!(trace.dropped, 0);
+                    for a in &trace.anchors {
+                        let span = |phase| {
+                            trace
+                                .events
+                                .iter()
+                                .find(|e| e.step == a.step && e.phase == phase)
+                        };
+                        let t_planned = span(Phase::Planned).map_or(0.0, |p| {
+                            assert_eq!(p.rel_start_s, 0.0, "step {}", a.step);
+                            p.dur_s
+                        });
+                        let mut end = t_planned;
+                        for phase in [Phase::Sampling, Phase::Lookup, Phase::Scoring, Phase::Evict]
+                        {
+                            let s = span(phase).expect("a span per phase and step");
+                            assert_eq!(s.lane, Lane::Prepare);
+                            assert_eq!(s.rel_start_s, end, "step {} {}", a.step, phase.name());
+                            end = s.rel_start_s + s.dur_s;
+                        }
+                        let (rpc, copy) = (span(Phase::Rpc).unwrap(), span(Phase::Copy).unwrap());
+                        assert_eq!(rpc.rel_start_s, end, "step {}", a.step);
+                        assert_eq!(copy.rel_start_s, end, "step {}", a.step);
+                        if matches!(mode, Mode::Baseline) {
+                            let window_end = a.prep_start_s + end + rpc.dur_s.max(copy.dur_s);
+                            assert!(
+                                (a.train_start_s - window_end).abs() <= 1e-12 * window_end,
+                                "step {}: trains at {} but its window ends at {window_end}",
+                                a.step,
+                                a.train_start_s
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1089,7 +1182,7 @@ mod tests {
             assert_eq!(ct.metrics.buffer_hits, xt.metrics.buffer_hits);
             assert_eq!(ct.metrics.buffer_misses, xt.metrics.buffer_misses);
             assert!(xt.metrics.rpc_delays > 0);
-            let f = trace.phase(Phase::Fault).expect("fault spans recorded");
+            let f = stats(trace, Phase::Fault).expect("fault spans recorded");
             assert!(f.count >= 1 && f.count <= total_steps, "count {}", f.count);
             assert!(f.count <= xt.metrics.rpc_delays);
             assert!(f.sum_s > 0.0);

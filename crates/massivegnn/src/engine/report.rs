@@ -24,8 +24,8 @@ pub struct Breakdown {
     pub copy_s: f64,
     /// DDP training.
     pub train_s: f64,
-    /// Lookahead-planned pulls (policy work off the critical RPC path;
-    /// 0.0 under the scoreboard policy).
+    /// Planning rounds: lookahead-planned pulls and their bookkeeping,
+    /// off the critical RPC path (0.0 without a planner).
     pub planned_s: f64,
 }
 
@@ -40,16 +40,13 @@ impl Breakdown {
         self.planned_s += t.t_planned;
     }
 
-    /// Sum of all components (serial work, ignoring overlap).
+    /// Sum of all components (serial work, ignoring overlap), in
+    /// [`Phase::REPORTED`] order.
     pub fn total_serial(&self) -> f64 {
-        self.sampling_s
-            + self.lookup_s
-            + self.scoring_s
-            + self.evict_s
-            + self.rpc_s
-            + self.copy_s
-            + self.train_s
-            + self.planned_s
+        Phase::REPORTED
+            .iter()
+            .filter_map(|&p| self.phase_s(p))
+            .sum()
     }
 
     /// The paper's §V-B5 communication stall:
@@ -59,9 +56,10 @@ impl Breakdown {
     }
 
     /// The field corresponding to a tracing [`Phase`] (`None` for
-    /// [`Phase::Allreduce`], which is a sub-span of `train_s`). Lets the
-    /// trace-consistency checks compare span sums against this breakdown
-    /// without hand-listing fields.
+    /// [`Phase::Allreduce`], which is a sub-span of `train_s`, and for
+    /// [`Phase::Fault`]). Every field is one phase's, so the total and
+    /// the trace-consistency checks walk phases instead of hand-listing
+    /// fields.
     pub fn phase_s(&self, phase: Phase) -> Option<f64> {
         match phase {
             Phase::Sampling => Some(self.sampling_s),
@@ -71,15 +69,13 @@ impl Breakdown {
             Phase::Rpc => Some(self.rpc_s),
             Phase::Copy => Some(self.copy_s),
             Phase::Train => Some(self.train_s),
+            // Out of `Phase::ALL` (a span only on steps that charged a
+            // round), but its spans still sum to `planned_s`.
+            Phase::Planned => Some(self.planned_s),
             Phase::Allreduce => None,
             // Fault time is already folded into `rpc_s`; its lane-level
             // span is an out-of-band annotation, not a breakdown field.
             Phase::Fault => None,
-            // Planned pulls are out-of-band like Fault: tracked in
-            // `planned_s` but emitted only on steps where the lookahead
-            // planner actually pulled, so span-count checks over
-            // `Phase::ALL` must not include them.
-            Phase::Planned => None,
         }
     }
 }

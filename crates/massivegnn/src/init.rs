@@ -8,9 +8,10 @@
 
 use crate::buffer::PrefetchBuffer;
 use crate::config::{PrefetchConfig, ScoreLayout};
-use crate::prefetcher::Prefetcher;
+use crate::prefetcher::{pull_and_charge, Prefetcher};
 use crate::scoreboard::{AccessScores, EvictionScores};
 use mgnn_net::{CommMetrics, CostModel, SimCluster};
+use mgnn_obs::events::ORIGIN_INIT;
 use mgnn_partition::LocalPartition;
 
 /// Component-wise initialization cost (Fig. 8).
@@ -77,21 +78,18 @@ pub fn initialize_prefetcher(
     let capacity = order.len();
     let selection_s = cost.t_lookup(num_halo) + cost.t_scoring(num_halo, false, num_halo);
 
-    // Bulk fetch (line 18: RPC).
+    // Bulk fetch (line 18: RPC). Its time is `fetch_s`, spent before
+    // step 0's prepare window, so it lays out no span.
     let globals: Vec<u32> = order.iter().map(|&h| part.halo_nodes[h as usize]).collect();
-    let req_id =
-        mgnn_obs::events::request_id(mgnn_obs::events::ORIGIN_INIT, metrics.trace_rank(), 0);
-    let (fetched, outcome) = cluster.pull_rows(&globals, req_id);
-    // Fault charge is 0.0 on the fault-free path (see `Prefetcher::prepare_reuse`).
-    let fetch_s = cost.t_rpc(capacity, dim) + outcome.charge_s(cost, dim, cluster.retry_policy());
+    let pull = pull_and_charge(ORIGIN_INIT, &globals, 0, cluster, cost, metrics);
     metrics.record_rpc(capacity as u64, dim);
-    metrics.record_pull_outcome(&outcome);
     // Rows a dead partition never delivered are simply not buffered
     // (buffering zeros would serve wrong data on every later hit); those
     // nodes stay ordinary misses and are fetched the first time the
     // sampler needs them, so init stays infallible.
-    metrics.record_degradation(req_id, part.part_id, 0, outcome.failed_rows.len() as u64);
-    let row_failed = |r: usize| outcome.failed_rows.binary_search(&r).is_ok();
+    let failed = &pull.outcome.failed_rows;
+    metrics.record_degradation(pull.req_id, part.part_id, 0, failed.len() as u64);
+    let row_failed = |r: usize| failed.binary_search(&r).is_ok();
 
     // Populate buffer.
     let mut buffer = PrefetchBuffer::new(num_halo, capacity, dim);
@@ -99,7 +97,7 @@ pub fn initialize_prefetcher(
         if row_failed(i) {
             continue;
         }
-        buffer.insert_with(h, |row| fetched.decode_into(i, row));
+        buffer.insert_with(h, |row| pull.rows.decode_into(i, row));
     }
     let populate_s = cost.t_copy(capacity, dim);
 
@@ -122,7 +120,7 @@ pub fn initialize_prefetcher(
     let pf = Prefetcher::from_parts(cfg, buffer, s_e, s_a, num_halo);
     let report = InitReport {
         selection_s,
-        fetch_s,
+        fetch_s: pull.t_rpc,
         populate_s,
         scoreboard_s,
         buffer_nodes: buffered,

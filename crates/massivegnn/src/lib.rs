@@ -76,7 +76,7 @@ pub use buffer::PrefetchBuffer;
 pub use config::{PrefetchConfig, PrefetchPolicyKind, ScoreLayout};
 pub use engine::{Engine, EngineConfig, Mode, RunReport};
 pub use mgnn_net::{FaultProfile, RetryPolicy};
-pub use policy::{LookaheadPolicy, PlanCtx, PrefetchPolicy, ScoreboardPolicy};
+pub use policy::{LookaheadPolicy, PlanCtx, PrefetchPolicy};
 pub use prefetcher::{Prefetcher, PrepareScratch, PreparedBatch};
 
 /// With `alloc-count` on, the whole process allocates through the

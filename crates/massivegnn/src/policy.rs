@@ -1,13 +1,10 @@
-//! Pluggable prefetch policies (DESIGN §10).
+//! Pluggable prefetch planners (DESIGN §10).
 //!
-//! The prefetcher's admission/eviction/pull decisions go through the
-//! [`PrefetchPolicy`] trait. Two implementations ship:
+//! A prefetcher without a planner runs the paper's reactive S_E/S_A
+//! passes in [`crate::prefetcher::Prefetcher::prepare_reuse`]; one with a
+//! planner hands the buffer's admission/eviction/pull decisions to it
+//! through the [`PrefetchPolicy`] trait. One planner ships:
 //!
-//! * [`ScoreboardPolicy`] — the paper's reactive S_E/S_A scheme. It is a
-//!   pure marker: `reactive()` returns `true`, which keeps every
-//!   scoreboard pass in [`crate::prefetcher::Prefetcher::prepare_reuse`]
-//!   on its original code path, so scoreboard runs are bitwise-identical
-//!   to the pre-trait prefetcher (pinned by the identity tests).
 //! * [`LookaheadPolicy`] — a deterministic planner in the RapidGNN
 //!   spirit. The sampler is seeded and [`DataLoader::epoch`] memoizes the
 //!   full shuffled plan, so the exact halo rows every *future* minibatch
@@ -36,7 +33,8 @@
 //! * **Clock charging** — time spent planning is returned from
 //!   [`PrefetchPolicy::plan`] and charged to the *prepare window*
 //!   (`t_planned` of Eq. 3's extended form), never to the critical-path
-//!   `t_rpc`; its spans land on [`mgnn_obs::Lane::Lookahead`].
+//!   `t_rpc`; the prefetcher lays it out as the window's
+//!   [`mgnn_obs::Phase::Planned`] span, on [`mgnn_obs::Lane::Lookahead`].
 //! * **Fault composition** — planned pulls go through the same
 //!   retry/degradation ladder as demand fetches: a row whose fetch
 //!   exhausts every retry is simply *not installed* (no zero rows ever
@@ -44,6 +42,7 @@
 //!   own full ladder. Learning math is therefore policy-independent.
 
 use crate::buffer::PrefetchBuffer;
+use crate::prefetcher::pull_and_charge;
 use mgnn_graph::NodeId;
 use mgnn_net::{CommMetrics, CostModel, SimCluster};
 use mgnn_partition::LocalPartition;
@@ -68,20 +67,14 @@ pub struct PlanCtx<'a> {
     pub step: u64,
 }
 
-/// A prefetch admission/eviction/pull policy (see the module docs for
-/// the determinism / clock-charging / fault-composition contract).
+/// A prefetch planner: it manages the buffer in place of the paper's
+/// reactive S_E/S_A passes (see the module docs for the determinism /
+/// clock-charging / fault-composition contract).
 pub trait PrefetchPolicy: Send {
-    /// Whether the prepare path runs the paper's reactive scoreboard
-    /// passes (S_E decay, S_A increments, Δ-periodic evict-and-replace).
-    /// `true` for the scoreboard policy; planners that manage the buffer
-    /// themselves return `false`.
-    fn reactive(&self) -> bool;
-
     /// The head of `ctx.step`'s prepare window: plan, if this step calls
     /// for it. Returns the modeled seconds of the round to charge to the
     /// prepare window — the planned pull it issued plus its bookkeeping
-    /// (exactly `0.0` when the step runs no round, keeping scoreboard
-    /// timings bitwise-unchanged).
+    /// (exactly `0.0` when the step runs no round).
     fn plan(&mut self, ctx: PlanCtx<'_>) -> f64;
 
     /// Hand over the minibatch this policy has already sampled for
@@ -115,21 +108,6 @@ pub trait PrefetchPolicy: Send {
     /// belong to the prefetcher, so a policy that adds none reports 0.
     fn heap_bytes(&self) -> usize {
         0
-    }
-}
-
-/// The paper-faithful reactive policy: all decisions stay on the
-/// prefetcher's original S_E/S_A code path.
-#[derive(Debug, Default)]
-pub struct ScoreboardPolicy;
-
-impl PrefetchPolicy for ScoreboardPolicy {
-    fn reactive(&self) -> bool {
-        true
-    }
-
-    fn plan(&mut self, _ctx: PlanCtx<'_>) -> f64 {
-        0.0
     }
 }
 
@@ -270,10 +248,6 @@ impl LookaheadPolicy {
 }
 
 impl PrefetchPolicy for LookaheadPolicy {
-    fn reactive(&self) -> bool {
-        false
-    }
-
     fn plan(&mut self, ctx: PlanCtx<'_>) -> f64 {
         let step = ctx.step;
         if step >= self.total_steps {
@@ -406,20 +380,19 @@ impl PrefetchPolicy for LookaheadPolicy {
             self.want_globals.clear();
             self.want_globals
                 .extend(self.want[..k].iter().map(|&(_, h)| halo_nodes[h as usize]));
-            let req_id = mgnn_obs::events::request_id(
+            let pull = pull_and_charge(
                 mgnn_obs::events::ORIGIN_PLANNED,
-                ctx.metrics.trace_rank(),
+                &self.want_globals,
                 step,
+                ctx.cluster,
+                ctx.cost,
+                ctx.metrics,
             );
-            let (rows, outcome) = ctx.cluster.pull_rows(&self.want_globals, req_id);
-            let dim = ctx.cluster.dim();
-            let t_fault = outcome.charge_s(ctx.cost, dim, ctx.cluster.retry_policy());
-            t_planned += ctx.cost.t_rpc(k, dim) + t_fault;
-            ctx.metrics.record_planned(k as u64, dim);
-            ctx.metrics.record_pull_outcome(&outcome);
-            ctx.metrics.planned_span(step, 0.0, t_planned);
-            if t_fault > 0.0 {
-                ctx.metrics.fault_span_corr(step, 0.0, t_fault, req_id);
+            t_planned += pull.t_rpc;
+            ctx.metrics.record_planned(k as u64, ctx.cluster.dim());
+            if pull.t_fault > 0.0 {
+                ctx.metrics
+                    .fault_span_corr(step, 0.0, pull.t_fault, pull.req_id);
             }
 
             // Install the rows that survived the ladder. A failed row is
@@ -428,10 +401,10 @@ impl PrefetchPolicy for LookaheadPolicy {
             // use, like every want left out below.
             let mut next_evict = 0usize;
             for (i, &(_, h)) in self.want[..k].iter().enumerate() {
-                if outcome.failed_rows.binary_search(&i).is_ok() {
+                if pull.outcome.failed_rows.binary_search(&i).is_ok() {
                     continue;
                 }
-                let decode = |slot_row: &mut [f32]| rows.decode_into(i, slot_row);
+                let decode = |slot_row: &mut [f32]| pull.rows.decode_into(i, slot_row);
                 if ctx.buffer.len() < ctx.buffer.capacity() {
                     ctx.buffer.insert_with(h, decode);
                 } else {
@@ -497,23 +470,10 @@ mod tests {
     use mgnn_partition::{build_local_partitions, multilevel_partition};
 
     #[test]
-    fn scoreboard_policy_is_inert() {
-        let mut p = ScoreboardPolicy;
-        assert!(p.reactive());
-        // It samples nothing, so it has nothing to hand over or to count.
-        let sampler = NeighborSampler::new(vec![2], 0);
-        let mut mb = SampledMinibatch::default();
-        assert!(!p.take_sampled(&sampler, &[0], 0, 0, &mut mb));
-        assert_eq!(p.heap_bytes(), 0);
-        assert_eq!(p.window(), 1, "the paper's one-deep queue");
-    }
-
-    #[test]
     fn lookahead_policy_reports_shape() {
         let loader = DataLoader::new((0..32).collect(), 8, 7);
         let sampler = NeighborSampler::new(vec![2, 2], 9);
         let mut p = LookaheadPolicy::new(4, loader, sampler.clone(), 4, 2, 100);
-        assert!(!p.reactive());
         assert_eq!(p.depth, 4);
         assert_eq!(p.steps_per_epoch, 4);
         assert_eq!(p.total_steps, 8);

@@ -29,12 +29,12 @@
 
 use crate::buffer::PrefetchBuffer;
 use crate::config::{PrefetchConfig, ScoreLayout};
-use crate::policy::{PlanCtx, PrefetchPolicy, ScoreboardPolicy};
+use crate::policy::{PlanCtx, PrefetchPolicy};
 use crate::scoreboard::{AccessScores, EvictionScores, Scoreboards};
 use mgnn_graph::NodeId;
 use mgnn_net::cluster::PulledRows;
 use mgnn_net::{CommMetrics, CostModel, KvStore, PullOutcome, SimCluster};
-use mgnn_obs::Phase;
+use mgnn_obs::{Lane, Phase};
 use mgnn_partition::LocalPartition;
 use mgnn_sampling::{NeighborSampler, SampledMinibatch, SamplerScratch};
 use mgnn_tensor::Tensor;
@@ -54,16 +54,16 @@ pub struct PrepareTiming {
     pub t_rpc: f64,
     /// Local feature gather.
     pub t_copy: f64,
-    /// Planned lookahead pulls (rows fetched for future minibatches by
-    /// the lookahead policy). Exactly 0.0 under the scoreboard policy.
+    /// A planning round (rows fetched for future minibatches by the
+    /// lookahead planner, and its bookkeeping). Exactly 0.0 on every step
+    /// that ran no round, so on every step without a planner.
     pub t_planned: f64,
 }
 
 impl PrepareTiming {
     /// Eq. 3: `t_prepare = t_sampling + t_lookup + t_scoring (+ eviction)
     /// (+ planned pulls) + max(t_RPC, t_copy)`. The planned-pull term is
-    /// exactly 0.0 under the scoreboard policy, keeping its sums
-    /// bitwise-unchanged.
+    /// exactly 0.0 without a planner, keeping its sums bitwise-unchanged.
     pub fn t_prepare(&self) -> f64 {
         self.t_sampling
             + self.t_lookup
@@ -196,28 +196,32 @@ impl PreparedBatch {
     }
 }
 
-/// One step's bulk pull with its simulated cost.
-struct ChargedPull<'c> {
+/// One bulk pull with its simulated cost.
+pub(crate) struct ChargedPull<'c> {
     /// Deterministic request id: a pure function of (origin, rank,
     /// step), so it is identical across the sequential and threaded
     /// engines and across pool widths.
-    req_id: u64,
-    rows: PulledRows<'c>,
-    outcome: PullOutcome,
+    pub(crate) req_id: u64,
+    pub(crate) rows: PulledRows<'c>,
+    pub(crate) outcome: PullOutcome,
     /// Simulated time the fault ladder added; exactly 0.0 when nothing
     /// fired.
-    t_fault: f64,
+    pub(crate) t_fault: f64,
     /// Ideal RPC cost of the request plus `t_fault`.
-    t_rpc: f64,
+    pub(crate) t_rpc: f64,
 }
 
-/// Pull `ids` for `step` and price the pull. Faults charge simulated
-/// time on top of the ideal RPC cost: injected delays multiply the
-/// request's latency and every retry re-pays it plus deterministic
-/// backoff (Eq. 6 still sees the loss through `t_prepare`). `charge_s`
-/// is exactly 0.0 on the fault-free path, so `t_rpc` is
-/// bitwise-unchanged there.
-fn pull_and_charge<'c>(
+/// Every pull the prefetcher makes — Algorithm 1's initial fill, a
+/// planning round's, a step's demand fetch — goes through here: tag it
+/// with `origin`'s request id for `step`, pull `ids`, price the pull and
+/// book its fault counters. Faults charge simulated time on top of the
+/// ideal RPC cost: injected delays multiply the request's latency and
+/// every retry re-pays it plus deterministic backoff (Eq. 6 still sees
+/// the loss through `t_prepare`). `charge_s` is exactly 0.0 on the
+/// fault-free path, so `t_rpc` is bitwise-unchanged there. Traffic
+/// counters and spans are the caller's: what the pull was for decides
+/// both.
+pub(crate) fn pull_and_charge<'c>(
     origin: u8,
     ids: &[NodeId],
     step: u64,
@@ -228,26 +232,46 @@ fn pull_and_charge<'c>(
     let dim = cluster.dim();
     let req_id = mgnn_obs::events::request_id(origin, metrics.trace_rank(), step);
     let (rows, outcome) = cluster.pull_rows(ids, req_id);
+    metrics.record_pull_outcome(&outcome);
     let t_fault = outcome.charge_s(cost, dim, cluster.retry_policy());
-    let t_rpc = cost.t_rpc(ids.len(), dim) + t_fault;
     ChargedPull {
         req_id,
         rows,
         outcome,
         t_fault,
-        t_rpc,
+        t_rpc: cost.t_rpc(ids.len(), dim) + t_fault,
     }
 }
 
-impl ChargedPull<'_> {
-    /// The pull's fault counters, and its `Fault` span at `offset` into
-    /// the prepare window when the ladder charged any time.
-    fn record_outcome(&self, step: u64, offset: f64, metrics: &CommMetrics) {
-        metrics.record_pull_outcome(&self.outcome);
-        if self.t_fault > 0.0 {
-            metrics.fault_span_corr(step, offset, self.t_fault, self.req_id);
-        }
+/// Every span of `step`'s prepare window, laid out once from its Eq. 3
+/// terms: a planning round at the head (lookahead lane) whenever one was
+/// charged, the serial prefix sampling → lookup → scoring → evict as a
+/// running sum, then RPC — tagged with the pull's request id, its fault
+/// time beside it on the fault lane — and copy, side by side from where
+/// evict ends. Zero-length spans are kept, so every phase has one span
+/// per step in both modes. Records nothing when tracing is off.
+fn record_window(metrics: &CommMetrics, step: u64, t: &PrepareTiming, req_id: u64, t_fault: f64) {
+    let Some(rec) = metrics.recorder() else {
+        return;
+    };
+    if t.t_planned > 0.0 {
+        rec.record(Lane::Lookahead, step, Phase::Planned, 0.0, t.t_planned);
     }
+    let mut at = t.t_planned;
+    for (phase, dur) in [
+        (Phase::Sampling, t.t_sampling),
+        (Phase::Lookup, t.t_lookup),
+        (Phase::Scoring, t.t_scoring),
+        (Phase::Evict, t.t_evict),
+    ] {
+        rec.record(Lane::Prepare, step, phase, at, dur);
+        at += dur;
+    }
+    rec.record_corr(Lane::Prepare, step, Phase::Rpc, at, t.t_rpc, req_id);
+    if t_fault > 0.0 {
+        rec.record_corr(Lane::Fault, step, Phase::Fault, at, t_fault, req_id);
+    }
+    rec.record(Lane::Prepare, step, Phase::Copy, at, t.t_copy);
 }
 
 /// Assemble input features in input-node order: local rows from the
@@ -320,9 +344,9 @@ pub struct Prefetcher {
     /// bitwise-identical outputs, baseline allocation behavior.
     pooling: bool,
     scratch: PrepareScratch,
-    /// Admission/eviction/pull policy (DESIGN §10). The scoreboard
-    /// default keeps every decision on the original Algorithm 2 path.
-    policy: Box<dyn PrefetchPolicy>,
+    /// The planner, if any (DESIGN §10). Without one, the paper's
+    /// reactive S_E/S_A passes make every decision.
+    policy: Option<Box<dyn PrefetchPolicy>>,
 }
 
 impl Prefetcher {
@@ -345,19 +369,21 @@ impl Prefetcher {
             peak_transient_bytes: 0,
             pooling: true,
             scratch: PrepareScratch::default(),
-            policy: Box::new(ScoreboardPolicy),
+            policy: None,
         }
     }
 
-    /// Install a prefetch policy (default: [`ScoreboardPolicy`]).
+    /// Install a planner; it takes over the buffer from the reactive
+    /// scoreboard passes.
     pub fn set_policy(&mut self, policy: Box<dyn PrefetchPolicy>) {
-        self.policy = policy;
+        self.policy = Some(policy);
     }
 
     /// Depth of the look-ahead queue this prefetcher's batches go
-    /// through: its policy's [`PrefetchPolicy::window`].
+    /// through: its planner's [`PrefetchPolicy::window`], or the paper's
+    /// one-deep queue without one.
     pub fn window(&self) -> usize {
-        self.policy.window()
+        self.policy.as_ref().map_or(1, |p| p.window())
     }
 
     /// The Eq. 1 threshold in force.
@@ -373,13 +399,13 @@ impl Prefetcher {
     }
 
     /// Persistent heap bytes (buffer + scoreboards + stamp array + what
-    /// the policy keeps of its own).
+    /// the planner keeps of its own).
     pub fn heap_bytes(&self) -> usize {
         self.buffer.heap_bytes()
             + self.s_e.heap_bytes()
             + self.s_a.heap_bytes()
             + self.sampled_stamp.len() * 8
-            + self.policy.heap_bytes()
+            + self.policy.as_ref().map_or(0, |p| p.heap_bytes())
     }
 
     /// Peak transient allocation observed during eviction rounds.
@@ -416,27 +442,29 @@ impl Prefetcher {
         let num_local = part.num_local();
         let dim = cluster.dim();
 
-        // The policy's turn (DESIGN §10): on the first step of a window
-        // the lookahead planner pulls the window's halo rows into the
-        // buffer here, before this step's probe. The scoreboard policy
-        // is a no-op returning exactly 0.0, so its path is
-        // bitwise-unchanged.
-        let reactive = self.policy.reactive();
-        let t_planned = self.policy.plan(PlanCtx {
-            buffer: &mut self.buffer,
-            part,
-            cluster,
-            cost,
-            metrics,
-            step,
-        });
+        // The planner's turn (DESIGN §10): on the first step of a window
+        // it pulls the window's halo rows into the buffer here, before
+        // this step's probe. Without a planner this is exactly 0.0, so
+        // the paper's path is bitwise-unchanged.
+        let t_planned = match &mut self.policy {
+            Some(planner) => planner.plan(PlanCtx {
+                buffer: &mut self.buffer,
+                part,
+                cluster,
+                cost,
+                metrics,
+                step,
+            }),
+            None => 0.0,
+        };
 
         // Line 1: sample the neighborhood — unless the planner already
         // did, for exactly this call, to learn which rows it probes.
-        if !self
+        let handed_over = self
             .policy
-            .take_sampled(sampler, seeds, epoch, step, &mut mb)
-        {
+            .as_mut()
+            .is_some_and(|p| p.take_sampled(sampler, seeds, epoch, step, &mut mb));
+        if !handed_over {
             sampler.sample_into(part, seeds, epoch, step, &mut mb, &mut scratch.sampler);
         }
         let t_sampling = cost.t_sampling(mb.total_edges());
@@ -473,8 +501,8 @@ impl Prefetcher {
             .extend(scratch.misses.iter().map(|&h| halo_nodes[h as usize]));
 
         // Lines 6–9 + 21 and 12–14 are the *reactive* scoreboard passes
-        // (`Scoreboards`); a planning policy manages the buffer itself
-        // and skips them (`t_planned` already carries its round's pull,
+        // (`Scoreboards`); a planner manages the buffer itself and skips
+        // them (`t_planned` already carries its round's pull,
         // probe-count updates and eviction scan).
         let mut boards = Scoreboards {
             s_e: &mut self.s_e,
@@ -483,7 +511,7 @@ impl Prefetcher {
             halo_degree: &part.halo_degree,
         };
         let (mut t_scoring, mut t_evict) = (0.0, 0.0);
-        if reactive {
+        if self.policy.is_none() {
             let sampled_stamp = &self.sampled_stamp;
             let decayed = boards.record_minibatch(
                 &self.buffer,
@@ -528,7 +556,13 @@ impl Prefetcher {
                 scratch.fetch_ids.push(halo_nodes[new_h as usize]);
             }
         }
-        let pull = pull_and_charge(
+        let ChargedPull {
+            req_id,
+            rows: fetched,
+            outcome,
+            t_fault,
+            t_rpc,
+        } = pull_and_charge(
             mgnn_obs::events::ORIGIN_PREPARE,
             &scratch.fetch_ids,
             step,
@@ -536,40 +570,8 @@ impl Prefetcher {
             cost,
             metrics,
         );
-        let (req_id, t_rpc) = (pull.req_id, pull.t_rpc);
-        // Spans of this preparation, at their Eq. 3 offsets within the
-        // prepare window: a planning round (if any) runs first, then the
-        // serial prefix sampling → lookup → scoring → evict, then RPC
-        // and copy overlap at its end. No-ops when tracing is off (the
-        // metrics carry no recorder). `t_planned` is exactly 0.0 under
-        // the scoreboard policy, so these offsets are bitwise-unchanged
-        // there.
-        metrics.span(step, Phase::Sampling, t_planned, t_sampling);
-        metrics.span(step, Phase::Lookup, t_planned + t_sampling, t_lookup);
-        metrics.span(
-            step,
-            Phase::Scoring,
-            t_planned + t_sampling + t_lookup,
-            t_scoring,
-        );
-        metrics.span(
-            step,
-            Phase::Evict,
-            t_planned + t_sampling + t_lookup + t_scoring,
-            t_evict,
-        );
-        let serial = t_planned + t_sampling + t_lookup + t_scoring + t_evict;
-        metrics.record_rpc_spanned_corr(
-            scratch.fetch_ids.len() as u64,
-            dim,
-            step,
-            serial,
-            t_rpc,
-            req_id,
-        );
+        metrics.record_rpc(scratch.fetch_ids.len() as u64, dim);
         metrics.record_lookup(scratch.hits.len() as u64, scratch.misses.len() as u64);
-        pull.record_outcome(step, serial, metrics);
-        let (fetched, outcome) = (pull.rows, pull.outcome);
 
         // Lines 16–17 + score swap (§IV-B): install replacements. A
         // replacement whose fetch row exhausted every retry is cancelled
@@ -618,7 +620,7 @@ impl Prefetcher {
         // The payload buffers go back to the cluster for the next pull.
         drop(fetched);
         let t_copy = cost.t_copy(scratch.local_ids.len(), dim);
-        metrics.record_local_copy_spanned(scratch.local_ids.len() as u64, step, serial, t_copy);
+        metrics.record_local_copy(scratch.local_ids.len() as u64);
         fill_labels(&mut labels, &mb.seeds, part, local_store);
 
         let counts = PrepareCounts {
@@ -640,6 +642,7 @@ impl Prefetcher {
             t_copy,
             t_planned,
         };
+        record_window(metrics, step, &timing, req_id, t_fault);
         self.scratch = scratch;
         PreparedBatch::assemble(mb, input_vec, dim, labels, timing, counts)
     }
@@ -677,7 +680,13 @@ pub fn baseline_prepare_reuse(
             .iter()
             .map(|&lid| part.halo_nodes[(lid - num_local as u32) as usize]),
     );
-    let pull = pull_and_charge(
+    let ChargedPull {
+        req_id,
+        rows: fetched,
+        outcome,
+        t_fault,
+        t_rpc,
+    } = pull_and_charge(
         mgnn_obs::events::ORIGIN_BASELINE,
         &scratch.fetch_ids,
         step,
@@ -685,24 +694,7 @@ pub fn baseline_prepare_reuse(
         cost,
         metrics,
     );
-    let (req_id, t_rpc) = (pull.req_id, pull.t_rpc);
-    // Baseline has no buffer work, but zero-length spans for the
-    // prefetch-only phases keep per-phase histogram counts equal to the
-    // step count in both modes.
-    metrics.span(step, Phase::Sampling, 0.0, t_sampling);
-    metrics.span(step, Phase::Lookup, t_sampling, 0.0);
-    metrics.span(step, Phase::Scoring, t_sampling, 0.0);
-    metrics.span(step, Phase::Evict, t_sampling, 0.0);
-    metrics.record_rpc_spanned_corr(
-        scratch.fetch_ids.len() as u64,
-        dim,
-        step,
-        t_sampling,
-        t_rpc,
-        req_id,
-    );
-    pull.record_outcome(step, t_sampling, metrics);
-    let (fetched, outcome) = (pull.rows, pull.outcome);
+    metrics.record_rpc(scratch.fetch_ids.len() as u64, dim);
     // No buffer to fall back on: every failed row is a zero-filled input
     // row (the baseline skips degradation rung 2 entirely).
     metrics.record_degradation(req_id, part.part_id, 0, outcome.failed_rows.len() as u64);
@@ -729,7 +721,7 @@ pub fn baseline_prepare_reuse(
     );
     drop(fetched);
     let t_copy = cost.t_copy(scratch.local_ids.len(), dim);
-    metrics.record_local_copy_spanned(scratch.local_ids.len() as u64, step, t_sampling, t_copy);
+    metrics.record_local_copy(scratch.local_ids.len() as u64);
     fill_labels(&mut labels, &mb.seeds, part, local_store);
 
     let counts = PrepareCounts {
@@ -744,13 +736,11 @@ pub fn baseline_prepare_reuse(
     };
     let timing = PrepareTiming {
         t_sampling,
-        t_lookup: 0.0,
-        t_scoring: 0.0,
-        t_evict: 0.0,
         t_rpc,
         t_copy,
-        t_planned: 0.0,
+        ..PrepareTiming::default()
     };
+    record_window(metrics, step, &timing, req_id, t_fault);
     PreparedBatch::assemble(mb, input_vec, dim, labels, timing, counts)
 }
 
@@ -879,9 +869,6 @@ mod tests {
     struct Resampling(LookaheadPolicy);
 
     impl PrefetchPolicy for Resampling {
-        fn reactive(&self) -> bool {
-            self.0.reactive()
-        }
         fn plan(&mut self, ctx: PlanCtx<'_>) -> f64 {
             self.0.plan(ctx)
         }
@@ -1001,6 +988,15 @@ mod tests {
                 assert_eq!(bits(x), bits(y), "depth {depth} step {g}");
             }
         }
+    }
+
+    #[test]
+    fn without_a_planner_the_queue_is_one_deep() {
+        let fx = fixture();
+        let mut pf = fx.prefetcher();
+        assert_eq!(pf.window(), 1, "the paper's one-deep queue");
+        pf.set_policy(Box::new(fx.planner()));
+        assert_eq!(pf.window(), DEPTH + 1);
     }
 
     #[test]

@@ -45,7 +45,7 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiment: Option<String> = None;
-    let mut opts = Opts::standard();
+    let mut opts = Opts::default();
     let mut trace_out: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
     let mut telemetry_port: Option<u16> = None;

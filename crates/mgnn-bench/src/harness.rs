@@ -7,7 +7,6 @@ use massivegnn::{
 use mgnn_graph::{DatasetKind, Scale};
 use mgnn_model::ModelKind;
 use mgnn_net::{Backend, FaultProfile, RetryPolicy};
-use mgnn_obs::Phase;
 
 /// Harness-wide options (size/effort knobs shared by all experiments).
 #[derive(Debug, Clone)]
@@ -79,11 +78,6 @@ impl Opts {
         })
     }
 
-    /// The paper-shaped profile used by the repro CLI by default.
-    pub fn standard() -> Self {
-        Opts::default()
-    }
-
     /// The long-run profile used by the eviction-dynamics figures
     /// (Figs. 10, 12, 13): a larger graph (so the halo set dwarfs one
     /// minibatch's sampled set, as at paper scale), smaller batches and
@@ -139,60 +133,6 @@ pub fn engine_config(
         retry: RetryPolicy::default(),
         pooling: true,
         telemetry: opts.telemetry,
-    }
-}
-
-/// Cross-check a traced run's spans against its own report: for every
-/// trainer, every phase must have exactly one span per minibatch, the
-/// span durations must sum to the corresponding [`Breakdown`] field
-/// within 1e-6 s, and the per-step anchors/series must cover every step.
-/// Panics with a descriptive message on any mismatch.
-///
-/// [`Breakdown`]: massivegnn::engine::Breakdown
-pub fn assert_trace_consistent(report: &RunReport) {
-    assert_eq!(
-        report.traces.len(),
-        report.trainers.len(),
-        "traced run must carry one trace per trainer"
-    );
-    for (trace, tr) in report.traces.iter().zip(&report.trainers) {
-        assert_eq!(trace.part_id, tr.part_id);
-        let steps = tr.minibatches;
-        assert_eq!(trace.anchors.len() as u64, steps, "one anchor per step");
-        assert_eq!(trace.series.len() as u64, steps, "one sample per step");
-        for phase in Phase::ALL {
-            let stats = trace
-                .phase(phase)
-                .unwrap_or_else(|| panic!("trainer {}: no {} spans", trace.trainer, phase.name()));
-            assert_eq!(
-                stats.count,
-                steps,
-                "trainer {}: {} span count != minibatches",
-                trace.trainer,
-                phase.name()
-            );
-            if let Some(expect) = tr.breakdown.phase_s(phase) {
-                assert!(
-                    (stats.sum_s - expect).abs() < 1e-6,
-                    "trainer {}: {} spans sum to {} but breakdown says {}",
-                    trace.trainer,
-                    phase.name(),
-                    stats.sum_s,
-                    expect
-                );
-            }
-        }
-        for ev in &trace.events {
-            let abs = trace.absolute_start_s(ev).unwrap_or_else(|| {
-                panic!(
-                    "trainer {}: {} span at step {} has no anchor",
-                    trace.trainer,
-                    ev.phase.name(),
-                    ev.step
-                )
-            });
-            assert!(abs >= 0.0 && abs.is_finite());
-        }
     }
 }
 
@@ -344,6 +284,22 @@ mod tests {
         cfg.trace = true;
         cfg.mode = Mode::Prefetch(PrefetchConfig::default());
         let report = Engine::build(cfg).run();
-        assert_trace_consistent(&report);
+        assert_eq!(report.traces.len(), report.trainers.len());
+        for (trace, tr) in report.traces.iter().zip(&report.trainers) {
+            assert_eq!(trace.part_id, tr.part_id);
+            assert_eq!(trace.anchors.len() as u64, tr.minibatches);
+            assert_eq!(trace.series.len() as u64, tr.minibatches);
+            for phase in mgnn_obs::Phase::ALL {
+                let stats = trace.phases.iter().find(|p| p.phase == phase).unwrap();
+                assert_eq!(stats.count, tr.minibatches, "{}", phase.name());
+                if let Some(expect) = tr.breakdown.phase_s(phase) {
+                    assert!((stats.sum_s - expect).abs() < 1e-6, "{}", phase.name());
+                }
+            }
+            for ev in &trace.events {
+                let abs = trace.absolute_start_s(ev).unwrap();
+                assert!(abs >= 0.0 && abs.is_finite());
+            }
+        }
     }
 }

@@ -30,8 +30,8 @@ fn add(counter: &AtomicU64, n: u64) {
 /// the one handle already shared by the trainer thread, its prepare
 /// thread, and the prefetcher, so piggybacking the recorder here wires
 /// span recording through the whole pipeline without changing any
-/// signatures. With no recorder attached (the default), the span
-/// methods record nothing.
+/// signatures. With no recorder attached (the default), nothing records
+/// a span.
 #[derive(Debug, Default)]
 pub struct CommMetrics {
     /// Span recorder for this trainer, when tracing is enabled.
@@ -80,15 +80,6 @@ impl CommMetrics {
         self.trace_rank
     }
 
-    /// Record a span for `phase` of `step` on the prepare lane, if a
-    /// recorder is attached. `rel_start_s` is relative to the step's
-    /// prepare-window start.
-    pub fn span(&self, step: u64, phase: Phase, rel_start_s: f64, dur_s: f64) {
-        if let Some(r) = &self.recorder {
-            r.record(Lane::Prepare, step, phase, rel_start_s, dur_s);
-        }
-    }
-
     /// Record one bulk RPC fetching `nodes` rows of `dim` features:
     /// `remote_bytes` grows by the payload those rows occupy on the wire.
     pub fn record_rpc(&self, nodes: u64, dim: usize) {
@@ -105,35 +96,6 @@ impl CommMetrics {
     /// Record gathering `nodes` local rows.
     pub fn record_local_copy(&self, nodes: u64) {
         add(&self.counters.local_nodes_copied, nodes);
-    }
-
-    /// [`record_rpc`](Self::record_rpc) plus an `rpc` span for `step`,
-    /// tagged with the pull's request-correlation id (0 = none) so
-    /// Perfetto can tie the slice to its tagged pull. The span is
-    /// recorded even for `nodes == 0` (a zero-duration fetch is still
-    /// one pipeline stage), keeping histogram counts equal to the step
-    /// count.
-    pub fn record_rpc_spanned_corr(
-        &self,
-        nodes: u64,
-        dim: usize,
-        step: u64,
-        rel_start_s: f64,
-        dur_s: f64,
-        corr: u64,
-    ) {
-        if let Some(r) = &self.recorder {
-            r.record_corr(Lane::Prepare, step, Phase::Rpc, rel_start_s, dur_s, corr);
-        }
-        self.record_rpc(nodes, dim);
-    }
-
-    /// [`record_local_copy`](Self::record_local_copy) plus a `copy` span
-    /// for `step` (recorded even for `nodes == 0`; see
-    /// [`record_rpc_spanned_corr`](Self::record_rpc_spanned_corr)).
-    pub fn record_local_copy_spanned(&self, nodes: u64, step: u64, rel_start_s: f64, dur_s: f64) {
-        self.span(step, Phase::Copy, rel_start_s, dur_s);
-        self.record_local_copy(nodes);
     }
 
     /// Record buffer lookup results for one minibatch.
@@ -219,14 +181,6 @@ impl CommMetrics {
         add(&c.planned_pulls, 1);
         add(&c.planned_rows, nodes);
         self.record_rpc(nodes, dim);
-    }
-
-    /// Record a lookahead-lane span covering a planning round's pull
-    /// time within `step`'s prepare window.
-    pub fn planned_span(&self, step: u64, rel_start_s: f64, dur_s: f64) {
-        if let Some(r) = &self.recorder {
-            r.record(Lane::Lookahead, step, Phase::Planned, rel_start_s, dur_s);
-        }
     }
 
     /// Snapshot all counters into a plain struct.
@@ -372,35 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn spanned_variants_feed_recorder_and_counters() {
-        use mgnn_obs::Phase;
-        use std::sync::Arc;
-        let rec = Arc::new(SpanRecorder::for_trainer(0, 0));
-        let m = CommMetrics::with_recorder(Arc::clone(&rec));
-        m.record_rpc_spanned_corr(10, 4, 0, 0.001, 0.002, 0);
-        m.record_rpc_spanned_corr(0, 4, 1, 0.001, 0.0, 0); // empty fetch: span only
-        m.record_local_copy_spanned(7, 0, 0.001, 0.0005);
-        let s = m.snapshot();
-        assert_eq!(s.rpc_calls, 1, "empty RPC still skipped in counters");
-        assert_eq!(s.remote_nodes_fetched, 10);
-        assert_eq!(s.local_nodes_copied, 7);
-        let t = rec.snapshot();
-        assert_eq!(t.phase(Phase::Rpc).unwrap().count, 2, "span per step");
-        assert_eq!(t.phase(Phase::Copy).unwrap().count, 1);
-    }
-
-    #[test]
-    fn spanned_variants_without_recorder_match_plain() {
-        let a = CommMetrics::new();
-        let b = CommMetrics::new();
-        a.record_rpc_spanned_corr(10, 4, 0, 0.0, 0.1, 0);
-        a.record_local_copy_spanned(3, 0, 0.0, 0.1);
-        b.record_rpc(10, 4);
-        b.record_local_copy(3);
-        assert_eq!(a.snapshot(), b.snapshot());
-    }
-
-    #[test]
     fn pull_outcome_folds_into_counters() {
         use crate::cluster::PullOutcome;
         let m = CommMetrics::new();
@@ -456,7 +381,7 @@ mod tests {
         let m = CommMetrics::with_recorder(Arc::clone(&rec));
         m.fault_span_corr(3, 0.001, 0.01, 0);
         let t = rec.snapshot();
-        let f = t.phase(Phase::Fault).unwrap();
+        let f = t.phases.iter().find(|p| p.phase == Phase::Fault).unwrap();
         assert_eq!(f.count, 1);
         assert!((f.sum_s - 0.01).abs() < 1e-12);
         assert!(t
@@ -467,28 +392,16 @@ mod tests {
 
     #[test]
     fn planned_pulls_count_into_remote_totals_and_own_counters() {
-        use mgnn_obs::{Lane, Phase};
-        use std::sync::Arc;
-        let rec = Arc::new(SpanRecorder::for_trainer(0, 0));
-        let m = CommMetrics::with_recorder(Arc::clone(&rec));
+        let m = CommMetrics::new();
         m.record_planned(0, 8); // empty planning round: no-op
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
         m.record_planned(5, 8);
-        m.planned_span(3, 0.0, 0.004);
         let s = m.snapshot();
         assert_eq!(s.planned_pulls, 1);
         assert_eq!(s.planned_rows, 5);
         assert_eq!(s.rpc_calls, 1, "planned pulls are real RPC traffic");
         assert_eq!(s.remote_nodes_fetched, 5);
         assert_eq!(s.remote_bytes, 5 * 8 * BYTES_PER_ELEM as u64);
-        let t = rec.snapshot();
-        let p = t.phase(Phase::Planned).unwrap();
-        assert_eq!(p.count, 1);
-        assert!((p.sum_s - 0.004).abs() < 1e-15);
-        assert!(t
-            .events
-            .iter()
-            .any(|e| e.lane == Lane::Lookahead && e.phase == Phase::Planned && e.step == 3));
         let merged = s.merge(&s);
         assert_eq!(merged.planned_rows, 10);
         let v = s.to_value();

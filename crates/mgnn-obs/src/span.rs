@@ -45,11 +45,12 @@ pub enum Phase {
     /// only appears on steps where a fault fired, so it is excluded
     /// from [`Phase::ALL`] (whose consumers assert one span per step).
     Fault,
-    /// Planned lookahead pull: the lookahead prefetch policy fetching
-    /// halo rows for *future* minibatches ahead of their due step. Out
-    /// of band like [`Phase::Fault`]: it only appears on steps where
-    /// the planner actually pulled something, and its time is charged
-    /// to the prepare window, not to the critical-path `rpc` phase.
+    /// Planning round: the lookahead planner fetching halo rows for
+    /// *future* minibatches ahead of their due step, and its
+    /// bookkeeping. Out of band like [`Phase::Fault`]: it only appears on
+    /// steps that charged a round — whether or not the round pulled —
+    /// and its time is charged to the prepare window, not to the
+    /// critical-path `rpc` phase.
     Planned,
 }
 
@@ -201,9 +202,10 @@ pub struct StepAnchor {
 pub struct StepPoint {
     /// Global step.
     pub step: u64,
-    /// Stall seconds attributed to this step (trainer waiting on
-    /// preparation; for the serial baseline, the §V-B5 communication
-    /// stall `max(t_RPC − t_copy, 0)`).
+    /// Stall seconds attributed to this step: the time the trainer waited
+    /// for its batch's preparation, in both modes (for the serial
+    /// baseline, nothing prepared ahead, the whole preparation after the
+    /// first step).
     pub stall_s: f64,
     /// Buffer hits this step.
     pub hits: u64,
@@ -269,11 +271,6 @@ pub struct TrainerTrace {
 }
 
 impl TrainerTrace {
-    /// Summary for `phase`, if any span of it was recorded.
-    pub fn phase(&self, phase: Phase) -> Option<&PhaseStats> {
-        self.phases.iter().find(|p| p.phase == phase)
-    }
-
     /// Absolute simulated start of `ev`, resolved through this trace's
     /// anchors (`None` if the step has no anchor yet — e.g. a prepared-
     /// ahead batch that was never trained on).
@@ -491,6 +488,13 @@ impl Serialize for TrainerTrace {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    impl TrainerTrace {
+        /// Summary for `phase`, if any span of it was recorded.
+        fn phase(&self, phase: Phase) -> Option<&PhaseStats> {
+            self.phases.iter().find(|p| p.phase == phase)
+        }
+    }
 
     #[test]
     fn record_and_snapshot() {

@@ -3,12 +3,65 @@
 //! with every phase present on every trainer, and flow through the
 //! global sink the repro CLI drains.
 
-use massivegnn::{Engine, Mode, PrefetchConfig};
-use mgnn_bench::harness::{assert_trace_consistent, engine_config, Opts};
+use massivegnn::{Engine, Mode, PrefetchConfig, RunReport};
+use mgnn_bench::harness::{engine_config, Opts};
 use mgnn_graph::DatasetKind;
 use mgnn_net::Backend;
 use mgnn_obs::Phase;
 use serde::Serialize;
+
+/// Cross-check a traced run's spans against its own report: for every
+/// trainer, every phase must have exactly one span per minibatch, the
+/// span durations must sum to the corresponding `Breakdown` field
+/// within 1e-6 s, and the per-step anchors/series must cover every step.
+fn assert_trace_consistent(report: &RunReport) {
+    assert_eq!(
+        report.traces.len(),
+        report.trainers.len(),
+        "traced run must carry one trace per trainer"
+    );
+    for (trace, tr) in report.traces.iter().zip(&report.trainers) {
+        assert_eq!(trace.part_id, tr.part_id);
+        let steps = tr.minibatches;
+        assert_eq!(trace.anchors.len() as u64, steps, "one anchor per step");
+        assert_eq!(trace.series.len() as u64, steps, "one sample per step");
+        for phase in Phase::ALL {
+            let stats = trace
+                .phases
+                .iter()
+                .find(|p| p.phase == phase)
+                .unwrap_or_else(|| panic!("trainer {}: no {} spans", trace.trainer, phase.name()));
+            assert_eq!(
+                stats.count,
+                steps,
+                "trainer {}: {} span count != minibatches",
+                trace.trainer,
+                phase.name()
+            );
+            if let Some(expect) = tr.breakdown.phase_s(phase) {
+                assert!(
+                    (stats.sum_s - expect).abs() < 1e-6,
+                    "trainer {}: {} spans sum to {} but breakdown says {}",
+                    trace.trainer,
+                    phase.name(),
+                    stats.sum_s,
+                    expect
+                );
+            }
+        }
+        for ev in &trace.events {
+            let abs = trace.absolute_start_s(ev).unwrap_or_else(|| {
+                panic!(
+                    "trainer {}: {} span at step {} has no anchor",
+                    trace.trainer,
+                    ev.phase.name(),
+                    ev.step
+                )
+            });
+            assert!(abs >= 0.0 && abs.is_finite());
+        }
+    }
+}
 
 // One #[test] end to end: the sink is process-global, so concurrent
 // tests in this binary would cross-contaminate its captures.
@@ -39,7 +92,7 @@ fn traced_run_exports_consistent_perfetto_and_json() {
         Some(report.world as u64)
     );
 
-    // Spans reconcile with the report's own breakdown (harness check).
+    // Spans reconcile with the report's own breakdown.
     assert_trace_consistent(&report);
 
     // The Perfetto export parses back and carries >= 1 span of every

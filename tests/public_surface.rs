@@ -119,11 +119,6 @@ const ORACLES: &[(&str, &str)] = &[
         "reset_global_hot",
         "alloc-count probe: zeroes `global_hot` before the measured run of `Engine::run`",
     ),
-    // mgnn-bench
-    (
-        "assert_trace_consistent",
-        "reconciles a traced `Engine::run`'s spans with its `RunReport` (tests/integration_obs.rs)",
-    ),
 ];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
