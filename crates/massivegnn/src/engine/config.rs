@@ -99,11 +99,11 @@ pub struct EngineConfig {
     /// Retry/backoff policy failed pulls follow when `fault` is active.
     /// Backoff is charged to the *simulated* clock, never slept.
     pub retry: RetryPolicy,
-    /// Recycle per-step buffers (prepare scratch, `PreparedBatch`
-    /// carcasses, gradient-exchange arena, optimizer scratch) so the
-    /// steady-state hot loop performs no heap allocation. Off restores
-    /// allocate-per-step behavior; reports are bitwise-identical either
-    /// way.
+    /// Recycle the prepare scratch and the `PreparedBatch` carcasses, so
+    /// steady-state preparation performs no heap allocation. Off prepares
+    /// every batch into fresh ones; the gradient-exchange arena and the
+    /// optimizer scratch are reused either way, and reports are
+    /// bitwise-identical either way.
     pub pooling: bool,
     /// Attach every trainer's counters to the process-global
     /// live-telemetry registry ([`mgnn_obs::registry`]) so a Prometheus

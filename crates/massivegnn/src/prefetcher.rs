@@ -10,13 +10,18 @@
 //! buffered slots with `S_E < α` are evicted and replaced by the
 //! equally-many highest-`S_A` missing halo nodes, swapping scores.
 //!
+//! DistDGL's baseline (Eq. 2) is the same body with no prefetcher: no
+//! buffer, so every sampled halo node is a miss, and nothing is probed,
+//! scored, evicted or planned.
+//!
 //! Under a fault profile the fetch can partially fail even after the
 //! cluster's retry ladder. Preparation stays infallible through graceful
 //! degradation: a failed *replacement* fetch is cancelled (the stale
 //! resident keeps serving and the candidate's `S_A` keeps accumulating),
-//! a failed *miss* fetch serves a zero row, and both are reported in
-//! [`PrepareCounts`]/[`CommMetrics`]. Fault time (injected delays,
-//! retries, backoff) is charged to `t_rpc`, so Eq. 3/6 see the loss.
+//! a failed *miss* fetch serves a zero row, and both are counted in
+//! [`CommMetrics`] (`stale_served`, `degraded_rows`). Fault time
+//! (injected delays, retries, backoff) is charged to `t_rpc`, so Eq. 3/6
+//! see the loss.
 //!
 //! Steady-state preparation is allocation-free: every per-step vector
 //! lives in [`PrepareScratch`] (cleared, never dropped), the miss-row map
@@ -74,27 +79,16 @@ impl PrepareTiming {
     }
 }
 
-/// Exact event counts of one preparation.
+/// What the trainer reads of one preparation's halo traffic. Every other
+/// event of the step is a [`CommMetrics`] counter.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrepareCounts {
-    /// Local nodes in the sampled minibatch (`|V_p^{l|s}|`).
-    pub local: usize,
     /// Halo nodes in the sampled minibatch (`|V_p^{h|s}|`).
     pub halo: usize,
     /// Buffer hits.
     pub hits: usize,
-    /// Buffer misses.
+    /// Buffer misses: every sampled halo node without a buffer.
     pub misses: usize,
-    /// Nodes evicted this step.
-    pub evicted: usize,
-    /// Replacement nodes fetched this step.
-    pub replaced: usize,
-    /// Missed halo nodes whose fetch exhausted every retry and were
-    /// served as zero rows (degradation rung 3).
-    pub degraded: usize,
-    /// Eviction replacements cancelled because their fetch failed; the
-    /// stale resident row kept its slot (degradation rung 2).
-    pub stale: usize,
 }
 
 /// A minibatch ready for training: blocks + gathered input features +
@@ -118,8 +112,8 @@ pub struct PreparedBatch {
 /// epoch has touched the high-water mark the prepare path performs no
 /// heap allocation. The miss-row map is a stamp-validated pair of arrays
 /// indexed by halo idx — `row_stamp[h] == stamp` marks `row_val[h]` as
-/// this step's fetch row for halo `h` — replacing the per-step `HashMap`
-/// (same mechanism as the prefetcher's `sampled_stamp` dedup).
+/// this step's fetch row for halo `h` (the same mechanism as the
+/// prefetcher's `sampled_stamp` dedup).
 #[derive(Debug, Default)]
 pub struct PrepareScratch {
     sampler: SamplerScratch,
@@ -138,62 +132,12 @@ pub struct PrepareScratch {
     stamp: u64,
 }
 
-impl PrepareScratch {
-    fn mark_rows(&mut self, num_halo: usize) -> u64 {
-        self.stamp += 1;
-        if self.row_stamp.len() < num_halo {
-            self.row_stamp.resize(num_halo, 0);
-            self.row_val.resize(num_halo, 0);
-        }
-        self.stamp
-    }
-}
-
 /// Give the input matrix `len` elements for an assembly that overwrites
 /// every one of them: only growth is zero-filled, and what a recycled
 /// matrix held stays until its row is written.
 fn size_for_overwrite(v: &mut Vec<f32>, len: usize) {
     mgnn_net::kvstore::make_room(v, len);
     v.resize(len, 0.0);
-}
-
-/// What a recycled batch donates to the next one: its minibatch blocks,
-/// feature matrix and label vector (empty ones without a carcass).
-fn take_apart(reuse: Option<PreparedBatch>) -> (SampledMinibatch, Vec<f32>, Vec<u32>) {
-    match reuse {
-        Some(b) => (b.minibatch, b.input.into_vec(), b.labels),
-        None => (SampledMinibatch::default(), Vec::new(), Vec::new()),
-    }
-}
-
-/// Labels of the seed nodes, in seed order, into the recycled vector.
-fn fill_labels(labels: &mut Vec<u32>, seeds: &[u32], part: &LocalPartition, local_store: &KvStore) {
-    labels.clear();
-    labels.extend(
-        seeds
-            .iter()
-            .map(|&lid| local_store.label(part.local_nodes[lid as usize])),
-    );
-}
-
-impl PreparedBatch {
-    fn assemble(
-        minibatch: SampledMinibatch,
-        input_vec: Vec<f32>,
-        dim: usize,
-        labels: Vec<u32>,
-        timing: PrepareTiming,
-        counts: PrepareCounts,
-    ) -> Self {
-        let input = Tensor::from_vec(minibatch.input_nodes.len(), dim, input_vec);
-        PreparedBatch {
-            minibatch,
-            input,
-            labels,
-            timing,
-            counts,
-        }
-    }
 }
 
 /// One bulk pull with its simulated cost.
@@ -413,13 +357,9 @@ impl Prefetcher {
         self.peak_transient_bytes
     }
 
-    /// Sample and prepare one minibatch (Algorithm 2). `step` is the
-    /// *global* minibatch counter (continuous across epochs — the scheme
-    /// is continuous). A consumed batch passed as `reuse` donates its
-    /// minibatch blocks, feature matrix and label vector, which are
-    /// cleared and refilled in place; the produced batch is
-    /// bitwise-identical to a fresh preparation — gather fully overwrites
-    /// every feature row, so no stale bytes can leak.
+    /// Sample and prepare one minibatch (Algorithm 2; the body is the
+    /// module's one `prepare`). The prefetcher's scratch and a consumed
+    /// batch passed as `reuse` are recycled, unless pooling is off.
     #[allow(clippy::too_many_arguments)]
     pub fn prepare_reuse(
         &mut self,
@@ -433,226 +373,33 @@ impl Prefetcher {
         cost: &CostModel,
         metrics: &CommMetrics,
     ) -> PreparedBatch {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        if !self.pooling {
-            scratch = PrepareScratch::default();
-        }
-        let (mut mb, mut input_vec, mut labels) = take_apart(reuse.filter(|_| self.pooling));
-
-        let num_local = part.num_local();
-        let dim = cluster.dim();
-
-        // The planner's turn (DESIGN §10): on the first step of a window
-        // it pulls the window's halo rows into the buffer here, before
-        // this step's probe. Without a planner this is exactly 0.0, so
-        // the paper's path is bitwise-unchanged.
-        let t_planned = match &mut self.policy {
-            Some(planner) => planner.plan(PlanCtx {
-                buffer: &mut self.buffer,
-                part,
-                cluster,
-                cost,
-                metrics,
-                step,
-            }),
-            None => 0.0,
+        let pooling = self.pooling;
+        let mut scratch = if pooling {
+            std::mem::take(&mut self.scratch)
+        } else {
+            PrepareScratch::default()
         };
-
-        // Line 1: sample the neighborhood — unless the planner already
-        // did, for exactly this call, to learn which rows it probes.
-        let handed_over = self
-            .policy
-            .as_mut()
-            .is_some_and(|p| p.take_sampled(sampler, seeds, epoch, step, &mut mb));
-        if !handed_over {
-            sampler.sample_into(part, seeds, epoch, step, &mut mb, &mut scratch.sampler);
-        }
-        let t_sampling = cost.t_sampling(mb.total_edges());
-
-        // Lines 2–3: split local / halo.
-        mb.split_local_halo_into(num_local, &mut scratch.local_ids, &mut scratch.halo_ids);
-
-        // Lines 4–5: hits and misses. Mark sampled halo indices with a
-        // stamp so the decay pass below is O(buffer) without a set. The
-        // stamp doubles as an O(1) dedup: `increment_batch` requires
-        // unique ids (a duplicate would double-increment S_A) and
-        // the miss-row map assumes one row per missed node, so a halo
-        // node sampled twice in one minibatch must be processed once.
-        self.current_stamp += 1;
-        let stamp = self.current_stamp;
-        scratch.halo_idx.clear();
-        for &lid in &scratch.halo_ids {
-            let h = lid - num_local as u32;
-            if self.sampled_stamp[h as usize] != stamp {
-                self.sampled_stamp[h as usize] = stamp;
-                scratch.halo_idx.push(h);
-            }
-        }
-        self.buffer
-            .probe_batch_into(&scratch.halo_idx, &mut scratch.hits, &mut scratch.misses);
-        let t_lookup = cost.t_lookup(scratch.halo_ids.len() + self.buffer.len());
-
-        // Lines 15 + 22: one bulk fetch of miss + replacement features,
-        // the misses first.
-        let halo_nodes = &part.halo_nodes;
-        scratch.fetch_ids.clear();
-        scratch
-            .fetch_ids
-            .extend(scratch.misses.iter().map(|&h| halo_nodes[h as usize]));
-
-        // Lines 6–9 + 21 and 12–14 are the *reactive* scoreboard passes
-        // (`Scoreboards`); a planner manages the buffer itself and skips
-        // them (`t_planned` already carries its round's pull,
-        // probe-count updates and eviction scan).
-        let mut boards = Scoreboards {
-            s_e: &mut self.s_e,
-            s_a: &mut self.s_a,
-            halo_nodes,
-            halo_degree: &part.halo_degree,
-        };
-        let (mut t_scoring, mut t_evict) = (0.0, 0.0);
-        if self.policy.is_none() {
-            let sampled_stamp = &self.sampled_stamp;
-            let decayed = boards.record_minibatch(
-                &self.buffer,
-                self.cfg.gamma,
-                |h| sampled_stamp[h as usize] == stamp,
-                &scratch.fetch_ids,
-            );
-            let mem_eff = self.cfg.layout == ScoreLayout::MemEfficient;
-            t_scoring = cost.t_scoring(decayed + scratch.misses.len(), mem_eff, part.num_halo());
-
-            if let Some(transient) = boards.select_replacements(
-                &self.buffer,
-                &self.cfg,
-                step,
-                &scratch.hits,
-                &mut scratch.protect,
-                &mut scratch.replacements,
-            ) {
-                // Eviction-round overhead: scan every slot plus every
-                // halo candidate (the "extra work" of §IV-E).
-                t_evict = cost.t_lookup(self.buffer.capacity() + part.num_halo());
-                self.peak_transient_bytes = self.peak_transient_bytes.max(transient);
-            }
-        }
-
-        // Map miss halo idx -> row in the bulk fetch payload. A
-        // replacement that is also a miss this step reuses the miss row
-        // (DistDGL's bulk pull deduplicates node ids the same way).
-        let rstamp = scratch.mark_rows(part.num_halo());
-        for (i, &h) in scratch.misses.iter().enumerate() {
-            scratch.row_stamp[h as usize] = rstamp;
-            scratch.row_val[h as usize] = i as u32;
-        }
-        scratch.replacement_rows.clear();
-        for &(_, new_h) in &scratch.replacements {
-            if scratch.row_stamp[new_h as usize] == rstamp {
-                scratch
-                    .replacement_rows
-                    .push(scratch.row_val[new_h as usize] as usize);
-            } else {
-                scratch.replacement_rows.push(scratch.fetch_ids.len());
-                scratch.fetch_ids.push(halo_nodes[new_h as usize]);
-            }
-        }
-        let ChargedPull {
-            req_id,
-            rows: fetched,
-            outcome,
-            t_fault,
-            t_rpc,
-        } = pull_and_charge(
-            mgnn_obs::events::ORIGIN_PREPARE,
-            &scratch.fetch_ids,
+        let batch = prepare(
+            Some(self),
+            reuse.filter(|_| pooling),
+            &mut scratch,
+            part,
+            sampler,
+            seeds,
+            epoch,
             step,
             cluster,
             cost,
             metrics,
         );
-        metrics.record_rpc(scratch.fetch_ids.len() as u64, dim);
-        metrics.record_lookup(scratch.hits.len() as u64, scratch.misses.len() as u64);
-
-        // Lines 16–17 + score swap (§IV-B): install replacements. A
-        // replacement whose fetch row exhausted every retry is cancelled
-        // — installing zeros would poison the buffer for every later
-        // step — so the stale resident keeps the slot and the
-        // candidate's accumulated S_A survives (it stays miss-pending
-        // and is re-tried on a later eviction round).
-        let row_failed = |r: usize| outcome.failed_rows.binary_search(&r).is_ok();
-        let mut installed = 0usize;
-        let mut stale = 0usize;
-        for (i, &(slot, new_h)) in scratch.replacements.iter().enumerate() {
-            let r = scratch.replacement_rows[i];
-            if row_failed(r) {
-                stale += 1;
-                continue;
-            }
-            let old_h = self
-                .buffer
-                .replace_with(slot, new_h, |row| fetched.decode_into(r, row));
-            boards.swap_scores(slot, old_h, new_h);
-            installed += 1;
-        }
-        metrics.record_eviction(installed as u64, installed as u64);
-        // Missed nodes on a failed partition come back as zero rows —
-        // the final degradation rung. Their S_A increments already
-        // happened above, so the sampler's access history stays exact.
-        let degraded = outcome
-            .failed_rows
-            .iter()
-            .filter(|&&r| r < scratch.misses.len())
-            .count();
-        metrics.record_degradation(req_id, part.part_id, stale as u64, degraded as u64);
-
-        let local_store = cluster.store(part.part_id);
-        gather_rows(
-            &mut input_vec,
-            &mb.input_nodes,
-            dim,
-            part,
-            local_store,
-            Some(&self.buffer),
-            &scratch,
-            rstamp,
-            &fetched,
-        );
-        // The payload buffers go back to the cluster for the next pull.
-        drop(fetched);
-        let t_copy = cost.t_copy(scratch.local_ids.len(), dim);
-        metrics.record_local_copy(scratch.local_ids.len() as u64);
-        fill_labels(&mut labels, &mb.seeds, part, local_store);
-
-        let counts = PrepareCounts {
-            local: scratch.local_ids.len(),
-            halo: scratch.halo_ids.len(),
-            hits: scratch.hits.len(),
-            misses: scratch.misses.len(),
-            evicted: installed,
-            replaced: installed,
-            degraded,
-            stale,
-        };
-        let timing = PrepareTiming {
-            t_sampling,
-            t_lookup,
-            t_scoring,
-            t_evict,
-            t_rpc,
-            t_copy,
-            t_planned,
-        };
-        record_window(metrics, step, &timing, req_id, t_fault);
         self.scratch = scratch;
-        PreparedBatch::assemble(mb, input_vec, dim, labels, timing, counts)
+        batch
     }
 }
 
-/// Baseline DistDGL preparation (Eq. 2): sample, fetch *all* sampled halo
-/// features over RPC, gather local features — no buffer, no scoreboards.
-/// Scratch is the caller's and `reuse` an optional recycled carcass, so
-/// the steady state allocates nothing; the batch is bitwise-identical to
-/// one prepared with neither.
+/// Baseline DistDGL preparation (Eq. 2): the prepare body with no
+/// prefetcher. Scratch is the caller's and `reuse` an optional recycled
+/// carcass, so the steady state allocates nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn baseline_prepare_reuse(
     reuse: Option<PreparedBatch>,
@@ -666,82 +413,260 @@ pub fn baseline_prepare_reuse(
     cost: &CostModel,
     metrics: &CommMetrics,
 ) -> PreparedBatch {
+    prepare(
+        None, reuse, scratch, part, sampler, seeds, epoch, step, cluster, cost, metrics,
+    )
+}
+
+/// Prepare one minibatch: Algorithm 2 with a prefetcher, Eq. 2 without
+/// one. `step` is the *global* minibatch counter (continuous across
+/// epochs — the scheme is continuous). A consumed batch passed as `reuse`
+/// donates its minibatch blocks, feature matrix and label vector, which
+/// are refilled in place; the batch is bitwise-identical to a fresh
+/// preparation, because gather overwrites every feature row in full.
+///
+/// Without a prefetcher there is no buffer: every sampled halo node is a
+/// miss, no lookup, scoring, eviction or planned time is charged, no
+/// buffer hit or miss is booked, and the pull is tagged as the baseline's.
+#[allow(clippy::too_many_arguments)]
+fn prepare(
+    mut pf: Option<&mut Prefetcher>,
+    reuse: Option<PreparedBatch>,
+    scratch: &mut PrepareScratch,
+    part: &LocalPartition,
+    sampler: &NeighborSampler,
+    seeds: &[u32],
+    epoch: u64,
+    step: u64,
+    cluster: &SimCluster,
+    cost: &CostModel,
+    metrics: &CommMetrics,
+) -> PreparedBatch {
+    let (mut mb, mut input_vec, mut labels) = match reuse {
+        Some(b) => (b.minibatch, b.input.into_vec(), b.labels),
+        None => Default::default(),
+    };
     let num_local = part.num_local();
+    let num_halo = part.num_halo();
+    let halo_nodes = &part.halo_nodes;
     let dim = cluster.dim();
-    let (mut mb, mut input_vec, mut labels) = take_apart(reuse);
-    sampler.sample_into(part, seeds, epoch, step, &mut mb, &mut scratch.sampler);
-    let t_sampling = cost.t_sampling(mb.total_edges());
+    let mut timing = PrepareTiming::default();
+
+    // The planner's turn (DESIGN §10): on the first step of a window it
+    // pulls the window's halo rows into the buffer here, before this
+    // step's probe, and it hands over the minibatch it sampled for
+    // exactly this call. Without a planner `t_planned` stays exactly 0.0.
+    let mut handed_over = false;
+    if let Some(pf) = pf.as_deref_mut() {
+        if let Some(planner) = &mut pf.policy {
+            timing.t_planned = planner.plan(PlanCtx {
+                buffer: &mut pf.buffer,
+                part,
+                cluster,
+                cost,
+                metrics,
+                step,
+            });
+            handed_over = planner.take_sampled(sampler, seeds, epoch, step, &mut mb);
+        }
+    }
+    // Line 1: sample the neighborhood, unless the planner already did.
+    if !handed_over {
+        sampler.sample_into(part, seeds, epoch, step, &mut mb, &mut scratch.sampler);
+    }
+    timing.t_sampling = cost.t_sampling(mb.total_edges());
+
+    // Lines 2–3: split local / halo.
     mb.split_local_halo_into(num_local, &mut scratch.local_ids, &mut scratch.halo_ids);
 
+    // Lines 4–5: hits and misses.
+    match pf.as_deref_mut() {
+        Some(pf) => {
+            // Mark sampled halo indices with a stamp so the decay pass
+            // below is O(buffer) without a set. The stamp doubles as an
+            // O(1) dedup: `increment_batch` requires unique ids (a
+            // duplicate would double-increment S_A) and the miss-row map
+            // assumes one row per missed node, so a halo node sampled
+            // twice in one minibatch must be processed once.
+            pf.current_stamp += 1;
+            let stamp = pf.current_stamp;
+            scratch.halo_idx.clear();
+            for &lid in &scratch.halo_ids {
+                let h = lid - num_local as u32;
+                if pf.sampled_stamp[h as usize] != stamp {
+                    pf.sampled_stamp[h as usize] = stamp;
+                    scratch.halo_idx.push(h);
+                }
+            }
+            pf.buffer
+                .probe_batch_into(&scratch.halo_idx, &mut scratch.hits, &mut scratch.misses);
+            timing.t_lookup = cost.t_lookup(scratch.halo_ids.len() + pf.buffer.len());
+        }
+        None => {
+            // `input_nodes` is duplicate-free, so is its halo part.
+            scratch.hits.clear();
+            scratch.misses.clear();
+            scratch
+                .misses
+                .extend(scratch.halo_ids.iter().map(|&lid| lid - num_local as u32));
+        }
+    }
+
+    // Lines 15 + 22: one bulk fetch of miss + replacement features, the
+    // misses first; map each miss's halo idx to its row of the payload.
     scratch.fetch_ids.clear();
-    scratch.fetch_ids.extend(
-        scratch
-            .halo_ids
-            .iter()
-            .map(|&lid| part.halo_nodes[(lid - num_local as u32) as usize]),
-    );
+    scratch
+        .fetch_ids
+        .extend(scratch.misses.iter().map(|&h| halo_nodes[h as usize]));
+    scratch.stamp += 1;
+    let rstamp = scratch.stamp;
+    if scratch.row_stamp.len() < num_halo {
+        scratch.row_stamp.resize(num_halo, 0);
+        scratch.row_val.resize(num_halo, 0);
+    }
+    for (i, &h) in scratch.misses.iter().enumerate() {
+        scratch.row_stamp[h as usize] = rstamp;
+        scratch.row_val[h as usize] = i as u32;
+    }
+
+    // Lines 6–9 + 21 and 12–14 are the *reactive* scoreboard passes
+    // (`Scoreboards`); a planner manages the buffer itself and skips them
+    // (`t_planned` already carries its round's pull, probe-count updates
+    // and eviction scan). Without a prefetcher nothing is replaced.
+    scratch.replacements.clear();
+    scratch.replacement_rows.clear();
+    if let Some(pf) = pf.as_deref_mut().filter(|pf| pf.policy.is_none()) {
+        let stamp = pf.current_stamp;
+        let sampled_stamp = &pf.sampled_stamp;
+        let mut boards = Scoreboards {
+            s_e: &mut pf.s_e,
+            s_a: &mut pf.s_a,
+            halo_nodes,
+            halo_degree: &part.halo_degree,
+        };
+        let decayed = boards.record_minibatch(
+            &pf.buffer,
+            pf.cfg.gamma,
+            |h| sampled_stamp[h as usize] == stamp,
+            &scratch.fetch_ids,
+        );
+        let mem_eff = pf.cfg.layout == ScoreLayout::MemEfficient;
+        timing.t_scoring = cost.t_scoring(decayed + scratch.misses.len(), mem_eff, num_halo);
+
+        if let Some(transient) = boards.select_replacements(
+            &pf.buffer,
+            &pf.cfg,
+            step,
+            &scratch.hits,
+            &mut scratch.protect,
+            &mut scratch.replacements,
+        ) {
+            // Eviction-round overhead: scan every slot plus every halo
+            // candidate (the "extra work" of §IV-E).
+            timing.t_evict = cost.t_lookup(pf.buffer.capacity() + num_halo);
+            pf.peak_transient_bytes = pf.peak_transient_bytes.max(transient);
+        }
+        // A replacement that is also a miss this step reuses the miss
+        // row (DistDGL's bulk pull deduplicates node ids the same way).
+        for &(_, new_h) in &scratch.replacements {
+            if scratch.row_stamp[new_h as usize] == rstamp {
+                scratch
+                    .replacement_rows
+                    .push(scratch.row_val[new_h as usize] as usize);
+            } else {
+                scratch.replacement_rows.push(scratch.fetch_ids.len());
+                scratch.fetch_ids.push(halo_nodes[new_h as usize]);
+            }
+        }
+    }
+
+    let origin = match pf {
+        Some(_) => mgnn_obs::events::ORIGIN_PREPARE,
+        None => mgnn_obs::events::ORIGIN_BASELINE,
+    };
     let ChargedPull {
         req_id,
         rows: fetched,
         outcome,
         t_fault,
         t_rpc,
-    } = pull_and_charge(
-        mgnn_obs::events::ORIGIN_BASELINE,
-        &scratch.fetch_ids,
-        step,
-        cluster,
-        cost,
-        metrics,
-    );
+    } = pull_and_charge(origin, &scratch.fetch_ids, step, cluster, cost, metrics);
+    timing.t_rpc = t_rpc;
     metrics.record_rpc(scratch.fetch_ids.len() as u64, dim);
-    // No buffer to fall back on: every failed row is a zero-filled input
-    // row (the baseline skips degradation rung 2 entirely).
-    metrics.record_degradation(req_id, part.part_id, 0, outcome.failed_rows.len() as u64);
+
+    // Lines 16–17 + score swap (§IV-B): install replacements. A
+    // replacement whose fetch row exhausted every retry is cancelled —
+    // installing zeros would poison the buffer for every later step — so
+    // the stale resident keeps the slot and the candidate's accumulated
+    // S_A survives (it stays miss-pending and is re-tried on a later
+    // eviction round).
+    let mut stale = 0u64;
+    if let Some(pf) = pf.as_deref_mut() {
+        metrics.record_lookup(scratch.hits.len() as u64, scratch.misses.len() as u64);
+        let mut boards = Scoreboards {
+            s_e: &mut pf.s_e,
+            s_a: &mut pf.s_a,
+            halo_nodes,
+            halo_degree: &part.halo_degree,
+        };
+        let mut installed = 0u64;
+        for (&(slot, new_h), &r) in scratch.replacements.iter().zip(&scratch.replacement_rows) {
+            if outcome.failed_rows.binary_search(&r).is_ok() {
+                stale += 1;
+                continue;
+            }
+            let old_h = pf
+                .buffer
+                .replace_with(slot, new_h, |row| fetched.decode_into(r, row));
+            boards.swap_scores(slot, old_h, new_h);
+            installed += 1;
+        }
+        metrics.record_eviction(installed);
+    }
+    // Missed nodes on a failed partition come back as zero rows — the
+    // final degradation rung. Their S_A increments already happened
+    // above, so the sampler's access history stays exact.
+    let degraded = outcome
+        .failed_rows
+        .iter()
+        .filter(|&&r| r < scratch.misses.len())
+        .count();
+    metrics.record_degradation(req_id, part.part_id, stale, degraded as u64);
 
     let local_store = cluster.store(part.part_id);
-    // Map halo idx -> fetch row (one row per sampled halo node;
-    // `input_nodes` is duplicate-free).
-    let rstamp = scratch.mark_rows(part.num_halo());
-    for (i, &lid) in scratch.halo_ids.iter().enumerate() {
-        let h = (lid - num_local as u32) as usize;
-        scratch.row_stamp[h] = rstamp;
-        scratch.row_val[h] = i as u32;
-    }
     gather_rows(
         &mut input_vec,
         &mb.input_nodes,
         dim,
         part,
         local_store,
-        None,
+        pf.as_deref().map(|pf| &pf.buffer),
         scratch,
         rstamp,
         &fetched,
     );
+    // The payload buffers go back to the cluster for the next pull.
     drop(fetched);
-    let t_copy = cost.t_copy(scratch.local_ids.len(), dim);
+    timing.t_copy = cost.t_copy(scratch.local_ids.len(), dim);
     metrics.record_local_copy(scratch.local_ids.len() as u64);
-    fill_labels(&mut labels, &mb.seeds, part, local_store);
-
-    let counts = PrepareCounts {
-        local: scratch.local_ids.len(),
-        halo: scratch.halo_ids.len(),
-        hits: 0,
-        misses: scratch.halo_ids.len(),
-        evicted: 0,
-        replaced: 0,
-        degraded: outcome.failed_rows.len(),
-        stale: 0,
-    };
-    let timing = PrepareTiming {
-        t_sampling,
-        t_rpc,
-        t_copy,
-        ..PrepareTiming::default()
-    };
+    labels.clear();
+    labels.extend(
+        mb.seeds
+            .iter()
+            .map(|&lid| local_store.label(part.local_nodes[lid as usize])),
+    );
     record_window(metrics, step, &timing, req_id, t_fault);
-    PreparedBatch::assemble(mb, input_vec, dim, labels, timing, counts)
+    PreparedBatch {
+        input: Tensor::from_vec(mb.input_nodes.len(), dim, input_vec),
+        minibatch: mb,
+        labels,
+        timing,
+        counts: PrepareCounts {
+            halo: scratch.halo_ids.len(),
+            hits: scratch.hits.len(),
+            misses: scratch.misses.len(),
+        },
+    }
 }
 
 #[cfg(test)]

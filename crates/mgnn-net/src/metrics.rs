@@ -105,10 +105,10 @@ impl CommMetrics {
         add(&c.buffer_misses, misses);
     }
 
-    /// Record an eviction round.
-    pub fn record_eviction(&self, evicted: u64, replaced: u64) {
+    /// Record an eviction round that installed `replaced` rows, one per evicted slot.
+    pub fn record_eviction(&self, replaced: u64) {
         let c = &*self.counters;
-        add(&c.evictions, evicted);
+        add(&c.evictions, replaced);
         add(&c.replacements_fetched, replaced);
     }
 
@@ -306,7 +306,7 @@ mod tests {
                         m.record_rpc(3, 8);
                         m.record_local_copy(5);
                         m.record_lookup(2, 1);
-                        m.record_eviction(4, 6);
+                        m.record_eviction(4);
                     }
                 })
             })
@@ -322,7 +322,7 @@ mod tests {
         assert_eq!(s.buffer_hits, 2 * N * 2);
         assert_eq!(s.buffer_misses, 2 * N);
         assert_eq!(s.evictions, 2 * N * 4);
-        assert_eq!(s.replacements_fetched, 2 * N * 6);
+        assert_eq!(s.replacements_fetched, 2 * N * 4);
     }
 
     #[test]

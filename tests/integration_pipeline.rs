@@ -10,7 +10,9 @@ use massivegnn::prefetcher::{baseline_prepare_reuse, PrepareScratch};
 use massivegnn::PrefetchConfig;
 use mgnn_graph::{Dataset, DatasetKind, Scale};
 use mgnn_model::{Model, SageModel};
-use mgnn_net::{wire, CommMetrics, CostModel, FaultProfile, RetryPolicy, SimCluster};
+use mgnn_net::{
+    wire, CommMetrics, CostModel, FaultProfile, MetricsSnapshot, RetryPolicy, SimCluster,
+};
 use mgnn_partition::{build_local_partitions, multilevel_partition};
 use mgnn_sampling::NeighborSampler;
 use mgnn_tensor::loss::cross_entropy;
@@ -128,15 +130,47 @@ fn baseline_and_prefetch_assemble_identical_batches() {
     let sampler = NeighborSampler::new(vec![4, 8], 3);
     let m1 = CommMetrics::new();
     let m2 = CommMetrics::new();
-    let (mut pf, _) = initialize_prefetcher(
-        part,
-        PrefetchConfig::default(),
-        fx.dataset.num_nodes(),
-        &fx.cluster,
-        &cost,
-        &m1,
-    );
+    let m3 = CommMetrics::new();
+    let prefetcher = |f_h, metrics| {
+        let cfg = PrefetchConfig {
+            f_h,
+            ..Default::default()
+        };
+        initialize_prefetcher(
+            part,
+            cfg,
+            fx.dataset.num_nodes(),
+            &fx.cluster,
+            &cost,
+            metrics,
+        )
+        .0
+    };
+    let mut pf = prefetcher(PrefetchConfig::default().f_h, &m1);
+    // Algorithm 2 with nothing to hit: the baseline must be exactly this.
+    let mut empty = prefetcher(0.0, &m3);
+    assert_eq!(empty.buffer.capacity(), 0);
+    let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let pulled = |now: MetricsSnapshot, was: MetricsSnapshot| {
+        [
+            now.remote_nodes_fetched - was.remote_nodes_fetched,
+            now.remote_bytes - was.remote_bytes,
+            now.rpc_calls - was.rpc_calls,
+        ]
+    };
     for step in 0..4u64 {
+        let (was_b, was_e) = (m2.snapshot(), m3.snapshot());
+        let e = empty.prepare_reuse(
+            None,
+            part,
+            &sampler,
+            &seeds,
+            0,
+            step,
+            &fx.cluster,
+            &cost,
+            &m3,
+        );
         let a = pf.prepare_reuse(
             None,
             part,
@@ -166,6 +200,31 @@ fn baseline_and_prefetch_assemble_identical_batches() {
         );
         assert_eq!(a.input.data(), b.input.data(), "features must be identical");
         assert_eq!(a.labels, b.labels);
+
+        // A baseline batch is an empty buffer's, bit for bit, priced as
+        // Eq. 2: the same sampling, pull and copy, and nothing else.
+        assert_eq!(e.minibatch, b.minibatch, "step {step}");
+        assert_eq!(bits(&e.input), bits(&b.input), "step {step}");
+        assert_eq!(e.labels, b.labels, "step {step}");
+        let (te, tb) = (e.timing, b.timing);
+        assert_eq!(
+            [te.t_sampling, te.t_rpc, te.t_copy].map(f64::to_bits),
+            [tb.t_sampling, tb.t_rpc, tb.t_copy].map(f64::to_bits),
+            "step {step}"
+        );
+        assert_eq!(
+            [tb.t_lookup, tb.t_scoring, tb.t_evict, tb.t_planned].map(f64::to_bits),
+            [0.0f64.to_bits(); 4],
+            "step {step}: the baseline charges only Eq. 2's terms"
+        );
+        assert_eq!((b.counts.hits, b.counts.misses), (0, b.counts.halo));
+        let (now_b, now_e) = (m2.snapshot(), m3.snapshot());
+        assert_eq!(pulled(now_b, was_b), pulled(now_e, was_e), "step {step}");
+        assert_eq!(
+            (now_b.buffer_hits, now_b.buffer_misses),
+            (0, 0),
+            "the baseline books no buffer lookups"
+        );
     }
     // But the prefetch path must have moved strictly fewer remote rows
     // during steady state (excluding its init fetch).
@@ -419,6 +478,7 @@ fn degraded_rows_are_zero_in_a_recycled_input_matrix() {
         &metrics,
     );
     assert!(healthy.input.data().iter().all(|&x| x != 0.0));
+    let before = metrics.snapshot();
     let batch = baseline_prepare_reuse(
         Some(healthy),
         &mut scratch,
@@ -432,7 +492,10 @@ fn degraded_rows_are_zero_in_a_recycled_input_matrix() {
         &metrics,
     );
     assert!(batch.counts.halo > 0);
-    assert_eq!(batch.counts.degraded, batch.counts.halo);
+    assert_eq!(
+        metrics.snapshot().degraded_rows - before.degraded_rows,
+        batch.counts.halo as u64
+    );
     for (i, &lid) in batch.minibatch.input_nodes.iter().enumerate() {
         let want = local_or(lid, &|row| vec![0.0; row.len()]);
         assert_eq!(batch.input.row(i), want, "baseline node {lid}");
@@ -469,6 +532,7 @@ fn degraded_rows_are_zero_in_a_recycled_input_matrix() {
         let buffered: Vec<bool> = (0..part.num_halo() as u32)
             .map(|h| pf.buffer.contains(h))
             .collect();
+        let before = metrics.snapshot();
         let batch = pf.prepare_reuse(
             Some(carcass),
             part,
@@ -480,7 +544,11 @@ fn degraded_rows_are_zero_in_a_recycled_input_matrix() {
             &cost,
             &metrics,
         );
-        assert_eq!(batch.counts.evicted, 0, "a failed replacement is cancelled");
+        let booked = metrics.snapshot();
+        assert_eq!(
+            booked.evictions, before.evictions,
+            "a failed replacement is cancelled"
+        );
         for (i, &lid) in batch.minibatch.input_nodes.iter().enumerate() {
             let hit = part.is_halo(lid) && buffered[lid as usize - part.num_local()];
             let want = local_or(lid, &|row| {
@@ -492,7 +560,7 @@ fn degraded_rows_are_zero_in_a_recycled_input_matrix() {
             });
             assert_eq!(batch.input.row(i), want, "prefetch node {lid} step {step}");
         }
-        degraded += batch.counts.degraded;
+        degraded += booked.degraded_rows - before.degraded_rows;
         carcass = batch;
     }
     assert!(degraded > 0, "no miss was starved: nothing compared");

@@ -68,7 +68,6 @@ proptest! {
         let num_local = part.num_local();
         let halo_ids: Vec<u32> = (0..part.num_halo() as u32).collect();
         let mut step = 0u64;
-        let mut replaced = 0u64;
         for epoch in 0..3u64 {
             for seeds in loader.epoch(epoch).iter() {
                 let batch = pf.prepare_reuse(
@@ -79,7 +78,8 @@ proptest! {
                 sim.access(&sampled);
 
                 let c = batch.counts;
-                prop_assert_eq!((c.degraded, c.stale), (0, 0));
+                let booked = metrics.snapshot();
+                prop_assert_eq!((booked.degraded_rows, booked.stale_served), (0, 0));
                 let rate = if c.hits + c.misses == 0 {
                     0.0
                 } else {
@@ -90,8 +90,7 @@ proptest! {
                     rate.to_bits(),
                     "step {}: hits {} misses {}", step, c.hits, c.misses
                 );
-                replaced += c.replaced as u64;
-                prop_assert_eq!(sim.replacements, replaced, "step {}", step);
+                prop_assert_eq!(sim.replacements, booked.replacements_fetched, "step {}", step);
                 // Same slot → same occupant: the same slots were evicted
                 // and the same halo nodes installed in them.
                 prop_assert_eq!(
