@@ -22,18 +22,17 @@
 //! experiments, no server required. Both perturb only wall-clock — every
 //! report stays bitwise identical to a telemetry-off run.
 
-use massivegnn::PrefetchPolicyKind;
 use mgnn_bench::{experiments, figures::chaos, harness, Opts};
 use mgnn_graph::{DatasetKind, Scale};
 use mgnn_net::{Backend, FaultProfile};
 use serde::{Serialize, Value};
 use std::path::PathBuf;
+use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro --experiment <{}|all> [--scale unit|small|bench] [--epochs N] [--batch N] \
-         [--hidden N] [--full] [--seed N] [--trace-out DIR] [--json-out FILE] \
-         [--policy scoreboard|lookahead] [--depth N] \
+         [--hidden N] [--full] [--seed N] [--trace-out DIR] [--json-out FILE] [--depth N] \
          [--fault-profile <{}>] [--fault-seed N] \
          [--telemetry-port N] [--metrics-out FILE] [--telemetry-linger-ms N]",
         experiments::names().join("|"),
@@ -42,8 +41,16 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// The value after a flag, parsed; usage if it is missing or does not
+/// parse.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>) -> T {
+    args.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut experiment: Option<String> = None;
     let mut opts = Opts::default();
     let mut trace_out: Option<PathBuf> = None;
@@ -51,124 +58,42 @@ fn main() {
     let mut telemetry_port: Option<u16> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut telemetry_linger_ms = 0u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--experiment" | "-e" => {
-                i += 1;
-                experiment = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--experiment" | "-e" => experiment = Some(value(&mut args)),
             "--scale" => {
-                i += 1;
-                opts.scale = match args.get(i).map(String::as_str) {
-                    Some("unit") => Scale::Unit,
-                    Some("small") => Scale::Small,
-                    Some("bench") => Scale::Bench,
+                opts.scale = match value::<String>(&mut args).as_str() {
+                    "unit" => Scale::Unit,
+                    "small" => Scale::Small,
+                    "bench" => Scale::Bench,
                     _ => usage(),
-                };
+                }
             }
-            "--epochs" => {
-                i += 1;
-                opts.epochs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--batch" => {
-                i += 1;
-                opts.batch_size = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--hidden" => {
-                i += 1;
-                opts.hidden_dim = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(PathBuf::from(
-                    args.get(i).cloned().unwrap_or_else(|| usage()),
-                ));
-            }
-            "--json-out" => {
-                i += 1;
-                json_out = Some(PathBuf::from(
-                    args.get(i).cloned().unwrap_or_else(|| usage()),
-                ));
-            }
-            "--policy" => {
-                i += 1;
-                opts.policy = match args.get(i).map(String::as_str) {
-                    Some("scoreboard") => PrefetchPolicyKind::Scoreboard,
-                    Some("lookahead") => {
-                        // Keep a --depth seen earlier on the line; the
-                        // default is the shortest window, depth 1.
-                        let depth = match opts.policy {
-                            PrefetchPolicyKind::Lookahead { depth } => depth,
-                            PrefetchPolicyKind::Scoreboard => 1,
-                        };
-                        PrefetchPolicyKind::Lookahead { depth }
-                    }
-                    _ => usage(),
-                };
-            }
+            "--epochs" => opts.epochs = value(&mut args),
+            "--batch" => opts.batch_size = value(&mut args),
+            "--hidden" => opts.hidden_dim = value(&mut args),
+            "--seed" => opts.seed = value(&mut args),
+            "--trace-out" => trace_out = Some(value(&mut args)),
+            "--json-out" => json_out = Some(value(&mut args)),
             "--depth" => {
-                i += 1;
-                let depth: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|d| *d >= 1)
-                    .unwrap_or_else(|| usage());
-                opts.policy = PrefetchPolicyKind::Lookahead { depth };
+                let depth: usize = value(&mut args);
+                if depth == 0 {
+                    usage()
+                }
+                opts.depth = Some(depth);
             }
             "--fault-profile" => {
-                i += 1;
-                let name = args.get(i).cloned().unwrap_or_else(|| usage());
+                let name: String = value(&mut args);
                 if FaultProfile::named(&name, 0).is_none() {
                     eprintln!("unknown fault profile: {name}");
                     usage()
                 }
                 opts.fault_profile = Some(name);
             }
-            "--fault-seed" => {
-                i += 1;
-                opts.fault_seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--telemetry-port" => {
-                i += 1;
-                telemetry_port = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = Some(PathBuf::from(
-                    args.get(i).cloned().unwrap_or_else(|| usage()),
-                ));
-            }
-            "--telemetry-linger-ms" => {
-                i += 1;
-                telemetry_linger_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
+            "--fault-seed" => opts.fault_seed = value(&mut args),
+            "--telemetry-port" => telemetry_port = Some(value(&mut args)),
+            "--metrics-out" => metrics_out = Some(value(&mut args)),
+            "--telemetry-linger-ms" => telemetry_linger_ms = value(&mut args),
             "--full" => opts.full = true,
             "--help" | "-h" => usage(),
             other => {
@@ -176,7 +101,6 @@ fn main() {
                 usage()
             }
         }
-        i += 1;
     }
 
     // Reject a bad size option here, with its reason, before any

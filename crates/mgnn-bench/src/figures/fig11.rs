@@ -2,7 +2,7 @@
 //! the communication-time reduction (§V-B5: 23% fewer remote fetches in
 //! papers, 15% in products; communication time cut ~44–50%).
 
-use crate::harness::{engine_config, layout_for, Opts};
+use crate::harness::{engine_config, layout_for, per_trainer_mean, Opts};
 use massivegnn::{Engine, Mode, PrefetchConfig};
 use mgnn_graph::DatasetKind;
 use mgnn_net::Backend;
@@ -58,33 +58,14 @@ pub fn run(opts: &Opts) -> Fig11 {
             ..Default::default()
         });
         let prefetch = Engine::build(pcfg).run();
-        let n = baseline.trainers.len() as f64;
+        let remote = |r| per_trainer_mean(r, |t| t.metrics.remote_nodes_fetched as f64);
+        let comm = |r| per_trainer_mean(r, |t| t.breakdown.communication_stall_s());
         rows.push(Row {
             dataset: kind.name(),
-            baseline_remote: baseline
-                .trainers
-                .iter()
-                .map(|t| t.metrics.remote_nodes_fetched as f64)
-                .sum::<f64>()
-                / n,
-            prefetch_remote: prefetch
-                .trainers
-                .iter()
-                .map(|t| t.metrics.remote_nodes_fetched as f64)
-                .sum::<f64>()
-                / n,
-            baseline_comm_s: baseline
-                .trainers
-                .iter()
-                .map(|t| t.breakdown.communication_stall_s())
-                .sum::<f64>()
-                / n,
-            prefetch_comm_s: prefetch
-                .trainers
-                .iter()
-                .map(|t| t.breakdown.communication_stall_s())
-                .sum::<f64>()
-                / n,
+            baseline_remote: remote(&baseline),
+            prefetch_remote: remote(&prefetch),
+            baseline_comm_s: comm(&baseline),
+            prefetch_comm_s: comm(&prefetch),
         });
     }
     Fig11 { rows }

@@ -28,12 +28,14 @@ pub struct Fig12 {
     pub points: Vec<Point>,
 }
 
-/// Sweep Δ per γ on products, 4 CPU nodes.
-pub fn run(opts: &Opts) -> Fig12 {
+/// The γ × Δ grid Figs. 12 and 13 read: products on 4 CPU nodes under
+/// the long-run profile, `f_p^h` 0.25, one run per `(γ, Δ)`, γ-major
+/// then Δ-minor over [`delta_values`].
+pub fn sweep(opts: &Opts, gammas: &[f64]) -> Vec<Point> {
     let opts = opts.longrun_of();
     let base = engine_config(&opts, DatasetKind::Products, Backend::Cpu, 4);
     let mut points = Vec::new();
-    for gamma in gamma_values() {
+    for &gamma in gammas {
         for delta in delta_values(opts.full) {
             let mut cfg = base.clone();
             cfg.mode = Mode::Prefetch(PrefetchConfig {
@@ -52,7 +54,14 @@ pub fn run(opts: &Opts) -> Fig12 {
             });
         }
     }
-    Fig12 { points }
+    points
+}
+
+/// Sweep Δ per γ on products, 4 CPU nodes.
+pub fn run(opts: &Opts) -> Fig12 {
+    Fig12 {
+        points: sweep(opts, &gamma_values()),
+    }
 }
 
 impl fmt::Display for Fig12 {

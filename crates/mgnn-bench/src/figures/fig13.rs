@@ -1,11 +1,10 @@
 //! Fig. 13: execution time and hit rate across the decay factor γ ∈ [0, 1),
 //! with error bars over the Δ range — the paper's empirical basis for
 //! choosing γ ≥ 0.9 ("low decay" retains the best hit rates at good time).
+//! It reads Fig. 12's grid ([`fig12::sweep`]) over its own γ values.
 
-use crate::harness::{delta_values, engine_config, Opts};
-use massivegnn::{Engine, Mode, PrefetchConfig};
-use mgnn_graph::DatasetKind;
-use mgnn_net::Backend;
+use crate::figures::fig12;
+use crate::harness::Opts;
 use std::fmt;
 
 /// Aggregated stats for one γ across the Δ range.
@@ -29,42 +28,31 @@ pub struct Fig13 {
     pub points: Vec<Point>,
 }
 
-/// Sweep γ over a [0, 1) grid × the Δ range, products on 4 CPU nodes.
+/// Sweep γ over a [0, 1) grid × the Δ range, products on 4 CPU nodes
+/// (Fig. 12's grid, [`fig12::sweep`]).
 pub fn run(opts: &Opts) -> Fig13 {
     let gammas = [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.995];
-    let opts = opts.longrun_of();
-    let base = engine_config(&opts, DatasetKind::Products, Backend::Cpu, 4);
-    let mut points = Vec::new();
-    for &gamma in &gammas {
-        let mut times = Vec::new();
-        let mut hits = Vec::new();
-        for delta in delta_values(opts.full) {
-            let mut cfg = base.clone();
-            cfg.mode = Mode::Prefetch(PrefetchConfig {
-                f_h: 0.25,
-                gamma,
-                delta,
-                ..Default::default()
-            });
-            let r = Engine::build(cfg).run();
-            times.push(r.makespan_s);
-            hits.push(r.hit_rate());
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let range = |v: &[f64]| {
-            (
-                v.iter().copied().fold(f64::INFINITY, f64::min),
-                v.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            )
-        };
-        points.push(Point {
-            gamma,
-            time_mean_s: mean(&times),
-            time_range_s: range(&times),
-            hit_mean: mean(&hits),
-            hit_range: range(&hits),
-        });
-    }
+    let grid = fig12::sweep(opts, &gammas);
+    let points = grid
+        .chunks(grid.len() / gammas.len())
+        .map(|row| {
+            let mean =
+                |v: fn(&fig12::Point) -> f64| row.iter().map(v).sum::<f64>() / row.len() as f64;
+            let range = |v: fn(&fig12::Point) -> f64| {
+                (
+                    row.iter().map(v).fold(f64::INFINITY, f64::min),
+                    row.iter().map(v).fold(f64::NEG_INFINITY, f64::max),
+                )
+            };
+            Point {
+                gamma: row[0].gamma,
+                time_mean_s: mean(|p| p.time_s),
+                time_range_s: range(|p| p.time_s),
+                hit_mean: mean(|p| p.hit_rate),
+                hit_range: range(|p| p.hit_rate),
+            }
+        })
+        .collect();
     Fig13 { points }
 }
 
@@ -99,6 +87,10 @@ impl fmt::Display for Fig13 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::engine_config;
+    use massivegnn::{Engine, Mode, PrefetchConfig};
+    use mgnn_graph::DatasetKind;
+    use mgnn_net::Backend;
 
     #[test]
     fn low_decay_hit_rate_at_least_matches_high_decay() {

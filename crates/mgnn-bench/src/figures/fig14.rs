@@ -4,7 +4,7 @@
 //! are prefetch-only (~buffer + scoreboards); training peaks differ
 //! mildly (the paper reports ~10% extra).
 
-use crate::harness::{engine_config, layout_for, Opts};
+use crate::harness::{engine_config, layout_for, per_trainer_mean, Opts};
 use massivegnn::{Engine, Mode, PrefetchConfig};
 use mgnn_graph::DatasetKind;
 use mgnn_net::Backend;
@@ -48,26 +48,10 @@ pub fn run(opts: &Opts) -> Fig14 {
         ..Default::default()
     });
     let prefetch = Engine::build(pcfg).run();
-    let n = baseline.trainers.len();
     Fig14 {
-        init_bytes_per_trainer: prefetch
-            .trainers
-            .iter()
-            .map(|t| t.init.persistent_bytes)
-            .sum::<usize>()
-            / n,
-        baseline_train_peak: baseline
-            .trainers
-            .iter()
-            .map(|t| t.peak_bytes)
-            .sum::<usize>()
-            / n,
-        prefetch_train_peak: prefetch
-            .trainers
-            .iter()
-            .map(|t| t.peak_bytes)
-            .sum::<usize>()
-            / n,
+        init_bytes_per_trainer: per_trainer_mean(&prefetch, |t| t.init.persistent_bytes),
+        baseline_train_peak: per_trainer_mean(&baseline, |t| t.peak_bytes),
+        prefetch_train_peak: per_trainer_mean(&prefetch, |t| t.peak_bytes),
         evictions: prefetch.aggregate_metrics().evictions,
     }
 }

@@ -1,60 +1,35 @@
 //! Fig. 7: GAT (2 attention heads) on the papers-like input — does the
 //! prefetch scheme transfer to another architecture? (§V-A4: up to 39%
 //! CPU / 15% GPU improvement; eviction adds 5–8 points on CPU, GPU can
-//! degrade when overlap fails.)
+//! degrade when overlap fails.) Each bar group is a [`fig6::group`] cell.
 
-use crate::harness::{engine_config, improvement_pct, optimize_prefetch, Opts};
-use massivegnn::Engine;
+use crate::figures::fig6::{self, Group};
+use crate::harness::Opts;
 use mgnn_graph::DatasetKind;
 use mgnn_model::ModelKind;
 use mgnn_net::Backend;
 use std::fmt;
 
-/// One bar group.
-#[derive(Debug, Clone)]
-pub struct Group {
-    /// Backend name.
-    pub backend: &'static str,
-    /// Compute nodes.
-    pub num_parts: usize,
-    /// Baseline makespan.
-    pub baseline_s: f64,
-    /// Best no-eviction `(f_h, time, hit)`.
-    pub no_evict: (f64, f64, f64),
-    /// Best with-eviction `(γ, Δ, time, hit)`.
-    pub best_evict: (f64, usize, f64, f64),
-}
-
-/// The figure.
+/// The figure: Fig. 6's cells, for GAT on papers.
 pub struct Fig7 {
     /// Bar groups.
     pub groups: Vec<Group>,
 }
 
-/// Run GAT on papers-like over {2, 4} nodes × both backends.
+/// Run GAT on papers-like over [`fig6::node_counts`] × both backends, on
+/// the representative `f_p^h` and Δ grids even under `--full`.
 pub fn run(opts: &Opts) -> Fig7 {
-    let node_counts: &[usize] = if opts.full { &[2, 4, 8] } else { &[2, 4] };
     let mut groups = Vec::new();
     for backend in [Backend::Cpu, Backend::Gpu] {
-        for &parts in node_counts {
-            let mut base = engine_config(opts, DatasetKind::Papers, backend, parts);
-            base.model = ModelKind::Gat;
-            base.gat_heads = 2;
-            let baseline = Engine::build(base.clone()).run();
-            let optimized = optimize_prefetch(&base, false);
-            let (f_h, ne) = &optimized.no_evict;
-            let best = optimized
-                .with_evict
-                .iter()
-                .min_by(|a, b| a.2.makespan_s.partial_cmp(&b.2.makespan_s).unwrap())
-                .unwrap();
-            groups.push(Group {
-                backend: backend.name(),
-                num_parts: parts,
-                baseline_s: baseline.makespan_s,
-                no_evict: (*f_h, ne.makespan_s, ne.hit_rate()),
-                best_evict: (best.0, best.1, best.2.makespan_s, best.2.hit_rate()),
-            });
+        for &parts in fig6::node_counts(opts.full) {
+            groups.push(fig6::group(
+                opts,
+                DatasetKind::Papers,
+                ModelKind::Gat,
+                backend,
+                parts,
+                false,
+            ));
         }
     }
     Fig7 { groups }
@@ -69,6 +44,7 @@ impl fmt::Display for Fig7 {
             "dev", "#nodes", "DistDGL(s)", "noEvict(s)", "evict(s)", "impr(%)", "hit(%)"
         )?;
         for g in &self.groups {
+            let best = g.best_evict();
             writeln!(
                 f,
                 "{:<4} {:>6} {:>11.3} {:>10.3} {:>10.3} {:>9.1} {:>9.1}",
@@ -76,9 +52,9 @@ impl fmt::Display for Fig7 {
                 g.num_parts,
                 g.baseline_s,
                 g.no_evict.1,
-                g.best_evict.2,
-                improvement_pct(g.baseline_s, g.best_evict.2.min(g.no_evict.1)),
-                100.0 * g.best_evict.3
+                best.2,
+                g.best_improvement_pct(),
+                100.0 * best.3
             )?;
         }
         Ok(())
@@ -88,6 +64,7 @@ impl fmt::Display for Fig7 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::improvement_pct;
 
     #[test]
     fn gat_prefetch_improves_on_cpu() {
@@ -95,7 +72,7 @@ mod tests {
         opts.epochs = 2;
         let fig = run(&opts);
         for g in fig.groups.iter().filter(|g| g.backend == "CPU") {
-            let best = g.best_evict.2.min(g.no_evict.1);
+            let best = g.best_evict().2.min(g.no_evict.1);
             assert!(
                 improvement_pct(g.baseline_s, best) > 0.0,
                 "CPU {} nodes: GAT prefetch should improve",

@@ -2,7 +2,7 @@
 //! and papers on 4 CPU nodes, and its share of total training time —
 //! the paper finds it below 1% of end-to-end time.
 
-use crate::harness::{engine_config, layout_for, Opts};
+use crate::harness::{engine_config, layout_for, per_trainer_mean, Opts};
 use massivegnn::{Engine, Mode, PrefetchConfig};
 use mgnn_graph::DatasetKind;
 use mgnn_net::Backend;
@@ -42,16 +42,12 @@ pub fn run(opts: &Opts) -> Fig8 {
             ..Default::default()
         });
         let report = Engine::build(cfg).run();
-        let n = report.trainers.len() as f64;
-        let mean = |f: fn(&massivegnn::init::InitReport) -> f64| -> f64 {
-            report.trainers.iter().map(|t| f(&t.init)).sum::<f64>() / n
-        };
         rows.push(Row {
             dataset: kind.name(),
-            selection_s: mean(|i| i.selection_s),
-            fetch_s: mean(|i| i.fetch_s),
-            populate_s: mean(|i| i.populate_s),
-            scoreboard_s: mean(|i| i.scoreboard_s),
+            selection_s: per_trainer_mean(&report, |t| t.init.selection_s),
+            fetch_s: per_trainer_mean(&report, |t| t.init.fetch_s),
+            populate_s: per_trainer_mean(&report, |t| t.init.populate_s),
+            scoreboard_s: per_trainer_mean(&report, |t| t.init.scoreboard_s),
             pct_of_training: 100.0 * report.total_init_s()
                 / (report.trainers.iter().map(|t| t.sim_time_s).sum::<f64>()),
         });

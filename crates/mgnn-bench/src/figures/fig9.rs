@@ -3,7 +3,8 @@
 //! efficiency — 100% on CPU (training long enough to hide preparation),
 //! 60–70% on GPU in the paper.
 
-use crate::harness::{engine_config, layout_for, Opts};
+use crate::harness::{engine_config, layout_for, per_trainer_mean, Opts};
+use massivegnn::engine::TrainerReport;
 use massivegnn::{Engine, Mode, PrefetchConfig};
 use mgnn_graph::DatasetKind;
 use mgnn_net::Backend;
@@ -62,21 +63,18 @@ pub fn run(opts: &Opts) -> Fig9 {
                 ..Default::default()
             });
             let report = Engine::build(cfg).run();
-            let n = report.trainers.len() as f64;
-            let b = |f: &dyn Fn(&massivegnn::engine::TrainerReport) -> f64| -> f64 {
-                report.trainers.iter().map(f).sum::<f64>() / n
-            };
+            let b = |f: fn(&TrainerReport) -> f64| per_trainer_mean(&report, f);
             rows.push(Row {
                 dataset: kind.name(),
                 backend: backend.name(),
-                sampling_s: b(&|t| t.breakdown.sampling_s),
-                lookup_s: b(&|t| t.breakdown.lookup_s),
-                scoring_s: b(&|t| t.breakdown.scoring_s),
-                evict_s: b(&|t| t.breakdown.evict_s),
-                rpc_s: b(&|t| t.breakdown.rpc_s),
-                copy_s: b(&|t| t.breakdown.copy_s),
-                train_s: b(&|t| t.breakdown.train_s),
-                stall_s: b(&|t| t.stall_s),
+                sampling_s: b(|t| t.breakdown.sampling_s),
+                lookup_s: b(|t| t.breakdown.lookup_s),
+                scoring_s: b(|t| t.breakdown.scoring_s),
+                evict_s: b(|t| t.breakdown.evict_s),
+                rpc_s: b(|t| t.breakdown.rpc_s),
+                copy_s: b(|t| t.breakdown.copy_s),
+                train_s: b(|t| t.breakdown.train_s),
+                stall_s: b(|t| t.stall_s),
                 overlap_efficiency: report.mean_overlap_efficiency(),
             });
         }

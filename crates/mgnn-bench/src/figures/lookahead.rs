@@ -13,8 +13,8 @@
 //! a planner that re-fetches what it has just evicted shows up in
 //! `remote MB` and `planned rows` before it shows up anywhere else.
 
-use crate::harness::{engine_config, Opts};
-use massivegnn::{Engine, Mode, PrefetchConfig, PrefetchPolicyKind};
+use crate::harness::{engine_config, per_trainer_mean, Opts};
+use massivegnn::{Engine, Mode, PrefetchConfig};
 use mgnn_graph::DatasetKind;
 use mgnn_net::Backend;
 use std::fmt;
@@ -53,7 +53,6 @@ pub struct Lookahead {
 fn measure(cfg: massivegnn::EngineConfig) -> Point {
     let label = cfg.mode.label();
     let r = Engine::build(cfg).run();
-    let n = r.trainers.len() as f64;
     let agg = r.aggregate_metrics();
     Point {
         label,
@@ -63,16 +62,16 @@ fn measure(cfg: massivegnn::EngineConfig) -> Point {
         planned_rows: agg.planned_rows,
         remote_mb: agg.remote_bytes as f64 / 1e6,
         time_s: r.makespan_s,
-        stall_s: r.trainers.iter().map(|t| t.stall_s).sum::<f64>() / n,
+        stall_s: per_trainer_mean(&r, |t| t.stall_s),
     }
 }
 
-/// Run scoreboard and lookahead on the same seed. With `--policy
-/// lookahead --depth N` only that depth is measured; otherwise depths
-/// {1, 2, 4} are swept. One planned pull serves `depth + 1` steps, so a
-/// deeper horizon is cheaper whenever the buffer holds the window's
-/// working set (it does here, at `f_h` 0.5) and no worse when it does
-/// not: the planner then comes back as rows fall due.
+/// Run scoreboard and lookahead on the same seed. With `--depth N` only
+/// that depth is measured; otherwise depths {1, 2, 4} are swept. One
+/// planned pull serves `depth + 1` steps, so a deeper horizon is cheaper
+/// whenever the buffer holds the window's working set (it does here, at
+/// `f_h` 0.5) and no worse when it does not: the planner then comes back
+/// as rows fall due.
 pub fn run(opts: &Opts) -> Lookahead {
     // Pin the sampling shape: with the repro CLI's paper-shaped batch
     // size and fanouts on a unit-scale graph, a single minibatch
@@ -95,10 +94,7 @@ pub fn run(opts: &Opts) -> Lookahead {
     let mut cfg = base.clone();
     cfg.mode = Mode::Prefetch(pcfg);
     points.push(measure(cfg));
-    let depths: Vec<usize> = match opts.policy {
-        PrefetchPolicyKind::Lookahead { depth } => vec![depth],
-        PrefetchPolicyKind::Scoreboard => vec![1, 2, 4],
-    };
+    let depths = opts.depth.map_or(vec![1, 2, 4], |depth| vec![depth]);
     for depth in depths {
         let mut cfg = base.clone();
         cfg.mode = Mode::Prefetch(pcfg.with_lookahead_policy(depth));

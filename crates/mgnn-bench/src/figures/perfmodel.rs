@@ -4,7 +4,7 @@
 //! simulation in the perfect-overlap (CPU) regime and over-predict once
 //! overlap breaks (GPU regime) — exactly the caveat §IV-C spells out.
 
-use crate::harness::{engine_config, Opts};
+use crate::harness::{engine_config, per_trainer_mean, Opts};
 use massivegnn::perfmodel;
 use massivegnn::{Engine, Mode, PrefetchConfig};
 use mgnn_graph::DatasetKind;
@@ -49,19 +49,8 @@ pub fn run(opts: &Opts) -> PerfModel {
         });
         let prefetch = Engine::build(pcfg).run();
 
-        let n = baseline.trainers.len() as f64;
-        let rpc: f64 = baseline
-            .trainers
-            .iter()
-            .map(|t| t.breakdown.rpc_s)
-            .sum::<f64>()
-            / n;
-        let ddp: f64 = baseline
-            .trainers
-            .iter()
-            .map(|t| t.breakdown.train_s)
-            .sum::<f64>()
-            / n;
+        let rpc = per_trainer_mean(&baseline, |t| t.breakdown.rpc_s);
+        let ddp = per_trainer_mean(&baseline, |t| t.breakdown.train_s);
         points.push(Point {
             backend: backend.name(),
             rpc_over_ddp: rpc / ddp,

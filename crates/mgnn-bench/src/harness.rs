@@ -1,12 +1,13 @@
 //! Shared experiment plumbing: option handling, engine-config presets,
-//! parameter sweeps and report formatting.
+//! the paper's sweep values and the per-trainer mean.
 
-use massivegnn::{
-    Engine, EngineConfig, Mode, PrefetchConfig, PrefetchPolicyKind, RunReport, ScoreLayout,
-};
+use massivegnn::engine::TrainerReport;
+use massivegnn::{EngineConfig, Mode, RunReport, ScoreLayout};
 use mgnn_graph::{DatasetKind, Scale};
 use mgnn_model::ModelKind;
 use mgnn_net::{Backend, FaultProfile, RetryPolicy};
+use std::iter::Sum;
+use std::ops::Div;
 
 /// Harness-wide options (size/effort knobs shared by all experiments).
 #[derive(Debug, Clone)]
@@ -38,11 +39,11 @@ pub struct Opts {
     /// same training run can be replayed under different fault
     /// schedules).
     pub fault_seed: u64,
-    /// Prefetch policy selected on the CLI (`--policy`/`--depth`).
-    /// Honored by the policy-aware experiments (the `lookahead` study
-    /// measures exactly this policy against the scoreboard); the
+    /// Lookahead depth selected on the CLI (`--depth`). Only the
+    /// `lookahead` study reads it: it measures exactly this depth against
+    /// the scoreboard, or sweeps depths 1, 2 and 4 when `None`. The
     /// paper-figure experiments always use the paper's scoreboard.
-    pub policy: PrefetchPolicyKind,
+    pub depth: Option<usize>,
     /// Expose the trainers' counters through the live-telemetry registry
     /// (`--telemetry-port`/`--metrics-out`). Wall-clock only; reports
     /// stay bitwise identical.
@@ -62,7 +63,7 @@ impl Default for Opts {
             trace: false,
             fault_profile: None,
             fault_seed: 0xFA01,
-            policy: PrefetchPolicyKind::Scoreboard,
+            depth: None,
             telemetry: false,
         }
     }
@@ -168,66 +169,14 @@ pub fn layout_for(dataset: DatasetKind) -> ScoreLayout {
     }
 }
 
-/// Result of optimizing prefetch parameters for one cell of Fig. 6 /
-/// Table IV: the best configuration found and its run.
-pub struct Optimized {
-    /// Best "prefetch without eviction" run and its `f_p^h`.
-    pub no_evict: (f64, RunReport),
-    /// Best "prefetch with eviction" run per γ: `(γ, Δ, report)`.
-    pub with_evict: Vec<(f64, usize, RunReport)>,
-}
-
-/// Sweep `f_p^h` (no eviction), then Δ per γ on the optimal `f_p^h`,
-/// choosing by lowest makespan — the paper's §V-A methodology
-/// ("we always prioritize time over hit rate").
-pub fn optimize_prefetch(base: &EngineConfig, full: bool) -> Optimized {
-    let layout = layout_for(base.dataset);
-    let mut best_ne: Option<(f64, RunReport)> = None;
-    for f_h in f_h_values(full) {
-        let mut cfg = base.clone();
-        cfg.mode = Mode::Prefetch(PrefetchConfig {
-            f_h,
-            layout,
-            ..PrefetchConfig::default().without_eviction()
-        });
-        let r = Engine::build(cfg).run();
-        if best_ne
-            .as_ref()
-            .is_none_or(|(_, b)| r.makespan_s < b.makespan_s)
-        {
-            best_ne = Some((f_h, r));
-        }
-    }
-    let best_f = best_ne.as_ref().unwrap().0;
-
-    let mut with_evict = Vec::new();
-    for gamma in gamma_values() {
-        let mut best: Option<(usize, RunReport)> = None;
-        for delta in delta_values(full) {
-            let mut cfg = base.clone();
-            cfg.mode = Mode::Prefetch(PrefetchConfig {
-                f_h: best_f,
-                gamma,
-                delta,
-                eviction: true,
-                layout,
-                policy: PrefetchPolicyKind::Scoreboard,
-            });
-            let r = Engine::build(cfg).run();
-            if best
-                .as_ref()
-                .is_none_or(|(_, b)| r.makespan_s < b.makespan_s)
-            {
-                best = Some((delta, r));
-            }
-        }
-        let (delta, r) = best.unwrap();
-        with_evict.push((gamma, delta, r));
-    }
-    Optimized {
-        no_evict: best_ne.unwrap(),
-        with_evict,
-    }
+/// Mean of `f` over a run's trainers. An integer field (Fig. 14's bytes)
+/// is summed and divided as an integer.
+pub fn per_trainer_mean<T>(report: &RunReport, f: impl Fn(&TrainerReport) -> T) -> T
+where
+    T: Sum + Div<Output = T> + From<u16>,
+{
+    let n = u16::try_from(report.trainers.len()).expect("fewer than 65 536 trainers");
+    report.trainers.iter().map(f).sum::<T>() / T::from(n)
 }
 
 /// Percent improvement of `new` over `old` (positive = faster).
@@ -256,6 +205,7 @@ impl Opts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use massivegnn::{Engine, PrefetchConfig};
 
     #[test]
     fn improvement_math() {

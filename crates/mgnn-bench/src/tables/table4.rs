@@ -1,34 +1,17 @@
-//! Table IV: the optimal `(f_p^h, γ, Δ)` per dataset and backend — the
-//! argmin over the same sweep Fig. 6 evaluates, choosing by training time
+//! Table IV: the optimal `(f_p^h, γ, Δ)` per dataset and backend — Fig. 6's
+//! 2-node cells ([`fig6::group`]), whose sweep chooses by training time
 //! (the paper: "we always prioritize time over hit rate").
 
-use crate::harness::{engine_config, optimize_prefetch, Opts};
-use massivegnn::Engine;
-use mgnn_graph::DatasetKind;
+use crate::figures::fig6::{self, Group};
+use crate::harness::{improvement_pct, Opts};
+use mgnn_model::ModelKind;
 use mgnn_net::Backend;
 use std::fmt;
 
-/// One optimal cell.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Dataset name.
-    pub dataset: &'static str,
-    /// Backend name.
-    pub backend: &'static str,
-    /// Optimal buffer fraction.
-    pub f_h: f64,
-    /// Optimal decay.
-    pub gamma: f64,
-    /// Optimal interval.
-    pub delta: usize,
-    /// Its improvement over baseline (%).
-    pub improvement_pct: f64,
-}
-
-/// The table.
+/// The table: Fig. 6's 2-node GraphSAGE groups, one row each.
 pub struct Table4 {
-    /// Optimal settings per (dataset, backend).
-    pub cells: Vec<Cell>,
+    /// One optimum per (dataset, backend).
+    pub groups: Vec<Group>,
     /// Compute nodes used.
     pub num_parts: usize,
 }
@@ -36,38 +19,20 @@ pub struct Table4 {
 /// Find optima on `num_parts = 2` compute nodes (extend with `--full`).
 pub fn run(opts: &Opts) -> Table4 {
     let num_parts = 2;
-    let datasets: &[DatasetKind] = if opts.full {
-        &DatasetKind::ALL
-    } else {
-        &[DatasetKind::Arxiv, DatasetKind::Products]
-    };
-    let mut cells = Vec::new();
-    for &kind in datasets {
+    let mut groups = Vec::new();
+    for &kind in fig6::datasets(opts.full) {
         for backend in [Backend::Cpu, Backend::Gpu] {
-            let base = engine_config(opts, kind, backend, num_parts);
-            let baseline = Engine::build(base.clone()).run();
-            let optimized = optimize_prefetch(&base, opts.full);
-            // Best with-eviction run over γ.
-            let (gamma, delta, best) = optimized
-                .with_evict
-                .iter()
-                .min_by(|a, b| a.2.makespan_s.partial_cmp(&b.2.makespan_s).unwrap())
-                .map(|(g, d, r)| (*g, *d, r))
-                .unwrap();
-            cells.push(Cell {
-                dataset: kind.name(),
-                backend: backend.name(),
-                f_h: optimized.no_evict.0,
-                gamma,
-                delta,
-                improvement_pct: crate::harness::improvement_pct(
-                    baseline.makespan_s,
-                    best.makespan_s,
-                ),
-            });
+            groups.push(fig6::group(
+                opts,
+                kind,
+                ModelKind::Sage,
+                backend,
+                num_parts,
+                opts.full,
+            ));
         }
     }
-    Table4 { cells, num_parts }
+    Table4 { groups, num_parts }
 }
 
 impl fmt::Display for Table4 {
@@ -82,11 +47,17 @@ impl fmt::Display for Table4 {
             "{:<10} {:<8} {:>6} {:>8} {:>6} {:>8}",
             "dataset", "backend", "f_h", "gamma", "delta", "impr(%)"
         )?;
-        for c in &self.cells {
+        for g in &self.groups {
+            let (gamma, delta, time_s, _) = g.best_evict();
             writeln!(
                 f,
                 "{:<10} {:<8} {:>6} {:>8} {:>6} {:>8.1}",
-                c.dataset, c.backend, c.f_h, c.gamma, c.delta, c.improvement_pct
+                g.dataset,
+                g.backend,
+                g.no_evict.0,
+                gamma,
+                delta,
+                improvement_pct(g.baseline_s, time_s)
             )?;
         }
         Ok(())
@@ -102,14 +73,15 @@ mod tests {
         let mut opts = Opts::quick();
         opts.epochs = 2;
         let t = run(&opts);
-        for c in &t.cells {
-            assert!(crate::harness::f_h_values(false).contains(&c.f_h));
-            assert!(crate::harness::gamma_values().contains(&c.gamma));
-            assert!(crate::harness::delta_values(false).contains(&c.delta));
+        for g in &t.groups {
+            let (gamma, delta, _, _) = g.best_evict();
+            assert!(crate::harness::f_h_values(false).contains(&g.no_evict.0));
+            assert!(crate::harness::gamma_values().contains(&gamma));
+            assert!(crate::harness::delta_values(false).contains(&delta));
         }
         // Both backends represented.
-        assert!(t.cells.iter().any(|c| c.backend == "CPU"));
-        assert!(t.cells.iter().any(|c| c.backend == "GPU"));
+        assert!(t.groups.iter().any(|g| g.backend == "CPU"));
+        assert!(t.groups.iter().any(|g| g.backend == "GPU"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Exporters: Chrome/Perfetto `trace.json` and a serde JSON snapshot.
+//! Exporter: Chrome/Perfetto `trace.json`.
 //!
 //! The Perfetto export emits the Chrome trace-event format (the
 //! `{"traceEvents": [...]}` envelope of complete `"X"` events plus `"M"`
@@ -8,13 +8,9 @@
 //! recorded on. Timestamps are the simulated timeline in microseconds,
 //! resolved through each trace's per-step anchors; spans whose step has
 //! no anchor (a batch prepared ahead but never consumed) are dropped.
-//!
-//! The snapshot export keeps no per-event data — just per-phase latency
-//! summaries and the per-step telemetry series — so it stays small even
-//! for long runs.
 
 use crate::span::{Lane, SpanEvent, TrainerTrace};
-use serde::{Serialize, Value};
+use serde::Value;
 
 /// Microseconds per second (trace-event timestamps are µs).
 const US: f64 = 1.0e6;
@@ -177,15 +173,6 @@ pub fn perfetto_trace_string(traces: &[TrainerTrace]) -> String {
     serde_json::to_string(&perfetto_trace(traces))
 }
 
-/// Compact snapshot of a run's telemetry: per-trainer phase summaries and
-/// step series, without individual span events.
-pub fn snapshot(traces: &[TrainerTrace]) -> Value {
-    Value::obj([(
-        "trainers",
-        Value::Arr(traces.iter().map(Serialize::to_value).collect()),
-    )])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,17 +319,5 @@ mod tests {
             .find(|e| e.get("name").unwrap().as_str() == Some("sampling"))
             .unwrap();
         assert!(sampling.get("args").unwrap().get("request_id").is_none());
-    }
-
-    #[test]
-    fn snapshot_carries_phases_and_series() {
-        let v = snapshot(&[sample_trace()]);
-        let t0 = v.get("trainers").unwrap().get_index(0).unwrap();
-        assert_eq!(t0.get("trainer").unwrap().as_u64(), Some(2));
-        assert_eq!(t0.get("part_id").unwrap().as_u64(), Some(5));
-        let phases = t0.get("phases").unwrap().as_array().unwrap();
-        assert!(phases
-            .iter()
-            .any(|p| p.get("phase").unwrap().as_str() == Some("rpc")));
     }
 }

@@ -13,9 +13,9 @@
 //!    sample; a per-step series tracks stall time, hit rate, and overlap
 //!    efficiency.
 //! 3. **Export** ([`export`], [`sink`]) — Chrome/Perfetto `trace.json`
-//!    (one process per trainer, one thread per lane) and a compact serde
-//!    JSON snapshot; a process-global sink lets the repro binary collect
-//!    reports from experiment modules without rewiring them.
+//!    (one process per trainer, one thread per lane); a process-global
+//!    sink lets the repro binary collect reports from experiment modules
+//!    without rewiring them.
 //! 4. **Live telemetry** ([`counters`], [`registry`], [`prom`],
 //!    [`events`]) — the one table every per-trainer counter is declared
 //!    in, a process-global registry that a telemetry run attaches its

@@ -273,9 +273,14 @@ pub struct TrainerTrace {
 impl TrainerTrace {
     /// Absolute simulated start of `ev`, resolved through this trace's
     /// anchors (`None` if the step has no anchor yet — e.g. a prepared-
-    /// ahead batch that was never trained on).
+    /// ahead batch that was never trained on). A trainer records one
+    /// anchor per step from step 0, in step order, so step `s`'s anchor
+    /// is `anchors[s]`.
     pub fn absolute_start_s(&self, ev: &SpanEvent) -> Option<f64> {
-        let a = self.anchors.iter().find(|a| a.step == ev.step)?;
+        let a = usize::try_from(ev.step)
+            .ok()
+            .and_then(|i| self.anchors.get(i))
+            .filter(|a| a.step == ev.step)?;
         Some(match ev.lane {
             Lane::Prepare | Lane::Fault | Lane::Lookahead => a.prep_start_s + ev.rel_start_s,
             Lane::Train => a.train_start_s + ev.rel_start_s,
@@ -289,7 +294,6 @@ struct Inner {
     capacity: usize,
     dropped: u64,
     hist: [LatencyHistogram; Phase::COUNT],
-    sum_s: [f64; Phase::COUNT],
     anchors: Vec<StepAnchor>,
     series: Vec<StepPoint>,
 }
@@ -326,14 +330,13 @@ impl SpanRecorder {
                 capacity,
                 dropped: 0,
                 hist: Default::default(),
-                sum_s: [0.0; Phase::COUNT],
                 anchors: Vec::new(),
                 series: Vec::new(),
             }),
         }
     }
 
-    /// Record one span. Histogram and sum are always updated; the ring
+    /// Record one span. The phase histogram is always updated; the ring
     /// drops its oldest event once full (counted in `dropped`).
     pub fn record(&self, lane: Lane, step: u64, phase: Phase, rel_start_s: f64, dur_s: f64) {
         self.record_corr(lane, step, phase, rel_start_s, dur_s, 0);
@@ -350,9 +353,7 @@ impl SpanRecorder {
         corr: u64,
     ) {
         let mut g = self.inner.lock().unwrap();
-        let i = phase.index();
-        g.hist[i].record(dur_s);
-        g.sum_s[i] += dur_s.max(0.0);
+        g.hist[phase.index()].record(dur_s);
         if g.ring.len() == g.capacity {
             g.ring.pop_front();
             g.dropped += 1;
@@ -388,7 +389,7 @@ impl SpanRecorder {
                 PhaseStats {
                     phase: p,
                     count: h.count(),
-                    sum_s: g.sum_s[p.index()],
+                    sum_s: h.sum_s(),
                     min_s: h.min_s(),
                     max_s: h.max_s(),
                     p50_s: h.p50_s(),
@@ -589,6 +590,13 @@ mod tests {
 
         let r = SpanRecorder::for_trainer(0, 0);
         r.record(Lane::Fault, 2, Phase::Fault, 0.001, 0.05);
+        // One anchor per step from step 0, as a trainer records them.
+        for step in 0..2 {
+            r.record_anchor(StepAnchor {
+                step,
+                ..Default::default()
+            });
+        }
         r.record_anchor(StepAnchor {
             step: 2,
             prep_start_s: 1.0,
@@ -616,6 +624,12 @@ mod tests {
 
         let r = SpanRecorder::for_trainer(0, 0);
         r.record(Lane::Lookahead, 4, Phase::Planned, 0.0, 0.02);
+        for step in 0..4 {
+            r.record_anchor(StepAnchor {
+                step,
+                ..Default::default()
+            });
+        }
         r.record_anchor(StepAnchor {
             step: 4,
             prep_start_s: 3.0,
@@ -646,5 +660,14 @@ mod tests {
         r.record(Lane::Prepare, 9, Phase::Sampling, 0.0, 1.0);
         let t = r.snapshot();
         assert_eq!(t.absolute_start_s(&t.events[0]), None);
+        // An anchor at the step's index that belongs to another step
+        // resolves nothing.
+        r.record(Lane::Prepare, 0, Phase::Sampling, 0.0, 1.0);
+        r.record_anchor(StepAnchor {
+            step: 5,
+            ..Default::default()
+        });
+        let t = r.snapshot();
+        assert_eq!(t.absolute_start_s(&t.events[1]), None);
     }
 }

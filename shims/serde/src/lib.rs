@@ -50,14 +50,6 @@ impl Value {
         }
     }
 
-    /// Element lookup on an array; `None` otherwise.
-    pub fn get_index(&self, i: usize) -> Option<&Value> {
-        match self {
-            Value::Arr(items) => items.get(i),
-            _ => None,
-        }
-    }
-
     /// The boolean payload, if this is a `Bool`.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -426,7 +426,7 @@ mod tests {
     #[test]
     fn whitespace_tolerated() {
         let v = from_str(" { \"a\" : [ 1 , 2 ] , \"b\" : null } ").unwrap();
-        assert_eq!(v.get("a").unwrap().get_index(1).unwrap().as_u64(), Some(2));
+        assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_u64(), Some(2));
         assert_eq!(v.get("b"), Some(&Value::Null));
     }
 

@@ -1,6 +1,6 @@
 //! `repro` argument handling: a flag the CLI does not know (the removed
-//! `--bench-out`/`--perf-guard` included, so a stale script fails loudly
-//! instead of running `--experiment all`) or a size it cannot run must
+//! `--bench-out`/`--perf-guard`/`--policy` included, so a stale script
+//! fails loudly instead of running `--experiment all`) or a size it cannot run must
 //! exit 2 with the reason on stderr, before anything reaches stdout. A
 //! size it can run, however odd, must run.
 
@@ -8,9 +8,11 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_exit_2_with_usage_on_stderr() {
-    let rejected: [&[&str]; 6] = [
+    let rejected: [&[&str]; 7] = [
         &["--bench-out", "x"],
         &["--perf-guard"],
+        // `--depth N` alone selects the lookahead study's depth.
+        &["--policy", "lookahead"],
         &["--batch", "0"],
         // A zero-wide hidden layer is refused by `validate`; the tensor
         // kernel would panic on it in the first training step.

@@ -126,15 +126,7 @@ fn traced_run_exports_consistent_perfetto_and_json() {
         );
     }
 
-    // The compact snapshot also round-trips through JSON.
-    let snap = serde_json::to_string(&mgnn_obs::export::snapshot(&report.traces));
-    let v = serde_json::from_str(&snap).unwrap();
-    assert_eq!(
-        v.get("trainers").unwrap().as_array().unwrap().len(),
-        report.world
-    );
-
-    // And the full report serializes with its traces attached.
+    // The full report serializes with its traces attached.
     let report_json = serde_json::to_string(&report.to_value());
     let v = serde_json::from_str(&report_json).unwrap();
     assert_eq!(
