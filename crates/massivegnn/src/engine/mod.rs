@@ -84,7 +84,7 @@ impl Engine {
         Self::build_with(cfg, multilevel_partition)
     }
 
-    /// Build the experiment: generate, partition, shard, spawn servers.
+    /// Build the experiment: generate, partition, shard, build the cluster.
     /// `partitioner` gets the graph, `num_parts` and the seed, and makes
     /// the first-level assignment.
     pub fn build_with(
@@ -206,6 +206,9 @@ impl Engine {
         if cfg.telemetry {
             registry::enable();
         }
+        // Likewise the profile's crash: it meets this run's designated
+        // trainer afresh, so a second run replays the first.
+        self.cluster.rearm_crash();
         let mut trainers = self.build_trainer_states();
         // One gradient arena for the whole run. Without real math there
         // are no gradients, nothing to synchronise and no barrier wait.

@@ -3,21 +3,24 @@
 //! A [`FaultProfile`] is the user-facing chaos configuration: a seed
 //! plus per-request probabilities for dropping a reply, delaying it by
 //! a sim-time factor, or truncating the payload, and an optional crash
-//! of one partition's server. From it each server derives a
+//! of one partition's server. From it each partition derives a
 //! [`FaultPlan`] whose verdict is a pure function of `(seed, part,
 //! key)`, where the key ([`fault_key`]) names the request itself — the
 //! pull's request id and the attempt. The crash is a verdict too: it
 //! answers one request of one *designated* trainer, its `crash_after`-th
-//! to the crashing part, and a trainer's requests leave in its own
-//! program order. So no RNG state, no wall clock and no arrival order
-//! enters a verdict: a chaos run replays bit-for-bit from its seed
-//! alone, under any interleaving of trainers.
+//! to the crashing part since the plan was last rearmed (once a run),
+//! and a trainer's requests leave in its own program order. So no RNG
+//! state, no wall clock and no arrival order enters a verdict: a chaos
+//! run replays bit-for-bit from its seed alone, under any interleaving
+//! of trainers, and so does a second run of the same cluster.
 //!
 //! [`RetryPolicy`] is the client-side counterpart: bounded retries
 //! with a deterministic exponential backoff schedule that is charged to
 //! the *simulated* clock (see `Prefetcher::prepare_reuse`), so retries
 //! surface in `t_prepare` and the Eq. 6 overlap model rather than
 //! silently vanishing.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What the server does with one incoming pull request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,14 +130,16 @@ impl FaultProfile {
             delay_factor: self.delay_factor,
             truncate_prob: self.truncate_prob,
             crash: (self.crash_part == Some(part)).then_some((designated, self.crash_after)),
+            sent: AtomicU64::new(0),
         }
     }
 }
 
-/// Per-server fault schedule. Verdicts are a pure function of the
+/// Per-partition fault schedule. Verdicts are a pure function of the
 /// request's [`fault_key`], and the crash meets one request of the
-/// designated trainer, counted in that trainer's own order.
-#[derive(Debug, Clone, PartialEq)]
+/// designated trainer, counted in that trainer's own order from the
+/// last [`rearm`](Self::rearm).
+#[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
     part: u32,
@@ -142,26 +147,34 @@ pub struct FaultPlan {
     delay_prob: f64,
     delay_factor: u32,
     truncate_prob: f64,
-    /// The designated rank and how many of its requests are still
-    /// served before one meets the crash; `None` once it has.
+    /// The designated rank and how many of its requests are served
+    /// before one meets the crash; `None` on a part that never crashes.
     crash: Option<(u64, u64)>,
+    /// Requests of the designated rank answered since the last rearm.
+    /// Only that rank's requests touch it.
+    sent: AtomicU64,
 }
 
 impl FaultPlan {
     /// What the server answers attempt `attempt` of the pull tagged
     /// `request_id` with: the crash on the designated trainer's request
     /// it falls on, else the [`verdict`](Self::verdict) of its fault key.
-    pub fn answer(&mut self, request_id: u64, attempt: u32) -> FaultVerdict {
-        if let Some((rank, before)) = &mut self.crash {
-            if *rank == mgnn_obs::events::rank_of(request_id) {
-                if *before == 0 {
-                    self.crash = None;
-                    return FaultVerdict::Crash;
-                }
-                *before -= 1;
+    pub fn answer(&self, request_id: u64, attempt: u32) -> FaultVerdict {
+        if let Some((rank, after)) = self.crash {
+            if rank == mgnn_obs::events::rank_of(request_id)
+                && self.sent.fetch_add(1, Ordering::Relaxed) == after
+            {
+                return FaultVerdict::Crash;
             }
         }
         self.verdict(fault_key(request_id, attempt))
+    }
+
+    /// Start the crash countdown again, as a new run must: the
+    /// designated trainer's next `crash_after` requests are served and
+    /// the one after meets the crash.
+    pub fn rearm(&self) {
+        self.sent.store(0, Ordering::Relaxed);
     }
 
     /// The verdict for the request with fault key `key`.
@@ -345,7 +358,7 @@ mod tests {
     #[test]
     fn off_profile_is_faultless_and_silent() {
         let p = FaultProfile::off(7);
-        let mut plan = p.plan_for(0, 0);
+        let plan = p.plan_for(0, 0);
         for i in 0..500 {
             assert_eq!(plan.verdict(i), FaultVerdict::None);
             assert_eq!(plan.answer(i, 0), FaultVerdict::None);
@@ -360,24 +373,30 @@ mod tests {
     fn crash_budget_applies_to_one_part_and_is_spent_by_respawn() {
         use mgnn_obs::events::{request_id, ORIGIN_PREPARE};
         let profile = chaotic();
-        let mut crashing = profile.plan_for(1, 2);
-        let mut healthy = profile.plan_for(0, 2);
-        let mut crashed = Vec::new();
-        for step in 0..20 {
-            for rank in [3, 2] {
-                for attempt in 0..2 {
-                    let id = request_id(ORIGIN_PREPARE, rank, step);
-                    let key = fault_key(id, attempt);
-                    assert_eq!(healthy.answer(id, attempt), healthy.verdict(key));
-                    match crashing.answer(id, attempt) {
-                        FaultVerdict::Crash => crashed.push((rank, step, attempt)),
-                        got => assert_eq!(got, crashing.verdict(key)),
+        let crashing = profile.plan_for(1, 2);
+        let healthy = profile.plan_for(0, 2);
+        let run = || {
+            let mut crashed = Vec::new();
+            for step in 0..20 {
+                for rank in [3, 2] {
+                    for attempt in 0..2 {
+                        let id = request_id(ORIGIN_PREPARE, rank, step);
+                        let key = fault_key(id, attempt);
+                        assert_eq!(healthy.answer(id, attempt), healthy.verdict(key));
+                        match crashing.answer(id, attempt) {
+                            FaultVerdict::Crash => crashed.push((rank, step, attempt)),
+                            got => assert_eq!(got, crashing.verdict(key)),
+                        }
                     }
                 }
             }
-        }
+            crashed
+        };
         // Two requests a step: rank 2's sixth is step 2's retry.
-        assert_eq!(crashed, [(2, 2, 1)]);
+        assert_eq!(run(), [(2, 2, 1)]);
+        assert_eq!(run(), [], "spent until rearmed");
+        crashing.rearm();
+        assert_eq!(run(), [(2, 2, 1)], "a rearmed plan replays its crash");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Each partition's server answers for the features (and labels) of the
 //! nodes it *owns*, keyed by global id. Trainers read local rows directly
 //! as f32 ([`KvStore::row`]) and pull remote rows, in [`crate::wire`]
-//! format, via [`crate::rpc`] or
-//! [`crate::cluster::SimCluster::pull_rows`].
+//! format, through [`crate::cluster::SimCluster::pull_rows`], whose every
+//! attempt is one [`crate::rpc::pull_attempt`] on the caller's thread.
 //!
 //! The servers are simulated inside one address space, so a shard does
 //! not hold a private copy of its rows: it is its sorted `owned` list
@@ -78,12 +78,6 @@ impl KvStore {
         }
     }
 
-    /// Partition id this shard belongs to.
-    #[inline]
-    pub fn part_id(&self) -> u32 {
-        self.part_id
-    }
-
     /// Feature dimension.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -129,8 +123,7 @@ impl KvStore {
     /// caller's receive buffer: once it has grown to the largest payload
     /// it carries, a pull allocates nothing. Fails on the first id this
     /// shard does not own (leaving `out` partly filled), so a routing bug
-    /// surfaces as a typed error at the server instead of a panic that
-    /// kills the server thread.
+    /// surfaces as a typed error the retry ladder books, not a panic.
     pub fn pull_into(&self, ids: &[NodeId], out: &mut Vec<WireElem>) -> Result<(), KvError> {
         out.clear();
         make_room(out, ids.len() * self.dim());

@@ -6,8 +6,8 @@
 //! this crate simulates it *in process* with two carefully separated layers:
 //!
 //! * **Real data movement** — [`kvstore::KvStore`] holds each partition's
-//!   feature shard; [`rpc`] moves real feature bytes between threads over
-//!   crossbeam channels, 16 bits per element ([`wire`]). Hit/miss counts,
+//!   feature shard; a pull ([`rpc`]) gathers real feature bytes from it
+//!   on the caller's thread, 16 bits per element ([`wire`]). Hit/miss counts,
 //!   node counts and byte counts in [`metrics::CommMetrics`] are therefore
 //!   *exact*, not modeled.
 //! * **Modeled time** — [`cost::CostModel`] converts those exact counts

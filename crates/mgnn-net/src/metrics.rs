@@ -214,29 +214,21 @@ mod tests {
     #[test]
     fn remote_bytes_equal_the_payload_bytes_actually_received() {
         use crate::kvstore::KvStore;
-        use crate::rpc::RpcServer;
         // `remote_bytes` means "payload bytes of remote feature rows":
-        // pin it to the replies a real server sends, so the counter
-        // cannot drift from the payload's element type.
+        // pin it to the payloads a store's bulk pull really fills, so the
+        // counter cannot drift from the payload's element type.
         let dim = 5;
         let owned: Vec<u32> = (0..40).collect();
         let rows: Vec<f32> = (0..40 * dim).map(|i| i as f32 * 0.37 - 3.0).collect();
         let features = mgnn_graph::FeatureStore::from_parts(40, dim, rows, vec![0; 40], 1);
         let kv = KvStore::new(0, owned, &features);
-        let server = RpcServer::spawn(Arc::new(kv), None);
-        let client = server.client();
         let m = CommMetrics::new();
+        let mut payload = Vec::new();
         let mut received = 0u64;
         for ids in [vec![3u32, 1, 4], vec![], vec![15u32; 9], (0..40).collect()] {
-            let rows = ids.len() as u64;
-            let payload = client
-                .pull_async_into(ids, Vec::new(), None, 0, 0)
-                .unwrap()
-                .wait()
-                .unwrap()
-                .payload;
+            kv.pull_into(&ids, &mut payload).unwrap();
             received += std::mem::size_of_val(&payload[..]) as u64;
-            m.record_rpc(rows, dim);
+            m.record_rpc(ids.len() as u64, dim);
         }
         let s = m.snapshot();
         assert_eq!(s.remote_nodes_fetched, 3 + 9 + 40);

