@@ -95,12 +95,12 @@ impl Engine {
             panic!("invalid EngineConfig: {problem}");
         }
         // Five stages, each holding only what it reads (DESIGN §9,
-        // "Set-up"). The partitioner's level stack and the feature
-        // synthesis scratch are the two large transients of a build, so
-        // they never overlap: the graph is partitioned before any feature
-        // exists, and the features are synthesized while nothing but the
-        // graph and the assignment is live — before the halo views. The
-        // cluster then shares that one matrix instead of copying shards.
+        // "Set-up"). The feature synthesis scratch is the largest
+        // transient of a build, so it overlaps as little as it can: the
+        // graph is partitioned before any feature exists, and the
+        // features are synthesized while nothing but the graph and the
+        // assignment is live — before the halo views. The cluster then
+        // shares that one matrix instead of copying shards.
         let topology = DatasetGraph::generate(cfg.dataset, cfg.scale, cfg.seed);
         let partitioning = partitioner(&topology.graph, cfg.num_parts, cfg.seed);
         let dataset = topology.with_features();

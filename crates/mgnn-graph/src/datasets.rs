@@ -13,7 +13,7 @@
 //! `Scale::Small` for integration tests and examples, `Scale::Bench` for the
 //! figure-reproduction harness.
 
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, NodeId};
 use crate::features::FeatureStore;
 use crate::generators::{barabasi_albert, erdos_renyi, rmat, RmatParams};
 
@@ -277,14 +277,31 @@ impl Dataset {
     }
 }
 
+/// The union of two canonical graphs on the same nodes, row by row: both
+/// rows are ascending, deduplicated and loop-free, so one merge pass emits
+/// their ascending union (an edge in both, once). The overlap's slots stay
+/// as spare capacity.
 fn merge(a: CsrGraph, b: CsrGraph) -> CsrGraph {
     assert_eq!(a.num_nodes(), b.num_nodes());
-    let mut builder = crate::builder::GraphBuilder::new(a.num_nodes())
-        .directed() // inputs are already symmetric; don't double again
-        .with_capacity(a.num_edges() + b.num_edges());
-    builder.extend(a.edges());
-    builder.extend(b.edges());
-    builder.build()
+    let mut offsets = Vec::with_capacity(a.num_nodes() + 1);
+    offsets.push(0u64);
+    let mut targets = Vec::with_capacity(a.num_edges() + b.num_edges());
+    for u in 0..a.num_nodes() as NodeId {
+        let (mut x, mut y) = (a.neighbors(u), b.neighbors(u));
+        while let (Some(&p), Some(&q)) = (x.first(), y.first()) {
+            targets.push(p.min(q));
+            if p <= q {
+                x = &x[1..];
+            }
+            if q <= p {
+                y = &y[1..];
+            }
+        }
+        targets.extend_from_slice(x);
+        targets.extend_from_slice(y);
+        offsets.push(targets.len() as u64);
+    }
+    CsrGraph::from_parts_unchecked(offsets, targets)
 }
 
 fn splitmix(mut x: u64) -> u64 {

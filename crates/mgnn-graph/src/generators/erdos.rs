@@ -8,7 +8,6 @@ use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Generate an undirected G(n, m) graph (approximately `m` edges before
 /// dedup; duplicates are merged so the final count can be slightly lower,
@@ -16,29 +15,22 @@ use rayon::prelude::*;
 pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
     assert!(n >= 2, "erdos_renyi: need at least 2 nodes");
     let chunk = 1 << 14;
-    let num_chunks = m.div_ceil(chunk);
-    let edge_chunks: Vec<Vec<(NodeId, NodeId)>> = (0..num_chunks)
-        .into_par_iter()
-        .map(|ci| {
-            let mut rng = StdRng::seed_from_u64(
-                seed ^ (0xd1b5_4a32_d192_ed03u64.wrapping_mul(ci as u64 + 1)),
-            );
-            let count = chunk.min(m - ci * chunk);
-            let mut out = Vec::with_capacity(count);
-            while out.len() < count {
-                let u = rng.gen_range(0..n as NodeId);
-                let v = rng.gen_range(0..n as NodeId);
-                if u != v {
-                    out.push((u, v));
-                }
+    // Each run of `chunk` edges is its own RNG stream, drawn straight
+    // into the builder.
+    let mut b = GraphBuilder::new(n).with_capacity(m);
+    b.extend_chunked(m, chunk, |ci, out| {
+        let mut rng =
+            StdRng::seed_from_u64(seed ^ (0xd1b5_4a32_d192_ed03u64.wrapping_mul(ci as u64 + 1)));
+        let mut filled = 0;
+        while filled < out.len() {
+            let u = rng.gen_range(0..n as NodeId);
+            let v = rng.gen_range(0..n as NodeId);
+            if u != v {
+                out[filled] = (u, v);
+                filled += 1;
             }
-            out
-        })
-        .collect();
-    let mut b = GraphBuilder::new(n).with_capacity(2 * m);
-    for ch in edge_chunks {
-        b.extend(ch);
-    }
+        }
+    });
     b.build()
 }
 

@@ -53,9 +53,8 @@ pub fn rmat(n: usize, m: usize, params: RmatParams, seed: u64) -> CsrGraph {
     let chunk = 1 << 14;
 
     // Each run of `chunk` edges is its own RNG stream, drawn straight
-    // into the builder; the second half of the reservation is for the
-    // reversed copies `build` appends.
-    let mut b = GraphBuilder::new(n).with_capacity(m * 2);
+    // into the builder.
+    let mut b = GraphBuilder::new(n).with_capacity(m);
     b.extend_chunked(m, chunk, |ci, out| {
         let mut rng =
             StdRng::seed_from_u64(seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(ci as u64 + 1)));

@@ -110,11 +110,16 @@ pub fn build_local_partitions(
     train_split: &[NodeId],
 ) -> Vec<LocalPartition> {
     let p = parts.num_parts;
-    // Sorted local node lists per partition.
+    // Sorted local node lists per partition, and each node's position in
+    // its own list: its local id in its owner's view.
     let mut local: Vec<Vec<NodeId>> = vec![Vec::new(); p];
-    for u in 0..g.num_nodes() as NodeId {
-        local[parts.part_of(u) as usize].push(u);
-    }
+    let rank: Vec<u32> = (0..g.num_nodes() as NodeId)
+        .map(|u| {
+            let list = &mut local[parts.part_of(u) as usize];
+            list.push(u);
+            (list.len() - 1) as u32
+        })
+        .collect();
     let mut train_by_part: Vec<Vec<NodeId>> = vec![Vec::new(); p];
     for &t in train_split {
         train_by_part[parts.part_of(t) as usize].push(t);
@@ -129,6 +134,7 @@ pub fn build_local_partitions(
             build_one(
                 g,
                 parts,
+                &rank,
                 pid as u32,
                 &local[pid],
                 train_by_part[pid].clone(),
@@ -140,45 +146,57 @@ pub fn build_local_partitions(
 fn build_one(
     g: &CsrGraph,
     parts: &Partitioning,
+    rank: &[u32],
     pid: u32,
     local_nodes: &[NodeId],
     train_nodes: Vec<NodeId>,
 ) -> LocalPartition {
-    // Halo discovery: neighbors of local nodes owned elsewhere.
-    let mut halo: Vec<NodeId> = Vec::new();
+    // Halo discovery: neighbors of local nodes owned elsewhere, marked in
+    // a bitmap over global ids — so the halo list comes out ascending, and
+    // a halo node's index is the number of marks before it.
+    let mut marks = vec![0u64; g.num_nodes().div_ceil(64)];
     for &u in local_nodes {
         for &v in g.neighbors(u) {
             if parts.part_of(v) != pid {
-                halo.push(v);
+                marks[v as usize / 64] |= 1 << (v % 64);
             }
         }
     }
-    halo.sort_unstable();
-    halo.dedup();
-    // One entry per cross edge went in, one per halo node stays: return
-    // the difference instead of keeping it as capacity for the whole run.
-    halo.shrink_to_fit();
+    let mut marks_before = Vec::with_capacity(marks.len());
+    let mut halo = Vec::with_capacity(marks.iter().map(|w| w.count_ones() as usize).sum());
+    for (i, &word) in marks.iter().enumerate() {
+        marks_before.push(halo.len() as u32);
+        let mut bits = word;
+        while bits != 0 {
+            halo.push((i * 64) as NodeId + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    let halo_index = |v: NodeId| {
+        let below = marks[v as usize / 64] & ((1u64 << (v % 64)) - 1);
+        marks_before[v as usize / 64] + below.count_ones()
+    };
     let halo_owner: Vec<u32> = halo.iter().map(|&h| parts.part_of(h)).collect();
     let halo_degree: Vec<u32> = halo.iter().map(|&h| g.degree(h) as u32).collect();
 
-    let num_local = local_nodes.len();
+    let num_local = local_nodes.len() as u32;
     // Build local CSR: local rows get all edges (targets remapped);
-    // halo rows are empty.
-    let to_local = |v: NodeId| -> u32 {
-        match local_nodes.binary_search(&v) {
-            Ok(i) => i as u32,
-            Err(_) => (num_local + halo.binary_search(&v).expect("halo must contain v")) as u32,
-        }
-    };
-    let total = num_local + halo.len();
+    // halo rows are empty. A row is its local targets, then its halo
+    // targets, each in global order — so it is already ascending.
+    let total = local_nodes.len() + halo.len();
     let mut offsets = Vec::with_capacity(total + 1);
     offsets.push(0u64);
     // Local rows keep every edge, so the array's final size is known.
     let mut targets = Vec::with_capacity(local_nodes.iter().map(|&u| g.degree(u)).sum());
     for &u in local_nodes {
-        let row = targets.len();
-        targets.extend(g.neighbors(u).iter().map(|&v| to_local(v)));
-        targets[row..].sort_unstable();
+        let row = g.neighbors(u);
+        let owned = |&&v: &&NodeId| parts.part_of(v) == pid;
+        targets.extend(row.iter().filter(owned).map(|&v| rank[v as usize]));
+        targets.extend(
+            row.iter()
+                .filter(|v| !owned(v))
+                .map(|&v| num_local + halo_index(v)),
+        );
         offsets.push(targets.len() as u64);
     }
     for _ in 0..halo.len() {

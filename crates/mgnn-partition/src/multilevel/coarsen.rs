@@ -1,95 +1,201 @@
-//! Weighted graphs and heavy-edge-matching coarsening.
+//! Coarse levels as maps, and heavy-edge-matching coarsening.
 
 use mgnn_graph::{CsrGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::borrow::Cow;
 
-/// A weighted CSR graph used during coarsening: node weights count how many
-/// original nodes a coarse node represents; edge weights count how many
-/// original edges an aggregate edge represents.
+/// One level of the multilevel hierarchy, kept as a map rather than a
+/// graph: the coarse node each input node belongs to, and each coarse
+/// node's input members.
 ///
-/// Level 0 is a *view*: it borrows the input graph's arrays and carries no
-/// weight arrays at all (every weight is 1). Coarser levels own exactly
-/// sized arrays. Weights are `u32`: a node weight is bounded by the input's
-/// node count and an edge weight — even the sum of all of them — by its
-/// directed edge count, which [`WGraph::from_csr`] checks fits.
+/// Nothing about a coarse edge is stored. The weight of coarse edge
+/// `c → d` is the number of input edges from a member of `c` to a member
+/// of `d` (coarsening only ever merges edges or drops internal ones), so
+/// every reader aggregates it on the fly from the input graph
+/// ([`Level::for_each_cut_edge`], [`Gather`]). A node's weight is its
+/// member count. The input level is the identity map.
 #[derive(Debug)]
-pub struct WGraph<'a> {
-    offsets: Cow<'a, [u64]>,
-    targets: Cow<'a, [NodeId]>,
-    /// Aligned with `targets`; `None` = unit weights.
-    eweights: Option<Vec<u32>>,
-    /// One per node; `None` = unit weights.
-    nweights: Option<Vec<u32>>,
+pub(super) struct Level<'g> {
+    g: &'g CsrGraph,
+    /// Coarse node of each input node.
+    of: Vec<u32>,
+    /// `members[offsets[c]..offsets[c + 1]]` are coarse node `c`'s input
+    /// nodes, ascending.
+    offsets: Vec<usize>,
+    members: Vec<NodeId>,
 }
 
-impl<'a> WGraph<'a> {
-    /// View an unweighted CSR graph as a unit-weight level, copying
-    /// nothing.
+impl<'g> Level<'g> {
+    /// The input graph itself: every node its own coarse node.
     ///
-    /// Panics if `g` has more directed edges than a `u32` weight can count
-    /// (a caller bug: `NodeId` already caps nodes at `u32`, and no preset
-    /// comes within orders of magnitude).
-    pub fn from_csr(g: &'a CsrGraph) -> Self {
+    /// Panics if `g` has more directed edges than a `u32` edge weight can
+    /// count (a caller bug: `NodeId` already caps nodes at `u32`, and no
+    /// preset comes within orders of magnitude).
+    pub(super) fn input(g: &'g CsrGraph) -> Self {
         assert_weights_fit(g.num_edges());
-        WGraph {
-            offsets: Cow::Borrowed(g.offsets()),
-            targets: Cow::Borrowed(g.targets()),
-            eweights: None,
-            nweights: None,
+        Level::from_map(g, (0..g.num_nodes() as u32).collect())
+    }
+
+    /// The level whose input → coarse map is `of` (onto `0..max + 1`).
+    /// Members are laid out by a counting sort, so each list is ascending.
+    pub(super) fn from_map(g: &'g CsrGraph, of: Vec<u32>) -> Self {
+        let num_coarse = of.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut offsets = vec![0usize; num_coarse + 1];
+        for &c in &of {
+            offsets[c as usize + 1] += 1;
+        }
+        for c in 0..num_coarse {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut next = offsets[..num_coarse].to_vec();
+        let mut members = vec![0; of.len()];
+        for (u, &c) in of.iter().enumerate() {
+            members[next[c as usize]] = u as NodeId;
+            next[c as usize] += 1;
+        }
+        Level {
+            g,
+            of,
+            offsets,
+            members,
         }
     }
 
-    /// Number of nodes.
+    /// The input → coarse map, all that is kept of a level until its turn
+    /// comes on the way back up.
+    pub(super) fn into_map(self) -> Vec<u32> {
+        self.of
+    }
+
+    /// The input → coarse map.
     #[inline]
-    pub fn num_nodes(&self) -> usize {
+    pub(super) fn map(&self) -> &[u32] {
+        &self.of
+    }
+
+    /// Number of coarse nodes.
+    #[inline]
+    pub(super) fn num_nodes(&self) -> usize {
         self.offsets.len() - 1
     }
 
+    /// Input nodes merged into coarse node `c`, ascending.
     #[inline]
-    fn edge_range(&self, u: NodeId) -> std::ops::Range<usize> {
-        self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize
+    fn members(&self, c: u32) -> &[NodeId] {
+        &self.members[self.offsets[c as usize]..self.offsets[c as usize + 1]]
     }
 
-    /// Neighbor ids of `u`.
+    /// Node weight of `c`: its member count.
     #[inline]
-    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.targets[self.edge_range(u)]
+    pub(super) fn node_weight(&self, c: u32) -> u32 {
+        (self.offsets[c as usize + 1] - self.offsets[c as usize]) as u32
     }
 
-    /// Call `f(v, w)` for every edge `u → v` of weight `w`, in adjacency
-    /// order. The unit-weight case is decided once per node, not per edge.
+    /// Total node weight: the input's node count.
+    pub(super) fn total_weight(&self) -> u64 {
+        self.of.len() as u64
+    }
+
+    /// Call `f(d)` once for every input edge from a member of `c` to a
+    /// member of another coarse node `d`: a coarse edge of weight `w` is
+    /// `w` calls, in no particular order. Internal edges (self-loops
+    /// included) never cross a cut and are skipped.
     #[inline]
-    pub fn for_each_edge(&self, u: NodeId, mut f: impl FnMut(NodeId, u32)) {
-        let range = self.edge_range(u);
-        match &self.eweights {
-            None => {
-                for &v in &self.targets[range] {
-                    f(v, 1);
-                }
-            }
-            Some(weights) => {
-                for (&v, &w) in self.targets[range.clone()].iter().zip(&weights[range]) {
-                    f(v, w);
+    pub(super) fn for_each_cut_edge(&self, c: u32, mut f: impl FnMut(u32)) {
+        for &u in self.members(c) {
+            for &v in self.g.neighbors(u) {
+                let d = self.of[v as usize];
+                if d != c {
+                    f(d);
                 }
             }
         }
     }
 
-    /// Node weight of `u`.
-    #[inline]
-    pub fn node_weight(&self, u: NodeId) -> u32 {
-        self.nweights.as_ref().map_or(1, |w| w[u as usize])
+    /// One round of heavy-edge matching: visit coarse nodes in random
+    /// order; each unmatched node matches its heaviest-edge unmatched
+    /// neighbour, the lowest id on a tie (the first heaviest of an
+    /// ascending adjacency list). Matched pairs collapse into one node of
+    /// the coarser level, numbered by its smaller member.
+    pub(super) fn coarsen(&self, seed: u64) -> Level<'g> {
+        let n = self.num_nodes();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(seed));
+
+        let mut matched: Vec<u32> = vec![u32::MAX; n]; // partner or self
+        let mut adjacency = Gather::new(n);
+        for &c in &order {
+            if matched[c as usize] != u32::MAX {
+                continue;
+            }
+            let best = adjacency
+                .gather(self, c, |d| matched[d as usize] == u32::MAX)
+                .max_by_key(|&(d, w)| (w, std::cmp::Reverse(d)));
+            match best {
+                Some((d, _)) => {
+                    matched[c as usize] = d;
+                    matched[d as usize] = c;
+                }
+                None => matched[c as usize] = c, // self-match
+            }
+        }
+
+        // Coarser ids in order of each pair's smaller member.
+        let mut to_coarser = vec![u32::MAX; n];
+        let mut next = 0u32;
+        for c in 0..n {
+            if to_coarser[c] == u32::MAX {
+                to_coarser[c] = next;
+                to_coarser[matched[c] as usize] = next;
+                next += 1;
+            }
+        }
+        let of = self.of.iter().map(|&c| to_coarser[c as usize]).collect();
+        Level::from_map(self.g, of)
+    }
+}
+
+/// Scratch that sums one coarse node's cut edges into its coarse
+/// adjacency, reused from node to node.
+pub(super) struct Gather {
+    /// Input edges to each coarse node, for the node last gathered.
+    weight: Vec<u32>,
+    /// Each coarse neighbour of that node once, in first-seen order.
+    touched: Vec<u32>,
+}
+
+impl Gather {
+    /// Scratch for a level of `n` coarse nodes.
+    pub(super) fn new(n: usize) -> Self {
+        Gather {
+            weight: vec![0; n],
+            touched: Vec::new(),
+        }
     }
 
-    /// Total node weight.
-    pub fn total_weight(&self) -> u64 {
-        match &self.nweights {
-            None => self.num_nodes() as u64,
-            Some(w) => w.iter().map(|&x| u64::from(x)).sum(),
+    /// The coarse neighbours `d` of `c` for which `keep(d)` holds, each
+    /// once with its edge weight, in no particular order.
+    pub(super) fn gather(
+        &mut self,
+        level: &Level,
+        c: u32,
+        keep: impl Fn(u32) -> bool,
+    ) -> impl Iterator<Item = (u32, u32)> + '_ {
+        for &d in &self.touched {
+            self.weight[d as usize] = 0;
         }
+        self.touched.clear();
+        let (weight, touched) = (&mut self.weight, &mut self.touched);
+        level.for_each_cut_edge(c, |d| {
+            if keep(d) {
+                if weight[d as usize] == 0 {
+                    touched.push(d);
+                }
+                weight[d as usize] += 1;
+            }
+        });
+        touched.iter().map(|&d| (d, weight[d as usize]))
     }
 }
 
@@ -98,125 +204,8 @@ impl<'a> WGraph<'a> {
 fn assert_weights_fit(directed_edges: usize) {
     assert!(
         u32::try_from(directed_edges).is_ok(),
-        "WGraph: {directed_edges} directed edges do not fit the partitioner's u32 edge weights"
+        "Level: {directed_edges} directed edges do not fit the partitioner's u32 edge weights"
     );
-}
-
-/// One round of heavy-edge matching: visit nodes in random order; each
-/// unmatched node matches its heaviest-edge unmatched neighbor. Matched
-/// pairs collapse into one coarse node. Returns the coarser graph and the
-/// fine→coarse node map.
-pub fn coarsen_once(g: &WGraph, seed: u64) -> (WGraph<'static>, Vec<u32>) {
-    let n = g.num_nodes();
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.shuffle(&mut StdRng::seed_from_u64(seed));
-
-    let mut matched: Vec<u32> = vec![u32::MAX; n]; // partner or self
-    for &u in &order {
-        if matched[u as usize] != u32::MAX {
-            continue;
-        }
-        let mut best: Option<(NodeId, u32)> = None;
-        g.for_each_edge(u, |v, w| {
-            if v != u && matched[v as usize] == u32::MAX && best.is_none_or(|(_, bw)| w > bw) {
-                best = Some((v, w));
-            }
-        });
-        match best {
-            Some((v, _)) => {
-                matched[u as usize] = v;
-                matched[v as usize] = u;
-            }
-            None => matched[u as usize] = u, // self-match
-        }
-    }
-
-    // Assign coarse ids: the smaller endpoint of each pair owns the id
-    // and is recorded as the coarse node's first member.
-    let mut fine_to_coarse = vec![u32::MAX; n];
-    let mut first_member: Vec<NodeId> = Vec::with_capacity(n.div_ceil(2));
-    for u in 0..n as u32 {
-        if fine_to_coarse[u as usize] != u32::MAX {
-            continue;
-        }
-        let next = first_member.len() as u32;
-        let partner = matched[u as usize];
-        fine_to_coarse[u as usize] = next;
-        if partner != u {
-            fine_to_coarse[partner as usize] = next;
-        }
-        first_member.push(u);
-    }
-    let cn = first_member.len();
-    // The (one or two) fine members of coarse node `cu`, ascending.
-    let members = |cu: usize| {
-        let u = first_member[cu];
-        let partner = matched[u as usize];
-        std::iter::once(u).chain((partner != u).then_some(partner))
-    };
-
-    // Aggregate node weights.
-    let mut nweights = vec![0u32; cn];
-    for u in 0..n {
-        nweights[fine_to_coarse[u] as usize] += g.node_weight(u as NodeId);
-    }
-
-    // Count each coarse node's distinct coarse neighbors first, so the
-    // edge arrays are allocated at their final size.
-    let mut offsets = vec![0u64; cn + 1];
-    let mut seen_by: Vec<u32> = vec![u32::MAX; cn];
-    for cu in 0..cn {
-        let mut distinct = 0u64;
-        for u in members(cu) {
-            for &v in g.neighbors(u) {
-                let cv = fine_to_coarse[v as usize] as usize;
-                if cv != cu && seen_by[cv] != cu as u32 {
-                    seen_by[cv] = cu as u32;
-                    distinct += 1;
-                }
-            }
-        }
-        offsets[cu + 1] = offsets[cu] + distinct;
-    }
-
-    // Aggregate edges. Accumulate per coarse source with a scatter map.
-    let coarse_edges = offsets[cn] as usize;
-    let mut targets: Vec<NodeId> = Vec::with_capacity(coarse_edges);
-    let mut eweights: Vec<u32> = Vec::with_capacity(coarse_edges);
-    let mut acc: Vec<u32> = vec![0; cn]; // scratch: weight accumulator per coarse target
-    let mut touched: Vec<NodeId> = Vec::new();
-    for cu in 0..cn {
-        for u in members(cu) {
-            g.for_each_edge(u, |v, w| {
-                let cv = fine_to_coarse[v as usize];
-                if cv as usize == cu {
-                    return; // collapsed internal edge
-                }
-                if acc[cv as usize] == 0 {
-                    touched.push(cv);
-                }
-                acc[cv as usize] += w;
-            });
-        }
-        touched.sort_unstable();
-        for &cv in &touched {
-            targets.push(cv);
-            eweights.push(acc[cv as usize]);
-            acc[cv as usize] = 0;
-        }
-        touched.clear();
-        debug_assert_eq!(targets.len() as u64, offsets[cu + 1]);
-    }
-
-    (
-        WGraph {
-            offsets: Cow::Owned(offsets),
-            targets: Cow::Owned(targets),
-            eweights: Some(eweights),
-            nweights: Some(nweights),
-        },
-        fine_to_coarse,
-    )
 }
 
 #[cfg(test)]
@@ -224,30 +213,38 @@ mod tests {
     use super::*;
     use mgnn_graph::generators::erdos_renyi;
 
-    fn total_edge_weight(g: &WGraph) -> u64 {
-        let mut total = 0u64;
-        for u in 0..g.num_nodes() as NodeId {
-            g.for_each_edge(u, |_, w| total += u64::from(w));
+    /// Every coarse edge of `level` with its weight, ascending by source
+    /// then target: the graph a materialised level would have held.
+    fn coarse_edges(level: &Level) -> Vec<(u32, u32, u32)> {
+        let mut gather = Gather::new(level.num_nodes());
+        let mut edges = Vec::new();
+        for c in 0..level.num_nodes() as u32 {
+            let mut row: Vec<_> = gather.gather(level, c, |_| true).collect();
+            row.sort_unstable();
+            edges.extend(row.into_iter().map(|(d, w)| (c, d, w)));
         }
-        total
+        edges
     }
 
     #[test]
     fn weights_conserved() {
         let g = erdos_renyi(500, 2000, 1);
-        let wg = WGraph::from_csr(&g);
-        let (coarse, map) = coarsen_once(&wg, 3);
+        let coarse = Level::input(&g).coarsen(3);
         assert_eq!(coarse.total_weight(), 500);
         assert!(coarse.num_nodes() < 500);
-        assert_eq!(map.len(), 500);
-        assert!(map.iter().all(|&c| (c as usize) < coarse.num_nodes()));
+        let nodes = 0..coarse.num_nodes() as u32;
+        assert_eq!(nodes.map(|c| coarse.node_weight(c)).sum::<u32>(), 500);
+        assert_eq!(coarse.map().len(), 500);
+        assert!(coarse
+            .map()
+            .iter()
+            .all(|&c| (c as usize) < coarse.num_nodes()));
     }
 
     #[test]
     fn roughly_halves() {
         let g = erdos_renyi(1000, 8000, 2);
-        let wg = WGraph::from_csr(&g);
-        let (coarse, _) = coarsen_once(&wg, 1);
+        let coarse = Level::input(&g).coarsen(1);
         // Dense ER matches well; expect close to n/2.
         assert!(
             coarse.num_nodes() < 700,
@@ -259,79 +256,78 @@ mod tests {
     #[test]
     fn edge_weight_conserved_for_cross_edges() {
         let g = erdos_renyi(300, 1500, 5);
-        let wg = WGraph::from_csr(&g);
-        let (coarse, map) = coarsen_once(&wg, 7);
-        // Sum of coarse edge weights == number of fine directed edges whose
-        // endpoints land in different coarse nodes.
-        let mut expected = 0u64;
-        for (u, v) in g.edges() {
-            if map[u as usize] != map[v as usize] {
-                expected += 1;
-            }
+        let level1 = Level::input(&g).coarsen(7);
+        for coarse in [&level1, &level1.coarsen(8)] {
+            // Sum of coarse edge weights == number of input directed edges
+            // whose endpoints land in different coarse nodes.
+            let map = coarse.map();
+            let expected = g
+                .edges()
+                .filter(|&(u, v)| map[u as usize] != map[v as usize])
+                .count() as u64;
+            let total: u64 = coarse_edges(coarse)
+                .iter()
+                .map(|&(_, _, w)| u64::from(w))
+                .sum();
+            assert_eq!(total, expected);
         }
-        assert_eq!(total_edge_weight(&coarse), expected);
     }
 
     #[test]
     fn isolated_nodes_self_match() {
         let g = mgnn_graph::GraphBuilder::new(10).build();
-        let wg = WGraph::from_csr(&g);
-        let (coarse, _) = coarsen_once(&wg, 0);
+        let coarse = Level::input(&g).coarsen(0);
         assert_eq!(coarse.num_nodes(), 10);
-        assert!(coarse.targets.is_empty());
+        assert!(coarse_edges(&coarse).is_empty());
     }
 
     #[test]
     fn coarse_neighbor_lists_sorted() {
+        // Member lists are ascending, and every coarse adjacency is
+        // symmetric: `c → d` and `d → c` carry one weight.
         let g = erdos_renyi(400, 3000, 9);
-        let wg = WGraph::from_csr(&g);
-        let (coarse, _) = coarsen_once(&wg, 2);
-        for u in 0..coarse.num_nodes() as u32 {
-            let nb = coarse.neighbors(u);
-            assert!(nb.windows(2).all(|w| w[0] < w[1]), "node {u} unsorted");
+        let coarse = Level::input(&g).coarsen(2).coarsen(4);
+        for c in 0..coarse.num_nodes() as u32 {
+            let m = coarse.members(c);
+            assert!(m.windows(2).all(|w| w[0] < w[1]), "node {c} unsorted");
         }
+        let edges = coarse_edges(&coarse);
+        let mut reversed: Vec<_> = edges.iter().map(|&(c, d, w)| (d, c, w)).collect();
+        reversed.sort_unstable();
+        assert_eq!(edges, reversed);
     }
 
     #[test]
     fn level_zero_is_a_view_and_coarse_levels_are_exactly_sized() {
         let g = erdos_renyi(600, 4000, 4);
-        let level0 = WGraph::from_csr(&g);
-        assert!(matches!(level0.offsets, Cow::Borrowed(_)));
-        assert_eq!(level0.neighbors(7).as_ptr(), g.neighbors(7).as_ptr());
-        assert!(level0.eweights.is_none() && level0.nweights.is_none());
-        assert_eq!(level0.node_weight(7), 1);
-        assert_eq!(total_edge_weight(&level0), g.num_edges() as u64);
+        let level0 = Level::input(&g);
+        assert_eq!(level0.num_nodes(), 600);
+        assert!((0..600).all(|u| level0.members(u) == [u] && level0.node_weight(u) == 1));
+        let unit: Vec<_> = g.edges().map(|(u, v)| (u, v, 1)).collect();
+        assert_eq!(coarse_edges(&level0), unit, "the input's own edges");
 
-        let (level1, _) = coarsen_once(&level0, 1);
-        let (level2, _) = coarsen_once(&level1, 2);
+        let level1 = level0.coarsen(1);
+        let level2 = level1.coarsen(2);
         for level in [&level1, &level2] {
-            let (Cow::Owned(targets), Some(eweights)) = (&level.targets, &level.eweights) else {
-                panic!("coarse levels own their arrays");
-            };
-            assert_eq!(targets.capacity(), targets.len(), "no slack");
-            assert_eq!(eweights.capacity(), eweights.len(), "no slack");
-            assert_eq!(eweights.len(), level.targets.len());
+            assert_eq!(level.members.len(), 600, "one slot per input node");
+            assert_eq!(level.members.capacity(), 600, "no slack");
+            assert_eq!(level.offsets.capacity(), level.num_nodes() + 1);
         }
-        assert_eq!(level2.total_weight(), 600, "weighted levels coarsen too");
+        assert_eq!(level2.total_weight(), 600, "coarse levels coarsen too");
     }
 
     #[test]
     fn unit_and_explicit_weights_iterate_alike() {
+        // A level rebuilt from a map is the level the map came from.
         let g = erdos_renyi(50, 200, 6);
-        let view = WGraph::from_csr(&g);
-        let explicit = WGraph {
-            offsets: Cow::Owned(g.offsets().to_vec()),
-            targets: Cow::Owned(g.targets().to_vec()),
-            eweights: Some(vec![1; g.num_edges()]),
-            nweights: Some(vec![1; g.num_nodes()]),
-        };
-        for u in 0..50u32 {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            view.for_each_edge(u, |v, w| a.push((v, w)));
-            explicit.for_each_edge(u, |v, w| b.push((v, w)));
-            assert_eq!(a, b);
-        }
-        assert_eq!(coarsen_once(&view, 3).1, coarsen_once(&explicit, 3).1);
+        let level1 = Level::input(&g).coarsen(3);
+        let again = Level::from_map(&g, level1.map().to_vec());
+        assert_eq!(
+            (again.offsets.clone(), again.members.clone()),
+            (level1.offsets.clone(), level1.members.clone())
+        );
+        assert_eq!(coarse_edges(&again), coarse_edges(&level1));
+        assert_eq!(again.coarsen(5).map(), level1.coarsen(5).map());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Initial partitioning of the coarsest graph by greedy region growth under
-//! a node-weight capacity, seeded from high-weight nodes.
+//! Initial partitioning of the coarsest level by greedy region growth
+//! under a node-weight capacity, seeded from high-weight nodes.
 
-use super::coarsen::WGraph;
+use super::coarsen::{Gather, Level};
 use mgnn_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -11,23 +11,32 @@ use std::collections::BinaryHeap;
 /// Greedy growth: for each part in turn, grab the heaviest unassigned seed
 /// and expand along heaviest connecting edges until the part reaches the
 /// ideal weight. Guarantees full coverage (leftovers go to the lightest
-/// part).
-pub fn greedy_growth(g: &WGraph, num_parts: usize, seed: u64) -> Vec<u32> {
-    let n = g.num_nodes();
-    let total = g.total_weight();
+/// part), and — with at least as many nodes as parts — no empty part: a
+/// part stops early when the nodes still unassigned are only enough for
+/// one each to the parts after it.
+pub(super) fn greedy_growth(level: &Level, num_parts: usize, seed: u64) -> Vec<u32> {
+    let n = level.num_nodes();
+    let total = level.total_weight();
     let ideal = total.div_ceil(num_parts as u64);
     let mut assignment = vec![u32::MAX; n];
     let mut part_weight = vec![0u64; num_parts];
+    let mut unassigned = n;
 
     let mut seeds: Vec<NodeId> = (0..n as NodeId).collect();
     seeds.shuffle(&mut StdRng::seed_from_u64(seed));
-    seeds.sort_by_key(|&u| std::cmp::Reverse(g.node_weight(u)));
+    seeds.sort_by_key(|&u| std::cmp::Reverse(level.node_weight(u)));
     let mut seed_idx = 0usize;
 
+    let mut adjacency = Gather::new(n);
     for p in 0..num_parts as u32 {
-        // Max-heap on connection weight to the growing region.
+        let parts_after = num_parts - 1 - p as usize;
+        // Max-heap on connection weight to the growing region. It pops
+        // one sequence whatever order equal batches were pushed in.
         let mut heap: BinaryHeap<(u32, NodeId)> = BinaryHeap::new();
         while part_weight[p as usize] < ideal {
+            if part_weight[p as usize] > 0 && unassigned <= parts_after {
+                break;
+            }
             let u = loop {
                 match heap.pop() {
                     Some((_, u)) if assignment[u as usize] == u32::MAX => break Some(u),
@@ -45,12 +54,11 @@ pub fn greedy_growth(g: &WGraph, num_parts: usize, seed: u64) -> Vec<u32> {
             };
             let Some(u) = u else { break };
             assignment[u as usize] = p;
-            part_weight[p as usize] += u64::from(g.node_weight(u));
-            g.for_each_edge(u, |v, w| {
-                if assignment[v as usize] == u32::MAX {
-                    heap.push((w, v));
-                }
-            });
+            unassigned -= 1;
+            part_weight[p as usize] += u64::from(level.node_weight(u));
+            for (v, w) in adjacency.gather(level, u, |v| assignment[v as usize] == u32::MAX) {
+                heap.push((w, v));
+            }
         }
     }
 
@@ -59,7 +67,7 @@ pub fn greedy_growth(g: &WGraph, num_parts: usize, seed: u64) -> Vec<u32> {
         if *a == u32::MAX {
             let p = (0..num_parts).min_by_key(|&p| part_weight[p]).unwrap();
             *a = p as u32;
-            part_weight[p] += u64::from(g.node_weight(u as NodeId));
+            part_weight[p] += u64::from(level.node_weight(u as NodeId));
         }
     }
     assignment
@@ -73,19 +81,18 @@ mod tests {
     #[test]
     fn covers_everything() {
         let g = erdos_renyi(300, 1200, 1);
-        let wg = WGraph::from_csr(&g);
-        let a = greedy_growth(&wg, 4, 2);
+        let a = greedy_growth(&Level::input(&g), 4, 2);
         assert!(a.iter().all(|&p| p < 4));
     }
 
     #[test]
     fn roughly_balanced_weights() {
         let g = erdos_renyi(400, 2400, 3);
-        let wg = WGraph::from_csr(&g);
-        let a = greedy_growth(&wg, 4, 1);
+        let level = Level::input(&g).coarsen(5);
+        let a = greedy_growth(&level, 4, 1);
         let mut w = [0u64; 4];
         for (u, &p) in a.iter().enumerate() {
-            w[p as usize] += u64::from(wg.node_weight(u as u32));
+            w[p as usize] += u64::from(level.node_weight(u as u32));
         }
         let max = *w.iter().max().unwrap() as f64;
         let ideal = 100.0;
@@ -95,8 +102,23 @@ mod tests {
     #[test]
     fn single_part() {
         let g = erdos_renyi(50, 100, 0);
-        let wg = WGraph::from_csr(&g);
-        let a = greedy_growth(&wg, 1, 0);
+        let a = greedy_growth(&Level::input(&g), 1, 0);
         assert!(a.iter().all(|&p| p == 0));
+    }
+
+    #[test]
+    fn heavy_nodes_leave_no_part_empty() {
+        // Nodes of a level coarsened twice weigh up to four: growing each
+        // of `num_nodes - 1` parts to ceil(48 / k) lets the first parts
+        // overshoot and take every node before the last parts come up.
+        let g = erdos_renyi(48, 200, 2);
+        let level = Level::input(&g).coarsen(1).coarsen(2);
+        let k = level.num_nodes() - 1;
+        let a = greedy_growth(&level, k, 3);
+        let mut sizes = vec![0; k];
+        for &p in &a {
+            sizes[p as usize] += 1;
+        }
+        assert!(sizes.iter().all(|&s| s > 0), "empty part: {sizes:?}");
     }
 }

@@ -12,8 +12,8 @@
 //! **pure function of input length** ([`pool::chunk_len`]), maps or
 //! folds each chunk in ascending index order, and combines per-chunk
 //! results in chunk order. Consequently `map`, `for_each`, `fold` +
-//! `reduce`, `collect`, `sum`, `partition_map`, `par_chunks_mut`, and
-//! `par_sort_unstable` return bitwise-identical results at **any**
+//! `reduce`, `collect`, `sum`, `partition_map` and `par_chunks_mut`
+//! return bitwise-identical results at **any**
 //! thread count — the engine's bitwise-`RunReport` reproducibility
 //! oracle holds whether `MGNN_THREADS=1` or 64. Only wall-clock time
 //! changes with the thread count.
@@ -397,7 +397,7 @@ pub mod iter {
 }
 
 pub mod slice {
-    //! Slice extension traits (`par_chunks_mut`, `par_sort_unstable`).
+    //! Slice extension traits (`par_chunks_mut`).
 
     use crate::pool;
 
@@ -474,99 +474,12 @@ pub mod slice {
     pub trait ParallelSliceMut<T> {
         /// Mutable chunks of `size` elements (`size > 0`).
         fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
-
-        /// Unstable in-place sort: parallel per-chunk sorts followed by
-        /// pairwise merges. Deterministic — the chunk grid and merge
-        /// tree depend only on the slice length, and merges take from
-        /// the left run on ties.
-        fn par_sort_unstable(&mut self)
-        where
-            T: Ord + Copy + Sync;
     }
 
     impl<T: Send> ParallelSliceMut<T> for [T] {
         fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
             assert!(size > 0, "chunk size must be non-zero");
             ParChunksMut { data: self, size }
-        }
-
-        fn par_sort_unstable(&mut self)
-        where
-            T: Ord + Copy + Sync,
-        {
-            let len = self.len();
-            // Length-only cutoff: small slices sort inline. The path
-            // choice must not depend on the thread count, or results
-            // could differ across MGNN_THREADS for types whose equal
-            // values are distinguishable.
-            const SEQ_CUTOFF: usize = 4096;
-            if len <= SEQ_CUTOFF {
-                self.sort_unstable();
-                return;
-            }
-
-            let cl = pool::chunk_len(len);
-            let nc = pool::num_chunks(len);
-            {
-                let base = SyncPtr(self.as_mut_ptr());
-                pool::run(nc, &|c| {
-                    let lo = c * cl;
-                    let hi = (lo + cl).min(len);
-                    // SAFETY: chunk ranges are pairwise disjoint.
-                    unsafe { std::slice::from_raw_parts_mut(base.at(lo), hi - lo) }.sort_unstable();
-                });
-            }
-
-            // Iterative pairwise merges, ping-ponging through a
-            // scratch buffer. Runs double in width each round; the
-            // merge tree is a pure function of `len`.
-            let mut scratch: Vec<T> = self.to_vec();
-            let mut in_self = true;
-            let mut width = cl;
-            while width < len {
-                let pairs = len.div_ceil(2 * width);
-                {
-                    let (src_ptr, dst_ptr) = if in_self {
-                        (self.as_ptr(), scratch.as_mut_ptr())
-                    } else {
-                        (scratch.as_ptr(), self.as_mut_ptr())
-                    };
-                    let src = SyncPtr(src_ptr as *mut T);
-                    let dst = SyncPtr(dst_ptr);
-                    pool::run(pairs, &|p| {
-                        let lo = p * 2 * width;
-                        let mid = (lo + width).min(len);
-                        let hi = (lo + 2 * width).min(len);
-                        // SAFETY: pair output ranges [lo, hi) are
-                        // pairwise disjoint; src is only read.
-                        unsafe {
-                            let left = std::slice::from_raw_parts(src.at(lo), mid - lo);
-                            let right = std::slice::from_raw_parts(src.at(mid), hi - mid);
-                            let out = std::slice::from_raw_parts_mut(dst.at(lo), hi - lo);
-                            merge_left_first(left, right, out);
-                        }
-                    });
-                }
-                in_self = !in_self;
-                width *= 2;
-            }
-            if !in_self {
-                self.copy_from_slice(&scratch);
-            }
-        }
-    }
-
-    /// Stable two-run merge: ties take from `left` first.
-    fn merge_left_first<T: Ord + Copy>(left: &[T], right: &[T], out: &mut [T]) {
-        let (mut i, mut j) = (0, 0);
-        for slot in out.iter_mut() {
-            if i < left.len() && (j >= right.len() || left[i] <= right[j]) {
-                *slot = left[i];
-                i += 1;
-            } else {
-                *slot = right[j];
-                j += 1;
-            }
         }
     }
 }
@@ -628,10 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn chunks_and_sort() {
-        let mut v = vec![5u32, 3, 1, 4, 2];
-        v.par_sort_unstable();
-        assert_eq!(v, vec![1, 2, 3, 4, 5]);
+    fn chunks_mut_enumerates_in_order() {
         let mut w = vec![0u32; 6];
         w.par_chunks_mut(2).enumerate().for_each(|(i, c)| {
             for x in c {
@@ -639,18 +549,6 @@ mod tests {
             }
         });
         assert_eq!(w, vec![0, 0, 1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn large_sort_takes_merge_path() {
-        // 40 000 elements > the sequential cutoff, with duplicates.
-        let mut v: Vec<u32> = (0..40_000u32)
-            .map(|i| i.wrapping_mul(2654435761) % 977)
-            .collect();
-        let mut reference = v.clone();
-        reference.sort_unstable();
-        v.par_sort_unstable();
-        assert_eq!(v, reference);
     }
 
     #[test]

@@ -187,24 +187,6 @@ fn par_chunks_mut_identical_across_thread_counts() {
 }
 
 #[test]
-fn par_sort_matches_std_sort_across_thread_counts() {
-    // Straddles the 4096 sequential cutoff and lands uneven merge tails.
-    for len in [100usize, 4096, 4097, 10_000, 65_537] {
-        let data: Vec<u32> = (0..len as u32)
-            .map(|i| i.wrapping_mul(2_654_435_761) % 10_007)
-            .collect();
-        let sorted = across_thread_counts(|| {
-            let mut v = data.clone();
-            v.par_sort_unstable();
-            v
-        });
-        let mut reference = data.clone();
-        reference.sort_unstable();
-        assert_eq!(sorted, reference, "par_sort diverged at len {len}");
-    }
-}
-
-#[test]
 fn panic_in_parallel_closure_propagates() {
     setup();
     let result = std::panic::catch_unwind(|| {
@@ -251,16 +233,4 @@ proptest! {
         prop_assert_eq!(hi, ref_hi);
     }
 
-    /// par_sort_unstable sorts arbitrary data exactly like std.
-    #[test]
-    fn par_sort_always_sorts(data in prop::collection::vec(0u32..50_000, 0..9000)) {
-        let sorted = across_thread_counts(|| {
-            let mut v = data.clone();
-            v.par_sort_unstable();
-            v
-        });
-        let mut reference = data.clone();
-        reference.sort_unstable();
-        prop_assert_eq!(sorted, reference);
-    }
 }

@@ -1,12 +1,14 @@
-//! Set-up identity: `Dataset::generate` and `multilevel_partition` must
-//! keep producing the exact bits they produced before their memory
-//! footprint was cut (PR 13). The table below was recorded on the parent
-//! commit (`32e4ef1`) with [`print_setup_fingerprints`]; a rewrite of the
-//! builder, the R-MAT generator, `FeatureStore::synthesize` or any stage
-//! of the partitioner has to reproduce every row.
+//! Set-up identity: `Dataset::generate`, `multilevel_partition` and
+//! `build_local_partitions` must keep producing the exact bits they
+//! produced before their memory footprint was cut. The dataset and
+//! partition columns below were recorded on commit `32e4ef1` with
+//! [`print_setup_fingerprints`], the halo-view column and the
+//! Papers/Bench row on `335fda1`; a rewrite of the builder, the R-MAT
+//! generator, `FeatureStore::synthesize`, any stage of the partitioner or
+//! the halo views has to reproduce every row.
 
-use mgnn_graph::{Dataset, DatasetKind, Scale};
-use mgnn_partition::multilevel_partition;
+use mgnn_graph::{CsrGraph, Dataset, DatasetGraph, DatasetKind, Scale};
+use mgnn_partition::{build_local_partitions, multilevel_partition, Partitioning};
 
 /// 64-bit FNV-1a over little-endian bytes.
 struct Fnv(u64);
@@ -49,8 +51,7 @@ impl Fnv {
 /// Offsets, targets, feature bits, labels, splits.
 fn dataset_fingerprint(d: &Dataset) -> u64 {
     let mut h = Fnv::new();
-    h.u64s(d.graph.offsets());
-    h.u32s(d.graph.targets());
+    graph_fingerprint(&mut h, &d.graph);
     let nodes = || 0..d.graph.num_nodes() as u32;
     let rows: Vec<f32> = nodes().flat_map(|u| d.features.row(u)).copied().collect();
     h.f32s(&rows);
@@ -61,9 +62,31 @@ fn dataset_fingerprint(d: &Dataset) -> u64 {
     h.0
 }
 
+/// Offsets, targets.
+fn graph_fingerprint(h: &mut Fnv, g: &CsrGraph) {
+    h.u64s(g.offsets());
+    h.u32s(g.targets());
+}
+
 fn assignment_fingerprint(assignment: &[u32]) -> u64 {
     let mut h = Fnv::new();
     h.u32s(assignment);
+    h.0
+}
+
+/// Every partition's local and halo ids, halo owners and degrees, local
+/// CSR and train nodes.
+fn views_fingerprint(graph: &CsrGraph, p: &Partitioning, train: &[u32]) -> u64 {
+    let mut h = Fnv::new();
+    for view in build_local_partitions(graph, p, train) {
+        h.u32s(&[view.part_id]);
+        h.u32s(&view.local_nodes);
+        h.u32s(&view.halo_nodes);
+        h.u32s(&view.halo_owner);
+        h.u32s(&view.halo_degree);
+        graph_fingerprint(&mut h, &view.graph);
+        h.u32s(&view.train_nodes);
+    }
     h.0
 }
 
@@ -71,12 +94,17 @@ const SEEDS: [u64; 2] = [1, 42];
 const PARTS: [usize; 2] = [2, 4];
 const SCALES: [Scale; 2] = [Scale::Unit, Scale::Small];
 
-/// `(dataset, partition into 2, partition into 4)` fingerprints.
-fn fingerprints(kind: DatasetKind, scale: Scale, seed: u64) -> (u64, [u64; 2]) {
+/// `(dataset, partition into 2 and 4, halo views of each)` fingerprints.
+fn fingerprints(kind: DatasetKind, scale: Scale, seed: u64) -> (u64, [u64; 2], [u64; 2]) {
     let d = Dataset::generate(kind, scale, seed);
-    let parts =
-        PARTS.map(|k| assignment_fingerprint(&multilevel_partition(&d.graph, k, seed).assignment));
-    (dataset_fingerprint(&d), parts)
+    let partitions = PARTS.map(|k| multilevel_partition(&d.graph, k, seed));
+    let parts = partitions
+        .each_ref()
+        .map(|p| assignment_fingerprint(&p.assignment));
+    let views = partitions
+        .each_ref()
+        .map(|p| views_fingerprint(&d.graph, p, &d.train_nodes));
+    (dataset_fingerprint(&d), parts, views)
 }
 
 struct Row {
@@ -85,15 +113,24 @@ struct Row {
     seed: u64,
     dataset: u64,
     parts: [u64; 2],
+    views: [u64; 2],
 }
 
-const fn row(kind: DatasetKind, scale: Scale, seed: u64, dataset: u64, parts: [u64; 2]) -> Row {
+const fn row(
+    kind: DatasetKind,
+    scale: Scale,
+    seed: u64,
+    dataset: u64,
+    parts: [u64; 2],
+    views: [u64; 2],
+) -> Row {
     Row {
         kind,
         scale,
         seed,
         dataset,
         parts,
+        views,
     }
 }
 
@@ -104,28 +141,28 @@ use Scale::{Small, Unit};
 /// *meant* to alter the data (and say so in CHANGES.md).
 #[rustfmt::skip]
 const PARENT: [Row; 16] = [
-    row(Arxiv, Unit, 1, 0xe380807b3e672694, [0x7adf361e224062d8, 0xc897ac4a48656708]),
-    row(Arxiv, Unit, 42, 0x06e7706c72eb2223, [0xd3d99bcc424034d8, 0x611970080536f808]),
-    row(Arxiv, Small, 1, 0xeaa483d1a02c3766, [0xeec64bf87fdcd14b, 0x9a749eadcfeafbdb]),
-    row(Arxiv, Small, 42, 0xab95eebb5d510daf, [0x9c039cc87669cb6b, 0x43e7051e53aba9cb]),
-    row(Products, Unit, 1, 0x409db06e71678bac, [0x62384e64b1b5a005, 0x590bc4045631a987]),
-    row(Products, Unit, 42, 0x9a696824934958da, [0xf2f9c5e572b73f55, 0x5949a6e67665e387]),
-    row(Products, Small, 1, 0xcc695ad2687c3144, [0xa4f941734b46f1db, 0xd500a23a8bfd968a]),
-    row(Products, Small, 42, 0x842c733a2d30983d, [0x5dfdaaa7e29b3e2b, 0xcac2fd380d74eabb]),
-    row(Reddit, Unit, 1, 0xb30ecfe4993caabc, [0x621840527ea7578a, 0x7b80b1a1cc7629fa]),
-    row(Reddit, Unit, 42, 0x630d026f932bd649, [0x476156b421fa28ba, 0x2c828e8163d7e35a]),
-    row(Reddit, Small, 1, 0x58dbfe4079add144, [0xf022869d55dc18f0, 0x990de2df437d0950]),
-    row(Reddit, Small, 42, 0xf8ccabb82e490d11, [0xef8c4d0bf7c68ce0, 0x76f7bac9707bdd00]),
-    row(Papers, Unit, 1, 0x61be52799ee6b7da, [0x9f38408a63194710, 0x159bd9df57017721]),
-    row(Papers, Unit, 42, 0x11dec8c2521f00a2, [0x684764dda6888910, 0x0e309f576b2f8ff1]),
-    row(Papers, Small, 1, 0x7415065d8cd2abe3, [0xa0202f576361ed0e, 0x0b7f5793b0a1b01e]),
-    row(Papers, Small, 42, 0xa6571cd070451bc1, [0xb56ad8a3d9aeb61e, 0x7ec75cfb36e06a4f]),
+    row(Arxiv, Unit, 1, 0xe380807b3e672694, [0x7adf361e224062d8, 0xc897ac4a48656708], [0xd0776b3239f34d38, 0xc6ef75c707ccc8f6]),
+    row(Arxiv, Unit, 42, 0x06e7706c72eb2223, [0xd3d99bcc424034d8, 0x611970080536f808], [0x261fa909e5f72b28, 0x5a71d8bbb396e7af]),
+    row(Arxiv, Small, 1, 0xeaa483d1a02c3766, [0xeec64bf87fdcd14b, 0x9a749eadcfeafbdb], [0x7e953e5aeba21118, 0x440fdaad548c146f]),
+    row(Arxiv, Small, 42, 0xab95eebb5d510daf, [0x9c039cc87669cb6b, 0x43e7051e53aba9cb], [0xe06f4c803015324f, 0x4e06032ea54ebc63]),
+    row(Products, Unit, 1, 0x409db06e71678bac, [0x62384e64b1b5a005, 0x590bc4045631a987], [0xdc10db29dfdeee02, 0xf2bc5178f7bacb88]),
+    row(Products, Unit, 42, 0x9a696824934958da, [0xf2f9c5e572b73f55, 0x5949a6e67665e387], [0x0196dd999b3775a0, 0x028c4fe57c18dfd6]),
+    row(Products, Small, 1, 0xcc695ad2687c3144, [0xa4f941734b46f1db, 0xd500a23a8bfd968a], [0xa3a12efcbb21ec4c, 0x4c92d62b27016547]),
+    row(Products, Small, 42, 0x842c733a2d30983d, [0x5dfdaaa7e29b3e2b, 0xcac2fd380d74eabb], [0x11e5e1509c7c83e8, 0xc7c600e8d05ea6f0]),
+    row(Reddit, Unit, 1, 0xb30ecfe4993caabc, [0x621840527ea7578a, 0x7b80b1a1cc7629fa], [0x8da274764a86ef0c, 0x3ca0ac07305e9e3a]),
+    row(Reddit, Unit, 42, 0x630d026f932bd649, [0x476156b421fa28ba, 0x2c828e8163d7e35a], [0x9e5bbd2f01df9076, 0xdbdb16bac979639d]),
+    row(Reddit, Small, 1, 0x58dbfe4079add144, [0xf022869d55dc18f0, 0x990de2df437d0950], [0x3849a74c73357865, 0x2544e335c539adef]),
+    row(Reddit, Small, 42, 0xf8ccabb82e490d11, [0xef8c4d0bf7c68ce0, 0x76f7bac9707bdd00], [0xc891a73f14e4bd16, 0xd8af7b9747707f8a]),
+    row(Papers, Unit, 1, 0x61be52799ee6b7da, [0x9f38408a63194710, 0x159bd9df57017721], [0x921bc00c7d10968a, 0x3399f2141e60873c]),
+    row(Papers, Unit, 42, 0x11dec8c2521f00a2, [0x684764dda6888910, 0x0e309f576b2f8ff1], [0x00915e32c1c4f463, 0x07e0896a12ed826f]),
+    row(Papers, Small, 1, 0x7415065d8cd2abe3, [0xa0202f576361ed0e, 0x0b7f5793b0a1b01e], [0x83d1e8a2c2173775, 0x3fc50590565c8bf3]),
+    row(Papers, Small, 42, 0xa6571cd070451bc1, [0xb56ad8a3d9aeb61e, 0x7ec75cfb36e06a4f], [0x1f713dd9fb70cf24, 0x17ed3f1c5a7127ce]),
 ];
 
 /// Every row of `kind` (one test per kind, so they run side by side).
 fn reproduces_the_parent_bits(kind: DatasetKind) {
     for r in PARENT.iter().filter(|r| r.kind == kind) {
-        let (dataset, parts) = fingerprints(r.kind, r.scale, r.seed);
+        let (dataset, parts, views) = fingerprints(r.kind, r.scale, r.seed);
         let at = format!("{} {:?} seed {}", r.kind.name(), r.scale, r.seed);
         assert_eq!(dataset, r.dataset, "Dataset::generate moved: {at}");
         for (i, k) in PARTS.iter().enumerate() {
@@ -133,8 +170,38 @@ fn reproduces_the_parent_bits(kind: DatasetKind) {
                 parts[i], r.parts[i],
                 "multilevel_partition moved: {at}, {k} parts"
             );
+            assert_eq!(
+                views[i], r.views[i],
+                "build_local_partitions moved: {at}, {k} parts"
+            );
         }
     }
+}
+
+/// Papers/Bench at 4 parts — the benchmark's largest shape, whose
+/// coarsening stalls over 7 levels: `(graph and splits, partition, halo
+/// views)`. The features are left out; the table above covers them.
+fn papers_bench_fingerprints() -> [u64; 3] {
+    let d = DatasetGraph::generate(Papers, Scale::Bench, 42);
+    let mut graph = Fnv::new();
+    graph_fingerprint(&mut graph, &d.graph);
+    graph.u32s(&d.train_nodes);
+    graph.u32s(&d.val_nodes);
+    graph.u32s(&d.test_nodes);
+    let p = multilevel_partition(&d.graph, 4, 42);
+    [
+        graph.0,
+        assignment_fingerprint(&p.assignment),
+        views_fingerprint(&d.graph, &p, &d.train_nodes),
+    ]
+}
+
+/// Recorded on `335fda1`.
+const PARENT_PAPERS_BENCH: [u64; 3] = [0x00ff2fda9546a71c, 0x3af08ccc6fd83e61, 0x5907837a40d0357b];
+
+#[test]
+fn papers_bench_setup_reproduces_the_parent_bits() {
+    assert_eq!(papers_bench_fingerprints(), PARENT_PAPERS_BENCH);
 }
 
 #[test]
@@ -179,12 +246,14 @@ fn print_setup_fingerprints() {
     for kind in DatasetKind::ALL {
         for scale in SCALES {
             for seed in SEEDS {
-                let (dataset, parts) = fingerprints(kind, scale, seed);
+                let (dataset, parts, views) = fingerprints(kind, scale, seed);
                 println!(
-                    "    row({kind:?}, {scale:?}, {seed}, {dataset:#018x}, [{:#018x}, {:#018x}]),",
-                    parts[0], parts[1]
+                    "    row({kind:?}, {scale:?}, {seed}, {dataset:#018x}, [{:#018x}, {:#018x}], [{:#018x}, {:#018x}]),",
+                    parts[0], parts[1], views[0], views[1]
                 );
             }
         }
     }
+    let [graph, part, views] = papers_bench_fingerprints();
+    println!("const PARENT_PAPERS_BENCH: [u64; 3] = [{graph:#018x}, {part:#018x}, {views:#018x}];");
 }

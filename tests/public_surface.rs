@@ -38,6 +38,14 @@ const ORACLES: &[(&str, &str)] = &[
     ),
     // mgnn-graph / mgnn-partition / mgnn-sampling
     (
+        "CsrGraph::offsets",
+        "raw row offsets: tests/integration_setup.rs fingerprints what `GraphBuilder::build` and `build_local_partitions` emit by them, and the memory tests size a graph by them",
+    ),
+    (
+        "CsrGraph::targets",
+        "raw neighbour array, fingerprinted and sized with `CsrGraph::offsets`",
+    ),
+    (
         "CsrGraph::from_parts",
         "the validating constructor: hand-written CSR fixtures, and the invariants `from_parts_unchecked` (reached) trusts `GraphBuilder` for, rejected one by one",
     ),
@@ -56,10 +64,6 @@ const ORACLES: &[(&str, &str)] = &[
     (
         "sbm",
         "planted-partition fixture `multilevel_partition`, `bfs_partition` and `refine` must recover",
-    ),
-    (
-        "weighted_cut",
-        "the cut `multilevel::refine` must never increase, measured before and after",
     ),
     // mgnn-tensor
     (

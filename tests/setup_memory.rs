@@ -45,8 +45,9 @@ fn engine_build_keeps_one_copy_of_the_features_and_returns_its_scratch() {
         live / floor
     );
 
-    // (b) What is borrowed on the way: the partitioner's level stack and
-    // the feature-synthesis scratch are returned, and never held together.
+    // (b) What is borrowed on the way: the partitioner's per-level maps
+    // and the feature-synthesis scratch are returned, and never held
+    // together.
     assert!(
         peak <= 1.6 * live,
         "peak during build {peak:.0} B is {:.3}x of what build keeps ({live:.0} B)",
