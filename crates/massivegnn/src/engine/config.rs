@@ -65,7 +65,8 @@ pub struct EngineConfig {
     pub gat_heads: usize,
     /// CPU or GPU training backend (cost model).
     pub backend: Backend,
-    /// Baseline vs prefetch.
+    /// Baseline vs prefetch: what [`Engine::run`](super::Engine::run)
+    /// runs. The build does not read it.
     pub mode: Mode,
     /// Master seed.
     pub seed: u64,

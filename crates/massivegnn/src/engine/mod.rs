@@ -54,7 +54,8 @@ fn real_parallelism_available() -> bool {
     std::thread::available_parallelism().map_or(true, |n| n.get() > 1)
 }
 
-/// One fully-constructed experiment, reusable across modes.
+/// One built world (dataset, partitions, shards, cluster): it runs any
+/// mode ([`run_as`](Self::run_as)); every other field is fixed by the build.
 pub struct Engine {
     cfg: EngineConfig,
     dataset: Dataset,
@@ -189,15 +190,26 @@ impl Engine {
         (Arc::clone(&self.parts[*pid]), loader, sampler)
     }
 
-    /// Run the configured mode end to end: one step loop, stepped
-    /// round-robin on the calling thread or — [`EngineConfig::parallel`] —
-    /// by one OS thread per trainer (plus a prepare thread each in
-    /// prefetch mode); the report is bitwise-identical either way.
+    /// [`run_as`](Self::run_as) the configured [`EngineConfig::mode`].
+    pub fn run(&self) -> RunReport {
+        self.run_as(self.cfg.mode)
+            .expect("build validated the mode")
+    }
+
+    /// Run `mode` end to end on this world, as a fresh build with that
+    /// `mode` would (`Err` first if `PrefetchConfig::validate` refuses
+    /// it): one step loop, stepped round-robin on the calling thread or —
+    /// [`EngineConfig::parallel`] — by one OS thread per trainer (plus a
+    /// prepare thread each in prefetch mode); the report is
+    /// bitwise-identical either way.
     ///
     /// `parallel` is adaptive (`real_parallelism_available`): on one core
     /// trainer threads only add scheduling overhead, so the round-robin
     /// scheduler runs instead unless `MGNN_THREADS` forces the threads.
-    pub fn run(&self) -> RunReport {
+    pub fn run_as(&self, mode: Mode) -> Result<RunReport, String> {
+        if let Mode::Prefetch(p) = &mode {
+            p.validate()?;
+        }
         let cfg = &self.cfg;
         // Arm the live-telemetry registry for this run: `enable` drops
         // the previous run's counter sets before this run's trainers
@@ -209,7 +221,7 @@ impl Engine {
         // Likewise the profile's crash: it meets this run's designated
         // trainer afresh, so a second run replays the first.
         self.cluster.rearm_crash();
-        let mut trainers = self.build_trainer_states();
+        let mut trainers = self.build_trainer_states(mode);
         // One gradient arena for the whole run. Without real math there
         // are no gradients, nothing to synchronise and no barrier wait.
         let num_grads = if cfg.train_math {
@@ -240,7 +252,7 @@ impl Engine {
             let share = exchange.shares(trainers.len()).pop().expect("one share");
             self.drive(&mut trainers, share);
         }
-        self.finalize(trainers)
+        Ok(self.finalize(trainers, mode))
     }
 
     /// The step loop (Algorithm 1): every trainer of `trainers` pops its
@@ -289,8 +301,8 @@ impl Engine {
         }
     }
 
-    /// Assemble the [`RunReport`] from finished trainer states.
-    fn finalize(&self, trainers: Vec<TrainerState>) -> RunReport {
+    /// Assemble a `mode` run's [`RunReport`] from finished trainer states.
+    fn finalize(&self, trainers: Vec<TrainerState>, mode: Mode) -> RunReport {
         let cfg = &self.cfg;
         let steps_per_epoch = self.steps_per_epoch();
         // Fold epoch statistics step-major, trainer-minor: one fixed
@@ -325,7 +337,7 @@ impl Engine {
             .map(|(t, ts)| ts.into_report(t, cfg))
             .collect();
         let report = RunReport {
-            mode_label: cfg.mode.label(),
+            mode_label: mode.label(),
             makespan_s: reports.iter().map(|r| r.sim_time_s).fold(0.0f64, f64::max),
             trainers: reports,
             steps_per_epoch,

@@ -292,8 +292,8 @@ impl TrainerState {
 }
 
 impl Engine {
-    /// Build the per-trainer worker states in trainer order.
-    pub(super) fn build_trainer_states(&self) -> Vec<TrainerState> {
+    /// Build a `mode` run's per-trainer worker states in trainer order.
+    pub(super) fn build_trainer_states(&self, mode: Mode) -> Vec<TrainerState> {
         let cfg = &self.cfg;
         let total_steps = cfg.epochs * self.steps_per_epoch();
         (0..self.world())
@@ -315,7 +315,7 @@ impl Engine {
                 }
                 let metrics = Arc::new(metrics);
                 let mut init = InitReport::default();
-                let prefetcher = match cfg.mode {
+                let prefetcher = match mode {
                     Mode::Baseline => None,
                     Mode::Prefetch(pcfg) => {
                         let (mut pf, rep) = initialize_prefetcher(

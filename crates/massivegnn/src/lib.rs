@@ -33,7 +33,7 @@
 //! use massivegnn::{Engine, EngineConfig, Mode, PrefetchConfig};
 //! use mgnn_graph::{DatasetKind, Scale};
 //!
-//! let mut cfg = EngineConfig {
+//! let cfg = EngineConfig {
 //!     dataset: DatasetKind::Products,
 //!     scale: Scale::Unit,
 //!     num_parts: 2,
@@ -42,15 +42,10 @@
 //!     batch_size: 64,
 //!     ..Default::default()
 //! };
-//! let baseline = Engine::build(cfg.clone()).run();
-//!
-//! cfg.mode = Mode::Prefetch(PrefetchConfig {
-//!     f_h: 0.25,
-//!     gamma: 0.995,
-//!     delta: 16,
-//!     ..Default::default()
-//! });
-//! let prefetch = Engine::build(cfg).run();
+//! let engine = Engine::build(cfg); // one world, any number of runs
+//! let baseline = engine.run(); // the configured mode: DistDGL
+//! let pcfg = PrefetchConfig { f_h: 0.25, gamma: 0.995, delta: 16, ..Default::default() };
+//! let prefetch = engine.run_as(Mode::Prefetch(pcfg)).unwrap();
 //!
 //! assert!(prefetch.makespan_s < baseline.makespan_s);
 //! assert!(prefetch.hit_rate() > 0.0);

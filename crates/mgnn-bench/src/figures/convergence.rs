@@ -32,21 +32,20 @@ pub fn run(opts: &Opts) -> Convergence {
     let mut cfg = engine_config(opts, DatasetKind::Products, Backend::Cpu, 2);
     cfg.train_math = true;
     cfg.epochs = (opts.epochs * 2).max(5);
-    let baseline_engine = Engine::build(cfg.clone());
-    let baseline = baseline_engine.run();
-
-    cfg.mode = Mode::Prefetch(PrefetchConfig {
-        f_h: 0.35,
-        gamma: 0.995,
-        delta: 16,
-        ..Default::default()
-    });
-    let prefetch_engine = Engine::build(cfg);
-    let prefetch = prefetch_engine.run();
+    let engine = Engine::build(cfg);
+    let baseline = engine.run();
+    let prefetch = engine
+        .run_as(Mode::Prefetch(PrefetchConfig {
+            f_h: 0.35,
+            gamma: 0.995,
+            delta: 16,
+            ..Default::default()
+        }))
+        .unwrap();
 
     Convergence {
-        baseline_val_acc: baseline_engine.evaluate(&baseline.final_params),
-        prefetch_val_acc: prefetch_engine.evaluate(&prefetch.final_params),
+        baseline_val_acc: engine.evaluate(&baseline.final_params),
+        prefetch_val_acc: engine.evaluate(&prefetch.final_params),
         params_identical: baseline.final_params == prefetch.final_params,
         baseline_loss: baseline.epoch_loss,
         prefetch_loss: prefetch.epoch_loss,

@@ -47,17 +47,17 @@ pub struct Fig11 {
 pub fn run(opts: &Opts) -> Fig11 {
     let mut rows = Vec::new();
     for kind in [DatasetKind::Products, DatasetKind::Papers] {
-        let base = engine_config(opts, kind, Backend::Cpu, 4);
-        let baseline = Engine::build(base.clone()).run();
-        let mut pcfg = base.clone();
-        pcfg.mode = Mode::Prefetch(PrefetchConfig {
-            f_h: 0.25,
-            gamma: 0.995,
-            delta: 64,
-            layout: layout_for(kind),
-            ..Default::default()
-        });
-        let prefetch = Engine::build(pcfg).run();
+        let engine = Engine::build(engine_config(opts, kind, Backend::Cpu, 4));
+        let baseline = engine.run();
+        let prefetch = engine
+            .run_as(Mode::Prefetch(PrefetchConfig {
+                f_h: 0.25,
+                gamma: 0.995,
+                delta: 64,
+                layout: layout_for(kind),
+                ..Default::default()
+            }))
+            .unwrap();
         let remote = |r| per_trainer_mean(r, |t| t.metrics.remote_nodes_fetched as f64);
         let comm = |r| per_trainer_mean(r, |t| t.breakdown.communication_stall_s());
         rows.push(Row {

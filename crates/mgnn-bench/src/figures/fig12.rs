@@ -30,21 +30,20 @@ pub struct Fig12 {
 
 /// The γ × Δ grid Figs. 12 and 13 read: products on 4 CPU nodes under
 /// the long-run profile, `f_p^h` 0.25, one run per `(γ, Δ)`, γ-major
-/// then Δ-minor over [`delta_values`].
+/// then Δ-minor over [`delta_values`], all on one built engine.
 pub fn sweep(opts: &Opts, gammas: &[f64]) -> Vec<Point> {
     let opts = opts.longrun_of();
-    let base = engine_config(&opts, DatasetKind::Products, Backend::Cpu, 4);
+    let engine = Engine::build(engine_config(&opts, DatasetKind::Products, Backend::Cpu, 4));
     let mut points = Vec::new();
     for &gamma in gammas {
         for delta in delta_values(opts.full) {
-            let mut cfg = base.clone();
-            cfg.mode = Mode::Prefetch(PrefetchConfig {
+            let mode = Mode::Prefetch(PrefetchConfig {
                 f_h: 0.25,
                 gamma,
                 delta,
                 ..Default::default()
             });
-            let r = Engine::build(cfg).run();
+            let r = engine.run_as(mode).unwrap();
             points.push(Point {
                 gamma,
                 delta,

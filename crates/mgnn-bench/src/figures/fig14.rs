@@ -38,16 +38,17 @@ impl Fig14 {
 pub fn run(opts: &Opts) -> Fig14 {
     let mut base = engine_config(opts, DatasetKind::Papers, Backend::Cpu, 2);
     base.epochs = 2;
-    let baseline = Engine::build(base.clone()).run();
-    let mut pcfg = base.clone();
-    pcfg.mode = Mode::Prefetch(PrefetchConfig {
-        f_h: 0.5,
-        gamma: 0.95,
-        delta: 1,
-        layout: layout_for(DatasetKind::Papers),
-        ..Default::default()
-    });
-    let prefetch = Engine::build(pcfg).run();
+    let engine = Engine::build(base);
+    let baseline = engine.run();
+    let prefetch = engine
+        .run_as(Mode::Prefetch(PrefetchConfig {
+            f_h: 0.5,
+            gamma: 0.95,
+            delta: 1,
+            layout: layout_for(DatasetKind::Papers),
+            ..Default::default()
+        }))
+        .unwrap();
     Fig14 {
         init_bytes_per_trainer: per_trainer_mean(&prefetch, |t| t.init.persistent_bytes),
         baseline_train_peak: per_trainer_mean(&baseline, |t| t.peak_bytes),

@@ -68,10 +68,10 @@ pub fn node_counts(full: bool) -> &'static [usize] {
     }
 }
 
-/// One cell of the sweep: the baseline run, then the paper's §V-A
-/// search, choosing by lowest makespan ("we always prioritize time over
-/// hit rate") — `f_p^h` without eviction, then Δ per γ at that `f_p^h`.
-/// `full` selects the complete `f_p^h` and Δ grids.
+/// One cell of the sweep, on one built engine: the baseline run, then
+/// the paper's §V-A search, choosing by lowest makespan ("we always
+/// prioritize time over hit rate") — `f_p^h` without eviction, then Δ
+/// per γ at that `f_p^h`. `full` selects the complete `f_p^h` and Δ grids.
 pub fn group(
     opts: &Opts,
     dataset: DatasetKind,
@@ -80,14 +80,15 @@ pub fn group(
     num_parts: usize,
     full: bool,
 ) -> Group {
-    let mut base = engine_config(opts, dataset, backend, num_parts);
-    base.model = model;
-    let baseline = Engine::build(base.clone()).run();
+    let mut cfg = engine_config(opts, dataset, backend, num_parts);
+    cfg.model = model;
+    let engine = Engine::build(cfg);
+    let baseline = engine.run();
     let layout = layout_for(dataset);
     let run = |pcfg: PrefetchConfig| {
-        let mut cfg = base.clone();
-        cfg.mode = Mode::Prefetch(PrefetchConfig { layout, ..pcfg });
-        let r = Engine::build(cfg).run();
+        let r = engine
+            .run_as(Mode::Prefetch(PrefetchConfig { layout, ..pcfg }))
+            .unwrap();
         (r.makespan_s, r.hit_rate())
     };
     let no_evict = fastest(

@@ -50,12 +50,11 @@ pub struct Lookahead {
     pub baseline_s: f64,
 }
 
-fn measure(cfg: massivegnn::EngineConfig) -> Point {
-    let label = cfg.mode.label();
-    let r = Engine::build(cfg).run();
+fn measure(engine: &Engine, mode: Mode) -> Point {
+    let r = engine.run_as(mode).unwrap();
     let agg = r.aggregate_metrics();
     Point {
-        label,
+        label: r.mode_label.clone(),
         hit_rate: r.hit_rate(),
         rpc_s: r.trainers.iter().map(|t| t.breakdown.rpc_s).sum(),
         planned_s: r.trainers.iter().map(|t| t.breakdown.planned_s).sum(),
@@ -83,22 +82,21 @@ pub fn run(opts: &Opts) -> Lookahead {
     sopts.fanouts = vec![5, 10];
     let mut base = engine_config(&sopts, DatasetKind::Products, Backend::Gpu, 2);
     base.epochs = (opts.epochs * 2).max(4); // several steady epochs
-    let baseline = Engine::build(base.clone()).run();
+    let engine = Engine::build(base);
+    let baseline = engine.run();
     let pcfg = PrefetchConfig {
         f_h: 0.5,
         gamma: 0.995,
         delta: 64,
         ..Default::default()
     };
-    let mut points = Vec::new();
-    let mut cfg = base.clone();
-    cfg.mode = Mode::Prefetch(pcfg);
-    points.push(measure(cfg));
+    let mut points = vec![measure(&engine, Mode::Prefetch(pcfg))];
     let depths = opts.depth.map_or(vec![1, 2, 4], |depth| vec![depth]);
     for depth in depths {
-        let mut cfg = base.clone();
-        cfg.mode = Mode::Prefetch(pcfg.with_lookahead_policy(depth));
-        points.push(measure(cfg));
+        points.push(measure(
+            &engine,
+            Mode::Prefetch(pcfg.with_lookahead_policy(depth)),
+        ));
     }
     Lookahead {
         points,

@@ -53,16 +53,15 @@ const PARTITIONERS: [(&str, Partitioner); 4] = [
 ];
 
 /// Run baseline + prefetch under each partitioner on products, 2 nodes:
-/// two whole engine runs per assignment.
+/// two runs on one engine per assignment.
 pub fn run(opts: &Opts) -> PartitionStudy {
-    let mut cfg = engine_config(opts, DatasetKind::Products, Backend::Cpu, 2);
+    let cfg = engine_config(opts, DatasetKind::Products, Backend::Cpu, 2);
     let rows = PARTITIONERS
         .iter()
         .map(|&(name, partitioner)| {
             // The engine hands the partitioner the graph; its cut and
             // balance are read where the assignment is made.
             let mut quality = (0, 0.0);
-            cfg.mode = Mode::Baseline;
             let engine = Engine::build_with(cfg.clone(), |g, k, seed| {
                 let p = partitioner(g, k, seed);
                 quality = (edge_cut(g, &p), balance(&p));
@@ -71,13 +70,14 @@ pub fn run(opts: &Opts) -> PartitionStudy {
             let parts = engine.partitions();
             let halo = parts.iter().map(|p| halo_fraction(p)).sum::<f64>() / parts.len() as f64;
             let baseline = engine.run();
-            cfg.mode = Mode::Prefetch(PrefetchConfig {
-                f_h: 0.25,
-                gamma: 0.995,
-                delta: 16,
-                ..Default::default()
-            });
-            let prefetch = Engine::build_with(cfg.clone(), partitioner).run();
+            let prefetch = engine
+                .run_as(Mode::Prefetch(PrefetchConfig {
+                    f_h: 0.25,
+                    gamma: 0.995,
+                    delta: 16,
+                    ..Default::default()
+                }))
+                .unwrap();
             Row {
                 partitioner: name,
                 edge_cut: quality.0,

@@ -36,18 +36,16 @@ pub struct PerfModel {
 pub fn run(opts: &Opts) -> PerfModel {
     let mut points = Vec::new();
     for backend in [Backend::Cpu, Backend::Gpu] {
-        let base = engine_config(opts, DatasetKind::Products, Backend::Cpu, 2);
-        let mut base = base;
-        base.backend = backend;
-        let baseline = Engine::build(base.clone()).run();
-        let mut pcfg = base.clone();
-        pcfg.mode = Mode::Prefetch(PrefetchConfig {
-            f_h: 0.5,
-            gamma: 0.995,
-            delta: 64,
-            ..Default::default()
-        });
-        let prefetch = Engine::build(pcfg).run();
+        let engine = Engine::build(engine_config(opts, DatasetKind::Products, backend, 2));
+        let baseline = engine.run();
+        let prefetch = engine
+            .run_as(Mode::Prefetch(PrefetchConfig {
+                f_h: 0.5,
+                gamma: 0.995,
+                delta: 64,
+                ..Default::default()
+            }))
+            .unwrap();
 
         let rpc = per_trainer_mean(&baseline, |t| t.breakdown.rpc_s);
         let ddp = per_trainer_mean(&baseline, |t| t.breakdown.train_s);

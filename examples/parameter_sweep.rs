@@ -23,7 +23,10 @@ fn main() {
         ..Default::default()
     };
 
-    let baseline = Engine::build(base.clone()).run();
+    // One world for the whole sweep: the baseline is the configured
+    // mode, every grid point another mode on the same engine.
+    let engine = Engine::build(base);
+    let baseline = engine.run();
     println!("baseline DistDGL: {:.3}s", baseline.makespan_s);
     println!();
     println!(
@@ -35,14 +38,14 @@ fn main() {
     for &f_h in &[0.15, 0.25, 0.35, 0.5] {
         for &gamma in &[0.95, 0.995] {
             for &delta in &[16usize, 64, 256] {
-                let mut cfg = base.clone();
-                cfg.mode = Mode::Prefetch(PrefetchConfig {
-                    f_h,
-                    gamma,
-                    delta,
-                    ..Default::default()
-                });
-                let r = Engine::build(cfg).run();
+                let r = engine
+                    .run_as(Mode::Prefetch(PrefetchConfig {
+                        f_h,
+                        gamma,
+                        delta,
+                        ..Default::default()
+                    }))
+                    .expect("a valid prefetch configuration");
                 let impr = 100.0 * (1.0 - r.makespan_s / baseline.makespan_s);
                 let q = classify(gamma, delta);
                 println!(

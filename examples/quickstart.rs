@@ -10,7 +10,7 @@ use massivegnn::{Engine, EngineConfig, Mode, PrefetchConfig};
 use mgnn_graph::{DatasetKind, Scale};
 
 fn main() {
-    let mut cfg = EngineConfig {
+    let cfg = EngineConfig {
         dataset: DatasetKind::Products,
         scale: Scale::Unit,
         num_parts: 2,
@@ -32,19 +32,18 @@ fn main() {
         cfg.epochs
     );
 
-    // Baseline DistDGL.
-    let baseline_engine = Engine::build(cfg.clone());
-    let baseline = baseline_engine.run();
-
+    // One world, two runs: baseline DistDGL (the configured mode), then
     // MassiveGNN prefetch with eviction.
-    cfg.mode = Mode::Prefetch(PrefetchConfig {
-        f_h: 0.35,
-        gamma: 0.995,
-        delta: 32,
-        ..Default::default()
-    });
-    let prefetch_engine = Engine::build(cfg);
-    let prefetch = prefetch_engine.run();
+    let engine = Engine::build(cfg);
+    let baseline = engine.run();
+    let prefetch = engine
+        .run_as(Mode::Prefetch(PrefetchConfig {
+            f_h: 0.35,
+            gamma: 0.995,
+            delta: 32,
+            ..Default::default()
+        }))
+        .expect("a valid prefetch configuration");
 
     let b = baseline.aggregate_metrics();
     let p = prefetch.aggregate_metrics();
@@ -76,8 +75,8 @@ fn main() {
     println!(
         "{:<30} {:>14.3} {:>14.3}",
         "validation accuracy",
-        baseline_engine.evaluate(&baseline.final_params),
-        prefetch_engine.evaluate(&prefetch.final_params)
+        engine.evaluate(&baseline.final_params),
+        engine.evaluate(&prefetch.final_params)
     );
     let speedup = 100.0 * (1.0 - prefetch.makespan_s / baseline.makespan_s);
     println!();

@@ -129,14 +129,11 @@ impl std::error::Error for Error {}
 
 /// Parse a JSON document into a [`Value`].
 pub fn from_str(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: s, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(p.err("trailing data"));
     }
     Ok(v)
@@ -144,8 +141,11 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
 
 const MAX_DEPTH: usize = 256;
 
+/// A cursor over the document. `pos` is a byte offset that only ever
+/// steps over ASCII or over a whole run of a string's characters, so it
+/// always sits on a character boundary.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -158,7 +158,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -177,7 +177,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -275,13 +275,11 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("short \\u escape"))?;
-                            let s =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let n = u32::from_str_radix(s, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
+                            let n = u32::from_str_radix(hex, 16).expect("four hex digits");
                             // Surrogate pairs are not reconstructed (the
                             // writer never emits them); lone surrogates
                             // become the replacement character.
@@ -293,48 +291,31 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash
+                    // whole: both are ASCII, so the run ends on a
+                    // character boundary and is valid UTF-8 already.
+                    let rest = &self.src[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
     }
 
+    /// The run of number characters, read as an integer when it has no
+    /// fraction or exponent and as a float otherwise; a malformed run
+    /// ("1-2", "1e", "-") is an error, not a shorter number.
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if text.is_empty() || text == "-" {
-            return Err(self.err("bad number"));
-        }
-        if !is_float {
+        let text = &self.src[start..self.pos];
+        if !text.contains(['.', 'e', 'E']) {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::U64(n));
             }
@@ -421,6 +402,19 @@ mod tests {
         assert!(from_str("[1,2,]").is_err());
         assert!(from_str("[1] junk").is_err());
         assert!(from_str("\"open").is_err());
+    }
+
+    /// A string costs time in its own length, not in the length of the
+    /// document after it.
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        let long = "é-ü/".repeat(256 * 1024 / 6);
+        let doc = to_string(&Value::arr([Value::Str(long.clone()), Value::U64(7)]));
+        let start = std::time::Instant::now();
+        let v = from_str(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v, Value::arr([Value::Str(long), Value::U64(7)]));
+        assert!(took.as_secs_f64() < 1.0, "took {took:?}");
     }
 
     #[test]

@@ -696,6 +696,131 @@ fn a_second_run_of_one_engine_replays_the_first() {
     }
 }
 
+/// What a build makes does not depend on `mode`: two builds that differ
+/// only in it hold the same partitions, feed every trainer the same
+/// shard and sampler, and step the same number of times an epoch. So one
+/// engine can run any mode ([`Engine::run_as`]).
+#[test]
+fn a_build_does_not_read_the_mode() {
+    let shapes = [Shape::Baseline, Shape::Scoreboard, Shape::Lookahead2];
+    let engines = shapes.map(|shape| Engine::build(fingerprint_config(shape, false, 42)));
+    let [first, rest @ ..] = &engines;
+    for (shape, other) in shapes[1..].iter().zip(rest) {
+        assert_eq!(
+            other.steps_per_epoch(),
+            first.steps_per_epoch(),
+            "{shape:?}"
+        );
+        assert_eq!(other.world(), first.world(), "{shape:?}");
+        for (a, b) in first.partitions().iter().zip(other.partitions()) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{shape:?}: partition");
+        }
+        for t in 0..first.world() {
+            let (part_a, loader_a, sampler_a) = first.trainer_inputs(t);
+            let (part_b, loader_b, sampler_b) = other.trainer_inputs(t);
+            assert_eq!(part_a.part_id, part_b.part_id, "{shape:?}: trainer {t}");
+            assert_eq!(sampler_a, sampler_b, "{shape:?}: trainer {t}");
+            for epoch in 0..3 {
+                assert_eq!(
+                    loader_a.epoch(epoch),
+                    loader_b.epoch(epoch),
+                    "{shape:?}: trainer {t} epoch {epoch}"
+                );
+            }
+        }
+    }
+}
+
+/// One engine runs a sequence of modes, and each run reports exactly
+/// what a fresh engine built for that mode reports — under either
+/// scheduler, traced, under `light` and under `heavy`, whose crash
+/// re-arms for every run.
+#[test]
+fn run_as_matches_a_fresh_build_of_each_mode() {
+    let seed = 42;
+    let scoreboard = PrefetchConfig {
+        f_h: 0.25,
+        gamma: 0.95,
+        delta: 4,
+        ..Default::default()
+    };
+    let modes = [
+        (
+            "lookahead",
+            Mode::Prefetch(scoreboard.with_lookahead_policy(2)),
+        ),
+        ("baseline", Mode::Baseline),
+        ("scoreboard+evict", Mode::Prefetch(scoreboard)),
+        (
+            "mem-efficient, no eviction",
+            Mode::Prefetch(PrefetchConfig {
+                layout: ScoreLayout::MemEfficient,
+                ..scoreboard.without_eviction()
+            }),
+        ),
+        ("baseline again", Mode::Baseline),
+    ];
+    let profiles = [
+        ("light", FaultProfile::light(seed ^ 0xfa17)),
+        ("heavy", FaultProfile::heavy(seed ^ 0xfa17)),
+    ];
+    for (profile_name, profile) in profiles {
+        let cfg = EngineConfig {
+            fault: Some(profile),
+            ..fingerprint_config(Shape::ScoreboardTraced, false, seed)
+        };
+        let fresh: Vec<u64> = modes
+            .iter()
+            .map(|&(_, mode)| {
+                let r = Engine::build(EngineConfig {
+                    mode,
+                    ..cfg.clone()
+                })
+                .run();
+                assert!(!r.traces.is_empty());
+                report_fingerprint(&r)
+            })
+            .collect();
+        for parallel in [false, true] {
+            let engine = Engine::build(EngineConfig {
+                parallel,
+                ..cfg.clone()
+            });
+            for (&(name, mode), &expect) in modes.iter().zip(&fresh) {
+                let r = engine.run_as(mode).expect("valid mode");
+                if profile_name == "heavy" {
+                    assert_eq!(r.aggregate_metrics().server_respawns, 1, "{name}");
+                }
+                assert_eq!(
+                    report_fingerprint(&r),
+                    expect,
+                    "{name} under {profile_name}, parallel={parallel}: differs from a fresh build"
+                );
+            }
+        }
+    }
+}
+
+/// A mode a run cannot survive is refused before the run starts, with
+/// the field named — as `Engine::build` refuses it in the configuration.
+#[test]
+fn run_as_rejects_an_invalid_mode_by_name() {
+    let engine = Engine::build(fingerprint_config(Shape::Baseline, false, 42));
+    let base = PrefetchConfig::default();
+    for (field, pcfg) in [
+        ("delta", PrefetchConfig { delta: 0, ..base }),
+        ("depth", base.with_lookahead_policy(0)),
+        ("f_h", PrefetchConfig { f_h: 1.5, ..base }),
+    ] {
+        let err = engine
+            .run_as(Mode::Prefetch(pcfg))
+            .err()
+            .unwrap_or_else(|| panic!("{field}: accepted"));
+        assert!(err.contains(field), "{field}: {err}");
+    }
+    assert!(engine.run_as(Mode::Baseline).is_ok());
+}
+
 /// The partitioner is an argument of the constructor: naming the default
 /// changes nothing, and an assignment the multilevel partitioner did not
 /// make (hash: every other node remote, halo fractions near 1) runs
