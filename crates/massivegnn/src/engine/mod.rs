@@ -347,11 +347,10 @@ impl Engine {
             final_params,
             traces,
         };
-        // Final telemetry gauges: run-level summaries a mid-run scrape
-        // can't derive from counters alone.
+        // The one run-level value a scrape cannot count off the attached
+        // sets (the world is their number): known only once the run ends.
         if cfg.telemetry {
-            registry::MAKESPAN.set(report.makespan_s);
-            registry::WORLD.set(report.world as f64);
+            registry::record_makespan(report.makespan_s);
         }
         // Hand a copy to the global capture sink, if one is installed
         // (the repro binary's trace/JSON export path). One atomic load

@@ -179,13 +179,10 @@ impl TrainerState {
         );
         self.breakdown.train_s += t_train;
 
-        // Live telemetry: step counters and modeled per-lane latencies.
-        // Wall-clock only — nothing here feeds the simulated clock or the
-        // report.
+        // Live telemetry: the step and its modeled per-lane latencies.
+        // Nothing here feeds the simulated clock or the report.
         if cfg.telemetry {
-            registry::STEPS.inc();
-            registry::STEP_LATENCY.record("prepare", timing.t_prepare());
-            registry::STEP_LATENCY.record("train", t_train);
+            registry::record_step(timing.t_prepare(), t_train);
         }
 
         // Real math, if enabled. Model math is workload, not trainer-loop

@@ -1,6 +1,8 @@
 //! Hit-rate tracking (Eq. 8) with per-window series for the Fig. 10
 //! progression plots.
 
+use mgnn_obs::counters::hit_rate;
+
 /// Records per-minibatch hit/miss counts and exposes cumulative and
 /// windowed hit rates.
 ///
@@ -51,23 +53,12 @@ impl HitRateTracker {
     /// Cumulative hit rate `h/(h+m)` over everything recorded
     /// (0 when empty).
     pub fn cumulative(&self) -> f64 {
-        let h: u64 = self.hits.iter().sum();
-        let m: u64 = self.misses.iter().sum();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
+        hit_rate(self.hits.iter().sum(), self.misses.iter().sum())
     }
 
     /// Hit rate of minibatch `i`.
     pub fn at(&self, i: usize) -> f64 {
-        let t = self.hits[i] + self.misses[i];
-        if t == 0 {
-            0.0
-        } else {
-            self.hits[i] as f64 / t as f64
-        }
+        hit_rate(self.hits[i], self.misses[i])
     }
 
     /// Non-overlapping window means: one point per `window` minibatches
@@ -87,7 +78,7 @@ impl HitRateTracker {
             let h: u64 = self.hits[i..end].iter().sum();
             let m: u64 = self.misses[i..end].iter().sum();
             if h + m > 0 {
-                out.push(h as f64 / (h + m) as f64);
+                out.push(hit_rate(h, m));
             }
             i = end;
         }

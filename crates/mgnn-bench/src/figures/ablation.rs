@@ -45,13 +45,15 @@ pub fn run(opts: &Opts) -> Ablation {
     let (part, loader, sampler) = engine.trainer_inputs(0);
     let num_local = part.num_local();
 
+    // The engine's schedule: `steps_per_epoch()` steps an epoch (the
+    // minimum shard's), at the engine's global step numbers — not every
+    // batch of trainer 0's shard.
     let epochs = (opts.epochs * 8).max(12) as u64;
-    let mut stream: Vec<Vec<u32>> = Vec::new();
-    let mut gs = 0u64;
+    let steps = engine.steps_per_epoch();
+    let mut stream: Vec<Vec<u32>> = Vec::with_capacity(epochs as usize * steps);
     for epoch in 0..epochs {
-        for seeds in loader.epoch(epoch).iter() {
-            let mb = sampler.sample(&part, seeds, epoch, gs);
-            gs += 1;
+        for (i, seeds) in loader.epoch(epoch).iter().take(steps).enumerate() {
+            let mb = sampler.sample(&part, seeds, epoch, epoch * steps as u64 + i as u64);
             let (_, halo) = mb.split_local_halo(num_local);
             stream.push(halo.iter().map(|&l| l - num_local as u32).collect());
         }
@@ -120,6 +122,23 @@ impl fmt::Display for Ablation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stream_replays_the_engines_steps() {
+        // At batch 32 trainer 0's shard has 8 batches an epoch and the
+        // smallest shard 7: the engine runs 7, so the replay must too.
+        let mut opts = Opts::quick();
+        opts.batch_size = 32;
+        let cfg = engine_config(&opts, DatasetKind::Products, Backend::Cpu, 2);
+        let engine = Engine::build(cfg);
+        let steps = engine.steps_per_epoch();
+        assert!(
+            engine.trainer_inputs(0).1.batches_per_epoch() > steps,
+            "the world must have unequal shards"
+        );
+        let epochs = (opts.epochs * 8).max(12);
+        assert_eq!(run(&opts).minibatches, epochs * steps);
+    }
 
     #[test]
     fn score_based_competitive_with_few_maintenance_rounds() {

@@ -110,15 +110,20 @@ counter_table! {
     planned_rows: "mgnn_planned_rows_total", "Feature rows fetched by lookahead-planned pulls", fault = false;
 }
 
+/// Hit rate (Eq. 8 of the paper): `hits / (hits + misses)`; 0.0 with
+/// no lookups. The one formula behind every reported hit rate.
+pub fn hit_rate(hits: u64, misses: u64) -> f64 {
+    let lookups = hits + misses;
+    if lookups == 0 {
+        0.0
+    } else {
+        hits as f64 / lookups as f64
+    }
+}
+
 impl CounterSnapshot {
-    /// Cumulative hit rate (Eq. 8 of the paper): `h / (h + m)`; 0.0
-    /// before any lookup. The one formula behind every reported hit rate.
+    /// Cumulative [`hit_rate`] over every lookup counted.
     pub fn hit_rate(&self) -> f64 {
-        let t = self.buffer_hits + self.buffer_misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.buffer_hits as f64 / t as f64
-        }
+        hit_rate(self.buffer_hits, self.buffer_misses)
     }
 }

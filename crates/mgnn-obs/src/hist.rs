@@ -23,6 +23,14 @@ pub struct LatencyHistogram {
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LatencyHistogram {
+    /// Empty histogram. `const` so the live registry's lanes can sit in
+    /// a static.
+    pub const fn new() -> Self {
         LatencyHistogram {
             counts: [0; NUM_BUCKETS],
             count: 0,
@@ -30,13 +38,6 @@ impl Default for LatencyHistogram {
             min_s: f64::INFINITY,
             max_s: 0.0,
         }
-    }
-}
-
-impl LatencyHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self::default()
     }
 
     fn bucket_of(dur_s: f64) -> usize {

@@ -18,11 +18,15 @@
 //!    without rewiring them.
 //! 4. **Live telemetry** ([`counters`], [`registry`], [`prom`],
 //!    [`events`]) — the one table every per-trainer counter is declared
-//!    in, a process-global registry that a telemetry run attaches its
-//!    trainers' counter sets to (a scrape reads the atomics the report
-//!    is snapshotted from), Prometheus text exposition over a one-thread
-//!    scrape server, and a request-correlated event log that ties every
-//!    degraded row to the fault verdict that caused it.
+//!    in (and the one Eq. 8 [`counters::hit_rate`]), a process-global
+//!    registry — one state behind one lock — that a telemetry run
+//!    attaches its trainers' counter sets to (a scrape reads the atomics
+//!    the report is snapshotted from, and counts the world off them)
+//!    beside the step count, the makespan and the per-lane step
+//!    latencies, Prometheus text exposition of one [`registry::scrape`]
+//!    over a one-thread scrape server, and a request-correlated event
+//!    log that ties every degraded row to the fault verdict that caused
+//!    it.
 //!
 //! Recording is strictly opt-in: when tracing is off, no recorder exists
 //! and every integration point short-circuits on `Option::None`, so the

@@ -17,7 +17,6 @@
 //! The server only ever *reads* the registry; it cannot perturb the
 //! simulated clock or any report.
 
-use crate::hist::LatencyHistogram;
 use crate::registry;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -44,45 +43,13 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn render_histogram(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    label_key: &str,
-    series: &[(&str, LatencyHistogram)],
-) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} histogram\n"));
-    for (label, hist) in series {
-        let mut cumulative = 0u64;
-        for (_, hi, count) in hist.buckets() {
-            cumulative += count;
-            out.push_str(&format!(
-                "{name}_bucket{{{label_key}=\"{label}\",le=\"{}\"}} {cumulative}\n",
-                fmt_f64(hi)
-            ));
-        }
-        out.push_str(&format!(
-            "{name}_bucket{{{label_key}=\"{label}\",le=\"+Inf\"}} {}\n",
-            hist.count()
-        ));
-        out.push_str(&format!(
-            "{name}_sum{{{label_key}=\"{label}\"}} {}\n",
-            fmt_f64(hist.sum_s())
-        ));
-        out.push_str(&format!(
-            "{name}_count{{{label_key}=\"{label}\"}} {}\n",
-            hist.count()
-        ));
-    }
-}
-
-/// Render the entire registry as Prometheus text exposition. The output
-/// is deterministic for fixed metric values: the per-trainer counters
-/// render in table order from one [`registry::scrape`], the hit-rate
-/// gauge is derived from that same scrape through the one `hit_rate`
-/// formula — so it is live, not a value stored at the end of a run — and
-/// histogram series sort by label.
+/// Render the entire registry as Prometheus text exposition, from one
+/// [`registry::scrape`]. The output is deterministic for fixed metric
+/// values: the per-trainer counters render in table order, then the step
+/// counter, the hit-rate gauge — derived from the same scrape through the
+/// one `hit_rate` formula, so it is live, not a value stored at the end
+/// of a run — the makespan and world gauges, and one histogram series
+/// per lane of [`registry::LANES`] that has samples.
 pub fn render() -> String {
     let mut out = String::with_capacity(4096);
     let mut family = |name: &str, help: &str, kind: &str, value: String| {
@@ -91,22 +58,56 @@ pub fn render() -> String {
         ));
     };
     let live = registry::scrape();
-    let steps = &registry::STEPS;
-    let engine_side = [(steps.name(), steps.help(), steps.get())];
-    for (name, help, value) in live.rows().chain(engine_side) {
+    for (name, help, value) in live.counters.rows() {
         family(name, help, "counter", value.to_string());
     }
+    family(
+        "mgnn_steps_total",
+        "Training steps completed",
+        "counter",
+        live.steps.to_string(),
+    );
     family(
         "mgnn_buffer_hit_rate",
         "Cumulative prefetch buffer hit rate of the attached trainers",
         "gauge",
-        fmt_f64(live.hit_rate()),
+        fmt_f64(live.counters.hit_rate()),
     );
-    for g in registry::GAUGES {
-        family(g.name(), g.help(), "gauge", fmt_f64(g.get()));
-    }
-    for h in registry::HISTOGRAMS {
-        render_histogram(&mut out, h.name(), h.help(), h.label_key(), &h.series());
+    family(
+        "mgnn_sim_makespan_seconds",
+        "Simulated makespan of the last finished run (slowest trainer)",
+        "gauge",
+        fmt_f64(live.makespan_s),
+    );
+    family(
+        "mgnn_world_trainers",
+        "Total trainers in the last started run",
+        "gauge",
+        live.world.to_string(),
+    );
+
+    let name = "mgnn_step_latency";
+    out.push_str(&format!(
+        "# HELP {name} Simulated per-step latency by pipeline lane\n# TYPE {name} histogram\n"
+    ));
+    for (lane, hist) in registry::LANES.iter().zip(&live.lanes) {
+        if hist.count() == 0 {
+            continue;
+        }
+        let mut cumulative = 0u64;
+        for (_, hi, count) in hist.buckets() {
+            cumulative += count;
+            out.push_str(&format!(
+                "{name}_bucket{{lane=\"{lane}\",le=\"{}\"}} {cumulative}\n",
+                fmt_f64(hi)
+            ));
+        }
+        let (count, sum) = (hist.count(), fmt_f64(hist.sum_s()));
+        out.push_str(&format!(
+            "{name}_bucket{{lane=\"{lane}\",le=\"+Inf\"}} {count}\n\
+             {name}_sum{{lane=\"{lane}\"}} {sum}\n\
+             {name}_count{{lane=\"{lane}\"}} {count}\n"
+        ));
     }
     out
 }
@@ -243,13 +244,12 @@ mod tests {
         set.buffer_hits.fetch_add(3, Ordering::Relaxed);
         set.buffer_misses.fetch_add(1, Ordering::Relaxed);
         for i in 1..=100u64 {
-            registry::STEP_LATENCY.record("train", i as f64 * 1.0e-6);
+            registry::record_step(3.0e-3, i as f64 * 1.0e-6);
         }
-        registry::STEP_LATENCY.record("prepare", 3.0e-3);
 
         let text = render();
         // HELP precedes TYPE precedes the sample for every metric.
-        for (name, _, _) in registry::scrape().rows() {
+        for (name, _, _) in registry::scrape().counters.rows() {
             let help_at = text.find(&format!("# HELP {name} ")).unwrap();
             let type_at = text.find(&format!("# TYPE {name} counter")).unwrap();
             assert!(help_at < type_at, "{name}: HELP after TYPE");
@@ -261,7 +261,9 @@ mod tests {
         assert!(text.contains("# TYPE mgnn_step_latency histogram"));
         assert!(text.contains("mgnn_step_latency_bucket{lane=\"train\",le=\"+Inf\"} 100\n"));
         assert!(text.contains("mgnn_step_latency_count{lane=\"train\"} 100\n"));
-        assert!(text.contains("mgnn_step_latency_count{lane=\"prepare\"} 1\n"));
+        assert!(text.contains("mgnn_step_latency_count{lane=\"prepare\"} 100\n"));
+        assert!(text.contains("mgnn_steps_total 100\n"));
+        assert!(text.contains("mgnn_world_trainers 1\n"));
 
         // Bucket counts are cumulative, hence monotone per series.
         let mut last = 0u64;
@@ -289,7 +291,82 @@ mod tests {
             "server must stop serving after shutdown"
         );
         registry::disable();
-        registry::reset();
+    }
+
+    /// The world is the number of attached sets, readable as soon as the
+    /// trainers attach — not a value stored when a run finishes.
+    #[test]
+    fn world_is_counted_off_the_attached_sets() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        registry::enable();
+        registry::attach(Arc::new(CounterSet::default()));
+        registry::attach(Arc::new(CounterSet::default()));
+        let text = render();
+        registry::disable();
+        assert!(text.contains("\nmgnn_world_trainers 2\n"), "{text}");
+    }
+
+    /// Send `bytes` (then half-close) and read whatever comes back; a
+    /// reset or a refused write reads as a close.
+    fn exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let _ = stream.write_all(bytes);
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut out = Vec::new();
+        let _ = stream.read_to_end(&mut out);
+        out
+    }
+
+    #[test]
+    fn scrape_server_survives_hostile_requests() {
+        let mut long_line = b"GET /metrics".to_vec();
+        long_line.resize(4096, b'a');
+        long_line.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+        let mut hostile: Vec<Vec<u8>> = vec![
+            vec![0xff, 0xfe, 0xc3, 0x28, b' ', 0x80, b'\r', b'\n'],
+            b"GET /\xe2\x28\xa1 HTTP/1.1\r\n\r\n".to_vec(),
+            long_line,
+            b"GET".to_vec(),
+            b"GET\r\n\r\n".to_vec(),
+            Vec::new(),
+        ];
+        // Random bytes from a fixed xorshift stream, some 1 024+ long.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for len in [1usize, 7, 64, 1023, 1024, 1025, 3000] {
+            hostile.push(
+                (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x as u8
+                    })
+                    .collect(),
+            );
+        }
+
+        let server = ScrapeServer::start(0).unwrap();
+        let addr = server.local_addr();
+        for bytes in &hostile {
+            let reply = exchange(addr, bytes);
+            let status = String::from_utf8_lossy(&reply[..reply.len().min(12)]).into_owned();
+            assert!(
+                reply.is_empty()
+                    || ["HTTP/1.1 200", "HTTP/1.1 404", "HTTP/1.1 405"].contains(&status.as_str()),
+                "{status:?} for {} bytes",
+                bytes.len()
+            );
+        }
+        // Connect, then hang up without a byte.
+        drop(TcpStream::connect(addr).unwrap());
+
+        let ok = String::from_utf8(exchange(addr, b"GET /metrics HTTP/1.1\r\n\r\n")).unwrap();
+        assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
+        assert!(ok.contains("# TYPE mgnn_steps_total counter\n"));
+        server.shutdown();
     }
 
     /// Generating the snapshot's serializer and the exposition from one

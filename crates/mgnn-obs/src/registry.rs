@@ -1,15 +1,16 @@
-//! Live metric registry: what a scrape can read while a run is going.
+//! Live telemetry: what a scrape can read while a run is going.
 //!
 //! The span layer ([`crate::span`]) buffers everything and exports after
 //! the run; the registry answers *live* questions, and holds no copy of
 //! anything the run report counts. A telemetry run [`attach`]es each
 //! trainer's own [`CounterSet`] — the atomics its `CommMetrics` updates
-//! and its report is snapshotted from — and a scrape ([`crate::prom`])
-//! sums what is attached ([`scrape`]): scraped totals equal the report's
-//! aggregate because they are the same memory, and recording a counter
-//! never names the registry. Beside the sets sit the few engine-side
-//! values no trainer owns: a step counter, two run-level gauges and the
-//! per-lane step-latency histogram.
+//! and its report is snapshotted from — and [`scrape`] sums what is
+//! attached: scraped totals equal the report's aggregate because they are
+//! the same memory, and recording a counter never names the registry.
+//! The world is counted off the attached sets, one per trainer. Beside
+//! them, under the same lock, sit the only values no trainer owns: the
+//! step count, the last finished run's makespan and one step-latency
+//! histogram per pipeline lane ([`LANES`]).
 //!
 //! Lifecycle mirrors [`crate::sink`]: disabled by default; [`enable`]
 //! resets first, so everything a scrape shows is attributable to the run
@@ -19,194 +20,56 @@
 
 use crate::counters::{CounterSet, CounterSnapshot};
 use crate::hist::LatencyHistogram;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// A monotonically increasing counter (Prometheus `counter`) for events
-/// no trainer owns; per-trainer counters are rows of [`crate::counters`].
-pub struct Counter {
-    name: &'static str,
-    help: &'static str,
-    value: AtomicU64,
+/// The pipeline lanes a step's simulated latency is recorded under, in
+/// render order.
+pub const LANES: [&str; 2] = ["prepare", "train"];
+
+/// Everything the registry holds, behind one lock.
+struct State {
+    attached: Vec<Arc<CounterSet>>,
+    steps: u64,
+    makespan_s: f64,
+    lanes: [LatencyHistogram; 2],
 }
 
-impl Counter {
-    /// A new zeroed counter. `const` so counters can be statics.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Counter {
-            name,
-            help,
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Add 1.
-    pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Metric name as exposed to Prometheus.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One-line help string.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A last-write-wins f64 gauge (stored as bits in an `AtomicU64`).
-pub struct Gauge {
-    name: &'static str,
-    help: &'static str,
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// A new gauge at 0.0 (`f64` zero is all-zero bits).
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Gauge {
-            name,
-            help,
-            bits: AtomicU64::new(0),
-        }
-    }
-
-    /// Set the gauge.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Metric name as exposed to Prometheus.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One-line help string.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
-    fn reset(&self) {
-        self.bits.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A log₂-bucketed duration histogram ([`LatencyHistogram`]) per label
-/// value, under one static label key. Label values are `&'static str`
-/// so recording never allocates once a series exists; series are kept
-/// sorted by label so scrapes render deterministically.
-pub struct LabeledHistogram {
-    name: &'static str,
-    help: &'static str,
-    label_key: &'static str,
-    series: Mutex<Vec<(&'static str, LatencyHistogram)>>,
-}
-
-impl LabeledHistogram {
-    /// A new empty histogram family.
-    pub const fn new(name: &'static str, help: &'static str, label_key: &'static str) -> Self {
-        LabeledHistogram {
-            name,
-            help,
-            label_key,
-            series: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Record one duration (seconds) under `label`.
-    pub fn record(&self, label: &'static str, dur_s: f64) {
-        let mut series = self.series.lock().unwrap();
-        match series.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, h)) => h.record(dur_s),
-            None => {
-                let mut h = LatencyHistogram::new();
-                h.record(dur_s);
-                series.push((label, h));
-                series.sort_by_key(|(l, _)| *l);
-            }
-        }
-    }
-
-    /// Snapshot of every `(label, histogram)` series.
-    pub fn series(&self) -> Vec<(&'static str, LatencyHistogram)> {
-        self.series.lock().unwrap().clone()
-    }
-
-    /// Metric name as exposed to Prometheus.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One-line help string.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-
-    /// The label key every series is keyed under.
-    pub fn label_key(&self) -> &'static str {
-        self.label_key
-    }
-
-    fn reset(&self) {
-        self.series.lock().unwrap().clear();
-    }
-}
-
-/// Training steps completed (engine-side; not a per-trainer counter).
-pub static STEPS: Counter = Counter::new("mgnn_steps_total", "Training steps completed");
-
-/// Simulated makespan of the latest finished run.
-pub static MAKESPAN: Gauge = Gauge::new(
-    "mgnn_sim_makespan_seconds",
-    "Simulated makespan of the last finished run (slowest trainer)",
-);
-/// World size of the latest run.
-pub static WORLD: Gauge = Gauge::new(
-    "mgnn_world_trainers",
-    "Total trainers in the last started run",
-);
-
-/// Per-step latency, labeled by pipeline lane (`prepare`/`train`).
-/// Durations are *simulated* seconds — the registry observes the cost
-/// model, it never feeds back into it.
-pub static STEP_LATENCY: LabeledHistogram = LabeledHistogram::new(
-    "mgnn_step_latency",
-    "Simulated per-step latency by pipeline lane",
-    "lane",
-);
-
-/// Every stored gauge, in render order (the hit-rate gauge is derived
-/// from [`scrape`] at render time and precedes them).
-pub static GAUGES: [&Gauge; 2] = [&MAKESPAN, &WORLD];
-
-/// Every histogram family, in render order.
-pub static HISTOGRAMS: [&LabeledHistogram; 1] = [&STEP_LATENCY];
+const EMPTY: State = State {
+    attached: Vec::new(),
+    steps: 0,
+    makespan_s: 0.0,
+    lanes: [LatencyHistogram::new(), LatencyHistogram::new()],
+};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+static STATE: Mutex<State> = Mutex::new(EMPTY);
 
-/// The trainers' own counter sets, as attached by the current run.
-static ATTACHED: Mutex<Vec<Arc<CounterSet>>> = Mutex::new(Vec::new());
+fn state() -> MutexGuard<'static, State> {
+    STATE.lock().unwrap()
+}
 
-/// Enable the registry, resetting it first so totals are attributable
-/// to the run that enabled it.
+/// One read of the registry: everything [`crate::prom::render`] lowers.
+#[derive(Debug, Clone)]
+pub struct Scrape {
+    /// The attached sets, summed: what a run report's aggregate will say
+    /// once the counters stop moving, read live.
+    pub counters: CounterSnapshot,
+    /// Counter sets attached, one per trainer of the run being watched.
+    pub world: usize,
+    /// Trainer-steps completed.
+    pub steps: u64,
+    /// Simulated makespan of the last finished run; 0 until one finishes.
+    pub makespan_s: f64,
+    /// Simulated per-step latency of each of [`LANES`], in order. The
+    /// registry observes the cost model; it never feeds back into it.
+    pub lanes: [LatencyHistogram; 2],
+}
+
+/// Enable the registry, resetting it first so everything a scrape shows
+/// is attributable to the run that enabled it.
 pub fn enable() {
-    reset();
+    *state() = EMPTY;
     ENABLED.store(true, Ordering::Release);
 }
 
@@ -222,32 +85,38 @@ pub fn enabled() -> bool {
 }
 
 /// Make a trainer's counters visible to scrapes until the next
-/// [`enable`] or [`reset`]. Ignored while the registry is disabled.
+/// [`enable`]. Ignored while the registry is disabled.
 pub fn attach(set: Arc<CounterSet>) {
     if enabled() {
-        ATTACHED.lock().unwrap().push(set);
+        state().attached.push(set);
     }
 }
 
-/// The attached sets, summed: what a run report's aggregate will say
-/// once the counters stop moving, read live.
-pub fn scrape() -> CounterSnapshot {
-    let attached = ATTACHED.lock().unwrap();
-    attached
-        .iter()
-        .fold(CounterSnapshot::default(), |a, s| a.merge(&s.snapshot()))
+/// Book one trainer-step and its simulated prepare and train latencies.
+pub fn record_step(prepare_s: f64, train_s: f64) {
+    let mut state = state();
+    state.steps += 1;
+    state.lanes[0].record(prepare_s);
+    state.lanes[1].record(train_s);
 }
 
-/// Drop every attached set, zero the engine-side counter and gauges and
-/// clear every histogram series.
-pub fn reset() {
-    ATTACHED.lock().unwrap().clear();
-    STEPS.reset();
-    for g in GAUGES {
-        g.reset();
-    }
-    for h in HISTOGRAMS {
-        h.reset();
+/// Book a finished run's simulated makespan (its slowest trainer).
+pub fn record_makespan(makespan_s: f64) {
+    state().makespan_s = makespan_s;
+}
+
+/// Read everything at once.
+pub fn scrape() -> Scrape {
+    let state = state();
+    Scrape {
+        counters: state
+            .attached
+            .iter()
+            .fold(CounterSnapshot::default(), |a, s| a.merge(&s.snapshot())),
+        world: state.attached.len(),
+        steps: state.steps,
+        makespan_s: state.makespan_s,
+        lanes: state.lanes.clone(),
     }
 }
 
@@ -265,108 +134,108 @@ mod tests {
     #[test]
     fn lifecycle() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
+        disable();
         assert!(!enabled());
         let ignored = Arc::new(CounterSet::default());
         ignored.rpc_calls.fetch_add(9, Ordering::Relaxed);
+        let before = scrape().world;
         attach(Arc::clone(&ignored));
         assert_eq!(
-            scrape().rpc_calls,
-            0,
+            scrape().world,
+            before,
             "a disabled registry attaches nothing"
         );
 
-        STEPS.inc();
-        STEPS.inc();
-        assert_eq!(STEPS.get(), 2);
-        MAKESPAN.set(0.75);
-        assert_eq!(MAKESPAN.get(), 0.75);
-
-        STEP_LATENCY.record("train", 1.0e-3);
-        STEP_LATENCY.record("prepare", 2.0e-3);
-        STEP_LATENCY.record("train", 3.0e-3);
-        let series = STEP_LATENCY.series();
-        assert_eq!(series.len(), 2);
-        // Sorted by label for deterministic rendering.
-        assert_eq!(series[0].0, "prepare");
-        assert_eq!(series[1].0, "train");
-        assert_eq!(series[1].1.count(), 2);
+        record_step(2.0e-3, 1.0e-3);
+        record_step(4.0e-3, 3.0e-3);
+        record_makespan(0.75);
+        let live = scrape();
+        assert_eq!(live.makespan_s, 0.75);
+        let [prepare, train] = &live.lanes;
+        assert_eq!((prepare.count(), train.count()), (live.steps, live.steps));
+        assert!(live.steps >= 2);
 
         enable();
         assert!(enabled(), "enable flips the flag");
-        assert_eq!(STEPS.get(), 0, "enable resets counters");
-        assert_eq!(MAKESPAN.get(), 0.0, "enable resets gauges");
-        assert!(STEP_LATENCY.series().is_empty(), "enable resets histograms");
+        let empty = scrape();
+        assert_eq!(empty.steps, 0, "enable resets the step count");
+        assert_eq!(empty.makespan_s, 0.0, "enable resets the makespan");
+        assert!(
+            empty.lanes.iter().all(|h| h.count() == 0),
+            "enable resets the lanes"
+        );
+        assert_eq!(
+            (empty.world, empty.counters),
+            (0, CounterSnapshot::default())
+        );
 
         // Attached *before* its increments: a scrape reads the set's own
-        // atomics, so two scrapes around an increment are monotone and
-        // two sets sum.
+        // atomics, so two scrapes around an increment are monotone, two
+        // sets sum, and the world is the number attached.
         let (a, b) = (
             Arc::new(CounterSet::default()),
             Arc::new(CounterSet::default()),
         );
         attach(Arc::clone(&a));
         attach(Arc::clone(&b));
-        assert_eq!(scrape(), CounterSnapshot::default());
+        assert_eq!(scrape().world, 2, "the world is counted off the sets");
         a.rpc_calls.fetch_add(7, Ordering::Relaxed);
-        let first = scrape();
+        let first = scrape().counters;
         assert_eq!(first.rpc_calls, 7);
         b.rpc_calls.fetch_add(1, Ordering::Relaxed);
         b.evictions.fetch_add(4, Ordering::Relaxed);
-        let second = scrape();
+        let second = scrape().counters;
         assert_eq!((second.rpc_calls, second.evictions), (8, 4));
         for ((name, _, was), (_, _, is)) in first.rows().zip(second.rows()) {
             assert!(is >= was, "{name} went back");
         }
+        record_step(1.0e-3, 2.0e-3);
+        let [prepare, train] = &scrape().lanes;
+        assert_eq!((prepare.sum_s(), train.sum_s()), (1.0e-3, 2.0e-3));
 
         disable();
         assert!(!enabled());
+        let kept = scrape();
         assert_eq!(
-            scrape(),
-            second,
-            "disable keeps the sets for a final scrape"
+            (kept.counters, kept.world, kept.steps),
+            (second, 2, 1),
+            "disable keeps everything for a final scrape"
         );
         a.rpc_calls.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(scrape().rpc_calls, 9, "and they are still read live");
+        assert_eq!(
+            scrape().counters.rpc_calls,
+            9,
+            "and the sets are still read live"
+        );
 
         enable();
+        let next = scrape();
         assert_eq!(
-            scrape(),
-            CounterSnapshot::default(),
+            (next.counters, next.world),
+            (CounterSnapshot::default(), 0),
             "the next enable drops the previous run's sets"
         );
         disable();
-        reset();
     }
 
     #[test]
     fn metric_names_are_prometheus_style() {
-        let table = CounterSnapshot::default();
-        for (name, help) in table
-            .rows()
-            .map(|(name, help, _)| (name, help))
-            .chain([(STEPS.name(), STEPS.help())])
-        {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let text = crate::prom::render();
+        let mut names = Vec::new();
+        for family in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+            let (name, kind) = family.split_once(' ').unwrap();
             assert!(name.starts_with("mgnn_"), "{name}");
-            assert!(name.ends_with("_total"), "{name}");
-            assert!(!help.is_empty());
+            assert_eq!(name.ends_with("_total"), kind == "counter", "{name} {kind}");
+            let help = text
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("# HELP {name} ")))
+                .unwrap_or_else(|| panic!("{name} has no help"));
+            assert!(!help.is_empty(), "{name}");
+            names.push(name);
         }
-        for g in GAUGES {
-            assert!(g.name().starts_with("mgnn_"), "{}", g.name());
-            assert!(!g.name().ends_with("_total"), "{}", g.name());
-        }
-        for h in HISTOGRAMS {
-            assert!(h.name().starts_with("mgnn_"), "{}", h.name());
-            assert!(!h.label_key().is_empty());
-        }
-        // Names must be unique across the whole registry.
-        let mut names: Vec<&str> = table
-            .rows()
-            .map(|(name, _, _)| name)
-            .chain([STEPS.name()])
-            .chain(GAUGES.iter().map(|g| g.name()))
-            .chain(HISTOGRAMS.iter().map(|h| h.name()))
-            .collect();
+        assert!(names.len() > CounterSnapshot::default().rows().count());
+        // Names must be unique across the whole exposition.
         names.sort_unstable();
         let before = names.len();
         names.dedup();

@@ -217,14 +217,9 @@ pub struct StepPoint {
 }
 
 impl StepPoint {
-    /// Hit rate of this step; 0.0 with no lookups.
+    /// Hit rate of this step ([`crate::counters::hit_rate`]).
     pub fn hit_rate(&self) -> f64 {
-        let t = self.hits + self.misses;
-        if t == 0 {
-            0.0
-        } else {
-            self.hits as f64 / t as f64
-        }
+        crate::counters::hit_rate(self.hits, self.misses)
     }
 }
 

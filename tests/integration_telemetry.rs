@@ -6,6 +6,7 @@
 //! so concurrent tests in this binary would cross-contaminate them.
 
 use massivegnn::{Engine, EngineConfig, FaultProfile, Mode, PrefetchConfig, RunReport};
+use mgnn_graph::{DatasetKind, Scale};
 use mgnn_obs::{events, prom, registry};
 use serde::Serialize;
 
@@ -39,9 +40,9 @@ fn fingerprint(r: &RunReport) -> String {
 /// for every row, present and future.
 fn assert_registry_reconciles(report: &RunReport) {
     let agg = report.aggregate_metrics();
-    let scraped = registry::scrape();
+    let live = registry::scrape();
     let text = prom::render();
-    for ((name, help, got), (_, _, want)) in scraped.rows().zip(agg.rows()) {
+    for ((name, help, got), (_, _, want)) in live.counters.rows().zip(agg.rows()) {
         assert_eq!(got, want, "scraped {name} diverged from the report");
         assert!(text.contains(&format!("# HELP {name} {help}\n")));
         assert!(text.contains(&format!("# TYPE {name} counter\n")));
@@ -59,23 +60,49 @@ fn assert_registry_reconciles(report: &RunReport) {
         gauge.parse::<f64>().unwrap().to_bits(),
         report.hit_rate().to_bits()
     );
-    // Step counter and gauges: run-level, not per-trainer.
+    // Run-level values: the world is the attached sets, one per trainer.
     let total_steps: u64 = report.trainers.iter().map(|t| t.minibatches).sum();
-    assert_eq!(registry::STEPS.get(), total_steps);
-    assert_eq!(registry::MAKESPAN.get(), report.makespan_s);
-    assert_eq!(registry::WORLD.get(), report.world as f64);
-    // The step-latency histogram saw one train sample per step.
-    let series = registry::STEP_LATENCY.series();
-    let train = series
-        .iter()
-        .find(|(label, _)| *label == "train")
-        .expect("train lane recorded");
-    assert_eq!(train.1.count(), total_steps);
-    assert!(text.contains("mgnn_step_latency_bucket{lane=\"train\",le=\"+Inf\"}"));
+    assert_eq!(live.steps, total_steps);
+    assert_eq!(live.makespan_s, report.makespan_s);
+    assert_eq!(live.world, report.world);
+    // Each lane's histogram saw one sample per step.
+    for (lane, hist) in registry::LANES.iter().zip(&live.lanes) {
+        assert_eq!(hist.count(), total_steps, "{lane}");
+        assert!(text.contains(&format!(
+            "mgnn_step_latency_count{{lane=\"{lane}\"}} {total_steps}\n"
+        )));
+    }
 }
+
+/// 64-bit FNV-1a.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of the final exposition of a sequential telemetry run
+/// (Products/Unit, 2 parts × 2 trainers, prefetch, seed 42), recorded
+/// when the registry still stored its values in per-metric statics.
+const PARENT_EXPOSITION: u64 = 0x5b78_bf32_e99f_47c0;
 
 #[test]
 fn telemetry_reconciles_and_never_perturbs_reports() {
+    // --- 0. The final exposition of a sequential run, pinned byte for
+    // byte: every family, in order, with its help text and values.
+    let cfg = EngineConfig {
+        dataset: DatasetKind::Products,
+        scale: Scale::Unit,
+        num_parts: 2,
+        trainers_per_part: 2,
+        ..telemetry_config(42, None)
+    };
+    let report = Engine::build(cfg).run();
+    assert_registry_reconciles(&report);
+    let text = prom::render();
+    assert_eq!(fnv(text.as_bytes()), PARENT_EXPOSITION, "{text}");
+    registry::disable();
+
     // --- 1. Scrape ≡ report on the threaded engine, pool widths 1 and 4
     // (every trainer thread and prepare thread updates its attached set
     // at once). The registry stays armed and the sets attached after the
