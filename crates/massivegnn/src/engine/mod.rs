@@ -87,24 +87,32 @@ impl Engine {
 
     /// Build the experiment: generate, partition, shard, build the cluster.
     /// `partitioner` gets the graph, `num_parts` and the seed, and makes
-    /// the first-level assignment.
+    /// the first-level assignment; it runs on a thread of its own while
+    /// the features are synthesized.
     pub fn build_with(
         cfg: EngineConfig,
-        partitioner: impl FnOnce(&CsrGraph, usize, u64) -> Partitioning,
+        partitioner: impl FnOnce(&CsrGraph, usize, u64) -> Partitioning + Send,
     ) -> Self {
         if let Err(problem) = cfg.validate() {
             panic!("invalid EngineConfig: {problem}");
         }
         // Five stages, each holding only what it reads (DESIGN §9,
-        // "Set-up"). The feature synthesis scratch is the largest
-        // transient of a build, so it overlaps as little as it can: the
-        // graph is partitioned before any feature exists, and the
-        // features are synthesized while nothing but the graph and the
-        // assignment is live — before the halo views. The cluster then
-        // shares that one matrix instead of copying shards.
+        // "Set-up"). Partitioning and feature synthesis both only read
+        // the graph, so the partitioner runs on a second thread while
+        // this one synthesizes. The halo views come after both, so the
+        // synthesis scratch is returned before they exist. The cluster
+        // then shares the one matrix instead of copying shards.
         let topology = DatasetGraph::generate(cfg.dataset, cfg.scale, cfg.seed);
-        let partitioning = partitioner(&topology.graph, cfg.num_parts, cfg.seed);
-        let dataset = topology.with_features();
+        let (partitioning, features) = std::thread::scope(|scope| {
+            let partitioning =
+                scope.spawn(|| partitioner(&topology.graph, cfg.num_parts, cfg.seed));
+            let features = topology.features();
+            let partitioning = partitioning
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (partitioning, features)
+        });
+        let dataset = topology.with_features(features);
         let parts: Vec<Arc<LocalPartition>> =
             build_local_partitions(&dataset.graph, &partitioning, &dataset.train_nodes)
                 .into_iter()
@@ -149,6 +157,11 @@ impl Engine {
             cluster,
             trainer_shards,
         }
+    }
+
+    /// The dataset the engine trains on: graph, features and splits.
+    pub fn dataset(&self) -> &Dataset {
+        &self.dataset
     }
 
     /// The per-partition views.

@@ -153,10 +153,10 @@ pub struct Dataset {
 
 /// The structural half of a [`Dataset`]: graph and train/val/test split —
 /// everything partitioning and halo construction read — before the
-/// feature matrix, the largest object of a run, exists. A caller that
-/// partitions first and calls [`DatasetGraph::with_features`] afterwards
-/// never holds the partitioner's scratch and the feature synthesis
-/// scratch at the same time.
+/// feature matrix, the largest object of a run, exists. Synthesizing the
+/// features ([`DatasetGraph::features`]) only reads the graph, so a
+/// caller can partition it at the same time, then complete the dataset
+/// with [`DatasetGraph::with_features`].
 #[derive(Debug, Clone)]
 pub struct DatasetGraph {
     /// Which paper dataset this imitates.
@@ -245,14 +245,20 @@ impl DatasetGraph {
     }
 
     /// Synthesize the features and labels that belong to this graph and
-    /// seed, completing the [`Dataset`].
-    pub fn with_features(self) -> Dataset {
-        let features = FeatureStore::synthesize(
+    /// seed.
+    pub fn features(&self) -> FeatureStore {
+        FeatureStore::synthesize(
             &self.graph,
             self.kind.feature_dim(),
             self.kind.num_classes(),
             self.seed ^ 0xfeed,
-        );
+        )
+    }
+
+    /// Complete the [`Dataset`] with `features`, what
+    /// [`DatasetGraph::features`] synthesized for this graph.
+    pub fn with_features(self, features: FeatureStore) -> Dataset {
+        debug_assert_eq!(features.num_nodes(), self.graph.num_nodes());
         Dataset {
             kind: self.kind,
             graph: self.graph,
@@ -268,7 +274,9 @@ impl Dataset {
     /// Generate the preset for `kind` at `scale` with deterministic `seed`:
     /// [`DatasetGraph::generate`], then its features.
     pub fn generate(kind: DatasetKind, scale: Scale, seed: u64) -> Dataset {
-        DatasetGraph::generate(kind, scale, seed).with_features()
+        let graph = DatasetGraph::generate(kind, scale, seed);
+        let features = graph.features();
+        graph.with_features(features)
     }
 
     /// Total number of nodes.
@@ -366,7 +374,7 @@ mod tests {
             assert_eq!(half.train_nodes, full.train_nodes);
             assert_eq!(half.val_nodes, full.val_nodes);
             assert_eq!(half.test_nodes, full.test_nodes);
-            assert_eq!(half.with_features().features, full.features);
+            assert_eq!(half.features(), full.features);
         }
     }
 

@@ -15,6 +15,12 @@ use rand::SeedableRng;
 /// every reader aggregates it on the fly from the input graph
 /// ([`Level::for_each_cut_edge`], [`Gather`]). A node's weight is its
 /// member count. The input level is the identity map.
+///
+/// What a level does store per coarse node is its count of *internal*
+/// edges: input edges between two distinct members. Refinement subtracts
+/// it from a node's connection to its own part, which it reads off the
+/// per-input-node table (`refine.rs`). Self-loops never cross a cut, so
+/// neither that table nor this count includes them.
 #[derive(Debug)]
 pub(super) struct Level<'g> {
     g: &'g CsrGraph,
@@ -24,6 +30,8 @@ pub(super) struct Level<'g> {
     /// nodes, ascending.
     offsets: Vec<usize>,
     members: Vec<NodeId>,
+    /// Input edges between two distinct members of each coarse node.
+    internal: Vec<u32>,
 }
 
 impl<'g> Level<'g> {
@@ -34,12 +42,15 @@ impl<'g> Level<'g> {
     /// preset comes within orders of magnitude).
     pub(super) fn input(g: &'g CsrGraph) -> Self {
         assert_weights_fit(g.num_edges());
-        Level::from_map(g, (0..g.num_nodes() as u32).collect())
+        let n = g.num_nodes();
+        Level::from_parts(g, (0..n as u32).collect(), vec![0; n])
     }
 
-    /// The level whose input → coarse map is `of` (onto `0..max + 1`).
-    /// Members are laid out by a counting sort, so each list is ascending.
-    pub(super) fn from_map(g: &'g CsrGraph, of: Vec<u32>) -> Self {
+    /// The level whose input → coarse map is `of` (onto `0..max + 1`) and
+    /// whose nodes have `internal` edges each: what [`Level::into_parts`]
+    /// kept of it. Members are laid out by a counting sort, so each list
+    /// is ascending.
+    pub(super) fn from_parts(g: &'g CsrGraph, of: Vec<u32>, internal: Vec<u32>) -> Self {
         let num_coarse = of.iter().max().map_or(0, |&c| c as usize + 1);
         let mut offsets = vec![0usize; num_coarse + 1];
         for &c in &of {
@@ -54,18 +65,20 @@ impl<'g> Level<'g> {
             members[next[c as usize]] = u as NodeId;
             next[c as usize] += 1;
         }
+        debug_assert_eq!(internal.len(), num_coarse);
         Level {
             g,
             of,
             offsets,
             members,
+            internal,
         }
     }
 
-    /// The input → coarse map, all that is kept of a level until its turn
-    /// comes on the way back up.
-    pub(super) fn into_map(self) -> Vec<u32> {
-        self.of
+    /// The input → coarse map and the internal edge counts, all that is
+    /// kept of a level until its turn comes on the way back up.
+    pub(super) fn into_parts(self) -> (Vec<u32>, Vec<u32>) {
+        (self.of, self.internal)
     }
 
     /// The input → coarse map.
@@ -80,9 +93,15 @@ impl<'g> Level<'g> {
         self.offsets.len() - 1
     }
 
+    /// The input graph.
+    #[inline]
+    pub(super) fn graph(&self) -> &'g CsrGraph {
+        self.g
+    }
+
     /// Input nodes merged into coarse node `c`, ascending.
     #[inline]
-    fn members(&self, c: u32) -> &[NodeId] {
+    pub(super) fn members(&self, c: u32) -> &[NodeId] {
         &self.members[self.offsets[c as usize]..self.offsets[c as usize + 1]]
     }
 
@@ -90,6 +109,12 @@ impl<'g> Level<'g> {
     #[inline]
     pub(super) fn node_weight(&self, c: u32) -> u32 {
         (self.offsets[c as usize + 1] - self.offsets[c as usize]) as u32
+    }
+
+    /// Input edges between two distinct members of `c`.
+    #[inline]
+    pub(super) fn internal(&self, c: u32) -> u32 {
+        self.internal[c as usize]
     }
 
     /// Total node weight: the input's node count.
@@ -117,13 +142,16 @@ impl<'g> Level<'g> {
     /// order; each unmatched node matches its heaviest-edge unmatched
     /// neighbour, the lowest id on a tie (the first heaviest of an
     /// ascending adjacency list). Matched pairs collapse into one node of
-    /// the coarser level, numbered by its smaller member.
+    /// the coarser level, numbered by its smaller member. The edges of a
+    /// match become internal: both directions of it, on top of what each
+    /// side already held.
     pub(super) fn coarsen(&self, seed: u64) -> Level<'g> {
         let n = self.num_nodes();
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.shuffle(&mut StdRng::seed_from_u64(seed));
 
         let mut matched: Vec<u32> = vec![u32::MAX; n]; // partner or self
+        let mut match_weight = vec![0u32; n]; // edges to the partner
         let mut adjacency = Gather::new(n);
         for &c in &order {
             if matched[c as usize] != u32::MAX {
@@ -133,9 +161,10 @@ impl<'g> Level<'g> {
                 .gather(self, c, |d| matched[d as usize] == u32::MAX)
                 .max_by_key(|&(d, w)| (w, std::cmp::Reverse(d)));
             match best {
-                Some((d, _)) => {
+                Some((d, w)) => {
                     matched[c as usize] = d;
                     matched[d as usize] = c;
+                    match_weight[c as usize] = w;
                 }
                 None => matched[c as usize] = c, // self-match
             }
@@ -151,8 +180,14 @@ impl<'g> Level<'g> {
                 next += 1;
             }
         }
+        // A pair's match weight is booked on one side only, so this sums
+        // both sides' internal edges plus both directions of the match.
+        let mut internal = vec![0u32; next as usize];
+        for c in 0..n {
+            internal[to_coarser[c] as usize] += self.internal[c] + 2 * match_weight[c];
+        }
         let of = self.of.iter().map(|&c| to_coarser[c as usize]).collect();
-        Level::from_map(self.g, of)
+        Level::from_parts(self.g, of, internal)
     }
 }
 
@@ -321,13 +356,40 @@ mod tests {
         // A level rebuilt from a map is the level the map came from.
         let g = erdos_renyi(50, 200, 6);
         let level1 = Level::input(&g).coarsen(3);
-        let again = Level::from_map(&g, level1.map().to_vec());
+        let (map, internal) = Level::input(&g).coarsen(3).into_parts();
+        let again = Level::from_parts(&g, map, internal);
         assert_eq!(
             (again.offsets.clone(), again.members.clone()),
             (level1.offsets.clone(), level1.members.clone())
         );
+        assert_eq!(again.internal, level1.internal);
         assert_eq!(coarse_edges(&again), coarse_edges(&level1));
         assert_eq!(again.coarsen(5).map(), level1.coarsen(5).map());
+    }
+
+    #[test]
+    fn internal_counts_are_the_edges_inside_each_node() {
+        // Three levels deep, on graphs with isolated nodes and with a
+        // self-loop (counted by neither side).
+        let dense = erdos_renyi(300, 1500, 5);
+        let sparse = erdos_renyi(300, 200, 6);
+        let looped = CsrGraph::from_parts(vec![0, 1, 2, 4, 5], vec![1, 0, 2, 3, 2]).unwrap();
+        for g in [&dense, &sparse, &looped] {
+            let mut level = Level::input(g);
+            for depth in 0..4 {
+                let mut brute = vec![0u32; level.num_nodes()];
+                for (u, v) in g.edges() {
+                    let c = level.map()[u as usize];
+                    if u != v && c == level.map()[v as usize] {
+                        brute[c as usize] += 1;
+                    }
+                }
+                let nodes = 0..level.num_nodes() as u32;
+                let internal: Vec<u32> = nodes.map(|c| level.internal(c)).collect();
+                assert_eq!(internal, brute, "depth {depth}");
+                level = level.coarsen(depth);
+            }
+        }
     }
 
     #[test]

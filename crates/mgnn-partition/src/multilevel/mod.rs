@@ -11,8 +11,10 @@
 //!    reduce edge cut subject to a balance tolerance.
 //!
 //! A coarse level is a map from input node to coarse node, never a graph:
-//! each phase sums a coarse node's edges from its members' input edges
-//! when it visits the node.
+//! matching and growth sum a coarse node's edges from its members' input
+//! edges when they visit the node. Refinement sums its members' rows of a
+//! table of every input node's neighbours per part, kept up to date by
+//! each move from the end of growth to the input level.
 //!
 //! The goal is not to beat METIS but to produce the same *regime*: balanced
 //! partitions whose edge cut — and therefore halo fraction — is far below
@@ -25,6 +27,7 @@ mod refine;
 use crate::Partitioning;
 use coarsen::Level;
 use mgnn_graph::CsrGraph;
+use refine::Connections;
 
 /// Stop coarsening when the graph has at most this many nodes per part.
 const COARSE_TARGET: usize = 60;
@@ -32,7 +35,8 @@ const COARSE_TARGET: usize = 60;
 pub const BALANCE_EPS: f64 = 0.05;
 
 /// Partition `g` into `num_parts` balanced parts, minimizing edge cut.
-/// With at least `num_parts` nodes, no part comes out empty.
+/// With at least `num_parts` nodes, no part comes out empty. `g` must be
+/// symmetric, as every graph `GraphBuilder` makes is.
 ///
 /// `seed` drives tie-breaking in matching and initial growth; results are
 /// deterministic per seed.
@@ -44,46 +48,85 @@ pub fn multilevel_partition(g: &CsrGraph, num_parts: usize, seed: u64) -> Partit
     }
 
     // Phase 1: coarsen. Of each finer level only its input → coarse map
-    // is kept for the way back.
-    let mut maps: Vec<Vec<u32>> = Vec::new();
+    // and its internal edge counts are kept for the way back.
+    let mut maps: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
     let mut current = Level::input(g);
     let target = COARSE_TARGET * num_parts;
     while current.num_nodes() > target {
         let coarser = current.coarsen(seed ^ maps.len() as u64);
         // Matching stalled (e.g. star graphs): stop to avoid spinning.
         let stalled = coarser.num_nodes() as f64 > 0.95 * current.num_nodes() as f64;
-        maps.push(std::mem::replace(&mut current, coarser).into_map());
+        maps.push(std::mem::replace(&mut current, coarser).into_parts());
         if stalled {
             break;
         }
     }
 
-    // Phase 2: initial partition of the coarsest level.
+    // Phase 2: initial partition of the coarsest level, and the table of
+    // every input node's neighbours per part that refinement reads.
     let mut assignment = initial::greedy_growth(&current, num_parts, seed);
-    refine::refine(&current, &mut assignment, num_parts, BALANCE_EPS, 8);
+    let mut connections = Connections::new(&current, &assignment, num_parts);
+    refine::refine(&current, &mut assignment, &mut connections, BALANCE_EPS, 8);
 
     // Phase 3: uncoarsen + refine. Every member of a finer node lies in
-    // one coarser node, so projecting through the input nodes is exact.
-    while let Some(map) = maps.pop() {
-        let finer = Level::from_map(g, map);
+    // one coarser node, so projecting through the input nodes is exact —
+    // and moves no input node, so the table stays the assignment's.
+    while let Some((map, internal)) = maps.pop() {
+        let finer = Level::from_parts(g, map, internal);
         let mut projected = vec![0; finer.num_nodes()];
         for (&fine, &coarse) in finer.map().iter().zip(current.map()) {
             projected[fine as usize] = assignment[coarse as usize];
         }
         assignment = projected;
         current = finer;
-        refine::refine(&current, &mut assignment, num_parts, BALANCE_EPS, 4);
+        refine::refine(&current, &mut assignment, &mut connections, BALANCE_EPS, 4);
     }
 
     Partitioning::new(assignment, num_parts)
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::quality::{balance, edge_cut};
     use crate::random::random_partition;
-    use mgnn_graph::generators::{barabasi_albert, erdos_renyi, sbm, SbmParams};
+    use mgnn_graph::generators::{barabasi_albert, erdos_renyi, rmat, sbm, RmatParams, SbmParams};
+    use mgnn_graph::GraphBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A graph of `n` ≥ 16 nodes for the phases' reference tests: dense
+    /// and sparse Erdős–Rényi, planted communities, R-MAT's heavy tail,
+    /// and a cycle, where every gain a node can see is a tie.
+    pub(super) fn shaped_graph(shape: u8, n: usize, seed: u64) -> CsrGraph {
+        match shape % 5 {
+            0 => erdos_renyi(n, 3 * n, seed),
+            1 => erdos_renyi(n, n, seed),
+            2 => sbm(
+                n,
+                SbmParams {
+                    communities: 4,
+                    p_in: 0.2,
+                    p_out: 0.02,
+                },
+                seed,
+            ),
+            3 => rmat(n, 4 * n, RmatParams::default(), seed),
+            _ => {
+                let mut b = GraphBuilder::new(n);
+                for u in 0..n as u32 {
+                    b.add_edge(u, (u + 1) % n as u32);
+                }
+                b.build()
+            }
+        }
+    }
+
+    /// Each of `n` nodes in a uniformly drawn part of `num_parts`.
+    pub(super) fn random_parts(n: usize, num_parts: usize, seed: u64) -> Vec<u32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(0..num_parts as u32)).collect()
+    }
 
     #[test]
     fn covers_all_nodes() {

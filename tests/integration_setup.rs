@@ -5,10 +5,16 @@
 //! [`print_setup_fingerprints`], the halo-view column and the
 //! Papers/Bench row on `335fda1`; a rewrite of the builder, the R-MAT
 //! generator, `FeatureStore::synthesize`, any stage of the partitioner or
-//! the halo views has to reproduce every row.
+//! the halo views has to reproduce every row. `Engine::build`, which
+//! partitions on a second thread while it synthesizes the features, has
+//! to assemble what these stages make one after another.
 
+use massivegnn::{Engine, EngineConfig};
 use mgnn_graph::{CsrGraph, Dataset, DatasetGraph, DatasetKind, Scale};
-use mgnn_partition::{build_local_partitions, multilevel_partition, Partitioning};
+use mgnn_partition::{
+    build_local_partitions, multilevel_partition, split_train_nodes, LocalPartition, Partitioning,
+};
+use std::borrow::Borrow;
 
 /// 64-bit FNV-1a over little-endian bytes.
 struct Fnv(u64);
@@ -77,8 +83,13 @@ fn assignment_fingerprint(assignment: &[u32]) -> u64 {
 /// Every partition's local and halo ids, halo owners and degrees, local
 /// CSR and train nodes.
 fn views_fingerprint(graph: &CsrGraph, p: &Partitioning, train: &[u32]) -> u64 {
+    local_views_fingerprint(&build_local_partitions(graph, p, train))
+}
+
+fn local_views_fingerprint<V: Borrow<LocalPartition>>(views: &[V]) -> u64 {
     let mut h = Fnv::new();
-    for view in build_local_partitions(graph, p, train) {
+    for view in views {
+        let view: &LocalPartition = view.borrow();
         h.u32s(&[view.part_id]);
         h.u32s(&view.local_nodes);
         h.u32s(&view.halo_nodes);
@@ -236,6 +247,74 @@ fn table_covers_every_kind_scale_and_seed() {
     }
     let have: Vec<_> = PARENT.iter().map(|r| (r.kind, r.scale, r.seed)).collect();
     assert_eq!(have, want);
+}
+
+#[test]
+fn the_overlapped_build_assembles_what_the_stages_make_one_after_another() {
+    for (kind, scale, num_parts, trainers_per_part) in [(Papers, Small, 4, 2), (Reddit, Unit, 3, 1)]
+    {
+        let cfg = EngineConfig {
+            dataset: kind,
+            scale,
+            num_parts,
+            trainers_per_part,
+            seed: 42,
+            ..Default::default()
+        };
+        let engine = Engine::build(cfg.clone());
+        let at = format!("{} {scale:?} at {num_parts} parts", kind.name());
+
+        // generate → partition → features → halo views → trainer shards.
+        let topology = DatasetGraph::generate(kind, scale, cfg.seed);
+        let p = multilevel_partition(&topology.graph, num_parts, cfg.seed);
+        let features = topology.features();
+        let d = topology.with_features(features);
+        let views = build_local_partitions(&d.graph, &p, &d.train_nodes);
+
+        assert_eq!(
+            dataset_fingerprint(engine.dataset()),
+            dataset_fingerprint(&d),
+            "graph, feature bits or splits: {at}"
+        );
+        let mut assignment = vec![u32::MAX; d.num_nodes()];
+        for view in engine.partitions() {
+            for &u in &view.local_nodes {
+                assignment[u as usize] = view.part_id;
+            }
+        }
+        assert_eq!(assignment, p.assignment, "assignment: {at}");
+        assert_eq!(
+            local_views_fingerprint(engine.partitions()),
+            local_views_fingerprint(&views),
+            "halo views: {at}"
+        );
+        // Each trainer's shard, as the set of seeds its loader deals out;
+        // the split is seeded per partition as `Engine::build_with` seeds it.
+        let mut want = Vec::new();
+        for view in &views {
+            let pid = u64::from(view.part_id);
+            let seed = cfg.seed ^ pid.wrapping_mul(0x9e37);
+            for shard in split_train_nodes(&view.train_nodes, trainers_per_part, seed) {
+                let mut local: Vec<u32> =
+                    shard.iter().map(|&u| view.local_id(u).unwrap()).collect();
+                local.sort_unstable();
+                want.push((view.part_id, local));
+            }
+        }
+        let have: Vec<_> = (0..engine.world())
+            .map(|t| {
+                let (view, loader, _) = engine.trainer_inputs(t);
+                let mut seeds: Vec<u32> = loader
+                    .epoch(0)
+                    .iter()
+                    .flat_map(|b| b.iter().copied())
+                    .collect();
+                seeds.sort_unstable();
+                (view.part_id, seeds)
+            })
+            .collect();
+        assert_eq!(have, want, "trainer shards: {at}");
+    }
 }
 
 /// `cargo test --release -p mgnn-bench --test integration_setup -- --ignored --nocapture`

@@ -12,8 +12,9 @@ use mgnn_partition::multilevel_partition;
 #[test]
 fn multilevel_partition_peaks_below_three_input_graphs() {
     // A coarse level is a map from input node to coarse node, not a
-    // graph: what the partitioner borrows grows with the node count and
-    // the number of levels, never with a copy of the edges per level.
+    // graph: what the partitioner borrows grows with the node count —
+    // per level, and once for the refinement's table of every node's
+    // neighbours per part — never with a copy of the edges per level.
     for (kind, parts) in [
         (DatasetKind::Papers, 4),
         (DatasetKind::Reddit, 4),

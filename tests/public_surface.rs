@@ -104,6 +104,10 @@ const ORACLES: &[(&str, &str)] = &[
         "the paper's perfect-overlap condition, under which `t_prefetch_steady` (reached) must collapse to `t_DDP`",
     ),
     (
+        "Engine::dataset",
+        "what `Engine::build` assembles while its partitioner runs on a second thread: tests/integration_setup.rs holds its graph, feature bits and splits to the stages run one after another",
+    ),
+    (
         "live_bytes",
         "alloc-count probe: resident heap after `Engine::build` (tests/setup_memory.rs, run_memory.rs)",
     ),
