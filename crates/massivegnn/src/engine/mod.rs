@@ -99,9 +99,10 @@ impl Engine {
         // Five stages, each holding only what it reads (DESIGN §9,
         // "Set-up"). Partitioning and feature synthesis both only read
         // the graph, so the partitioner runs on a second thread while
-        // this one synthesizes. The halo views come after both, so the
-        // synthesis scratch is returned before they exist. The cluster
-        // then shares the one matrix instead of copying shards.
+        // this one synthesizes, holding nothing but the matrix it
+        // returns. The halo views come after both, so the partitioner's
+        // scratch is returned before they exist. The cluster then shares
+        // the one matrix instead of copying shards.
         let topology = DatasetGraph::generate(cfg.dataset, cfg.scale, cfg.seed);
         let (partitioning, features) = std::thread::scope(|scope| {
             let partitioning =

@@ -10,6 +10,11 @@
 //! The matrix is the largest object a run holds, so it exists once: a
 //! `FeatureStore` is a handle on shared, immutable storage, and cloning
 //! one (each simulated KVStore server keeps a clone) copies no rows.
+//!
+//! Synthesis holds nothing beside that matrix: the unsmoothed rows are
+//! never stored. One sweep pushes each node's row, drawn from its own
+//! stream, into its neighbours' output rows; a second draws every row's
+//! own values again and finishes the average in place.
 
 use crate::csr::{CsrGraph, NodeId};
 use rand::rngs::StdRng;
@@ -61,8 +66,31 @@ impl FeatureStore {
     ///   (real node-classification datasets have imbalanced classes);
     /// * features = class centroid + N(0, noise);
     /// * one neighborhood-mean smoothing pass mixes graph structure in.
+    ///
+    /// `graph` must be symmetric with ascending, deduplicated rows, as
+    /// every graph `GraphBuilder` makes is (debug builds check): the
+    /// smoothing pushes each row to its neighbours, and that sums a row's
+    /// neighbours in adjacency order only if `v ∈ N(u)` exactly when
+    /// `u ∈ N(v)`.
     pub fn synthesize(graph: &CsrGraph, dim: usize, num_classes: usize, seed: u64) -> Self {
+        Self::synthesize_split(graph, dim, num_classes, seed, rayon::current_num_threads())
+    }
+
+    /// [`FeatureStore::synthesize`], pushing the rows in `ranges` tasks.
+    fn synthesize_split(
+        graph: &CsrGraph,
+        dim: usize,
+        num_classes: usize,
+        seed: u64,
+        ranges: usize,
+    ) -> Self {
         assert!(num_classes >= 2, "need at least 2 classes");
+        // Rows are ascending and deduplicated in every `CsrGraph` (checked
+        // when it was made); symmetry is up to the graph's maker.
+        debug_assert!(
+            graph.is_symmetric(),
+            "feature synthesis needs a symmetric graph"
+        );
         let n = graph.num_nodes();
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -87,19 +115,15 @@ impl FeatureStore {
             .map(|_| rng.gen_range(-1.0f32..1.0))
             .collect();
 
-        // The output matrix is written in place, a row per task. The
-        // unsmoothed matrix it is computed from never exists whole: it is
-        // drawn one column block at a time into a scratch that is
-        // `1 / COLUMN_PASSES` of a matrix.
+        let raw = Unsmoothed {
+            labels: &labels,
+            centroids: &centroids,
+            dim,
+            seed,
+        };
         let mut data = vec![0.0f32; n * dim];
-        let width = dim.div_ceil(COLUMN_PASSES).max(1);
-        let mut scratch = vec![0.0f32; n * width];
-        for first in (0..dim).step_by(width) {
-            let cols = first..(first + width).min(dim);
-            let raw = &mut scratch[..n * cols.len()];
-            noisy_centroid_block(raw, cols.clone(), &labels, &centroids, dim, seed);
-            smooth_block(graph, raw, cols, &mut data, dim);
-        }
+        push_neighbour_rows(graph, &raw, &mut data, ranges);
+        finalize(graph, &raw, &mut data);
 
         FeatureStore {
             num_nodes: n,
@@ -144,85 +168,112 @@ impl FeatureStore {
 /// Feature noise amplitude around the class centroid.
 const NOISE: f32 = 0.5;
 
-/// Column blocks `synthesize` works through. Smoothing a block needs the
-/// unsmoothed block of *every* row, so the scratch is `1/COLUMN_PASSES` of
-/// a matrix; each further pass re-draws (and discards) the columns before
-/// its block, which is cheap next to the smoothing it feeds.
-const COLUMN_PASSES: usize = 2;
-
-/// `centroid(label) + noise` for columns `cols` of every row, row-major
-/// `n × cols.len()` into `raw`. Row `u` draws from its own stream, seeded
-/// per row (so rows can be drawn in any order on any number of threads),
-/// one draw per column from column 0: a block that starts later discards
-/// the draws of the columns before it.
-fn noisy_centroid_block(
-    raw: &mut [f32],
-    cols: std::ops::Range<usize>,
-    labels: &[u32],
-    centroids: &[f32],
+/// The unsmoothed features, `centroid(label) + noise`, which are never
+/// stored. Row `u` draws from its own stream, seeded per row, one draw per
+/// column, so it can be drawn again, in any order, on any thread.
+struct Unsmoothed<'a> {
+    labels: &'a [u32],
+    centroids: &'a [f32],
     dim: usize,
     seed: u64,
-) {
-    raw.par_chunks_mut(cols.len())
-        .enumerate()
-        .for_each(|(u, row)| {
-            let mut r = StdRng::seed_from_u64(seed ^ 0xabcd_ef12u64 ^ ((u as u64) << 17));
-            for _ in 0..cols.start {
-                r.gen::<f32>();
-            }
-            let centre = &centroids[labels[u] as usize * dim..][cols.clone()];
-            for (x, &c) in row.iter_mut().zip(centre) {
-                *x = c + NOISE * (r.gen::<f32>() * 2.0 - 1.0);
-            }
-        });
 }
 
-/// One smoothing round, `x_u <- 0.6 x_u + 0.4 mean(x_N(u))`, of columns
-/// `cols`: reads the unsmoothed block `raw`, overwrites `data[u][cols]`.
-/// An isolated node keeps its row. Neighbour rows are summed in adjacency
-/// order.
-fn smooth_block(
-    graph: &CsrGraph,
-    raw: &[f32],
-    cols: std::ops::Range<usize>,
-    data: &mut [f32],
-    dim: usize,
-) {
-    let width = cols.len();
-    data.par_chunks_mut(dim).enumerate().for_each(|(u, row)| {
-        let out = &mut row[cols.clone()];
-        let block = |v: NodeId| &raw[v as usize * width..(v as usize + 1) * width];
-        let own = block(u as NodeId);
-        let Some((&first, rest)) = graph.neighbors(u as NodeId).split_first() else {
-            out.copy_from_slice(own);
-            return;
+impl Unsmoothed<'_> {
+    /// Row `u`, column by column.
+    fn row(&self, u: usize) -> impl Iterator<Item = f32> + '_ {
+        let mut r = StdRng::seed_from_u64(self.seed ^ 0xabcd_ef12u64 ^ ((u as u64) << 17));
+        let centre = &self.centroids[self.labels[u] as usize * self.dim..][..self.dim];
+        centre
+            .iter()
+            .map(move |&c| c + NOISE * (r.gen::<f32>() * 2.0 - 1.0))
+    }
+}
+
+/// Sum each row's unsmoothed neighbours into `data` (zeroed), in
+/// adjacency order: `u` is visited in ascending order and its row added
+/// to `data[v]` for every `v ∈ N(u)`. In a symmetric graph with ascending
+/// rows, row `v` so receives the rows of `N(v)` in ascending order, the
+/// order a pull over `N(v)` sums them in, and the first lands on `0.0` as
+/// the pull's does — the same bits.
+///
+/// The rows are cut into `ranges` contiguous ranges with about equal
+/// incoming edges, one task each. A task walks every `u`, finds its
+/// range's slice of `N(u)` by binary search and draws `u` only when that
+/// slice is not empty; no row receives addends from two tasks, so any cut
+/// gives the same bits.
+fn push_neighbour_rows(graph: &CsrGraph, raw: &Unsmoothed, data: &mut [f32], ranges: usize) {
+    let n = graph.num_nodes();
+    let dim = raw.dim;
+    // In a symmetric graph a row's incoming edges are its out-degree, so
+    // the offsets are the running count of incoming edges.
+    let offsets = graph.offsets();
+    let edges = graph.num_edges();
+    let mut tasks = Vec::with_capacity(ranges);
+    let (mut rest, mut lo) = (data, 0);
+    for k in 1..=ranges {
+        let hi = if k == ranges {
+            n
+        } else {
+            let share = (edges * k / ranges) as u64;
+            offsets.partition_point(|&o| o < share).clamp(lo, n)
         };
-        // `0.0 + y` is what a zeroed row holds after its first neighbour,
-        // bit for bit (also for `y = -0.0`), but stored without reading
-        // `out`, so the first touch of every output page is a write. A
-        // read would map the shared zero page first and the write after
-        // it pay a second, copy-on-write fault: with `+=` from the start
-        // this stage took 0.29 s instead of 0.10 s (Papers/Bench).
-        for (x, &y) in out.iter_mut().zip(block(first)) {
-            *x = 0.0 + y;
-        }
-        for &v in rest {
-            for (x, &y) in out.iter_mut().zip(block(v)) {
-                *x += y;
+        let (out, tail) = rest.split_at_mut((hi - lo) * dim);
+        tasks.push((lo..hi, out));
+        (rest, lo) = (tail, hi);
+    }
+    tasks.par_chunks_mut(1).enumerate().for_each(|(_, task)| {
+        let (rows, out) = &mut task[0];
+        // Zeroed pages read before they are written map the shared zero
+        // page first, and the write after it pays a second, copy-on-write
+        // fault (0.29 s instead of 0.10 s on Papers/Bench when the first
+        // touch was a `+=`): write every page of the range before pushing.
+        out.fill(0.0);
+        let mut row = vec![0.0f32; dim];
+        for u in 0..n {
+            let nbrs = graph.neighbors(u as NodeId);
+            let first = nbrs.partition_point(|&v| (v as usize) < rows.start);
+            let len = nbrs[first..].partition_point(|&v| (v as usize) < rows.end);
+            if len == 0 {
+                continue;
+            }
+            for (x, y) in row.iter_mut().zip(raw.row(u)) {
+                *x = y;
+            }
+            for &v in &nbrs[first..first + len] {
+                let target = &mut out[(v as usize - rows.start) * dim..][..dim];
+                for (x, &y) in target.iter_mut().zip(&row) {
+                    *x += y;
+                }
             }
         }
-        let nbrs = rest.len() + 1;
-        let inv = 0.4 / nbrs as f32;
-        for (x, &o) in out.iter_mut().zip(own) {
-            *x = 0.6 * o + inv * *x;
-        }
     });
+}
+
+/// One smoothing round, `x_u <- 0.6 x_u + 0.4 mean(x_N(u))`, of every row,
+/// from the neighbour sums in `data` and row `u`'s own values drawn again.
+/// An isolated node keeps its row.
+fn finalize(graph: &CsrGraph, raw: &Unsmoothed, data: &mut [f32]) {
+    data.par_chunks_mut(raw.dim)
+        .enumerate()
+        .for_each(|(u, out)| {
+            let own = raw.row(u);
+            match graph.degree(u as NodeId) {
+                0 => out.iter_mut().zip(own).for_each(|(x, o)| *x = o),
+                degree => {
+                    let inv = 0.4 / degree as f32;
+                    out.iter_mut()
+                        .zip(own)
+                        .for_each(|(x, o)| *x = 0.6 * o + inv * *x);
+                }
+            }
+        });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::erdos_renyi;
+    use crate::generators::{barabasi_albert, erdos_renyi, rmat, RmatParams};
+    use proptest::prelude::*;
 
     /// `synthesize` as it was before the rows were written in place: both
     /// matrices collected from per-row `Vec`s. Kept as the bit-for-bit
@@ -307,6 +358,57 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "node {u} dim {dim} seed {seed}");
             }
         }
+    }
+
+    fn assert_bits_equal(got: &FeatureStore, want: &FeatureStore) {
+        assert_eq!(got.num_nodes(), want.num_nodes());
+        for u in 0..got.num_nodes() as NodeId {
+            assert_eq!(got.label(u), want.label(u));
+            let bits = |f: &FeatureStore| f.row(u).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want), "node {u}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The pushed smoothing against the pulled reference, on sparse
+        /// graphs with isolated nodes, heavy-tailed ones with hubs and
+        /// preferential attachment, at every range split up to four: by
+        /// the pool's cap (as wide as the pool goes) and named directly.
+        #[test]
+        fn pushed_synthesis_matches_the_reference_bit_for_bit(
+            shape in 0u8..3,
+            n in 8usize..300,
+            dim in prop_oneof![Just(1usize), Just(13), Just(128)],
+            classes in 2usize..6,
+            ranges in 1usize..=4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let g = match shape {
+                0 => erdos_renyi(n, n / 2, seed),
+                1 => rmat(n, 4 * n, RmatParams::default(), seed),
+                _ => barabasi_albert(n, 1 + (seed % 3) as usize, seed),
+            };
+            let want = synthesize_reference(&g, dim, classes, seed);
+            let capped = rayon::pool::with_max_threads(ranges, || {
+                FeatureStore::synthesize(&g, dim, classes, seed)
+            });
+            assert_bits_equal(&capped, &want);
+            let split = FeatureStore::synthesize_split(&g, dim, classes, seed, ranges);
+            assert_bits_equal(&split, &want);
+        }
+    }
+
+    /// The push needs `v ∈ N(u)` exactly when `u ∈ N(v)`; only debug
+    /// builds check it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "symmetric graph")]
+    fn synthesis_rejects_an_asymmetric_graph() {
+        // 0 → 1 and 1 → 2, with no edge back.
+        let g = CsrGraph::from_parts_unchecked(vec![0, 1, 2, 2], vec![1, 2]);
+        FeatureStore::synthesize(&g, 4, 2, 1);
     }
 
     #[test]

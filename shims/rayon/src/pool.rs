@@ -125,16 +125,23 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Total threads the pool can bring to bear (helpers + the caller).
+/// Total threads the pool can bring to bear (helpers + the caller),
+/// under this thread's [`with_max_threads`] cap if one is set.
 pub fn current_num_threads() -> usize {
-    pool().workers + 1
+    let threads = pool().workers + 1;
+    match MAX_THREADS.with(|m| m.get()) {
+        0 => threads,
+        cap => threads.min(cap),
+    }
 }
 
 /// Run `f` with parallel calls *from this thread* capped at `threads`
-/// threads (1 = fully inline). The cap changes scheduling only — the
-/// deterministic chunk structure guarantees identical results — so
-/// this exists for tests pinning that contract and for measuring
-/// thread scaling.
+/// threads (1 = fully inline), and [`current_num_threads`] reading at
+/// most `threads`. The cap changes scheduling only — the deterministic
+/// chunk structure guarantees identical results, and a caller that
+/// splits its work by [`current_num_threads`] must make any split give
+/// the same result — so this exists for tests pinning that contract and
+/// for measuring thread scaling.
 pub fn with_max_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     assert!(threads >= 1, "thread cap must be at least 1");
     MAX_THREADS.with(|m| {
@@ -347,5 +354,13 @@ mod tests {
             assert_eq!(total, 45);
         });
         assert_eq!(MAX_THREADS.with(|m| m.get()), before);
+    }
+
+    #[test]
+    fn current_num_threads_reads_the_cap() {
+        let width = current_num_threads();
+        assert_eq!(with_max_threads(1, current_num_threads), 1);
+        assert_eq!(with_max_threads(width + 3, current_num_threads), width);
+        assert_eq!(current_num_threads(), width);
     }
 }
