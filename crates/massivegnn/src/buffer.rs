@@ -3,7 +3,7 @@
 //! A fixed-capacity feature cache over the partition's halo nodes. Nodes
 //! are keyed by *halo index* (position in the partition's sorted
 //! `halo_nodes` list), giving O(1) membership via a direct-mapped slot
-//! table — the Rust equivalent of the paper's NUMBA-parallel lookup.
+//! table where the paper runs a NUMBA-parallel lookup.
 //! Capacity never changes after construction: every eviction is paired
 //! with a replacement (§IV-B "the number of nodes chosen for replacement
 //! is exactly equal to the number of nodes evicted").
@@ -125,35 +125,19 @@ impl PrefetchBuffer {
     /// Partition a sampled halo-index batch into (hits, misses) —
     /// Algorithm 2 lines 4–5 — in caller-owned buffers (cleared first),
     /// so the steady-state prepare loop reuses the same two vectors every
-    /// step. Large batches run on the rayon pool (the paper parallelizes
-    /// this lookup with NUMBA to escape the Python GIL; here the
-    /// direct-mapped table makes each probe O(1) and the split
-    /// embarrassingly parallel). The shim's `partition_map` combines
-    /// per-chunk results in chunk order, so both output vectors preserve
-    /// input order exactly like the serial loop, at any thread count.
+    /// step. The paper parallelizes this lookup with NUMBA to escape the
+    /// Python GIL; here the direct-mapped table makes each probe O(1), so
+    /// one serial pass preserves input order on both sides and allocates
+    /// nothing once the vectors have grown.
     pub fn probe_batch_into(&self, sampled: &[u32], hits: &mut Vec<u32>, misses: &mut Vec<u32>) {
-        const PAR_THRESHOLD: usize = 4096;
         hits.clear();
         misses.clear();
-        if sampled.len() < PAR_THRESHOLD {
-            for &h in sampled {
-                if self.contains(h) {
-                    hits.push(h);
-                } else {
-                    misses.push(h);
-                }
+        for &h in sampled {
+            if self.contains(h) {
+                hits.push(h);
+            } else {
+                misses.push(h);
             }
-        } else {
-            use rayon::prelude::*;
-            let (h, m): (Vec<u32>, Vec<u32>) = sampled.par_iter().partition_map(|&h| {
-                if self.contains(h) {
-                    rayon::iter::Either::Left(h)
-                } else {
-                    rayon::iter::Either::Right(h)
-                }
-            });
-            hits.extend_from_slice(&h);
-            misses.extend_from_slice(&m);
         }
     }
 
@@ -301,23 +285,24 @@ mod tests {
         for &m in &misses {
             assert!(!b.contains(m));
         }
-        // Serial and would-be-parallel agree on membership (order within
-        // each class is also preserved in serial mode).
+        // Input order is preserved within each class.
         assert_eq!(hits, vec![0, 3, 6, 9, 12, 15, 18, 21, 24, 27]);
     }
 
     #[test]
-    fn probe_batch_large_parallel_path() {
+    fn probe_batch_large_preserves_input_order() {
         let mut b = PrefetchBuffer::new(100_000, 1000, 1);
         for h in 0..1000u32 {
             insert(&mut b, h * 7, &[0.0]);
         }
-        let sampled: Vec<u32> = (0..50_000).collect();
+        // Descending, so sorted output would not pass by accident.
+        let sampled: Vec<u32> = (0..50_000).rev().collect();
         let (mut hits, mut misses) = (Vec::new(), Vec::new());
         b.probe_batch_into(&sampled, &mut hits, &mut misses);
-        assert_eq!(hits.len() + misses.len(), 50_000);
-        let expected_hits = sampled.iter().filter(|&&h| b.contains(h)).count();
-        assert_eq!(hits.len(), expected_hits);
+        let (expected_hits, expected_misses): (Vec<u32>, Vec<u32>) =
+            sampled.iter().partition(|&&h| b.contains(h));
+        assert_eq!(hits, expected_hits);
+        assert_eq!(misses, expected_misses);
     }
 
     #[test]

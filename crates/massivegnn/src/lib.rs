@@ -24,8 +24,7 @@
 //! The [`engine`] runs the full distributed training loop in both
 //! baseline-DistDGL and prefetch modes over the simulated cluster of
 //! [`mgnn_net`], producing exact hit/miss/byte counts and modeled times;
-//! [`perfmodel`] carries the paper's analytical Eqs. 2–7 and
-//! [`tradeoff`] the Fig. 5 (γ, Δ) quadrants.
+//! [`perfmodel`] carries the paper's analytical Eqs. 2–7.
 //!
 //! # Example
 //!
@@ -65,7 +64,6 @@ pub mod policy;
 pub mod prefetcher;
 pub mod scoreboard;
 pub mod serialize;
-pub mod tradeoff;
 
 pub use buffer::PrefetchBuffer;
 pub use config::{PrefetchConfig, PrefetchPolicyKind, ScoreLayout};

@@ -149,17 +149,11 @@ impl EvictionScores {
 /// dense layout ignores it (direct global-id indexing), the
 /// memory-efficient layout binary-searches it.
 #[derive(Debug, Clone)]
-pub enum AccessScores {
-    /// `O(|V|)` global-id-indexed array.
-    Dense {
-        /// Score per global node id (only halo entries are meaningful).
-        scores: Vec<f32>,
-    },
-    /// `O(|V_p^h|)` scores aligned with the partition's sorted halo list.
-    MemEfficient {
-        /// Scores aligned with `halo_nodes`.
-        scores: Vec<f32>,
-    },
+pub struct AccessScores {
+    layout: ScoreLayout,
+    /// One score per global node id (`Dense`: only halo entries are
+    /// meaningful) or per entry of `halo_nodes` (`MemEfficient`).
+    scores: Vec<f32>,
 }
 
 impl AccessScores {
@@ -167,21 +161,21 @@ impl AccessScores {
     /// nodes. Initial scores are 0 (the prefetcher then marks buffered
     /// nodes −1).
     pub fn new(layout: ScoreLayout, num_global: usize, num_halo: usize) -> Self {
-        match layout {
-            ScoreLayout::Dense => AccessScores::Dense {
-                scores: vec![0.0; num_global],
-            },
-            ScoreLayout::MemEfficient => AccessScores::MemEfficient {
-                scores: vec![0.0; num_halo],
-            },
+        let len = match layout {
+            ScoreLayout::Dense => num_global,
+            ScoreLayout::MemEfficient => num_halo,
+        };
+        AccessScores {
+            layout,
+            scores: vec![0.0; len],
         }
     }
 
     #[inline]
     fn index(&self, halo_nodes: &[NodeId], g: NodeId) -> usize {
-        match self {
-            AccessScores::Dense { .. } => g as usize,
-            AccessScores::MemEfficient { .. } => halo_nodes
+        match self.layout {
+            ScoreLayout::Dense => g as usize,
+            ScoreLayout::MemEfficient => halo_nodes
                 .binary_search(&g)
                 .unwrap_or_else(|_| panic!("node {g} is not a halo node")),
         }
@@ -189,65 +183,23 @@ impl AccessScores {
 
     /// Score of global node `g`.
     pub fn get(&self, halo_nodes: &[NodeId], g: NodeId) -> f32 {
-        let i = self.index(halo_nodes, g);
-        match self {
-            AccessScores::Dense { scores } | AccessScores::MemEfficient { scores } => scores[i],
-        }
+        self.scores[self.index(halo_nodes, g)]
     }
 
     /// Set the score of `g`.
     pub fn set(&mut self, halo_nodes: &[NodeId], g: NodeId, v: f32) {
         let i = self.index(halo_nodes, g);
-        match self {
-            AccessScores::Dense { scores } | AccessScores::MemEfficient { scores } => scores[i] = v,
-        }
+        self.scores[i] = v;
     }
 
-    /// Increment on a miss (Algorithm 2 line 21).
-    pub fn increment(&mut self, halo_nodes: &[NodeId], g: NodeId) {
-        let i = self.index(halo_nodes, g);
-        match self {
-            AccessScores::Dense { scores } | AccessScores::MemEfficient { scores } => {
-                scores[i] += 1.0
-            }
-        }
-    }
-
-    /// Batched increment for one minibatch's (unique) miss ids. The
-    /// memory-efficient layout resolves the `O(log |V_p^h|)` binary
-    /// searches with rayon when the batch is large — the paper's
-    /// "binary search to locate and update S_A in parallel" (§IV-B).
+    /// Algorithm 2 line 21 for one minibatch's (unique) miss ids: each
+    /// score goes up by one. The paper runs the memory-efficient layout's
+    /// binary searches in parallel (§IV-B); here one serial pass, priced
+    /// by the cost model's `t_scoring`, allocates nothing.
     pub fn increment_batch(&mut self, halo_nodes: &[NodeId], ids: &[NodeId]) {
-        const PAR_THRESHOLD: usize = 2048;
-        match self {
-            AccessScores::Dense { scores } => {
-                for &g in ids {
-                    scores[g as usize] += 1.0;
-                }
-            }
-            AccessScores::MemEfficient { scores } => {
-                if ids.len() < PAR_THRESHOLD {
-                    for &g in ids {
-                        let i = halo_nodes
-                            .binary_search(&g)
-                            .unwrap_or_else(|_| panic!("node {g} is not a halo node"));
-                        scores[i] += 1.0;
-                    }
-                } else {
-                    use rayon::prelude::*;
-                    let idx: Vec<usize> = ids
-                        .par_iter()
-                        .map(|g| {
-                            halo_nodes
-                                .binary_search(g)
-                                .unwrap_or_else(|_| panic!("node {g} is not a halo node"))
-                        })
-                        .collect();
-                    for i in idx {
-                        scores[i] += 1.0;
-                    }
-                }
-            }
+        for &g in ids {
+            let i = self.index(halo_nodes, g);
+            self.scores[i] += 1.0;
         }
     }
 
@@ -314,11 +266,7 @@ impl AccessScores {
     /// Heap bytes — the Fig. 14 memory distinction between layouts:
     /// `4·|V|` dense vs `4·|V_p^h|` memory-efficient.
     pub fn heap_bytes(&self) -> usize {
-        match self {
-            AccessScores::Dense { scores } | AccessScores::MemEfficient { scores } => {
-                scores.len() * 4
-            }
-        }
+        self.scores.len() * 4
     }
 }
 
@@ -515,8 +463,8 @@ mod tests {
         let halo = vec![3u32, 7, 11, 20];
         let [mut dense, mut me] = both_layouts(halo.len(), 30);
         for &g in &[7u32, 7, 20, 3] {
-            dense.increment(&halo, g);
-            me.increment(&halo, g);
+            dense.increment_batch(&halo, &[g]);
+            me.increment_batch(&halo, &[g]);
         }
         dense.set(&halo, 11, -1.0);
         me.set(&halo, 11, -1.0);
@@ -535,7 +483,7 @@ mod tests {
         let halo = vec![1u32, 2, 3];
         let [mut s, _] = both_layouts(halo.len(), 10);
         s.set(&halo, 1, -1.0);
-        s.increment(&halo, 2);
+        s.increment_batch(&halo, &[2]);
         // node 3 stays at 0 — not a candidate.
         let top = s.top_k_candidates(&halo, halo.iter().copied(), 3, |_| 0);
         assert_eq!(top, vec![2]);
@@ -551,19 +499,20 @@ mod tests {
         let mut uniq = ids.clone();
         uniq.sort_unstable();
         uniq.dedup();
-        let [mut a, mut b] = both_layouts(halo.len(), 10_000);
-        for &g in &uniq {
-            a.increment(&halo, g);
-        }
-        b.increment_batch(&halo, &uniq);
-        for &g in &halo {
-            assert_eq!(a.get(&halo, g), b.get(&halo, g));
-        }
-        // Large batch exercises the parallel path on the ME layout.
-        let mut c = AccessScores::new(ScoreLayout::MemEfficient, 10_000, halo.len());
-        c.increment_batch(&halo, &uniq);
-        for &g in &uniq {
-            assert_eq!(c.get(&halo, g), 1.0);
+        for (mut singles, mut batched) in both_layouts(halo.len(), 10_000)
+            .into_iter()
+            .zip(both_layouts(halo.len(), 10_000))
+        {
+            for &g in &uniq {
+                singles.increment_batch(&halo, &[g]);
+            }
+            batched.increment_batch(&halo, &uniq);
+            for &g in &halo {
+                assert_eq!(singles.get(&halo, g), batched.get(&halo, g));
+            }
+            for &g in &uniq {
+                assert_eq!(batched.get(&halo, g), 1.0);
+            }
         }
     }
 
@@ -580,7 +529,7 @@ mod tests {
     fn mem_efficient_rejects_non_halo() {
         let halo = vec![1u32, 5];
         let [_, mut me] = both_layouts(halo.len(), 10);
-        me.increment(&halo, 3);
+        me.increment_batch(&halo, &[3]);
     }
 
     /// The O(n) partial selection must reproduce the old full-sort
@@ -592,7 +541,7 @@ mod tests {
         // Scores with many ties: id mod 7 misses each.
         for &g in &halo {
             for _ in 0..(g % 7) {
-                s.increment(&halo, g);
+                s.increment_batch(&halo, &[g]);
             }
         }
         // Degrees with ties too: id mod 5.

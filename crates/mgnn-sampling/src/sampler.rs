@@ -29,9 +29,6 @@ pub enum SamplingStrategy {
     /// degree (importance-style sampling; biases walks toward hubs, which
     /// interacts favorably with the degree-initialized prefetch buffer).
     DegreeWeighted,
-    /// Take every neighbor (fanout ignored) — full neighborhood
-    /// aggregation, used for exact inference.
-    Full,
 }
 
 /// Reusable working memory for [`NeighborSampler::sample_into`]. One
@@ -208,7 +205,7 @@ fn sample_one_layer_into(
     for &d in dst {
         let nbrs = part.graph.neighbors(d);
         nbr.clear();
-        if nbrs.len() <= fanout || strategy == SamplingStrategy::Full {
+        if nbrs.len() <= fanout {
             nbr.extend_from_slice(nbrs);
         } else {
             match strategy {
@@ -243,7 +240,6 @@ fn sample_one_layer_into(
                     nbr.extend(keyed.iter().map(|&(_, v)| v));
                     nbr.sort_unstable();
                 }
-                SamplingStrategy::Full => unreachable!(),
             }
         }
         for &v in nbr.iter() {
@@ -389,22 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn full_strategy_takes_every_neighbor() {
-        let part = partition();
-        let seeds: Vec<u32> = (0..8).collect();
-        let s = NeighborSampler::with_strategy(vec![2], SamplingStrategy::Full, 1);
-        let mb = s.sample(&part, &seeds, 0, 0);
-        let b = &mb.blocks[0];
-        for (i, &d) in mb.seeds.iter().enumerate() {
-            assert_eq!(
-                b.neighbors_of(i).len(),
-                part.graph.neighbors(d).len(),
-                "dst {d} truncated"
-            );
-        }
-    }
-
-    #[test]
     fn degree_weighted_respects_fanout_and_edges() {
         let part = partition();
         let seeds: Vec<u32> = (0..16).collect();
@@ -463,11 +443,7 @@ mod tests {
         // batches) must yield bitwise-identical output to a fresh
         // `sample` at every (epoch, step) and for every strategy.
         let part = partition();
-        for strategy in [
-            SamplingStrategy::Uniform,
-            SamplingStrategy::DegreeWeighted,
-            SamplingStrategy::Full,
-        ] {
+        for strategy in [SamplingStrategy::Uniform, SamplingStrategy::DegreeWeighted] {
             let s = NeighborSampler::with_strategy(vec![4, 7], strategy, 13);
             let mut out = SampledMinibatch::default();
             let mut scratch = SamplerScratch::default();
@@ -501,11 +477,7 @@ mod tests {
     fn strategies_deterministic() {
         let part = partition();
         let seeds: Vec<u32> = (0..8).collect();
-        for strategy in [
-            SamplingStrategy::Uniform,
-            SamplingStrategy::DegreeWeighted,
-            SamplingStrategy::Full,
-        ] {
+        for strategy in [SamplingStrategy::Uniform, SamplingStrategy::DegreeWeighted] {
             let s = NeighborSampler::with_strategy(vec![4, 4], strategy, 7);
             assert_eq!(
                 s.sample(&part, &seeds, 1, 2),

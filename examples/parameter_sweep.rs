@@ -6,7 +6,6 @@
 //! cargo run --release --example parameter_sweep
 //! ```
 
-use massivegnn::tradeoff::{classify, Quadrant};
 use massivegnn::{Engine, EngineConfig, Mode, PrefetchConfig};
 use mgnn_graph::{DatasetKind, Scale};
 
@@ -30,7 +29,7 @@ fn main() {
     println!("baseline DistDGL: {:.3}s", baseline.makespan_s);
     println!();
     println!(
-        "{:>6} {:>8} {:>6} {:>10} {:>8} {:>8}  quadrant",
+        "{:>6} {:>8} {:>6} {:>10} {:>8} {:>8}",
         "f_h", "gamma", "delta", "time(s)", "impr(%)", "hit(%)"
     );
 
@@ -47,21 +46,14 @@ fn main() {
                     }))
                     .expect("a valid prefetch configuration");
                 let impr = 100.0 * (1.0 - r.makespan_s / baseline.makespan_s);
-                let q = classify(gamma, delta);
                 println!(
-                    "{:>6} {:>8} {:>6} {:>10.3} {:>8.1} {:>8.1}  {:?}{}",
+                    "{:>6} {:>8} {:>6} {:>10.3} {:>8.1} {:>8.1}",
                     f_h,
                     gamma,
                     delta,
                     r.makespan_s,
                     impr,
-                    100.0 * r.hit_rate(),
-                    q,
-                    if q == Quadrant::LowDecayLongInterval {
-                        " *"
-                    } else {
-                        ""
-                    }
+                    100.0 * r.hit_rate()
                 );
                 let label = format!("f_h={f_h} γ={gamma} Δ={delta}");
                 if best.as_ref().is_none_or(|(t, _)| r.makespan_s < *t) {

@@ -1,9 +1,12 @@
 //! Offline stand-in for the `rayon` crate — now actually parallel.
 //!
 //! The build environment has no crates.io access, so the workspace
-//! vendors the exact parallel-iterator surface it uses. Earlier
-//! revisions implemented it sequentially; this version executes on a
-//! persistent worker pool (see [`pool`]) sized by `MGNN_THREADS` or
+//! vendors the exact parallel-iterator surface it uses, and no more:
+//! `into_par_iter` over a `usize` range with `map`, `flat_map_iter`,
+//! `fold` + `reduce` and `collect`, and `par_chunks_mut(..).enumerate()
+//! .for_each(..)` over a mutable slice. Earlier revisions implemented it
+//! sequentially; this version executes on a persistent worker pool (see
+//! [`pool`]) sized by `MGNN_THREADS` or
 //! [`std::thread::available_parallelism`].
 //!
 //! # Determinism contract
@@ -11,18 +14,17 @@
 //! Every operation splits its input into chunks whose boundaries are a
 //! **pure function of input length** ([`pool::chunk_len`]), maps or
 //! folds each chunk in ascending index order, and combines per-chunk
-//! results in chunk order. Consequently `map`, `for_each`, `fold` +
-//! `reduce`, `collect`, `sum`, `partition_map` and `par_chunks_mut`
-//! return bitwise-identical results at **any**
+//! results in chunk order. Consequently every operation above returns
+//! bitwise-identical results at **any**
 //! thread count — the engine's bitwise-`RunReport` reproducibility
 //! oracle holds whether `MGNN_THREADS=1` or 64. Only wall-clock time
 //! changes with the thread count.
 //!
 //! The wrappers preserve rayon's shapes (`fold` yields per-chunk
-//! accumulators that `reduce` combines; `partition_map` splits by
-//! [`iter::Either`]) so call sites stay source-compatible with real
-//! rayon if it is ever swapped back in. Closures take rayon's `Fn +
-//! Sync` bounds because they genuinely run concurrently.
+//! accumulators that `reduce` combines) so call sites stay
+//! source-compatible with real rayon if it is ever swapped back in.
+//! Closures take rayon's `Fn + Sync` bounds because they genuinely run
+//! concurrently.
 
 pub mod pool;
 
@@ -32,15 +34,6 @@ pub mod iter {
     //! Parallel-iterator adapters over indexed sources.
 
     use crate::pool;
-
-    /// Two-way branch used by [`Par::partition_map`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Either<L, R> {
-        /// Goes to the first output collection.
-        Left(L),
-        /// Goes to the second output collection.
-        Right(R),
-    }
 
     /// An indexed source of items that can be driven range-by-range
     /// from multiple threads.
@@ -154,27 +147,6 @@ pub mod iter {
         }
     }
 
-    /// Enumerate adapter. Valid only over one-item-per-index sources
-    /// (everything except [`FlatMapIter`], which no call site
-    /// enumerates).
-    pub struct Enumerate<S>(S);
-
-    impl<S: ParSource> ParSource for Enumerate<S> {
-        type Item = (usize, S::Item);
-
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-
-        fn drive(&self, lo: usize, hi: usize, sink: &mut dyn FnMut((usize, S::Item))) {
-            let mut idx = lo;
-            self.0.drive(lo, hi, &mut |x| {
-                sink((idx, x));
-                idx += 1;
-            });
-        }
-    }
-
     /// Per-chunk accumulators produced by [`Par::fold`], combined in
     /// chunk order by [`Folded::reduce`].
     pub struct Folded<T>(Vec<T>);
@@ -212,20 +184,6 @@ pub mod iter {
             Par(FlatMapIter { src: self.0, f })
         }
 
-        /// Pair each item with its index.
-        pub fn enumerate(self) -> Par<Enumerate<S>> {
-            Par(Enumerate(self.0))
-        }
-
-        /// Consume with a side-effecting closure (run on the pool).
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(S::Item) + Sync,
-        {
-            let src = self.0;
-            run_chunked(src.len(), |lo, hi| src.drive(lo, hi, &mut |x| f(x)));
-        }
-
         /// Fold each chunk into its own accumulator, in index order.
         /// The accumulators come back in chunk order, so a subsequent
         /// [`Folded::reduce`] is bitwise-deterministic at any thread
@@ -256,51 +214,6 @@ pub mod iter {
             });
             parts.into_iter().flatten().collect()
         }
-
-        /// Sum the items: per-chunk partial sums in index order,
-        /// combined in chunk order.
-        pub fn sum<Su>(self) -> Su
-        where
-            Su: std::iter::Sum<S::Item> + std::iter::Sum<Su> + Send,
-        {
-            let src = self.0;
-            run_chunked(src.len(), |lo, hi| {
-                let mut part = Vec::with_capacity(hi - lo);
-                src.drive(lo, hi, &mut |x| part.push(x));
-                part.into_iter().sum::<Su>()
-            })
-            .into_iter()
-            .sum()
-        }
-
-        /// Split items into two collections according to `f`,
-        /// preserving index order within each side.
-        pub fn partition_map<A, B, CA, CB, F>(self, f: F) -> (CA, CB)
-        where
-            A: Send,
-            B: Send,
-            CA: Default + Extend<A>,
-            CB: Default + Extend<B>,
-            F: Fn(S::Item) -> Either<A, B> + Sync,
-        {
-            let src = self.0;
-            let parts = run_chunked(src.len(), |lo, hi| {
-                let mut left = Vec::new();
-                let mut right = Vec::new();
-                src.drive(lo, hi, &mut |x| match f(x) {
-                    Either::Left(a) => left.push(a),
-                    Either::Right(b) => right.push(b),
-                });
-                (left, right)
-            });
-            let mut left = CA::default();
-            let mut right = CB::default();
-            for (l, r) in parts {
-                left.extend(l);
-                right.extend(r);
-            }
-            (left, right)
-        }
     }
 
     /// Conversion into a parallel iterator (by value).
@@ -314,84 +227,26 @@ pub mod iter {
         fn into_par_iter(self) -> Par<Self::Source>;
     }
 
-    macro_rules! range_par_source {
-        ($t:ty) => {
-            impl ParSource for std::ops::Range<$t> {
-                type Item = $t;
-
-                fn len(&self) -> usize {
-                    if self.end > self.start {
-                        (self.end - self.start) as usize
-                    } else {
-                        0
-                    }
-                }
-
-                fn drive(&self, lo: usize, hi: usize, sink: &mut dyn FnMut($t)) {
-                    for i in lo..hi {
-                        sink(self.start + i as $t);
-                    }
-                }
-            }
-
-            impl IntoParallelIterator for std::ops::Range<$t> {
-                type Item = $t;
-                type Source = std::ops::Range<$t>;
-
-                fn into_par_iter(self) -> Par<Self::Source> {
-                    Par(self)
-                }
-            }
-        };
-    }
-
-    range_par_source!(usize);
-    range_par_source!(u32);
-    range_par_source!(u64);
-
-    /// Borrowed-slice source (`par_iter`).
-    pub struct SliceSource<'a, T>(&'a [T]);
-
-    impl<'a, T: Sync> ParSource for SliceSource<'a, T> {
-        type Item = &'a T;
+    impl ParSource for std::ops::Range<usize> {
+        type Item = usize;
 
         fn len(&self) -> usize {
-            self.0.len()
+            self.end.saturating_sub(self.start)
         }
 
-        fn drive(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(&'a T)) {
-            for x in &self.0[lo..hi] {
-                sink(x);
+        fn drive(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(usize)) {
+            for i in lo..hi {
+                sink(self.start + i);
             }
         }
     }
 
-    /// Conversion into a borrowing parallel iterator (`par_iter`).
-    pub trait IntoParallelRefIterator<'a> {
-        /// Borrowed item type.
-        type Item: Send + 'a;
-        /// Underlying indexed source.
-        type Source: ParSource<Item = Self::Item>;
+    impl IntoParallelIterator for std::ops::Range<usize> {
+        type Item = usize;
+        type Source = std::ops::Range<usize>;
 
-        /// Enter the parallel-iterator API by reference.
-        fn par_iter(&'a self) -> Par<Self::Source>;
-    }
-
-    impl<'a, T: 'a + Sync> IntoParallelRefIterator<'a> for [T] {
-        type Item = &'a T;
-        type Source = SliceSource<'a, T>;
-
-        fn par_iter(&'a self) -> Par<SliceSource<'a, T>> {
-            Par(SliceSource(self))
-        }
-    }
-
-    impl<'a, T: 'a + Sync> IntoParallelRefIterator<'a> for Vec<T> {
-        type Item = &'a T;
-        type Source = SliceSource<'a, T>;
-
-        fn par_iter(&'a self) -> Par<SliceSource<'a, T>> {
-            Par(SliceSource(self.as_slice()))
+        fn into_par_iter(self) -> Par<Self::Source> {
+            Par(self)
         }
     }
 }
@@ -486,19 +341,19 @@ pub mod slice {
 
 /// Common imports, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use super::iter::{IntoParallelIterator, IntoParallelRefIterator};
+    pub use super::iter::IntoParallelIterator;
     pub use super::slice::ParallelSliceMut;
 }
 
 #[cfg(test)]
 mod tests {
-    use super::iter::{Either, IntoParallelIterator, IntoParallelRefIterator};
+    use super::iter::IntoParallelIterator;
     use super::slice::ParallelSliceMut;
 
     #[test]
     fn map_collect_matches_serial() {
-        let v: Vec<u32> = (0u32..10).into_par_iter().map(|x| x * 2).collect();
-        assert_eq!(v, (0..10).map(|x| x * 2).collect::<Vec<u32>>());
+        let v: Vec<usize> = (0..10).into_par_iter().map(|x| x * 2).collect();
+        assert_eq!(v, (0..10).map(|x| x * 2).collect::<Vec<usize>>());
     }
 
     #[test]
@@ -527,20 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_map_splits() {
-        let v = vec![1u32, 2, 3, 4, 5];
-        let (even, odd): (Vec<u32>, Vec<u32>) = v.par_iter().partition_map(|&x| {
-            if x % 2 == 0 {
-                Either::Left(x)
-            } else {
-                Either::Right(x)
-            }
-        });
-        assert_eq!(even, vec![2, 4]);
-        assert_eq!(odd, vec![1, 3, 5]);
-    }
-
-    #[test]
     fn chunks_mut_enumerates_in_order() {
         let mut w = vec![0u32; 6];
         w.par_chunks_mut(2).enumerate().for_each(|(i, c)| {
@@ -553,11 +394,11 @@ mod tests {
 
     #[test]
     fn flat_map_iter_preserves_order() {
-        let v: Vec<u32> = (0u32..100)
+        let v: Vec<usize> = (0..100)
             .into_par_iter()
             .flat_map_iter(|x| (0..x % 3).map(move |k| x * 10 + k))
             .collect();
-        let expected: Vec<u32> = (0u32..100)
+        let expected: Vec<usize> = (0..100)
             .flat_map(|x| (0..x % 3).map(move |k| x * 10 + k))
             .collect();
         assert_eq!(v, expected);

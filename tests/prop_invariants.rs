@@ -103,8 +103,8 @@ proptest! {
         for (idx, v) in ops {
             let g = halo[idx % halo.len()];
             if v < 0.0 {
-                dense.increment(&halo, g);
-                me.increment(&halo, g);
+                dense.increment_batch(&halo, &[g]);
+                me.increment_batch(&halo, &[g]);
             } else {
                 dense.set(&halo, g, v);
                 me.set(&halo, g, v);
@@ -147,7 +147,7 @@ proptest! {
             batch.increment_batch(&halo, &globals);
             let mut reference = AccessScores::new(layout, 2000, halo.len());
             for &h in &seen {
-                reference.increment(&halo, halo[h as usize]);
+                reference.increment_batch(&halo, &[halo[h as usize]]);
             }
             for &g in &halo {
                 prop_assert_eq!(batch.get(&halo, g), reference.get(&halo, g));

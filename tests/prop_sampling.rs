@@ -35,7 +35,6 @@ fn arb_instance() -> impl Strategy<Value = SamplerInstance> {
         let strategy = prop_oneof![
             Just(SamplingStrategy::Uniform),
             Just(SamplingStrategy::DegreeWeighted),
-            Just(SamplingStrategy::Full),
         ];
         (Just(n), edges, fanouts, seeds, 0u64..100, strategy)
     })
@@ -84,13 +83,11 @@ proptest! {
             let fanout = fanouts[li];
             for i in 0..b.num_dst {
                 let d = b.src_nodes[i];
-                if strategy != SamplingStrategy::Full {
-                    prop_assert!(b.neighbors_of(i).len() <= fanout.max(part.graph.degree(d)));
-                    prop_assert!(
-                        b.neighbors_of(i).len() <= fanout
-                            || b.neighbors_of(i).len() == part.graph.degree(d)
-                    );
-                }
+                prop_assert!(b.neighbors_of(i).len() <= fanout.max(part.graph.degree(d)));
+                prop_assert!(
+                    b.neighbors_of(i).len() <= fanout
+                        || b.neighbors_of(i).len() == part.graph.degree(d)
+                );
                 if part.is_halo(d) {
                     prop_assert!(b.neighbors_of(i).is_empty(), "halo expanded");
                 }
@@ -116,22 +113,5 @@ proptest! {
             sampler.sample(&part, &seeds, 3, 5),
             sampler.sample(&part, &seeds, 3, 5)
         );
-    }
-
-    #[test]
-    fn full_strategy_is_exhaustive(
-        (n, edges, _fanouts, raw_seeds, seed, _s) in arb_instance()
-    ) {
-        let part = build_partition(n, edges, 2, seed);
-        let seeds: Vec<u32> = raw_seeds
-            .into_iter()
-            .map(|s| s % part.num_local().max(1) as u32)
-            .collect();
-        let sampler = NeighborSampler::with_strategy(vec![1], SamplingStrategy::Full, seed);
-        let mb = sampler.sample(&part, &seeds, 0, 0);
-        let b = &mb.blocks[0];
-        for (i, &d) in mb.seeds.iter().enumerate() {
-            prop_assert_eq!(b.neighbors_of(i).len(), part.graph.degree(d));
-        }
     }
 }

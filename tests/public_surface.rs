@@ -76,10 +76,6 @@ const ORACLES: &[(&str, &str)] = &[
     ),
     // massivegnn
     (
-        "increment",
-        "serial reference of `AccessScores::increment_batch` (both layouts, both size paths)",
-    ),
-    (
         "decay",
         "serial reference of `EvictionScores::decay_or_reset_prefix`",
     ),

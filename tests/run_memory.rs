@@ -2,15 +2,19 @@
 //! `Engine::run` holds above what `Engine::build` left — round-robin, and
 //! with a prepare thread and a look-ahead queue per trainer — and what
 //! one preparation — baseline, or through the lookahead planner —
-//! allocates once its buffers have grown: all read from the counting
-//! allocator (`--features alloc-count`; without it this file is not
-//! built).
+//! allocates once its buffers have grown, and that the buffer probe and
+//! the `S_A` update allocate nothing at any batch size: all read from
+//! the counting allocator (`--features alloc-count`; without it this
+//! file is not built).
 //!
 //! The gauges are process-wide, so this binary holds exactly one test.
 
 use massivegnn::init::initialize_prefetcher;
 use massivegnn::prefetcher::{baseline_prepare_reuse, PrepareScratch};
-use massivegnn::{alloc, Engine, EngineConfig, LookaheadPolicy, Mode, PrefetchConfig};
+use massivegnn::scoreboard::AccessScores;
+use massivegnn::{
+    alloc, Engine, EngineConfig, LookaheadPolicy, Mode, PrefetchBuffer, PrefetchConfig, ScoreLayout,
+};
 use mgnn_graph::{Dataset, DatasetKind, Scale};
 use mgnn_net::{wire, CommMetrics, CostModel, SimCluster};
 use mgnn_partition::{build_local_partitions, multilevel_partition};
@@ -43,6 +47,19 @@ fn run_footprint(cfg: EngineConfig) -> (f64, Vec<f64>) {
     let peak = (alloc::peak_bytes() - held) as f64;
     let per_trainer = report.trainers.iter().map(|t| t.peak_bytes as f64);
     (peak, per_trainer.collect())
+}
+
+/// What `f` returns, and `(allocations on this thread, bytes the live
+/// gauge rose by)` while it ran.
+fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, (u64, i64)) {
+    let live = alloc::live_bytes();
+    alloc::reset_peak();
+    let before = alloc::thread_allocs();
+    let r = f();
+    (
+        r,
+        (alloc::thread_allocs() - before, alloc::peak_bytes() - live),
+    )
 }
 
 #[test]
@@ -131,23 +148,20 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
         let mut step = 0u64;
         for (epoch, plan) in plans.iter().enumerate() {
             for seeds in plan.iter() {
-                let live = alloc::live_bytes();
-                alloc::reset_peak();
-                let before = alloc::thread_allocs();
-                let batch = baseline_prepare_reuse(
-                    carcass.take(),
-                    &mut scratch,
-                    part,
-                    &sampler,
-                    seeds,
-                    epoch as u64,
-                    step,
-                    &cluster,
-                    &cost,
-                    &metrics,
-                );
-                let allocs = alloc::thread_allocs() - before;
-                let grown = alloc::peak_bytes() - live;
+                let (batch, (allocs, grown)) = allocations_of(|| {
+                    baseline_prepare_reuse(
+                        carcass.take(),
+                        &mut scratch,
+                        part,
+                        &sampler,
+                        seeds,
+                        epoch as u64,
+                        step,
+                        &cluster,
+                        &cost,
+                        &metrics,
+                    )
+                });
                 if counted {
                     assert_eq!(
                         (allocs, grown),
@@ -199,22 +213,19 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
     for counted in [false, true] {
         pf.buffer = initial.clone();
         for (step, seeds) in plan.iter().take(steps).enumerate() {
-            let live = alloc::live_bytes();
-            alloc::reset_peak();
-            let before = alloc::thread_allocs();
-            let batch = pf.prepare_reuse(
-                carcass.take(),
-                part,
-                &sampler,
-                seeds,
-                0,
-                step as u64,
-                &cluster,
-                &cost,
-                &metrics,
-            );
-            let allocs = alloc::thread_allocs() - before;
-            let grown = alloc::peak_bytes() - live;
+            let (batch, (allocs, grown)) = allocations_of(|| {
+                pf.prepare_reuse(
+                    carcass.take(),
+                    part,
+                    &sampler,
+                    seeds,
+                    0,
+                    step as u64,
+                    &cluster,
+                    &cost,
+                    &metrics,
+                )
+            });
             if counted {
                 assert_eq!(
                     (allocs, grown),
@@ -234,4 +245,38 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
         planning > 0 && between >= planning,
         "{planning} planning steps, {between} in between"
     );
+
+    // (d) The buffer probe and the memory-efficient `S_A` update, each
+    // past the size where a parallel path once took over (4 096 sampled
+    // halo nodes, 2 048 misses) and collected into fresh vectors: once
+    // the caller's hit and miss vectors have grown, neither allocates.
+    let mut buffer = PrefetchBuffer::new(10_000, 2_000, 1);
+    for h in (0..10_000u32).step_by(5) {
+        buffer.insert_with(h, |row| row.fill(0.0));
+    }
+    let sampled: Vec<u32> = (0..6_000u32).rev().collect();
+    let (mut hits, mut misses) = (Vec::new(), Vec::new());
+    buffer.probe_batch_into(&sampled, &mut hits, &mut misses);
+    let ((), probe) = allocations_of(|| buffer.probe_batch_into(&sampled, &mut hits, &mut misses));
+    assert_eq!(
+        probe,
+        (0, 0),
+        "probing {} halo nodes: (allocations, bytes grown)",
+        sampled.len()
+    );
+    assert_eq!((hits.len(), misses.len()), (1_200, 4_800));
+
+    let halo_nodes: Vec<u32> = (0..10_000u32).map(|h| 3 * h + 1).collect();
+    let missed: Vec<u32> = halo_nodes.iter().copied().step_by(3).collect();
+    assert!(missed.len() >= 3_000, "{} misses", missed.len());
+    let mut s_a = AccessScores::new(ScoreLayout::MemEfficient, 30_001, halo_nodes.len());
+    s_a.increment_batch(&halo_nodes, &missed);
+    let ((), update) = allocations_of(|| s_a.increment_batch(&halo_nodes, &missed));
+    assert_eq!(
+        update,
+        (0, 0),
+        "S_A update over {} misses: (allocations, bytes grown)",
+        missed.len()
+    );
+    assert_eq!(s_a.get(&halo_nodes, missed[0]), 2.0);
 }
