@@ -102,7 +102,7 @@ pub struct EngineConfig {
     pub retry: RetryPolicy,
     /// Recycle the prepare scratch and the `PreparedBatch` carcasses, so
     /// steady-state preparation performs no heap allocation. Off prepares
-    /// every batch into fresh ones; the gradient-exchange arena and the
+    /// every batch into fresh ones; the gradient-exchange buffers and the
     /// optimizer scratch are reused either way, and reports are
     /// bitwise-identical either way.
     pub pooling: bool,

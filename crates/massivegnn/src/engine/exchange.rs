@@ -1,86 +1,62 @@
-//! Lock-free DDP gradient exchange — every `unsafe` line under `engine/`
-//! lives in this file, behind an interface safe code cannot misuse.
+//! DDP gradient exchange: one lock over the gradients, one barrier, and
+//! the barrier's leader reducing them.
 
-use std::cell::UnsafeCell;
+use mgnn_model::{reduce_ring_chunk_average_with, ring_chunk_bounds};
 use std::ops::Range;
-use std::sync::Barrier;
+use std::sync::{Barrier, RwLock};
 
-/// f32 lanes per cache line.
-const CELL_F32: usize = 16;
+/// One gradient slot per trainer plus the averaged gradient, allocated
+/// once per run.
+struct Buffers {
+    slots: Vec<Vec<f32>>,
+    avg: Vec<f32>,
+}
 
-/// One 64-byte cache line of interior-mutable f32 storage. `repr(C)`
-/// pins the `UnsafeCell` at offset 0 and `[f32; 16]` fills the line
-/// exactly, so every byte of a `CacheCell` is inside its `UnsafeCell` —
-/// the property that makes writing through pointers derived from a
-/// shared `&[CacheCell]` sound.
-#[repr(C, align(64))]
-struct CacheCell(UnsafeCell<[f32; CELL_F32]>);
-
-/// One cache-line-aligned gradient slot per trainer plus a shared average
-/// region, in a single arena allocated once per run — no lock, no
-/// per-step allocation, no single-threaded reduction: ring chunk `c` is
-/// reduced by whoever steps trainer `c`, and the chunk grid is a pure
-/// function of the gradient length ([`mgnn_model::ring_chunk_bounds`]),
-/// so the f32 accumulation order — and therefore every low mantissa bit —
-/// is that of [`mgnn_model::ring_allreduce_average`] however many threads
-/// take part.
+/// The world's gradient buffers behind one [`RwLock`], and the barrier
+/// the shares of a deal meet at.
 ///
-/// Slot starts are padded to a whole number of cache lines, so two
-/// trainers writing their slots concurrently never share a line (no
-/// false sharing, and no cross-thread byte overlap at all).
-///
-/// # Phase protocol ([`Share::all_reduce`])
+/// # Round protocol ([`Share::all_reduce`])
 ///
 /// ```text
-/// write own slots    -- disjoint &mut [f32] per share
+/// write own slots    -- write lock, a share's own ranks
 ///     barrier
-/// reduce own chunks  -- shared reads of all slots, disjoint &mut of avg
+/// leader reduces     -- write lock, every ring chunk in chunk order
 ///     barrier
-/// apply shared avg   -- shared reads of avg
+/// apply the average  -- read lock
 /// ```
 ///
-/// Each phase's references are created inside the phase and dropped
-/// before the barrier, so no `&mut` coexists with an aliasing access.
-/// The barriers publish writes (acquire/release) between phases. A share
-/// looping into the next round writes only its own slots, which no other
-/// share touches outside the reduce phase it cannot reach before the same
-/// barrier.
+/// The leader folds every chunk with [`reduce_ring_chunk_average_with`],
+/// so the f32 accumulation order — and therefore every low mantissa bit
+/// — is that of [`mgnn_model::ring_allreduce_average`], whichever thread
+/// leads and however many threads take part. A share looping into the next round
+/// takes the write lock to publish only once every reader of this
+/// round's average has let go of it, and the next reduce waits for every
+/// share at the next first barrier.
 pub(super) struct GradExchange {
-    cells: Box<[CacheCell]>,
-    len: usize,
-    cells_per_slot: usize,
+    buffers: RwLock<Buffers>,
     world: usize,
     /// One party per share of the current deal.
     barrier: Barrier,
 }
 
-// SAFETY: `cells` is only mutated through `UnsafeCell` under the phase
-// protocol above, where the mutable views are disjoint by construction
-// (a share's ranks, a rank's ring chunk); `Barrier` is `Sync`; the other
-// fields are plain integers written only through `&mut self`.
-unsafe impl Sync for GradExchange {}
-
 /// One scheduler thread's part in the exchange: the consecutive trainer
 /// ranks it steps. Ranks of the shares of one deal tile `0..world`
-/// without overlap, which is what keeps their mutable views disjoint.
+/// without overlap, so each slot has one writer.
 pub(super) struct Share<'a> {
     ex: &'a GradExchange,
     ranks: Range<usize>,
 }
 
 impl GradExchange {
-    /// Arena for `world` gradient buffers of `len` f32s (+ the shared
-    /// average region), zero-initialized.
+    /// Buffers for `world` gradients of `len` f32s (+ their average),
+    /// zero-initialized.
     pub(super) fn new(world: usize, len: usize) -> Self {
         assert!(world > 0);
-        let cells_per_slot = len.div_ceil(CELL_F32).max(1);
-        let cells: Box<[CacheCell]> = (0..cells_per_slot * (world + 1))
-            .map(|_| CacheCell(UnsafeCell::new([0.0; CELL_F32])))
-            .collect();
         GradExchange {
-            cells,
-            len,
-            cells_per_slot,
+            buffers: RwLock::new(Buffers {
+                slots: vec![vec![0.0; len]; world],
+                avg: vec![0.0; len],
+            }),
             world,
             barrier: Barrier::new(1),
         }
@@ -89,7 +65,7 @@ impl GradExchange {
     /// Deal the trainers out, `per_share` consecutive ranks to a share
     /// (`world` for one round-robin thread, 1 for a thread per trainer),
     /// and size the barrier to the number of shares. The shares borrow
-    /// the arena exclusively, so no second deal — other ranks, another
+    /// the exchange exclusively, so no second deal — other ranks, another
     /// barrier — can exist beside them.
     pub(super) fn shares(&mut self, per_share: usize) -> Vec<Share<'_>> {
         assert!(per_share > 0);
@@ -102,39 +78,6 @@ impl GradExchange {
                 ranks: p * per_share..((p + 1) * per_share).min(ex.world),
             })
             .collect()
-    }
-
-    /// First f32 of region `r` (slots `0..world`; the average at `world`).
-    /// Provenance covers the whole arena: derived from the full-slice
-    /// pointer, not a single element's.
-    #[inline]
-    fn region_ptr(&self, r: usize) -> *mut f32 {
-        assert!(r <= self.world);
-        // SAFETY: `r <= world` and the arena holds `world + 1` regions of
-        // `cells_per_slot * CELL_F32` f32s, so the offset stays inside it.
-        unsafe { (self.cells.as_ptr() as *mut f32).add(r * self.cells_per_slot * CELL_F32) }
-    }
-
-    /// Shared view of region `r`: trainer `r`'s gradient slot, or the
-    /// averaged gradient at `r == world`.
-    ///
-    /// # Safety
-    /// No `&mut` into region `r` may be live: slots are read between the
-    /// two barriers, the average after the second.
-    unsafe fn region(&self, r: usize) -> &[f32] {
-        std::slice::from_raw_parts(self.region_ptr(r), self.len)
-    }
-
-    /// Exclusive view of elements `start..end` of region `r`.
-    ///
-    /// # Safety
-    /// Caller must hold exclusive access to that window for the lifetime
-    /// of the returned slice: a whole slot of its own before the first
-    /// barrier, its own ring chunks of the average between the two.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn region_mut(&self, r: usize, start: usize, end: usize) -> &mut [f32] {
-        assert!(start <= end && end <= self.len);
-        std::slice::from_raw_parts_mut(self.region_ptr(r).add(start), end - start)
     }
 }
 
@@ -151,29 +94,25 @@ impl Share<'_> {
     ) {
         let ex = self.ex;
         assert_eq!(trainers.len(), self.ranks.len(), "one trainer per rank");
-        for (t, trainer) in self.ranks.clone().zip(trainers.iter()) {
-            // SAFETY: rank `t` belongs to this share alone, `&mut self`
-            // keeps the share to one round at a time, and no share reads
-            // any slot until the barrier below.
-            publish(trainer, unsafe { ex.region_mut(t, 0, ex.len) });
+        {
+            let mut buffers = ex.buffers.write().expect("a trainer panicked mid-exchange");
+            for (slot, trainer) in buffers.slots[self.ranks.clone()].iter_mut().zip(&*trainers) {
+                publish(trainer, slot);
+            }
+        }
+        if ex.barrier.wait().is_leader() {
+            let mut buffers = ex.buffers.write().expect("a trainer panicked mid-exchange");
+            let Buffers { slots, avg } = &mut *buffers;
+            let (world, len) = (ex.world, avg.len());
+            for c in 0..world {
+                let (start, end) = ring_chunk_bounds(len, world, c);
+                reduce_ring_chunk_average_with(c, world, len, |r| &slots[r], &mut avg[start..end]);
+            }
         }
         ex.barrier.wait();
-        for c in self.ranks.clone() {
-            let (start, end) = mgnn_model::ring_chunk_bounds(ex.len, ex.world, c);
-            // SAFETY: chunks tile the average without overlap and chunk
-            // `c` belongs to this share alone; every slot is only read
-            // between the two barriers.
-            let dst = unsafe { ex.region_mut(ex.world, start, end) };
-            let slot = |r| unsafe { ex.region(r) };
-            mgnn_model::reduce_ring_chunk_average_with(c, ex.world, ex.len, slot, dst);
-        }
-        ex.barrier.wait();
-        // SAFETY: the average is not written again before every share
-        // has passed the next round's first barrier, which this share
-        // reaches only after the borrow below has ended.
-        let avg = unsafe { ex.region(ex.world) };
+        let buffers = ex.buffers.read().expect("a trainer panicked mid-exchange");
         for trainer in trainers {
-            apply(trainer, avg);
+            apply(trainer, &buffers.avg);
         }
     }
 }
@@ -182,9 +121,8 @@ impl Share<'_> {
 mod tests {
     use super::*;
 
-    /// A stand-in trainer: the gradient it publishes this round and the
-    /// average it was handed.
-    type Rank = (Vec<f32>, Vec<f32>);
+    /// A stand-in trainer: its rank and the average it was handed.
+    type Rank = (usize, Vec<f32>);
 
     fn gradient(rank: usize, round: usize, len: usize) -> Vec<f32> {
         // Irregular magnitudes, so a changed summation order shows in the
@@ -194,50 +132,109 @@ mod tests {
             .collect()
     }
 
-    /// Three rounds on one arena with `per_share` ranks per thread.
-    fn rounds_match_the_ring(ex: &mut GradExchange, world: usize, len: usize, per_share: usize) {
-        for round in 0..3 {
-            let mut ranks: Vec<Rank> = (0..world)
-                .map(|r| (gradient(r, round, len), Vec::new()))
-                .collect();
-            let mut expect: Vec<Vec<f32>> = ranks.iter().map(|r| r.0.clone()).collect();
-            mgnn_model::ring_allreduce_average(&mut expect);
-
-            let shares = ex.shares(per_share);
-            assert_eq!(shares.len(), world.div_ceil(per_share));
-            std::thread::scope(|s| {
-                for (mut share, mine) in shares.into_iter().zip(ranks.chunks_mut(per_share)) {
-                    s.spawn(move || {
-                        share.all_reduce(
-                            mine,
-                            |r, slot| slot.copy_from_slice(&r.0),
-                            |r, avg| r.1 = avg.to_vec(),
-                        )
-                    });
+    /// Hold rank `rank` up before `phase` (0 publish, 1 apply) of round
+    /// `round`: yield the thread or spin, a number of times drawn from
+    /// `schedule`, so the shares reach the lock and the barriers in an
+    /// order the seed picks.
+    fn stall(schedule: u64, rank: usize, round: usize, phase: u64) {
+        // splitmix64 over the point in the schedule.
+        let mut h = schedule ^ ((rank as u64) << 40) ^ ((round as u64) << 8) ^ phase;
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^= h >> 31;
+        for _ in 0..h % 4 {
+            if h & (1 << 32) != 0 {
+                std::thread::yield_now();
+            } else {
+                for _ in 0..(h >> 40) % 512 {
+                    std::hint::spin_loop();
                 }
-            });
-            for (r, (got, want)) in ranks.iter().zip(&expect).enumerate() {
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&got.1),
-                    bits(want),
-                    "world {world} len {len} per_share {per_share} round {round} rank {r}"
-                );
             }
         }
+    }
+
+    /// Run `rounds` on one exchange with `per_share` ranks per thread,
+    /// every share stepping through all of them on its own thread under
+    /// the `schedule` seed's stalls; every rank's average must equal the
+    /// ring's bit for bit in every round.
+    fn rounds_match_the_ring(
+        ex: &mut GradExchange,
+        world: usize,
+        len: usize,
+        per_share: usize,
+        rounds: Range<usize>,
+        schedule: u64,
+    ) {
+        let expect: Vec<Vec<Vec<f32>>> = rounds
+            .clone()
+            .map(|round| {
+                let mut g: Vec<Vec<f32>> = (0..world).map(|r| gradient(r, round, len)).collect();
+                mgnn_model::ring_allreduce_average(&mut g);
+                g
+            })
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let shares = ex.shares(per_share);
+        assert_eq!(shares.len(), world.div_ceil(per_share));
+        // A share that panicked mid-run would leave the others waiting at
+        // the barrier, so each share lists its mismatches and the check
+        // runs after the join.
+        let mismatches: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = shares
+                .into_iter()
+                .map(|mut share| {
+                    let (expect, rounds) = (&expect, rounds.clone());
+                    s.spawn(move || {
+                        let mut mine: Vec<Rank> =
+                            share.ranks.clone().map(|r| (r, Vec::new())).collect();
+                        let mut bad = Vec::new();
+                        for round in rounds.clone() {
+                            share.all_reduce(
+                                &mut mine,
+                                |&(r, _), slot| {
+                                    stall(schedule, r, round, 0);
+                                    slot.copy_from_slice(&gradient(r, round, len));
+                                },
+                                |(r, got), avg| {
+                                    stall(schedule, *r, round, 1);
+                                    *got = avg.to_vec();
+                                },
+                            );
+                            for (r, got) in &mine {
+                                if bits(got) != bits(&expect[round - rounds.start][*r]) {
+                                    bad.push(format!("round {round} rank {r}"));
+                                }
+                            }
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert!(
+            mismatches.is_empty(),
+            "world {world} len {len} per_share {per_share} schedule {schedule}: {mismatches:?}"
+        );
     }
 
     #[test]
     fn exchange_equals_ring_allreduce_under_both_schedulers() {
         for world in [1, 2, 3, 5, 8] {
-            // Fewer elements than trainers, one cache line exactly, one over.
-            for len in [0, 1, 15, 16, 17, 1000] {
+            // Fewer elements than trainers, a few, many.
+            for len in [0, 1, 17, 1000] {
                 let mut ex = GradExchange::new(world, len);
+                let schedule = (world * 10_000 + len) as u64;
                 // A thread per trainer with a `world`-party barrier, then
-                // one thread with a 1-party barrier, on the same arena: a
-                // stale slot or average would survive into the next round.
-                rounds_match_the_ring(&mut ex, world, len, 1);
-                rounds_match_the_ring(&mut ex, world, len, world);
+                // one thread with a 1-party barrier, on the same buffers
+                // and with fresh gradients: a stale slot or average would
+                // survive into the next round.
+                rounds_match_the_ring(&mut ex, world, len, 1, 0..200, schedule);
+                rounds_match_the_ring(&mut ex, world, len, world, 200..400, schedule);
             }
         }
     }

@@ -236,7 +236,7 @@ impl Engine {
         // trainer afresh, so a second run replays the first.
         self.cluster.rearm_crash();
         let mut trainers = self.build_trainer_states(mode);
-        // One gradient arena for the whole run. Without real math there
+        // One set of gradient buffers per run. Without real math there
         // are no gradients, nothing to synchronise and no barrier wait.
         let num_grads = if cfg.train_math {
             self.shape_model.num_params()

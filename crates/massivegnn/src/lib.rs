@@ -50,8 +50,11 @@
 //! assert!(prefetch.hit_rate() > 0.0);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod ablation;
 #[cfg(feature = "alloc-count")]
+#[allow(unsafe_code)] // `GlobalAlloc` is an unsafe trait.
 pub mod alloc;
 pub mod buffer;
 pub mod config;

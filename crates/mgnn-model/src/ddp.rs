@@ -96,11 +96,9 @@ pub fn ring_chunk_bounds(len: usize, world: usize, chunk: usize) -> (usize, usiz
 ///
 /// `src(r)` returns rank `r`'s full gradient buffer of `len` elements and
 /// `dst` is exactly the chunk's `[start, end)` window
-/// (`ring_chunk_bounds(len, world, chunk)`), so `world` threads each
-/// reducing their own chunk cover a shared buffer exactly once with no
-/// overlap — lock-free by construction — and a lock-free arena can hand
-/// out transient per-rank views without materializing (allocating) a
-/// `&[&[f32]]` every step.
+/// (`ring_chunk_bounds(len, world, chunk)`), so reducing every chunk
+/// covers a shared buffer exactly once, and a caller can lend per-rank
+/// views without materializing (allocating) a `&[&[f32]]` every step.
 pub fn reduce_ring_chunk_average_with<'a, F>(
     chunk: usize,
     world: usize,

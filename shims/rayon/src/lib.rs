@@ -20,12 +20,24 @@
 //! oracle holds whether `MGNN_THREADS=1` or 64. Only wall-clock time
 //! changes with the thread count.
 //!
+//! # Hand-out
+//!
+//! Only [`pool`] holds `unsafe` code: it lends each call's borrowed
+//! closure to the persistent workers. The rest is safe code over std
+//! locks. Each chunk's result goes into its own `Mutex<Option<R>>`
+//! slot, locked once by the task that ran the chunk, and
+//! `par_chunks_mut` hands each task the next piece of the slice from one
+//! `Mutex`-guarded `chunks_mut` iterator.
+//!
 //! The wrappers preserve rayon's shapes (`fold` yields per-chunk
 //! accumulators that `reduce` combines) so call sites stay
 //! source-compatible with real rayon if it is ever swapped back in.
 //! Closures take rayon's `Fn + Sync` bounds because they genuinely run
 //! concurrently.
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)] // A job's borrow is lent to the workers with its lifetime erased.
 pub mod pool;
 
 pub use pool::current_num_threads;
@@ -34,6 +46,7 @@ pub mod iter {
     //! Parallel-iterator adapters over indexed sources.
 
     use crate::pool;
+    use std::sync::Mutex;
 
     /// An indexed source of items that can be driven range-by-range
     /// from multiple threads.
@@ -61,41 +74,31 @@ pub mod iter {
         fn drive(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(Self::Item));
     }
 
-    /// Write handle for disjoint per-chunk result slots.
-    struct SlotPtr<R>(*mut Option<R>);
-    unsafe impl<R: Send> Sync for SlotPtr<R> {}
-
-    impl<R> SlotPtr<R> {
-        /// # Safety
-        /// Each `idx` must be written by at most one thread, within
-        /// the allocation, while the owner keeps the slots alive.
-        unsafe fn write(&self, idx: usize, val: R) {
-            *self.0.add(idx) = Some(val);
-        }
-    }
-
     /// Run `per_chunk(lo, hi)` over the deterministic chunk grid of an
-    /// input of length `len` and return the results in chunk order.
-    pub(crate) fn run_chunked<R: Send>(
+    /// input of length `len`, each result into its own chunk's slot.
+    fn run_chunked<R: Send>(
         len: usize,
         per_chunk: impl Fn(usize, usize) -> R + Sync,
-    ) -> Vec<R> {
-        let nc = pool::num_chunks(len);
+    ) -> Vec<Mutex<Option<R>>> {
         let cl = pool::chunk_len(len);
-        let mut slots: Vec<Option<R>> = (0..nc).map(|_| None).collect();
-        let out = SlotPtr(slots.as_mut_ptr());
-        pool::run(nc, &|c| {
+        let slots: Vec<Mutex<Option<R>>> = (0..pool::num_chunks(len))
+            .map(|_| Mutex::new(None))
+            .collect();
+        pool::run(slots.len(), &|c| {
             let lo = c * cl;
-            let hi = (lo + cl).min(len);
-            let r = per_chunk(lo, hi);
-            // SAFETY: each chunk index writes only its own slot, and
-            // `pool::run` joins all chunks before returning.
-            unsafe { out.write(c, r) };
+            let r = per_chunk(lo, (lo + cl).min(len));
+            *slots[c].lock().expect("nothing panics holding a slot") = Some(r);
         });
         slots
+    }
+
+    /// The results of [`run_chunked`] in chunk order, read out of the
+    /// slots in place, so the slots stay the call's one allocation.
+    fn in_chunk_order<R>(slots: Vec<Mutex<Option<R>>>) -> impl Iterator<Item = R> {
+        slots
             .into_iter()
-            .map(|s| s.expect("pool executed every chunk"))
-            .collect()
+            .map(|s| s.into_inner().expect("nothing panics holding a slot"))
+            .map(|r| r.expect("pool executed every chunk"))
     }
 
     /// Parallel iterator over a [`ParSource`].
@@ -149,7 +152,7 @@ pub mod iter {
 
     /// Per-chunk accumulators produced by [`Par::fold`], combined in
     /// chunk order by [`Folded::reduce`].
-    pub struct Folded<T>(Vec<T>);
+    pub struct Folded<T>(Vec<Mutex<Option<T>>>);
 
     impl<T> Folded<T> {
         /// Combine the per-chunk accumulators sequentially, in chunk
@@ -160,7 +163,9 @@ pub mod iter {
             F: FnMut(T, T) -> T,
         {
             let mut op = op;
-            self.0.into_iter().reduce(&mut op).unwrap_or_else(identity)
+            in_chunk_order(self.0)
+                .reduce(&mut op)
+                .unwrap_or_else(identity)
         }
     }
 
@@ -212,7 +217,7 @@ pub mod iter {
                 src.drive(lo, hi, &mut |x| part.push(x));
                 part
             });
-            parts.into_iter().flatten().collect()
+            in_chunk_order(parts).flatten().collect()
         }
     }
 
@@ -255,17 +260,7 @@ pub mod slice {
     //! Slice extension traits (`par_chunks_mut`).
 
     use crate::pool;
-
-    struct SyncPtr<T>(*mut T);
-    unsafe impl<T: Send> Sync for SyncPtr<T> {}
-
-    impl<T> SyncPtr<T> {
-        /// Offset pointer; `&self` receiver keeps closures capturing
-        /// the Sync wrapper rather than the raw pointer field.
-        fn at(&self, offset: usize) -> *mut T {
-            unsafe { self.0.add(offset) }
-        }
-    }
+    use std::sync::Mutex;
 
     /// Parallel iterator over disjoint mutable chunks of a slice.
     pub struct ParChunksMut<'a, T> {
@@ -292,34 +287,26 @@ pub mod slice {
     impl<T: Send> EnumChunksMut<'_, T> {
         /// Run `f` on every `(index, chunk)` pair. Caller chunks are
         /// grouped into pool tasks by the same length-only policy as
-        /// every other operation; each task reconstructs its disjoint
-        /// chunks from the slice base pointer.
+        /// every other operation: each task takes the next piece of
+        /// `chunk_len` caller chunks from one shared iterator and walks
+        /// it in ascending index order.
         pub fn for_each<F>(self, f: F)
         where
             F: Fn((usize, &mut [T])) + Sync,
         {
-            let len = self.data.len();
             let size = self.size;
-            if len == 0 {
-                return;
-            }
-            let caller_chunks = len.div_ceil(size);
-            let base = SyncPtr(self.data.as_mut_ptr());
-            let nc = pool::num_chunks(caller_chunks);
+            let caller_chunks = self.data.len().div_ceil(size);
             let cl = pool::chunk_len(caller_chunks);
-            pool::run(nc, &|c| {
-                let lo = c * cl;
-                let hi = (lo + cl).min(caller_chunks);
-                for i in lo..hi {
-                    let start = i * size;
-                    let end = (start + size).min(len);
-                    // SAFETY: caller chunks [i*size, i*size+size) are
-                    // pairwise disjoint, each visited by exactly one
-                    // pool task, and `pool::run` joins before the
-                    // borrow of `self.data` ends.
-                    let chunk =
-                        unsafe { std::slice::from_raw_parts_mut(base.at(start), end - start) };
-                    f((i, chunk));
+            let pieces = Mutex::new(self.data.chunks_mut(cl * size).enumerate());
+            pool::run(pool::num_chunks(caller_chunks), &|_| {
+                // The guard drops with this statement: `f` runs unlocked.
+                let next = pieces
+                    .lock()
+                    .expect("nothing panics holding the pieces")
+                    .next();
+                let (p, piece) = next.expect("one piece per task");
+                for (j, chunk) in piece.chunks_mut(size).enumerate() {
+                    f((p * cl + j, chunk));
                 }
             });
         }
