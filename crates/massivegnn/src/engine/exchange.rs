@@ -1,39 +1,32 @@
 //! DDP gradient exchange: one lock over the gradients, one barrier, and
-//! the barrier's leader reducing them.
+//! the barrier's leader running the ring allreduce on them.
 
-use mgnn_model::{reduce_ring_chunk_average_with, ring_chunk_bounds};
+use mgnn_model::ring_allreduce_average;
 use std::ops::Range;
 use std::sync::{Barrier, RwLock};
 
-/// One gradient slot per trainer plus the averaged gradient, allocated
-/// once per run.
-struct Buffers {
-    slots: Vec<Vec<f32>>,
-    avg: Vec<f32>,
-}
-
-/// The world's gradient buffers behind one [`RwLock`], and the barrier
-/// the shares of a deal meet at.
+/// One gradient slot per trainer behind one [`RwLock`], allocated once
+/// per run, and the barrier the shares of a deal meet at.
 ///
 /// # Round protocol ([`Share::all_reduce`])
 ///
 /// ```text
 /// write own slots    -- write lock, a share's own ranks
 ///     barrier
-/// leader reduces     -- write lock, every ring chunk in chunk order
+/// leader averages    -- write lock, the ring over every slot
 ///     barrier
-/// apply the average  -- read lock
+/// apply own slots    -- read lock
 /// ```
 ///
-/// The leader folds every chunk with [`reduce_ring_chunk_average_with`],
-/// so the f32 accumulation order — and therefore every low mantissa bit
-/// — is that of [`mgnn_model::ring_allreduce_average`], whichever thread
-/// leads and however many threads take part. A share looping into the next round
-/// takes the write lock to publish only once every reader of this
-/// round's average has let go of it, and the next reduce waits for every
-/// share at the next first barrier.
+/// The leader runs [`ring_allreduce_average`] itself, so every rank's
+/// average is the ring's bit for bit, whichever thread leads and however
+/// many threads take part; after its allgather every slot holds the
+/// average, so each share reads its own ranks' slots. A share looping
+/// into the next round takes the write lock to publish only once every
+/// reader of this round's average has let go of it, and the next
+/// allreduce waits for every share at the next first barrier.
 pub(super) struct GradExchange {
-    buffers: RwLock<Buffers>,
+    slots: RwLock<Vec<Vec<f32>>>,
     world: usize,
     /// One party per share of the current deal.
     barrier: Barrier,
@@ -48,15 +41,11 @@ pub(super) struct Share<'a> {
 }
 
 impl GradExchange {
-    /// Buffers for `world` gradients of `len` f32s (+ their average),
-    /// zero-initialized.
+    /// Slots for `world` gradients of `len` f32s, zero-initialized.
     pub(super) fn new(world: usize, len: usize) -> Self {
         assert!(world > 0);
         GradExchange {
-            buffers: RwLock::new(Buffers {
-                slots: vec![vec![0.0; len]; world],
-                avg: vec![0.0; len],
-            }),
+            slots: RwLock::new(vec![vec![0.0; len]; world]),
             world,
             barrier: Barrier::new(1),
         }
@@ -95,24 +84,18 @@ impl Share<'_> {
         let ex = self.ex;
         assert_eq!(trainers.len(), self.ranks.len(), "one trainer per rank");
         {
-            let mut buffers = ex.buffers.write().expect("a trainer panicked mid-exchange");
-            for (slot, trainer) in buffers.slots[self.ranks.clone()].iter_mut().zip(&*trainers) {
+            let mut slots = ex.slots.write().expect("a trainer panicked mid-exchange");
+            for (slot, trainer) in slots[self.ranks.clone()].iter_mut().zip(&*trainers) {
                 publish(trainer, slot);
             }
         }
         if ex.barrier.wait().is_leader() {
-            let mut buffers = ex.buffers.write().expect("a trainer panicked mid-exchange");
-            let Buffers { slots, avg } = &mut *buffers;
-            let (world, len) = (ex.world, avg.len());
-            for c in 0..world {
-                let (start, end) = ring_chunk_bounds(len, world, c);
-                reduce_ring_chunk_average_with(c, world, len, |r| &slots[r], &mut avg[start..end]);
-            }
+            ring_allreduce_average(&mut ex.slots.write().expect("a trainer panicked mid-exchange"));
         }
         ex.barrier.wait();
-        let buffers = ex.buffers.read().expect("a trainer panicked mid-exchange");
-        for trainer in trainers {
-            apply(trainer, &buffers.avg);
+        let slots = ex.slots.read().expect("a trainer panicked mid-exchange");
+        for (trainer, avg) in trainers.iter_mut().zip(&slots[self.ranks.clone()]) {
+            apply(trainer, avg);
         }
     }
 }

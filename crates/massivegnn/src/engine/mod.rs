@@ -42,18 +42,6 @@ use serde::Serialize;
 use std::sync::Arc;
 use trainer::TrainerState;
 
-/// Whether OS threads can actually run concurrently here: true when the
-/// user pinned a pool size via `MGNN_THREADS` (explicit intent — tests
-/// and CI use it to force the thread-per-trainer scheduler) or the host
-/// exposes more than one core. Errors probing the core count err toward
-/// threading.
-fn real_parallelism_available() -> bool {
-    if std::env::var_os("MGNN_THREADS").is_some() {
-        return true;
-    }
-    std::thread::available_parallelism().map_or(true, |n| n.get() > 1)
-}
-
 /// One built world (dataset, partitions, shards, cluster): it runs any
 /// mode ([`run_as`](Self::run_as)); every other field is fixed by the build.
 pub struct Engine {
@@ -216,10 +204,6 @@ impl Engine {
     /// [`EngineConfig::parallel`] — by one OS thread per trainer (plus a
     /// prepare thread each in prefetch mode); the report is
     /// bitwise-identical either way.
-    ///
-    /// `parallel` is adaptive (`real_parallelism_available`): on one core
-    /// trainer threads only add scheduling overhead, so the round-robin
-    /// scheduler runs instead unless `MGNN_THREADS` forces the threads.
     pub fn run_as(&self, mode: Mode) -> Result<RunReport, String> {
         if let Mode::Prefetch(p) = &mode {
             p.validate()?;
@@ -245,7 +229,7 @@ impl Engine {
         };
         let mut exchange = GradExchange::new(self.world(), num_grads);
 
-        if cfg.parallel && real_parallelism_available() {
+        if cfg.parallel {
             // A thread per trainer, each fed by its own prepare thread —
             // spawned by the worker: started from here, ahead of the
             // workers, they cost 10 % more peak RSS (measured).
@@ -294,9 +278,9 @@ impl Engine {
                     ts.train_on(&batch, self, global_step);
                     carcass = ts.give_back(batch, cfg.pooling);
                 }
-                // DDP synchronization: the allgather's "all ranks end
-                // bitwise identical" property makes the shared average
-                // exact for every replica.
+                // DDP synchronization: the allgather leaves every rank's
+                // slot bitwise identical, so every replica steps with the
+                // same average.
                 if cfg.train_math {
                     share.all_reduce(
                         trainers,
@@ -436,7 +420,7 @@ mod tests {
     use crate::config::{PrefetchConfig, PrefetchPolicyKind, ScoreLayout};
     use mgnn_graph::{DatasetKind, Scale};
     use mgnn_net::{Backend, FaultProfile};
-    use mgnn_obs::{Lane, Phase, PhaseStats};
+    use mgnn_obs::{Phase, PhaseStats};
 
     fn base_cfg() -> EngineConfig {
         EngineConfig {
@@ -842,13 +826,6 @@ mod tests {
 
             // Thread per trainer: every worker flushes its loop's counts
             // into the process-wide totals as it ends.
-            if !real_parallelism_available() {
-                println!(
-                    "one core and no MGNN_THREADS: `parallel` would run \
-                     round-robin again, threaded half skipped"
-                );
-                continue;
-            }
             crate::alloc::reset_global_hot();
             cfg.parallel = true;
             Engine::build(cfg).run();
@@ -1042,7 +1019,6 @@ mod tests {
                         for phase in [Phase::Sampling, Phase::Lookup, Phase::Scoring, Phase::Evict]
                         {
                             let s = span(phase).expect("a span per phase and step");
-                            assert_eq!(s.lane, Lane::Prepare);
                             assert_eq!(s.rel_start_s, end, "step {} {}", a.step, phase.name());
                             end = s.rel_start_s + s.dur_s;
                         }
@@ -1184,8 +1160,8 @@ mod tests {
     }
 
     /// Fault lane reconciliation: with delay-only chaos the data path is
-    /// untouched (identical counts), the extra rpc time equals the fault
-    /// spans exactly, and every fault span lands on the fault lane.
+    /// untouched (identical counts), and the extra rpc time equals the
+    /// fault spans exactly.
     #[test]
     fn chaos_fault_spans_reconcile_with_breakdown() {
         let mut cfg = base_cfg();
@@ -1222,9 +1198,6 @@ mod tests {
                 "fault spans {} vs rpc delta {delta}",
                 f.sum_s
             );
-            for ev in trace.events.iter().filter(|e| e.phase == Phase::Fault) {
-                assert_eq!(ev.lane, Lane::Fault);
-            }
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::prefetcher::{baseline_prepare_reuse, Prefetcher, PrepareScratch, Prep
 use mgnn_model::train::{forward_backward, StepStats};
 use mgnn_model::{Model, Optimizer, Sgd};
 use mgnn_net::{CommMetrics, PipelineClock};
-use mgnn_obs::{registry, Lane, Phase, SpanRecorder, StepAnchor, StepPoint, TrainerTrace};
+use mgnn_obs::{registry, Phase, SpanRecorder, StepAnchor, StepPoint, TrainerTrace};
 use mgnn_partition::LocalPartition;
 use mgnn_sampling::{DataLoader, NeighborSampler};
 use std::sync::Arc;
@@ -210,15 +210,9 @@ impl TrainerState {
             });
             // The `train` span is train-lane relative, so it starts at 0;
             // the ring-allreduce tail is nested at its end.
-            rec.record(Lane::Train, global_step, Phase::Train, 0.0, t_train);
+            rec.record(global_step, Phase::Train, 0.0, t_train);
             let t_ar = cfg.cost.t_allreduce(param_bytes, world);
-            rec.record(
-                Lane::Train,
-                global_step,
-                Phase::Allreduce,
-                t_train - t_ar,
-                t_ar,
-            );
+            rec.record(global_step, Phase::Allreduce, t_train - t_ar, t_ar);
             rec.record_step(StepPoint {
                 step: global_step,
                 stall_s: times.stall_s,

@@ -39,7 +39,7 @@ use crate::scoreboard::{AccessScores, EvictionScores, Scoreboards};
 use mgnn_graph::NodeId;
 use mgnn_net::cluster::PulledRows;
 use mgnn_net::{CommMetrics, CostModel, KvStore, PullOutcome, SimCluster};
-use mgnn_obs::{Lane, Phase};
+use mgnn_obs::Phase;
 use mgnn_partition::LocalPartition;
 use mgnn_sampling::{NeighborSampler, SampledMinibatch, SamplerScratch};
 use mgnn_tensor::Tensor;
@@ -199,7 +199,7 @@ fn record_window(metrics: &CommMetrics, step: u64, t: &PrepareTiming, req_id: u6
         return;
     };
     if t.t_planned > 0.0 {
-        rec.record(Lane::Lookahead, step, Phase::Planned, 0.0, t.t_planned);
+        rec.record(step, Phase::Planned, 0.0, t.t_planned);
     }
     let mut at = t.t_planned;
     for (phase, dur) in [
@@ -208,14 +208,14 @@ fn record_window(metrics: &CommMetrics, step: u64, t: &PrepareTiming, req_id: u6
         (Phase::Scoring, t.t_scoring),
         (Phase::Evict, t.t_evict),
     ] {
-        rec.record(Lane::Prepare, step, phase, at, dur);
+        rec.record(step, phase, at, dur);
         at += dur;
     }
-    rec.record_corr(Lane::Prepare, step, Phase::Rpc, at, t.t_rpc, req_id);
+    rec.record_corr(step, Phase::Rpc, at, t.t_rpc, req_id);
     if t_fault > 0.0 {
-        rec.record_corr(Lane::Fault, step, Phase::Fault, at, t_fault, req_id);
+        rec.record_corr(step, Phase::Fault, at, t_fault, req_id);
     }
-    rec.record(Lane::Prepare, step, Phase::Copy, at, t.t_copy);
+    rec.record(step, Phase::Copy, at, t.t_copy);
 }
 
 /// Assemble input features in input-node order: local rows from the

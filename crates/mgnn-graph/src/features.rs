@@ -305,8 +305,7 @@ mod tests {
             .collect();
         let noise = 0.5f32;
         let raw: Vec<f32> = (0..n)
-            .into_par_iter()
-            .flat_map_iter(|u| {
+            .flat_map(|u| {
                 let mut r = StdRng::seed_from_u64(seed ^ 0xabcd_ef12u64 ^ ((u as u64) << 17));
                 let c = labels[u] as usize;
                 let centroids = &centroids;
@@ -316,8 +315,7 @@ mod tests {
             })
             .collect();
         let data: Vec<f32> = (0..n)
-            .into_par_iter()
-            .flat_map_iter(|u| {
+            .flat_map(|u| {
                 let nbrs = graph.neighbors(u as NodeId);
                 let mut row = vec![0.0f32; dim];
                 if nbrs.is_empty() {

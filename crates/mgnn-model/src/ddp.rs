@@ -9,7 +9,9 @@
 
 /// Average `world` gradient buffers in place via a chunked ring
 /// reduce-scatter + allgather. All buffers must have equal length; after
-/// the call every buffer holds the elementwise mean.
+/// the call every buffer holds the elementwise mean, bitwise identical
+/// across ranks. Each hop borrows its two ranks' buffers in place, so the
+/// call allocates nothing.
 pub fn ring_allreduce_average(grads: &mut [Vec<f32>]) {
     let world = grads.len();
     if world == 0 {
@@ -23,50 +25,27 @@ pub fn ring_allreduce_average(grads: &mut [Vec<f32>]) {
     if world == 1 {
         return;
     }
+    // Bounds of chunk `c` of `world` chunks of ~len/world.
+    let chunk = |c: usize| (c * len / world, (c + 1) * len / world);
 
-    // Chunk boundaries: world chunks of ~len/world.
-    let bounds: Vec<(usize, usize)> = (0..world)
-        .map(|c| {
-            let s = c * len / world;
-            let e = (c + 1) * len / world;
-            (s, e)
-        })
-        .collect();
-
-    // Reduce-scatter: after world-1 steps, rank r holds the full sum of
-    // chunk (r+1) mod world.
+    // Reduce-scatter: at hop `step` rank r sends chunk (r - step) to rank
+    // r+1, which accumulates it; after world-1 hops rank r holds the full
+    // sum of chunk (r+1) mod world.
     for step in 0..world - 1 {
         for r in 0..world {
-            // Rank r sends chunk (r - step) to rank (r+1); emulate by
-            // accumulating into the receiver in a temporary pass.
-            let chunk = (r + world - step) % world;
-            let (s, e) = bounds[chunk];
-            let src_rank = r;
-            let dst_rank = (r + 1) % world;
-            // Accumulate src's chunk into dst. Split borrow.
-            if s == e {
-                continue;
-            }
-            let (src_chunk, dst): (Vec<f32>, &mut Vec<f32>) = {
-                let tmp = grads[src_rank][s..e].to_vec();
-                (tmp, &mut grads[dst_rank])
-            };
-            for (d, v) in dst[s..e].iter_mut().zip(src_chunk) {
-                *d += v;
+            let (s, e) = chunk((r + world - step) % world);
+            let (src, dst) = hop(grads, r);
+            for (d, v) in dst[s..e].iter_mut().zip(&src[s..e]) {
+                *d += *v;
             }
         }
     }
     // Allgather: propagate each completed chunk around the ring.
     for step in 0..world - 1 {
         for r in 0..world {
-            let chunk = (r + 1 + world - step) % world;
-            let (s, e) = bounds[chunk];
-            if s == e {
-                continue;
-            }
-            let dst_rank = (r + 1) % world;
-            let src_chunk = grads[r][s..e].to_vec();
-            grads[dst_rank][s..e].copy_from_slice(&src_chunk);
+            let (s, e) = chunk((r + 1 + world - step) % world);
+            let (src, dst) = hop(grads, r);
+            dst[s..e].copy_from_slice(&src[s..e]);
         }
     }
     // Average.
@@ -78,60 +57,15 @@ pub fn ring_allreduce_average(grads: &mut [Vec<f32>]) {
     }
 }
 
-/// Bounds `[start, end)` of ring chunk `chunk` for a gradient of `len`
-/// elements split across `world` ranks. Pure function of `(len, world)` —
-/// the same deterministic-chunking contract the rayon shim enforces — so
-/// any thread can compute any chunk without coordination.
-#[inline]
-pub fn ring_chunk_bounds(len: usize, world: usize, chunk: usize) -> (usize, usize) {
-    (chunk * len / world, (chunk + 1) * len / world)
-}
-
-/// Average chunk `chunk` of `world` equal-length gradient buffers into
-/// `dst`, reproducing `ring_allreduce_average`'s accumulation order bit
-/// for bit: the ring's reduce-scatter folds chunk `c` as
-/// `((g_{c+1} + g_c) + g_{c+2}) + … + g_{c+world-1}` (ranks mod `world`),
-/// then scales by `1.0 / world as f32` — except at `world == 1`, where the
-/// ring returns early and the chunk is copied unscaled.
-///
-/// `src(r)` returns rank `r`'s full gradient buffer of `len` elements and
-/// `dst` is exactly the chunk's `[start, end)` window
-/// (`ring_chunk_bounds(len, world, chunk)`), so reducing every chunk
-/// covers a shared buffer exactly once, and a caller can lend per-rank
-/// views without materializing (allocating) a `&[&[f32]]` every step.
-pub fn reduce_ring_chunk_average_with<'a, F>(
-    chunk: usize,
-    world: usize,
-    len: usize,
-    src: F,
-    dst: &mut [f32],
-) where
-    F: Fn(usize) -> &'a [f32],
-{
-    assert!(world > 0 && chunk < world, "chunk {chunk} out of {world}");
-    let (s, e) = ring_chunk_bounds(len, world, chunk);
-    debug_assert_eq!(dst.len(), e - s);
-    if s == e {
-        return;
-    }
-    if world == 1 {
-        dst.copy_from_slice(&src(0)[s..e]);
-        return;
-    }
-    // Ring step 0 accumulates rank `chunk`'s send into rank `chunk+1`.
-    dst.copy_from_slice(&src((chunk + 1) % world)[s..e]);
-    for (d, v) in dst.iter_mut().zip(&src(chunk)[s..e]) {
-        *d += *v;
-    }
-    // Remaining ring hops add ranks chunk+2 … chunk+world-1 in order.
-    for k in 2..world {
-        for (d, v) in dst.iter_mut().zip(&src((chunk + k) % world)[s..e]) {
-            *d += *v;
-        }
-    }
-    let inv = 1.0 / world as f32;
-    for d in dst.iter_mut() {
-        *d *= inv;
+/// Rank `r`'s buffer (the sender) and rank `r + 1`'s (the receiver,
+/// wrapping to rank 0), borrowed side by side. Needs two ranks or more.
+fn hop(grads: &mut [Vec<f32>], r: usize) -> (&[f32], &mut [f32]) {
+    if r + 1 < grads.len() {
+        let (lo, hi) = grads.split_at_mut(r + 1);
+        (&lo[r], &mut hi[0])
+    } else {
+        let (first, rest) = grads.split_at_mut(1);
+        (&rest[r - 1], &mut first[0])
     }
 }
 
@@ -210,45 +144,56 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn chunked_reduction_bitwise_matches_ring() {
-        for world in [1usize, 2, 3, 4, 5, 8] {
-            for len in [0usize, 1, 3, 7, 16, 33, 257] {
-                let grads = nasty_grads(world, len);
-                let mut ring = grads.clone();
-                ring_allreduce_average(&mut ring);
-
-                let srcs: Vec<&[f32]> = grads.iter().map(|g| g.as_slice()).collect();
-                let mut chunked = vec![0.0f32; len];
-                for c in 0..world {
-                    let (s, e) = ring_chunk_bounds(len, world, c);
-                    reduce_ring_chunk_average_with(c, world, len, |r| srcs[r], &mut chunked[s..e]);
-                }
-                for (r, g) in ring.iter().enumerate() {
-                    for (i, (a, b)) in g.iter().zip(&chunked).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "world={world} len={len} rank={r} i={i}: ring {a} vs chunked {b}"
-                        );
-                    }
+    /// The allocating ring this module used to run: every hop copied the
+    /// sender's chunk into a temporary before the receiver read it.
+    fn allocating_ring(grads: &mut [Vec<f32>]) {
+        let world = grads.len();
+        if world <= 1 {
+            return;
+        }
+        let len = grads[0].len();
+        let bounds: Vec<(usize, usize)> = (0..world)
+            .map(|c| (c * len / world, (c + 1) * len / world))
+            .collect();
+        for step in 0..world - 1 {
+            for r in 0..world {
+                let (s, e) = bounds[(r + world - step) % world];
+                let src_chunk = grads[r][s..e].to_vec();
+                for (d, v) in grads[(r + 1) % world][s..e].iter_mut().zip(src_chunk) {
+                    *d += v;
                 }
             }
+        }
+        for step in 0..world - 1 {
+            for r in 0..world {
+                let (s, e) = bounds[(r + 1 + world - step) % world];
+                let src_chunk = grads[r][s..e].to_vec();
+                grads[(r + 1) % world][s..e].copy_from_slice(&src_chunk);
+            }
+        }
+        let inv = 1.0 / world as f32;
+        for v in grads.iter_mut().flatten() {
+            *v *= inv;
         }
     }
 
     #[test]
-    fn chunk_bounds_tile_exactly() {
-        for world in [1usize, 2, 3, 4, 7] {
-            for len in [0usize, 1, 5, 16, 31] {
-                let mut next = 0usize;
-                for c in 0..world {
-                    let (s, e) = ring_chunk_bounds(len, world, c);
-                    assert_eq!(s, next);
-                    assert!(e >= s);
-                    next = e;
+    fn ring_in_place_matches_the_allocating_ring() {
+        for world in [1usize, 2, 3, 4, 5, 8] {
+            for len in [0usize, 1, 3, 7, 16, 33, 257] {
+                let mut in_place = nasty_grads(world, len);
+                let mut reference = in_place.clone();
+                ring_allreduce_average(&mut in_place);
+                allocating_ring(&mut reference);
+                for (r, (a, b)) in in_place.iter().zip(&reference).enumerate() {
+                    for (i, (a, b)) in a.iter().zip(b).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "world={world} len={len} rank={r} i={i}: in place {a} vs allocating {b}"
+                        );
+                    }
                 }
-                assert_eq!(next, len);
             }
         }
     }

@@ -20,7 +20,7 @@ pub mod optim;
 pub mod sage;
 pub mod train;
 
-pub use ddp::{reduce_ring_chunk_average_with, ring_allreduce_average, ring_chunk_bounds};
+pub use ddp::ring_allreduce_average;
 pub use gat::GatModel;
 pub use gcn::GcnModel;
 pub use layer::Layer;

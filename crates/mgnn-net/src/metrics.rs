@@ -12,7 +12,7 @@
 
 use crate::wire::BYTES_PER_ELEM;
 use mgnn_obs::events::{self, TraceEvent};
-use mgnn_obs::{CounterSet, Lane, Phase, SpanRecorder};
+use mgnn_obs::{CounterSet, Phase, SpanRecorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -164,7 +164,7 @@ impl CommMetrics {
     /// induced.
     pub fn fault_span_corr(&self, step: u64, rel_start_s: f64, dur_s: f64, corr: u64) {
         if let Some(r) = &self.recorder {
-            r.record_corr(Lane::Fault, step, Phase::Fault, rel_start_s, dur_s, corr);
+            r.record_corr(step, Phase::Fault, rel_start_s, dur_s, corr);
         }
     }
 
@@ -379,7 +379,7 @@ mod tests {
         assert!(t
             .events
             .iter()
-            .any(|e| e.lane == Lane::Fault && e.phase == Phase::Fault && e.step == 3));
+            .any(|e| e.phase.lane() == Lane::Fault && e.phase == Phase::Fault && e.step == 3));
     }
 
     #[test]

@@ -40,10 +40,10 @@ fn event_row(trace: &TrainerTrace, ev: &SpanEvent, start_s: f64) -> Value {
         ("name", Value::Str(ev.phase.name().into())),
         ("ph", Value::Str("X".into())),
         ("pid", Value::U64(trace.trainer as u64)),
-        ("tid", Value::U64(ev.lane.tid() as u64)),
+        ("tid", Value::U64(ev.phase.lane().tid() as u64)),
         ("ts", Value::F64(start_s * US)),
         ("dur", Value::F64(ev.dur_s * US)),
-        ("cat", Value::Str(ev.lane.name().into())),
+        ("cat", Value::Str(ev.phase.lane().name().into())),
         ("args", args),
     ])
 }
@@ -57,7 +57,7 @@ fn flow_row(ph: &str, corr: u64, trace: &TrainerTrace, ev: &SpanEvent, start_s: 
         ("ph".to_string(), Value::Str(ph.into())),
         ("id".to_string(), Value::U64(corr)),
         ("pid".to_string(), Value::U64(trace.trainer as u64)),
-        ("tid".to_string(), Value::U64(ev.lane.tid() as u64)),
+        ("tid".to_string(), Value::U64(ev.phase.lane().tid() as u64)),
         ("ts".to_string(), Value::F64(start_s * US)),
     ];
     if ph == "f" {
@@ -95,7 +95,7 @@ pub fn perfetto_trace(traces: &[TrainerTrace]) -> Value {
             &format!("trainer {} (part {})", trace.trainer, trace.part_id),
         ));
         // Name only the lanes that actually carry events.
-        let mut lanes: Vec<_> = trace.events.iter().map(|e| e.lane).collect();
+        let mut lanes: Vec<_> = trace.events.iter().map(|e| e.phase.lane()).collect();
         lanes.sort_by_key(|l| l.tid());
         lanes.dedup();
         for lane in lanes {
@@ -114,7 +114,7 @@ pub fn perfetto_trace(traces: &[TrainerTrace]) -> Value {
             .filter_map(|ev| {
                 trace
                     .absolute_start_s(ev)
-                    .map(|s| (pid, ev.lane.tid(), s, ev.step, *ev))
+                    .map(|s| (pid, ev.phase.lane().tid(), s, ev.step, *ev))
             })
             .collect();
         resolved.sort_by(|a, b| {
@@ -147,7 +147,7 @@ pub fn perfetto_trace(traces: &[TrainerTrace]) -> Value {
             }
             group.sort_by(|a, b| {
                 a.0.total_cmp(&b.0)
-                    .then(a.1.lane.tid().cmp(&b.1.lane.tid()))
+                    .then(a.1.phase.lane().tid().cmp(&b.1.phase.lane().tid()))
             });
             let last = group.len() - 1;
             for (i, (start_s, ev)) in group.iter().enumerate() {
@@ -180,16 +180,16 @@ mod tests {
 
     fn sample_trace() -> TrainerTrace {
         let r = SpanRecorder::for_trainer(2, 5);
-        r.record(Lane::Prepare, 0, Phase::Sampling, 0.0, 1.0e-3);
-        r.record(Lane::Prepare, 0, Phase::Rpc, 1.0e-3, 3.0e-3);
-        r.record(Lane::Train, 0, Phase::Train, 0.0, 2.0e-3);
+        r.record(0, Phase::Sampling, 0.0, 1.0e-3);
+        r.record(0, Phase::Rpc, 1.0e-3, 3.0e-3);
+        r.record(0, Phase::Train, 0.0, 2.0e-3);
         r.record_anchor(StepAnchor {
             step: 0,
             prep_start_s: 0.0,
             train_start_s: 4.0e-3,
         });
         // Anchorless span: prepared ahead, never trained on.
-        r.record(Lane::Prepare, 1, Phase::Sampling, 0.0, 1.0e-3);
+        r.record(1, Phase::Sampling, 0.0, 1.0e-3);
         r.snapshot()
     }
 
@@ -238,9 +238,9 @@ mod tests {
 
         // …and through the rendered metadata rows.
         let r = SpanRecorder::for_trainer(0, 0);
-        r.record(Lane::Prepare, 0, Phase::Rpc, 0.0, 1.0e-3);
-        r.record(Lane::Fault, 0, Phase::Fault, 1.0e-3, 2.0e-3);
-        r.record(Lane::Lookahead, 0, Phase::Planned, 0.0, 5.0e-4);
+        r.record(0, Phase::Rpc, 0.0, 1.0e-3);
+        r.record(0, Phase::Fault, 1.0e-3, 2.0e-3);
+        r.record(0, Phase::Planned, 0.0, 5.0e-4);
         r.record_anchor(StepAnchor {
             step: 0,
             prep_start_s: 0.0,
@@ -276,11 +276,11 @@ mod tests {
     fn correlated_spans_emit_flow_events() {
         let r = SpanRecorder::for_trainer(1, 0);
         // One tagged pull: its rpc span and its fault span share an id.
-        r.record_corr(Lane::Prepare, 0, Phase::Rpc, 1.0e-3, 3.0e-3, 77);
-        r.record_corr(Lane::Fault, 0, Phase::Fault, 4.0e-3, 2.0e-3, 77);
+        r.record_corr(0, Phase::Rpc, 1.0e-3, 3.0e-3, 77);
+        r.record_corr(0, Phase::Fault, 4.0e-3, 2.0e-3, 77);
         // A lone correlated span must NOT produce a dangling flow.
-        r.record_corr(Lane::Prepare, 0, Phase::Copy, 6.0e-3, 1.0e-3, 99);
-        r.record(Lane::Prepare, 0, Phase::Sampling, 0.0, 1.0e-3);
+        r.record_corr(0, Phase::Copy, 6.0e-3, 1.0e-3, 99);
+        r.record(0, Phase::Sampling, 0.0, 1.0e-3);
         r.record_anchor(StepAnchor {
             step: 0,
             prep_start_s: 0.0,

@@ -119,9 +119,20 @@ impl Phase {
             Phase::Planned => "planned",
         }
     }
+
+    /// The track this phase's spans live on: the planner's, the fault
+    /// track, the trainer's (train, allreduce) or the prepare window's.
+    pub fn lane(self) -> Lane {
+        match self {
+            Phase::Planned => Lane::Lookahead,
+            Phase::Fault => Lane::Fault,
+            Phase::Train | Phase::Allreduce => Lane::Train,
+            _ => Lane::Prepare,
+        }
+    }
 }
 
-/// Which track of a trainer's timeline a span lives on.
+/// Which track of a trainer's timeline a span lives on ([`Phase::lane`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lane {
     /// The prepare thread (or the interleaved preparation of the
@@ -132,9 +143,8 @@ pub enum Lane {
     /// Offsets are relative to the step's `train_start_s`.
     Train,
     /// Fault activity (retries, backoff, injected delays) charged to the
-    /// simulated clock; offsets are relative to the step's
-    /// `prep_start_s`, like [`Lane::Prepare`] — faults strike during
-    /// preparation.
+    /// simulated clock, anchored like [`Lane::Prepare`]: faults strike
+    /// during preparation.
     Fault,
     /// Planned lookahead pulls issued by the lookahead prefetch policy;
     /// offsets are relative to the step's `prep_start_s` (the planner
@@ -170,10 +180,8 @@ impl Lane {
 pub struct SpanEvent {
     /// Global step (continuous across epochs).
     pub step: u64,
-    /// Phase measured.
+    /// Phase measured; its [`Phase::lane`] is the span's track.
     pub phase: Phase,
-    /// Timeline track.
-    pub lane: Lane,
     /// Start offset in seconds, relative to the lane's step anchor.
     pub rel_start_s: f64,
     /// Duration in seconds.
@@ -276,7 +284,7 @@ impl TrainerTrace {
             .ok()
             .and_then(|i| self.anchors.get(i))
             .filter(|a| a.step == ev.step)?;
-        Some(match ev.lane {
+        Some(match ev.phase.lane() {
             Lane::Prepare | Lane::Fault | Lane::Lookahead => a.prep_start_s + ev.rel_start_s,
             Lane::Train => a.train_start_s + ev.rel_start_s,
         })
@@ -333,20 +341,12 @@ impl SpanRecorder {
 
     /// Record one span. The phase histogram is always updated; the ring
     /// drops its oldest event once full (counted in `dropped`).
-    pub fn record(&self, lane: Lane, step: u64, phase: Phase, rel_start_s: f64, dur_s: f64) {
-        self.record_corr(lane, step, phase, rel_start_s, dur_s, 0);
+    pub fn record(&self, step: u64, phase: Phase, rel_start_s: f64, dur_s: f64) {
+        self.record_corr(step, phase, rel_start_s, dur_s, 0);
     }
 
     /// [`record`](Self::record) with a request-correlation id (0 = none).
-    pub fn record_corr(
-        &self,
-        lane: Lane,
-        step: u64,
-        phase: Phase,
-        rel_start_s: f64,
-        dur_s: f64,
-        corr: u64,
-    ) {
+    pub fn record_corr(&self, step: u64, phase: Phase, rel_start_s: f64, dur_s: f64, corr: u64) {
         let mut g = self.inner.lock().unwrap();
         g.hist[phase.index()].record(dur_s);
         if g.ring.len() == g.capacity {
@@ -356,7 +356,6 @@ impl SpanRecorder {
         g.ring.push_back(SpanEvent {
             step,
             phase,
-            lane,
             rel_start_s,
             dur_s,
             corr,
@@ -422,7 +421,7 @@ impl Serialize for SpanEvent {
         Value::obj([
             ("step", self.step.to_value()),
             ("phase", self.phase.to_value()),
-            ("lane", self.lane.to_value()),
+            ("lane", self.phase.lane().to_value()),
             ("rel_start_s", self.rel_start_s.to_value()),
             ("dur_s", self.dur_s.to_value()),
             ("corr", self.corr.to_value()),
@@ -495,9 +494,9 @@ mod tests {
     #[test]
     fn record_and_snapshot() {
         let r = SpanRecorder::for_trainer(3, 1);
-        r.record(Lane::Prepare, 0, Phase::Sampling, 0.0, 1.0e-3);
-        r.record(Lane::Prepare, 0, Phase::Rpc, 1.0e-3, 4.0e-3);
-        r.record(Lane::Train, 0, Phase::Train, 0.0, 2.0e-3);
+        r.record(0, Phase::Sampling, 0.0, 1.0e-3);
+        r.record(0, Phase::Rpc, 1.0e-3, 4.0e-3);
+        r.record(0, Phase::Train, 0.0, 2.0e-3);
         r.record_anchor(StepAnchor {
             step: 0,
             prep_start_s: 0.0,
@@ -522,7 +521,7 @@ mod tests {
     fn ring_drops_oldest_but_histograms_stay_complete() {
         let r = SpanRecorder::with_capacity(0, 0, 4);
         for step in 0..10u64 {
-            r.record(Lane::Train, step, Phase::Train, 0.0, 1.0e-3);
+            r.record(step, Phase::Train, 0.0, 1.0e-3);
         }
         let t = r.snapshot();
         assert_eq!(t.events.len(), 4);
@@ -536,13 +535,12 @@ mod tests {
     #[test]
     fn concurrent_writers_sum_exactly() {
         let r = Arc::new(SpanRecorder::for_trainer(0, 0));
-        let threads: Vec<_> = [Lane::Prepare, Lane::Train]
-            .into_iter()
-            .map(|lane| {
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
                 let r = Arc::clone(&r);
                 std::thread::spawn(move || {
                     for step in 0..2000u64 {
-                        r.record(lane, step, Phase::Rpc, 0.0, 1.0e-6);
+                        r.record(step, Phase::Rpc, 0.0, 1.0e-6);
                     }
                 })
             })
@@ -584,7 +582,7 @@ mod tests {
         assert_eq!(Lane::Fault.tid(), 4);
 
         let r = SpanRecorder::for_trainer(0, 0);
-        r.record(Lane::Fault, 2, Phase::Fault, 0.001, 0.05);
+        r.record(2, Phase::Fault, 0.001, 0.05);
         // One anchor per step from step 0, as a trainer records them.
         for step in 0..2 {
             r.record_anchor(StepAnchor {
@@ -602,7 +600,11 @@ mod tests {
         assert_eq!(f.count, 1);
         assert!((f.sum_s - 0.05).abs() < 1e-15);
         // Fault spans anchor to the prepare window, like prepare spans.
-        let ev = t.events.iter().find(|e| e.lane == Lane::Fault).unwrap();
+        let ev = t
+            .events
+            .iter()
+            .find(|e| e.phase.lane() == Lane::Fault)
+            .unwrap();
         assert_eq!(t.absolute_start_s(ev), Some(1.001));
     }
 
@@ -618,7 +620,7 @@ mod tests {
         assert_eq!(Phase::REPORTED.len(), Phase::COUNT);
 
         let r = SpanRecorder::for_trainer(0, 0);
-        r.record(Lane::Lookahead, 4, Phase::Planned, 0.0, 0.02);
+        r.record(4, Phase::Planned, 0.0, 0.02);
         for step in 0..4 {
             r.record_anchor(StepAnchor {
                 step,
@@ -635,15 +637,19 @@ mod tests {
         assert_eq!(p.count, 1);
         assert!((p.sum_s - 0.02).abs() < 1e-15);
         // Planned spans anchor to the prepare window, like prepare spans.
-        let ev = t.events.iter().find(|e| e.lane == Lane::Lookahead).unwrap();
+        let ev = t
+            .events
+            .iter()
+            .find(|e| e.phase.lane() == Lane::Lookahead)
+            .unwrap();
         assert_eq!(t.absolute_start_s(ev), Some(3.0));
     }
 
     #[test]
     fn corr_defaults_to_zero_and_round_trips() {
         let r = SpanRecorder::for_trainer(0, 0);
-        r.record(Lane::Prepare, 0, Phase::Rpc, 0.0, 1.0e-3);
-        r.record_corr(Lane::Fault, 0, Phase::Fault, 0.0, 2.0e-3, 42);
+        r.record(0, Phase::Rpc, 0.0, 1.0e-3);
+        r.record_corr(0, Phase::Fault, 0.0, 2.0e-3, 42);
         let t = r.snapshot();
         assert_eq!(t.events[0].corr, 0, "plain record is uncorrelated");
         assert_eq!(t.events[1].corr, 42);
@@ -652,12 +658,12 @@ mod tests {
     #[test]
     fn missing_anchor_yields_none() {
         let r = SpanRecorder::for_trainer(0, 0);
-        r.record(Lane::Prepare, 9, Phase::Sampling, 0.0, 1.0);
+        r.record(9, Phase::Sampling, 0.0, 1.0);
         let t = r.snapshot();
         assert_eq!(t.absolute_start_s(&t.events[0]), None);
         // An anchor at the step's index that belongs to another step
         // resolves nothing.
-        r.record(Lane::Prepare, 0, Phase::Sampling, 0.0, 1.0);
+        r.record(0, Phase::Sampling, 0.0, 1.0);
         r.record_anchor(StepAnchor {
             step: 5,
             ..Default::default()

@@ -46,8 +46,6 @@ fn main() {
         100.0 * sequential.hit_rate()
     );
 
-    // On a single core `parallel` falls back to round-robin unless
-    // MGNN_THREADS forces the threads.
     cfg.parallel = true;
     let (threaded, overlapped) = timed(&cfg);
     println!("threaded:   same run in {overlapped:.2?}");

@@ -2,8 +2,8 @@
 //!
 //! The build environment has no crates.io access, so the workspace
 //! vendors the exact parallel-iterator surface it uses, and no more:
-//! `into_par_iter` over a `usize` range with `map`, `flat_map_iter`,
-//! `fold` + `reduce` and `collect`, and `par_chunks_mut(..).enumerate()
+//! `into_par_iter` over a `usize` range with `map`, `fold` + `reduce`
+//! and `collect`, and `par_chunks_mut(..).enumerate()
 //! .for_each(..)` over a mutable slice. Earlier revisions implemented it
 //! sequentially; this version executes on a persistent worker pool (see
 //! [`pool`]) sized by `MGNN_THREADS` or
@@ -52,12 +52,8 @@ pub mod iter {
     /// from multiple threads.
     ///
     /// `len()` is the size of the *index domain* used for chunking;
-    /// `drive(lo, hi, sink)` emits the items of indices `lo..hi` into
-    /// `sink` in ascending index order. Most sources emit exactly one
-    /// item per index; [`FlatMapIter`] may emit any number per index
-    /// (its `len()` is the outer length), which is why combination
-    /// always happens through per-chunk buffers rather than fixed
-    /// per-item slots.
+    /// `drive(lo, hi, sink)` emits the item of each index of `lo..hi`
+    /// into `sink`, one per index, in ascending index order.
     pub trait ParSource: Sync {
         /// Item type produced by this source.
         type Item: Send;
@@ -122,34 +118,6 @@ pub mod iter {
         }
     }
 
-    /// Flat-map adapter: each index may emit any number of items.
-    pub struct FlatMapIter<S, F> {
-        src: S,
-        f: F,
-    }
-
-    impl<S, I, F> ParSource for FlatMapIter<S, F>
-    where
-        S: ParSource,
-        I: IntoIterator,
-        I::Item: Send,
-        F: Fn(S::Item) -> I + Sync,
-    {
-        type Item = I::Item;
-
-        fn len(&self) -> usize {
-            self.src.len()
-        }
-
-        fn drive(&self, lo: usize, hi: usize, sink: &mut dyn FnMut(I::Item)) {
-            self.src.drive(lo, hi, &mut |x| {
-                for y in (self.f)(x) {
-                    sink(y);
-                }
-            });
-        }
-    }
-
     /// Per-chunk accumulators produced by [`Par::fold`], combined in
     /// chunk order by [`Folded::reduce`].
     pub struct Folded<T>(Vec<Mutex<Option<T>>>);
@@ -177,16 +145,6 @@ pub mod iter {
             F: Fn(S::Item) -> O + Sync,
         {
             Par(Map { src: self.0, f })
-        }
-
-        /// Flat-map through a serial iterator, as rayon's `flat_map_iter`.
-        pub fn flat_map_iter<I, F>(self, f: F) -> Par<FlatMapIter<S, F>>
-        where
-            I: IntoIterator,
-            I::Item: Send,
-            F: Fn(S::Item) -> I + Sync,
-        {
-            Par(FlatMapIter { src: self.0, f })
         }
 
         /// Fold each chunk into its own accumulator, in index order.
@@ -377,17 +335,5 @@ mod tests {
             }
         });
         assert_eq!(w, vec![0, 0, 1, 1, 2, 2]);
-    }
-
-    #[test]
-    fn flat_map_iter_preserves_order() {
-        let v: Vec<usize> = (0..100)
-            .into_par_iter()
-            .flat_map_iter(|x| (0..x % 3).map(move |k| x * 10 + k))
-            .collect();
-        let expected: Vec<usize> = (0..100)
-            .flat_map(|x| (0..x % 3).map(move |k| x * 10 + k))
-            .collect();
-        assert_eq!(v, expected);
     }
 }

@@ -97,9 +97,7 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
     // `lookahead(2)`, whose planner fills a window of three in one go.
     // Loader and sampler do not depend on the mode, so the batches are
     // the baseline run's. (That the queue holds exactly `window` batches
-    // is `pipeline::tests::the_queue_holds_one_window_of_batches`; on one
-    // core without `MGNN_THREADS`, `parallel` runs round-robin and the
-    // bound holds with room to spare.)
+    // is `pipeline::tests::the_queue_holds_one_window_of_batches`.)
     let scoreboard = PrefetchConfig {
         f_h: 0.25,
         ..Default::default()
