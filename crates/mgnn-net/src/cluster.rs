@@ -50,23 +50,20 @@ pub struct PullOutcome {
     /// retries are counted separately so the fault-free accounting is
     /// unchanged.
     pub rpcs: usize,
-    /// Retry attempts issued after a failed attempt.
-    pub retries: u64,
     /// Attempts whose reply was dropped.
     pub timeouts: u64,
     /// Replies rejected for a short payload.
     pub truncations: u64,
-    /// Attempts that met the crash and found the server gone.
+    /// Attempts that met the crash and found the server gone; each is
+    /// booked as a server respawn ([`PullOutcome::respawns`]).
     pub disconnects: u64,
     /// Requests a server refused because they named an id it does not
     /// own. A routing error is deterministic: never retried.
     pub rejections: u64,
-    /// Crashes met, each booked as a server respawn.
-    pub respawns: u64,
     /// Injected delay tags observed: `(nodes_in_request, k)` per event.
     pub delay_events: Vec<(usize, u32)>,
-    /// Retry attempts charged to the sim clock:
-    /// `(nodes_in_request, attempt_number)` per event (1-based).
+    /// Retry attempts issued after a failed attempt, each charged to the
+    /// sim clock: `(nodes_in_request, attempt_number)` per event (1-based).
     pub retry_events: Vec<(usize, u32)>,
     /// Row indices (into the request's `ids`) that exhausted retries and
     /// were zero-filled, in ascending order.
@@ -76,14 +73,20 @@ pub struct PullOutcome {
 impl PullOutcome {
     /// Whether any fault was observed at all.
     pub fn had_faults(&self) -> bool {
-        self.retries > 0
-            || self.timeouts > 0
-            || self.truncations > 0
-            || self.disconnects > 0
-            || self.rejections > 0
-            || self.respawns > 0
+        // A retry, a respawn and a zero-filled row each follow a failed
+        // attempt, so the failures and the delays are all there is.
+        self.timeouts + self.truncations + self.disconnects + self.rejections > 0
             || !self.delay_events.is_empty()
-            || !self.failed_rows.is_empty()
+    }
+
+    /// Retry attempts issued after a failed attempt.
+    pub fn retries(&self) -> u64 {
+        self.retry_events.len() as u64
+    }
+
+    /// Crashes met, each booked as a server respawn: one per disconnect.
+    pub fn respawns(&self) -> u64 {
+        self.disconnects
     }
 
     /// Simulated seconds this pull lost to faults: each injected delay
@@ -389,7 +392,6 @@ impl SimCluster {
         let rows = leg.ids.len();
         for attempt in 0..=self.retry.max_retries {
             if attempt > 0 {
-                outcome.retries += 1;
                 outcome.retry_events.push((rows, attempt));
                 Self::emit(outcome, "retry", part, attempt, rows as u64);
             }
@@ -430,10 +432,7 @@ impl SimCluster {
             Self::emit(outcome, kind, part, attempt, 0);
             match err {
                 RpcError::Kv(_) => return false,
-                RpcError::ServerGone => {
-                    Self::emit(outcome, "respawn", part, attempt, 0);
-                    outcome.respawns += 1;
-                }
+                RpcError::ServerGone => Self::emit(outcome, "respawn", part, attempt, 0),
                 RpcError::Timeout | RpcError::Truncated { .. } => {}
             }
         }
@@ -530,9 +529,9 @@ mod tests {
         let c = SimCluster::with_faults(&f, &a, 4, Some(profile), two_retries());
         let ids: Vec<u32> = (0..60).collect();
         let (out, outcome) = c.pull_grouped_checked(&ids);
-        assert_eq!(outcome.respawns, 1);
+        assert_eq!(outcome.respawns(), 1);
         assert!(outcome.disconnects >= 1);
-        assert!(outcome.retries >= 1);
+        assert!(outcome.retries() >= 1);
         assert!(
             outcome.failed_rows.is_empty(),
             "respawn + retry must deliver every row: {:?}",
@@ -588,7 +587,7 @@ mod tests {
                             faults += want.timeouts + want.truncations;
                             faults += want.delay_events.len() as u64;
                             if got != want {
-                                differ.push((rank, step, got.respawns));
+                                differ.push((rank, step, got.respawns()));
                             }
                         }
                         (differ, faults)
@@ -627,7 +626,7 @@ mod tests {
             4 * (1 + 2),
             "first try + 2 retries per part"
         );
-        assert_eq!(outcome.retries, 8);
+        assert_eq!(outcome.retries(), 8);
         assert!(out.iter().all(|&v| v == 0.0), "failed rows are zero-filled");
         assert!(!outcome.failed_rows.is_empty());
         assert_eq!(c.pooled_buffers(), 0, "a dropped reply grows no buffer");
@@ -679,9 +678,9 @@ mod tests {
         let (rows, outcome) = c.pull_rows(&[6, 5, 9], 0);
         assert_eq!(outcome.rpcs, 2);
         assert_eq!(outcome.rejections, 1);
-        assert_eq!(outcome.retries, 0, "the same ids would be refused again");
+        assert_eq!(outcome.retries(), 0, "the same ids would be refused again");
         assert!(outcome.retry_events.is_empty());
-        assert_eq!((outcome.disconnects, outcome.respawns), (0, 0));
+        assert_eq!((outcome.disconnects, outcome.respawns()), (0, 0));
         // Part 2's whole request was refused; part 1's row is intact.
         assert_eq!(outcome.failed_rows, vec![0, 1]);
         let mut out = [f32::NAN; 8];
@@ -755,7 +754,7 @@ mod tests {
         assert!(got.iter().all(|e| e.request_id == req));
         let count_kind = |k: &str| got.iter().filter(|e| e.kind == k).count();
         assert_eq!(count_kind("timeout") as u64, tagged.timeouts);
-        assert_eq!(count_kind("retry") as u64, tagged.retries);
+        assert_eq!(count_kind("retry") as u64, tagged.retries());
         assert_eq!(count_kind("zero_fill"), 4, "one per starved partition");
         let zero_rows: u64 = got
             .iter()

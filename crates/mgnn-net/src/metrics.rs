@@ -120,12 +120,12 @@ impl CommMetrics {
             return;
         }
         let c = &*self.counters;
-        add(&c.rpc_retries, o.retries);
+        add(&c.rpc_retries, o.retries());
         add(&c.rpc_timeouts, o.timeouts);
         add(&c.rpc_truncations, o.truncations);
         add(&c.rpc_disconnects, o.disconnects);
         add(&c.rpc_delays, o.delay_events.len() as u64);
-        add(&c.server_respawns, o.respawns);
+        add(&c.server_respawns, o.respawns());
     }
 
     /// Record the graceful-degradation rungs pull `request_id` of
@@ -335,12 +335,10 @@ mod tests {
         let chaotic = PullOutcome {
             request_id: 0,
             rpcs: 2,
-            retries: 3,
             timeouts: 2,
             truncations: 1,
             disconnects: 1,
             rejections: 0,
-            respawns: 1,
             delay_events: vec![(4, 2), (1, 5)],
             retry_events: vec![(4, 1), (4, 2), (1, 1)],
             failed_rows: vec![0],

@@ -17,7 +17,9 @@
 //!
 //! `docs_name_what_exists` holds README, DESIGN, EXPERIMENTS and the
 //! ROADMAP to the tree with the same lexer: every back-ticked `path.rs`, `path.rs:LINE`
-//! and `Type::method` resolves.
+//! and `Type::method` resolves, and every numbered `§` citation in them
+//! or in the code names a heading of DESIGN. `docs_stay_within_budget`
+//! caps the length of the prose every change reads.
 
 use std::collections::HashMap;
 use std::fs;
@@ -564,10 +566,77 @@ fn docs_name_what_exists() {
             }
         }
     }
+
+    // A `§` with Arabic digits cites DESIGN: `## N.` or `### N.M`. The
+    // paper's sections are Roman (`§IV-B`), and a citation right after
+    // SNIPPETS' name is one of its snippets.
+    let sections: Vec<String> = read(&root.join("DESIGN.md"))
+        .lines()
+        .filter_map(|line| {
+            let title = line.strip_prefix("### ").or(line.strip_prefix("## "))?;
+            let number = title.split(' ').next()?.trim_end_matches('.');
+            number
+                .starts_with(|c: char| c.is_ascii_digit())
+                .then(|| number.to_string())
+        })
+        .collect();
+    let mut citing = member_files(&root, "crates", "src");
+    for dir in ["tests", "examples"] {
+        rust_files(&root.join(dir), &mut citing);
+    }
+    citing.extend(["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"].map(|d| root.join(d)));
+    let digits = |s: &str| s.bytes().take_while(u8::is_ascii_digit).count();
+    for path in &citing {
+        let shown = path.strip_prefix(&root).expect("under the root").display();
+        for (n, line) in read(path).lines().enumerate() {
+            for (at, sign) in line.match_indices('§') {
+                let rest = &line[at + sign.len()..];
+                let major = digits(rest);
+                if major == 0 || line[..at].trim_end().ends_with("SNIPPETS") {
+                    continue;
+                }
+                let minor = rest[major..].strip_prefix('.').map_or(0, digits);
+                let cited = &rest[..major + if minor > 0 { 1 + minor } else { 0 }];
+                if !sections.iter().any(|s| s == cited) {
+                    broken.push(format!(
+                        "{shown}:{}: `§{cited}` is no `## N.` / `### N.M` heading of DESIGN.md",
+                        n + 1
+                    ));
+                }
+            }
+        }
+    }
     assert!(
         broken.is_empty(),
         "{} name(s) in the docs resolve to nothing in the tree:\n  {}",
         broken.len(),
         broken.join("\n  ")
+    );
+}
+
+/// Line budgets of the prose every change reads. A budget only goes down,
+/// unless the change that raises one says why in CHANGES.md.
+const DOC_BUDGETS: &[(&str, usize)] = &[
+    ("DESIGN.md", 600),
+    ("EXPERIMENTS.md", 700),
+    ("README.md", 302),
+    (".claude/skills/verify/SKILL.md", 250),
+];
+
+#[test]
+fn docs_stay_within_budget() {
+    let root = workspace();
+    let over: Vec<String> = DOC_BUDGETS
+        .iter()
+        .filter_map(|&(doc, budget)| {
+            let lines = read(&root.join(doc)).lines().count();
+            (lines > budget).then(|| format!("{doc}: {lines} lines, budget {budget}"))
+        })
+        .collect();
+    assert!(
+        over.is_empty(),
+        "docs over their line budget — say what the system is, and leave a \
+         change's own numbers to its CHANGES line:\n  {}",
+        over.join("\n  ")
     );
 }
