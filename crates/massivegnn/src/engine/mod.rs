@@ -192,21 +192,29 @@ impl Engine {
         (Arc::clone(&self.parts[*pid]), loader, sampler)
     }
 
-    /// [`run_as`](Self::run_as) the configured [`EngineConfig::mode`].
+    /// [`run_as`](Self::run_as) the configured [`EngineConfig::mode`];
+    /// panics where `run_as` refuses the world.
     pub fn run(&self) -> RunReport {
         self.run_as(self.cfg.mode)
-            .expect("build validated the mode")
+            .expect("every trainer has seeds, and build validated the mode")
     }
 
     /// Run `mode` end to end on this world, as a fresh build with that
     /// `mode` would (`Err` first if `PrefetchConfig::validate` refuses
-    /// it): one step loop, stepped round-robin on the calling thread or —
-    /// [`EngineConfig::parallel`] — by one OS thread per trainer (plus a
-    /// prepare thread each in prefetch mode); the report is
-    /// bitwise-identical either way.
+    /// it, or if a trainer's shard holds no seeds: synchronous SGD would
+    /// run no step at all): one step loop, stepped round-robin on the
+    /// calling thread or — [`EngineConfig::parallel`] — by one OS thread
+    /// per trainer (plus a prepare thread each in prefetch mode); the
+    /// report is bitwise-identical either way.
     pub fn run_as(&self, mode: Mode) -> Result<RunReport, String> {
         if let Mode::Prefetch(p) = &mode {
             p.validate()?;
+        }
+        if let Some(rank) = self.trainer_shards.iter().position(|(_, s)| s.is_empty()) {
+            let part = self.trainer_shards[rank].0;
+            return Err(format!(
+                "trainer {rank} (partition {part}) has no training seeds"
+            ));
         }
         let cfg = &self.cfg;
         // Arm the live-telemetry registry for this run: `enable` drops
@@ -463,6 +471,40 @@ mod tests {
             assert!(t.breakdown.train_s > 0.0);
             assert!(t.breakdown.rpc_s > 0.0);
             assert_eq!(t.init.total_s(), 0.0);
+        }
+    }
+
+    /// A world in which some trainer has no seeds trains nothing: it is
+    /// refused, naming the first such trainer, not run to a makespan of 0.
+    #[test]
+    fn a_trainer_without_seeds_is_refused() {
+        let fewest = Engine::build(base_cfg())
+            .partitions()
+            .iter()
+            .map(|p| p.train_nodes.len())
+            .min()
+            .unwrap();
+        // One trainer more than the smallest partition has seeds.
+        let cfg = EngineConfig {
+            trainers_per_part: fewest + 1,
+            parallel: false,
+            ..base_cfg()
+        };
+        let engine = Engine::build(cfg);
+        let (part, seeds) = (engine.partitions().iter())
+            .map(|p| p.train_nodes.len())
+            .enumerate()
+            .find(|&(_, n)| n == fewest)
+            .unwrap();
+        let rank = part * (fewest + 1) + seeds;
+        for mode in [Mode::Baseline, prefetch_mode()] {
+            let err = engine
+                .run_as(mode)
+                .expect_err("an empty trainer must be refused");
+            assert!(
+                err.contains(&format!("trainer {rank} (partition {part})")),
+                "{err}"
+            );
         }
     }
 

@@ -37,8 +37,12 @@ pub struct Ablation {
 }
 
 /// Build the halo stream trainer 0 of a products-like engine samples and
-/// replay it through all policies.
+/// replay it through all policies, on the long-run profile of the
+/// eviction-dynamics figures ([`Opts::longrun_of`]): on a shorter stream
+/// no occupant stays idle a whole Δ interval, so the score-based policy
+/// replaces nothing and reads exactly as static.
 pub fn run(opts: &Opts) -> Ablation {
+    let opts = &opts.longrun_of();
     let cfg = engine_config(opts, DatasetKind::Products, Backend::Cpu, 2);
     let engine = Engine::build(cfg);
     // Trainer 0's partition, shard and seeds, as every run gets them.
@@ -129,14 +133,15 @@ mod tests {
         // smallest shard 7: the engine runs 7, so the replay must too.
         let mut opts = Opts::quick();
         opts.batch_size = 32;
-        let cfg = engine_config(&opts, DatasetKind::Products, Backend::Cpu, 2);
+        let long = opts.longrun_of();
+        let cfg = engine_config(&long, DatasetKind::Products, Backend::Cpu, 2);
         let engine = Engine::build(cfg);
         let steps = engine.steps_per_epoch();
         assert!(
             engine.trainer_inputs(0).1.batches_per_epoch() > steps,
             "the world must have unequal shards"
         );
-        let epochs = (opts.epochs * 8).max(12);
+        let epochs = (long.epochs * 8).max(12);
         assert_eq!(run(&opts).minibatches, epochs * steps);
     }
 
@@ -181,5 +186,15 @@ mod tests {
             "score-based policy must actually replace nodes"
         );
         assert!(format!("{ab}").contains("Ablation"));
+    }
+
+    /// What `repro --experiment ablation` runs must exercise the policy
+    /// under test: a stream too short for an occupant to sit idle a whole
+    /// Δ interval replaces nothing, and the score-based row reads static's.
+    #[test]
+    fn score_based_replaces_at_the_default_profile() {
+        let ab = run(&Opts::default());
+        let score = ab.rows.iter().find(|r| r.policy == "score-based").unwrap();
+        assert!(score.replacements > 0, "{ab}");
     }
 }

@@ -2,10 +2,10 @@
 //! the paper's sweep values and the per-trainer mean.
 
 use massivegnn::engine::TrainerReport;
-use massivegnn::{EngineConfig, Mode, RunReport, ScoreLayout};
+use massivegnn::{EngineConfig, RunReport, ScoreLayout};
 use mgnn_graph::{DatasetKind, Scale};
 use mgnn_model::ModelKind;
-use mgnn_net::{Backend, FaultProfile, RetryPolicy};
+use mgnn_net::{Backend, FaultProfile};
 use std::iter::Sum;
 use std::ops::Div;
 
@@ -119,21 +119,14 @@ pub fn engine_config(
         batch_size: opts.batch_size,
         epochs: opts.epochs,
         fanouts: opts.fanouts.clone(),
-        sampling: mgnn_sampling::SamplingStrategy::Uniform,
         hidden_dim: opts.hidden_dim,
         model: ModelKind::Sage,
-        gat_heads: 2,
         backend,
-        mode: Mode::Baseline,
         seed: opts.seed,
-        cost: Default::default(),
-        train_math: false,
-        parallel: false,
         trace: opts.trace,
         fault: opts.fault(),
-        retry: RetryPolicy::default(),
-        pooling: true,
         telemetry: opts.telemetry,
+        ..Default::default()
     }
 }
 
@@ -205,7 +198,7 @@ impl Opts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use massivegnn::{Engine, PrefetchConfig};
+    use massivegnn::{Engine, Mode, PrefetchConfig};
 
     #[test]
     fn improvement_math() {

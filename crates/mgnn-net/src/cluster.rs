@@ -2,8 +2,11 @@
 //! partition (every store a view of the one resident feature matrix),
 //! and one bulk pull that groups requested nodes by owner partition
 //! (DistDGL batches one RPC per remote server per minibatch). A pull
-//! runs on the caller's thread: each touched partition's leg is one
-//! [`rpc::pull_attempt`] per attempt.
+//! runs on the caller's thread: each attempt of a touched partition's
+//! leg is that partition's [`FaultPlan::answer`] and, unless the verdict
+//! loses the reply, a [`KvStore::pull_into`] into the leg's receive
+//! buffer — real bytes in the [`wire`] format, while the *time* such a
+//! pull would cost on a cluster is charged by the cost model.
 //!
 //! [`SimCluster::pull_rows`] hands the rows back as they arrived — a
 //! [`PulledRows`] over the per-partition payloads, still in wire format
@@ -27,9 +30,8 @@
 //! an event and a count. The crash countdown belongs to a run:
 //! [`SimCluster::rearm_crash`] starts it again.
 
-use crate::fault::{FaultPlan, FaultProfile, RetryPolicy};
+use crate::fault::{FaultPlan, FaultProfile, FaultVerdict, RetryPolicy};
 use crate::kvstore::KvStore;
-use crate::rpc::{self, RpcError};
 use crate::wire::{self, WireElem};
 use mgnn_graph::{FeatureStore, NodeId};
 use std::sync::Mutex;
@@ -46,10 +48,6 @@ pub struct PullOutcome {
     /// walk the fault ladder, so every degraded row is attributable to
     /// the verdict that caused it.
     pub request_id: u64,
-    /// Bulk RPCs issued in the first round (one per touched partition);
-    /// retries are counted separately so the fault-free accounting is
-    /// unchanged.
-    pub rpcs: usize,
     /// Attempts whose reply was dropped.
     pub timeouts: u64,
     /// Replies rejected for a short payload.
@@ -315,7 +313,6 @@ impl SimCluster {
         }
         for (part, leg) in legs.iter_mut().enumerate() {
             if !leg.ids.is_empty() {
-                outcome.rpcs += 1;
                 leg.delivered = self.climb_ladder(part, leg, &mut outcome);
             }
         }
@@ -382,12 +379,16 @@ impl SimCluster {
 
     /// The retry ladder of one partition's leg: attempt 0, then a retry
     /// after each failure up to the policy's `max_retries`, every
-    /// attempt on the leg's own id list and receive buffer. Returns
-    /// whether the rows were delivered; if not, they read as zeros. A
-    /// crash is booked as a respawn — an event and a count, for the
-    /// server answered it and keeps answering — even when retries are
-    /// spent. A rejection ends the ladder at once: the server would
-    /// refuse the same ids again.
+    /// attempt on the leg's own id list and receive buffer. Each attempt
+    /// is the plan's verdict: a drop is a timeout and a crash a
+    /// disconnect, both answered unserved; any other verdict gathers the
+    /// rows, and then a truncation (of a payload that has a row to lose)
+    /// fails the attempt while a delay tags the reply. Returns whether
+    /// the rows were delivered; if not, they read as zeros. A crash is
+    /// booked as a respawn — an event and a count, for the server
+    /// answered it and keeps answering — even when retries are spent. A
+    /// rejection ends the ladder at once: the server would refuse the
+    /// same ids again.
     fn climb_ladder(&self, part: usize, leg: &mut Leg, outcome: &mut PullOutcome) -> bool {
         let rows = leg.ids.len();
         for attempt in 0..=self.retry.max_retries {
@@ -395,46 +396,38 @@ impl SimCluster {
                 outcome.retry_events.push((rows, attempt));
                 Self::emit(outcome, "retry", part, attempt, rows as u64);
             }
-            let err = match rpc::pull_attempt(
-                &self.stores[part],
-                &self.plans[part],
-                &leg.ids,
-                &mut leg.payload,
-                outcome.request_id,
-                attempt,
-            ) {
-                Ok(0) => return true,
-                Ok(k) => {
+            let verdict = self.plans[part].answer(outcome.request_id, attempt);
+            let lost = matches!(verdict, FaultVerdict::Drop | FaultVerdict::Crash);
+            let store = &self.stores[part];
+            if !lost && store.pull_into(&leg.ids, &mut leg.payload).is_err() {
+                outcome.rejections += 1;
+                Self::emit(outcome, "rejected", part, attempt, 0);
+                return false;
+            }
+            let kind = match verdict {
+                FaultVerdict::Drop => {
+                    outcome.timeouts += 1;
+                    "timeout"
+                }
+                FaultVerdict::Crash => {
+                    outcome.disconnects += 1;
+                    Self::emit(outcome, "disconnect", part, attempt, 0);
+                    // The server answered and keeps answering: a respawn.
+                    "respawn"
+                }
+                FaultVerdict::Truncate if !leg.payload.is_empty() => {
+                    outcome.truncations += 1;
+                    "truncated"
+                }
+                // A zero factor tags nothing.
+                FaultVerdict::Delay(k) if k > 0 => {
                     outcome.delay_events.push((rows, k));
                     Self::emit(outcome, "delay", part, attempt, u64::from(k));
                     return true;
                 }
-                Err(e) => e,
-            };
-            let kind = match err {
-                RpcError::Timeout => {
-                    outcome.timeouts += 1;
-                    "timeout"
-                }
-                RpcError::Truncated { .. } => {
-                    outcome.truncations += 1;
-                    "truncated"
-                }
-                RpcError::ServerGone => {
-                    outcome.disconnects += 1;
-                    "disconnect"
-                }
-                RpcError::Kv(_) => {
-                    outcome.rejections += 1;
-                    "rejected"
-                }
+                _ => return true,
             };
             Self::emit(outcome, kind, part, attempt, 0);
-            match err {
-                RpcError::Kv(_) => return false,
-                RpcError::ServerGone => Self::emit(outcome, "respawn", part, attempt, 0),
-                RpcError::Timeout | RpcError::Truncated { .. } => {}
-            }
         }
         false
     }
@@ -481,7 +474,7 @@ mod tests {
         let c = SimCluster::new(&f, &a, 4);
         let ids = vec![7u32, 3, 42, 7, 11];
         let (out, outcome) = c.pull_grouped_checked(&ids);
-        assert!((1..=4).contains(&outcome.rpcs));
+        assert!(!outcome.had_faults());
         for (i, &g) in ids.iter().enumerate() {
             assert_eq!(&out[i * 8..(i + 1) * 8], on_wire(f.row(g)), "row {g}");
         }
@@ -493,7 +486,7 @@ mod tests {
         let c = SimCluster::new(&f, &a, 4);
         let (out, outcome) = c.pull_grouped_checked(&[]);
         assert!(out.is_empty());
-        assert_eq!(outcome.rpcs, 0);
+        assert_eq!(outcome, PullOutcome::default());
     }
 
     #[test]
@@ -646,6 +639,26 @@ mod tests {
         assert_eq!(c.pooled_buffers(), 4, "one grown buffer per touched leg");
     }
 
+    /// Truncating an empty payload loses nothing: a zero-width store
+    /// under a profile that truncates every reply delivers every row and
+    /// counts no truncation.
+    #[test]
+    fn truncating_an_empty_payload_loses_nothing() {
+        let f = FeatureStore::from_parts(8, 0, Vec::new(), vec![0; 8], 1);
+        let a: Vec<u32> = (0..8).map(|u| u % 4).collect();
+        let profile = FaultProfile {
+            truncate_prob: 1.0,
+            ..FaultProfile::off(9)
+        };
+        let c = SimCluster::with_faults(&f, &a, 4, Some(profile), two_retries());
+        let (rows, outcome) = c.pull_rows(&[0, 1, 2, 3, 4, 5, 6, 7], 0);
+        assert_eq!(outcome.truncations, 0);
+        assert!(outcome.failed_rows.is_empty() && !outcome.had_faults());
+        for row in 0..8 {
+            rows.decode_into(row, &mut []);
+        }
+    }
+
     #[test]
     fn pull_sets_are_recycled_not_accumulated() {
         let (f, a) = fixture();
@@ -676,7 +689,6 @@ mod tests {
         // A routing bug: node 5 (owned by part 1) is believed to be on 2.
         c.assignment[5] = 2;
         let (rows, outcome) = c.pull_rows(&[6, 5, 9], 0);
-        assert_eq!(outcome.rpcs, 2);
         assert_eq!(outcome.rejections, 1);
         assert_eq!(outcome.retries(), 0, "the same ids would be refused again");
         assert!(outcome.retry_events.is_empty());

@@ -4,7 +4,7 @@
 //! nodes it *owns*, keyed by global id. Trainers read local rows directly
 //! as f32 ([`KvStore::row`]) and pull remote rows, in [`crate::wire`]
 //! format, through [`crate::cluster::SimCluster::pull_rows`], whose every
-//! attempt is one [`crate::rpc::pull_attempt`] on the caller's thread.
+//! served attempt is one [`KvStore::pull_into`] on the caller's thread.
 //!
 //! The servers are simulated inside one address space, so a shard does
 //! not hold a private copy of its rows: it is its sorted `owned` list

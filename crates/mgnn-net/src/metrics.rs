@@ -321,11 +321,7 @@ mod tests {
     fn pull_outcome_folds_into_counters() {
         use crate::cluster::PullOutcome;
         let m = CommMetrics::new();
-        let clean = PullOutcome {
-            rpcs: 3,
-            ..Default::default()
-        };
-        m.record_pull_outcome(&clean);
+        m.record_pull_outcome(&PullOutcome::default());
         assert_eq!(
             m.snapshot(),
             MetricsSnapshot::default(),
@@ -334,7 +330,6 @@ mod tests {
         assert!(!m.snapshot().had_faults());
         let chaotic = PullOutcome {
             request_id: 0,
-            rpcs: 2,
             timeouts: 2,
             truncations: 1,
             disconnects: 1,

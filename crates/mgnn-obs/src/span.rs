@@ -86,22 +86,12 @@ impl Phase {
     ];
 
     /// Number of distinct phases (size of per-phase dense arrays).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = Phase::REPORTED.len();
 
-    /// Dense index into per-phase arrays.
+    /// Dense index into per-phase arrays: the declaration order, which
+    /// [`Phase::REPORTED`] lists.
     pub fn index(self) -> usize {
-        match self {
-            Phase::Sampling => 0,
-            Phase::Lookup => 1,
-            Phase::Scoring => 2,
-            Phase::Evict => 3,
-            Phase::Rpc => 4,
-            Phase::Copy => 5,
-            Phase::Train => 6,
-            Phase::Allreduce => 7,
-            Phase::Fault => 8,
-            Phase::Planned => 9,
-        }
+        self as usize
     }
 
     /// Metric name (stable; used in exports and docs).
@@ -618,6 +608,9 @@ mod tests {
         assert_eq!(Lane::Lookahead.tid(), 5);
         assert_eq!(Lane::Lookahead.name(), "lookahead");
         assert_eq!(Phase::REPORTED.len(), Phase::COUNT);
+        for (i, p) in Phase::REPORTED.into_iter().enumerate() {
+            assert_eq!(p.index(), i, "{}", p.name());
+        }
 
         let r = SpanRecorder::for_trainer(0, 0);
         r.record(4, Phase::Planned, 0.0, 0.02);

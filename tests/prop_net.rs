@@ -151,6 +151,89 @@ fn a_thousand_pulls_leave_one_buffer_per_touched_partition() {
     assert_eq!(cluster.pooled_buffers(), 4);
 }
 
+/// The ladder reads each attempt's verdict: under a mixed profile, every
+/// `timeout`, `truncated` and `delay` event of a tagged pull is the
+/// verdict its partition's plan gives that request and attempt
+/// (`FaultPlan::verdict` of `fault_key`), and every attempt the ladder
+/// made whose verdict fails or tags it left its event. The event log is
+/// process-global: this is the only test in this binary that installs it.
+#[test]
+fn ladder_events_are_the_verdicts_of_their_attempts() {
+    use mgnn_net::fault::fault_key;
+    use mgnn_net::FaultVerdict;
+    use mgnn_obs::events::{self, request_id, ORIGIN_PREPARE};
+    use std::collections::BTreeMap;
+    let n = 60;
+    let f = off_grid_store(n, 8);
+    let assignment: Vec<u32> = (0..n as u32).map(|u| u % 4).collect();
+    let profile = FaultProfile {
+        drop_prob: 0.3,
+        delay_prob: 0.3,
+        delay_factor: 2,
+        truncate_prob: 0.2,
+        ..FaultProfile::off(77)
+    };
+    let retry = RetryPolicy {
+        max_retries: 3,
+        ..RetryPolicy::default()
+    };
+    let cluster = SimCluster::with_faults(&f, &assignment, 4, Some(profile.clone()), retry);
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let requests: Vec<u64> = (0..40)
+        .map(|step| request_id(ORIGIN_PREPARE, 2, step))
+        .collect();
+    events::install();
+    for &req in &requests {
+        drop(cluster.pull_rows(&ids, req));
+    }
+    let log = events::uninstall();
+    // Attempt 0 of every partition (each pull touches all four), then
+    // every attempt a `retry` event announced.
+    let mut made: Vec<(u64, u32, u32)> = requests
+        .iter()
+        .flat_map(|&req| (0..4).map(move |part| (req, part, 0)))
+        .collect();
+    let mut verdict_events = BTreeMap::new();
+    for e in log.iter().filter(|e| requests.contains(&e.request_id)) {
+        let key = (e.request_id, e.part, e.attempt);
+        match e.kind {
+            "retry" => made.push(key),
+            "timeout" | "truncated" | "delay" => {
+                let twice = verdict_events.insert(key, (e.kind, e.value));
+                assert!(twice.is_none(), "two verdict events for {key:?}");
+            }
+            "zero_fill" => {}
+            other => panic!("{key:?}: a calm server answered `{other}`"),
+        }
+    }
+    let mut fired = BTreeMap::new();
+    for (req, part, attempt) in made {
+        let want = match profile.plan_for(part, 0).verdict(fault_key(req, attempt)) {
+            FaultVerdict::Drop => Some(("timeout", 0)),
+            FaultVerdict::Truncate => Some(("truncated", 0)),
+            FaultVerdict::Delay(k) => Some(("delay", u64::from(k))),
+            _ => None,
+        };
+        let got = verdict_events.remove(&(req, part, attempt));
+        assert_eq!(
+            got, want,
+            "request {req:#x}, part {part}, attempt {attempt}"
+        );
+        if let Some((kind, _)) = got {
+            *fired.entry(kind).or_insert(0) += 1;
+        }
+    }
+    assert!(
+        verdict_events.is_empty(),
+        "events of attempts never made: {verdict_events:?}"
+    );
+    assert_eq!(
+        fired.len(),
+        3,
+        "the profile must fire every kind: {fired:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -297,7 +380,7 @@ proptest! {
         let cluster = SimCluster::new(&f, &assignment, 4);
         let ids: Vec<u32> = queries.into_iter().map(|q| (q % n) as u32).collect();
         let (out, outcome) = cluster.pull_grouped_checked(&ids);
-        prop_assert!(outcome.rpcs <= 4);
+        prop_assert!(!outcome.had_faults());
         for (i, &gid) in ids.iter().enumerate() {
             let on_wire: Vec<f32> = f.row(gid).iter().map(|&x| wire::round_trip(x)).collect();
             prop_assert_eq!(&out[i * 4..(i + 1) * 4], &on_wire[..]);
