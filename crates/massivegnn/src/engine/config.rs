@@ -184,53 +184,9 @@ impl EngineConfig {
             p.validate()?;
         }
         if let Some(f) = &self.fault {
-            self.validate_fault(f)?;
+            f.validate(self.num_parts)?;
         }
-        for (name, value) in [
-            ("retry.base_backoff_s", self.retry.base_backoff_s),
-            ("retry.backoff_mult", self.retry.backoff_mult),
-        ] {
-            // A negative backoff would run the simulated clock backwards.
-            if !(value.is_finite() && value >= 0.0) {
-                return Err(format!("{name} {value} must be finite and >= 0"));
-            }
-        }
-        Ok(())
-    }
-
-    /// A fault profile `FaultPlan::verdict` reads the way it was meant:
-    /// three probabilities that share one unit interval, a delay that
-    /// delays, and a crash on a partition that exists.
-    fn validate_fault(&self, f: &FaultProfile) -> Result<(), String> {
-        let probs = [
-            ("fault.drop_prob", f.drop_prob),
-            ("fault.delay_prob", f.delay_prob),
-            ("fault.truncate_prob", f.truncate_prob),
-        ];
-        for (name, p) in probs {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} {p} out of [0,1]"));
-            }
-        }
-        let total: f64 = probs.iter().map(|&(_, p)| p).sum();
-        if total > 1.0 {
-            return Err(format!(
-                "fault.drop_prob + fault.delay_prob + fault.truncate_prob = {total} exceeds 1: \
-                 a request gets one verdict"
-            ));
-        }
-        if f.delay_prob > 0.0 && f.delay_factor == 0 {
-            return Err("fault.delay_factor must be >= 1 when fault.delay_prob > 0".into());
-        }
-        if let Some(part) = f.crash_part {
-            if part as usize >= self.num_parts {
-                return Err(format!(
-                    "fault.crash_part {part} is not one of the {} partitions",
-                    self.num_parts
-                ));
-            }
-        }
-        Ok(())
+        self.retry.validate()
     }
 }
 

@@ -13,7 +13,10 @@
 //! Chrome/Perfetto `*.trace.json` per run (open at <https://ui.perfetto.dev>)
 //! plus an `index.json` mapping files to experiments and one
 //! `*-events.jsonl` per experiment with the request-correlated fault
-//! ladder (empty files are skipped).
+//! ladder (empty files are skipped). Every JSON document is read back
+//! before it is written: one that does not parse to the tree it came
+//! from (a NaN or ∞ reads back as `null`) is not written, and `repro`
+//! exits 1 naming its path.
 //!
 //! Live telemetry: `--telemetry-port N` serves Prometheus text
 //! exposition at `http://127.0.0.1:N/metrics` for the life of the
@@ -26,7 +29,7 @@ use mgnn_bench::{experiments, figures::chaos, harness, Opts};
 use mgnn_graph::{DatasetKind, Scale};
 use mgnn_net::{Backend, FaultProfile};
 use serde::{Serialize, Value};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 fn usage() -> ! {
@@ -136,10 +139,8 @@ fn main() {
         mgnn_obs::events::install();
     }
     let scrape = telemetry_port.map(|port| {
-        let server = mgnn_obs::ScrapeServer::start(port).unwrap_or_else(|e| {
-            eprintln!("cannot bind scrape server on port {port}: {e}");
-            std::process::exit(1)
-        });
+        let server = mgnn_obs::ScrapeServer::start(port)
+            .unwrap_or_else(|e| die(format!("cannot bind scrape server on port {port}: {e}")));
         eprintln!(
             "[telemetry: serving /metrics on http://{}]",
             server.local_addr()
@@ -147,10 +148,8 @@ fn main() {
         server
     });
     if let Some(dir) = &trace_out {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1)
-        });
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| die(format!("cannot create {}: {e}", dir.display())));
     }
 
     let mut experiment_values: Vec<Value> = Vec::new();
@@ -180,8 +179,8 @@ fn main() {
             if let Some(dir) = &trace_out {
                 if !cap.traces.is_empty() {
                     let file = format!("{}-{seq:03}.trace.json", exp.name);
-                    let text = mgnn_obs::export::perfetto_trace_string(&cap.traces);
-                    write_or_die(&dir.join(&file), &text);
+                    let trace = mgnn_obs::export::perfetto_trace(&cap.traces);
+                    write_json(&dir.join(&file), &trace, false).unwrap_or_else(|msg| die(msg));
                     index_rows.push(Value::obj([
                         ("file", file.to_value()),
                         ("experiment", exp.name.to_value()),
@@ -222,8 +221,8 @@ fn main() {
         server.shutdown();
     }
     if let Some(dir) = &trace_out {
-        let index = serde_json::to_string_pretty(&Value::obj([("traces", Value::Arr(index_rows))]));
-        write_or_die(&dir.join("index.json"), &index);
+        let index = Value::obj([("traces", Value::Arr(index_rows))]);
+        write_json(&dir.join("index.json"), &index, true).unwrap_or_else(|msg| die(msg));
         eprintln!("[traces written to {}]", dir.display());
     }
     if let Some(file) = &json_out {
@@ -240,7 +239,7 @@ fn main() {
             ("fault_seed", opts.fault_seed.to_value()),
             ("experiments", Value::Arr(experiment_values)),
         ]);
-        write_or_die(file, &serde_json::to_string_pretty(&doc));
+        write_json(file, &doc, true).unwrap_or_else(|msg| die(msg));
         eprintln!("[reports written to {}]", file.display());
     }
     if chaos_diverged {
@@ -249,9 +248,57 @@ fn main() {
     }
 }
 
-fn write_or_die(path: &std::path::Path, text: &str) {
+fn die(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
+}
+
+fn write_or_die(path: &Path, text: &str) {
     if let Err(e) = std::fs::write(path, text) {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1)
+        die(format!("cannot write {}: {e}", path.display()))
+    }
+}
+
+/// Write `doc` as JSON (pretty or compact) only if the text parses back
+/// to `doc` itself; otherwise write nothing and say which file it was.
+fn write_json(path: &Path, doc: &Value, pretty: bool) -> Result<(), String> {
+    let text = if pretty {
+        serde_json::to_string_pretty(doc)
+    } else {
+        serde_json::to_string(doc)
+    };
+    if serde_json::from_str(&text).ok().as_ref() != Some(doc) {
+        return Err(format!(
+            "{} does not read back as the document it renders; not written",
+            path.display()
+        ));
+    }
+    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_document_that_does_not_read_back_is_not_written() {
+        let dir = std::env::temp_dir().join(format!("repro-write-json-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = Value::obj([("makespan_s", Value::F64(1.5)), ("world", Value::U64(4))]);
+        let bad = Value::obj([
+            ("makespan_s", Value::F64(f64::NAN)),
+            ("world", Value::U64(4)),
+        ]);
+        for pretty in [false, true] {
+            let path = dir.join(format!("bad-{pretty}.json"));
+            let err = write_json(&path, &bad, pretty).unwrap_err();
+            assert!(err.contains(&path.display().to_string()), "{err}");
+            assert!(!path.exists(), "a refused document was written");
+            let path = dir.join(format!("good-{pretty}.json"));
+            write_json(&path, &good, pretty).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(serde_json::from_str(&text), Ok(good.clone()));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

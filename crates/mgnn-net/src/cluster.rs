@@ -206,6 +206,7 @@ impl SimCluster {
 
     /// [`SimCluster::with_faults`], with the profile's crash meeting the
     /// requests of trainer `designated` (the rank its request ids carry).
+    /// Panics on a profile or policy whose `validate` refuses it.
     pub fn with_faults_designating(
         features: &FeatureStore,
         assignment: &[u32],
@@ -215,6 +216,10 @@ impl SimCluster {
         designated: u64,
     ) -> Self {
         assert_eq!(features.num_nodes(), assignment.len());
+        let checked = profile.as_ref().map_or(Ok(()), |p| p.validate(num_parts));
+        if let Err(problem) = checked.and(retry.validate()) {
+            panic!("invalid fault configuration: {problem}");
+        }
         let dim = features.dim();
         let mut owned: Vec<Vec<NodeId>> = vec![Vec::new(); num_parts];
         for (u, &p) in assignment.iter().enumerate() {
@@ -509,6 +514,20 @@ mod tests {
         for (i, &g) in ids.iter().enumerate() {
             assert_eq!(&out[i * 8..(i + 1) * 8], on_wire(f.row(g)), "row {g}");
         }
+    }
+
+    /// A hand-built profile meets the rules `EngineConfig::validate` holds
+    /// an engine's to: a delay of factor 0 would book as a clean reply.
+    #[test]
+    #[should_panic(expected = "fault.delay_factor must be >= 1")]
+    fn a_directly_built_cluster_refuses_an_invalid_profile() {
+        let (f, a) = fixture();
+        let profile = FaultProfile {
+            delay_prob: 0.5,
+            delay_factor: 0,
+            ..FaultProfile::off(1)
+        };
+        SimCluster::with_faults(&f, &a, 4, Some(profile), RetryPolicy::default());
     }
 
     #[test]

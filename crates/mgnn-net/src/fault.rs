@@ -119,6 +119,41 @@ impl FaultProfile {
     /// The CLI-recognized profile names.
     pub const NAMES: [&'static str; 3] = ["off", "light", "heavy"];
 
+    /// A profile [`FaultPlan::verdict`] reads the way it was meant:
+    /// three probabilities that share one unit interval, a delay that
+    /// delays, and a crash on one of the `num_parts` partitions. The
+    /// first problem comes back as a message naming the field.
+    pub fn validate(&self, num_parts: usize) -> Result<(), String> {
+        let probs = [
+            ("fault.drop_prob", self.drop_prob),
+            ("fault.delay_prob", self.delay_prob),
+            ("fault.truncate_prob", self.truncate_prob),
+        ];
+        for (name, p) in probs {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{name} {p} out of [0,1]"));
+            }
+        }
+        let total: f64 = probs.iter().map(|&(_, p)| p).sum();
+        if total > 1.0 {
+            return Err(format!(
+                "fault.drop_prob + fault.delay_prob + fault.truncate_prob = {total} exceeds 1: \
+                 a request gets one verdict"
+            ));
+        }
+        if self.delay_prob > 0.0 && self.delay_factor == 0 {
+            return Err("fault.delay_factor must be >= 1 when fault.delay_prob > 0".into());
+        }
+        if let Some(part) = self.crash_part {
+            if part as usize >= num_parts {
+                return Err(format!(
+                    "fault.crash_part {part} is not one of the {num_parts} partitions"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Derive the plan for one partition's server; if the profile
     /// crashes `part`, the crash meets trainer `designated`'s requests.
     pub fn plan_for(&self, part: u32, designated: u64) -> FaultPlan {
@@ -239,6 +274,20 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// A backoff that never runs the simulated clock backwards; the first
+    /// problem comes back as a message naming the field.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("retry.base_backoff_s", self.base_backoff_s),
+            ("retry.backoff_mult", self.backoff_mult),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!("{name} {value} must be finite and >= 0"));
+            }
+        }
+        Ok(())
+    }
+
     /// Simulated backoff charged before retry attempt `attempt`
     /// (1-based): `base × mult^(attempt−1)`. Deterministic — no
     /// jitter — so chaos runs replay exactly.

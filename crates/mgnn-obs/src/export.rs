@@ -168,11 +168,6 @@ pub fn perfetto_trace(traces: &[TrainerTrace]) -> Value {
     ])
 }
 
-/// Perfetto trace as a JSON string, ready to write to `trace.json`.
-pub fn perfetto_trace_string(traces: &[TrainerTrace]) -> String {
-    serde_json::to_string(&perfetto_trace(traces))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,9 +215,9 @@ mod tests {
 
     #[test]
     fn perfetto_string_parses_back() {
-        let s = perfetto_trace_string(&[sample_trace()]);
-        let v = serde_json::from_str(&s).unwrap();
-        assert!(v.get("traceEvents").unwrap().as_array().is_some());
+        let v = perfetto_trace(&[sample_trace()]);
+        let s = serde_json::to_string(&v);
+        assert_eq!(serde_json::from_str(&s), Ok(v));
     }
 
     #[test]

@@ -70,36 +70,6 @@ impl LocalPartition {
             self.halo_nodes[l - self.num_local()]
         }
     }
-
-    /// Whether local id `l` refers to a halo (remote) node.
-    #[inline]
-    pub fn is_halo(&self, l: u32) -> bool {
-        (l as usize) >= self.num_local()
-    }
-
-    /// Halo index (0-based position in `halo_nodes`) of local id `l`,
-    /// or `None` for local nodes.
-    #[inline]
-    pub fn halo_index(&self, l: u32) -> Option<u32> {
-        if self.is_halo(l) {
-            Some(l - self.num_local() as u32)
-        } else {
-            None
-        }
-    }
-
-    /// Global degree of local id `l`: local nodes keep their full edge
-    /// list in the partition graph; halo nodes carry their recorded
-    /// global degree (used by degree-weighted sampling and degree-based
-    /// prefetch initialization).
-    #[inline]
-    pub fn global_degree(&self, l: u32) -> u32 {
-        if let Some(h) = self.halo_index(l) {
-            self.halo_degree[h as usize]
-        } else {
-            self.graph.degree(l) as u32
-        }
-    }
 }
 
 /// Materialize every partition's [`LocalPartition`] from a global graph, a
@@ -298,8 +268,7 @@ mod tests {
             for h in 0..lp.num_halo() {
                 let l = (lp.num_local() + h) as u32;
                 assert!(lp.graph.neighbors(l).is_empty());
-                assert!(lp.is_halo(l));
-                assert_eq!(lp.halo_index(l), Some(h as u32));
+                assert_eq!(lp.global_id(l), lp.halo_nodes[h]);
             }
         }
     }

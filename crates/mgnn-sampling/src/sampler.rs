@@ -15,20 +15,13 @@ use mgnn_partition::LocalPartition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// How neighbors are chosen within a fanout budget. The paper's prefetch
-/// scheme claims to be sampler-agnostic (§V-A4: "the performance primarily
-/// hinges on how the sampler interacts with the Prefetcher"); these
-/// strategies make that claim testable.
+/// How neighbors are chosen within a fanout budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplingStrategy {
     /// Uniform without replacement — DGL's `NeighborSampler`, the paper's
     /// default.
     #[default]
     Uniform,
-    /// Weighted without replacement, probability ∝ neighbor's global
-    /// degree (importance-style sampling; biases walks toward hubs, which
-    /// interacts favorably with the degree-initialized prefetch buffer).
-    DegreeWeighted,
 }
 
 /// Reusable working memory for [`NeighborSampler::sample_into`]. One
@@ -51,8 +44,6 @@ pub struct SamplerScratch {
     /// Floyd's-algorithm chosen indices (replaces the per-dst `HashSet`;
     /// fanouts are small, so linear membership tests win).
     chosen: Vec<usize>,
-    /// Efraimidis–Spirakis keyed reservoir.
-    keyed: Vec<(f64, u32)>,
     /// Per-dst selected-neighbor scratch.
     nbr: Vec<u32>,
     /// Block carcasses recycled when a minibatch shrinks its layer count.
@@ -161,7 +152,6 @@ impl NeighborSampler {
                 &mut scratch.pos_val,
                 scratch.stamp,
                 &mut scratch.chosen,
-                &mut scratch.keyed,
                 &mut scratch.nbr,
             );
             scratch.dst.clear();
@@ -186,7 +176,6 @@ fn sample_one_layer_into(
     pos_val: &mut [u32],
     stamp: u64,
     chosen: &mut Vec<usize>,
-    keyed: &mut Vec<(f64, u32)>,
     nbr: &mut Vec<u32>,
 ) {
     let num_dst = dst.len();
@@ -226,19 +215,6 @@ fn sample_one_layer_into(
                     }
                     nbr.extend(chosen.iter().map(|&i| nbrs[i]));
                     nbr.sort_unstable(); // determinism: fixed output order
-                }
-                SamplingStrategy::DegreeWeighted => {
-                    // Efraimidis–Spirakis A-Res: key = u^(1/w), keep top-k.
-                    keyed.clear();
-                    keyed.extend(nbrs.iter().map(|&v| {
-                        let w = part.global_degree(v).max(1) as f64;
-                        let u: f64 = rng.gen::<f64>().max(1e-300);
-                        (u.powf(1.0 / w), v)
-                    }));
-                    keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-                    keyed.truncate(fanout);
-                    nbr.extend(keyed.iter().map(|&(_, v)| v));
-                    nbr.sort_unstable();
                 }
             }
         }
@@ -385,74 +361,19 @@ mod tests {
     }
 
     #[test]
-    fn degree_weighted_respects_fanout_and_edges() {
-        let part = partition();
-        let seeds: Vec<u32> = (0..16).collect();
-        let s = NeighborSampler::with_strategy(vec![5], SamplingStrategy::DegreeWeighted, 2);
-        let mb = s.sample(&part, &seeds, 0, 0);
-        let b = &mb.blocks[0];
-        b.validate().unwrap();
-        for i in 0..b.num_dst {
-            assert!(b.neighbors_of(i).len() <= 5);
-            let d = b.src_nodes[i];
-            for &j in b.neighbors_of(i) {
-                assert!(part.graph.neighbors(d).contains(&b.src_nodes[j as usize]));
-            }
-        }
-    }
-
-    #[test]
-    fn degree_weighted_prefers_hubs() {
-        // Build a star-heavy partition: one hub adjacent to everything.
-        let mut builder = mgnn_graph::GraphBuilder::new(200);
-        for v in 1..200u32 {
-            builder.add_edge(0, v);
-        }
-        // plus a sparse ring so non-hub nodes have alternatives
-        for v in 1..199u32 {
-            builder.add_edge(v, v + 1);
-        }
-        let g = builder.build();
-        let p = mgnn_partition::Partitioning::new(vec![0; 200], 1);
-        let part = build_local_partitions(&g, &p, &[]).remove(0);
-        let seeds: Vec<u32> = (1..40).collect();
-        let uni = NeighborSampler::with_strategy(vec![1], SamplingStrategy::Uniform, 3);
-        let wtd = NeighborSampler::with_strategy(vec![1], SamplingStrategy::DegreeWeighted, 3);
-        let count_hub = |mb: &SampledMinibatch| {
-            let b = &mb.blocks[0];
-            (0..b.num_dst)
-                .flat_map(|i| b.neighbors_of(i))
-                .filter(|&&j| b.src_nodes[j as usize] == 0)
-                .count()
-        };
-        let mut hub_uni = 0;
-        let mut hub_wtd = 0;
-        for step in 0..30 {
-            hub_uni += count_hub(&uni.sample(&part, &seeds, 0, step));
-            hub_wtd += count_hub(&wtd.sample(&part, &seeds, 0, step));
-        }
-        assert!(
-            hub_wtd > hub_uni,
-            "weighted should pick the hub more often ({hub_wtd} vs {hub_uni})"
-        );
-    }
-
-    #[test]
     fn sample_into_matches_sample_with_dirty_reuse() {
         // A recycled minibatch + scratch (dirty from arbitrary previous
         // batches) must yield bitwise-identical output to a fresh
-        // `sample` at every (epoch, step) and for every strategy.
+        // `sample` at every (epoch, step).
         let part = partition();
-        for strategy in [SamplingStrategy::Uniform, SamplingStrategy::DegreeWeighted] {
-            let s = NeighborSampler::with_strategy(vec![4, 7], strategy, 13);
-            let mut out = SampledMinibatch::default();
-            let mut scratch = SamplerScratch::default();
-            for step in 0..8u64 {
-                let seeds: Vec<u32> = (step as u32..step as u32 + 11).collect();
-                let fresh = s.sample(&part, &seeds, step / 3, step);
-                s.sample_into(&part, &seeds, step / 3, step, &mut out, &mut scratch);
-                assert_eq!(out, fresh, "{strategy:?} step {step}");
-            }
+        let s = NeighborSampler::new(vec![4, 7], 13);
+        let mut out = SampledMinibatch::default();
+        let mut scratch = SamplerScratch::default();
+        for step in 0..8u64 {
+            let seeds: Vec<u32> = (step as u32..step as u32 + 11).collect();
+            let fresh = s.sample(&part, &seeds, step / 3, step);
+            s.sample_into(&part, &seeds, step / 3, step, &mut out, &mut scratch);
+            assert_eq!(out, fresh, "step {step}");
         }
     }
 
@@ -477,13 +398,7 @@ mod tests {
     fn strategies_deterministic() {
         let part = partition();
         let seeds: Vec<u32> = (0..8).collect();
-        for strategy in [SamplingStrategy::Uniform, SamplingStrategy::DegreeWeighted] {
-            let s = NeighborSampler::with_strategy(vec![4, 4], strategy, 7);
-            assert_eq!(
-                s.sample(&part, &seeds, 1, 2),
-                s.sample(&part, &seeds, 1, 2),
-                "{strategy:?}"
-            );
-        }
+        let s = NeighborSampler::with_strategy(vec![4, 4], SamplingStrategy::Uniform, 7);
+        assert_eq!(s.sample(&part, &seeds, 1, 2), s.sample(&part, &seeds, 1, 2));
     }
 }

@@ -97,7 +97,7 @@ fn traced_run_exports_consistent_perfetto_and_json() {
 
     // The Perfetto export parses back and carries >= 1 span of every
     // phase for every trainer.
-    let text = mgnn_obs::export::perfetto_trace_string(&report.traces);
+    let text = serde_json::to_string(&mgnn_obs::export::perfetto_trace(&report.traces));
     let v = serde_json::from_str(&text).expect("perfetto trace must be valid JSON");
     let events = v.get("traceEvents").unwrap().as_array().unwrap();
     for trace in &report.traces {

@@ -98,7 +98,7 @@ fn prefetched_features_match_ground_truth_across_modes() {
             for (i, &lid) in batch.minibatch.input_nodes.iter().enumerate() {
                 let gid = part.global_id(lid);
                 let row = fx.dataset.features.row(gid);
-                let expected = if part.is_halo(lid) {
+                let expected = if lid as usize >= part.num_local() {
                     on_wire(row)
                 } else {
                     row.to_vec()
@@ -456,7 +456,7 @@ fn degraded_rows_are_zero_in_a_recycled_input_matrix() {
     let metrics = CommMetrics::new();
     let local_or = |lid: u32, halo: &dyn Fn(&[f32]) -> Vec<f32>| {
         let row = fx.dataset.features.row(part.global_id(lid));
-        if part.is_halo(lid) {
+        if lid as usize >= part.num_local() {
             halo(row)
         } else {
             row.to_vec()
@@ -550,7 +550,7 @@ fn degraded_rows_are_zero_in_a_recycled_input_matrix() {
             "a failed replacement is cancelled"
         );
         for (i, &lid) in batch.minibatch.input_nodes.iter().enumerate() {
-            let hit = part.is_halo(lid) && buffered[lid as usize - part.num_local()];
+            let hit = lid as usize >= part.num_local() && buffered[lid as usize - part.num_local()];
             let want = local_or(lid, &|row| {
                 if hit {
                     on_wire(row)

@@ -5,7 +5,7 @@
 
 use mgnn_graph::GraphBuilder;
 use mgnn_partition::{build_local_partitions, multilevel_partition, LocalPartition};
-use mgnn_sampling::{NeighborSampler, SamplingStrategy};
+use mgnn_sampling::NeighborSampler;
 use proptest::prelude::*;
 
 fn build_partition(n: usize, edges: Vec<(u32, u32)>, parts: usize, seed: u64) -> LocalPartition {
@@ -17,26 +17,15 @@ fn build_partition(n: usize, edges: Vec<(u32, u32)>, parts: usize, seed: u64) ->
     build_local_partitions(&g, &p, &train).remove(0)
 }
 
-/// `(n, edges, fanouts, seeds, seed, strategy)` for one sampler run.
-type SamplerInstance = (
-    usize,
-    Vec<(u32, u32)>,
-    Vec<usize>,
-    Vec<u32>,
-    u64,
-    SamplingStrategy,
-);
+/// `(n, edges, fanouts, seeds, seed)` for one sampler run.
+type SamplerInstance = (usize, Vec<(u32, u32)>, Vec<usize>, Vec<u32>, u64);
 
 fn arb_instance() -> impl Strategy<Value = SamplerInstance> {
     (20usize..150).prop_flat_map(|n| {
         let edges = prop::collection::vec((0..n as u32, 0..n as u32), n..n * 6);
         let fanouts = prop::collection::vec(1usize..8, 1..3);
         let seeds = prop::collection::vec(0u32..(n as u32 / 3).max(1), 1..12);
-        let strategy = prop_oneof![
-            Just(SamplingStrategy::Uniform),
-            Just(SamplingStrategy::DegreeWeighted),
-        ];
-        (Just(n), edges, fanouts, seeds, 0u64..100, strategy)
+        (Just(n), edges, fanouts, seeds, 0u64..100)
     })
 }
 
@@ -45,7 +34,7 @@ proptest! {
 
     #[test]
     fn sampled_blocks_always_valid(
-        (n, edges, fanouts, raw_seeds, seed, strategy) in arb_instance()
+        (n, edges, fanouts, raw_seeds, seed) in arb_instance()
     ) {
         let part = build_partition(n, edges, 3, seed);
         // Seeds must be locally-owned ids.
@@ -53,7 +42,7 @@ proptest! {
             .into_iter()
             .map(|s| s % part.num_local().max(1) as u32)
             .collect();
-        let sampler = NeighborSampler::with_strategy(fanouts.clone(), strategy, seed);
+        let sampler = NeighborSampler::new(fanouts.clone(), seed);
         let mb = sampler.sample(&part, &seeds, 0, seed);
 
         // One block per layer, all structurally valid.
@@ -88,7 +77,7 @@ proptest! {
                     b.neighbors_of(i).len() <= fanout
                         || b.neighbors_of(i).len() == part.graph.degree(d)
                 );
-                if part.is_halo(d) {
+                if d as usize >= part.num_local() {
                     prop_assert!(b.neighbors_of(i).is_empty(), "halo expanded");
                 }
                 for &j in b.neighbors_of(i) {
@@ -101,14 +90,14 @@ proptest! {
 
     #[test]
     fn sampling_deterministic_across_calls(
-        (n, edges, fanouts, raw_seeds, seed, strategy) in arb_instance()
+        (n, edges, fanouts, raw_seeds, seed) in arb_instance()
     ) {
         let part = build_partition(n, edges, 2, seed);
         let seeds: Vec<u32> = raw_seeds
             .into_iter()
             .map(|s| s % part.num_local().max(1) as u32)
             .collect();
-        let sampler = NeighborSampler::with_strategy(fanouts, strategy, seed);
+        let sampler = NeighborSampler::new(fanouts, seed);
         prop_assert_eq!(
             sampler.sample(&part, &seeds, 3, 5),
             sampler.sample(&part, &seeds, 3, 5)
