@@ -30,7 +30,7 @@ pub use config::{EngineConfig, Mode};
 pub use report::{Breakdown, RunReport, TrainerReport};
 
 use exchange::{GradExchange, Share};
-use mgnn_graph::{CsrGraph, Dataset, DatasetGraph, FeatureStore};
+use mgnn_graph::{CsrGraph, DatasetGraph, FeatureStore};
 use mgnn_model::{GatModel, GcnModel, Model, ModelKind, SageModel};
 use mgnn_net::SimCluster;
 use mgnn_obs::{registry, TrainerTrace};
@@ -42,11 +42,15 @@ use serde::Serialize;
 use std::sync::Arc;
 use trainer::TrainerState;
 
-/// One built world (dataset, partitions, shards, cluster): it runs any
+/// One built world (features, partitions, shards, cluster): it runs any
 /// mode ([`run_as`](Self::run_as)); every other field is fixed by the build.
 pub struct Engine {
     cfg: EngineConfig,
-    dataset: Dataset,
+    /// The one feature matrix and its labels, shared with the cluster.
+    features: FeatureStore,
+    /// The validation split [`evaluate`](Self::evaluate) reads; the global
+    /// graph and the other splits are the build's scratch.
+    val_nodes: Vec<u32>,
     parts: Vec<Arc<LocalPartition>>,
     cluster: Arc<SimCluster>,
     /// (partition, trainer-local seeds) per trainer.
@@ -75,38 +79,42 @@ impl Engine {
 
     /// Build the experiment: generate, partition, shard, build the cluster.
     /// `partitioner` gets the graph, `num_parts` and the seed, and makes
-    /// the first-level assignment; it runs on a thread of its own while
-    /// the features are synthesized.
+    /// the first-level assignment; it runs on the calling thread while
+    /// the features are synthesized on a second one.
     pub fn build_with(
         cfg: EngineConfig,
-        partitioner: impl FnOnce(&CsrGraph, usize, u64) -> Partitioning + Send,
+        partitioner: impl FnOnce(&CsrGraph, usize, u64) -> Partitioning,
     ) -> Self {
         if let Err(problem) = cfg.validate() {
             panic!("invalid EngineConfig: {problem}");
         }
         // Five stages, each holding only what it reads (DESIGN §9,
         // "Set-up"). Partitioning and feature synthesis both only read
-        // the graph, so the partitioner runs on a second thread while
-        // this one synthesizes, holding nothing but the matrix it
-        // returns. The halo views come after both, so the partitioner's
-        // scratch is returned before they exist. The cluster then shares
-        // the one matrix instead of copying shards.
+        // the graph, so synthesis runs on a helper thread beside the
+        // partitioner. A freed chunk returns to the arena of the thread
+        // that allocated it, so the partitioner runs here and the matrix
+        // is allocated here: their memory is then reused by the step
+        // loop and the next build instead of stranded in a helper's
+        // arena. The halo views come after both, so the partitioner's
+        // scratch is returned before they exist; then the global graph
+        // and the train and test splits go, since no run reads them. The
+        // cluster shares the one matrix instead of copying shards.
         let topology = DatasetGraph::generate(cfg.dataset, cfg.scale, cfg.seed);
+        let matrix = vec![0.0; topology.graph.num_nodes() * cfg.dataset.feature_dim()];
         let (partitioning, features) = std::thread::scope(|scope| {
-            let partitioning =
-                scope.spawn(|| partitioner(&topology.graph, cfg.num_parts, cfg.seed));
-            let features = topology.features();
-            let partitioning = partitioning
+            let features = scope.spawn(|| topology.features_into(matrix));
+            let partitioning = partitioner(&topology.graph, cfg.num_parts, cfg.seed);
+            let features = features
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             (partitioning, features)
         });
-        let dataset = topology.with_features(features);
         let parts: Vec<Arc<LocalPartition>> =
-            build_local_partitions(&dataset.graph, &partitioning, &dataset.train_nodes)
+            build_local_partitions(&topology.graph, &partitioning, &topology.train_nodes)
                 .into_iter()
                 .map(Arc::new)
                 .collect();
+        let DatasetGraph { val_nodes, .. } = topology;
         // Second-level split: train nodes of each partition among its
         // trainers, converted to partition-local ids.
         let mut trainer_shards = Vec::with_capacity(cfg.num_parts * cfg.trainers_per_part);
@@ -131,7 +139,7 @@ impl Engine {
             .iter()
             .position(|s| Some(s.0 as u32) != crash_part);
         let cluster = Arc::new(SimCluster::with_faults_designating(
-            &dataset.features,
+            &features,
             &partitioning.assignment,
             cfg.num_parts,
             cfg.fault.clone(),
@@ -139,18 +147,20 @@ impl Engine {
             designated.unwrap_or_default() as u64,
         ));
         Engine {
-            shape_model: make_model(&cfg, &dataset.features),
+            shape_model: make_model(&cfg, &features),
             cfg,
-            dataset,
+            features,
+            val_nodes,
             parts,
             cluster,
             trainer_shards,
         }
     }
 
-    /// The dataset the engine trains on: graph, features and splits.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
+    /// What [`evaluate`](Self::evaluate) reads: the feature matrix, with
+    /// its labels, and the validation split.
+    pub fn eval_data(&self) -> (&FeatureStore, &[u32]) {
+        (&self.features, &self.val_nodes)
     }
 
     /// The per-partition views.
@@ -377,18 +387,17 @@ impl Engine {
     /// ground-truth features read straight from the feature matrix.
     /// Returns accuracy in `[0, 1]`.
     pub fn evaluate(&self, params: &[f32]) -> f64 {
-        let mut model = make_model(&self.cfg, &self.dataset.features);
+        let mut model = make_model(&self.cfg, &self.features);
         assert_eq!(params.len(), model.num_params(), "parameter shape mismatch");
         model.read_params(params);
         let sampler = NeighborSampler::new(self.cfg.fanouts.clone(), self.cfg.seed ^ 0xe5a1);
-        let features = &self.dataset.features;
+        let features = &self.features;
         let dim = features.dim();
         let mut correct = 0usize;
         let mut total = 0usize;
         for part in &self.parts {
             // Validation nodes owned by this partition.
             let val: Vec<u32> = self
-                .dataset
                 .val_nodes
                 .iter()
                 .filter_map(|&g| {

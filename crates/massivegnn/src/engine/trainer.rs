@@ -312,7 +312,7 @@ impl Engine {
                         let (mut pf, rep) = initialize_prefetcher(
                             &part,
                             pcfg,
-                            self.dataset.num_nodes(),
+                            self.features.num_nodes(),
                             &self.cluster,
                             &cfg.cost,
                             &metrics,
@@ -353,9 +353,7 @@ impl Engine {
                     hits,
                     breakdown: Breakdown::default(),
                     init,
-                    model: cfg
-                        .train_math
-                        .then(|| make_model(cfg, &self.dataset.features)),
+                    model: cfg.train_math.then(|| make_model(cfg, &self.features)),
                     opt: Box::new(Sgd::new(0.05)),
                     stats: Vec::with_capacity(total_steps),
                     halo_frac_sum: 0.0,

@@ -255,6 +255,23 @@ impl DatasetGraph {
         )
     }
 
+    /// [`DatasetGraph::features`], written into `matrix`, `num_nodes ×
+    /// feature_dim` long, whose content is overwritten. A caller that
+    /// synthesizes on a helper thread allocates the matrix itself: the
+    /// allocator keeps freed memory in the arena of the thread that
+    /// allocated it, so the matrix is then freed where that caller
+    /// allocates next, not into a helper's arena.
+    pub fn features_into(&self, matrix: Vec<f32>) -> FeatureStore {
+        FeatureStore::synthesize_split(
+            &self.graph,
+            self.kind.feature_dim(),
+            self.kind.num_classes(),
+            self.seed ^ 0xfeed,
+            rayon::current_num_threads(),
+            matrix,
+        )
+    }
+
     /// Complete the [`Dataset`] with `features`, what
     /// [`DatasetGraph::features`] synthesized for this graph.
     pub fn with_features(self, features: FeatureStore) -> Dataset {

@@ -73,18 +73,27 @@ impl FeatureStore {
     /// neighbours in adjacency order only if `v ∈ N(u)` exactly when
     /// `u ∈ N(v)`.
     pub fn synthesize(graph: &CsrGraph, dim: usize, num_classes: usize, seed: u64) -> Self {
-        Self::synthesize_split(graph, dim, num_classes, seed, rayon::current_num_threads())
+        let matrix = vec![0.0f32; graph.num_nodes() * dim];
+        let ranges = rayon::current_num_threads();
+        Self::synthesize_split(graph, dim, num_classes, seed, ranges, matrix)
     }
 
-    /// [`FeatureStore::synthesize`], pushing the rows in `ranges` tasks.
-    fn synthesize_split(
+    /// [`FeatureStore::synthesize`], pushing the rows in `ranges` tasks
+    /// into `data`, `num_nodes × dim` long, whose content is overwritten.
+    pub(crate) fn synthesize_split(
         graph: &CsrGraph,
         dim: usize,
         num_classes: usize,
         seed: u64,
         ranges: usize,
+        mut data: Vec<f32>,
     ) -> Self {
         assert!(num_classes >= 2, "need at least 2 classes");
+        assert_eq!(
+            data.len(),
+            graph.num_nodes() * dim,
+            "feature matrix shape mismatch"
+        );
         // Rows are ascending and deduplicated in every `CsrGraph` (checked
         // when it was made); symmetry is up to the graph's maker.
         debug_assert!(
@@ -121,7 +130,6 @@ impl FeatureStore {
             dim,
             seed,
         };
-        let mut data = vec![0.0f32; n * dim];
         push_neighbour_rows(graph, &raw, &mut data, ranges);
         finalize(graph, &raw, &mut data);
 
@@ -393,7 +401,8 @@ mod tests {
                 FeatureStore::synthesize(&g, dim, classes, seed)
             });
             assert_bits_equal(&capped, &want);
-            let split = FeatureStore::synthesize_split(&g, dim, classes, seed, ranges);
+            let dirty = vec![f32::NAN; g.num_nodes() * dim];
+            let split = FeatureStore::synthesize_split(&g, dim, classes, seed, ranges, dirty);
             assert_bits_equal(&split, &want);
         }
     }

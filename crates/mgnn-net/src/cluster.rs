@@ -34,7 +34,7 @@ use crate::fault::{FaultPlan, FaultProfile, FaultVerdict, RetryPolicy};
 use crate::kvstore::KvStore;
 use crate::wire::{self, WireElem};
 use mgnn_graph::{FeatureStore, NodeId};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Everything that deviated from the happy path during one grouped pull.
 /// All counts are exact and — with a seeded [`FaultProfile`] — a pure
@@ -170,8 +170,8 @@ pub struct SimCluster {
     /// One per store; a plan of [`FaultProfile::off`] without a profile.
     plans: Vec<FaultPlan>,
     dim: usize,
-    /// Owner partition of every global node.
-    assignment: Vec<u32>,
+    /// Owner partition of every global node, the one every store reads.
+    assignment: Arc<[u32]>,
     retry: RetryPolicy,
     /// Pull sets between pulls: as many as pulls were ever in flight at
     /// once, each grown to the largest pull it carried.
@@ -221,16 +221,12 @@ impl SimCluster {
             panic!("invalid fault configuration: {problem}");
         }
         let dim = features.dim();
-        let mut owned: Vec<Vec<NodeId>> = vec![Vec::new(); num_parts];
-        for (u, &p) in assignment.iter().enumerate() {
-            owned[p as usize].push(u as NodeId);
-        }
-        // Every shard serves out of `features` itself (a shared handle):
-        // building a cluster copies no rows.
-        let stores = owned
-            .into_iter()
-            .enumerate()
-            .map(|(p, ids)| KvStore::new(p as u32, ids, features))
+        // Every shard serves out of `features` itself and reads the one
+        // `assignment` (shared handles): building a cluster copies no
+        // rows and lists no shard's ids.
+        let assignment: Arc<[u32]> = assignment.into();
+        let stores = (0..num_parts as u32)
+            .map(|p| KvStore::new(p, Arc::clone(&assignment), features))
             .collect();
         let profile = profile.unwrap_or(FaultProfile::off(0));
         let plans = (0..num_parts as u32)
@@ -240,7 +236,7 @@ impl SimCluster {
             stores,
             plans,
             dim,
-            assignment: assignment.to_vec(),
+            assignment,
             retry,
             free_sets: Mutex::new(Vec::new()),
         }
@@ -706,7 +702,9 @@ mod tests {
         let (f, a) = fixture();
         let mut c = SimCluster::with_faults(&f, &a, 4, None, two_retries());
         // A routing bug: node 5 (owned by part 1) is believed to be on 2.
-        c.assignment[5] = 2;
+        let mut routing = c.assignment.to_vec();
+        routing[5] = 2;
+        c.assignment = routing.into();
         let (rows, outcome) = c.pull_rows(&[6, 5, 9], 0);
         assert_eq!(outcome.rejections, 1);
         assert_eq!(outcome.retries(), 0, "the same ids would be refused again");

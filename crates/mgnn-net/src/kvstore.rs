@@ -7,13 +7,15 @@
 //! served attempt is one [`KvStore::pull_into`] on the caller's thread.
 //!
 //! The servers are simulated inside one address space, so a shard does
-//! not hold a private copy of its rows: it is its sorted `owned` list
-//! plus a handle on the one resident [`FeatureStore`]. What makes it a
-//! shard is that every access is checked against `owned` — a row another
-//! partition owns is a [`KvError`], exactly as if it were not there.
+//! not hold a private copy of its rows: it is its partition id plus a
+//! handle on the one resident [`FeatureStore`] and on the cluster's one
+//! assignment. What makes it a shard is that every access is checked
+//! against that assignment — a row another partition owns is a
+//! [`KvError`], exactly as if it were not there.
 
 use crate::wire::{self, WireElem};
 use mgnn_graph::{FeatureStore, NodeId};
+use std::sync::Arc;
 
 /// A pull touched a global id this shard does not own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,29 +53,26 @@ pub fn make_room<T>(buf: &mut Vec<T>, need: usize) {
 #[derive(Debug, Clone)]
 pub struct KvStore {
     part_id: u32,
-    /// Sorted global ids of owned nodes.
-    owned: Vec<NodeId>,
-    /// Handle on the global matrix; only `owned` rows are ever served.
+    /// Owner partition of every global node, shared by every shard of a
+    /// cluster: the one definition of what this shard owns.
+    assignment: Arc<[u32]>,
+    /// Handle on the global matrix; only owned rows are ever served.
     features: FeatureStore,
 }
 
 impl KvStore {
-    /// The shard of `part_id`: `owned` (sorted global ids) out of
-    /// `features`, which is shared, not copied.
-    pub fn new(part_id: u32, owned: Vec<NodeId>, features: &FeatureStore) -> Self {
-        debug_assert!(
-            owned.windows(2).all(|w| w[0] < w[1]),
-            "owned must be sorted"
-        );
+    /// The shard of `part_id`: the rows `assignment` gives it, out of
+    /// `features`. Both are shared, not copied.
+    pub fn new(part_id: u32, assignment: Arc<[u32]>, features: &FeatureStore) -> Self {
         assert!(
-            owned
-                .last()
-                .is_none_or(|&g| (g as usize) < features.num_nodes()),
-            "owned id beyond the feature matrix"
+            assignment.len() <= features.num_nodes(),
+            "assignment of {} nodes reaches beyond the feature matrix of {}",
+            assignment.len(),
+            features.num_nodes()
         );
         KvStore {
             part_id,
-            owned,
+            assignment,
             features: features.clone(),
         }
     }
@@ -86,7 +85,7 @@ impl KvStore {
 
     /// Whether this shard owns global node `g`.
     pub fn owns(&self, g: NodeId) -> bool {
-        self.owned.binary_search(&g).is_ok()
+        self.assignment.get(g as usize) == Some(&self.part_id)
     }
 
     /// Feature row of owned global node `g`. Panics if not owned.
@@ -152,9 +151,17 @@ mod tests {
         FeatureStore::from_parts(10, 2, data, labels, 2)
     }
 
+    /// An assignment of the ten nodes: `owned` to `part`, the rest to
+    /// partition 7.
+    fn assignment(part: u32, owned: &[NodeId]) -> Arc<[u32]> {
+        (0..10)
+            .map(|g| if owned.contains(&g) { part } else { 7 })
+            .collect()
+    }
+
     /// Owns nodes 2, 5, 9.
     fn store() -> KvStore {
-        KvStore::new(0, vec![2, 5, 9], &features())
+        KvStore::new(0, assignment(0, &[2, 5, 9]), &features())
     }
 
     #[test]
@@ -218,7 +225,7 @@ mod tests {
 
     #[test]
     fn empty_store() {
-        let s = KvStore::new(1, vec![], &features());
+        let s = KvStore::new(1, assignment(1, &[]), &features());
         assert!(!s.owns(0));
         assert!(s.pull(&[]).unwrap().is_empty());
     }
@@ -226,14 +233,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond the feature matrix")]
     fn owned_id_outside_the_matrix_rejected() {
-        KvStore::new(0, vec![1, 10], &features());
+        // Node 10 is assigned an owner, but the matrix has rows 0..10.
+        let eleven: Arc<[u32]> = (0..11).map(|g| u32::from(g != 1 && g != 10)).collect();
+        KvStore::new(0, eleven, &features());
     }
 
     #[test]
     fn shards_of_one_store_share_its_matrix() {
         let f = features();
-        let a = KvStore::new(0, vec![0, 2, 4], &f);
-        let b = KvStore::new(1, vec![1, 3], &f);
+        // One assignment for both: 0, 2, 4 on part 0; 1, 3 on part 1.
+        let owners: Arc<[u32]> = [0, 1, 0, 1, 0, 2, 2, 2, 2, 2].into();
+        let a = KvStore::new(0, Arc::clone(&owners), &f);
+        let b = KvStore::new(1, owners, &f);
         // Both serve rows out of the store's own memory, not a copy.
         assert_eq!(a.row(2).as_ptr(), f.row(2).as_ptr());
         assert_eq!(b.row(3).as_ptr(), f.row(3).as_ptr());

@@ -212,7 +212,7 @@ mod rpc {
         /// the next request as if nothing happened.
         #[test]
         fn unowned_id_is_typed_error_and_server_survives() {
-            let kv = KvStore::new(0, vec![1, 3, 5], &features());
+            let kv = KvStore::new(0, [1, 0, 1, 0, 1, 0].into(), &features());
             let mut buf = Vec::new();
             assert_eq!(
                 kv.pull_into(&[1, 2], &mut buf),

@@ -218,10 +218,9 @@ mod tests {
         // pin it to the payloads a store's bulk pull really fills, so the
         // counter cannot drift from the payload's element type.
         let dim = 5;
-        let owned: Vec<u32> = (0..40).collect();
         let rows: Vec<f32> = (0..40 * dim).map(|i| i as f32 * 0.37 - 3.0).collect();
         let features = mgnn_graph::FeatureStore::from_parts(40, dim, rows, vec![0; 40], 1);
-        let kv = KvStore::new(0, owned, &features);
+        let kv = KvStore::new(0, vec![0; 40].into(), &features);
         let m = CommMetrics::new();
         let mut payload = Vec::new();
         let mut received = 0u64;

@@ -6,15 +6,16 @@
 //! Papers/Bench row on `335fda1`; a rewrite of the builder, the R-MAT
 //! generator, `FeatureStore::synthesize`, any stage of the partitioner or
 //! the halo views has to reproduce every row. `Engine::build`, which
-//! partitions on a second thread while it synthesizes the features, has
+//! synthesizes the features on a second thread while it partitions, has
 //! to assemble what these stages make one after another.
 
 use massivegnn::{Engine, EngineConfig};
-use mgnn_graph::{CsrGraph, Dataset, DatasetGraph, DatasetKind, Scale};
+use mgnn_graph::{CsrGraph, Dataset, DatasetGraph, DatasetKind, FeatureStore, Scale};
 use mgnn_partition::{
     build_local_partitions, multilevel_partition, split_train_nodes, LocalPartition, Partitioning,
 };
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 /// 64-bit FNV-1a over little-endian bytes.
 struct Fnv(u64);
@@ -271,10 +272,25 @@ fn the_overlapped_build_assembles_what_the_stages_make_one_after_another() {
         let d = topology.with_features(features);
         let views = build_local_partitions(&d.graph, &p, &d.train_nodes);
 
+        // The engine keeps the features and the validation split; every
+        // local node of a view keeps all its edges, so the views hold the
+        // global graph, which the engine itself does not keep.
+        let (features, val_nodes) = engine.eval_data();
+        let nodes = || 0..d.num_nodes() as u32;
+        let bits = |f: &FeatureStore| -> Vec<u32> {
+            nodes()
+                .flat_map(|u| f.row(u))
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(features), bits(&d.features), "feature bits: {at}");
+        let labels = |f: &FeatureStore| nodes().map(|u| f.label(u)).collect::<Vec<_>>();
+        assert_eq!(labels(features), labels(&d.features), "labels: {at}");
+        assert_eq!(val_nodes, d.val_nodes, "validation split: {at}");
         assert_eq!(
-            dataset_fingerprint(engine.dataset()),
-            dataset_fingerprint(&d),
-            "graph, feature bits or splits: {at}"
+            graph_from_views(engine.partitions(), d.num_nodes()),
+            (d.graph.offsets().to_vec(), d.graph.targets().to_vec()),
+            "graph: {at}"
         );
         let mut assignment = vec![u32::MAX; d.num_nodes()];
         for view in engine.partitions() {
@@ -315,6 +331,27 @@ fn the_overlapped_build_assembles_what_the_stages_make_one_after_another() {
             .collect();
         assert_eq!(have, want, "trainer shards: {at}");
     }
+}
+
+/// The global graph's offsets and targets, read back from `views`: every
+/// node is local to one view, which keeps all its edges.
+fn graph_from_views(views: &[Arc<LocalPartition>], num_nodes: usize) -> (Vec<u64>, Vec<u32>) {
+    let mut rows = vec![Vec::new(); num_nodes];
+    for view in views {
+        for (l, &u) in view.local_nodes.iter().enumerate() {
+            let neighbours = view.graph.neighbors(l as u32);
+            let row: &mut Vec<u32> = &mut rows[u as usize];
+            row.extend(neighbours.iter().map(|&v| view.global_id(v)));
+            row.sort_unstable();
+        }
+    }
+    let mut offsets = vec![0u64];
+    let mut targets = Vec::new();
+    for row in rows {
+        targets.extend(row);
+        offsets.push(targets.len() as u64);
+    }
+    (offsets, targets)
 }
 
 /// `cargo test --release -p mgnn-bench --test integration_setup -- --ignored --nocapture`

@@ -102,8 +102,8 @@ const ORACLES: &[(&str, &str)] = &[
         "the paper's perfect-overlap condition, under which `t_prefetch_steady` (reached) must collapse to `t_DDP`",
     ),
     (
-        "Engine::dataset",
-        "what `Engine::build` assembles while its partitioner runs on a second thread: tests/integration_setup.rs holds its graph, feature bits and splits to the stages run one after another",
+        "eval_data",
+        "what `Engine::build` keeps of the dataset while feature synthesis runs on a second thread: tests/integration_setup.rs holds its feature bits, labels and validation split to the stages run one after another",
     ),
     (
         "live_bytes",
