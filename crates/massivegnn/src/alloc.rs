@@ -1,9 +1,12 @@
-//! Counting global allocator (feature `alloc-count`): proves the
-//! zero-allocation steady state instead of asserting it in prose.
+//! Counting global allocator: proves the zero-allocation steady state
+//! instead of asserting it in prose.
 //!
-//! When the feature is on, every heap allocation in the process bumps a
-//! thread-local counter and a global live/peak byte gauge (an RSS proxy
-//! that ignores allocator slack). The engine brackets each training step
+//! The library installs no allocator. A process that declares
+//! `#[global_allocator] static A: CountingAlloc = CountingAlloc;` (the
+//! memory proofs, `tests/memory.rs`) sends every heap allocation through
+//! it, which bumps a thread-local counter and a global live/peak byte
+//! gauge (an RSS proxy that ignores allocator slack); anywhere else the
+//! gauges and counters read zero. The engine brackets each training step
 //! with [`thread_allocs`]/[`thread_excluded`] deltas: allocations made
 //! under an [`ExcludeGuard`] — model math inside `forward_backward` and
 //! inline minibatch preparation, which are *workload*, not bookkeeping —
@@ -15,9 +18,10 @@
 //! buffer to its high-water mark) record their hot count via
 //! [`record_hot_step`] into thread-local accumulators; the threaded
 //! engine flushes each worker's accumulator into the process-wide
-//! [`global_hot`] totals at the end of the run. Nothing here touches
-//! `RunReport` — the bitwise-identity oracles are unaffected by whether
-//! the feature is compiled in.
+//! [`global_hot`] totals at the end of the run. The bookkeeping is a few
+//! thread-local reads and writes per step and allocates nothing. Nothing
+//! here touches `RunReport`, so the bitwise-identity oracles do not
+//! depend on which allocator the process runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

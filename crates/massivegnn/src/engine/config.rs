@@ -154,6 +154,9 @@ impl EngineConfig {
             ("num_parts", self.num_parts),
             ("trainers_per_part", self.trainers_per_part),
             ("batch_size", self.batch_size),
+            // A run with no steps has nothing to report: every per-step
+            // mean would divide by zero.
+            ("epochs", self.epochs),
             // A zero-wide hidden layer has no bias row to broadcast: the
             // first `train_math` step would panic inside the tensor kernel.
             ("hidden_dim", self.hidden_dim),
@@ -207,10 +210,11 @@ mod tests {
         let retrying = |retry| EngineConfig { retry, ..d() };
         let r = RetryPolicy::default;
         #[rustfmt::skip]
-        let bad: [(&str, EngineConfig); 26] = [
+        let bad: [(&str, EngineConfig); 27] = [
             ("num_parts", EngineConfig { num_parts: 0, ..d() }),
             ("trainers_per_part", EngineConfig { trainers_per_part: 0, ..d() }),
             ("batch_size", EngineConfig { batch_size: 0, ..d() }),
+            ("epochs", EngineConfig { epochs: 0, ..d() }),
             ("hidden_dim", EngineConfig { hidden_dim: 0, ..d() }),
             ("fanouts", EngineConfig { fanouts: vec![], ..d() }),
             ("fanouts", EngineConfig { fanouts: vec![10, 0], ..d() }),

@@ -258,7 +258,6 @@ impl Engine {
                         self.drive(ts, share);
                         // A worker's hot-step counts die with its TLS; the
                         // caller's stay readable (`alloc::take_hot`).
-                        #[cfg(feature = "alloc-count")]
                         crate::alloc::flush_hot();
                     });
                 }
@@ -286,7 +285,8 @@ impl Engine {
         let mut carcass = None;
         for epoch in 0..cfg.epochs as u64 {
             for step in 0..steps_per_epoch {
-                #[cfg(feature = "alloc-count")]
+                // Trainer-loop allocations of the step (`alloc`): they
+                // read zero unless the process installs `CountingAlloc`.
                 let hot_start = (
                     crate::alloc::thread_allocs(),
                     crate::alloc::thread_excluded(),
@@ -306,7 +306,6 @@ impl Engine {
                         TrainerState::apply_averaged_grads,
                     );
                 }
-                #[cfg(feature = "alloc-count")]
                 if epoch >= 1 {
                     let hot = (crate::alloc::thread_allocs() - hot_start.0)
                         - (crate::alloc::thread_excluded() - hot_start.1);
@@ -826,61 +825,6 @@ mod tests {
             cfg.parallel = true;
             let fresh_par = Engine::build(cfg).run();
             assert_reports_identical(&pooled, &fresh_par);
-        }
-    }
-
-    /// Proven by the counting allocator, under both schedulers: once the
-    /// warmup epoch has stretched every pooled buffer to its high-water
-    /// mark, steady-state steps allocate *nothing* in the trainer hot
-    /// loop (preparation and model math are excluded as workload; see
-    /// `alloc`).
-    ///
-    /// The threaded half reads process-wide totals, so run this test on
-    /// its own (`-q steady_state`, as CI does): any other test's
-    /// thread-per-trainer run would flush into the same window.
-    #[cfg(feature = "alloc-count")]
-    #[test]
-    fn steady_state_steps_allocate_nothing() {
-        // Under the planner the threaded recycle loop circulates
-        // `window + 2` carcasses instead of three; they, and the queues
-        // that carry them, must reach their size inside epoch 0 too.
-        let lookahead = match prefetch_mode() {
-            Mode::Prefetch(p) => Mode::Prefetch(p.with_lookahead_policy(2)),
-            baseline => baseline,
-        };
-        for mode in [Mode::Baseline, prefetch_mode(), lookahead] {
-            let mut cfg = base_cfg();
-            cfg.train_math = true;
-            // Live telemetry on: the counter sets are attached while the
-            // trainers are built, never in the step loop.
-            cfg.telemetry = true;
-            cfg.epochs = 3;
-            cfg.mode = mode;
-            let label = cfg.mode.label();
-            let engine = Engine::build(cfg.clone());
-            let (world, steps_per_epoch) = (engine.world(), engine.steps_per_epoch());
-            // Each step loop records its own steps of epochs 1..3.
-            let assert_none = |(hot_allocs, hot_steps): (u64, u64), loops: usize| {
-                assert_eq!(hot_steps, (loops * 2 * steps_per_epoch) as u64);
-                assert_eq!(
-                    hot_allocs, 0,
-                    "steady-state trainer loop must not allocate ({hot_allocs} allocations \
-                     over {hot_steps} steps, {label}, {loops} step loop(s))"
-                );
-            };
-
-            // Round-robin: one loop, recorded on this thread.
-            crate::alloc::take_hot(); // discard anything a previous run left
-            let report = engine.run();
-            assert!(!report.final_params.is_empty());
-            assert_none(crate::alloc::take_hot(), 1);
-
-            // Thread per trainer: every worker flushes its loop's counts
-            // into the process-wide totals as it ends.
-            crate::alloc::reset_global_hot();
-            cfg.parallel = true;
-            Engine::build(cfg).run();
-            assert_none(crate::alloc::global_hot(), world);
         }
     }
 

@@ -92,7 +92,6 @@ impl TrainerState {
             feed.next().expect("prepare thread ended early")
         } else {
             // Preparation is workload, not trainer-loop bookkeeping.
-            #[cfg(feature = "alloc-count")]
             let _workload = crate::alloc::ExcludeGuard::new();
             let seeds = self.loader.epoch(epoch)[step].clone();
             match self.prefetcher.as_mut() {
@@ -188,7 +187,6 @@ impl TrainerState {
         // Real math, if enabled. Model math is workload, not trainer-loop
         // bookkeeping — its allocations are excluded from the hot count.
         if let Some(model) = self.model.as_mut() {
-            #[cfg(feature = "alloc-count")]
             let _workload = crate::alloc::ExcludeGuard::new();
             self.stats.push(forward_backward(
                 model.as_mut(),

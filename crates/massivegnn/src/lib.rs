@@ -53,7 +53,6 @@
 #![deny(unsafe_code)]
 
 pub mod ablation;
-#[cfg(feature = "alloc-count")]
 #[allow(unsafe_code)] // `GlobalAlloc` is an unsafe trait.
 pub mod alloc;
 pub mod buffer;
@@ -74,10 +73,3 @@ pub use engine::{Engine, EngineConfig, Mode, RunReport};
 pub use mgnn_net::{FaultProfile, RetryPolicy};
 pub use policy::{LookaheadPolicy, PlanCtx, PrefetchPolicy};
 pub use prefetcher::{Prefetcher, PrepareScratch, PreparedBatch};
-
-/// With `alloc-count` on, the whole process allocates through the
-/// counting allocator, so the steady-state proof measures every code
-/// path — including shims and std collections.
-#[cfg(feature = "alloc-count")]
-#[global_allocator]
-static COUNTING_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;

@@ -9,12 +9,14 @@ use std::process::Command;
 
 #[test]
 fn bad_arguments_exit_2_with_usage_on_stderr() {
-    let rejected: [&[&str]; 7] = [
+    let rejected: [&[&str]; 8] = [
         &["--bench-out", "x"],
         &["--perf-guard"],
         // `--depth N` alone selects the lookahead study's depth.
         &["--policy", "lookahead"],
         &["--batch", "0"],
+        // A run with no steps: `perfmodel` would print a NaN factor.
+        &["--epochs", "0"],
         // A zero-wide hidden layer is refused by `validate`; the tensor
         // kernel would panic on it in the first training step.
         &["--hidden", "0"],

@@ -1,24 +1,145 @@
-//! Run-time memory of the pull path, free of allocator slack: what
-//! `Engine::run` holds above what `Engine::build` left — round-robin, and
-//! with a prepare thread and a look-ahead queue per trainer — and what
-//! one preparation — baseline, or through the lookahead planner —
-//! allocates once its buffers have grown, and that the buffer probe and
-//! the `S_A` update allocate nothing at any batch size: all read from
-//! the counting allocator (`--features alloc-count`; without it this
-//! file is not built).
+//! Memory, free of allocator slack, read from the counting allocator this
+//! binary installs (`massivegnn::alloc`):
 //!
-//! The gauges are process-wide, so this binary holds exactly one test.
+//! - what `Engine::build` holds when it returns, and the most it ever
+//!   holds on the way;
+//! - the most `multilevel_partition` holds on top of the graph it is
+//!   given;
+//! - what `Engine::run` holds above what `Engine::build` left —
+//!   round-robin, and with a prepare thread and a look-ahead queue per
+//!   trainer — and what one preparation — baseline, or through the
+//!   lookahead planner — allocates once its buffers have grown, and that
+//!   the buffer probe and the `S_A` update allocate nothing at any batch
+//!   size;
+//! - that a steady-state step allocates nothing in the trainer loop,
+//!   under both schedulers.
+//!
+//! The gauges are process-wide, so every test takes [`gauges`] first:
+//! one measurement at a time, whatever `--test-threads` says.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use massivegnn::init::initialize_prefetcher;
 use massivegnn::prefetcher::{baseline_prepare_reuse, PrepareScratch};
 use massivegnn::scoreboard::AccessScores;
 use massivegnn::{
-    alloc, Engine, EngineConfig, LookaheadPolicy, Mode, PrefetchBuffer, PrefetchConfig, ScoreLayout,
+    alloc, Engine, EngineConfig, LookaheadPolicy, Mode, PrefetchBuffer, PrefetchConfig,
+    PrefetchPolicyKind, ScoreLayout,
 };
-use mgnn_graph::{Dataset, DatasetKind, Scale};
+use mgnn_graph::{CsrGraph, Dataset, DatasetGraph, DatasetKind, Scale};
 use mgnn_net::{wire, CommMetrics, CostModel, SimCluster};
 use mgnn_partition::{build_local_partitions, multilevel_partition};
 use mgnn_sampling::{DataLoader, NeighborSampler};
+
+#[global_allocator]
+static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
+
+/// Held by every test for its whole length: the live and peak gauges and
+/// the flushed hot-step totals are the whole process's.
+static GAUGES: Mutex<()> = Mutex::new(());
+
+/// Take the gauges. A test that failed holding them poisons nothing
+/// another test reads: each measures from its own starting point.
+fn gauges() -> MutexGuard<'static, ()> {
+    let held = GAUGES.lock().unwrap_or_else(PoisonError::into_inner);
+    // Every bound below also holds for gauges that read zero: prove that
+    // the allocator counting is this process's.
+    let before = alloc::thread_allocs();
+    drop(std::hint::black_box(Box::new(0u64)));
+    assert_eq!(
+        alloc::thread_allocs(),
+        before + 1,
+        "CountingAlloc is not the global allocator"
+    );
+    held
+}
+
+fn csr_bytes(g: &CsrGraph) -> usize {
+    std::mem::size_of_val(g.offsets()) + std::mem::size_of_val(g.targets())
+}
+
+#[test]
+fn engine_build_keeps_one_copy_of_the_features_and_returns_its_scratch() {
+    let _gauges = gauges();
+    let cfg = EngineConfig {
+        dataset: DatasetKind::Papers,
+        scale: Scale::Small,
+        num_parts: 4,
+        trainers_per_part: 1,
+        mode: Mode::Prefetch(PrefetchConfig::default()),
+        ..Default::default()
+    };
+    let before = alloc::live_bytes();
+    alloc::reset_peak();
+    let engine = Engine::build(cfg.clone());
+    let live = (alloc::live_bytes() - before) as f64;
+    let peak = (alloc::peak_bytes() - before) as f64;
+
+    // (a) What stays: the feature matrix once and the partitions' local
+    // graphs — and a tenth of that for id lists, the validation split and
+    // the cluster. The global graph is not among them: no run reads it
+    // (holding it reads 1.178x here). A second copy of the features (the
+    // per-shard gathers the KvStores used to hold) would alone put this
+    // at 1.8x.
+    let views: usize = engine
+        .partitions()
+        .iter()
+        .map(|p| csr_bytes(&p.graph))
+        .sum();
+    // The engine's dataset, generated again for its sizes: a row of
+    // `dim` features and a label per node, and the global graph.
+    let dataset = Dataset::generate(cfg.dataset, cfg.scale, cfg.seed);
+    let features = dataset.num_nodes() * (dataset.features.dim() + 1) * 4;
+    let floor = (features + views) as f64;
+    assert!(
+        live <= 1.10 * floor,
+        "live after build {live:.0} B is {:.3}x of features + views ({floor:.0} B)",
+        live / floor
+    );
+
+    // (b) What is borrowed on the way, and returned: the global graph,
+    // which every stage reads and the build drops once the halo views
+    // exist, and the partitioner's per-level maps and connection table.
+    // Feature synthesis holds nothing beside the matrix it returns, so
+    // running it beside the partitioner costs the maps alone — and never
+    // under the halo views, which are built after both.
+    let graph = csr_bytes(&dataset.graph) as f64;
+    assert!(
+        peak <= 1.05 * (live + graph),
+        "peak during build {peak:.0} B is {:.3}x of what build keeps + the graph ({:.0} B)",
+        peak / (live + graph),
+        live + graph
+    );
+}
+
+#[test]
+fn multilevel_partition_peaks_below_three_input_graphs() {
+    let _gauges = gauges();
+    // A coarse level is a map from input node to coarse node, not a
+    // graph: what the partitioner borrows grows with the node count —
+    // per level, and once for the refinement's table of every node's
+    // neighbours per part — never with a copy of the edges per level.
+    for (kind, parts) in [
+        (DatasetKind::Papers, 4),
+        (DatasetKind::Reddit, 4),
+        (DatasetKind::Products, 2),
+        (DatasetKind::Arxiv, 2),
+    ] {
+        let g = DatasetGraph::generate(kind, Scale::Small, 42).graph;
+        let csr = csr_bytes(&g) as f64;
+        let before = alloc::live_bytes();
+        alloc::reset_peak();
+        let partitioning = multilevel_partition(&g, parts, 42);
+        let peak = (alloc::peak_bytes() - before) as f64;
+        drop(partitioning);
+        assert!(
+            peak <= 3.0 * csr,
+            "{} at {parts} parts: peak {peak:.0} B is {:.2}x of the input CSR ({csr:.0} B)",
+            kind.name(),
+            peak / csr
+        );
+    }
+}
 
 fn baseline(num_parts: usize) -> EngineConfig {
     EngineConfig {
@@ -64,6 +185,7 @@ fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, (u64, i64)) {
 
 #[test]
 fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
+    let _gauges = gauges();
     // (a) The round-robin step loop keeps one batch and one set of
     // receive buffers alive, however many trainers take turns with them.
     // A set of receive buffers is budgeted as the batch's rows once more
@@ -277,4 +399,72 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
         missed.len()
     );
     assert_eq!(s_a.get(&halo_nodes, missed[0]), 2.0);
+}
+
+/// Under both schedulers: once the warmup epoch has stretched every
+/// pooled buffer to its high-water mark, steady-state steps allocate
+/// *nothing* in the trainer hot loop (preparation and model math are
+/// excluded as workload; see `massivegnn::alloc`).
+#[test]
+fn steady_state_steps_allocate_nothing() {
+    let _gauges = gauges();
+    let scoreboard = PrefetchConfig {
+        f_h: 0.35,
+        gamma: 0.995,
+        delta: 8,
+        eviction: true,
+        layout: ScoreLayout::Dense,
+        policy: PrefetchPolicyKind::Scoreboard,
+    };
+    // Under the planner the threaded recycle loop circulates
+    // `window + 2` carcasses instead of three; they, and the queues
+    // that carry them, must reach their size inside epoch 0 too.
+    let lookahead = scoreboard.with_lookahead_policy(2);
+    for mode in [
+        Mode::Baseline,
+        Mode::Prefetch(scoreboard),
+        Mode::Prefetch(lookahead),
+    ] {
+        let mut cfg = EngineConfig {
+            dataset: DatasetKind::Products,
+            scale: Scale::Unit,
+            num_parts: 2,
+            trainers_per_part: 2,
+            batch_size: 64,
+            epochs: 3,
+            fanouts: vec![5, 10],
+            hidden_dim: 16,
+            train_math: true,
+            // Live telemetry on: the counter sets are attached while the
+            // trainers are built, never in the step loop.
+            telemetry: true,
+            mode,
+            ..Default::default()
+        };
+        let label = cfg.mode.label();
+        let engine = Engine::build(cfg.clone());
+        let (world, steps_per_epoch) = (engine.world(), engine.steps_per_epoch());
+        // Each step loop records its own steps of epochs 1..3.
+        let assert_none = |(hot_allocs, hot_steps): (u64, u64), loops: usize| {
+            assert_eq!(hot_steps, (loops * 2 * steps_per_epoch) as u64);
+            assert_eq!(
+                hot_allocs, 0,
+                "steady-state trainer loop must not allocate ({hot_allocs} allocations \
+                 over {hot_steps} steps, {label}, {loops} step loop(s))"
+            );
+        };
+
+        // Round-robin: one loop, recorded on this thread.
+        alloc::take_hot(); // discard anything a previous run left
+        let report = engine.run();
+        assert!(!report.final_params.is_empty());
+        assert_none(alloc::take_hot(), 1);
+
+        // Thread per trainer: every worker flushes its loop's counts
+        // into the process-wide totals as it ends.
+        alloc::reset_global_hot();
+        cfg.parallel = true;
+        Engine::build(cfg).run();
+        assert_none(alloc::global_hot(), world);
+    }
 }

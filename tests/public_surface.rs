@@ -107,19 +107,19 @@ const ORACLES: &[(&str, &str)] = &[
     ),
     (
         "live_bytes",
-        "alloc-count probe: resident heap after `Engine::build` (tests/setup_memory.rs, run_memory.rs)",
+        "counting-allocator probe: resident heap after `Engine::build` (tests/memory.rs)",
     ),
     (
         "reset_peak",
-        "alloc-count probe: restarts the high-water mark `Engine::build` / `run` are bounded by",
+        "counting-allocator probe: restarts the high-water mark `Engine::build` / `run` are bounded by",
     ),
     (
         "global_hot",
-        "alloc-count probe: hot-step allocations summed over trainer threads (`steady_state_steps_allocate_nothing`)",
+        "counting-allocator probe: hot-step allocations summed over trainer threads (`steady_state_steps_allocate_nothing`)",
     ),
     (
         "reset_global_hot",
-        "alloc-count probe: zeroes `global_hot` before the measured run of `Engine::run`",
+        "counting-allocator probe: zeroes `global_hot` before the measured run of `Engine::run`",
     ),
 ];
 
