@@ -256,9 +256,6 @@ impl Engine {
                     s.spawn(move || {
                         ts[0].spawn_feed(self);
                         self.drive(ts, share);
-                        // A worker's hot-step counts die with its TLS; the
-                        // caller's stay readable (`alloc::take_hot`).
-                        crate::alloc::flush_hot();
                     });
                 }
             });
@@ -284,13 +281,10 @@ impl Engine {
         let mut global_step = 0u64;
         let mut carcass = None;
         for epoch in 0..cfg.epochs as u64 {
+            // Epoch 0 grows every pooled buffer; the epochs after it are
+            // the steady state the memory proofs count in (`alloc`).
+            let _steady = (epoch >= 1).then(crate::alloc::EpochGuard::new);
             for step in 0..steps_per_epoch {
-                // Trainer-loop allocations of the step (`alloc`): they
-                // read zero unless the process installs `CountingAlloc`.
-                let hot_start = (
-                    crate::alloc::thread_allocs(),
-                    crate::alloc::thread_excluded(),
-                );
                 for ts in trainers.iter_mut() {
                     let batch = ts.next_batch(self, epoch, step, global_step, carcass.take());
                     ts.train_on(&batch, self, global_step);
@@ -305,11 +299,6 @@ impl Engine {
                         |ts, slot| ts.replica().write_grads(slot),
                         TrainerState::apply_averaged_grads,
                     );
-                }
-                if epoch >= 1 {
-                    let hot = (crate::alloc::thread_allocs() - hot_start.0)
-                        - (crate::alloc::thread_excluded() - hot_start.1);
-                    crate::alloc::record_hot_step(hot);
                 }
                 global_step += 1;
             }

@@ -50,10 +50,9 @@
 //! assert!(prefetch.hit_rate() > 0.0);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod ablation;
-#[allow(unsafe_code)] // `GlobalAlloc` is an unsafe trait.
 pub mod alloc;
 pub mod buffer;
 pub mod config;

@@ -25,6 +25,8 @@
 //! experiments, no server required. Both perturb only wall-clock — every
 //! report stays bitwise identical to a telemetry-off run.
 
+#![forbid(unsafe_code)]
+
 use mgnn_bench::{experiments, figures::chaos, harness, Opts};
 use mgnn_graph::{DatasetKind, Scale};
 use mgnn_net::{Backend, FaultProfile};

@@ -29,6 +29,8 @@
 //! (who wins, by what factor, where crossovers sit) come from real sampled
 //! data movement. See EXPERIMENTS.md for paper-vs-measured notes.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod figures;
 pub mod harness;

@@ -17,6 +17,8 @@
 //!
 //! All randomness is seeded and deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod csr;
 pub mod datasets;

@@ -11,6 +11,8 @@
 //! [`Stack`] of them: it abstracts parameter/gradient flattening so DDP
 //! and the optimizers work on plain `f32` slices.
 
+#![forbid(unsafe_code)]
+
 pub mod ddp;
 pub mod gat;
 pub mod gcn;

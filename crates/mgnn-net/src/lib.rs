@@ -30,6 +30,8 @@
 //! degrades (respawn → retry → zero-fill) instead of panicking,
 //! reporting every deviation exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod cluster;
 pub mod cost;

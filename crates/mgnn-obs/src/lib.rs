@@ -33,6 +33,8 @@
 //! engine's simulated timings and reports are bitwise identical to a
 //! build without this crate.
 
+#![forbid(unsafe_code)]
+
 mod collector;
 pub mod counters;
 pub mod events;

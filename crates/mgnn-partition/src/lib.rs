@@ -17,6 +17,8 @@
 //! that produces the [`LocalPartition`] the rest of the system consumes,
 //! the [`trainer_split`] second level, and partition [`quality`] metrics.
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod halo;
 pub mod hash;

@@ -13,6 +13,8 @@
 //! `V_p^{l|s}` and `V_p^{h|s}` (paper Algorithm 2 lines 2–3) with a single
 //! comparison against `L`.
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod dataloader;
 pub mod sampler;

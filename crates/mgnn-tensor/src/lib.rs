@@ -11,6 +11,8 @@
 //! keeps the hot paths allocation-predictable (the HPC idiom) and makes the
 //! gradient flow auditable in tests against finite differences.
 
+#![forbid(unsafe_code)]
+
 pub mod init;
 pub mod linear;
 pub mod loss;

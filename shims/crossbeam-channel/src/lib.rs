@@ -9,6 +9,8 @@
 //! once the receiver is gone; `recv` drains remaining messages before
 //! reporting disconnection.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 

@@ -14,6 +14,8 @@
 //! assertion message. That is sufficient for regression coverage here;
 //! the trade was forced by the offline build.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     //! Test configuration and the runner's RNG.
 

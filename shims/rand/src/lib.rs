@@ -8,6 +8,8 @@
 //! splitmix64 — high-quality and fully reproducible, which is all the
 //! simulation needs (no test asserts upstream-rand golden values).
 
+#![forbid(unsafe_code)]
+
 /// Core random source: 64-bit output words.
 pub trait RngCore {
     /// Next raw 64-bit word.

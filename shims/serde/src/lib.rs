@@ -10,6 +10,8 @@
 //! Object fields preserve insertion order, so serialized output is
 //! deterministic — a property the benchmark-trajectory tooling relies on.
 
+#![forbid(unsafe_code)]
+
 /// A JSON-like value tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

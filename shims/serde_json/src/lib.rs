@@ -6,6 +6,8 @@
 //! shortest round-trip formatting; non-finite floats become `null` (JSON
 //! has no NaN/Infinity).
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 pub use serde::Value;
 

@@ -1,5 +1,5 @@
 //! Memory, free of allocator slack, read from the counting allocator this
-//! binary installs (`massivegnn::alloc`):
+//! binary installs:
 //!
 //! - what `Engine::build` holds when it returns, and the most it ever
 //!   holds on the way;
@@ -12,11 +12,15 @@
 //!   the buffer probe and the `S_A` update allocate nothing at any batch
 //!   size;
 //! - that a steady-state step allocates nothing in the trainer loop,
-//!   under both schedulers.
+//!   under both schedulers: the allocator counts what a thread allocates
+//!   while `massivegnn::alloc::hot` says it is in the loop proper.
 //!
 //! The gauges are process-wide, so every test takes [`gauges`] first:
 //! one measurement at a time, whatever `--test-threads` says.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use massivegnn::init::initialize_prefetcher;
@@ -31,11 +35,72 @@ use mgnn_net::{wire, CommMetrics, CostModel, SimCluster};
 use mgnn_partition::{build_local_partitions, multilevel_partition};
 use mgnn_sampling::{DataLoader, NeighborSampler};
 
+/// Live heap bytes (allocated minus deallocated).
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+/// High-water mark of [`LIVE_BYTES`] since [`reset_peak`].
+static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+/// Allocations made on any thread while `alloc::hot` held.
+static HOT_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // `const` init keeps first access allocation-free — a lazily
+    // initialized TLS slot would recurse into the allocator.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A `System`-backed allocator that counts. `realloc`/`alloc_zeroed`
+/// use the `GlobalAlloc` defaults, which route through `alloc`/`dealloc`,
+/// so nothing escapes the count.
+struct CountingAlloc;
+
+// SAFETY: defers all actual allocation to `System`; the bookkeeping is
+// atomics and Cell-based TLS without drop glue (safe during thread
+// teardown).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            THREAD_ALLOCS.set(THREAD_ALLOCS.get() + 1);
+            if alloc::hot() {
+                HOT_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            }
+            let size = layout.size() as i64;
+            let live = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
+            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        System.dealloc(ptr, layout);
+    }
+}
+
 #[global_allocator]
-static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations made by the calling thread.
+fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.get()
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+fn peak_bytes() -> i64 {
+    PEAK_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restart the peak gauge from the current live level, so a measurement
+/// window reports its own high-water mark rather than initialization's.
+fn reset_peak() {
+    PEAK_BYTES.store(live_bytes(), Ordering::Relaxed);
+}
 
 /// Held by every test for its whole length: the live and peak gauges and
-/// the flushed hot-step totals are the whole process's.
+/// the hot count are the whole process's.
 static GAUGES: Mutex<()> = Mutex::new(());
 
 /// Take the gauges. A test that failed holding them poisons nothing
@@ -44,10 +109,10 @@ fn gauges() -> MutexGuard<'static, ()> {
     let held = GAUGES.lock().unwrap_or_else(PoisonError::into_inner);
     // Every bound below also holds for gauges that read zero: prove that
     // the allocator counting is this process's.
-    let before = alloc::thread_allocs();
+    let before = thread_allocs();
     drop(std::hint::black_box(Box::new(0u64)));
     assert_eq!(
-        alloc::thread_allocs(),
+        thread_allocs(),
         before + 1,
         "CountingAlloc is not the global allocator"
     );
@@ -69,11 +134,11 @@ fn engine_build_keeps_one_copy_of_the_features_and_returns_its_scratch() {
         mode: Mode::Prefetch(PrefetchConfig::default()),
         ..Default::default()
     };
-    let before = alloc::live_bytes();
-    alloc::reset_peak();
+    let before = live_bytes();
+    reset_peak();
     let engine = Engine::build(cfg.clone());
-    let live = (alloc::live_bytes() - before) as f64;
-    let peak = (alloc::peak_bytes() - before) as f64;
+    let live = (live_bytes() - before) as f64;
+    let peak = (peak_bytes() - before) as f64;
 
     // (a) What stays: the feature matrix once and the partitions' local
     // graphs — and a tenth of that for id lists, the validation split and
@@ -127,10 +192,10 @@ fn multilevel_partition_peaks_below_three_input_graphs() {
     ] {
         let g = DatasetGraph::generate(kind, Scale::Small, 42).graph;
         let csr = csr_bytes(&g) as f64;
-        let before = alloc::live_bytes();
-        alloc::reset_peak();
+        let before = live_bytes();
+        reset_peak();
         let partitioning = multilevel_partition(&g, parts, 42);
-        let peak = (alloc::peak_bytes() - before) as f64;
+        let peak = (peak_bytes() - before) as f64;
         drop(partitioning);
         assert!(
             peak <= 3.0 * csr,
@@ -162,10 +227,10 @@ fn baseline(num_parts: usize) -> EngineConfig {
 /// its prefetcher keeps (buffer, scoreboards, the planner's ring).
 fn run_footprint(cfg: EngineConfig) -> (f64, Vec<f64>) {
     let engine = Engine::build(cfg);
-    let held = alloc::live_bytes();
-    alloc::reset_peak();
+    let held = live_bytes();
+    reset_peak();
     let report = engine.run();
-    let peak = (alloc::peak_bytes() - held) as f64;
+    let peak = (peak_bytes() - held) as f64;
     let per_trainer = report.trainers.iter().map(|t| t.peak_bytes as f64);
     (peak, per_trainer.collect())
 }
@@ -173,14 +238,11 @@ fn run_footprint(cfg: EngineConfig) -> (f64, Vec<f64>) {
 /// What `f` returns, and `(allocations on this thread, bytes the live
 /// gauge rose by)` while it ran.
 fn allocations_of<R>(f: impl FnOnce() -> R) -> (R, (u64, i64)) {
-    let live = alloc::live_bytes();
-    alloc::reset_peak();
-    let before = alloc::thread_allocs();
+    let live = live_bytes();
+    reset_peak();
+    let before = thread_allocs();
     let r = f();
-    (
-        r,
-        (alloc::thread_allocs() - before, alloc::peak_bytes() - live),
-    )
+    (r, (thread_allocs() - before, peak_bytes() - live))
 }
 
 #[test]
@@ -401,6 +463,17 @@ fn a_run_holds_one_batch_and_one_payload_set_and_a_pull_allocates_nothing() {
     assert_eq!(s_a.get(&halo_nodes, missed[0]), 2.0);
 }
 
+/// `(allocations, epoch marks)` while `f` ran: what any thread allocated
+/// while `alloc::hot` held, and how many `EpochGuard`s were taken.
+fn hot_allocations_of(f: impl FnOnce()) -> (u64, u64) {
+    let (hot, epochs) = (HOT_ALLOCS.load(Ordering::Relaxed), alloc::epochs_marked());
+    f();
+    (
+        HOT_ALLOCS.load(Ordering::Relaxed) - hot,
+        alloc::epochs_marked() - epochs,
+    )
+}
+
 /// Under both schedulers: once the warmup epoch has stretched every
 /// pooled buffer to its high-water mark, steady-state steps allocate
 /// *nothing* in the trainer hot loop (preparation and model math are
@@ -442,29 +515,21 @@ fn steady_state_steps_allocate_nothing() {
             ..Default::default()
         };
         let label = cfg.mode.label();
-        let engine = Engine::build(cfg.clone());
-        let (world, steps_per_epoch) = (engine.world(), engine.steps_per_epoch());
-        // Each step loop records its own steps of epochs 1..3.
-        let assert_none = |(hot_allocs, hot_steps): (u64, u64), loops: usize| {
-            assert_eq!(hot_steps, (loops * 2 * steps_per_epoch) as u64);
-            assert_eq!(
-                hot_allocs, 0,
-                "steady-state trainer loop must not allocate ({hot_allocs} allocations \
-                 over {hot_steps} steps, {label}, {loops} step loop(s))"
-            );
-        };
-
-        // Round-robin: one loop, recorded on this thread.
-        alloc::take_hot(); // discard anything a previous run left
-        let report = engine.run();
-        assert!(!report.final_params.is_empty());
-        assert_none(alloc::take_hot(), 1);
-
-        // Thread per trainer: every worker flushes its loop's counts
-        // into the process-wide totals as it ends.
-        alloc::reset_global_hot();
+        let round_robin = Engine::build(cfg.clone());
         cfg.parallel = true;
-        Engine::build(cfg).run();
-        assert_none(alloc::global_hot(), world);
+        let threaded = Engine::build(cfg);
+        // One step loop on this thread; one on each trainer's worker.
+        for (engine, loops) in [(&round_robin, 1), (&threaded, threaded.world())] {
+            let (hot, epochs) = hot_allocations_of(|| {
+                assert!(!engine.run().final_params.is_empty());
+            });
+            // Each loop marks its epochs 1 and 2.
+            assert_eq!(epochs, 2 * loops as u64, "marked epochs, {label}");
+            assert_eq!(
+                hot, 0,
+                "steady-state trainer loop must not allocate ({hot} allocations \
+                 over {epochs} epochs, {label}, {loops} step loop(s))"
+            );
+        }
     }
 }

@@ -106,20 +106,12 @@ const ORACLES: &[(&str, &str)] = &[
         "what `Engine::build` keeps of the dataset while feature synthesis runs on a second thread: tests/integration_setup.rs holds its feature bits, labels and validation split to the stages run one after another",
     ),
     (
-        "live_bytes",
-        "counting-allocator probe: resident heap after `Engine::build` (tests/memory.rs)",
+        "hot",
+        "the mark a counting allocator asks of each allocation: whether `Engine::drive`'s `EpochGuard` is held and no `ExcludeGuard` (tests/memory.rs)",
     ),
     (
-        "reset_peak",
-        "counting-allocator probe: restarts the high-water mark `Engine::build` / `run` are bounded by",
-    ),
-    (
-        "global_hot",
-        "counting-allocator probe: hot-step allocations summed over trainer threads (`steady_state_steps_allocate_nothing`)",
-    ),
-    (
-        "reset_global_hot",
-        "counting-allocator probe: zeroes `global_hot` before the measured run of `Engine::run`",
+        "epochs_marked",
+        "how many `EpochGuard`s `Engine::drive` took: a run whose step loop marks nothing cannot pass for one that allocates nothing",
     ),
 ];
 
@@ -429,6 +421,45 @@ fn every_pub_fn_is_reached_or_a_named_oracle() {
             "{key} is in ORACLES and names {named} pub fns: one `Type::name` each"
         );
     }
+}
+
+/// The one crate root below which a module may use `unsafe`: it denies
+/// it, and `allow`s it on that module. Every other root forbids it.
+const UNSAFE_ROOTS: &[&str] = &["shims/rayon/src/lib.rs"];
+
+#[test]
+fn every_crate_root_forbids_unsafe_code() {
+    let root = workspace();
+    let mut roots = Vec::new();
+    for dir in ["crates", "shims"] {
+        for member in fs::read_dir(root.join(dir)).expect("member dir") {
+            let src = member.expect("dir entry").path().join("src");
+            roots.extend(["lib.rs", "main.rs"].map(|file| src.join(file)));
+            if let Ok(bins) = fs::read_dir(src.join("bin")) {
+                roots.extend(bins.map(|e| e.expect("dir entry").path()));
+            }
+        }
+    }
+    roots.retain(|path| path.is_file());
+    assert!(roots.len() >= 16, "found {} crate roots", roots.len());
+    let lax: Vec<String> = roots
+        .iter()
+        .filter_map(|path| {
+            let shown = path.strip_prefix(&root).unwrap_or(path).display();
+            let shown = shown.to_string();
+            let lint = if UNSAFE_ROOTS.contains(&shown.as_str()) {
+                "#![deny(unsafe_code)]"
+            } else {
+                "#![forbid(unsafe_code)]"
+            };
+            (!code_of(&read(path), true).contains(lint)).then(|| format!("{shown}: no `{lint}`"))
+        })
+        .collect();
+    assert!(
+        lax.is_empty(),
+        "crate roots without their `unsafe_code` lint:\n  {}",
+        lax.join("\n  ")
+    );
 }
 
 /// Types of `std` the docs may name members of.
