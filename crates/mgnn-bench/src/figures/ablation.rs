@@ -8,7 +8,7 @@
 use crate::harness::{engine_config, Opts};
 use massivegnn::ablation::{replay_policies, CachePolicy};
 use massivegnn::init::top_degree_halo;
-use massivegnn::Engine;
+use massivegnn::{Engine, PrefetchConfig};
 use mgnn_graph::DatasetKind;
 use mgnn_net::Backend;
 use std::fmt;
@@ -63,16 +63,14 @@ pub fn run(opts: &Opts) -> Ablation {
         }
     }
 
-    // Shared initial occupancy: what a prefetcher buffers at `f_h` 0.25.
-    let initial = top_degree_halo(&part, 0.25);
-
+    // The paper's scheme as an engine runs it by default; every policy
+    // starts from the buffer a prefetcher fills at its `f_h`.
+    let scheme = PrefetchConfig::default();
+    let initial = top_degree_halo(&part, scheme.f_h);
     let policies = [
-        // Δ = 8, not the engine's default 64: at quick scale a 32-step
-        // interval already leaves no occupant idle a full window,
-        // silently disabling the policy under test.
         CachePolicy::ScoreBased {
-            gamma: 0.995,
-            delta: 8,
+            gamma: scheme.gamma,
+            delta: scheme.delta,
         },
         CachePolicy::Static,
         CachePolicy::Lru,
@@ -129,8 +127,8 @@ mod tests {
 
     #[test]
     fn stream_replays_the_engines_steps() {
-        // At batch 32 trainer 0's shard has 8 batches an epoch and the
-        // smallest shard 7: the engine runs 7, so the replay must too.
+        // At batch 32 trainer 0's shard has 50 batches an epoch and the
+        // smallest shard 45: the engine runs 45, so the replay must too.
         let mut opts = Opts::quick();
         opts.batch_size = 32;
         let long = opts.longrun_of();

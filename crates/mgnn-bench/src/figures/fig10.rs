@@ -101,15 +101,15 @@ mod tests {
     #[test]
     fn hit_rate_grows_then_plateaus() {
         let mut opts = Opts::quick();
-        opts.epochs = 3; // ×12 internally
+        opts.epochs = 3; // 30 on the long-run profile
         let fig = run(&opts);
         for s in &fig.series {
             assert!(s.hit_series.len() >= 4, "{}: series too short", s.dataset);
             let early: f64 = s.hit_series[..2].iter().sum::<f64>() / 2.0;
             let late_n = s.hit_series.len();
             let late: f64 = s.hit_series[late_n - 2..].iter().sum::<f64>() / 2.0;
-            // Short debug-profile runs fluctuate a few points; the claim
-            // is "no collapse", not monotonicity.
+            // Windows fluctuate a few points; the claim is "no
+            // collapse", not monotonicity.
             assert!(
                 late >= early - 0.07,
                 "{}: hit rate should not collapse ({early:.3} -> {late:.3})",

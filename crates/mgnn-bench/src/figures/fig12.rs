@@ -109,6 +109,9 @@ mod tests {
         };
         let small = at(0.95, 16);
         let large = at(0.95, 256);
+        // Regression for the Eq. 1 boundary bug, whose strict `S_E < α`
+        // compare left eviction dead at every point.
+        assert!(small.evictions > 0, "eviction is dead at γ 0.95, Δ 16");
         assert!(
             small.evictions >= large.evictions,
             "Δ=16 evictions {} < Δ=256 {}",

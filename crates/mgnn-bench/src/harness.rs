@@ -80,20 +80,12 @@ impl Opts {
     }
 
     /// The long-run profile used by the eviction-dynamics figures
-    /// (Figs. 10, 12, 13): a larger graph (so the halo set dwarfs one
-    /// minibatch's sampled set, as at paper scale), smaller batches and
-    /// enough epochs for many Δ intervals to elapse.
-    ///
-    /// Debug builds keep the Unit scale and fewer epochs so `cargo test`
-    /// stays fast; the figure *shapes* asserted by tests hold at both
-    /// sizes, and release runs (`repro`) use the full profile.
+    /// (Figs. 10, 12, 13) and the ablation: a larger graph (so the halo
+    /// set dwarfs one minibatch's sampled set, as at paper scale), smaller
+    /// batches and enough epochs for many Δ intervals to elapse. Every
+    /// build, tests included, runs this one profile, the one `repro` runs.
     pub fn longrun_of(&self) -> Opts {
         let mut o = self.clone();
-        if cfg!(debug_assertions) {
-            o.batch_size = o.batch_size.min(48);
-            o.epochs = (o.epochs * 4).max(8);
-            return o;
-        }
         if matches!(o.scale, Scale::Unit) {
             o.scale = Scale::Small;
         }

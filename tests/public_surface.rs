@@ -20,6 +20,9 @@
 //! and `Type::method` resolves, and every numbered `§` citation in them
 //! or in the code names a heading of DESIGN. `docs_stay_within_budget`
 //! caps the length of the prose every change reads.
+//! `every_crate_root_forbids_unsafe_code` and
+//! `every_build_tests_one_profile` hold every crate root to its
+//! `unsafe_code` lint and every build to the one profile `repro` runs.
 
 use std::collections::HashMap;
 use std::fs;
@@ -133,8 +136,9 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// `text` as code only: no `//` comments, no string or char literal
 /// contents (a panic message is not a caller) and no `use` declarations
 /// (nor is a re-export); with `non_test`, only the lines before the first
-/// `#[cfg(test)]` (CI's line-count rule). The workspace has no raw
-/// strings or block comments, so neither is lexed.
+/// `#[cfg(test)]` (CI's line-count rule). A literal keeps its line
+/// breaks, so line N of the code is line N of the file. The workspace
+/// has no raw strings or block comments, so neither is lexed.
 fn code_of(text: &str, non_test: bool) -> String {
     let text = match text.find("#[cfg(test)]") {
         Some(at) if non_test => &text[..at],
@@ -150,7 +154,10 @@ fn code_of(text: &str, non_test: bool) -> String {
         } else if rest[0] == b'"' {
             i += 1;
             while i < b.len() && b[i] != b'"' {
-                i += if b[i] == b'\\' { 2 } else { 1 };
+                let step = if b[i] == b'\\' { 2 } else { 1 };
+                let cut = &b[i..(i + step).min(b.len())];
+                bare.extend(cut.iter().filter(|&&c| c == b'\n'));
+                i += step;
             }
             i += 1;
         } else if rest[0] == b'\'' && rest.get(2) == Some(&b'\'') {
@@ -459,6 +466,51 @@ fn every_crate_root_forbids_unsafe_code() {
         lax.is_empty(),
         "crate roots without their `unsafe_code` lint:\n  {}",
         lax.join("\n  ")
+    );
+}
+
+/// Dev and release builds test one profile, the one `repro` runs. The
+/// only code that may name `debug_assertions` is `#[cfg(debug_assertions)]`
+/// on a `#[test]` that is `#[should_panic]`: it exercises a
+/// `debug_assert!`, which a release build compiles out. Anything else
+/// (`cfg!`, `not(..)`, `cfg_attr`, a non-test item) forks what is tested.
+#[test]
+fn every_build_tests_one_profile() {
+    let root = workspace();
+    let mut files = Vec::new();
+    for dir in ["crates", "shims", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() > 100, "found {} files", files.len());
+    let mut forks = Vec::new();
+    for path in &files {
+        let text = read(path);
+        let code = code_of(&text, false);
+        let lines: Vec<&str> = code.lines().collect();
+        for (n, line) in lines.iter().enumerate() {
+            if !line.contains("debug_assertions") {
+                continue;
+            }
+            let attrs = lines[n + 1..]
+                .iter()
+                .map(|l| l.trim())
+                .take_while(|l| l.starts_with("#["));
+            let (mut test, mut panics) = (false, false);
+            for attr in attrs {
+                test |= attr == "#[test]";
+                panics |= attr.starts_with("#[should_panic");
+            }
+            if !(line.trim() == "#[cfg(debug_assertions)]" && test && panics) {
+                let shown = path.strip_prefix(&root).unwrap_or(path).display();
+                let source = text.lines().nth(n).unwrap_or_default().trim();
+                forks.push(format!("{shown}:{}: {source}", n + 1));
+            }
+        }
+    }
+    assert!(
+        forks.is_empty(),
+        "build-profile forks (a test here runs what `repro` never does):\n  {}",
+        forks.join("\n  ")
     );
 }
 
